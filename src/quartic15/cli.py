@@ -576,35 +576,49 @@ def _parse_bidegree(text: str):
     return (int(parts[0]), int(parts[1]))
 
 
+def _global_flags(**defaults) -> argparse.ArgumentParser:
+    """The flags accepted both before and after the subcommand.
+
+    Flags without a given default are SUPPRESSed: the subcommand's namespace
+    is copied over the main one, so a plain default there would reset a
+    value given before the subcommand.
+    """
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", metavar="PATH", help="write the JSON report here")
+    flags.add_argument("--seed", type=int, help="seed for sampled points")
+    flags.add_argument("--no-timing", action="store_true", help="zero out timings for byte-stable output")
+    flags.add_argument("--max-height", type=int, help="coefficient height cap for sampling")
+    flags.set_defaults(**defaults)
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartic15",
         description="exact certification suite for 15-nodal quartic surface geometry",
+        parents=[_global_flags(json=None, seed=0, no_timing=False, max_height=50)],
     )
-    parser.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled points")
-    parser.add_argument("--no-timing", action="store_true", help="zero out timings for byte-stable output")
-    parser.add_argument("--max-height", type=int, default=50, help="coefficient height cap for sampling")
+    common = [_global_flags()]
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run the complete suite")
+    verify = sub.add_parser("verify", help="run the complete suite", parents=common)
     verify.add_argument("--all", action="store_true", required=True)
-    sub.add_parser("segre", help="cubic checks")
-    sub.add_parser("cr", help="quartic hypersurface checks")
-    duality = sub.add_parser("duality", help="polar duality checks")
+    sub.add_parser("segre", help="cubic checks", parents=common)
+    sub.add_parser("cr", help="quartic hypersurface checks", parents=common)
+    duality = sub.add_parser("duality", help="polar duality checks", parents=common)
     duality.add_argument("--samples", type=int, default=200)
-    section = sub.add_parser("section", help="hyperplane section checks")
+    section = sub.add_parser("section", help="hyperplane section checks", parents=common)
     section.add_argument("--coeffs", type=_parse_coeffs, required=True)
     section.add_argument("--scan-prime", type=int, default=None)
-    sub.add_parser("tangent-section", help="tangent hyperplane section checks")
-    sub.add_parser("lattice", help="Picard and Kummer lattice checks")
-    sub.add_parser("code", help="even-set code checks")
-    sub.add_parser("involutions", help="involution certification")
-    pentads = sub.add_parser("pentads", help="pentad classification")
+    sub.add_parser("tangent-section", help="tangent hyperplane section checks", parents=common)
+    sub.add_parser("lattice", help="Picard and Kummer lattice checks", parents=common)
+    sub.add_parser("code", help="even-set code checks", parents=common)
+    sub.add_parser("involutions", help="involution certification", parents=common)
+    pentads = sub.add_parser("pentads", help="pentad classification", parents=common)
     pentads.add_argument("--crosscheck-graph", action="store_true")
-    congr = sub.add_parser("congruence", help="congruence invariants")
+    congr = sub.add_parser("congruence", help="congruence invariants", parents=common)
     congr.add_argument("--bidegree", type=_parse_bidegree, required=True)
     congr.add_argument("--rank", type=int, required=True)
-    table1 = sub.add_parser("table1", help="singular-point table solver")
+    table1 = sub.add_parser("table1", help="singular-point table solver", parents=common)
     table1.add_argument("--n", type=int, required=True)
     return parser
 

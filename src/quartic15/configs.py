@@ -75,9 +75,6 @@ def canonical_three_subset(s: Iterable[int]) -> tuple[int, int, int]:
     return s if min(s) < min(comp) else comp
 
 
-def apply_perm_point(g: Perm, x: int) -> int:
-    return g[x - 1]
-
 def apply_perm_duad(g: Perm, d: Duad) -> Duad:
     return tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
 

@@ -3,9 +3,10 @@
 Three families: the covering involution sigma* (determined by its images on
 the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
-5-subset P of nodes.  Every matrix is expressed on the fixed Z-basis of the
-Picard lattice, and certified integral, Gram-preserving and involutive by
-direct matrix arithmetic.
+5-subset P of nodes.  Every one is a `lattice.Isometry` on the fixed Z-basis
+of the Picard lattice; classes reach that basis through the integer row-basis
+coordinates of `PicardModel.in_lattice`.  Each matrix is certified integral,
+Gram-preserving and involutive by direct matrix arithmetic.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -15,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .configs import Duad, s6_elements
-from .exact import rank_fraction_free, solve_linear
-from .lattice import mat_identity, mat_mul, mat_transpose
+from .configs import Duad, apply_perm_duad_set, s6_elements
+from .lattice import Isometry, reflection_isometry
 from .nodal_surface import (
     C_SET,
     E,
@@ -38,99 +37,29 @@ from .nodal_surface import (
 Pentad = tuple[Duad, Duad, Duad, Duad, Duad]
 
 
-@dataclass(frozen=True)
-class PicIsometry:
-    name: str
-    matrix: tuple[tuple[int, ...], ...]  # on the Picard basis, row convention
-
-    def apply(self, v: Sequence[int]) -> list[int]:
-        return [
-            sum(v[i] * self.matrix[i][j] for i in range(RANK)) for j in range(RANK)
-        ]
-
-    def compose(self, other: "PicIsometry") -> "PicIsometry":
-        return PicIsometry(
-            f"{self.name};{other.name}",
-            tuple(tuple(r) for r in mat_mul(self.matrix, other.matrix)),
-        )
-
-    def is_involution(self) -> bool:
-        return mat_mul(self.matrix, self.matrix) == mat_identity(RANK)
-
-    def preserves_gram(self, gram: Sequence[Sequence[int]]) -> bool:
-        m = [list(r) for r in self.matrix]
-        return mat_mul(mat_mul(m, [list(r) for r in gram]), mat_transpose(m)) == [
-            list(r) for r in gram
-        ]
-
-    def trace(self) -> int:
-        return sum(self.matrix[i][i] for i in range(RANK))
-
-    def invariant_rank(self) -> int:
-        delta = [
-            [self.matrix[i][j] - (1 if i == j else 0) for j in range(RANK)]
-            for i in range(RANK)
-        ]
-        return RANK - rank_fraction_free(delta)
-
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "matrix": [list(r) for r in self.matrix]}
-
-
-class _Basis:
-    """Cached conversion data between (eta, E_x) coordinates and the Pic basis."""
-
-    def __init__(self, model: PicardModel):
-        self.model = model
-        self.rows = [list(r) for r in model.basis]  # 16 rows in ambient coords
-        # columns of the basis matrix, for solving  x · B = v
-        self.cols = [[self.rows[k][i] for k in range(RANK)] for i in range(RANK)]
-
-    def to_pic(self, coords: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        return solve_linear(self.cols, list(coords))
-
-    def to_pic_int(self, coords: Sequence[Fraction]) -> Optional[list[int]]:
-        sol = self.to_pic(coords)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return [int(c) for c in sol]
-
-    def class_rows(self) -> list[DivisorClass]:
-        return [DivisorClass(tuple(r)) for r in self.model.basis]
-
-
-_BASIS_CACHE: dict[int, _Basis] = {}
-
-
-def _basis(model: PicardModel | None = None) -> _Basis:
-    model = model or picard_lattice()
-    key = id(model)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = _Basis(model)
-    return _BASIS_CACHE[key]
-
-
 def _isometry_from_class_images(
-    name: str, images: Sequence[DivisorClass], model: PicardModel | None = None
-) -> PicIsometry:
+    name: str, images: Sequence[DivisorClass], model: PicardModel
+) -> Isometry:
     """Matrix rows from the images of the Picard basis, certified integral."""
-    basis = _basis(model)
     rows = []
     for i, img in enumerate(images):
-        pic = basis.to_pic_int(img.coords)
+        pic = model.in_lattice(img)
         if pic is None:
             raise ValueError(f"{name}: image of basis vector {i} is not in the lattice")
         rows.append(tuple(pic))
-    iso = PicIsometry(name, tuple(rows))
-    if not iso.preserves_gram(basis.model.lattice.gram):
+    iso = Isometry(name, tuple(rows))
+    if not iso.preserves_gram(model.lattice.gram):
         raise ValueError(f"{name}: Gram form not preserved")
     return iso
 
 
-def sigma_star(model: PicardModel | None = None) -> PicIsometry:
+def _basis_classes(model: PicardModel) -> list[DivisorClass]:
+    return [DivisorClass(tuple(r)) for r in model.basis]
+
+
+def sigma_star(model: PicardModel | None = None) -> Isometry:
     """The covering involution: eta and every E_x map to their sigma-classes."""
     model = model or picard_lattice()
-    basis = _basis(model)
     sigma_eta = (
         4 * ETA
         - sum((E[x] for x in L_SET), DivisorClass.make())
@@ -146,9 +75,10 @@ def sigma_star(model: PicardModel | None = None) -> PicIsometry:
                 out = out + c * sigma_images[d]
         return out
 
-    images = [image_of(b) for b in basis.class_rows()]
+    images = [image_of(b) for b in _basis_classes(model)]
     iso = _isometry_from_class_images("sigma", images, model)
-    assert iso.is_involution(), "sigma* must square to the identity"
+    if not iso.is_involution():
+        raise AssertionError("sigma* must square to the identity")
     return iso
 
 
@@ -160,48 +90,38 @@ def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
     return 3 * ETA - sum((2 * E[x] for x in pentad), DivisorClass.make())
 
 
-def _reflection_norm4(name: str, root: DivisorClass, model: PicardModel | None = None) -> PicIsometry:
-    """Reflection v -> v + (v·root)/2 · root for a norm -4 root in the lattice."""
-    model = model or picard_lattice()
-    basis = _basis(model)
-    assert root.norm() == -4, "reflection root must have norm -4"
-    w = basis.to_pic_int(root.coords)
-    assert w is not None, "root must lie in the Picard lattice"
-    rows = []
-    for i, b in enumerate(basis.class_rows()):
-        s = b.dot(root)
-        if s.denominator != 1 or int(s) % 2:
-            raise ValueError(f"{name}: basis vector {i} pairs oddly with the root")
-        half = int(s) // 2
-        row = [
-            (1 if i == j else 0) + half * w[j] for j in range(RANK)
-        ]
-        rows.append(tuple(row))
-    return PicIsometry(name, tuple(rows))
+def _root_reflection(name: str, root: DivisorClass, model: PicardModel) -> Isometry:
+    """Reflection in a root of the lattice, through its integer coordinates."""
+    w = model.in_lattice(root)
+    if w is None:
+        raise ValueError(f"{name}: the root is not in the Picard lattice")
+    return reflection_isometry(model.lattice, w, name)
 
 
-def tau_rey_star(model: PicardModel | None = None) -> PicIsometry:
+def tau_rey_star(model: PicardModel | None = None) -> Isometry:
     """The Reye reflection, in the root 2*eta − sum over conic-type nodes."""
-    iso = _reflection_norm4("tau_rey", reye_root(), model)
-    basis = _basis(model)
-    assert iso.preserves_gram(basis.model.lattice.gram)
-    assert iso.is_involution()
+    model = model or picard_lattice()
+    iso = _root_reflection("tau_rey", reye_root(), model)
+    if not iso.preserves_gram(model.lattice.gram):
+        raise AssertionError("tau_rey must preserve the Gram form")
+    if not iso.is_involution():
+        raise AssertionError("tau_rey must square to the identity")
     return iso
 
 
-def tau_pentad_star(pentad: Sequence[Duad], model: PicardModel | None = None) -> PicIsometry:
+def tau_pentad_star(pentad: Sequence[Duad], model: PicardModel | None = None) -> Isometry:
     """Reflection attached to a pentad of nodes (admissibility not required)."""
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5:
         raise ValueError("a pentad consists of five distinct node labels")
     name = "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
-    return _reflection_norm4(name, pentad_root(p), model)
+    return _root_reflection(name, pentad_root(p), model or picard_lattice())
 
 
-def s6_isometry(g: Sequence[int], model: PicardModel | None = None) -> PicIsometry:
+def s6_isometry(g: Sequence[int], model: PicardModel | None = None) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
-    basis = _basis(model)
-    images = [b.permuted(g) for b in basis.class_rows()]
+    model = model or picard_lattice()
+    images = [b.permuted(g) for b in _basis_classes(model)]
     return _isometry_from_class_images(f"perm{tuple(g)}", images, model)
 
 
@@ -224,15 +144,14 @@ class ReyeImageReport:
         return all(getattr(self, f) for f in self.__dataclass_fields__)
 
 
-def _apply_to_class(iso: PicIsometry, cls: DivisorClass, model: PicardModel | None = None) -> DivisorClass:
-    basis = _basis(model)
-    pic = basis.to_pic(cls.coords)
-    assert pic is not None
-    img = [
-        sum(pic[i] * iso.matrix[i][j] for i in range(RANK)) for j in range(RANK)
-    ]
+def _apply_to_class(iso: Isometry, cls: DivisorClass, model: PicardModel | None = None) -> DivisorClass:
+    model = model or picard_lattice()
+    pic = model.in_lattice(cls)
+    if pic is None:
+        raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
+    img = iso.apply(pic)
     coords = [
-        sum(img[k] * basis.model.basis[k][i] for k in range(RANK)) for i in range(RANK)
+        sum(img[k] * model.basis[k][i] for k in range(RANK)) for i in range(RANK)
     ]
     return DivisorClass(tuple(coords))
 
@@ -352,7 +271,7 @@ def pentad_naturality_spot_check(model: PicardModel | None = None, sample: int =
     for k in range(sample):
         g = perms[(37 * k + 11) % len(perms)]
         p = pentads[(211 * k + 5) % len(pentads)]
-        gp = tuple(sorted(tuple(sorted((g[a - 1], g[b - 1]))) for a, b in p))
+        gp = apply_perm_duad_set(g, p)
         giso = s6_isometry(g, model)
         ginv = s6_isometry(_inverse_perm(g), model)
         lhs = ginv.compose(tau_pentad_star(p, model)).compose(giso)

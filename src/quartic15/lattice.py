@@ -3,7 +3,8 @@
 Construction of named lattices, Smith and Hermite normal forms with
 transformation matrices (re-verified on every call), discriminant groups
 with their Q/2Z-valued quadratic forms, even overlattices from glue
-vectors, orthogonal complements, and reflection isometries.
+vectors, integer coordinates over a row basis, orthogonal complements, and
+the `Isometry` type with reflections.
 
 Vector convention: lattice vectors are row coordinate lists; an isometry is
 a matrix whose i-th row is the image of the i-th basis vector, so it acts by
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -111,7 +112,8 @@ def hermite_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatri
                     h[r] = [x - q * y for x, y in zip(h[r], h[row])]
                     u[r] = [x - q * y for x, y in zip(u[r], u[row])]
             row += 1
-    assert mat_mul(u, _as_int_matrix(m)) == h
+    if mat_mul(u, _as_int_matrix(m)) != h:
+        raise AssertionError("HNF verification failed")
     return h, u
 
 
@@ -142,13 +144,14 @@ def smith_normal_form(
                 progress = True
         if not progress:
             break
-    check = mat_mul(mat_mul(u, original), v)
-    assert check == a, "SNF verification failed"
+    if mat_mul(mat_mul(u, original), v) != a:
+        raise AssertionError("SNF verification failed")
     diag = [a[i][i] for i in range(min(rows, cols))]
     for i in range(len(diag) - 1):
-        assert diag[i] >= 0
-        assert diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
-    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
+        if diag[i] < 0 or (diag[i + 1] % diag[i] if diag[i] else diag[i + 1]):
+            raise AssertionError(f"SNF divisibility chain broken at {i}: {diag}")
+    if abs(det_bareiss(u)) != 1 or abs(det_bareiss(v)) != 1:
+        raise AssertionError("SNF transforms must be unimodular")
     return a, u, v
 
 
@@ -399,12 +402,14 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
         # membership in the dual: pairing with every basis vector is integral
         for j in range(n):
             p = sum(gen[k] * lat.gram[k][j] for k in range(n))
-            assert p.denominator == 1, "dual generator check failed"
+            if p.denominator != 1:
+                raise AssertionError("dual generator check failed")
         factors.append(di)
         gens.append(gen)
         qs.append(_mod_2z(lat.norm(gen)))
     order = reduce(lambda a, b: a * b, factors, 1)
-    assert order == abs(lat.det()), "group order must equal |det|"
+    if order != abs(lat.det()):
+        raise AssertionError("group order must equal |det|")
     return FiniteAbelianInvariants(tuple(factors), tuple(gens), tuple(qs))
 
 
@@ -468,39 +473,64 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence]) -> Overlattice:
     stacked += [[int(x * den) for x in g] for g in fr_glues]
     h, _ = hermite_normal_form(stacked)
     basis_rows = [row for row in h[:n]]
-    assert all(any(x for x in row) for row in basis_rows), "overlattice basis must have full rank"
+    if not all(any(x for x in row) for row in basis_rows):
+        raise AssertionError("overlattice basis must have full rank")
     basis = tuple(tuple(Fraction(x, den) for x in row) for row in basis_rows)
     gram = [[lat.pair(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            assert gram[i][j].denominator == 1, "overlattice Gram must be integral"
+            if gram[i][j].denominator != 1:
+                raise AssertionError("overlattice Gram must be integral")
     gram_int = _freeze([[int(x) for x in row] for row in gram])
     new = IntegerLattice(gram_int, basis_labels=lat.basis_labels)
     index_sq = Fraction(abs(lat.det()), abs(new.det())) if new.det() else None
-    assert index_sq is not None and index_sq.denominator == 1
+    if index_sq is None or index_sq.denominator != 1:
+        raise AssertionError("overlattice index squared must be an integer")
     index = _isqrt_exact(int(index_sq))
     return Overlattice(new, basis, index)
 
 
 def _isqrt_exact(x: int) -> int:
-    r = int(x**0.5)
-    while r * r > x:
-        r -= 1
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    assert r * r == x, "index squared must be a perfect square"
+    r = isqrt(x)
+    if r * r != x:
+        raise AssertionError("index squared must be a perfect square")
     return r
 
 
-def vector_in_lattice(basis: Sequence[Sequence[Fraction]], v: Sequence) -> Optional[list[int]]:
-    """Integer coordinates of v in the given row basis, or None."""
-    from .exact import solve_linear
+class RowBasis:
+    """Integer coordinates over a fixed rational row basis B.
 
-    cols = mat_transpose([list(map(Fraction, row)) for row in basis])
-    sol = solve_linear(cols, [Fraction(x) for x in v])
-    if sol is None or any(c.denominator != 1 for c in sol):
-        return None
-    return [int(c) for c in sol]
+    B is scaled to integers and brought to Hermite normal form H = U·(den·B)
+    once; each x·B = v is then solved by forward substitution along the
+    pivots of H with a divisibility test at every pivot, so membership is an
+    exact integer decision.
+    """
+
+    def __init__(self, rows: Sequence[Sequence]):
+        fr = [[Fraction(x) for x in row] for row in rows]
+        self.den = lcm(*(x.denominator for row in fr for x in row))
+        self.hnf, self.transform = hermite_normal_form([[int(x * self.den) for x in row] for row in fr])
+        if not all(any(row) for row in self.hnf):
+            raise ValueError("basis rows must be linearly independent")
+        self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.hnf]
+
+    def coordinates(self, v: Sequence) -> Optional[list[int]]:
+        """The integer x with x·B = v, or None if v is not in the lattice."""
+        w = [Fraction(x) * self.den for x in v]
+        if any(x.denominator != 1 for x in w):
+            return None
+        w = [int(x) for x in w]
+        y = []
+        for row, p in zip(self.hnf, self.pivots):
+            q, rem = divmod(w[p], row[p])
+            if rem:
+                return None
+            y.append(q)
+            if q:
+                w = [a - q * b for a, b in zip(w, row)]
+        if any(w):
+            return None
+        return [sum(c * t[j] for c, t in zip(y, self.transform)) for j in range(len(self.transform))]
 
 
 # -- orthogonal complements --------------------------------------------------
@@ -530,49 +560,74 @@ def orthogonal_complement(
     return IntegerLattice(_freeze(gram)), basis
 
 
-# -- reflections --------------------------------------------------------------
+# -- isometries --------------------------------------------------------------
 
 
-def reflection_isometry(lat: IntegerLattice, r: Sequence[int]) -> IntMatrix:
-    """Matrix of v -> v − 2(v·r)/(r·r)·r on the basis, for r of norm −2 or −4.
+@dataclass(frozen=True)
+class Isometry:
+    """A named integer isometry matrix: row i is the image of basis vector i."""
+
+    name: str
+    matrix: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
+
+    def apply(self, v: Sequence[int]) -> list[int]:
+        return [sum(v[i] * row[j] for i, row in enumerate(self.matrix)) for j in range(self.rank)]
+
+    def compose(self, other: "Isometry") -> "Isometry":
+        return Isometry(f"{self.name};{other.name}", _freeze(mat_mul(self.matrix, other.matrix)))
+
+    def is_involution(self) -> bool:
+        return mat_mul(self.matrix, self.matrix) == mat_identity(self.rank)
+
+    def preserves_gram(self, gram: Sequence[Sequence[int]]) -> bool:
+        """M·G·M^T = G, exactly."""
+        image = mat_mul(mat_mul(self.matrix, gram), mat_transpose(self.matrix))
+        return image == [list(r) for r in gram]
+
+    def order(self) -> Optional[int]:
+        """The smallest k <= 4 with M^k = 1, else None."""
+        ident = mat_identity(self.rank)
+        power = [list(r) for r in self.matrix]
+        for k in range(1, 5):
+            if power == ident:
+                return k
+            power = mat_mul(power, self.matrix)
+        return None
+
+    def trace(self) -> int:
+        return sum(self.matrix[i][i] for i in range(self.rank))
+
+    def invariant_rank(self) -> int:
+        """Rank of the fixed sublattice: rank minus the rank of M − 1."""
+        delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.matrix)]
+        h, _ = hermite_normal_form(delta)
+        return self.rank - sum(1 for row in h if any(row))
+
+    def to_jsonable(self) -> dict:
+        return {"name": self.name, "matrix": [list(r) for r in self.matrix]}
+
+
+def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
+    """The reflection v -> v − 2(v·r)/(r·r)·r, for r of norm −2 or −4.
 
     For norm −4 the map is integral only if every basis vector pairs evenly
     with r; the first offending basis vector is named otherwise.
     """
-    rr = lat.norm(r)
-    if rr not in (-2, -4):
-        raise ValueError(f"reflection vector must have norm -2 or -4, got {rr}")
     n = lat.rank
+    gr = [sum(g * x for g, x in zip(row, r)) for row in lat.gram]  # e_i·r
+    rr = sum(x * y for x, y in zip(r, gr))
+    if rr not in (-2, -4):
+        raise ValueError(f"{name}: reflection vector must have norm -2 or -4, got {rr}")
     rows = []
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        p = lat.pair(e, r)
-        coeff = Fraction(-2) * p / rr
-        if coeff.denominator != 1:
+    for i, p in enumerate(gr):
+        coeff, rem = divmod(-2 * p, rr)
+        if rem:
             raise ValueError(
-                f"non-integral reflection: basis vector {i} pairs oddly with r (v·r = {p})"
+                f"{name}: non-integral reflection: basis vector {i} pairs oddly with r (v·r = {p})"
             )
-        rows.append([e[j] + int(coeff) * int(r[j]) for j in range(n)])
-    return rows
-
-
-@dataclass(frozen=True)
-class IsometryCertificate:
-    gram_preserved: bool
-    order: Optional[int]  # smallest k <= 4 with M^k = 1, else None
-
-
-def verify_isometry(lat: IntegerLattice, m: Sequence[Sequence[int]]) -> IsometryCertificate:
-    """Check M·G·M^T = G exactly and report the order if it is at most 4."""
-    g = [list(r) for r in lat.gram]
-    mm = _as_int_matrix(m)
-    preserved = mat_mul(mat_mul(mm, g), mat_transpose(mm)) == g
-    order = None
-    power = mm
-    ident = mat_identity(lat.rank)
-    for k in range(1, 5):
-        if power == ident:
-            order = k
-            break
-        power = mat_mul(power, mm)
-    return IsometryCertificate(preserved, order)
+        rows.append(tuple((i == j) + coeff * int(r[j]) for j in range(n)))
+    return Isometry(name, tuple(rows))

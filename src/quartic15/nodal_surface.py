@@ -17,20 +17,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .configs import Duad, duads, trope_node_sets
+from .configs import Duad, apply_perm_duad, duads, trope_node_sets
 from .lattice import (
     FiniteAbelianInvariants,
     IntegerLattice,
+    RowBasis,
+    det_bareiss,
     direct_sum,
     discriminant_group,
     discriminant_q_multiset,
     named_lattice,
     orthogonal_complement,
     overlattice,
-    vector_in_lattice,
 )
 
 NODES: tuple[Duad, ...] = tuple(duads())  # 15 node labels, sorted
@@ -117,8 +118,7 @@ class DivisorClass:
         """Relabel nodes by a permutation of {1,...,6} (eta fixed)."""
         coords = [self.coords[0]] + [Fraction(0)] * 15
         for d in NODES:
-            img = tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
-            coords[1 + NODE_INDEX[img]] = self.coords[1 + NODE_INDEX[d]]
+            coords[1 + NODE_INDEX[apply_perm_duad(g, d)]] = self.coords[1 + NODE_INDEX[d]]
         return DivisorClass(tuple(coords))
 
 
@@ -238,8 +238,13 @@ class PicardModel:
     code: EvenSetCode
     named: dict[str, DivisorClass]
 
+    @cached_property
+    def _row_basis(self) -> RowBasis:
+        return RowBasis(self.basis)
+
     def in_lattice(self, cls: DivisorClass) -> Optional[list[int]]:
-        return vector_in_lattice(self.basis, cls.coords)
+        """Integer coordinates of the class on the lattice basis, or None."""
+        return self._row_basis.coordinates(cls.coords)
 
 
 def standard_classes() -> dict[str, DivisorClass]:
@@ -483,8 +488,13 @@ class KummerModel:
     index: int
     tropes: dict[tuple[int, ...], tuple[Fraction, ...]]  # T_beta in ambient coords
 
+    @cached_property
+    def _row_basis(self) -> RowBasis:
+        return RowBasis(self.basis)
+
     def in_lattice(self, v: Sequence[Fraction]) -> Optional[list[int]]:
-        return vector_in_lattice(self.basis, v)
+        """Integer coordinates of v on the lattice basis, or None."""
+        return self._row_basis.coordinates(v)
 
 
 def kummer_trope_support(beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -612,17 +622,9 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     equals_complement = comp.rank == RANK
     gram_match = False
     if equals_complement and all(c is not None for c in image_in_kummer):
-        from .exact import solve_linear
-        from .lattice import det_bareiss
-
-        cols = [[Fraction(comp_basis[k][i]) for k in range(RANK)] for i in range(len(comp_basis[0]))]
-        trans = []
-        for vec in image_in_kummer:
-            sol = solve_linear(cols, [Fraction(x) for x in vec])
-            if sol is None or any(c.denominator != 1 for c in sol):
-                equals_complement = False
-                break
-            trans.append([int(c) for c in sol])
+        comp_coords = RowBasis(comp_basis)
+        trans = [comp_coords.coordinates(vec) for vec in image_in_kummer]
+        equals_complement = all(t is not None for t in trans)
         if equals_complement:
             equals_complement = abs(det_bareiss(trans)) == 1
             # induced Gram on the image equals the Picard Gram

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .configs import Duad, S6_GENERATORS, trope_node_sets
+from .configs import Duad, S6_GENERATORS, apply_perm_duad_set, trope_node_sets
 from .nodal_surface import (
     E,
     ETA,
@@ -78,7 +78,7 @@ def _classify_all_cached() -> tuple[tuple[Pentad, PentadClass], ...]:
 
 
 def permute_pentad(g: Sequence[int], p: Pentad) -> Pentad:
-    return tuple(sorted(tuple(sorted((g[a - 1], g[b - 1]))) for a, b in p))
+    return apply_perm_duad_set(g, p)
 
 
 @dataclass(frozen=True)

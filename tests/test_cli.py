@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from quartic15.cli import run
+import quartic15
+from quartic15.cli import build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_quiet(argv):
@@ -75,3 +81,27 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "table1[3]" in proc.stdout
+
+
+def test_readme_command_lines_parse():
+    lines = [l for l in README.read_text().splitlines() if l.startswith("quartic15 ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
+        expected = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+        assert args.seed == expected, line
+    # a global flag on either side of the subcommand; the side not given keeps it
+    assert parser.parse_args(["--seed", "7", "verify", "--all"]).seed == 7
+    args = parser.parse_args(["verify", "--all", "--seed", "7", "--json", "r.json", "--no-timing"])
+    assert (args.seed, args.json, args.no_timing, args.max_height) == (7, "r.json", True, 50)
+
+
+def test_python_dash_m_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quartic15", "code"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] even-set-code" in proc.stdout

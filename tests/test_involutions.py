@@ -14,7 +14,9 @@ from quartic15.involutions import (
     tau_rey_star,
     verify_relations,
 )
+from quartic15.lattice import reflection_isometry
 from quartic15.nodal_surface import (
+    C_SET,
     E,
     ETA,
     NODES,
@@ -114,3 +116,14 @@ def test_reflections_commute_for_disjoint_roots(model):
     a = s6_isometry(g1, model)
     b = s6_isometry(g2, model)
     assert a.compose(b).matrix == b.compose(a).matrix
+
+
+def test_reflection_matches_divisor_class_formula(model):
+    # v -> v + (v·r)/2 · r through DivisorClass.dot, in ambient coordinates
+    for root in (reye_root(), pentad_root(C_SET)):
+        iso = reflection_isometry(model.lattice, model.in_lattice(root), "r")
+        for i, row in enumerate(model.basis):
+            b = DivisorClass(tuple(row))
+            expected = b + (b.dot(root) / 2) * root
+            image = [sum(iso.matrix[i][k] * model.basis[k][j] for k in range(16)) for j in range(16)]
+            assert DivisorClass(tuple(image)) == expected

@@ -1,10 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import quartic15
 
 from quartic15.lattice import (
     IntegerLattice,
+    Isometry,
+    RowBasis,
     det_bareiss,
     direct_sum,
     discriminant_group,
@@ -17,8 +27,6 @@ from quartic15.lattice import (
     overlattice,
     reflection_isometry,
     smith_normal_form,
-    vector_in_lattice,
-    verify_isometry,
 )
 
 
@@ -150,8 +158,9 @@ def test_overlattice_valid_rank7():
     assert res.index == 2
     assert abs(l.det()) == res.index**2 * abs(res.lattice.det())
     assert res.lattice.is_even()
-    assert vector_in_lattice(res.basis, glue) is not None
-    assert vector_in_lattice(res.basis, [Fraction(1, 2)] + [0] * 6) is None
+    coords = RowBasis(res.basis)
+    assert coords.coordinates(glue) is not None
+    assert coords.coordinates([Fraction(1, 2)] + [0] * 6) is None
 
 
 def test_overlattice_index_det_relation_random():
@@ -187,40 +196,95 @@ def test_orthogonal_complement_primitive():
 
 def test_reflection_a1():
     a1 = named_lattice("A1")
-    m = reflection_isometry(a1, [1])
-    assert m == [[-1]]
-    cert = verify_isometry(a1, m)
-    assert cert.gram_preserved and cert.order == 2
+    iso = reflection_isometry(a1, [1], "s")
+    assert iso.matrix == ((-1,),)
+    assert iso.preserves_gram(a1.gram) and iso.order() == 2
 
 
 def test_reflection_fixes_mirror_and_involutive():
     l = direct_sum(named_lattice("A1"), named_lattice("A1"))
-    m = reflection_isometry(l, [1, 0])
-    assert m[1] == [0, 1]  # orthogonal vector fixed
-    cert = verify_isometry(l, m)
-    assert cert.gram_preserved and cert.order == 2
+    iso = reflection_isometry(l, [1, 0], "s")
+    assert iso.matrix[1] == (0, 1)  # orthogonal vector fixed
+    assert iso.preserves_gram(l.gram) and iso.order() == 2
 
 
 def test_reflection_norm4_parity_guard():
     with pytest.raises(ValueError, match="norm -2 or -4"):
-        reflection_isometry(named_lattice("diag(-4,-2)"), [1, 1])  # norm -6
+        reflection_isometry(named_lattice("diag(-4,-2)"), [1, 1], "s")  # norm -6
     # norm -4 vector pairing oddly with a basis vector is rejected by name
     l = IntegerLattice(((-4, 1), (1, -2)))
     with pytest.raises(ValueError, match="basis vector 1"):
-        reflection_isometry(l, [1, 0])
+        reflection_isometry(l, [1, 0], "s")
 
 
 def test_reflections_in_orthogonal_vectors_commute():
     l = direct_sum(*[named_lattice("A1")] * 3)
-    m1 = reflection_isometry(l, [1, 0, 0])
-    m2 = reflection_isometry(l, [0, 1, 0])
-    assert mat_mul(m1, m2) == mat_mul(m2, m1)
+    m1 = reflection_isometry(l, [1, 0, 0], "s1")
+    m2 = reflection_isometry(l, [0, 1, 0], "s2")
+    assert m1.compose(m2).matrix == m2.compose(m1).matrix
 
 
-def test_verify_isometry_reports_higher_order():
+def test_isometry_reports_higher_order():
     u = named_lattice("U")
-    swap = [[0, 1], [1, 0]]
-    cert = verify_isometry(u, swap)
-    assert cert.gram_preserved and cert.order == 2
-    not_iso = [[1, 1], [0, 1]]
-    assert not verify_isometry(u, not_iso).gram_preserved
+    swap = Isometry("swap", ((0, 1), (1, 0)))
+    assert swap.preserves_gram(u.gram) and swap.order() == 2
+    not_iso = Isometry("shear", ((1, 1), (0, 1)))
+    assert not not_iso.preserves_gram(u.gram) and not_iso.order() is None
+    rotation = Isometry("rot", ((0, 1), (-1, 0)))
+    square = named_lattice("diag(-2,-2)")
+    assert rotation.preserves_gram(square.gram) and rotation.order() == 4
+    assert not rotation.is_involution() and rotation.compose(rotation).is_involution()
+
+
+def test_row_basis_coordinates():
+    l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
+    res = overlattice(l, [[Fraction(1, 2)] * 7])
+    coords = RowBasis(res.basis)
+    v = [Fraction(1, 2)] * 6 + [Fraction(-1, 2)]
+    x = coords.coordinates(v)
+    assert [sum(c * row[j] for c, row in zip(x, res.basis)) for j in range(7)] == v
+    assert coords.coordinates([Fraction(1, 3)] + [0] * 6) is None  # not half-integral
+    assert coords.coordinates([Fraction(1, 2)] * 2 + [0] * 5) is None  # half-integral, not a word
+    with pytest.raises(ValueError, match="independent"):
+        RowBasis([[1, 2], [2, 4]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+)
+def test_reflection_laws_in_diagonal_lattice(diag, head):
+    # r = (head, 1) has norm -2 once the last diagonal entry is solved for
+    head = head[: len(diag)]
+    last = -2 - sum(d * x * x for d, x in zip(diag, head))
+    assume(last != 0)
+    lat = named_lattice("diag(" + ",".join(map(str, diag + [last])) + ")")
+    r = head + [1]
+    iso = reflection_isometry(lat, r, "s")
+    assert iso.preserves_gram(lat.gram)
+    assert iso.order() == 2
+    assert iso.apply(r) == [-x for x in r]
+    _, mirror = orthogonal_complement(lat, [r])
+    assert len(mirror) == lat.rank - 1
+    assert all(iso.apply(v) == list(v) for v in mirror)
+    assert iso.invariant_rank() == lat.rank - 1
+
+
+def test_snf_self_check_survives_optimize_flag():
+    # under -O a bare assert vanishes; the self-check must still raise
+    code = (
+        "import quartic15.lattice as L\n"
+        "one = [[1, 0], [0, 1]]\n"
+        "L._snf_once = lambda m: (one, one, one)\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    L.smith_normal_form([[2, 0], [0, 2]])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised SNF verification failed" in proc.stdout

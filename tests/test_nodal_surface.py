@@ -4,6 +4,8 @@ from fractions import Fraction
 
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
+from quartic15.exact import solve_linear
+from quartic15.lattice import RowBasis, orthogonal_complement
 from quartic15.nodal_surface import (
     E,
     L_SET,
@@ -227,3 +229,44 @@ def test_class_table_json():
     table = ns.class_table_jsonable()
     assert table["B_tilde"]["norm"] == "10"
     assert all(v["pic_integral"] for v in table.values())
+
+
+def _rational_coordinates(basis, v):
+    """Reference route: a Fraction solve of x·B = v, kept integral or None."""
+    cols = [[Fraction(row[i]) for row in basis] for i in range(len(basis[0]))]
+    sol = solve_linear(cols, [Fraction(x) for x in v])
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return [int(c) for c in sol]
+
+
+def test_integer_coordinates_match_rational_solve():
+    model = picard_lattice()
+    for name, cls in standard_classes().items():
+        got = model.in_lattice(cls)
+        assert got is not None, name
+        assert got == _rational_coordinates(model.basis, cls.coords), name
+    kum = kummer_model()
+    for beta, t in kum.tropes.items():
+        assert kum.in_lattice(t) == _rational_coordinates(kum.basis, t), beta
+    n0 = [0] * 17
+    n0[1 + ns.KUMMER_INDEX[()]] = 1
+    n0_coords = kum.in_lattice(n0)
+    _, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])
+    comp = RowBasis(comp_basis)
+    rng = random.Random(5)
+    for _ in range(20):
+        x = [rng.randint(-3, 3) for _ in comp_basis]
+        v = [sum(c * row[j] for c, row in zip(x, comp_basis)) for j in range(17)]
+        assert comp.coordinates(v) == x == _rational_coordinates(comp_basis, v)
+    v = [a + b for a, b in zip(v, n0_coords)]  # in the Kummer lattice, off the complement
+    assert comp.coordinates(v) is None and _rational_coordinates(comp_basis, v) is None
+
+
+def test_integer_coordinates_reject_non_members():
+    model = picard_lattice()
+    half_eta = DivisorClass((Fraction(1, 2),) + (Fraction(0),) * 15)
+    third = DivisorClass((Fraction(1, 3),) + (Fraction(0),) * 15)
+    for cls in (half_eta, third):
+        assert model.in_lattice(cls) is None
+        assert _rational_coordinates(model.basis, cls.coords) is None
