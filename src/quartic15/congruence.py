@@ -60,9 +60,11 @@ def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
     if r < 0 or g < 0:
         raise ValueError(f"rank must lie in [0, {(m - 1) * (n - 1)}]")
     deg_focal = 2 * m + 2 * g - 2
-    assert deg_focal == 2 * n * (m - 1) - 2 * r, "focal degree identities disagree"
+    if deg_focal != 2 * n * (m - 1) - 2 * r:
+        raise AssertionError("focal degree identities disagree")
     deg_branch = 4 * (m * n - r) - 2 * (m + n)
-    assert deg_branch == 4 * (g - 1) + 2 * (m + n), "branch degree identities disagree"
+    if deg_branch != 4 * (g - 1) + 2 * (m + n):
+        raise AssertionError("branch degree identities disagree")
     return CongruenceInvariants(
         m=m,
         n=n,
@@ -87,9 +89,12 @@ def two_n_profile(n: int) -> TwoNProfile:
     if not 2 <= n <= 7:
         raise ValueError("the order-2 family requires 2 <= n <= 7")
     inv = invariants(2, n, n - 2)
-    assert inv.g == 1 and inv.deg_focal == 4
-    assert inv.deg_branch_locus == 2 * (n + 2)
-    assert inv.deg_p_surface == n - 1
+    if not (inv.g == 1 and inv.deg_focal == 4):
+        raise AssertionError("the order-2 family has g = 1 and a quartic focal surface")
+    if inv.deg_branch_locus != 2 * (n + 2):
+        raise AssertionError("the order-2 branch locus has degree 2(n + 2)")
+    if inv.deg_p_surface != n - 1:
+        raise AssertionError("the order-2 surface (P) has degree n - 1")
     return TwoNProfile(n=n, invariants=inv, expected_nodes=18 - n)
 
 
@@ -183,22 +188,3 @@ def sweep_jsonable(m_max: int = 8, n_max: int = 8) -> list[dict]:
             for r in range(0, (m - 1) * (n - 1) + 1):
                 rows.append(invariants(m, n, r).to_jsonable())
     return rows
-
-
-SWEEP_FIELDS = (
-    "m",
-    "n",
-    "r",
-    "g",
-    "deg_focal",
-    "deg_l_curve",
-    "deg_p_surface",
-    "deg_branch_locus",
-)
-
-
-def sweep_csv(m_max: int = 8, n_max: int = 8) -> str:
-    lines = [",".join(SWEEP_FIELDS)]
-    for row in sweep_jsonable(m_max, n_max):
-        lines.append(",".join(str(row[f]) for f in SWEEP_FIELDS))
-    return "\n".join(lines) + "\n"

@@ -3,14 +3,19 @@
 Every coefficient in the workbench is a `fractions.Fraction`; nothing here
 ever touches floating point.  Polynomials are stored sparsely as a map from
 exponent tuples to nonzero rational coefficients, with graded-lexicographic
-term order fixed once so that serialized output is bit-stable.
+term order fixed once so that serialized output is bit-stable.  The rational
+linear algebra (`rref`, `nullspace`, `solve_linear`, ...) is a front end to
+the fraction-free integer kernels of `lattice`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .lattice import bareiss, clear_denominators
 
 Rational = Fraction
 
@@ -319,24 +324,6 @@ class LinearMap:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """Matrix product self·other, i.e. substitute `other` into `self`."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in composition")
-        return LinearMap(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
     def apply(self, vec: Sequence) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -434,99 +421,35 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
 
 
 # -- exact linear algebra over the rationals -------------------------------
-
-
-def mat_fractions(rows: Iterable[Iterable]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+#
+# A thin front end: rows are scaled to integers by `clear_denominators` (which
+# leaves the row space unchanged) and eliminated by `lattice.bareiss`.
 
 
 def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = mat_fractions(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The elimination is fraction-free on the denominator-cleared rows; the
+    only division is by the common final pivot, as the rows are returned.
+    """
+    a, pivots, _ = bareiss([clear_denominators(row)[0] for row in rows], reduce_above=True)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(x, d) for x in row] for row in a], pivots
 
 
 def rank_rational(rows: Iterable[Iterable]) -> int:
-    return len(rref(rows)[1])
+    return len(bareiss([clear_denominators(row)[0] for row in rows])[1])
 
 
-def rank_fraction_free(rows: Iterable[Iterable]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on a denominator-cleared copy.
-
-    Independent of `rank_rational`: all arithmetic stays in integers.
-    """
-    m = mat_fractions(rows)
-    if not m:
-        return 0
-    im: list[list[int]] = []
-    for r in m:
-        den = 1
-        for x in r:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        im.append([int(x * den) for x in r])
-    nrows, ncols = len(im), len(im[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if im[r][col]), None)
-        if pivot is None:
-            continue
-        im[row], im[pivot] = im[pivot], im[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                im[r][c] = (im[row][col] * im[r][c] - im[r][col] * im[row][c]) // prev
-            im[r][col] = 0
-        prev = im[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0}, deterministic.
+def rref_kernel(red: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel read off a reduced row echelon form.
 
     Free variables are taken in increasing column order, each set to 1 in turn.
     """
-    m = mat_fractions(rows)
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for empty matrix")
-        ncols = len(m[0])
-    if m and len(m[0]) != ncols:
-        raise ValueError("ncols disagrees with the row length")
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -535,15 +458,25 @@ def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[F
     return basis
 
 
+def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right kernel {x : M x = 0}, deterministic (see `rref_kernel`)."""
+    m = [list(row) for row in rows]
+    if ncols is None:
+        if not m:
+            raise ValueError("ncols required for empty matrix")
+        ncols = len(m[0])
+    if m and len(m[0]) != ncols:
+        raise ValueError("ncols disagrees with the row length")
+    return rref_kernel(*rref(m), ncols)
+
+
 def solve_linear(rows: Iterable[Iterable], rhs: Sequence) -> Optional[list[Fraction]]:
     """One solution of M x = b, or None if inconsistent."""
-    m = mat_fractions(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(m) != len(b):
+    m = [list(row) for row in rows]
+    if len(m) != len(rhs):
         raise ValueError("dimension mismatch")
     ncols = len(m[0]) if m else 0
-    aug = [row + [bv] for row, bv in zip(m, b)]
-    red, pivots = rref(aug)
+    red, pivots = rref([row + [bv] for row, bv in zip(m, rhs)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -554,17 +487,10 @@ def solve_linear(rows: Iterable[Iterable], rhs: Sequence) -> Optional[list[Fract
 
 def primitive_integer_vector(vec: Sequence) -> list[int]:
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // _gcd(den, x.denominator)
-    iv = [int(x * den) for x in fr]
-    g = 0
-    for x in iv:
-        g = _gcd(g, x)
+    iv, _ = clear_denominators(vec)
+    g = gcd(*iv)
     if g:
         iv = [x // g for x in iv]
-    lead = next((x for x in iv if x), 0)
-    if lead < 0:
+    if next((x for x in iv if x), 0) < 0:
         iv = [-x for x in iv]
     return iv

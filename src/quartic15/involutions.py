@@ -285,19 +285,3 @@ def _inverse_perm(g: Sequence[int]) -> tuple[int, ...]:
     for i, x in enumerate(g):
         inv[x - 1] = i + 1
     return tuple(inv)
-
-
-def isometries_jsonable(model: PicardModel | None = None) -> dict:
-    """The three named involutions with the basis manifest they act on."""
-    model = model or picard_lattice()
-    return {
-        "basis_in_ambient_x2": [
-            [int(2 * x) for x in row] for row in model.basis
-        ],
-        "ambient_labels": ["eta"] + [f"E{a}{b}" for a, b in NODES],
-        "isometries": [
-            sigma_star(model).to_jsonable(),
-            tau_rey_star(model).to_jsonable(),
-            tau_pentad_star(GOEPEL_PENTAD, model).to_jsonable(),
-        ],
-    }

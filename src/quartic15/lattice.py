@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -41,29 +41,62 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
 
 
+def clear_denominators(row: Iterable) -> tuple[list[int], int]:
+    """(ints, den) with row = ints/den and den the least common denominator."""
+    fr = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
+
+
+def bareiss(m: Iterable[Iterable[int]], reduce_above: bool = False) -> tuple[IntMatrix, list[int], int]:
+    """Fraction-free elimination of an integer matrix (Bareiss 1968).
+
+    Returns (a, pivots, sign): a is a row echelon form of m with pivot
+    columns `pivots`, and sign is the parity of the row swaps.  Every row
+    other than the pivot row is replaced by (p·row − f·pivot_row)/prev,
+    where p is the pivot, f the row's entry in the pivot column and prev the
+    previous pivot; each entry is then a minor of m (Sylvester's identity),
+    so the division is exact.  For square m of full rank the last pivot is
+    sign·det(m).  With `reduce_above` the rows above each pivot are cleared
+    too (fraction-free Gauss-Jordan); every pivot then ends equal to the last
+    one, d, and the first len(pivots) rows of a/d are the reduced row echelon
+    form of m.
+    """
+    a = _as_int_matrix(m)
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = prev = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            a[row], a[pivot] = a[pivot], a[row]
+            sign = -sign
+        prow = a[row]
+        p = prow[col]
+        for r in range(0 if reduce_above else row + 1, nrows):
+            if r != row:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+        pivots.append(col)
+        prev = p
+    return a, pivots, sign
+
+
 def det_bareiss(m: Iterable[Iterable[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     a = _as_int_matrix(m)
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    if n == 0:
+        return 1
+    a, pivots, sign = bareiss(a)
+    return sign * a[-1][-1] if len(pivots) == n else 0
 
 
 # -- Hermite and Smith normal forms -----------------------------------------
@@ -465,12 +498,9 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence]) -> Overlattice:
             p = lat.pair(fr_glues[i], fr_glues[j])
             if p.denominator != 1:
                 raise ValueError(f"glue vectors {i} and {j} pair non-integrally")
-    den = 1
-    for g in fr_glues:
-        for x in g:
-            den = den * x.denominator // gcd(den, x.denominator)
+    flat, den = clear_denominators([x for g in fr_glues for x in g])
     stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    stacked += [[int(x * den) for x in g] for g in fr_glues]
+    stacked += [flat[k : k + n] for k in range(0, len(flat), n)]
     h, _ = hermite_normal_form(stacked)
     basis_rows = [row for row in h[:n]]
     if not all(any(x for x in row) for row in basis_rows):
@@ -507,9 +537,9 @@ class RowBasis:
     """
 
     def __init__(self, rows: Sequence[Sequence]):
-        fr = [[Fraction(x) for x in row] for row in rows]
-        self.den = lcm(*(x.denominator for row in fr for x in row))
-        self.hnf, self.transform = hermite_normal_form([[int(x * self.den) for x in row] for row in fr])
+        ncols = len(rows[0])
+        flat, self.den = clear_denominators([x for row in rows for x in row])
+        self.hnf, self.transform = hermite_normal_form([flat[k : k + ncols] for k in range(0, len(flat), ncols)])
         if not all(any(row) for row in self.hnf):
             raise ValueError("basis rows must be linearly independent")
         self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.hnf]
@@ -604,11 +634,7 @@ class Isometry:
     def invariant_rank(self) -> int:
         """Rank of the fixed sublattice: rank minus the rank of M − 1."""
         delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.matrix)]
-        h, _ = hermite_normal_form(delta)
-        return self.rank - sum(1 for row in h if any(row))
-
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "matrix": [list(r) for r in self.matrix]}
+        return self.rank - len(bareiss(delta)[1])
 
 
 def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:

@@ -108,12 +108,6 @@ class DivisorClass:
                 return None
         return word
 
-    def times2_int(self) -> tuple[int, ...]:
-        doubled = [2 * c for c in self.coords]
-        if any(x.denominator != 1 for x in doubled):
-            raise ValueError("coordinates are not half-integers")
-        return tuple(int(x) for x in doubled)
-
     def permuted(self, g: Sequence[int]) -> "DivisorClass":
         """Relabel nodes by a permutation of {1,...,6} (eta fixed)."""
         coords = [self.coords[0]] + [Fraction(0)] * 15
@@ -196,12 +190,14 @@ def even_set_code() -> EvenSetCode:
     gens = []
     for d in CODE_BASIS_DUADS:
         word = sigma_class(d).mod2_word()
-        assert word is not None and word & 1, "trope words carry the eta marker bit"
+        if word is None or not word & 1:
+            raise AssertionError("trope words carry the eta marker bit")
         gens.append(word)
     words = {0}
     for g in gens:
         words |= {w ^ g for w in words}
-    assert len(words) == 32
+    if len(words) != 32:
+        raise AssertionError("the even-set code must have 32 words")
     return EvenSetCode(tuple(gens), frozenset(words))
 
 
@@ -294,8 +290,10 @@ def picard_lattice() -> PicardModel:
         named=named,
     )
     for name, cls in named.items():
-        assert is_pic_integral(cls), f"named class {name} must lie in the Picard lattice"
-        assert model.in_lattice(cls) is not None, f"named class {name} misses the overlattice"
+        if not is_pic_integral(cls):
+            raise AssertionError(f"named class {name} must lie in the Picard lattice")
+        if model.in_lattice(cls) is None:
+            raise AssertionError(f"named class {name} misses the overlattice")
     return model
 
 
@@ -511,7 +509,8 @@ def kummer_model() -> KummerModel:
         v = [Fraction(0)] * 17
         v[0] = Fraction(1, 2)
         support = kummer_trope_support(beta)
-        assert len(support) == 6, "every trope word has exactly six nodes"
+        if len(support) != 6:
+            raise AssertionError("every trope word has exactly six nodes")
         for alpha in support:
             v[1 + KUMMER_INDEX[alpha]] = Fraction(-1, 2)
         tropes[beta] = tuple(v)
@@ -615,7 +614,8 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     orthogonal = all(kum.ambient.pair(v, n0) == 0 for v in image_rows)
     # the orthogonal complement of N_0 inside the Kummer lattice
     n0_coords = kum.in_lattice(n0)
-    assert n0_coords is not None
+    if n0_coords is None:
+        raise AssertionError("the node N_0 must lie in the Kummer lattice")
     comp, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])
     # image coordinates in the Kummer basis, then in the complement basis
     image_in_kummer = [kum.in_lattice(v) for v in image_rows]
@@ -648,17 +648,3 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
         gram_match=gram_match,
         mismatches=tuple(mismatches),
     )
-
-
-def class_table_jsonable() -> dict:
-    """Name -> doubled integer coordinates, norm, degree, membership flag."""
-    out = {}
-    for name, cls in sorted(standard_classes().items()):
-        norm, degree, member = class_invariants(cls)
-        out[name] = {
-            "coords_x2": list(cls.times2_int()),
-            "norm": str(norm),
-            "degree": str(degree),
-            "pic_integral": member,
-        }
-    return out

@@ -164,11 +164,12 @@ def orbit_table() -> list[PentadOrbit]:
         # classification must be constant on the orbit
         for q in orbit:
             cq = classes[q]
-            assert (cq.admissible, cq.goepel, cq.trope_triple_count) == (
+            if (cq.admissible, cq.goepel, cq.trope_triple_count) != (
                 cls.admissible,
                 cls.goepel,
                 cls.trope_triple_count,
-            ), "pentad classification must be an orbit invariant"
+            ):
+                raise AssertionError("pentad classification must be an orbit invariant")
         table.append(
             PentadOrbit(
                 orbit_id=len(table),
@@ -181,21 +182,6 @@ def orbit_table() -> list[PentadOrbit]:
             )
         )
     return table
-
-
-def orbit_table_jsonable() -> list[dict]:
-    return [
-        {
-            "orbit_id": o.orbit_id,
-            "representative": [list(d) for d in o.representative],
-            "size": o.size,
-            "admissible": o.admissible,
-            "goepel": o.goepel,
-            "trope_triple_count": o.trope_triple_count,
-            "fiber_hints": list(o.fiber_hints),
-        }
-        for o in orbit_table()
-    ]
 
 
 def goepel_pentads() -> list[Pentad]:
@@ -415,25 +401,31 @@ def pencil_classes(pentad: Sequence[Duad]) -> PencilData:
     fs = []
     for x in p:
         f = 2 * ETA - 2 * E[x] - sum((E[y] for y in p if y != x), zero)
-        assert f.norm() == 0 and f.degree() == 8 and is_pic_integral(f)
+        if not (f.norm() == 0 and f.degree() == 8 and is_pic_integral(f)):
+            raise AssertionError(f"pencil class for {x} must be Pic-integral of norm 0 and degree 8")
         fs.append(f)
     for i in range(5):
         for j in range(i + 1, 5):
-            assert fs[i].dot(fs[j]) == 2
+            if fs[i].dot(fs[j]) != 2:
+                raise AssertionError(f"pencil classes {i} and {j} must meet in 2")
     # each pencil splits into two plane sections through three pentad nodes
     for i, x in enumerate(p):
         others = [y for y in p if y != x]
         a = ETA - E[x] - E[others[0]] - E[others[1]]
         b = ETA - E[x] - E[others[2]] - E[others[3]]
-        assert fs[i] == a + b
+        if fs[i] != a + b:
+            raise AssertionError(f"pencil class {i} must split into two plane sections")
     half_sum = Fraction(1, 2) * sum(fs, zero)
     expected = 5 * ETA - sum((3 * E[x] for x in p), zero)
-    assert half_sum == expected
-    assert half_sum.norm() == 10 and is_pic_integral(half_sum)
+    if half_sum != expected:
+        raise AssertionError("half the pencil sum must be 5*eta - 3*sum_P E")
+    if not (half_sum.norm() == 10 and is_pic_integral(half_sum)):
+        raise AssertionError("half the pencil sum must be a Pic-integral class of norm 10")
     # degeneration identities from the trope-triples
     for label, triple in cls.trope_triples:
         rest = sorted(TROPES[label] - set(triple))
         lhs = ETA - sum((E[x] for x in triple), zero)
         rhs = 2 * sigma_class(label) + sum((E[y] for y in rest), zero)
-        assert lhs == rhs
+        if lhs != rhs:
+            raise AssertionError(f"degeneration identity fails for trope {label}")
     return PencilData(p, tuple(fs), cls.trope_triples, half_sum)

@@ -31,12 +31,14 @@ from .exact import (
     LinearMap,
     MultiPoly,
     nullspace,
+    perfect_square_factor,
     primitive_integer_vector,
-    rank_fraction_free,
     rank_rational,
     rref,
+    rref_kernel,
     solve_linear,
 )
+from .lattice import clear_denominators, hermite_normal_form
 
 NVARS = 6
 ONES = tuple(Fraction(1) for _ in range(NVARS))
@@ -91,9 +93,11 @@ class ProjectivePoint:
 class LinearSubspace:
     """Linear subspace kept both as row-reduced equations and a parametrization.
 
-    `equations` are coefficient rows cutting the subspace; `parametrization`
-    is a matrix whose columns span the solution cone.  Consistency (ranks add
-    up, columns satisfy the equations) is checked at construction.
+    `equations` are the nonzero rows of a reduced row echelon form, hence
+    independent; `parametrization` is a matrix whose columns span the
+    solution cone.  Consistency (the equation count plus the parametrization
+    dimension fill the space, columns satisfy the equations) is checked at
+    construction.  Each constructor reduces its rows once.
     """
 
     equations: tuple[tuple[Fraction, ...], ...]
@@ -101,8 +105,7 @@ class LinearSubspace:
 
     def __post_init__(self):
         n = self.parametrization.rows
-        eq_rank = rank_rational([list(e) for e in self.equations]) if self.equations else 0
-        if eq_rank + self.parametrization.cols != n:
+        if len(self.equations) + self.parametrization.cols != n:
             raise ValueError("rank of equations plus parametrization dimension must fill the space")
         for eq in self.equations:
             for j in range(self.parametrization.cols):
@@ -114,7 +117,7 @@ class LinearSubspace:
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
         red, pivots = rref(rows)
         eqs = tuple(tuple(r) for r in red[: len(pivots)])
-        basis = nullspace(rows, nvars)
+        basis = rref_kernel(red, pivots, nvars)
         param = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(nvars)])
         return cls(eqs, param)
 
@@ -122,8 +125,8 @@ class LinearSubspace:
     def from_span(cls, vectors: Sequence[Sequence]) -> "LinearSubspace":
         """Subspace spanned by the given (independent) coordinate vectors."""
         nvars = len(vectors[0])
-        eq_rows = nullspace([list(v) for v in vectors], nvars)
-        red, pivots = rref(eq_rows) if eq_rows else ([], [])
+        eq_rows = nullspace(vectors, nvars)
+        red, pivots = rref(eq_rows)
         eqs = tuple(tuple(r) for r in red[: len(pivots)])
         param = LinearMap([[Fraction(v[i]) for v in vectors] for i in range(nvars)])
         return cls(eqs, param)
@@ -310,7 +313,8 @@ def _chart_basis(
         trial = chosen + [cand]
         if rank_rational(trial) == len(trial):
             chosen.append(cand)
-    assert len(chosen) == len(space), "point must lie inside the constraint subspace"
+    if len(chosen) != len(space):
+        raise AssertionError("point must lie inside the constraint subspace")
     return chosen[1:]
 
 
@@ -318,9 +322,10 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
     The Hessian is evaluated on a chart of the constrained tangent space;
-    its rank is computed twice, by rational elimination and by fraction-free
-    integer elimination, and the two must agree.  Ordinary means full rank,
-    i.e. rank equal to the dimension of the ambient projective space.
+    its rank is computed twice, by fraction-free (Bareiss) elimination and
+    by the gcd row operations of the Hermite normal form on the
+    denominator-cleared rows, and the two must agree.  Ordinary means full
+    rank, i.e. rank equal to the dimension of the ambient projective space.
     """
     coords = p.coords
     if not v.satisfies_constraints(coords):
@@ -343,8 +348,9 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
         for w1 in chart
     ]
     r1 = rank_rational(chart_hess)
-    r2 = rank_fraction_free(chart_hess)
-    assert r1 == r2, "rank cross-check failed"
+    hnf, _ = hermite_normal_form([clear_denominators(row)[0] for row in chart_hess])
+    if r1 != sum(1 for row in hnf if any(row)):
+        raise AssertionError("rank cross-check failed")
     expected = len(chart)  # = projective dimension of the ambient space
     return NodeCertificate(
         point=p,
@@ -408,7 +414,8 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
         raise NotOnVarietyError("duality image undefined at a node of the cubic")
     image = ProjectivePoint(y)
     value = cr_quartic_form().evaluate(image.coords)
-    assert value == 0, "duality image must land on the quartic"
+    if value != 0:
+        raise AssertionError("duality image must land on the quartic")
     return DualityImage(z, image, value)
 
 
@@ -451,8 +458,6 @@ def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
     basis = nullspace(rows, NVARS)
     chart = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(NVARS)])
     restricted = cr_quartic_form().substitute_linear(chart)
-    from .exact import perfect_square_factor
-
     result = perfect_square_factor(restricted)
     if result is None:
         raise AssertionError(
@@ -559,7 +564,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if sum(Fraction(a) * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
     basis = nullspace([list(ONES), [Fraction(x) for x in hp]], NVARS)
-    assert len(basis) == 4
+    if len(basis) != 4:
+        raise AssertionError("the section chart must be 4-dimensional")
     chart = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(NVARS)])
     quartic3 = form.substitute_linear(chart)
     surface = Hypersurface(quartic3, ())
@@ -567,7 +573,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     def chart_coords(p6: Sequence[Fraction]) -> ProjectivePoint:
         cols = [[chart.entries[i][j] for j in range(4)] for i in range(NVARS)]
         sol = solve_linear(cols, list(p6))
-        assert sol is not None, "point must lie in the section chart"
+        if sol is None:
+            raise AssertionError("point must lie in the section chart")
         return ProjectivePoint(sol)
 
     nodes: list[SectionNode] = []
@@ -605,8 +612,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             raise GenericityError("degenerate tangency at the section point")
         nodes.append(SectionNode(None, ambient, xp, cert))
 
-    from .exact import perfect_square_factor
-
     tropes: list[TropeRecord] = []
     for subset in three_subsets():
         rows = [list(ONES), [Fraction(x) for x in hp], list(cardinal_coefficients(subset))]
@@ -616,7 +621,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         plane6 = LinearMap([[pbasis[k][i] for k in range(len(pbasis))] for i in range(NVARS)])
         restricted = form.substitute_linear(plane6)
         sq = perfect_square_factor(restricted)
-        assert sq is not None, "restriction to a cardinal plane must be a perfect square"
+        if sq is None:
+            raise AssertionError("restriction to a cardinal plane must be a perfect square")
         scale, conic = sq
         # plane parameters -> section chart coordinates (4 x 3 matrix)
         cols = [[chart.entries[i][j] for j in range(4)] for i in range(NVARS)]
@@ -624,7 +630,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         for j in range(3):
             col6 = [plane6.entries[i][j] for i in range(NVARS)]
             sol = solve_linear(cols, col6)
-            assert sol is not None
+            if sol is None:
+                raise AssertionError("the trope plane must lie in the section chart")
             plane_chart.append(sol)
         plane_chart_t = tuple(
             tuple(plane_chart[j][i] for j in range(3)) for i in range(4)
@@ -643,8 +650,10 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
                 sol = solve_linear(
                     [list(row) for row in plane_chart_t], list(node.chart_point.coords)
                 )
-                assert sol is not None, "incident node must lie on the trope plane"
-                assert conic.evaluate(sol) == 0, "incident node must lie on the trope conic"
+                if sol is None:
+                    raise AssertionError("incident node must lie on the trope plane")
+                if conic.evaluate(sol) != 0:
+                    raise AssertionError("incident node must lie on the trope conic")
         expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
         if set(incident) != expected:
             raise GenericityError("trope incidence differs from the matching rule", subset)
@@ -670,20 +679,6 @@ def tangent_section(q: ProjectivePoint) -> SectionModel:
 
 
 # -- finite-field scans --------------------------------------------------------
-
-
-def _projective_reps_constrained(p: int):
-    """Canonical representatives of points in P^5(F_p) with coordinate sum zero."""
-    # the first five coordinates determine the sixth; enumerate their
-    # canonical P^4 representatives (first nonzero coordinate equal to 1)
-    for k in range(5):
-        for combo in itertools.product(range(p), repeat=4 - k):
-            v = [0] * NVARS
-            v[k] = 1
-            for idx, val in enumerate(combo):
-                v[k + 1 + idx] = val
-            v[5] = (-sum(v[:5])) % p
-            yield tuple(v)
 
 
 def _projective_reps(p: int, n: int):
@@ -716,7 +711,10 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
             raise ValueError(f"bad prime: {exc}") from exc
         partials = [fp.partial(i) for i in range(NVARS)]
         found = []
-        for v in _projective_reps_constrained(p):
+        # P^5 points with coordinate sum zero: P^4 representatives and the
+        # sixth coordinate they determine
+        for v in _projective_reps(p, NVARS - 1):
+            v += ((-sum(v)) % p,)
             if fp.evaluate(v):
                 continue
             g = [gi.evaluate(v) for gi in partials]

@@ -98,15 +98,6 @@ def test_table1_solutions_contain_published():
     assert AlphaVector((0, 0, 10, 0, 0, 1)) in table1_solutions(7)
 
 
-def test_sweep_csv():
-    from quartic15.congruence import sweep_csv
-
-    text = sweep_csv(3, 3)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("m,n,r,g,")
-    assert any(line.startswith("2,3,1,1,4,4,2,10") for line in lines)
-
-
 def test_table1_report_all_n():
     for n in range(2, 8):
         rep = table1_report(n)

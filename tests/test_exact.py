@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic15.exact import (
     LinearMap,
@@ -9,11 +11,11 @@ from quartic15.exact import (
     nullspace,
     perfect_square_factor,
     primitive_integer_vector,
-    rank_fraction_free,
     rank_rational,
     rref,
     solve_linear,
 )
+from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
 
 
 def poly_sum_cubes(n=6):
@@ -75,7 +77,7 @@ def test_hessian_at():
 
 def test_substitute_identity_and_degree():
     f = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
-    assert f.substitute_linear(LinearMap.identity(2)) == f
+    assert f.substitute_linear(mat_identity(2)) == f
     rng = random.Random(1)
     quartic = cr_form()
     m = LinearMap([[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)])
@@ -87,9 +89,9 @@ def test_substitute_functorial():
     rng = random.Random(7)
     for _ in range(10):
         f = random_poly(rng, nvars=3)
-        m = LinearMap([[rng.randint(-2, 2) for _ in range(2)] for _ in range(3)])
-        n = LinearMap([[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)])
-        assert f.substitute_linear(m.compose(n)) == f.substitute_linear(m).substitute_linear(n)
+        m = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(3)]
+        n = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
+        assert f.substitute_linear(mat_mul(m, n)) == f.substitute_linear(m).substitute_linear(n)
 
 
 def test_ring_axioms_randomized():
@@ -223,14 +225,14 @@ def test_json_roundtrip_and_order():
 def test_linear_map_compose_apply():
     m = LinearMap([[1, 2], [3, 4]])
     n = LinearMap([[0, 1], [1, 0]])
-    assert m.compose(n) == LinearMap([[2, 1], [4, 3]])
+    assert LinearMap(mat_mul(m.entries, n.entries)) == LinearMap([[2, 1], [4, 3]])
     assert m.apply([1, 1]) == [3, 7]
 
 
 def test_rref_nullspace_solve():
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert rank_rational(m) == 2
-    assert rank_fraction_free(m) == 2
+    assert len(rref(m)[1]) == 2
     ns = nullspace(m)
     assert len(ns) == 1
     v = ns[0]
@@ -241,19 +243,121 @@ def test_rref_nullspace_solve():
     assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
 
 
-def test_rank_two_paths_agree_random():
-    rng = random.Random(9)
-    for _ in range(25):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = [
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        assert rank_rational(m) == rank_fraction_free(m)
-
-
 def test_primitive_integer_vector():
     assert primitive_integer_vector([Fraction(1), Fraction(1, 2)]) == [2, 1]
     assert primitive_integer_vector([Fraction(-2), Fraction(4)]) == [1, -2]
     assert primitive_integer_vector([0, Fraction(-3, 7)]) == [0, 1]
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
+    assert clear_denominators([0, 0]) == ([0, 0], 1)
+    assert clear_denominators([]) == ([], 1)
+
+
+# -- oracle tests: the fraction-free kernel against the Fraction Gauss-Jordan --
+
+
+def reference_rref(rows):
+    """Reference: the Fraction Gauss-Jordan elimination the kernel replaced."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = m[row][col]
+        m[row] = [x / inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices, half of them products of thinner factors (rank-deficient)."""
+    nrows = draw(st.integers(1 if square else 0, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    if nrows and draw(st.booleans()):
+        k = draw(st.integers(1, min(nrows, ncols)))
+        a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+        return mat_mul(a, b)
+    row = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_reference(m):
+    assert rref(m) == reference_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rank_two_paths_agree_random(m):
+    # the Bareiss rank against the pivots of the new and of the reference RREF
+    ints = [clear_denominators(row)[0] for row in m]
+    assert len(bareiss(ints)[1]) == len(rref(m)[1]) == len(reference_rref(m)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_vanishes_exactly_when_rank_deficient(m):
+    ints = [clear_denominators(row)[0] for row in m]
+    det = det_bareiss(ints)
+    assert (det == 0) == (len(reference_rref(m)[1]) < len(m))
+    # the determinant itself, against the Fraction elimination
+    a = [[Fraction(x) for x in row] for row in ints]
+    expected = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            expected = Fraction(0)
+            break
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            expected = -expected
+        expected *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    assert det == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_nullspace_annihilates(m):
+    ncols = len(m[0]) if m else 3
+    basis = nullspace(m, ncols)
+    assert len(basis) == ncols - rank_rational(m)
+    for v in basis:
+        for row in m:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_linear_solutions_satisfy(m, data):
+    b = data.draw(st.lists(rationals, min_size=len(m), max_size=len(m)))
+    x = solve_linear(m, b)
+    if x is None:
+        # inconsistent: b raises the rank of the augmented matrix
+        assert rank_rational([row + [bv] for row, bv in zip(m, b)]) > rank_rational(m)
+    else:
+        for row, bv in zip(m, b):
+            assert sum(a * c for a, c in zip(row, x)) == bv

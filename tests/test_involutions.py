@@ -98,15 +98,6 @@ def test_s6_isometries_are_isometries(model):
         assert iso.preserves_gram(model.lattice.gram)
 
 
-def test_isometries_jsonable(model):
-    from quartic15.involutions import isometries_jsonable
-
-    data = isometries_jsonable(model)
-    assert len(data["basis_in_ambient_x2"]) == 16
-    assert len(data["isometries"]) == 3
-    assert all(len(m["matrix"]) == 16 for m in data["isometries"])
-
-
 def test_reflections_commute_for_disjoint_roots(model):
     # two pentads with orthogonal roots? pentad roots are never orthogonal:
     # r_P·r_Q = 36 - 8*|P∩Q| ... instead check commuting with a fixed E-reflection

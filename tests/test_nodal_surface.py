@@ -1,7 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
 from quartic15.exact import solve_linear
@@ -225,12 +230,6 @@ def test_kummer_embedding():
     assert cert.gram_match
 
 
-def test_class_table_json():
-    table = ns.class_table_jsonable()
-    assert table["B_tilde"]["norm"] == "10"
-    assert all(v["pic_integral"] for v in table.values())
-
-
 def _rational_coordinates(basis, v):
     """Reference route: a Fraction solve of x·B = v, kept integral or None."""
     cols = [[Fraction(row[i]) for row in basis] for i in range(len(basis[0]))]
@@ -243,6 +242,7 @@ def _rational_coordinates(basis, v):
 def test_integer_coordinates_match_rational_solve():
     model = picard_lattice()
     for name, cls in standard_classes().items():
+        assert is_pic_integral(cls), name
         got = model.in_lattice(cls)
         assert got is not None, name
         assert got == _rational_coordinates(model.basis, cls.coords), name
@@ -270,3 +270,21 @@ def test_integer_coordinates_reject_non_members():
     for cls in (half_eta, third):
         assert model.in_lattice(cls) is None
         assert _rational_coordinates(model.basis, cls.coords) is None
+
+
+def test_named_class_check_survives_optimize_flag():
+    # under -O a bare assert vanishes; the membership check must still raise
+    code = (
+        "import quartic15.nodal_surface as ns\n"
+        "ns.is_pic_integral = lambda cls: False\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    ns.picard_lattice()\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised named class eta must lie in the Picard lattice" in proc.stdout

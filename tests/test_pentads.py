@@ -79,21 +79,6 @@ def test_orbit_table_counts():
     assert rep_counts[rep] == 3
 
 
-def test_orbit_table_jsonable():
-    from quartic15.pentads import orbit_table_jsonable
-
-    rows = orbit_table_jsonable()
-    assert sum(r["size"] for r in rows) == 3003
-    assert all(
-        set(r) == {"orbit_id", "representative", "size", "admissible", "goepel",
-                   "trope_triple_count", "fiber_hints"}
-        for r in rows
-    )
-    import json
-
-    json.dumps(rows)  # serializable as-is
-
-
 def test_graph_criterion_readings_disagree_on_goepel():
     goepel = tuple(sorted(C_SET))
     assert classify(goepel).admissible
