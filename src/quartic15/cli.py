@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -66,23 +67,40 @@ class Runner:
 
     def run(self, check_id: str, claim: str, fn):
         start = time.monotonic()
+        error = None
         try:
             ok, details = fn()
             status = "pass" if ok else "fail"
         except Exception as exc:  # checks report, they do not crash the suite
             status = "fail"
             details = f"unexpected error: {exc}"
+            error = _error_record(exc)
         elapsed = int((time.monotonic() - start) * 1000)
-        self.report.checks.append(
-            {
-                "id": check_id,
-                "claim": claim,
-                "status": status,
-                "details": details,
-                "elapsed_ms": elapsed,
-            }
-        )
+        entry = {
+            "id": check_id,
+            "claim": claim,
+            "status": status,
+            "details": details,
+            "elapsed_ms": elapsed,
+        }
+        if error:
+            entry["error"] = error
+        self.report.checks.append(entry)
         print(f"[{status.upper():4s}] {check_id}: {details}", file=self.out)
+
+
+def _error_record(exc: Exception) -> dict:
+    """Type of a check's exception, the file:line that raised it and its last
+    five frames (file names without directories, so reports stay portable)."""
+    import traceback  # only when a check raises: it adds to the start-up time
+
+    frames = traceback.extract_tb(exc.__traceback__)[-5:]
+    where = [f"{os.path.basename(f.filename)}:{f.lineno}" for f in frames]
+    return {
+        "type": type(exc).__name__,
+        "where": where[-1],
+        "traceback": [f"{w} in {f.name}" for w, f in zip(where, frames)],
+    }
 
 
 # -- check groups ---------------------------------------------------------------

@@ -29,8 +29,18 @@ def _as_int_matrix(m: Iterable[Iterable]) -> IntMatrix:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The full product a·b, accumulated over the nonzero entries only."""
+    ncols = len(b[0]) if b else 0
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, brow in zip(row, sparse_b):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_identity(n: int) -> IntMatrix:
@@ -272,10 +282,16 @@ class IntegerLattice:
     def det(self) -> int:
         return _det_cached(self.gram)
 
-    def pair(self, v: Sequence, w: Sequence):
-        g = self.gram
-        n = self.rank
-        return sum(Fraction(v[i]) * g[i][j] * Fraction(w[j]) for i in range(n) for j in range(n))
+    def pair(self, v: Sequence, w: Sequence) -> Fraction:
+        """v·G·w^T, as one integer sum over the nonzero entries divided once."""
+        a, da = clear_denominators(v)
+        b, db = clear_denominators(w)
+        nz = [(j, y) for j, y in enumerate(b) if y]
+        total = 0
+        for x, row in zip(a, self.gram):
+            if x:
+                total += x * sum(row[j] * y for j, y in nz)
+        return Fraction(total, da * db)
 
     def norm(self, v: Sequence):
         return self.pair(v, v)
@@ -431,12 +447,11 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
         di = d[i][i]
         if di <= 1:
             continue
+        # membership in the dual: u_i/d_i pairs integrally with every basis
+        # vector, i.e. d_i divides every entry of u_i·G
+        if any(x % di for x in mat_mul([u[i]], lat.gram)[0]):
+            raise AssertionError("dual generator check failed")
         gen = tuple(Fraction(u[i][j], di) for j in range(n))
-        # membership in the dual: pairing with every basis vector is integral
-        for j in range(n):
-            p = sum(gen[k] * lat.gram[k][j] for k in range(n))
-            if p.denominator != 1:
-                raise AssertionError("dual generator check failed")
         factors.append(di)
         gens.append(gen)
         qs.append(_mod_2z(lat.norm(gen)))
@@ -575,6 +590,8 @@ def orthogonal_complement(
     integer matrix is saturated, so the result is primitive automatically.
     """
     n = lat.rank
+    if any(Fraction(x).denominator != 1 for row in lat.gram for x in row):
+        raise AssertionError("orthogonal complement needs an integral Gram matrix")
     if not vectors:
         return lat, mat_identity(n)
     # rows of constraints: v·G·s = 0  ->  A v^T = 0 with A[s] = (G s^T)^T
@@ -586,7 +603,7 @@ def orthogonal_complement(
     r = sum(1 for i in range(min(len(a), n)) if d[i][i] != 0)
     # kernel basis: columns of V beyond the rank, as rows in L coordinates
     basis = [[v[i][j] for i in range(n)] for j in range(r, n)]
-    gram = [[int(lat.pair(b1, b2)) for b2 in basis] for b1 in basis]
+    gram = mat_mul(mat_mul(basis, lat.gram), mat_transpose(basis))
     return IntegerLattice(_freeze(gram)), basis
 
 

@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .configs import (
@@ -175,6 +176,7 @@ def segre_form() -> MultiPoly:
     return sum((ui**3 for ui in u), MultiPoly.zero(NVARS))
 
 
+@lru_cache(maxsize=None)
 def cr_quartic_form() -> MultiPoly:
     u = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
     s4 = sum((ui**4 for ui in u), MultiPoly.zero(NVARS))
@@ -212,6 +214,7 @@ def syntheme_line(s: Syntheme) -> LinearSubspace:
     return LinearSubspace.from_equations(rows, NVARS)
 
 
+@lru_cache(maxsize=None)
 def syntheme_plane(s: Syntheme) -> LinearSubspace:
     """Plane of the cubic for a syntheme: opposite coordinates on each duad."""
     rows = []

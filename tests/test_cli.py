@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import quartic15
+from quartic15 import congruence
 from quartic15.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -105,3 +106,23 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "[PASS] even-set-code" in proc.stdout
+
+
+def test_raising_check_records_type_and_location(monkeypatch, tmp_path):
+    def boom(*args):
+        return 1 // 0
+
+    monkeypatch.setattr(congruence, "invariants", boom)
+    path = tmp_path / "r.json"
+    code, report, text = run_quiet(["--json", str(path), "congruence", "--bidegree", "2,3", "--rank", "1"])
+    assert code == 1
+    entry = json.loads(path.read_text())["checks"][0]
+    assert entry == report.checks[0]
+    assert entry["status"] == "fail"
+    assert entry["details"] == "unexpected error: integer division or modulo by zero"
+    error = entry["error"]
+    assert error["type"] == "ZeroDivisionError"
+    assert error["where"] == f"test_cli.py:{boom.__code__.co_firstlineno + 1}"
+    assert error["traceback"][-1] == f"{error['where']} in boom"
+    assert error["traceback"][0].startswith("cli.py:") and len(error["traceback"]) <= 5
+    assert "unexpected error" in text

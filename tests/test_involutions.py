@@ -14,7 +14,7 @@ from quartic15.involutions import (
     tau_rey_star,
     verify_relations,
 )
-from quartic15.lattice import reflection_isometry
+from quartic15.lattice import Isometry, reflection_isometry
 from quartic15.nodal_surface import (
     C_SET,
     E,
@@ -118,3 +118,21 @@ def test_reflection_matches_divisor_class_formula(model):
             expected = b + (b.dot(root) / 2) * root
             image = [sum(iso.matrix[i][k] * model.basis[k][j] for k in range(16)) for j in range(16)]
             assert DivisorClass(tuple(image)) == expected
+
+
+def test_sparse_products_see_every_entry_of_a_reflection(model):
+    # changing any one entry of a pentad reflection by ±1, whether the entry
+    # is zero or not, must break M·G·M^T = G or M·M = 1: skipping zero
+    # entries in the products drops no part of either check
+    gram = model.lattice.gram
+    tau = tau_pentad_star(tuple(sorted(NODES[:5])), model)
+    assert tau.preserves_gram(gram) and tau.is_involution()
+    m = tau.matrix
+    nonzero = [(i, j) for i in range(tau.rank) for j in range(tau.rank) if m[i][j]]
+    zero = next((i, j) for i in range(tau.rank) for j in range(tau.rank) if not m[i][j])
+    for i, j in nonzero + [zero]:
+        for step in (1, -1):
+            rows = [list(r) for r in m]
+            rows[i][j] += step
+            bad = Isometry("mutant", tuple(map(tuple, rows)))
+            assert not (bad.preserves_gram(gram) and bad.is_involution()), (i, j, step)

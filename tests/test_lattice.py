@@ -288,3 +288,93 @@ def test_snf_self_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "raised SNF verification failed" in proc.stdout
+
+
+# -- oracles for the integer pairing and the sparse product -------------------
+
+
+def reference_pair(lat, v, w):
+    """The former dense Fraction double sum over all n² entries."""
+    g, n = lat.gram, lat.rank
+    return sum(Fraction(v[i]) * g[i][j] * Fraction(w[j]) for i in range(n) for j in range(n))
+
+
+def reference_mat_mul(a, b):
+    """The former dense product over every row-column pair."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+@st.composite
+def symmetric_gram_and_vectors(draw):
+    n = draw(st.integers(1, 7))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    # mostly zero entries in ½Z and ⅓Z, as the model classes are
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3])),
+        st.integers(-3, 3),
+    )
+    vec = st.lists(entry, min_size=n, max_size=n)
+    return IntegerLattice(tuple(map(tuple, g))), draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_gram_and_vectors())
+def test_pair_matches_dense_fraction_sum(data):
+    lat, v, w = data
+    got = lat.pair(v, w)
+    assert isinstance(got, Fraction)
+    assert got == reference_pair(lat, v, w)
+    assert lat.pair(w, v) == got
+    assert lat.norm(v) == reference_pair(lat, v, v)
+
+
+@st.composite
+def matrix_pairs(draw):
+    k, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    )
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    # an all-zero row of a and an all-zero column of b, sometimes
+    if draw(st.booleans()):
+        a[draw(st.integers(0, k - 1))] = [0] * n
+    if draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in b:
+            row[col] = 0
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_mat_mul_matches_dense_product(data):
+    a, b = data
+    got = mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
+
+
+def test_discriminant_group_rejects_non_dual_generator(monkeypatch):
+    # a wrong Smith form whose first generator e0/4 pairs to 1/2 with e0
+    wrong = ([[4, 0], [0, 2]], mat_identity(2), mat_identity(2))
+    monkeypatch.setattr(quartic15.lattice, "smith_normal_form", lambda m: wrong)
+    with pytest.raises(AssertionError, match="dual generator"):
+        discriminant_group(named_lattice("diag(2,4)"))
+
+
+def test_orthogonal_complement_gram_is_the_induced_form():
+    lat = direct_sum(named_lattice("U(2)"), named_lattice("A1"), named_lattice("diag(6)"))
+    comp, basis = orthogonal_complement(lat, [[1, 1, 1, 0]])
+    assert comp.gram == tuple(tuple(lat.pair(b1, b2) for b2 in basis) for b1 in basis)
+    half = IntegerLattice(((Fraction(1, 2), 0), (0, 2)))
+    with pytest.raises(AssertionError, match="integral Gram"):
+        orthogonal_complement(half, [[0, 1]])

@@ -6,11 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
 from quartic15.exact import solve_linear
-from quartic15.lattice import RowBasis, orthogonal_complement
+from quartic15.lattice import RowBasis, orthogonal_complement, overlattice
 from quartic15.nodal_surface import (
     E,
     L_SET,
@@ -288,3 +290,19 @@ def test_named_class_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "raised named class eta must lie in the Picard lattice" in proc.stdout
+
+
+def test_overlattice_names_a_perturbed_kummer_glue():
+    model = kummer_model()
+    glues = [list(t) for t in model.tropes.values()]
+    # a step of ±1 adds a lattice vector: same coset, so the same overlattice
+    shifted = [row[:] for row in glues]
+    shifted[3][0] += 1
+    assert overlattice(model.ambient, shifted).lattice == model.lattice
+    # a step of ±1/2 in any single entry leaves the coset and must be named
+    for k in range(len(glues[3])):
+        for step in (Fraction(1, 2), Fraction(-1, 2)):
+            bad = [row[:] for row in glues]
+            bad[3][k] += step
+            with pytest.raises(ValueError, match="glue vector 3 "):
+                overlattice(model.ambient, bad)

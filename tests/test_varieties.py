@@ -1,8 +1,10 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
 from quartic15.exact import MultiPoly
 from quartic15.varieties import (
@@ -26,6 +28,7 @@ from quartic15.varieties import (
     special_loci,
     cardinal_tangency_quadric,
     syntheme_line,
+    syntheme_plane,
     tangent_section,
     verify_double_line,
 )
@@ -408,3 +411,31 @@ def test_tangent_section_rejects_singular_point():
     pt = ProjectivePoint(line.parametrization.apply([1, 2]))
     with pytest.raises(NotOnVarietyError, match="singular"):
         tangent_section(pt)
+
+
+def test_cached_constants_do_not_go_stale(tmp_path):
+    path = tmp_path / "r.json"
+    argv = ["--seed", "3", "--no-timing", "--json", str(path), "duality", "--samples", "40"]
+    syntheme_plane.cache_clear()
+    cr_quartic_form.cache_clear()
+    reports = []  # the first run builds the constants, the second reuses them
+    for _ in range(2):
+        code, _ = cli.run(argv, out=io.StringIO())
+        assert code == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    for s in synthemes():
+        assert syntheme_plane(s) is syntheme_plane(s)
+        assert syntheme_plane(s) == syntheme_plane.__wrapped__(s)  # a fresh build
+    assert cr_quartic_form() is cr_quartic_form()
+    assert cr_quartic_form() == cr_quartic_form.__wrapped__()
+
+
+def test_cached_constants_are_immutable():
+    plane = syntheme_plane(synthemes()[0])
+    with pytest.raises(AttributeError):
+        plane.equations = ()
+    with pytest.raises(AttributeError):
+        plane.parametrization.entries = ()
+    with pytest.raises(AttributeError):
+        cr_quartic_form().terms = {}
