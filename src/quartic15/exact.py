@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import bareiss, clear_denominators
@@ -30,7 +31,8 @@ def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable after construction; zero coefficients are never stored.
+    Immutable after construction, `terms` included (a read-only view);
+    zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "terms")
@@ -46,7 +48,7 @@ class MultiPoly:
             if c != 0:
                 cleaned[tuple(exp)] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -88,7 +90,7 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        res = dict(self.terms)
+        res = self.terms.copy()
         for exp, c in other.terms.items():
             s = res.get(exp, Fraction(0)) + c
             if s:
@@ -338,7 +340,8 @@ class LinearMap:
 
 
 class ModPoly:
-    """Polynomial with coefficients reduced mod p; used by brute-force scans."""
+    """Polynomial with coefficients reduced mod p, with read-only `terms`;
+    used by the F_p singular scans."""
 
     __slots__ = ("nvars", "p", "terms")
 
@@ -346,7 +349,7 @@ class ModPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "p", p)
         object.__setattr__(
-            self, "terms", {e: c % p for e, c in terms.items() if c % p}
+            self, "terms", MappingProxyType({e: c % p for e, c in terms.items() if c % p})
         )
 
     def __setattr__(self, name, value):  # pragma: no cover

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional, Sequence
 
 from .configs import (
@@ -30,6 +31,7 @@ from .configs import (
 )
 from .exact import (
     LinearMap,
+    ModPoly,
     MultiPoly,
     nullspace,
     perfect_square_factor,
@@ -136,10 +138,6 @@ class LinearSubspace:
         return all(
             sum(a * b for a, b in zip(eq, p.coords)) == 0 for eq in self.equations
         )
-
-    @property
-    def dim_cone(self) -> int:
-        return self.parametrization.cols
 
 
 @dataclass(frozen=True)
@@ -500,14 +498,6 @@ class SectionModel:
     nodes: tuple[SectionNode, ...]
     tropes: tuple[TropeRecord, ...]
 
-    def incidence_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        trope_sets = {t.subset: set(t.incident_nodes) for t in self.tropes}
-        return tuple(
-            tuple(node.syntheme in trope_sets[t.subset] for t in self.tropes)
-            for node in self.nodes
-            if node.syntheme is not None
-        )
-
     def to_jsonable(self) -> dict:
         return {
             "hyperplane": list(self.hyperplane),
@@ -695,48 +685,104 @@ def _projective_reps(p: int, n: int):
             yield tuple(v)
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
+    """F_p points of P^{n-1} where the form and all its partials vanish, in
+    `_projective_reps` order.
+
+    P^{n-1}(F_p) is walked one line at a time: each representative a of
+    P^{n-2} with the last coordinate t running over F_p, then the point
+    (0,...,0,1).  On a line the form is a polynomial h(t) = f(a, t) whose
+    derivative is the last partial at (a, t), so a singular point is a common
+    root of h and h'; h is built once per line from power tables and its
+    roots are found by Horner's rule.  Each candidate is confirmed by
+    evaluating the form and every partial.
+    """
+    p, n = fp.p, fp.nvars
+    partials = [fp.partial(i) for i in range(n)]
+
+    def singular(v):
+        return fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
+
+    deg = max((e[-1] for e in fp.terms), default=0)
+    top = max((max(e) for e in fp.terms), default=0)
+    powers = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
+    # h's coefficient of t^j collects the terms whose last exponent is j
+    by_power = [[] for _ in range(deg + 1)]
+    for exp, c in fp.terms.items():
+        by_power[exp[-1]].append((c, [(i, e) for i, e in enumerate(exp[:-1]) if e]))
+    found = []
+    for a in _projective_reps(p, n - 1):
+        pa = [powers[x] for x in a]
+        h = []
+        for terms in by_power:
+            s = 0
+            for c, mono in terms:
+                for i, e in mono:
+                    c *= pa[i][e]
+                s += c
+            h.append(s % p)
+        # h' is the last partial along the line; when h vanishes identically
+        # so does h', and every t is a candidate
+        dh = [j * h[j] for j in range(deg, 0, -1)]
+        h.reverse()
+        for t in range(p):
+            v = 0
+            for c in h:
+                v = v * t + c
+            if v % p:
+                continue
+            w = 0
+            for c in dh:
+                w = w * t + c
+            if w % p == 0 and singular(a + (t,)):
+                found.append(a + (t,))
+    last = (0,) * (n - 1) + (1,)
+    if singular(last):
+        found.append(last)
+    return found
+
+
+def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
+    try:
+        return form.mod_p(p)
+    except ValueError as exc:
+        raise ValueError(f"bad prime: {exc}") from exc
+
+
+# u6 = -(u1+...+u5): the sum-zero hyperplane in the coordinates u1..u5
+_SUM_ZERO_CHART = LinearMap(
+    [[int(i == j) for j in range(NVARS - 1)] for i in range(NVARS - 1)] + [[-1] * (NVARS - 1)]
+)
+
+
 def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     """Exhaustive list of F_p singular points, deduplicated canonically.
 
     For a constrained hypersurface a point is singular when the gradient is
     proportional to the constraint direction; for a section surface in P^3
-    the gradient must vanish outright.  Primes below 5 and primes dividing
-    any coefficient denominator are rejected as bad.
+    the gradient must vanish outright.  Moduli that are not prime, primes
+    below 5 and primes dividing any coefficient denominator are rejected as
+    bad.
     """
+    if not _is_prime(p):
+        raise ValueError(f"bad prime: {p} is not prime")
     if p < 5:
         raise ValueError("bad prime: need p >= 5")
     if isinstance(target, Hypersurface):
         if target.ambient_constraints != (ONES,):
             raise ValueError("scan supports the sum-zero ambient constraint")
-        try:
-            fp = target.form.mod_p(p)
-        except ValueError as exc:
-            raise ValueError(f"bad prime: {exc}") from exc
-        partials = [fp.partial(i) for i in range(NVARS)]
-        found = []
-        # P^5 points with coordinate sum zero: P^4 representatives and the
-        # sixth coordinate they determine
-        for v in _projective_reps(p, NVARS - 1):
-            v += ((-sum(v)) % p,)
-            if fp.evaluate(v):
-                continue
-            g = [gi.evaluate(v) for gi in partials]
-            if all(x == g[0] for x in g):  # gradient parallel to (1,...,1)
-                found.append(v)
-        return found
+        _reduce_mod(target.form, p)  # refuses a p dividing a denominator of f
+        # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
+        # gradient vanish exactly where f = 0 and the gradient of f is
+        # parallel to (1,...,1)
+        g = _reduce_mod(target.form.substitute_linear(_SUM_ZERO_CHART), p)
+        return [v + ((-sum(v)) % p,) for v in _singular_points_fp(g)]
     if isinstance(target, SectionModel):
-        try:
-            fp = target.quartic3.mod_p(p)
-        except ValueError as exc:
-            raise ValueError(f"bad prime: {exc}") from exc
-        partials = [fp.partial(i) for i in range(4)]
-        found = []
-        for v in _projective_reps(p, 4):
-            if fp.evaluate(v):
-                continue
-            if all(gi.evaluate(v) == 0 for gi in partials):
-                found.append(v)
-        return found
+        return _singular_points_fp(_reduce_mod(target.quartic3, p))
     raise TypeError("scan target must be a Hypersurface or SectionModel")
 
 

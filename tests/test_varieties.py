@@ -1,13 +1,19 @@
 import io
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import MultiPoly
+from quartic15.exact import LinearMap, ModPoly, MultiPoly
 from quartic15.varieties import (
+    Hypersurface,
+    SectionModel,
+    _projective_reps,
     GenericityError,
     NotOnVarietyError,
     ProjectivePoint,
@@ -380,6 +386,124 @@ def test_scan_bad_prime(segre):
         singular_scan_fp(segre, 3)
 
 
+@pytest.mark.parametrize("m", [25, 49, 4])
+def test_scan_rejects_composite_modulus(segre, reference_section, m):
+    for target in (segre, reference_section):
+        with pytest.raises(ValueError, match=f"^bad prime: {m} is not prime$"):
+            singular_scan_fp(target, m)
+
+
+def test_cli_composite_scan_prime_check_is_red():
+    code, report = cli.run(
+        ["section", "--coeffs=0,1,3,14,15,17", "--scan-prime", "25"], out=io.StringIO()
+    )
+    assert code == 1
+    (check,) = [c for c in report.checks if c["id"].startswith("section-scan-f25")]
+    assert check["status"] == "fail"
+    assert check["details"] == "unexpected error: bad prime: 25 is not prime"
+    assert check["error"]["type"] == "ValueError"
+    assert check["error"]["where"].startswith("varieties.py:")
+
+
+# -- the line-by-line scan against the old per-point scan ------------------------
+
+
+def reference_scan(target, p):
+    """The per-point scan the line-by-line kernel replaced: every point of
+    projective space is evaluated, the form first and then its gradient."""
+    if isinstance(target, Hypersurface):
+        fp = target.form.mod_p(p)
+        partials = [fp.partial(i) for i in range(6)]
+        found = []
+        for v in _projective_reps(p, 5):
+            v += ((-sum(v)) % p,)
+            if fp.evaluate(v):
+                continue
+            g = [gi.evaluate(v) for gi in partials]
+            if all(x == g[0] for x in g):  # gradient parallel to (1,...,1)
+                found.append(v)
+        return found
+    fp = target.quartic3.mod_p(p)
+    partials = [fp.partial(i) for i in range(4)]
+    return [
+        v
+        for v in _projective_reps(p, 4)
+        if not fp.evaluate(v) and all(gi.evaluate(v) == 0 for gi in partials)
+    ]
+
+
+def _section_of(form):
+    """A SectionModel carrying only the quartic: all the scan reads."""
+    return SectionModel((), LinearMap([]), form, (), ())
+
+
+def forms(nvars, degree):
+    """Sparse integer forms: few small terms, so singular forms are common."""
+    monos = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    return st.dictionaries(
+        st.sampled_from(monos), st.integers(-3, 3), min_size=1, max_size=8
+    ).map(lambda terms: MultiPoly(nvars, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(4, 4), st.sampled_from([5, 7, 11, 13]))
+def test_section_scan_matches_reference(form, p):
+    model = _section_of(form)
+    assert singular_scan_fp(model, p) == reference_scan(model, p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(forms(6, 3), forms(6, 4)), st.sampled_from([5, 7]))
+def test_threefold_scan_matches_reference(form, p):
+    target = Hypersurface(form, (tuple(Fraction(1) for _ in range(6)),))
+    assert singular_scan_fp(target, p) == reference_scan(target, p)
+
+
+def test_scan_line_inside_the_surface():
+    # x0^2*a + x0*x1*b + x1^2*c is singular along the whole line x0 = x1 = 0,
+    # so the form vanishes identically on the scanned lines (0, 0, 1, t)
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    a = x[2] * x[2] + x[3] * x[3]
+    b = x[2] * x[3]
+    c = x[2] * x[2] - x[3] * x[3] * 2 + x[0] * x[1]
+    model = _section_of(x[0] * x[0] * a + x[0] * x[1] * b + x[1] * x[1] * c)
+    for p in (5, 7, 11, 13):
+        pts = singular_scan_fp(model, p)
+        assert pts == reference_scan(model, p)
+        line = [(0, 0, 1, t) for t in range(p)] + [(0, 0, 0, 1)]
+        assert pts[-(p + 1):] == line
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_segre_scan_matches_reference(segre, p):
+    assert singular_scan_fp(segre, p) == reference_scan(segre, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_cr_scan_matches_reference(cr, p):
+    assert singular_scan_fp(cr, p) == reference_scan(cr, p)
+
+
+def test_scan_evaluates_only_candidates(monkeypatch):
+    # the kernel confirms candidates with ModPoly.evaluate; a per-point scan
+    # would evaluate at every one of the p^3 + p^2 + p + 1 points, and a
+    # filter by h alone, without h', at about one point per line (~p^2)
+    model = hyperplane_section((0, 1, 3, 14, 15, 17))
+    calls = []
+    evaluate = ModPoly.evaluate
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ModPoly, "evaluate", counted)
+    p = 37
+    pts = singular_scan_fp(model, p)
+    assert len(pts) == 13  # 37 is a bad prime for this hyperplane
+    assert 0 < len(calls) < p**3 / 10
+    assert len(calls) < p**2
+
+
 def test_tangent_section_16_nodes():
     rng = random.Random(11)
     model = sample_tangent_section(rng)
@@ -439,3 +563,18 @@ def test_cached_constants_are_immutable():
         plane.parametrization.entries = ()
     with pytest.raises(AttributeError):
         cr_quartic_form().terms = {}
+
+
+def test_polynomial_terms_are_read_only():
+    form = cr_quartic_form()
+    with pytest.raises(AttributeError):
+        form.terms.clear()
+    with pytest.raises(TypeError):
+        form.terms[(4, 0, 0, 0, 0, 0)] = Fraction(0)
+    assert len(cr_quartic_form().terms) == 21
+    fp = form.mod_p(7)
+    with pytest.raises(AttributeError):
+        fp.terms.clear()
+    with pytest.raises(TypeError):
+        fp.terms[(4, 0, 0, 0, 0, 0)] = 1
+    assert fp.terms == {e: int(c) % 7 for e, c in form.terms.items() if int(c) % 7}
