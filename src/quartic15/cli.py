@@ -373,6 +373,7 @@ def checks_lattice(r: Runner):
             and abs(model.lattice.det()) == 128
             and model.index == 32
             and model.lattice.signature() == (1, 15)
+            and all(ns.verify_class_identities().values())
         )
         return ok, "rank 16, |det| 128, index 32 over <4>+A1^15, signature (1,15)"
 

@@ -12,7 +12,6 @@ contains the smallest element.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -242,9 +241,6 @@ class IncidenceStructure:
             "blocks": [str(b) for b in self.blocks],
             "matrix": [[bool(x) for x in row] for row in self.matrix],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def trope_incidence_model() -> IncidenceStructure:

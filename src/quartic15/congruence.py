@@ -178,13 +178,3 @@ def table1_report(n: int) -> Table1Report:
         published_found=found,
         extra_solutions=extras,
     )
-
-
-def sweep_jsonable(m_max: int = 8, n_max: int = 8) -> list[dict]:
-    """Invariant sweep over 2 <= m, n <= bounds, all ranks."""
-    rows = []
-    for m in range(2, m_max + 1):
-        for n in range(2, n_max + 1):
-            for r in range(0, (m - 1) * (n - 1) + 1):
-                rows.append(invariants(m, n, r).to_jsonable())
-    return rows

@@ -10,7 +10,6 @@ the fraction-free integer kernels of `lattice`.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -44,7 +43,7 @@ class MultiPoly:
                 raise ValueError(f"exponent {exp} does not have {nvars} entries")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c != 0:
                 cleaned[tuple(exp)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -290,18 +289,6 @@ class MultiPoly:
                 {"num": str(c.numerator), "den": str(c.denominator), "exp": list(exp)}
             )
         return {"vars": names, "terms": terms}
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "MultiPoly":
-        nvars = len(data["vars"])
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(nvars, terms)
-
-    def to_json(self, varnames: Sequence[str] | None = None) -> str:
-        return json.dumps(self.to_jsonable(varnames), sort_keys=True)
 
 
 class LinearMap:

@@ -26,7 +26,6 @@ from .nodal_surface import (
     ETA,
     L_SET,
     NODES,
-    RANK,
     DivisorClass,
     PicardModel,
     eta_star,
@@ -53,10 +52,6 @@ def _isometry_from_class_images(
     return iso
 
 
-def _basis_classes(model: PicardModel) -> list[DivisorClass]:
-    return [DivisorClass(tuple(r)) for r in model.basis]
-
-
 def sigma_star(model: PicardModel | None = None) -> Isometry:
     """The covering involution: eta and every E_x map to their sigma-classes."""
     model = model or picard_lattice()
@@ -65,17 +60,16 @@ def sigma_star(model: PicardModel | None = None) -> Isometry:
         - sum((E[x] for x in L_SET), DivisorClass.make())
         - sum((2 * E[x] for x in C_SET), DivisorClass.make())
     )
-    sigma_images = {d: sigma_class(d) for d in NODES}
+    generator_images = [sigma_eta] + [sigma_class(d) for d in NODES]
 
     def image_of(cls: DivisorClass) -> DivisorClass:
-        out = cls.coords[0] * sigma_eta
-        for i, d in enumerate(NODES):
-            c = cls.coords[1 + i]
+        out = DivisorClass.make()
+        for c, img in zip(cls.nums, generator_images):
             if c:
-                out = out + c * sigma_images[d]
-        return out
+                out = out + c * img
+        return out / cls.den
 
-    images = [image_of(b) for b in _basis_classes(model)]
+    images = [image_of(b) for b in model.basis_classes()]
     iso = _isometry_from_class_images("sigma", images, model)
     if not iso.is_involution():
         raise AssertionError("sigma* must square to the identity")
@@ -121,7 +115,7 @@ def tau_pentad_star(pentad: Sequence[Duad], model: PicardModel | None = None) ->
 def s6_isometry(g: Sequence[int], model: PicardModel | None = None) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
     model = model or picard_lattice()
-    images = [b.permuted(g) for b in _basis_classes(model)]
+    images = [b.permuted(g) for b in model.basis_classes()]
     return _isometry_from_class_images(f"perm{tuple(g)}", images, model)
 
 
@@ -149,11 +143,7 @@ def _apply_to_class(iso: Isometry, cls: DivisorClass, model: PicardModel | None 
     pic = model.in_lattice(cls)
     if pic is None:
         raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
-    img = iso.apply(pic)
-    coords = [
-        sum(img[k] * model.basis[k][i] for k in range(RANK)) for i in range(RANK)
-    ]
-    return DivisorClass(tuple(coords))
+    return DivisorClass(tuple(model.basis.vector(iso.apply(pic))), model.basis.den)
 
 
 def reye_image_report(model: PicardModel | None = None) -> ReyeImageReport:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt, lcm
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -26,6 +27,11 @@ IntMatrix = list[list[int]]
 
 def _as_int_matrix(m: Iterable[Iterable]) -> IntMatrix:
     return [[int(x) for x in row] for row in m]
+
+
+def _check_length(v: Sequence, n: int, what: str) -> None:
+    if len(v) != n:
+        raise ValueError(f"{what} has {len(v)} entries, expected {n}")
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -282,25 +288,30 @@ class IntegerLattice:
     def det(self) -> int:
         return _det_cached(self.gram)
 
-    def pair(self, v: Sequence, w: Sequence) -> Fraction:
-        """v·G·w^T, as one integer sum over the nonzero entries divided once."""
-        a, da = clear_denominators(v)
-        b, db = clear_denominators(w)
-        nz = [(j, y) for j, y in enumerate(b) if y]
+    def form(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """v·G·w^T for integer rows, as one sum over the nonzero entries."""
+        _check_length(v, self.rank, "vector")
+        _check_length(w, self.rank, "vector")
+        nz = [(j, y) for j, y in enumerate(w) if y]
         total = 0
-        for x, row in zip(a, self.gram):
+        for x, row in zip(v, self.gram):
             if x:
                 total += x * sum(row[j] * y for j, y in nz)
-        return Fraction(total, da * db)
+        return total
 
-    def norm(self, v: Sequence):
-        return self.pair(v, v)
+    def pair(self, v: Sequence[int], w: Sequence[int], den: int = 1) -> Fraction:
+        """v·G·w^T/den for integer rows v and w, divided once; the pairing
+        of v/a with w/b is pair(v, w, a·b)."""
+        return Fraction(self.form(v, w), den)
+
+    def norm(self, v: Sequence[int], den: int = 1) -> Fraction:
+        return self.pair(v, v, den)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def signature(self) -> tuple[int, int]:
-        """Exact inertia (n_plus, n_minus) by symmetric Gaussian reduction; cached."""
+        """Exact inertia (n_plus, n_minus) from the characteristic polynomial; cached."""
         return _signature_cached(self.gram)
 
     def to_jsonable(self) -> dict:
@@ -317,38 +328,50 @@ def _det_cached(gram: tuple[tuple[int, ...], ...]) -> int:
     return det_bareiss([list(r) for r in gram])
 
 
+def charpoly(m: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients [1, c_1, ..., c_n] of det(x·1 − m), division-free (Berkowitz 1984).
+
+    Peels m[k:, k:] = [[a, r], [c, A]] from the bottom-right corner: the
+    characteristic polynomial of the larger block is the Toeplitz matrix of
+    (1, −a, −r·c, −r·A·c, −r·A²·c, ...) applied to that of A.
+    """
+    n = len(m)
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        r = m[k][k + 1 :]
+        block = [row[k + 1 :] for row in m[k + 1 :]]
+        toeplitz = [1, -m[k][k]]
+        col = [row[k] for row in m[k + 1 :]]
+        for _ in range(n - k - 1):
+            toeplitz.append(-sum(x * y for x, y in zip(r, col)))
+            col = [sum(x * y for x, y in zip(row, col)) for row in block]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+            for i in range(len(poly) + 1)
+        ]
+    return poly
+
+
+def _sign_changes(coeffs: Iterable[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 @lru_cache(maxsize=256)
 def _signature_cached(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    plus = minus = 0
-    idx = list(range(n))
-    while idx:
-        i = next((k for k in idx if a[k][k]), None)
-        if i is None:
-            # all diagonal zero: find an off-diagonal pair, make a diagonal
-            pair = next(((k, l) for k in idx for l in idx if k != l and a[k][l]), None)
-            if pair is None:
-                break  # zero block: degenerate part
-            k, l = pair
-            for j in range(n):
-                a[k][j] += a[l][j]
-            for j in range(n):
-                a[j][k] += a[j][l]
-            continue
-        d = a[i][i]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        idx.remove(i)
-        for k in idx:
-            if a[k][i]:
-                f = a[k][i] / d
-                for j in range(n):
-                    a[k][j] -= f * a[i][j]
-                for j in range(n):
-                    a[j][k] -= f * a[j][i]
+    """Inertia by Descartes' rule of signs on the characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so once the factor x^k of
+    the kernel is stripped, the sign changes of χ(x) and χ(−x) count the
+    positive and the negative eigenvalues exactly.
+    """
+    chi = charpoly(gram)
+    while len(chi) > 1 and chi[-1] == 0:
+        chi.pop()
+    plus = _sign_changes(chi)
+    minus = _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(chi))
+    if plus + minus != len(chi) - 1:
+        raise AssertionError("a symmetric Gram matrix must have only real eigenvalues")
     return plus, minus
 
 
@@ -415,13 +438,14 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
 class FiniteAbelianInvariants:
     """Discriminant group data: invariant factors, generators, and q-values.
 
-    Generators are rational coordinate rows in the lattice basis (elements of
-    the dual lattice); q_values are the Q/2Z values of the quadratic form on
-    the generators, represented exactly in [0, 2).
+    Generator i is the dual vector generators[i]/invariant_factors[i]: an
+    integer row in the lattice basis over its order d_i.  q_values are the
+    Q/2Z values of the quadratic form on the generators, represented exactly
+    in [0, 2).
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     q_values: tuple[Fraction, ...]
 
     @property
@@ -429,21 +453,15 @@ class FiniteAbelianInvariants:
         return reduce(lambda a, b: a * b, self.invariant_factors, 1)
 
 
-def _mod_2z(x: Fraction) -> Fraction:
-    num = x.numerator % (2 * x.denominator)
-    return Fraction(num, x.denominator)
-
-
 def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
     """Dual quotient L^vee / L from the Smith normal form of the Gram matrix."""
     if lat.det() == 0:
         raise ValueError("degenerate lattice")
     d, u, v = smith_normal_form([list(r) for r in lat.gram])
-    n = lat.rank
     gens = []
     qs = []
     factors = []
-    for i in range(n):
+    for i in range(lat.rank):
         di = d[i][i]
         if di <= 1:
             continue
@@ -451,10 +469,9 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
         # vector, i.e. d_i divides every entry of u_i·G
         if any(x % di for x in mat_mul([u[i]], lat.gram)[0]):
             raise AssertionError("dual generator check failed")
-        gen = tuple(Fraction(u[i][j], di) for j in range(n))
         factors.append(di)
-        gens.append(gen)
-        qs.append(_mod_2z(lat.norm(gen)))
+        gens.append(tuple(u[i]))
+        qs.append(Fraction(lat.form(u[i], u[i]) % (2 * di * di), di * di))
     order = reduce(lambda a, b: a * b, factors, 1)
     if order != abs(lat.det()):
         raise AssertionError("group order must equal |det|")
@@ -462,19 +479,23 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
 
 
 def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
-    """Multiset of q-values over all elements of the discriminant group."""
+    """Multiset of q-values over all elements of the discriminant group.
+
+    Each element is an integer row over den = lcm(d_i); its q-value is the
+    residue of v·G·v^T modulo 2·den², turned into one Fraction at the end.
+    """
     inv = discriminant_group(lat)
-    counts: dict[Fraction, int] = {}
-    ranges = [range(f) for f in inv.invariant_factors]
-    n = lat.rank
-    for combo in itertools.product(*ranges):
-        vec = [Fraction(0)] * n
-        for c, gen in zip(combo, inv.generators):
+    den = lcm(*inv.invariant_factors)
+    scaled = [[den // d * x for x in g] for d, g in zip(inv.invariant_factors, inv.generators)]
+    counts: dict[int, int] = {}
+    for combo in itertools.product(*(range(f) for f in inv.invariant_factors)):
+        vec = [0] * lat.rank
+        for c, gen in zip(combo, scaled):
             if c:
                 vec = [a + c * b for a, b in zip(vec, gen)]
-        q = _mod_2z(lat.norm(vec))
-        counts[q] = counts.get(q, 0) + 1
-    return counts
+        key = lat.form(vec, vec) % (2 * den * den)
+        counts[key] = counts.get(key, 0) + 1
+    return {Fraction(k, den * den): c for k, c in counts.items()}
 
 
 # -- overlattices ------------------------------------------------------------
@@ -483,56 +504,49 @@ def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
 @dataclass(frozen=True)
 class Overlattice:
     lattice: IntegerLattice
-    basis: tuple[tuple[Fraction, ...], ...]  # rows: new basis in old coordinates
+    basis: RowBasis  # the new basis in old coordinates: HNF rows over basis.den
     index: int
 
 
-def overlattice(lat: IntegerLattice, glues: Sequence[Sequence]) -> Overlattice:
-    """Even overlattice generated by L and the glue vectors.
+def overlattice(lat: IntegerLattice, glues: Sequence[Sequence], den: int = 1) -> Overlattice:
+    """Even overlattice generated by L and the glue vectors glues/den.
 
+    Rational glue entries are cleared once, so the glue vectors become
+    integer rows over one denominator and every check is an integer one.
     Preconditions checked exactly: every glue vector pairs integrally with L
     and with the other glue vectors, and has even integral norm.  Offending
     vectors/pairs are named in the error.  The new basis is the Hermite
-    normal form of the stacked generators, so the output Gram is canonical.
+    normal form of the stacked generators (den·1 and the glue rows), so the
+    output Gram is canonical.
     """
     n = lat.rank
-    fr_glues = [[Fraction(x) for x in g] for g in glues]
-    for gi, g in enumerate(fr_glues):
+    for gi, g in enumerate(glues):
         if len(g) != n:
             raise ValueError(f"glue vector {gi} has wrong length")
-        for j in range(n):
-            basis_vec = [1 if k == j else 0 for k in range(n)]
-            p = lat.pair(g, basis_vec)
-            if p.denominator != 1:
+    flat, d = clear_denominators([x for g in glues for x in g])
+    den *= d
+    rows = [flat[k : k + n] for k in range(0, len(flat), n)]
+    for gi, g in enumerate(rows):
+        for j, x in enumerate(mat_mul([g], lat.gram)[0]):
+            if x % den:
                 raise ValueError(f"glue vector {gi} pairs non-integrally with basis vector {j}")
-        nrm = lat.norm(g)
+        nrm = lat.norm(g, den * den)
         if nrm.denominator != 1 or nrm.numerator % 2:
             raise ValueError(f"glue vector {gi} has non-even norm {nrm}")
-    for i in range(len(fr_glues)):
-        for j in range(i + 1, len(fr_glues)):
-            p = lat.pair(fr_glues[i], fr_glues[j])
-            if p.denominator != 1:
-                raise ValueError(f"glue vectors {i} and {j} pair non-integrally")
-    flat, den = clear_denominators([x for g in fr_glues for x in g])
-    stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    stacked += [flat[k : k + n] for k in range(0, len(flat), n)]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        if lat.form(rows[i], rows[j]) % (den * den):
+            raise ValueError(f"glue vectors {i} and {j} pair non-integrally")
+    stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
     h, _ = hermite_normal_form(stacked)
-    basis_rows = [row for row in h[:n]]
-    if not all(any(x for x in row) for row in basis_rows):
-        raise AssertionError("overlattice basis must have full rank")
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in basis_rows)
-    gram = [[lat.pair(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j].denominator != 1:
-                raise AssertionError("overlattice Gram must be integral")
-    gram_int = _freeze([[int(x) for x in row] for row in gram])
-    new = IntegerLattice(gram_int, basis_labels=lat.basis_labels)
-    index_sq = Fraction(abs(lat.det()), abs(new.det())) if new.det() else None
-    if index_sq is None or index_sq.denominator != 1:
+    basis = RowBasis(h[:n], den)
+    gram = mat_mul(mat_mul(basis.rows, lat.gram), mat_transpose(basis.rows))
+    if any(x % (den * den) for row in gram for x in row):
+        raise AssertionError("overlattice Gram must be integral")
+    gram = _freeze([[x // (den * den) for x in row] for row in gram])
+    new = IntegerLattice(gram, basis_labels=lat.basis_labels)
+    if not new.det() or lat.det() % new.det():
         raise AssertionError("overlattice index squared must be an integer")
-    index = _isqrt_exact(int(index_sq))
-    return Overlattice(new, basis, index)
+    return Overlattice(new, basis, _isqrt_exact(abs(lat.det() // new.det())))
 
 
 def _isqrt_exact(x: int) -> int:
@@ -543,28 +557,40 @@ def _isqrt_exact(x: int) -> int:
 
 
 class RowBasis:
-    """Integer coordinates over a fixed rational row basis B.
+    """Integer coordinates over a fixed row basis B = rows/den of integer rows.
 
-    B is scaled to integers and brought to Hermite normal form H = U·(den·B)
-    once; each x·B = v is then solved by forward substitution along the
-    pivots of H with a divisibility test at every pivot, so membership is an
-    exact integer decision.
+    Rows already in echelon form (such as the HNF basis of `overlattice`)
+    are used as they are; other rows are brought to Hermite normal form
+    H = U·rows once.  Each x·B = v/d is then solved by forward substitution
+    along the pivots with a divisibility test at every pivot, so membership
+    is an exact integer decision.
     """
 
-    def __init__(self, rows: Sequence[Sequence]):
-        ncols = len(rows[0])
-        flat, self.den = clear_denominators([x for row in rows for x in row])
-        self.hnf, self.transform = hermite_normal_form([flat[k : k + ncols] for k in range(0, len(flat), ncols)])
-        if not all(any(row) for row in self.hnf):
-            raise ValueError("basis rows must be linearly independent")
-        self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.hnf]
+    def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
+        self.rows = [[index(x) for x in row] for row in rows]  # integers only, no truncation
+        self.den = den
+        self.ncols = len(self.rows[0])
+        self.hnf, self.transform = self.rows, None
+        self.pivots = self._pivots()
+        # echelon form: strictly increasing pivots, a zero row would come last
+        if any(a >= b for a, b in zip(self.pivots, self.pivots[1:])) or self.pivots[-1] == self.ncols:
+            self.hnf, self.transform = hermite_normal_form(self.rows)
+            self.pivots = self._pivots()
+            if self.pivots[-1] == self.ncols:
+                raise ValueError("basis rows must be linearly independent")
 
-    def coordinates(self, v: Sequence) -> Optional[list[int]]:
-        """The integer x with x·B = v, or None if v is not in the lattice."""
-        w = [Fraction(x) * self.den for x in v]
-        if any(x.denominator != 1 for x in w):
-            return None
-        w = [int(x) for x in w]
+    def _pivots(self) -> list[int]:
+        """The column of the first nonzero entry of each row of hnf (ncols for a zero row)."""
+        return [next((j for j, x in enumerate(row) if x), self.ncols) for row in self.hnf]
+
+    def coordinates(self, v: Sequence[int], den: int = 1) -> Optional[list[int]]:
+        """The integer x with x·B = v/den, or None if v/den is not in the lattice."""
+        _check_length(v, self.ncols, "vector")
+        w = [x * self.den for x in v]
+        if den != 1:
+            if any(x % den for x in w):
+                return None
+            w = [x // den for x in w]
         y = []
         for row, p in zip(self.hnf, self.pivots):
             q, rem = divmod(w[p], row[p])
@@ -575,7 +601,14 @@ class RowBasis:
                 w = [a - q * b for a, b in zip(w, row)]
         if any(w):
             return None
+        if self.transform is None:
+            return y
         return [sum(c * t[j] for c, t in zip(y, self.transform)) for j in range(len(self.transform))]
+
+    def vector(self, x: Sequence[int]) -> list[int]:
+        """The numerators of x·B over den."""
+        _check_length(x, len(self.rows), "coordinate vector")
+        return [sum(c * row[j] for c, row in zip(x, self.rows) if c) for j in range(self.ncols)]
 
 
 # -- orthogonal complements --------------------------------------------------
@@ -590,7 +623,7 @@ def orthogonal_complement(
     integer matrix is saturated, so the result is primitive automatically.
     """
     n = lat.rank
-    if any(Fraction(x).denominator != 1 for row in lat.gram for x in row):
+    if any(x != int(x) for row in lat.gram for x in row):
         raise AssertionError("orthogonal complement needs an integral Gram matrix")
     if not vectors:
         return lat, mat_identity(n)
@@ -622,6 +655,7 @@ class Isometry:
         return len(self.matrix)
 
     def apply(self, v: Sequence[int]) -> list[int]:
+        _check_length(v, self.rank, "vector")
         return [sum(v[i] * row[j] for i, row in enumerate(self.matrix)) for j in range(self.rank)]
 
     def compose(self, other: "Isometry") -> "Isometry":

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .configs import Duad, apply_perm_duad, duads, trope_node_sets
@@ -29,6 +30,8 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     discriminant_q_multiset,
+    mat_mul,
+    mat_transpose,
     named_lattice,
     orthogonal_complement,
     overlattice,
@@ -50,85 +53,100 @@ def ambient_lattice() -> IntegerLattice:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Divisor class in coordinates over (eta, E_x).
+    """Divisor class nums/den in coordinates over (eta, E_x).
 
-    Classes of the model have half-integer entries; intermediate rational
-    combinations are allowed and simply fail the membership test.
+    Integer numerators over one positive denominator, normalised so that
+    gcd(den, nums) = 1: equal classes have equal fields.  Classes of the
+    model have den 1 or 2; other rational combinations are allowed and
+    simply fail the membership test.
     """
 
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.coords) != RANK:
+        if len(self.nums) != RANK:
             raise ValueError("divisor class needs 16 coordinates")
+        if self.den <= 0:
+            raise ValueError("the denominator of a divisor class must be positive")
+        g = gcd(self.den, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
-    def make(cls, eta=0, nodes: Mapping[Duad, object] | None = None) -> "DivisorClass":
-        coords = [Fraction(eta)] + [Fraction(0)] * 15
+    def make(cls, eta: int = 0, nodes: Mapping[Duad, int] | None = None) -> "DivisorClass":
+        nums = [eta] + [0] * 15
         for d, c in (nodes or {}).items():
-            coords[1 + NODE_INDEX[d]] = Fraction(c)
-        return cls(tuple(coords))
+            nums[1 + NODE_INDEX[d]] = c
+        return cls(tuple(nums))
+
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        if self.den == other.den:
+            return DivisorClass(tuple(a + sign * b for a, b in zip(self.nums, other.nums)), self.den)
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return DivisorClass(tuple(p * a + q * b for a, b in zip(self.nums, other.nums)), den)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __mul__(self, c) -> "DivisorClass":
-        return DivisorClass(tuple(Fraction(c) * x for x in self.coords))
+        # c is an int or a Fraction: both carry a numerator and a denominator
+        return DivisorClass(tuple(c.numerator * x for x in self.nums), self.den * c.denominator)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> "DivisorClass":
+        return DivisorClass(self.nums, self.den * k)
 
     def __neg__(self):
         return self * -1
 
     def dot(self, other: "DivisorClass") -> Fraction:
         # Gram of (eta, E_x) is diag(4, -2, ..., -2)
-        return 4 * self.coords[0] * other.coords[0] - 2 * sum(
-            a * b for a, b in zip(self.coords[1:], other.coords[1:])
-        )
+        a, b = self.nums, other.nums
+        total = 4 * a[0] * b[0] - 2 * sum(x * y for x, y in zip(a[1:], b[1:]))
+        return Fraction(total, self.den * other.den)
 
     def norm(self) -> Fraction:
         return self.dot(self)
 
     def degree(self) -> Fraction:
-        return 4 * self.coords[0]
+        return Fraction(4 * self.nums[0], self.den)
 
     def mod2_word(self) -> Optional[int]:
         """Fractional-part pattern as a 16-bit word (eta bit = bit 0), or None
         if some coordinate is not a half-integer multiple."""
+        if self.den > 2:
+            return None
         word = 0
-        for i, c in enumerate(self.coords):
-            if c.denominator == 1:
-                continue
-            if c.denominator == 2:
-                word |= 1 << i
-            else:
-                return None
+        if self.den == 2:
+            for i, x in enumerate(self.nums):
+                if x % 2:
+                    word |= 1 << i
         return word
 
     def permuted(self, g: Sequence[int]) -> "DivisorClass":
         """Relabel nodes by a permutation of {1,...,6} (eta fixed)."""
-        coords = [self.coords[0]] + [Fraction(0)] * 15
+        nums = [self.nums[0]] + [0] * 15
         for d in NODES:
-            coords[1 + NODE_INDEX[apply_perm_duad(g, d)]] = self.coords[1 + NODE_INDEX[d]]
-        return DivisorClass(tuple(coords))
+            nums[1 + NODE_INDEX[apply_perm_duad(g, d)]] = self.nums[1 + NODE_INDEX[d]]
+        return DivisorClass(tuple(nums), self.den)
 
 
 ETA = DivisorClass.make(eta=1)
 E = {d: DivisorClass.make(nodes={d: 1}) for d in NODES}
 
 
-def _half(cls: DivisorClass) -> DivisorClass:
-    return cls * Fraction(1, 2)
-
-
 def sigma_class(d: Duad) -> DivisorClass:
     """Image class sigma(E_x): a trope-conic for x in L, a trope-quartic for x in C."""
     if 6 not in d:
         word = trope_node_sets()[d]
-        return _half(ETA - sum((E[x] for x in sorted(word)), DivisorClass.make()))
+        return (ETA - sum((E[x] for x in sorted(word)), DivisorClass.make())) / 2
     a = d[0]
     others_c = [x for x in C_SET if x != d]
     arm = [tuple(sorted((a, b))) for b in range(1, 6) if b != a]
@@ -137,12 +155,12 @@ def sigma_class(d: Duad) -> DivisorClass:
         total = total - E[x]
     for x in arm:
         total = total - E[x]
-    return _half(total)
+    return total / 2
 
 
 def eta_star() -> DivisorClass:
     """Hyperplane class of the dual sextic model: 2*eta_star = 3*eta − sum_L E."""
-    return _half(3 * ETA - sum((E[x] for x in L_SET), DivisorClass.make()))
+    return (3 * ETA - sum((E[x] for x in L_SET), DivisorClass.make())) / 2
 
 
 def b_tilde() -> DivisorClass:
@@ -152,7 +170,7 @@ def b_tilde() -> DivisorClass:
         total = total - E[x]
     for x in C_SET:
         total = total - 2 * E[x]
-    return _half(total)
+    return total / 2
 
 
 # -- even-set code -------------------------------------------------------------
@@ -229,18 +247,18 @@ def class_invariants(cls: DivisorClass) -> tuple[Fraction, Fraction, bool]:
 class PicardModel:
     ambient: IntegerLattice  # <4> + A1^15 on (eta, E_x)
     lattice: IntegerLattice  # rank-16 overlattice Gram (integral, even)
-    basis: tuple[tuple[Fraction, ...], ...]  # rows: lattice basis in (eta, E_x) coords
+    basis: RowBasis  # lattice basis in (eta, E_x) coords: integer rows over basis.den
     index: int  # = 2**dim(code) / 2 ... index of N in Pic
     code: EvenSetCode
     named: dict[str, DivisorClass]
 
-    @cached_property
-    def _row_basis(self) -> RowBasis:
-        return RowBasis(self.basis)
-
     def in_lattice(self, cls: DivisorClass) -> Optional[list[int]]:
         """Integer coordinates of the class on the lattice basis, or None."""
-        return self._row_basis.coordinates(cls.coords)
+        return self.basis.coordinates(cls.nums, cls.den)
+
+    def basis_classes(self) -> list[DivisorClass]:
+        """The lattice basis as divisor classes."""
+        return [DivisorClass(tuple(row), self.basis.den) for row in self.basis.rows]
 
 
 def standard_classes() -> dict[str, DivisorClass]:
@@ -259,7 +277,7 @@ def standard_classes() -> dict[str, DivisorClass]:
         total = 2 * ETA
         for b in range(1, 6):
             if b != a:
-                total = total - _half(E[tuple(sorted((b, 6)))]) - _half(E[tuple(sorted((a, b)))])
+                total = total - E[tuple(sorted((b, 6)))] / 2 - E[tuple(sorted((a, b)))] / 2
         for c, d in itertools.combinations([x for x in range(1, 6) if x != a], 2):
             total = total - E[(c, d)]
         classes[f"F{a}6"] = total
@@ -278,8 +296,8 @@ def picard_lattice() -> PicardModel:
     """Rank-16 overlattice of <4> + A1^15 glued by the five code generators."""
     ambient = ambient_lattice()
     code = even_set_code()
-    glues = [sigma_class(d).coords for d in CODE_BASIS_DUADS]
-    over = overlattice(ambient, [list(g) for g in glues])
+    # the generators' words carry the eta bit, so each one has denominator 2
+    over = overlattice(ambient, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
     named = standard_classes()
     model = PicardModel(
         ambient=ambient,
@@ -350,7 +368,7 @@ def verify_class_identities() -> dict[str, bool]:
     # Reye-equivariant degree-10 class: half the sum of the five C-pencils
     f_sum = sum((named[f"F{a}6"] for a in range(1, 6)), zero)
     results["deg10_rey"] = (
-        _half(f_sum) == named["deg10_rey"]
+        f_sum / 2 == named["deg10_rey"]
         and named["deg10_rey"] == sum_l_sigma + sum_c_e
         and named["deg10_rey"].norm() == 10
     )
@@ -391,8 +409,9 @@ def transcendental_reference_lattice() -> IntegerLattice:
     )
 
 
-def is_dual_vector(model: PicardModel, coords: Sequence[Fraction]) -> bool:
-    return all(model.ambient.pair(coords, row).denominator == 1 for row in model.basis)
+def is_dual_vector(model: PicardModel, cls: DivisorClass) -> bool:
+    den = cls.den * model.basis.den
+    return all(model.ambient.form(cls.nums, row) % den == 0 for row in model.basis.rows)
 
 
 def discriminant_comparison() -> DiscriminantComparison:
@@ -417,10 +436,9 @@ def discriminant_comparison() -> DiscriminantComparison:
         kk = (-k) % 2
         q_neg[kk] = q_neg.get(kk, 0) + v
     duality = []
+    zero = DivisorClass.make()
     for eta_coeff, node_coeffs in CLASSICAL_DISCRIMINANT_GENERATORS:
-        vec = [Fraction(eta_coeff)] + [Fraction(0)] * 15
-        for d, c in node_coeffs.items():
-            vec[1 + NODE_INDEX[d]] = Fraction(c)
+        vec = eta_coeff * ETA + sum((c * E[d] for d, c in node_coeffs.items()), zero)
         duality.append(is_dual_vector(model, vec))
     # classification: the half-sums over four nodes lying in the dual are
     # exactly the 4-cycles among the duad labels (45 of them)
@@ -445,10 +463,7 @@ def _weight4_duals_are_cycles(model: PicardModel) -> bool:
 
     count = 0
     for combo in itertools.combinations(NODES, 4):
-        vec = [Fraction(0)] * RANK
-        for d in combo:
-            vec[1 + NODE_INDEX[d]] = Fraction(1, 2)
-        if not is_dual_vector(model, vec):
+        if not is_dual_vector(model, DivisorClass.make(nodes=dict.fromkeys(combo, 1)) / 2):
             continue
         count += 1
         deg = Counter()
@@ -482,21 +497,24 @@ def kummer_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class KummerModel:
     ambient: IntegerLattice  # <4> + A1^16 on (eta, N_alpha)
     lattice: IntegerLattice  # rank-17 overlattice
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: RowBasis
     index: int
-    tropes: dict[tuple[int, ...], tuple[Fraction, ...]]  # T_beta in ambient coords
+    tropes: dict[tuple[int, ...], tuple[int, ...]]  # T_beta in ambient coords, numerators over 2
 
-    @cached_property
-    def _row_basis(self) -> RowBasis:
-        return RowBasis(self.basis)
-
-    def in_lattice(self, v: Sequence[Fraction]) -> Optional[list[int]]:
-        """Integer coordinates of v on the lattice basis, or None."""
-        return self._row_basis.coordinates(v)
+    def in_lattice(self, v: Sequence[int], den: int = 1) -> Optional[list[int]]:
+        """Integer coordinates of v/den on the lattice basis, or None."""
+        return self.basis.coordinates(v, den)
 
 
 def kummer_trope_support(beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(kummer_add(beta, k) for k in KUMMER_SPECIAL))
+
+
+def _kummer_node(alpha: tuple[int, ...], c: int = 1) -> list[int]:
+    """c·N_alpha in the Kummer ambient coordinates."""
+    v = [0] * 17
+    v[1 + KUMMER_INDEX[alpha]] = c
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -504,31 +522,27 @@ def kummer_model() -> KummerModel:
     """Rank-17 lattice of a 16-nodal quartic glued by the sixteen trope words."""
     ambient = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 16)
     tropes = {}
-    glues = []
     for beta in KUMMER_GROUP:
-        v = [Fraction(0)] * 17
-        v[0] = Fraction(1, 2)
+        # T_beta = (eta − the six nodes of its support)/2
+        v = [1] + [0] * 16
         support = kummer_trope_support(beta)
         if len(support) != 6:
             raise AssertionError("every trope word has exactly six nodes")
         for alpha in support:
-            v[1 + KUMMER_INDEX[alpha]] = Fraction(-1, 2)
+            v[1 + KUMMER_INDEX[alpha]] = -1
         tropes[beta] = tuple(v)
-        glues.append(v)
-    over = overlattice(ambient, glues)
+    over = overlattice(ambient, list(tropes.values()), 2)
     return KummerModel(ambient, over.lattice, over.basis, over.index, tropes)
 
 
 def kummer_node_trope_pairings() -> bool:
     """N_alpha · T_beta = 1 exactly when alpha+beta lies in the special 6-set."""
     model = kummer_model()
-    ambient = model.ambient
     for alpha in KUMMER_GROUP:
-        n_vec = [Fraction(0)] * 17
-        n_vec[1 + KUMMER_INDEX[alpha]] = Fraction(1)
+        n_vec = _kummer_node(alpha)
         for beta, t_vec in model.tropes.items():
             expected = 1 if kummer_add(alpha, beta) in KUMMER_SPECIAL else 0
-            if ambient.pair(n_vec, t_vec) != expected:
+            if model.ambient.pair(n_vec, t_vec, 2) != expected:
                 return False
     return True
 
@@ -543,30 +557,20 @@ class KummerEmbeddingCertificate:
     mismatches: tuple[str, ...] = ()  # names the offending pairs, if any
 
 
-def _embedding_images() -> dict[str, tuple[Fraction, ...]]:
-    """Images of the 21 Picard generators inside the Kummer ambient coordinates."""
+def _embedding_images() -> dict[str, tuple[int, ...]]:
+    """Images of the 21 Picard generators in the Kummer ambient coordinates,
+    as numerators over 2."""
     model = kummer_model()
-    images: dict[str, tuple[Fraction, ...]] = {}
-
-    def nvec(alpha):
-        v = [Fraction(0)] * 17
-        v[1 + KUMMER_INDEX[alpha]] = Fraction(1)
-        return v
-
-    eta_vec = [Fraction(0)] * 17
-    eta_vec[0] = Fraction(1)
-    images["eta"] = tuple(eta_vec)
+    images: dict[str, tuple[int, ...]] = {"eta": (2,) + (0,) * 16}
     for d in NODES:
-        images[f"E{d[0]}{d[1]}"] = tuple(nvec(d))
+        images[f"E{d[0]}{d[1]}"] = tuple(_kummer_node(d, 2))
     for d in L_SET:
         images[f"sigma_E{d[0]}{d[1]}"] = model.tropes[d]
-    n0 = nvec(())
+    n0 = _kummer_node((), 2)
     t0 = model.tropes[()]
     for d in C_SET:
         t = model.tropes[d]
-        images[f"sigma_E{d[0]}{d[1]}"] = tuple(
-            a + b + c for a, b, c in zip(t, t0, n0)
-        )
+        images[f"sigma_E{d[0]}{d[1]}"] = tuple(a + b + c for a, b, c in zip(t, t0, n0))
     return images
 
 
@@ -580,45 +584,46 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     pic = picard_lattice()
     kum = kummer_model()
     images = _embedding_images()
+    generators = [images["eta"]] + [images[f"E{d[0]}{d[1]}"] for d in NODES]
 
-    def image_of(cls: DivisorClass) -> tuple[Fraction, ...]:
-        vec = [cls.coords[0] * x for x in images["eta"]]
-        for i, d in enumerate(NODES):
-            c = cls.coords[1 + i]
+    def image_of(cls: DivisorClass) -> list[int]:
+        """Numerators of the image of cls over 2·cls.den."""
+        vec = [0] * 17
+        for c, img in zip(cls.nums, generators):
             if c:
-                img = images[f"E{d[0]}{d[1]}"]
                 vec = [a + c * b for a, b in zip(vec, img)]
-        return tuple(vec)
+        return vec
 
     # sigma images must match the classical trope combinations
     pairings = True
     mismatches: list[str] = []
     for d in NODES:
-        got = image_of(sigma_class(d))
-        if got != images[f"sigma_E{d[0]}{d[1]}"]:
+        sigma = sigma_class(d)
+        got = image_of(sigma)
+        if got != [sigma.den * x for x in images[f"sigma_E{d[0]}{d[1]}"]]:
             pairings = False
             mismatches.append(f"sigma image of node {d}")
     # pairings preserved on all pairs of Picard basis vectors
-    for i, v in enumerate(pic.basis):
-        for j, w in enumerate(pic.basis):
-            lhs = pic.ambient.pair(v, w)
-            rhs = kum.ambient.pair(image_of(DivisorClass(tuple(v))), image_of(DivisorClass(tuple(w))))
+    basis = pic.basis_classes()
+    image_rows = [image_of(b) for b in basis]
+    for i, v in enumerate(basis):
+        for j, w in enumerate(basis):
+            lhs = pic.ambient.pair(v.nums, w.nums, v.den * w.den)
+            rhs = kum.ambient.pair(image_rows[i], image_rows[j], 4 * v.den * w.den)
             if lhs != rhs:
                 pairings = False
                 mismatches.append(f"basis pair ({i},{j}): {lhs} vs {rhs}")
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
-    n0 = [Fraction(0)] * 17
-    n0[1 + KUMMER_INDEX[()]] = Fraction(1)
-    image_rows = [image_of(DivisorClass(tuple(v))) for v in pic.basis]
-    in_lattice = all(kum.in_lattice(v) is not None for v in image_rows)
-    orthogonal = all(kum.ambient.pair(v, n0) == 0 for v in image_rows)
+    n0 = _kummer_node(())
+    image_in_kummer = [kum.in_lattice(v, 2 * b.den) for v, b in zip(image_rows, basis)]
+    in_lattice = all(c is not None for c in image_in_kummer)
+    orthogonal = all(kum.ambient.form(v, n0) == 0 for v in image_rows)
     # the orthogonal complement of N_0 inside the Kummer lattice
     n0_coords = kum.in_lattice(n0)
     if n0_coords is None:
         raise AssertionError("the node N_0 must lie in the Kummer lattice")
     comp, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])
     # image coordinates in the Kummer basis, then in the complement basis
-    image_in_kummer = [kum.in_lattice(v) for v in image_rows]
     equals_complement = comp.rank == RANK
     gram_match = False
     if equals_complement and all(c is not None for c in image_in_kummer):
@@ -628,17 +633,7 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
         if equals_complement:
             equals_complement = abs(det_bareiss(trans)) == 1
             # induced Gram on the image equals the Picard Gram
-            got = [
-                [
-                    sum(
-                        trans[i][a] * comp.gram[a][b] * trans[j][b]
-                        for a in range(RANK)
-                        for b in range(RANK)
-                    )
-                    for j in range(RANK)
-                ]
-                for i in range(RANK)
-            ]
+            got = mat_mul(mat_mul(trans, comp.gram), mat_transpose(trans))
             gram_match = got == [list(r) for r in pic.lattice.gram]
     return KummerEmbeddingCertificate(
         pairings_preserved=pairings,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -415,7 +414,7 @@ def pencil_classes(pentad: Sequence[Duad]) -> PencilData:
         b = ETA - E[x] - E[others[2]] - E[others[3]]
         if fs[i] != a + b:
             raise AssertionError(f"pencil class {i} must split into two plane sections")
-    half_sum = Fraction(1, 2) * sum(fs, zero)
+    half_sum = sum(fs, zero) / 2
     expected = 5 * ETA - sum((3 * E[x] for x in p), zero)
     if half_sum != expected:
         raise AssertionError("half the pencil sum must be 5*eta - 3*sum_P E")

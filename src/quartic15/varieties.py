@@ -124,16 +124,6 @@ class LinearSubspace:
         param = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(nvars)])
         return cls(eqs, param)
 
-    @classmethod
-    def from_span(cls, vectors: Sequence[Sequence]) -> "LinearSubspace":
-        """Subspace spanned by the given (independent) coordinate vectors."""
-        nvars = len(vectors[0])
-        eq_rows = nullspace(vectors, nvars)
-        red, pivots = rref(eq_rows)
-        eqs = tuple(tuple(r) for r in red[: len(pivots)])
-        param = LinearMap([[Fraction(v[i]) for v in vectors] for i in range(nvars)])
-        return cls(eqs, param)
-
     def contains_point(self, p: ProjectivePoint) -> bool:
         return all(
             sum(a * b for a, b in zip(eq, p.coords)) == 0 for eq in self.equations

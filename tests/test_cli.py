@@ -126,3 +126,17 @@ def test_raising_check_records_type_and_location(monkeypatch, tmp_path):
     assert error["traceback"][-1] == f"{error['where']} in boom"
     assert error["traceback"][0].startswith("cli.py:") and len(error["traceback"]) <= 5
     assert "unexpected error" in text
+
+
+def test_picard_lattice_check_certifies_the_class_identities(monkeypatch):
+    from quartic15 import nodal_surface as ns
+
+    code, report, _ = run_quiet(["lattice"])
+    passing = next(c for c in report.checks if c["id"] == "picard-lattice")
+    assert passing["status"] == "pass"
+    identities = ns.verify_class_identities()
+    monkeypatch.setattr(ns, "verify_class_identities", lambda: {**identities, "sigma_eta": False})
+    code, report, _ = run_quiet(["lattice"])
+    failing = next(c for c in report.checks if c["id"] == "picard-lattice")
+    assert code == 1 and failing["status"] == "fail"
+    assert failing["details"] == passing["details"]

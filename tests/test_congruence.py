@@ -4,7 +4,6 @@ from quartic15.congruence import (
     AlphaVector,
     invariants,
     published_columns,
-    sweep_jsonable,
     table1_report,
     table1_solutions,
     two_n_profile,
@@ -56,7 +55,13 @@ def test_focal_degree_identity_symbolic():
 
 
 def test_focal_degree_identity_sweep():
-    for row in sweep_jsonable(8, 8):
+    rows = [
+        invariants(m, n, r).to_jsonable()
+        for m in range(2, 9)
+        for n in range(2, 9)
+        for r in range((m - 1) * (n - 1) + 1)
+    ]
+    for row in rows:
         m, n, r, g = row["m"], row["n"], row["r"], row["g"]
         assert row["deg_focal"] == 2 * m + 2 * g - 2 == 2 * n * (m - 1) - 2 * r
         assert row["deg_branch_locus"] == 4 * (m * n - r) - 2 * (m + n)

@@ -113,11 +113,10 @@ def test_reflection_matches_divisor_class_formula(model):
     # v -> v + (v·r)/2 · r through DivisorClass.dot, in ambient coordinates
     for root in (reye_root(), pentad_root(C_SET)):
         iso = reflection_isometry(model.lattice, model.in_lattice(root), "r")
-        for i, row in enumerate(model.basis):
-            b = DivisorClass(tuple(row))
+        for i, b in enumerate(model.basis_classes()):
             expected = b + (b.dot(root) / 2) * root
-            image = [sum(iso.matrix[i][k] * model.basis[k][j] for k in range(16)) for j in range(16)]
-            assert DivisorClass(tuple(image)) == expected
+            image = model.basis.vector(iso.matrix[i])
+            assert DivisorClass(tuple(image), model.basis.den) == expected
 
 
 def test_sparse_products_see_every_entry_of_a_reflection(model):

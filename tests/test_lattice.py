@@ -15,6 +15,9 @@ from quartic15.lattice import (
     IntegerLattice,
     Isometry,
     RowBasis,
+    bareiss,
+    charpoly,
+    clear_denominators,
     det_bareiss,
     direct_sum,
     discriminant_group,
@@ -158,9 +161,8 @@ def test_overlattice_valid_rank7():
     assert res.index == 2
     assert abs(l.det()) == res.index**2 * abs(res.lattice.det())
     assert res.lattice.is_even()
-    coords = RowBasis(res.basis)
-    assert coords.coordinates(glue) is not None
-    assert coords.coordinates([Fraction(1, 2)] + [0] * 6) is None
+    assert res.basis.coordinates([1] * 7, 2) is not None
+    assert res.basis.coordinates([1] + [0] * 6, 2) is None
 
 
 def test_overlattice_index_det_relation_random():
@@ -238,13 +240,14 @@ def test_isometry_reports_higher_order():
 
 def test_row_basis_coordinates():
     l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
-    res = overlattice(l, [[Fraction(1, 2)] * 7])
-    coords = RowBasis(res.basis)
-    v = [Fraction(1, 2)] * 6 + [Fraction(-1, 2)]
-    x = coords.coordinates(v)
-    assert [sum(c * row[j] for c, row in zip(x, res.basis)) for j in range(7)] == v
-    assert coords.coordinates([Fraction(1, 3)] + [0] * 6) is None  # not half-integral
-    assert coords.coordinates([Fraction(1, 2)] * 2 + [0] * 5) is None  # half-integral, not a word
+    res = overlattice(l, [[1] * 7], 2)
+    coords = res.basis
+    assert coords.den == 2 and coords.transform is None  # the HNF rows, used as they are
+    v = [1] * 6 + [-1]  # numerators over 2
+    x = coords.coordinates(v, 2)
+    assert [Fraction(a, coords.den) for a in coords.vector(x)] == [Fraction(a, 2) for a in v]
+    assert coords.coordinates([1] + [0] * 6, 3) is None  # not half-integral
+    assert coords.coordinates([1] * 2 + [0] * 5, 2) is None  # half-integral, not a word
     with pytest.raises(ValueError, match="independent"):
         RowBasis([[1, 2], [2, 4]])
 
@@ -327,11 +330,13 @@ def symmetric_gram_and_vectors(draw):
 @given(symmetric_gram_and_vectors())
 def test_pair_matches_dense_fraction_sum(data):
     lat, v, w = data
-    got = lat.pair(v, w)
+    a, da = clear_denominators(v)
+    b, db = clear_denominators(w)
+    got = lat.pair(a, b, da * db)
     assert isinstance(got, Fraction)
     assert got == reference_pair(lat, v, w)
-    assert lat.pair(w, v) == got
-    assert lat.norm(v) == reference_pair(lat, v, v)
+    assert lat.pair(b, a, da * db) == got
+    assert lat.norm(a, da * da) == reference_pair(lat, v, v)
 
 
 @st.composite
@@ -378,3 +383,201 @@ def test_orthogonal_complement_gram_is_the_induced_form():
     half = IntegerLattice(((Fraction(1, 2), 0), (0, 2)))
     with pytest.raises(AssertionError, match="integral Gram"):
         orthogonal_complement(half, [[0, 1]])
+
+
+# -- length-checked inputs -------------------------------------------------------
+
+
+def test_pair_rejects_vectors_of_the_wrong_length():
+    lat = named_lattice("diag(1,1)")
+    with pytest.raises(ValueError, match="expected 2"):
+        lat.pair([1, 1, 9], [1, 1])
+    with pytest.raises(ValueError, match="expected 2"):
+        lat.pair([1, 1], [1])
+
+
+def test_isometry_apply_rejects_vectors_of_the_wrong_length():
+    ident = Isometry("1", ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="expected 2"):
+        ident.apply([1, 2, 3])
+    with pytest.raises(ValueError, match="expected 2"):
+        ident.apply([1])
+
+
+def test_row_basis_rejects_vectors_of_the_wrong_length():
+    basis = RowBasis([[2, 1], [0, 3]])
+    with pytest.raises(ValueError, match="expected 2"):
+        basis.coordinates([2, 4, 0])
+    with pytest.raises(ValueError, match="expected 2"):
+        basis.vector([1])
+
+
+# -- the signature: Berkowitz and Descartes against a Fraction LDL^T ------------
+
+
+def reference_signature(gram):
+    """The former symmetric Gaussian reduction over Fractions."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    plus = minus = 0
+    idx = list(range(n))
+    while idx:
+        i = next((k for k in idx if a[k][k]), None)
+        if i is None:
+            # all diagonal zero: find an off-diagonal pair, make a diagonal
+            pair = next(((k, l) for k in idx for l in idx if k != l and a[k][l]), None)
+            if pair is None:
+                break  # zero block: degenerate part
+            k, l = pair
+            for j in range(n):
+                a[k][j] += a[l][j]
+            for j in range(n):
+                a[j][k] += a[j][l]
+            continue
+        d = a[i][i]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        idx.remove(i)
+        for k in idx:
+            if a[k][i]:
+                f = a[k][i] / d
+                for j in range(n):
+                    a[k][j] -= f * a[i][j]
+                for j in range(n):
+                    a[j][k] -= f * a[j][i]
+    return plus, minus
+
+
+@st.composite
+def symmetric_grams(draw):
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(st.integers(-5, 5))
+        return g
+    # A^T·D·A has rank at most k: singular whenever k < n
+    k = draw(st.integers(0, n))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k))
+    d = draw(st.lists(st.sampled_from([-2, -1, 1, 3]), min_size=k, max_size=k))
+    return [[sum(d[r] * a[r][i] * a[r][j] for r in range(k)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_grams())
+def test_signature_matches_fraction_ldlt(gram):
+    lat = IntegerLattice(tuple(map(tuple, gram)))
+    plus, minus = lat.signature()
+    assert (plus, minus) == reference_signature(gram)
+    assert plus + minus == len(bareiss(gram)[1])  # the rank
+
+
+def test_signature_of_the_model_lattices_matches_fraction_ldlt():
+    from quartic15.nodal_surface import kummer_model, picard_lattice, transcendental_reference_lattice
+
+    for lat, expected in (
+        (picard_lattice().lattice, (1, 15)),
+        (transcendental_reference_lattice(), (2, 4)),
+        (kummer_model().lattice, (1, 16)),
+    ):
+        assert lat.signature() == reference_signature(lat.gram) == expected
+
+
+def test_charpoly_small_cases():
+    assert charpoly([]) == [1]
+    assert charpoly([[5]]) == [1, -5]
+    assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
+    assert charpoly(mat_identity(3)) == [1, -3, 3, -1]
+
+
+def test_signature_self_check_survives_optimize_flag():
+    # x^2 + 1 has no real root: Descartes' count cannot fill the degree
+    code = (
+        "import quartic15.lattice as L\n"
+        "L.charpoly = lambda m: [1, 0, 1]\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    L.IntegerLattice(((1, 0), (0, 1))).signature()\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised a symmetric Gram matrix must have only real eigenvalues" in proc.stdout
+
+
+# -- test-only oracles: sympy and Milgram's formula -------------------------------
+
+
+def test_smith_normal_form_and_charpoly_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    rng = random.Random(11)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(cols)] for _ in range(rows)]
+        d, _, _ = smith_normal_form(m)
+        ref = normalforms.smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        k = min(rows, cols)
+        assert [d[i][i] for i in range(k)] == [abs(int(ref[i, i])) for i in range(k)], m
+    x = sympy.symbols("x")
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        assert charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly(x).all_coeffs()], m
+
+
+def _zeta8_power(k):
+    """ζ^k in the Z-basis 1, ζ, ζ², ζ³ of Z[ζ8], where ζ⁴ = −1."""
+    k %= 8
+    v = [0] * 4
+    v[k % 4] = 1 if k < 4 else -1
+    return v
+
+
+def _zeta8_mul(a, b):
+    out = [0] * 4
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < 4:
+                out[i + j] += x * y
+            else:
+                out[i + j - 4] -= x * y
+    return out
+
+
+def _zeta8_sqrt(n):
+    """√n in Z[ζ8] for a power of two n, with √2 = ζ − ζ³."""
+    m = n.bit_length() - 1
+    assert n == 1 << m
+    root = [1 << (m // 2), 0, 0, 0]
+    return _zeta8_mul(root, [0, 1, 0, -1]) if m % 2 else root
+
+
+def _model_lattice(name):
+    from quartic15 import nodal_surface as ns
+
+    return {
+        "A1": lambda: named_lattice("A1"),
+        "pic": lambda: ns.picard_lattice().lattice,
+        "reference": ns.transcendental_reference_lattice,
+        "kummer": lambda: ns.kummer_model().lattice,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["A1", "pic", "reference", "kummer"])
+def test_milgram_gauss_sum(name):
+    # Σ_{x∈A} exp(πi·q(x)) = √|A|·exp(2πi·sign/8), exactly in Z[ζ8]
+    lat = _model_lattice(name)
+    plus, minus = lat.signature()
+    total = [0] * 4
+    for q, count in discriminant_q_multiset(lat).items():
+        assert (4 * q).denominator == 1
+        total = [t + count * z for t, z in zip(total, _zeta8_power(int(4 * q)))]
+    order = discriminant_group(lat).order
+    assert total == _zeta8_mul(_zeta8_sqrt(order), _zeta8_power(plus - minus))

@@ -102,8 +102,7 @@ def test_pic_membership_words_and_nonwords():
     # all 32 words give Pic-integral half-classes, confirmed against the
     # overlattice itself (code membership <=> coordinates in the lattice)
     for w in code.words:
-        coords = [Fraction(1, 2) if w & (1 << i) else Fraction(0) for i in range(16)]
-        cls = DivisorClass(tuple(coords))
+        cls = DivisorClass(tuple(1 if w & (1 << i) else 0 for i in range(16)), 2)
         assert is_pic_integral(cls)
         assert model.in_lattice(cls) is not None
     # 100 random non-words do not
@@ -113,8 +112,7 @@ def test_pic_membership_words_and_nonwords():
         if w in code.words:
             continue
         nonwords += 1
-        coords = [Fraction(1, 2) if w & (1 << i) else Fraction(0) for i in range(16)]
-        cls = DivisorClass(tuple(coords))
+        cls = DivisorClass(tuple(1 if w & (1 << i) else 0 for i in range(16)), 2)
         assert not is_pic_integral(cls)
         if nonwords <= 10:
             assert model.in_lattice(cls) is None
@@ -146,8 +144,8 @@ def test_picard_lattice_rank_det_index():
 def test_degree_even_on_pic():
     # the degree functional is even on the whole Picard lattice
     model = picard_lattice()
-    for row in model.basis:
-        deg = 4 * row[0]
+    for cls in model.basis_classes():
+        deg = cls.degree()
         assert deg.denominator == 1 and int(deg) % 2 == 0
 
 
@@ -232,6 +230,10 @@ def test_kummer_embedding():
     assert cert.gram_match
 
 
+def _rational_rows(basis):
+    return [[Fraction(x, basis.den) for x in row] for row in basis.rows]
+
+
 def _rational_coordinates(basis, v):
     """Reference route: a Fraction solve of x·B = v, kept integral or None."""
     cols = [[Fraction(row[i]) for row in basis] for i in range(len(basis[0]))]
@@ -247,10 +249,12 @@ def test_integer_coordinates_match_rational_solve():
         assert is_pic_integral(cls), name
         got = model.in_lattice(cls)
         assert got is not None, name
-        assert got == _rational_coordinates(model.basis, cls.coords), name
+        coords = [Fraction(x, cls.den) for x in cls.nums]
+        assert got == _rational_coordinates(_rational_rows(model.basis), coords), name
     kum = kummer_model()
     for beta, t in kum.tropes.items():
-        assert kum.in_lattice(t) == _rational_coordinates(kum.basis, t), beta
+        coords = [Fraction(x, 2) for x in t]
+        assert kum.in_lattice(t, 2) == _rational_coordinates(_rational_rows(kum.basis), coords), beta
     n0 = [0] * 17
     n0[1 + ns.KUMMER_INDEX[()]] = 1
     n0_coords = kum.in_lattice(n0)
@@ -267,11 +271,12 @@ def test_integer_coordinates_match_rational_solve():
 
 def test_integer_coordinates_reject_non_members():
     model = picard_lattice()
-    half_eta = DivisorClass((Fraction(1, 2),) + (Fraction(0),) * 15)
-    third = DivisorClass((Fraction(1, 3),) + (Fraction(0),) * 15)
+    half_eta = DivisorClass((1,) + (0,) * 15, 2)
+    third = DivisorClass((1,) + (0,) * 15, 3)
     for cls in (half_eta, third):
         assert model.in_lattice(cls) is None
-        assert _rational_coordinates(model.basis, cls.coords) is None
+        coords = [Fraction(x, cls.den) for x in cls.nums]
+        assert _rational_coordinates(_rational_rows(model.basis), coords) is None
 
 
 def test_named_class_check_survives_optimize_flag():
@@ -294,7 +299,7 @@ def test_named_class_check_survives_optimize_flag():
 
 def test_overlattice_names_a_perturbed_kummer_glue():
     model = kummer_model()
-    glues = [list(t) for t in model.tropes.values()]
+    glues = [[Fraction(x, 2) for x in t] for t in model.tropes.values()]
     # a step of ±1 adds a lattice vector: same coset, so the same overlattice
     shifted = [row[:] for row in glues]
     shifted[3][0] += 1
@@ -306,3 +311,34 @@ def test_overlattice_names_a_perturbed_kummer_glue():
             bad[3][k] += step
             with pytest.raises(ValueError, match="glue vector 3 "):
                 overlattice(model.ambient, bad)
+
+
+def test_kummer_in_lattice_rejects_vectors_of_the_wrong_length():
+    n0 = [0] * 17
+    n0[1 + ns.KUMMER_INDEX[()]] = 1
+    model = kummer_model()
+    assert model.in_lattice(n0) is not None
+    with pytest.raises(ValueError, match="expected 17"):
+        model.in_lattice(n0 + [5])
+    with pytest.raises(ValueError, match="expected 17"):
+        model.in_lattice(n0[:-1])
+
+
+def test_divisor_class_integer_arithmetic():
+    half = (ns.ETA - E[(1, 2)]) / 2
+    assert (half.nums[:2], half.den) == ((1, -1), 2)
+    # one normalised representation: equality is field equality
+    assert 2 * half == ns.ETA - E[(1, 2)] and (2 * half).den == 1
+    assert DivisorClass(tuple(2 * x for x in half.nums), 4) == half
+    assert half + half == Fraction(2) * half == ns.ETA - E[(1, 2)]
+    assert half - half == DivisorClass.make() and -half == half * -1
+    assert ns.ETA / 3 + ns.ETA / 6 == ns.ETA / 2
+    assert half.norm() == Fraction(1, 2) and half.degree() == 2 and half.dot(ns.ETA) == 2
+    assert half.mod2_word() == word_of_nodes([(1, 2)], eta_bit=True)
+    assert (ns.ETA / 3).mod2_word() is None and ns.ETA.mod2_word() == 0
+    with pytest.raises(ValueError, match="16 coordinates"):
+        DivisorClass((1,) * 15)
+    with pytest.raises(ValueError, match="positive"):
+        DivisorClass((1,) * 16, 0)
+    with pytest.raises(TypeError):
+        DivisorClass((Fraction(1, 2),) + (0,) * 15)
