@@ -294,19 +294,11 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None, expect_f11_defect:
         def scan():
             pts = va.singular_scan_fp(model, scan_prime)
             detail = f"F{scan_prime} scan found {len(pts)} singular points (expected 15)"
-            bad = [
-                d
-                for d in duads()
-                if sum(
-                    Fraction(a) * b for a, b in zip(model.hyperplane, va.duad_point(d).coords)
-                ).numerator
-                % scan_prime
-                == 0
-            ]
+            bad = va.bad_prime_duads(model, scan_prime)
             if bad:
                 detail += (
                     f"; {scan_prime} is a bad prime for this hyperplane: it divides the "
-                    f"pairing with the line-intersection point(s) {bad}, so the three "
+                    f"pairing with the line-intersection point(s) {list(bad)}, so the three "
                     "nodes on each such duad's lines collide in reduction"
                 )
             if expect_f11_defect and scan_prime == 11:

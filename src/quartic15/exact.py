@@ -3,7 +3,9 @@
 Every coefficient in the workbench is a `fractions.Fraction`; nothing here
 ever touches floating point.  Polynomials are stored sparsely as a map from
 exponent tuples to nonzero rational coefficients, with graded-lexicographic
-term order fixed once so that serialized output is bit-stable.  The rational
+term order fixed once so that serialized output is bit-stable.  Evaluation
+and linear substitution clear denominators once and sum in integers,
+building one Fraction per returned coefficient or value.  The rational
 linear algebra (`rref`, `nullspace`, `solve_linear`, ...) is a front end to
 the fraction-free integer kernels of `lattice`.
 """
@@ -11,7 +13,8 @@ the fraction-free integer kernels of `lattice`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,7 +37,7 @@ class MultiPoly:
     zero coefficients are never stored.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_integral")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         cleaned: dict[Exponent, Fraction] = {}
@@ -180,18 +183,41 @@ class MultiPoly:
 
     # -- calculus --------------------------------------------------------
 
+    def _integer_terms(self) -> tuple[int, int, tuple[tuple[Exponent, int, int], ...]]:
+        """(den, D, ((exp, num, deg), ...)): every coefficient as num/den over
+        one common denominator, with D the total degree; built once."""
+        try:
+            return self._integral
+        except AttributeError:
+            pass
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        data = (
+            den,
+            self.total_degree(),
+            tuple(
+                (e, c.numerator * (den // c.denominator), sum(e)) for e, c in self.terms.items()
+            ),
+        )
+        object.__setattr__(self, "_integral", data)
+        return data
+
     def evaluate(self, point: Sequence) -> Fraction:
+        """Value at `point`, summed in integers: with point = xs/d, each term
+        c·xs^e/d^deg is brought to the common denominator d^D by d^(D − deg)."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
+        xs, d = clear_denominators(point)
+        den, top, terms = self._integer_terms()
+        dpow = _power_table(d, top)
+        xpow = [_power_table(x, top) for x in xs]
+        total = 0
+        for exp, c, deg in terms:
+            v = c * dpow[top - deg]
+            for pw, e in zip(xpow, exp):
                 if e:
-                    v *= x**e
+                    v *= pw[e]
             total += v
-        return total
+        return Fraction(total, den * dpow[top])
 
     def partial(self, i: int) -> "MultiPoly":
         res: dict[Exponent, Fraction] = {}
@@ -205,49 +231,50 @@ class MultiPoly:
     def gradient(self) -> list["MultiPoly"]:
         return [self.partial(i) for i in range(self.nvars)]
 
-    def hessian_at(self, point: Sequence) -> list[list[Fraction]]:
-        """Matrix of second partials at `point`; symmetric by construction."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        n = self.nvars
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            fi = self.partial(i)
-            for j in range(i, n):
-                v = fi.partial(j).evaluate(point)
-                rows[i][j] = v
-                rows[j][i] = v
-        return rows
-
     # -- substitution -----------------------------------------------------
 
     def substitute_linear(self, matrix: "LinearMap | Sequence[Sequence]") -> "MultiPoly":
         """Compose with a linear substitution: variables become linear forms.
 
         `matrix` has one row per current variable; the result lives in
-        `cols` variables.  Homogeneity degree is preserved.
+        `cols` variables.  Homogeneity degree is preserved.  Row i is cleared
+        once to an integer form F_i over d_i, so a term (c/den)·x^e becomes
+        c·Π F_i^(e_i) over den·Π d_i^(e_i); every term is summed in integers
+        over the least common multiple of those denominators.
         """
-        rows = matrix.entries if isinstance(matrix, LinearMap) else tuple(
-            tuple(Fraction(x) for x in row) for row in matrix
-        )
+        rows = matrix.entries if isinstance(matrix, LinearMap) else [list(r) for r in matrix]
         if len(rows) != self.nvars:
             raise ValueError(
                 f"substitution matrix has {len(rows)} rows, expected {self.nvars}"
             )
         ncols = len(rows[0]) if rows else 0
-        forms = [MultiPoly.linear_form(row) for row in rows]
-        # cache powers of each substituted form
-        powers: list[list[MultiPoly]] = [[MultiPoly.constant(ncols, 1)] for _ in forms]
-        result = MultiPoly.zero(ncols)
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(ncols, c)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged substitution matrix")
+        units = [tuple(int(k == j) for k in range(ncols)) for j in range(ncols)]
+        forms, dens = [], []
+        for row in rows:
+            ints, d = clear_denominators(row)
+            forms.append({units[j]: a for j, a in enumerate(ints) if a})
+            dens.append(d)
+        one = {(0,) * ncols: 1}
+        powers = [[one] for _ in rows]  # powers[i][e] = F_i^e
+        den, _, terms = self._integer_terms()
+        scales = [prod(d**e for d, e in zip(dens, exp) if e) for exp, _, _ in terms]
+        common = lcm(*scales)
+        acc: dict[Exponent, int] = {}
+        for (exp, c, _), q in zip(terms, scales):
+            product = one
             for i, e in enumerate(exp):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * forms[i])
                 if e:
-                    term = term * powers[i][e]
-            result = result + term
-        return result
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(_mul_integer_terms(pw[-1], forms[i]))
+                    product = pw[e] if product is one else _mul_integer_terms(product, pw[e])
+            c *= common // q
+            for e, v in product.items():
+                acc[e] = acc.get(e, 0) + c * v
+        denominator = den * common
+        return MultiPoly(ncols, {e: Fraction(v, denominator) for e, v in acc.items() if v})
 
     def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
         """Relabel variables: new variable perm[i] receives old variable i."""
@@ -289,6 +316,24 @@ class MultiPoly:
                 {"num": str(c.numerator), "den": str(c.denominator), "exp": list(exp)}
             )
         return {"vars": names, "terms": terms}
+
+
+def _power_table(x: int, top: int) -> list[int]:
+    """[1, x, x^2, ..., x^top]."""
+    table = [1]
+    for _ in range(top):
+        table.append(table[-1] * x)
+    return table
+
+
+def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict[Exponent, int]:
+    """Product of two polynomials given as {exponent: integer coefficient}."""
+    out: dict[Exponent, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 class LinearMap:
@@ -377,7 +422,8 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
     q is normalized to leading (graded-lex) coefficient 1 and c absorbs the
     scale; returns None when f is not a rational square times a constant.
     The loop is the triangular linear solve for q's coefficients: each step
-    peels the leading term of the residual f − c·q².
+    peels the leading term of the residual f − c·q², which each new term of
+    q updates by one product with a monomial instead of squaring q again.
     """
     if not f.is_homogeneous():
         raise ValueError("perfect_square_factor needs a homogeneous form")
@@ -391,15 +437,12 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
         return None
     c = f.terms[lead]
     half = tuple(e // 2 for e in lead)
-    q = MultiPoly(f.nvars, {half: Fraction(1)})
-    two_c_lead = MultiPoly(f.nvars, {half: 2 * c})
+    q = {half: Fraction(1)}
+    r = {e: v for e, v in f.terms.items() if e != lead}  # f − c·q², q = x^half
     last_key = grlex_key(half)
-    while True:
-        r = f - q * q * c
-        if not r:
-            return (c, q)
-        t = r.leading_monomial()
-        # next term of q is lead(r) / (2c·x^half)
+    while r:
+        t = max(r, key=grlex_key)
+        # next term of q is a·x^e with a = lead(r) / (2c·x^half)
         e = tuple(a - b for a, b in zip(t, half))
         if any(x < 0 for x in e):
             return None
@@ -407,7 +450,22 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
         if key >= last_key:
             return None
         last_key = key
-        q = q + MultiPoly(f.nvars, {e: r.terms[t] / (2 * c)})
+        lt = r[t]
+        a = lt / (2 * c)
+        # f − c·(q + a·x^e)² = r − lt·x^e·q − c·a²·x^(2e), since 2c·a = lt
+        for eq, cq in q.items():
+            _add_to_term(r, tuple(map(add, eq, e)), -lt * cq)
+        _add_to_term(r, tuple(2 * x for x in e), -lt * a / 2)
+        q[e] = a
+    return (c, MultiPoly(f.nvars, q))
+
+
+def _add_to_term(terms: dict[Exponent, Fraction], e: Exponent, v: Fraction) -> None:
+    s = terms.get(e, 0) + v
+    if s:
+        terms[e] = s
+    else:
+        terms.pop(e, None)
 
 
 # -- exact linear algebra over the rationals -------------------------------

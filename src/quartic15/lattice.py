@@ -25,8 +25,19 @@ from typing import Iterable, Optional, Sequence
 IntMatrix = list[list[int]]
 
 
+def _as_int(x, i: int, j: int) -> int:
+    """Entry (i, j) as an int, refusing (never truncating) a non-integral value."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"non-integral entry {x} at ({i}, {j})")
+    return n
+
+
 def _as_int_matrix(m: Iterable[Iterable]) -> IntMatrix:
-    return [[int(x) for x in row] for row in m]
+    return [
+        [x if type(x) is int else _as_int(x, i, j) for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
 
 
 def _check_length(v: Sequence, n: int, what: str) -> None:
@@ -59,7 +70,8 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
 
 def clear_denominators(row: Iterable) -> tuple[list[int], int]:
     """(ints, den) with row = ints/den and den the least common denominator."""
-    fr = [Fraction(x) for x in row]
+    # ints and Fractions already carry .numerator and .denominator
+    fr = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr], den
 
@@ -267,7 +279,8 @@ class IntegerLattice:
     """Basis-free lattice data: a symmetric integer Gram matrix.
 
     `scale` records a uniform rescaling applied to clear denominators, so the
-    underlying rational form is gram/scale.
+    underlying rational form is gram/scale.  The Gram entries are stored as
+    ints; an entry that is not an integer is refused, never truncated.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -275,7 +288,8 @@ class IntegerLattice:
     scale: int = 1
 
     def __post_init__(self):
-        g = self.gram
+        g = _freeze(self.gram)
+        object.__setattr__(self, "gram", g)
         if any(len(r) != len(g) for r in g):
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(len(g))):
@@ -376,7 +390,7 @@ def _signature_cached(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 
 
 def _freeze(m: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(map(tuple, _as_int_matrix(m)))
 
 
 _E8_GRAM = [
@@ -402,7 +416,7 @@ def named_lattice(name: str) -> IntegerLattice:
     if name.startswith("diag(") and name.endswith(")"):
         entries = [int(x) for x in name[5:-1].split(",")]
         g = [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
-        return IntegerLattice(_freeze(g), basis_labels=tuple(f"d{i}" for i in range(len(entries))))
+        return IntegerLattice(g, basis_labels=tuple(f"d{i}" for i in range(len(entries))))
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unknown lattice name: {name!r}")
@@ -414,7 +428,7 @@ def named_lattice(name: str) -> IntegerLattice:
     else:
         g = _E8_GRAM
     g = [[scale * x for x in row] for row in g]
-    return IntegerLattice(_freeze(g), basis_labels=tuple(f"{name}:{i}" for i in range(len(g))))
+    return IntegerLattice(g, basis_labels=tuple(f"{name}:{i}" for i in range(len(g))))
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
@@ -428,7 +442,7 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
                 g[off + i][off + j] = l.gram[i][j]
         labels.extend(l.basis_labels or (f"b{off+i}" for i in range(l.rank)))
         off += l.rank
-    return IntegerLattice(_freeze(g), basis_labels=tuple(labels))
+    return IntegerLattice(g, basis_labels=tuple(labels))
 
 
 # -- discriminant groups -----------------------------------------------------
@@ -542,8 +556,7 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence], den: int = 1) ->
     gram = mat_mul(mat_mul(basis.rows, lat.gram), mat_transpose(basis.rows))
     if any(x % (den * den) for row in gram for x in row):
         raise AssertionError("overlattice Gram must be integral")
-    gram = _freeze([[x // (den * den) for x in row] for row in gram])
-    new = IntegerLattice(gram, basis_labels=lat.basis_labels)
+    new = IntegerLattice([[x // (den * den) for x in row] for row in gram], basis_labels=lat.basis_labels)
     if not new.det() or lat.det() % new.det():
         raise AssertionError("overlattice index squared must be an integer")
     return Overlattice(new, basis, _isqrt_exact(abs(lat.det() // new.det())))
@@ -623,8 +636,6 @@ def orthogonal_complement(
     integer matrix is saturated, so the result is primitive automatically.
     """
     n = lat.rank
-    if any(x != int(x) for row in lat.gram for x in row):
-        raise AssertionError("orthogonal complement needs an integral Gram matrix")
     if not vectors:
         return lat, mat_identity(n)
     # rows of constraints: v·G·s = 0  ->  A v^T = 0 with A[s] = (G s^T)^T
@@ -637,7 +648,7 @@ def orthogonal_complement(
     # kernel basis: columns of V beyond the rank, as rows in L coordinates
     basis = [[v[i][j] for i in range(n)] for j in range(r, n)]
     gram = mat_mul(mat_mul(basis, lat.gram), mat_transpose(basis))
-    return IntegerLattice(_freeze(gram)), basis
+    return IntegerLattice(gram), basis
 
 
 # -- isometries --------------------------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -41,7 +41,7 @@ from .exact import (
     rref_kernel,
     solve_linear,
 )
-from .lattice import clear_denominators, hermite_normal_form
+from .lattice import bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
 
 NVARS = 6
 ONES = tuple(Fraction(1) for _ in range(NVARS))
@@ -132,7 +132,11 @@ class LinearSubspace:
 
 @dataclass(frozen=True)
 class Hypersurface:
-    """Homogeneous form together with ambient linear constraints."""
+    """Homogeneous form together with ambient linear constraints.
+
+    The first and second partials of the form are built once per surface,
+    on first use, and shared by every node certified on it.
+    """
 
     form: MultiPoly
     ambient_constraints: tuple[tuple[Fraction, ...], ...]
@@ -145,6 +149,28 @@ class Hypersurface:
                 self.ambient_constraints
             ):
                 raise ValueError("ambient constraints must be independent")
+
+    @cached_property
+    def gradient(self) -> tuple[MultiPoly, ...]:
+        return tuple(self.form.gradient())
+
+    @cached_property
+    def second_partials(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """Symmetric table of the forms d_i d_j f, each built once."""
+        n = self.form.nvars
+        upper = {(i, j): self.gradient[i].partial(j) for i in range(n) for j in range(i, n)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+    def hessian_at(self, point: Sequence) -> list[list[Fraction]]:
+        """Matrix of second partials at `point`, one evaluation per pair i <= j."""
+        n = self.form.nvars
+        if len(point) != n:
+            raise ValueError(f"point has {len(point)} entries, expected {n}")
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = self.second_partials[i][j].evaluate(point)
+        return rows
 
     def satisfies_constraints(self, coords: Sequence[Fraction]) -> bool:
         return all(
@@ -159,6 +185,7 @@ class Hypersurface:
         return True
 
 
+@lru_cache(maxsize=None)
 def segre_form() -> MultiPoly:
     u = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
     return sum((ui**3 for ui in u), MultiPoly.zero(NVARS))
@@ -172,6 +199,7 @@ def cr_quartic_form() -> MultiPoly:
     return s4 * 4 - s2 * s2
 
 
+@lru_cache(maxsize=None)
 def build_variety(kind: str) -> Hypersurface:
     if kind == "segre":
         return Hypersurface(segre_form(), (ONES,))
@@ -192,6 +220,7 @@ def cardinal_coefficients(subset: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if i + 1 in subset else -1) for i in range(NVARS))
 
 
+@lru_cache(maxsize=None)
 def syntheme_line(s: Syntheme) -> LinearSubspace:
     """Double line of the quartic for a syntheme: equal coordinates on each duad."""
     rows = [list(ONES)]
@@ -312,11 +341,14 @@ def _chart_basis(
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
-    The Hessian is evaluated on a chart of the constrained tangent space;
-    its rank is computed twice, by fraction-free (Bareiss) elimination and
-    by the gcd row operations of the Hermite normal form on the
-    denominator-cleared rows, and the two must agree.  Ordinary means full
-    rank, i.e. rank equal to the dimension of the ambient projective space.
+    The gradient and the Hessian come from the partials built once on `v`.
+    The Hessian is restricted to a chart of the constrained tangent space
+    as W·H·Wᵀ, formed in integers from the denominator-cleared chart rows
+    and Hessian (positive scalings leave its rank unchanged); the rank is
+    computed twice, by fraction-free (Bareiss) elimination and by the gcd
+    row operations of the Hermite normal form, and the two must agree.
+    Ordinary means full rank, i.e. rank equal to the dimension of the
+    ambient projective space.
     """
     coords = p.coords
     if not v.satisfies_constraints(coords):
@@ -324,22 +356,17 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     value = v.form.evaluate(coords)
     if value != 0:
         raise NotOnVarietyError("point is not on the variety")
-    grad = tuple(g.evaluate(coords) for g in v.form.gradient())
+    grad = tuple(g.evaluate(coords) for g in v.gradient)
     mults = _constrained_gradient_multipliers(grad, v.ambient_constraints)
     if mults is None:
         return SmoothPointFailure(p, grad)
     chart = _chart_basis(coords, v.ambient_constraints, v.form.nvars)
-    hess = v.form.hessian_at(coords)
     n = v.form.nvars
-    chart_hess = [
-        [
-            sum(w1[a] * hess[a][b] * w2[b] for a in range(n) for b in range(n))
-            for w2 in chart
-        ]
-        for w1 in chart
-    ]
-    r1 = rank_rational(chart_hess)
-    hnf, _ = hermite_normal_form([clear_denominators(row)[0] for row in chart_hess])
+    hess, _ = clear_denominators([x for row in v.hessian_at(coords) for x in row])
+    w = [clear_denominators(row)[0] for row in chart]
+    chart_hess = mat_mul(mat_mul(w, [hess[i * n : (i + 1) * n] for i in range(n)]), mat_transpose(w))
+    r1 = len(bareiss(chart_hess)[1])
+    hnf, _ = hermite_normal_form(chart_hess)
     if r1 != sum(1 for row in hnf if any(row)):
         raise AssertionError("rank cross-check failed")
     expected = len(chart)  # = projective dimension of the ambient space
@@ -371,7 +398,7 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
                 raise ValueError("line does not lie inside the ambient constraints")
     if v.form.substitute_linear(param):
         return False
-    partials = [g.substitute_linear(param) for g in v.form.gradient()]
+    partials = [g.substitute_linear(param) for g in v.gradient]
     # gradient parallel to the constraint row along the whole line
     for i in range(len(partials)):
         for j in range(i + 1, len(partials)):
@@ -649,12 +676,12 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 
 def tangent_section(q: ProjectivePoint) -> SectionModel:
     """Section by the tangent hyperplane at a smooth rational point: 16 nodes."""
-    form = cr_quartic_form()
+    cr = build_variety("cr")
     if sum(q.coords) != 0:
         raise NotOnVarietyError("point violates the ambient constraint")
-    if form.evaluate(q.coords) != 0:
+    if cr.form.evaluate(q.coords) != 0:
         raise NotOnVarietyError("point is not on the quartic")
-    grad = [g.evaluate(q.coords) for g in form.gradient()]
+    grad = [g.evaluate(q.coords) for g in cr.gradient]
     mults = _constrained_gradient_multipliers(grad, (ONES,))
     if mults is not None:
         raise NotOnVarietyError("point is singular on the quartic")
@@ -736,6 +763,19 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     return found
 
 
+def bad_prime_duads(model: SectionModel, p: int) -> tuple[Duad, ...]:
+    """Duads whose line-intersection point pairs with the section's hyperplane
+    to a multiple of p.  The three nodes on the double lines through such a
+    duad collide in reduction mod p, so an F_p scan of the section finds
+    fewer than 15 singular points."""
+    hp = model.hyperplane
+    return tuple(
+        d
+        for d in duads()
+        if sum(Fraction(a) * b for a, b in zip(hp, duad_point(d).coords)).numerator % p == 0
+    )
+
+
 def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
     try:
         return form.mod_p(p)
@@ -794,7 +834,7 @@ def sample_smooth_cubic_point(
     Retries with growing coefficient height until the point is smooth (and,
     if requested, off all 15 planes); heights are capped by `max_height`.
     """
-    form = segre_form()
+    segre = build_variety("segre")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]
     height = 3
@@ -807,7 +847,7 @@ def sample_smooth_cubic_point(
         if all(x == 0 for x in pa) or all(x == 0 for x in pb):
             continue
         chord = LinearMap([[pa[i], pb[i]] for i in range(NVARS)])
-        cubic = form.substitute_linear(chord)  # binary cubic in (alpha, beta)
+        cubic = segre.form.substitute_linear(chord)  # binary cubic in (alpha, beta)
         c21 = cubic.terms.get((2, 1), Fraction(0))
         c12 = cubic.terms.get((1, 2), Fraction(0))
         if cubic.terms.get((3, 0)) or cubic.terms.get((0, 3)):
@@ -818,7 +858,7 @@ def sample_smooth_cubic_point(
         if all(x == 0 for x in coords):
             continue
         point = ProjectivePoint(coords)
-        grad = [g.evaluate(point.coords) for g in form.gradient()]
+        grad = [g.evaluate(point.coords) for g in segre.gradient]
         if _constrained_gradient_multipliers(grad, (ONES,)) is not None:
             continue  # singular (a node)
         if avoid_planes and any(pl.contains_point(point) for pl in planes):

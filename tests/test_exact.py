@@ -16,6 +16,7 @@ from quartic15.exact import (
     solve_linear,
 )
 from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
+from quartic15.varieties import Hypersurface
 
 
 def poly_sum_cubes(n=6):
@@ -65,14 +66,17 @@ def test_gradient():
 
 
 def test_hessian_at():
+    # the Hessian from the second partials a Hypersurface builds once
     f = poly_sum_cubes()
-    h = f.hessian_at([1, 1, 1, -1, -1, -1])
+    h = Hypersurface(f, ()).hessian_at([1, 1, 1, -1, -1, -1])
     for i in range(6):
         for j in range(6):
             expected = (6 if i < 3 else -6) if i == j else 0
             assert h[i][j] == expected
     g = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    assert g.hessian_at([5, -7]) == [[2, 0], [0, 2]]
+    assert Hypersurface(g, ()).hessian_at([5, -7]) == [[2, 0], [0, 2]]
+    with pytest.raises(ValueError):
+        Hypersurface(g, ()).hessian_at([5, -7, 1])
 
 
 def test_substitute_identity_and_degree():
@@ -367,3 +371,189 @@ def test_solve_linear_solutions_satisfy(m, data):
     else:
         for row, bv in zip(m, b):
             assert sum(a * c for a, c in zip(row, x)) == bv
+
+
+# -- oracle tests: the integer polynomial kernel against the Fraction routines --
+
+
+def reference_evaluate(f, point):
+    """Reference: the term-by-term Fraction evaluation the kernel replaced."""
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exp, c in f.terms.items():
+        v = c
+        for x, e in zip(pt, exp):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def reference_substitute_linear(f, matrix):
+    """Reference: substitution through Fraction MultiPoly products."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    forms = [MultiPoly.linear_form(row) for row in rows]
+    powers = [[MultiPoly.constant(ncols, 1)] for _ in forms]
+    result = MultiPoly.zero(ncols)
+    for exp, c in f.terms.items():
+        term = MultiPoly.constant(ncols, c)
+        for i, e in enumerate(exp):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * forms[i])
+            if e:
+                term = term * powers[i][e]
+        result = result + term
+    return result
+
+
+def reference_hessian_at(f, point):
+    """Reference: every second partial formed afresh and evaluated by Fractions."""
+    n = f.nvars
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        fi = f.partial(i)
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = reference_evaluate(fi.partial(j), point)
+    return rows
+
+
+# denominators up to 10^6, zero and negative values included
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+)
+
+
+@st.composite
+def polynomials(draw, nvars, homogeneous_degree=None):
+    """Sparse polynomials, the zero polynomial and inhomogeneous ones included."""
+    nterms = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(nterms):
+        if homogeneous_degree is None:
+            exp = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+        else:
+            exp = [0] * nvars
+            for _ in range(homogeneous_degree):
+                exp[draw(st.integers(0, nvars - 1))] += 1
+            exp = tuple(exp)
+        terms[exp] = draw(wide_rationals)
+    return MultiPoly(nvars, terms)
+
+
+@st.composite
+def substitutions(draw):
+    """(f, matrix): a polynomial and a rational matrix with some rows and
+    columns forced to zero."""
+    nvars = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    f = draw(polynomials(nvars))
+    m = draw(
+        st.lists(
+            st.lists(wide_rationals, min_size=ncols, max_size=ncols),
+            min_size=nvars,
+            max_size=nvars,
+        )
+    )
+    zero_rows = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    m = [
+        [Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+    return f, m
+
+
+@st.composite
+def points(draw, nvars):
+    return draw(st.lists(wide_rationals, min_size=nvars, max_size=nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitute_linear_matches_reference(case):
+    f, m = case
+    expected = reference_substitute_linear(f, m)
+    assert dict(f.substitute_linear(m).terms) == dict(expected.terms)
+    assert dict(f.substitute_linear(LinearMap(m)).terms) == dict(expected.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(polynomials(n), points(n))))
+def test_evaluate_matches_reference(case):
+    f, pt = case
+    assert f.evaluate(pt) == reference_evaluate(f, pt)
+    assert f.evaluate(pt) == f.evaluate(pt)  # the integer form is reused
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+        lambda nd: st.tuples(polynomials(nd[0], homogeneous_degree=nd[1]), points(nd[0]))
+    )
+)
+def test_hessian_at_matches_reference(case):
+    f, pt = case
+    assert Hypersurface(f, ()).hessian_at(pt) == reference_hessian_at(f, pt)
+
+
+def test_integer_kernel_reference_cases():
+    # fixed cases the hypothesis search might miss: a zero polynomial, a
+    # constant, an inhomogeneous form at a point with a large common denominator
+    assert MultiPoly.zero(3).evaluate([Fraction(1, 7), 0, -2]) == 0
+    assert MultiPoly.constant(2, Fraction(-3, 5)).evaluate([Fraction(1, 999983), 4]) == Fraction(-3, 5)
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    f = x**3 * Fraction(1, 6) - y + MultiPoly.constant(2, Fraction(5, 4))
+    pt = [Fraction(-2, 999983), Fraction(7, 999979)]
+    assert f.evaluate(pt) == reference_evaluate(f, pt)
+    m = [[Fraction(1, 999983), 0, Fraction(-3, 2)], [0, 0, 0]]
+    assert f.substitute_linear(m) == reference_substitute_linear(f, m)
+    assert MultiPoly.zero(2).substitute_linear(m) == MultiPoly.zero(3)
+    with pytest.raises(ValueError, match="ragged"):
+        f.substitute_linear([[1, 2], [3]])
+
+
+def reference_perfect_square_factor(f):
+    """Reference: the peeling loop that squares q afresh on every step."""
+    lead = f.leading_monomial()
+    if any(e % 2 for e in lead):
+        return None
+    c = f.terms[lead]
+    half = tuple(e // 2 for e in lead)
+    q = MultiPoly(f.nvars, {half: Fraction(1)})
+    last_key = (sum(half), half)
+    while True:
+        r = f - q * q * c
+        if not r:
+            return (c, q)
+        t = r.leading_monomial()
+        e = tuple(a - b for a, b in zip(t, half))
+        if any(x < 0 for x in e) or (sum(e), e) >= last_key:
+            return None
+        last_key = (sum(e), e)
+        q = q + MultiPoly(f.nvars, {e: r.terms[t] / (2 * c)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
+        lambda nd: st.tuples(
+            polynomials(nd[0], homogeneous_degree=nd[1]),
+            polynomials(nd[0], homogeneous_degree=nd[1]),
+            wide_rationals,
+            st.booleans(),
+        )
+    )
+)
+def test_perfect_square_factor_matches_reference(case):
+    # scaled squares of linear and quadratic forms and (with `perturb`) sums
+    # of two squares, which are mostly not squares
+    root, noise, scale, perturb = case
+    f = root * root * scale
+    if perturb:
+        f = f + noise * noise
+    if not f:
+        return
+    assert perfect_square_factor(f) == reference_perfect_square_factor(f)

@@ -380,9 +380,32 @@ def test_orthogonal_complement_gram_is_the_induced_form():
     lat = direct_sum(named_lattice("U(2)"), named_lattice("A1"), named_lattice("diag(6)"))
     comp, basis = orthogonal_complement(lat, [[1, 1, 1, 0]])
     assert comp.gram == tuple(tuple(lat.pair(b1, b2) for b2 in basis) for b1 in basis)
-    half = IntegerLattice(((Fraction(1, 2), 0), (0, 2)))
-    with pytest.raises(AssertionError, match="integral Gram"):
-        orthogonal_complement(half, [[0, 1]])
+    # a half-integral Gram is refused where the lattice is built
+    with pytest.raises(ValueError, match="non-integral entry 1/2"):
+        IntegerLattice(((Fraction(1, 2), 0), (0, 2)))
+
+
+# -- integer-only inputs ---------------------------------------------------------
+
+
+def test_det_bareiss_refuses_a_rational_entry():
+    with pytest.raises(ValueError, match=r"non-integral entry 3/2 at \(0, 0\)"):
+        det_bareiss([[Fraction(3, 2)]])
+    assert det_bareiss([[Fraction(4, 2)]]) == 2
+
+
+def test_hermite_normal_form_refuses_a_rational_entry():
+    with pytest.raises(ValueError, match=r"non-integral entry 1/2 at \(0, 0\)"):
+        hermite_normal_form([[Fraction(1, 2), 1]])
+    h, _ = hermite_normal_form([[Fraction(4, 2), 1]])
+    assert h == [[2, 1]] and all(type(x) is int for x in h[0])
+
+
+def test_integer_lattice_refuses_a_rational_gram_entry():
+    with pytest.raises(ValueError, match="non-integral entry 1/2"):
+        IntegerLattice(((Fraction(1, 2),),))
+    lat = IntegerLattice(((Fraction(4, 2),),))
+    assert lat.gram == ((2,),) and type(lat.gram[0][0]) is int and lat.det() == 2
 
 
 # -- length-checked inputs -------------------------------------------------------

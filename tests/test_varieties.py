@@ -16,6 +16,7 @@ from quartic15.varieties import (
     _projective_reps,
     GenericityError,
     NotOnVarietyError,
+    bad_prime_duads,
     ProjectivePoint,
     SmoothPointFailure,
     build_variety,
@@ -30,6 +31,7 @@ from quartic15.varieties import (
     hyperplane_section,
     sample_smooth_cubic_point,
     sample_tangent_section,
+    segre_form,
     singular_scan_fp,
     special_loci,
     cardinal_tangency_quadric,
@@ -353,6 +355,26 @@ def test_scan_reference_section_bad_prime_11(reference_section):
     pairing = sum(Fraction(a) * b for a, b in zip(hp, pt))
     assert pairing.numerator % 11 == 0
     assert len(singular_scan_fp(reference_section, 11)) == 13
+    assert bad_prime_duads(reference_section, 11) == ((1, 4),)
+    assert bad_prime_duads(reference_section, 23) == ()
+
+
+def test_bad_prime_duads_name_the_collision_in_the_cli_detail():
+    model = hyperplane_section((0, 1, 3, 14, 15, 17))
+    assert bad_prime_duads(model, 23) == ((5, 6),)
+    assert len(singular_scan_fp(model, 23)) == 13  # three nodes become one
+    assert all(bad_prime_duads(model, p) == () for p in (7, 11, 13, 29))
+    code, report = cli.run(
+        ["section", "--coeffs=0,1,3,14,15,17", "--scan-prime", "23"], out=io.StringIO()
+    )
+    assert code == 1
+    (check,) = [c for c in report.checks if c["id"].startswith("section-scan-f23")]
+    assert check["status"] == "fail"
+    assert check["details"] == (
+        "F23 scan found 13 singular points (expected 15); 23 is a bad prime for this "
+        "hyperplane: it divides the pairing with the line-intersection point(s) [(5, 6)], "
+        "so the three nodes on each such duad's lines collide in reduction"
+    )
 
 
 def test_scan_reference_section_good_prime(reference_section):
@@ -541,8 +563,9 @@ def test_tangent_section_rejects_singular_point():
 def test_cached_constants_do_not_go_stale(tmp_path):
     path = tmp_path / "r.json"
     argv = ["--seed", "3", "--no-timing", "--json", str(path), "duality", "--samples", "40"]
-    syntheme_plane.cache_clear()
-    cr_quartic_form.cache_clear()
+    cached = (syntheme_plane, syntheme_line, segre_form, cr_quartic_form, build_variety)
+    for fn in cached:
+        fn.cache_clear()
     reports = []  # the first run builds the constants, the second reuses them
     for _ in range(2):
         code, _ = cli.run(argv, out=io.StringIO())
@@ -552,8 +575,37 @@ def test_cached_constants_do_not_go_stale(tmp_path):
     for s in synthemes():
         assert syntheme_plane(s) is syntheme_plane(s)
         assert syntheme_plane(s) == syntheme_plane.__wrapped__(s)  # a fresh build
-    assert cr_quartic_form() is cr_quartic_form()
-    assert cr_quartic_form() == cr_quartic_form.__wrapped__()
+        assert syntheme_line(s) is syntheme_line(s)
+        assert syntheme_line(s) == syntheme_line.__wrapped__(s)
+    for form in (segre_form, cr_quartic_form):
+        assert form() is form()
+        assert form() == form.__wrapped__()
+    for kind in ("segre", "cr"):
+        assert build_variety(kind) is build_variety(kind)
+        assert build_variety(kind) == build_variety.__wrapped__(kind)
+
+
+@pytest.mark.parametrize("kind", ["segre", "cr"])
+def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
+    v = build_variety(kind)
+    form = v.form
+    assert v.gradient is v.gradient and v.second_partials is v.second_partials
+    assert v.gradient == tuple(form.gradient())
+    n = form.nvars
+    assert v.second_partials == tuple(
+        tuple(form.partial(i).partial(j) for j in range(n)) for i in range(n)
+    )
+    assert all(v.second_partials[i][j] is v.second_partials[j][i] for i in range(n) for j in range(n))
+    with pytest.raises(TypeError):
+        v.gradient[0] = MultiPoly.zero(n)
+    with pytest.raises(TypeError):
+        v.second_partials[0][1] = MultiPoly.zero(n)
+    with pytest.raises(AttributeError):
+        v.gradient = ()
+    with pytest.raises(AttributeError):
+        v.second_partials = ()
+    with pytest.raises(AttributeError):
+        v.gradient[0].terms.clear()
 
 
 def test_cached_constants_are_immutable():
