@@ -31,6 +31,7 @@ from .configs import (
     three_subsets,
     trope_incidence_model,
 )
+from .exact import perfect_square_factor
 from .lattice import direct_sum, mat_mul, named_lattice, smith_normal_form
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
@@ -190,20 +191,16 @@ def checks_cr(r: Runner):
 
     def noncardinal(seed):
         rng = random.Random(seed)
-        from .exact import nullspace, perfect_square_factor, LinearMap
-
-        ones = [Fraction(1)] * 6
         tried = 0
         while tried < 3:
             h = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
             if all(x == h[0] for x in h):
                 continue
-            basis = nullspace([ones, h], 6)
-            if len(basis) != 4:
+            plane = va.LinearSubspace.from_equations([va.ONES, h], 6)
+            if len(plane.equations) != 2:
                 continue
             tried += 1
-            chart = LinearMap([[basis[k][i] for k in range(4)] for i in range(6)])
-            if perfect_square_factor(va.cr_quartic_form().substitute_linear(chart)) is not None:
+            if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization)):
                 return False, f"sampled hyperplane {h} restricted to a perfect square"
         return True, "3 sampled non-cardinal hyperplane restrictions are not perfect squares"
 
@@ -242,17 +239,13 @@ def checks_duality(r: Runner, samples: int, max_height: int):
     r.run("duality-nodes-to-cardinals", "cubic nodes are dual to cardinal hyperplanes", nodes_to_cardinals)
 
 
-def _build_section(coeffs):
-    return va.hyperplane_section(coeffs)
-
-
 def checks_section(r: Runner, coeffs, scan_prime: int | None, expect_f11_defect: bool = False):
     tag = ",".join(str(c) for c in coeffs)
     model_holder = {}
 
     def build():
         try:
-            model_holder["m"] = _build_section(coeffs)
+            model_holder["m"] = va.hyperplane_section(coeffs)
         except va.GenericityError as exc:
             return False, f"genericity failure: {exc}"
         m = model_holder["m"]
@@ -512,7 +505,7 @@ def checks_pentads(r: Runner, crosscheck: bool):
         r.run("pentads-graph-criterion", "the one-edge criterion is reported under both readings", crosscheck_fn)
 
         def coplanarity_fn():
-            rep = pt.geometric_admissibility_crosscheck(_build_section(REFERENCE_COEFFS))
+            rep = pt.geometric_admissibility_crosscheck(va.hyperplane_section(REFERENCE_COEFFS))
             detail = (
                 f"{rep.coplanar_quadruples} coplanar node quadruples on the reference "
                 f"section, all on trope-conics ({rep.accidental_quadruples} accidental); "

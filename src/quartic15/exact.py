@@ -6,8 +6,8 @@ exponent tuples to nonzero rational coefficients, with graded-lexicographic
 term order fixed once so that serialized output is bit-stable.  Evaluation
 and linear substitution clear denominators once and sum in integers,
 building one Fraction per returned coefficient or value.  The rational
-linear algebra (`rref`, `nullspace`, `solve_linear`, ...) is a front end to
-the fraction-free integer kernels of `lattice`.
+linear algebra (`rref` and `nullspace`) is a front end to the fraction-free
+integer kernels of `lattice`.
 """
 
 from __future__ import annotations
@@ -485,10 +485,6 @@ def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
     return [[Fraction(x, d) for x in row] for row in a], pivots
 
 
-def rank_rational(rows: Iterable[Iterable]) -> int:
-    return len(bareiss([clear_denominators(row)[0] for row in rows])[1])
-
-
 def rref_kernel(red: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel read off a reduced row echelon form.
 
@@ -516,21 +512,6 @@ def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[F
     if m and len(m[0]) != ncols:
         raise ValueError("ncols disagrees with the row length")
     return rref_kernel(*rref(m), ncols)
-
-
-def solve_linear(rows: Iterable[Iterable], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One solution of M x = b, or None if inconsistent."""
-    m = [list(row) for row in rows]
-    if len(m) != len(rhs):
-        raise ValueError("dimension mismatch")
-    ncols = len(m[0]) if m else 0
-    red, pivots = rref([row + [bv] for row, bv in zip(m, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def primitive_integer_vector(vec: Sequence) -> list[int]:

@@ -33,15 +33,12 @@ from .exact import (
     LinearMap,
     ModPoly,
     MultiPoly,
-    nullspace,
     perfect_square_factor,
     primitive_integer_vector,
-    rank_rational,
     rref,
     rref_kernel,
-    solve_linear,
 )
-from .lattice import bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
+from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
 
 NVARS = 6
 ONES = tuple(Fraction(1) for _ in range(NVARS))
@@ -97,10 +94,15 @@ class LinearSubspace:
     """Linear subspace kept both as row-reduced equations and a parametrization.
 
     `equations` are the nonzero rows of a reduced row echelon form, hence
-    independent; `parametrization` is a matrix whose columns span the
-    solution cone.  Consistency (the equation count plus the parametrization
-    dimension fill the space, columns satisfy the equations) is checked at
-    construction.  Each constructor reduces its rows once.
+    independent; column k of `parametrization` is 1 at the k-th free
+    (non-pivot) column of the equations and 0 at the other free columns.
+    The parameters of a point of the subspace are therefore its entries at
+    the free columns.  Consistency (the equation count plus the
+    parametrization dimension fill the space, the unit pattern, columns
+    satisfy the equations) is checked at construction.  Membership and
+    annihilation are tested in integers: the equation rows and the
+    parametrization columns are cleared once per subspace, each point or
+    covector once per call.
     """
 
     equations: tuple[tuple[Fraction, ...], ...]
@@ -108,34 +110,76 @@ class LinearSubspace:
 
     def __post_init__(self):
         n = self.parametrization.rows
+        for eq in self.equations:
+            _check_length(eq, n, "equation row")
         if len(self.equations) + self.parametrization.cols != n:
             raise ValueError("rank of equations plus parametrization dimension must fill the space")
-        for eq in self.equations:
-            for j in range(self.parametrization.cols):
-                col = [self.parametrization.entries[i][j] for i in range(n)]
-                if sum(a * b for a, b in zip(eq, col)) != 0:
-                    raise ValueError("parametrization does not satisfy the equations")
+        if len(self.free) != self.parametrization.cols or any(
+            self.parametrization.entries[f][k] != int(j == k)
+            for j, f in enumerate(self.free)
+            for k in range(len(self.free))
+        ):
+            raise ValueError("parametrization must be the unit vectors on the free columns")
+        if not all(self.contains(col) for col in self.columns):
+            raise ValueError("parametrization does not satisfy the equations")
 
     @classmethod
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
+        for r in rows:
+            _check_length(r, nvars, "equation row")
         red, pivots = rref(rows)
         eqs = tuple(tuple(r) for r in red[: len(pivots)])
         basis = rref_kernel(red, pivots, nvars)
         param = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(nvars)])
         return cls(eqs, param)
 
-    def contains_point(self, p: ProjectivePoint) -> bool:
-        return all(
-            sum(a * b for a, b in zip(eq, p.coords)) == 0 for eq in self.equations
-        )
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """Free columns: those holding no leading entry of an equation row."""
+        lead = {next((i for i, x in enumerate(eq) if x), None) for eq in self.equations}
+        return tuple(i for i in range(self.parametrization.rows) if i not in lead)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(zip(*self.parametrization.entries))
+
+    @cached_property
+    def _integer_equations(self) -> tuple[list[int], ...]:
+        return tuple(clear_denominators(eq)[0] for eq in self.equations)
+
+    @cached_property
+    def _integer_columns(self) -> tuple[list[int], ...]:
+        return tuple(clear_denominators(col)[0] for col in self.columns)
+
+    def _cleared(self, v: Sequence, what: str) -> list[int]:
+        _check_length(v, self.parametrization.rows, what)
+        return clear_denominators(v)[0]
+
+    def contains(self, p: Sequence) -> bool:
+        """Exact membership: p satisfies every equation."""
+        w = self._cleared(p, "point")
+        return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self._integer_equations)
+
+    def coordinates(self, p: Sequence) -> Optional[list[Fraction]]:
+        """Parameters x with parametrization·x = p, or None when p is off the subspace."""
+        if not self.contains(p):
+            return None
+        return [Fraction(p[f]) for f in self.free]
+
+    def annihilates(self, v: Sequence) -> bool:
+        """True iff the covector v kills every parametrization column, i.e. v
+        lies in the span of the equations."""
+        w = self._cleared(v, "covector")
+        return all(sum(a * b for a, b in zip(col, w) if a) == 0 for col in self._integer_columns)
 
 
 @dataclass(frozen=True)
 class Hypersurface:
     """Homogeneous form together with ambient linear constraints.
 
-    The first and second partials of the form are built once per surface,
-    on first use, and shared by every node certified on it.
+    The constraints are kept as one `LinearSubspace`, `ambient`, and the
+    first and second partials of the form are built once per surface, on
+    first use, and shared by every node certified on it.
     """
 
     form: MultiPoly
@@ -144,11 +188,12 @@ class Hypersurface:
     def __post_init__(self):
         if not self.form.is_homogeneous():
             raise ValueError("form must be homogeneous")
-        if self.ambient_constraints:
-            if rank_rational([list(c) for c in self.ambient_constraints]) != len(
-                self.ambient_constraints
-            ):
-                raise ValueError("ambient constraints must be independent")
+        if len(self.ambient.equations) != len(self.ambient_constraints):
+            raise ValueError("ambient constraints must be independent")
+
+    @cached_property
+    def ambient(self) -> LinearSubspace:
+        return LinearSubspace.from_equations(self.ambient_constraints, self.form.nvars)
 
     @cached_property
     def gradient(self) -> tuple[MultiPoly, ...]:
@@ -171,11 +216,6 @@ class Hypersurface:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = self.second_partials[i][j].evaluate(point)
         return rows
-
-    def satisfies_constraints(self, coords: Sequence[Fraction]) -> bool:
-        return all(
-            sum(a * b for a, b in zip(c, coords)) == 0 for c in self.ambient_constraints
-        )
 
     def is_s6_invariant(self) -> bool:
         """Exact invariance of the form under all 720 coordinate permutations."""
@@ -254,10 +294,10 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
         if d in s:
             line = syntheme_line(s)
             rows.extend([list(e) for e in line.equations])
-    basis = nullspace(rows, NVARS)
-    if len(basis) != 1:
+    meet = LinearSubspace.from_equations(rows, NVARS)
+    if len(meet.columns) != 1:
         raise AssertionError("three lines through a duad must meet in one point")
-    return ProjectivePoint(basis[0])
+    return ProjectivePoint(meet.columns[0])
 
 
 @dataclass(frozen=True)
@@ -302,40 +342,20 @@ class SmoothPointFailure:
 class NodeCertificate:
     point: ProjectivePoint
     value: Fraction
-    gradient: tuple[Fraction, ...]
-    gradient_multipliers: tuple[Fraction, ...]  # gradient = sum(mult_i * constraint_i)
+    gradient: tuple[Fraction, ...]  # in the span of the ambient constraints
     hessian_rank: int
     is_ordinary: bool
     chart: tuple[tuple[Fraction, ...], ...]  # chart direction vectors
 
 
-def _constrained_gradient_multipliers(
-    gradient: Sequence[Fraction], constraints: Sequence[Sequence[Fraction]]
-) -> Optional[list[Fraction]]:
-    """Multipliers writing the gradient in the span of the constraint rows."""
-    if not constraints:
-        return [] if all(g == 0 for g in gradient) else None
-    cols = [[c[i] for c in constraints] for i in range(len(gradient))]
-    sol = solve_linear(cols, list(gradient))
-    return sol
-
-
-def _chart_basis(
-    point: Sequence[Fraction], constraints: Sequence[Sequence[Fraction]], nvars: int
-) -> list[list[Fraction]]:
-    """Directions completing the point to a basis of the constraint subspace."""
-    if constraints:
-        space = nullspace([list(c) for c in constraints], nvars)
-    else:
-        space = [[Fraction(1 if i == j else 0) for j in range(nvars)] for i in range(nvars)]
-    chosen: list[list[Fraction]] = [list(point)]
-    for cand in space:
-        trial = chosen + [cand]
-        if rank_rational(trial) == len(trial):
-            chosen.append(cand)
-    if len(chosen) != len(space):
-        raise AssertionError("point must lie inside the constraint subspace")
-    return chosen[1:]
+def _chart_basis(point: Sequence[Fraction], ambient: LinearSubspace) -> list[tuple[Fraction, ...]]:
+    """Directions completing the point to a basis of the ambient subspace:
+    every parametrization column but the one at the last free column where
+    the point is nonzero.  The point's coefficient on that column is its
+    nonzero entry there, so the point can take its place; it is the column
+    a greedy left-to-right independence test would drop."""
+    last = max(k for k, f in enumerate(ambient.free) if point[f])
+    return [col for k, col in enumerate(ambient.columns) if k != last]
 
 
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
@@ -351,16 +371,15 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     ambient projective space.
     """
     coords = p.coords
-    if not v.satisfies_constraints(coords):
+    if not v.ambient.contains(coords):
         raise NotOnVarietyError("point violates the ambient constraints")
     value = v.form.evaluate(coords)
     if value != 0:
         raise NotOnVarietyError("point is not on the variety")
     grad = tuple(g.evaluate(coords) for g in v.gradient)
-    mults = _constrained_gradient_multipliers(grad, v.ambient_constraints)
-    if mults is None:
+    if not v.ambient.annihilates(grad):
         return SmoothPointFailure(p, grad)
-    chart = _chart_basis(coords, v.ambient_constraints, v.form.nvars)
+    chart = _chart_basis(coords, v.ambient)
     n = v.form.nvars
     hess, _ = clear_denominators([x for row in v.hessian_at(coords) for x in row])
     w = [clear_denominators(row)[0] for row in chart]
@@ -374,10 +393,9 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
         point=p,
         value=value,
         gradient=grad,
-        gradient_multipliers=tuple(mults),
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
-        chart=tuple(tuple(w) for w in chart),
+        chart=tuple(chart),
     )
 
 
@@ -391,11 +409,8 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
         raise ValueError("double-line check implemented for one ambient constraint")
     constraint = v.ambient_constraints[0]
     param = line.parametrization
-    for eq_row in [constraint]:
-        for j in range(param.cols):
-            col = [param.entries[i][j] for i in range(param.rows)]
-            if sum(a * b for a, b in zip(eq_row, col)) != 0:
-                raise ValueError("line does not lie inside the ambient constraints")
+    if not all(v.ambient.contains(col) for col in line.columns):
+        raise ValueError("line does not lie inside the ambient constraints")
     if v.form.substitute_linear(param):
         return False
     partials = [g.substitute_linear(param) for g in v.gradient]
@@ -472,9 +487,7 @@ def cardinal_tangency_quadric() -> MultiPoly:
 def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
     """Restrict the quartic to a cardinal 3-plane; must be a perfect square."""
     subset = tuple(sorted(subset))
-    rows = [list(ONES), list(cardinal_coefficients(subset))]
-    basis = nullspace(rows, NVARS)
-    chart = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(NVARS)])
+    chart = LinearSubspace.from_equations([ONES, cardinal_coefficients(subset)], NVARS).parametrization
     restricted = cr_quartic_form().substitute_linear(chart)
     result = perfect_square_factor(restricted)
     if result is None:
@@ -573,19 +586,18 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         pt = duad_point(d)
         if sum(Fraction(a) * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
-    basis = nullspace([list(ONES), [Fraction(x) for x in hp]], NVARS)
-    if len(basis) != 4:
+    section = LinearSubspace.from_equations([ONES, hp], NVARS)
+    chart = section.parametrization
+    if chart.cols != 4:
         raise AssertionError("the section chart must be 4-dimensional")
-    chart = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(NVARS)])
     quartic3 = form.substitute_linear(chart)
     surface = Hypersurface(quartic3, ())
 
     def chart_coords(p6: Sequence[Fraction]) -> ProjectivePoint:
-        cols = [[chart.entries[i][j] for j in range(4)] for i in range(NVARS)]
-        sol = solve_linear(cols, list(p6))
-        if sol is None:
+        x = section.coordinates(p6)
+        if x is None:
             raise AssertionError("point must lie in the section chart")
-        return ProjectivePoint(sol)
+        return ProjectivePoint(x)
 
     nodes: list[SectionNode] = []
     for s in synthemes():
@@ -624,45 +636,29 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 
     tropes: list[TropeRecord] = []
     for subset in three_subsets():
-        rows = [list(ONES), [Fraction(x) for x in hp], list(cardinal_coefficients(subset))]
-        if rank_rational(rows) != 3:
+        plane = LinearSubspace.from_equations([ONES, hp, cardinal_coefficients(subset)], NVARS)
+        if len(plane.equations) != 3:
             raise GenericityError("hyperplane coincides with a cardinal hyperplane", subset)
-        pbasis = nullspace(rows, NVARS)
-        plane6 = LinearMap([[pbasis[k][i] for k in range(len(pbasis))] for i in range(NVARS)])
-        restricted = form.substitute_linear(plane6)
-        sq = perfect_square_factor(restricted)
+        sq = perfect_square_factor(form.substitute_linear(plane.parametrization))
         if sq is None:
             raise AssertionError("restriction to a cardinal plane must be a perfect square")
         scale, conic = sq
         # plane parameters -> section chart coordinates (4 x 3 matrix)
-        cols = [[chart.entries[i][j] for j in range(4)] for i in range(NVARS)]
-        plane_chart = []
-        for j in range(3):
-            col6 = [plane6.entries[i][j] for i in range(NVARS)]
-            sol = solve_linear(cols, col6)
-            if sol is None:
-                raise AssertionError("the trope plane must lie in the section chart")
-            plane_chart.append(sol)
-        plane_chart_t = tuple(
-            tuple(plane_chart[j][i] for j in range(3)) for i in range(4)
-        )
-        card = cardinal_coefficients(subset)
+        plane_chart = [section.coordinates(col) for col in plane.columns]
+        if None in plane_chart:
+            raise AssertionError("the trope plane must lie in the section chart")
+        plane_chart_t = tuple(zip(*plane_chart))
         incident = []
         for node in nodes:
-            on_plane = sum(a * b for a, b in zip(card, node.ambient.coords)) == 0
+            params = plane.coordinates(node.ambient.coords)
             if node.syntheme is None:
-                if on_plane:
+                if params is not None:
                     raise GenericityError("tangency point lies on a cardinal plane", subset)
                 continue
-            if on_plane:
+            if params is not None:
                 incident.append(node.syntheme)
                 # the node must sit on the trope conic itself
-                sol = solve_linear(
-                    [list(row) for row in plane_chart_t], list(node.chart_point.coords)
-                )
-                if sol is None:
-                    raise AssertionError("incident node must lie on the trope plane")
-                if conic.evaluate(sol) != 0:
+                if conic.evaluate(params) != 0:
                     raise AssertionError("incident node must lie on the trope conic")
         expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
         if set(incident) != expected:
@@ -677,13 +673,12 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 def tangent_section(q: ProjectivePoint) -> SectionModel:
     """Section by the tangent hyperplane at a smooth rational point: 16 nodes."""
     cr = build_variety("cr")
-    if sum(q.coords) != 0:
+    if not cr.ambient.contains(q.coords):
         raise NotOnVarietyError("point violates the ambient constraint")
     if cr.form.evaluate(q.coords) != 0:
         raise NotOnVarietyError("point is not on the quartic")
     grad = [g.evaluate(q.coords) for g in cr.gradient]
-    mults = _constrained_gradient_multipliers(grad, (ONES,))
-    if mults is not None:
+    if cr.ambient.annihilates(grad):
         raise NotOnVarietyError("point is singular on the quartic")
     return hyperplane_section(grad, tangent_at=q)
 
@@ -859,9 +854,9 @@ def sample_smooth_cubic_point(
             continue
         point = ProjectivePoint(coords)
         grad = [g.evaluate(point.coords) for g in segre.gradient]
-        if _constrained_gradient_multipliers(grad, (ONES,)) is not None:
+        if segre.ambient.annihilates(grad):
             continue  # singular (a node)
-        if avoid_planes and any(pl.contains_point(point) for pl in planes):
+        if avoid_planes and any(pl.contains(point.coords) for pl in planes):
             continue
         return point
     raise RuntimeError("failed to sample a smooth rational point of the cubic")
@@ -874,7 +869,7 @@ def sample_tangent_section(rng: random.Random, max_height: int = 50) -> SectionM
         z = sample_smooth_cubic_point(rng, max_height, avoid_planes=True)
         image = duality_image(z)
         y = image.point
-        if any(l.contains_point(y) for l in lines):
+        if any(l.contains(y.coords) for l in lines):
             continue
         try:
             return tangent_section(y)

@@ -11,9 +11,7 @@ from quartic15.exact import (
     nullspace,
     perfect_square_factor,
     primitive_integer_vector,
-    rank_rational,
     rref,
-    solve_linear,
 )
 from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
 from quartic15.varieties import Hypersurface
@@ -241,16 +239,15 @@ def test_linear_map_compose_apply():
 
 def test_rref_nullspace_solve():
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    assert rank_rational(m) == 2
     assert len(rref(m)[1]) == 2
     ns = nullspace(m)
     assert len(ns) == 1
     v = ns[0]
     for row in m:
         assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
-    x = solve_linear([[1, 1], [1, -1]], [2, 0])
-    assert x == [1, 1]
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
+    # solving M x = b on the augmented matrix: the last column carries x
+    assert rref([[1, 1, 2], [1, -1, 0]]) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    assert rref([[1, 1, 0], [1, 1, 1]])[1] == [0, 2]  # a pivot on b: inconsistent
 
 
 def test_primitive_integer_vector():
@@ -354,23 +351,10 @@ def test_det_vanishes_exactly_when_rank_deficient(m):
 def test_nullspace_annihilates(m):
     ncols = len(m[0]) if m else 3
     basis = nullspace(m, ncols)
-    assert len(basis) == ncols - rank_rational(m)
+    assert len(basis) == ncols - len(rref(m)[1])
     for v in basis:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(rational_matrices(), st.data())
-def test_solve_linear_solutions_satisfy(m, data):
-    b = data.draw(st.lists(rationals, min_size=len(m), max_size=len(m)))
-    x = solve_linear(m, b)
-    if x is None:
-        # inconsistent: b raises the rank of the augmented matrix
-        assert rank_rational([row + [bv] for row, bv in zip(m, b)]) > rank_rational(m)
-    else:
-        for row, bv in zip(m, b):
-            assert sum(a * c for a, c in zip(row, x)) == bv
 
 
 # -- oracle tests: the integer polynomial kernel against the Fraction routines --

@@ -11,7 +11,7 @@ import pytest
 import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
-from quartic15.exact import solve_linear
+from quartic15.exact import rref
 from quartic15.lattice import RowBasis, orthogonal_complement, overlattice
 from quartic15.nodal_surface import (
     E,
@@ -235,10 +235,17 @@ def _rational_rows(basis):
 
 
 def _rational_coordinates(basis, v):
-    """Reference route: a Fraction solve of x·B = v, kept integral or None."""
-    cols = [[Fraction(row[i]) for row in basis] for i in range(len(basis[0]))]
-    sol = solve_linear(cols, [Fraction(x) for x in v])
-    if sol is None or any(c.denominator != 1 for c in sol):
+    """Reference route: a Fraction solve of x·B = v, kept integral or None.
+
+    The rows of B are independent, so the reduced echelon form of the
+    augmented system [Bᵀ | v] has a pivot on v exactly when v is off the
+    row space, and otherwise its last column is x.
+    """
+    red, pivots = rref([[row[i] for row in basis] + [v[i]] for i in range(len(v))])
+    if len(basis) in pivots:
+        return None
+    sol = [red[r][-1] for r in range(len(basis))]
+    if any(c.denominator != 1 for c in sol):
         return None
     return [int(c) for c in sol]
 

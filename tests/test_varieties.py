@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace
+from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, rref
 from quartic15.varieties import (
     Hypersurface,
+    LinearSubspace,
     SectionModel,
     _projective_reps,
     GenericityError,
@@ -61,9 +62,9 @@ def reference_section():
 
 def test_build_variety_points(segre, cr):
     p = ProjectivePoint([1, 1, 1, -1, -1, -1])
-    assert segre.form.evaluate(p.coords) == 0 and segre.satisfies_constraints(p.coords)
+    assert segre.form.evaluate(p.coords) == 0 and segre.ambient.contains(p.coords)
     q = ProjectivePoint([2, 2, -1, -1, -1, -1])
-    assert cr.form.evaluate(q.coords) == 0 and cr.satisfies_constraints(q.coords)
+    assert cr.form.evaluate(q.coords) == 0 and cr.ambient.contains(q.coords)
 
 
 def test_forms_s6_invariant(segre, cr):
@@ -156,7 +157,7 @@ def test_duality_plane_onto_line():
     b = duality_image(ProjectivePoint(plane_point(s, [1, 5, -2]))).point
     assert a != b
     line = syntheme_line(s)
-    assert line.contains_point(a) and line.contains_point(b)
+    assert line.contains(a.coords) and line.contains(b.coords)
 
 
 def test_derived_duad_point_matches():
@@ -193,13 +194,151 @@ def test_double_lines(cr):
 
 def test_generic_chord_is_not_double_line(cr):
     # a line through two points of the quartic is not in the singular locus
-    from quartic15.varieties import LinearSubspace
-
     lines = special_loci("cr").double_lines
     p1 = lines[synthemes()[0]].parametrization.apply([1, 2])
     p2 = lines[synthemes()[5]].parametrization.apply([3, 1])
     chord = LinearSubspace.from_equations(nullspace([p1, p2], 6), 6)
     assert verify_double_line(cr, chord) is False
+
+
+# -- charts: LinearSubspace against Fraction solves --------------------------------
+
+
+def fraction_rref(rows):
+    """Plain Fraction Gauss-Jordan elimination: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def fraction_solve(a, b):
+    """The solution x of a·x = b for a of full column rank, or None."""
+    red, pivots = fraction_rref([list(row) + [y] for row, y in zip(a, b)])
+    ncols = len(a[0]) if a else 0
+    if ncols in pivots:
+        return None
+    return [red[i][-1] for i in range(ncols)]
+
+
+def greedy_chart_basis(point, constraints, nvars):
+    """The chart the certificate used to take: a nullspace basis of the
+    constraints, kept greedily while it stays independent of the point."""
+    if constraints:
+        space = nullspace([list(c) for c in constraints], nvars)
+    else:
+        space = [[Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+    chosen = [list(point)]
+    for cand in space:
+        if len(rref(chosen + [cand])[1]) == len(chosen) + 1:
+            chosen.append(cand)
+    assert len(chosen) == len(space)
+    return tuple(tuple(c) for c in chosen[1:])
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def subspaces(draw):
+    """(nvars, equation rows, subspace); half the row sets are rank-deficient."""
+    nvars = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Fraction(0)), small_rationals), min_size=nvars, max_size=nvars)
+    rows = draw(st.lists(row, max_size=nvars + 1))
+    if rows and draw(st.booleans()):
+        rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+    return nvars, rows, LinearSubspace.from_equations(rows, nvars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces(), st.data())
+def test_coordinates_match_fraction_solve(sub, data):
+    nvars, rows, space = sub
+    param = space.parametrization.entries
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(small_rationals, min_size=len(space.free), max_size=len(space.free)))
+        p = [sum(a * b for a, b in zip(row, x)) for row in param]
+    else:
+        p = data.draw(st.lists(small_rationals, min_size=nvars, max_size=nvars))
+    expected = fraction_solve(param, p)
+    assert space.coordinates(p) == expected
+    assert space.contains(p) == (expected is not None)
+    assert space.contains(p) == all(sum(a * b for a, b in zip(r, p)) == 0 for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces(), st.data())
+def test_annihilates_matches_rank_test(sub, data):
+    nvars, rows, space = sub
+    if rows and data.draw(st.booleans()):
+        c = data.draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+        v = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(nvars)]
+    else:
+        v = data.draw(st.lists(small_rationals, min_size=nvars, max_size=nvars))
+    rank = len(fraction_rref(rows)[1])
+    assert space.annihilates(v) == (len(fraction_rref(rows + [v])[1]) == rank)
+
+
+def test_linear_subspace_refuses_wrong_lengths(cr):
+    with pytest.raises(ValueError, match="has 3 entries, expected 2"):
+        LinearSubspace.from_equations([[1, 1, 1]], 2)
+    with pytest.raises(ValueError, match="has 3 entries, expected 2"):
+        LinearSubspace(((Fraction(1), Fraction(1), Fraction(1)),), LinearMap([[1], [-1]]))
+    with pytest.raises(ValueError, match="has 3 entries, expected 6"):
+        cr.ambient.contains([1, -1, 0])
+    with pytest.raises(ValueError, match="has 3 entries, expected 6"):
+        cr.ambient.coordinates([1, -1, 0])
+    with pytest.raises(ValueError, match="has 7 entries, expected 6"):
+        cr.ambient.annihilates([1] * 7)
+
+
+def test_linear_subspace_checks_the_unit_pattern():
+    # the column (2, -2) spans the solutions of x0 + x1 = 0, but its entry at
+    # the free column x1 is -2, not 1: coordinates read there would be wrong
+    with pytest.raises(ValueError, match="unit vectors on the free columns"):
+        LinearSubspace(((Fraction(1), Fraction(1)),), LinearMap([[2], [-2]]))
+    with pytest.raises(ValueError, match="does not satisfy"):
+        LinearSubspace(((Fraction(1), Fraction(1)),), LinearMap([[1], [1]]))
+
+
+def test_chart_matches_greedy_basis_on_segre_nodes(segre):
+    for pt in special_loci("segre").nodes.values():
+        cert = certify_ordinary_node(segre, pt)
+        assert cert.chart == greedy_chart_basis(pt.coords, segre.ambient_constraints, 6)
+
+
+def test_chart_matches_greedy_basis_on_section_nodes(reference_section):
+    for node in reference_section.nodes:
+        assert node.certificate.chart == greedy_chart_basis(node.chart_point.coords, (), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subspaces(), st.data())
+def test_chart_matches_greedy_basis_on_random_points(sub, data):
+    nvars, rows, space = sub
+    k = len(space.free)
+    x = data.draw(st.lists(small_rationals, min_size=k, max_size=k))
+    p = [sum(a * b for a, b in zip(row, x)) for row in space.parametrization.entries]
+    assume(nvars > 1 and any(p))
+    # l vanishes at p, so p is a singular point of the form l^2
+    j = next(i for i, c in enumerate(p) if c)
+    i = (j + 1) % nvars
+    line = [Fraction(0)] * nvars
+    line[i], line[j] = p[j], -p[i]
+    l = MultiPoly.linear_form(line)
+    pt = ProjectivePoint(p)
+    cert = certify_ordinary_node(Hypersurface(l * l, space.equations), pt)
+    assert cert.chart == greedy_chart_basis(pt.coords, space.equations, nvars)
 
 
 def test_duality_examples():
@@ -541,7 +680,7 @@ def test_tangent_section_sixteenth_node_is_the_tangency_point():
     while True:
         z = sample_smooth_cubic_point(rng, avoid_planes=True)
         y = duality_image(z).point
-        if any(l.contains_point(y) for l in lines):
+        if any(l.contains(y.coords) for l in lines):
             continue
         try:
             model = tangent_section(y)
