@@ -197,7 +197,7 @@ def checks_cr(r: Runner):
             if all(x == h[0] for x in h):
                 continue
             plane = va.LinearSubspace.from_equations([va.ONES, h], 6)
-            if len(plane.equations) != 2:
+            if len(plane.rows) != 2:
                 continue
             tried += 1
             if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization)):
@@ -580,6 +580,16 @@ def _parse_bidegree(text: str):
     return (int(parts[0]), int(parts[1]))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _global_flags(**defaults) -> argparse.ArgumentParser:
     """The flags accepted both before and after the subcommand.
 
@@ -591,7 +601,7 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
     flags.add_argument("--json", metavar="PATH", help="write the JSON report here")
     flags.add_argument("--seed", type=int, help="seed for sampled points")
     flags.add_argument("--no-timing", action="store_true", help="zero out timings for byte-stable output")
-    flags.add_argument("--max-height", type=int, help="coefficient height cap for sampling")
+    flags.add_argument("--max-height", type=_positive_int, help="coefficient height cap for sampling")
     flags.set_defaults(**defaults)
     return flags
 
@@ -609,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("segre", help="cubic checks", parents=common)
     sub.add_parser("cr", help="quartic hypersurface checks", parents=common)
     duality = sub.add_parser("duality", help="polar duality checks", parents=common)
-    duality.add_argument("--samples", type=int, default=200)
+    duality.add_argument("--samples", type=_positive_int, default=200)
     section = sub.add_parser("section", help="hyperplane section checks", parents=common)
     section.add_argument("--coeffs", type=_parse_coeffs, required=True)
     section.add_argument("--scan-prime", type=int, default=None)

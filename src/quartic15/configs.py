@@ -5,8 +5,7 @@ congruence, trope incidence, orbits of the symmetric group S6, and a
 backtracking isomorphism test for small incidence structures.
 
 Canonical labels: duads are sorted pairs, synthemes sorted triples of
-sorted pairs, 3-subsets are represented by whichever of {set, complement}
-contains the smallest element.
+sorted pairs, 3-subsets up to complement by the one that contains 1.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ def three_subsets() -> list[tuple[int, int, int]]:
     return [tuple(sorted((1,) + pair)) for pair in itertools.combinations(range(2, 7), 2)]
 
 
-def canonical_three_subset(s: Iterable[int]) -> tuple[int, int, int]:
-    s = tuple(sorted(s))
-    comp = tuple(x for x in POINTS if x not in s)
-    return s if min(s) < min(comp) else comp
-
-
 def apply_perm_duad(g: Perm, d: Duad) -> Duad:
     return tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
 
@@ -83,6 +76,8 @@ def apply_perm_duad_set(g: Perm, ds: Iterable[Duad]) -> tuple[Duad, ...]:
 
 
 def apply_perm_syntheme(g: Perm, s: Syntheme) -> Syntheme:
+    """S6 on synthemes; certifies that S6 permutes the 15 double lines of the
+    quartic (the 15 nodes of a section) in one orbit with stabilizer 48."""
     return apply_perm_duad_set(g, s)
 
 
@@ -134,6 +129,8 @@ class MarkedGraph:
         return {w for e in self.edges for w in e if v in e} - {v}
 
     def girth(self) -> Optional[int]:
+        """Shortest cycle length; certifies that the mark-1 part of the (2,3)
+        conjugacy graph is the Petersen graph (cubic, girth 5)."""
         best = None
         verts = list(self.vertices)
         adj = {v: self.neighbors(v) for v in verts}
@@ -168,7 +165,8 @@ TABLE1_COLUMNS: dict[str, dict[int, int]] = {
 
 
 def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
-    """Marked conjugacy graph of a bidegree-(2,n) congruence.
+    """Marked conjugacy graph of a bidegree-(2,n) congruence; certifies the
+    paper's graph of the bidegree (2,3) congruence of a 15-nodal quartic.
 
     n=3 is fully determined: Petersen graph on the 10 duads of [1,5] with
     mark 1, K(5) on the vertices (a6) with mark 2, and cross edges
@@ -262,7 +260,9 @@ def trope_incidence_model() -> IncidenceStructure:
 
 
 def cremona_richmond_model() -> IncidenceStructure:
-    """Intersection points (duads) vs double lines (synthemes): type (15_3)."""
+    """Intersection points (duads) vs double lines (synthemes); certifies that
+    the quartic's 15 double lines and 15 points form the Cremona-Richmond
+    configuration (15_3), which is not the trope incidence (15_4, 10_6)."""
     pts = duads()
     blocks = synthemes()
     matrix = tuple(
@@ -287,6 +287,9 @@ class Orbit:
 
 def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) -> list[Orbit]:
     """Orbit partition with stabilizer orders; checks the action axioms.
+    Certifies that S6 permutes each of these in one orbit: the 15 nodes and
+    the 15 double lines (stabilizer 48), the 6 totals (120), the 10 tropes
+    (72) and the even-set code words of weight 6, 8 and 10.
 
     `action(g, x)` must define a left action of S6 on the elements.  The
     identity and compatibility axioms are checked on the generators, and the

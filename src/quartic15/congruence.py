@@ -2,10 +2,9 @@
 
 Implements the classical counting formulas for order-m class-n congruences
 with smooth focal data: rank and sectional genus, focal-surface degree, the
-degrees of the associated curve |l| and surface (P), the branch-locus
-degree, and the singular-point multiplicity formulas.  The (2, n) family is
-specialized separately, and the Diophantine singular-point table is solved
-by exhaustive enumeration.
+degrees of the associated curve |l| and surface (P) and the branch-locus
+degree.  The (2, n) family is specialized separately, and the Diophantine
+singular-point table is solved by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ class CongruenceInvariants:
     deg_l_curve: int
     deg_p_surface: int
     deg_branch_locus: int
-
-    def mult_l_curve(self, h: int) -> int:
-        """Multiplicity of |l| at a singular point with cone degree h."""
-        return h * (h - 1) // 2
-
-    def mult_p_surface(self, h: int) -> int:
-        """Multiplicity of (P) at a singular point with cone degree h."""
-        return self.m * (self.m - 1) // 2 + self.r - self.n + h
 
     def to_jsonable(self) -> dict:
         return {
@@ -105,6 +96,8 @@ class AlphaVector:
     counts: tuple[int, int, int, int, int, int]  # alpha_1 ... alpha_6
 
     def cubic_sum(self) -> int:
+        """Σ i³·α_i; certifies Table 1's defining sum (n+2)³ − 3(n+2)² on
+        every published column."""
         return sum((i + 1) ** 3 * a for i, a in enumerate(self.counts))
 
     def total(self) -> int:

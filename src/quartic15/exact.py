@@ -6,8 +6,9 @@ exponent tuples to nonzero rational coefficients, with graded-lexicographic
 term order fixed once so that serialized output is bit-stable.  Evaluation
 and linear substitution clear denominators once and sum in integers,
 building one Fraction per returned coefficient or value.  The rational
-linear algebra (`rref` and `nullspace`) is a front end to the fraction-free
-integer kernels of `lattice`.
+linear algebra (`rref`, `nullspace` and `LinearMap`) is a front end to the
+fraction-free integer kernels of `lattice`; no library module calls it, and
+the benchmark builds its section chart with it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
@@ -71,7 +72,7 @@ class MultiPoly:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def linear_form(cls, coeffs: Sequence) -> "MultiPoly":
@@ -81,7 +82,7 @@ class MultiPoly:
             if c:
                 exp = [0] * n
                 exp[i] = 1
-                terms[tuple(exp)] = Fraction(c)
+                terms[tuple(exp)] = c
         return cls(n, terms)
 
     # -- ring structure ------------------------------------------------
@@ -94,7 +95,7 @@ class MultiPoly:
         self._check_compatible(other)
         res = self.terms.copy()
         for exp, c in other.terms.items():
-            s = res.get(exp, Fraction(0)) + c
+            s = res.get(exp, 0) + c
             if s:
                 res[exp] = s
             else:
@@ -115,7 +116,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
+                s = res.get(e, 0) + c1 * c2
                 if s:
                     res[e] = s
                 else:
@@ -125,7 +126,6 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
         if c == 0:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
@@ -337,7 +337,8 @@ def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> 
 
 
 class LinearMap:
-    """Rational matrix read as a substitution of variables by linear forms."""
+    """Immutable rational matrix read as a substitution of variables by
+    linear forms; `substitute_linear` takes it as well as plain rows."""
 
     __slots__ = ("entries",)
 
@@ -349,26 +350,6 @@ class LinearMap:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LinearMap is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [Fraction(x) for x in vec]
-        return [sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries]
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"LinearMap({[list(map(str, r)) for r in self.entries]})"
 
 
 class ModPoly:
@@ -437,7 +418,7 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
         return None
     c = f.terms[lead]
     half = tuple(e // 2 for e in lead)
-    q = {half: Fraction(1)}
+    q = {half: 1}
     r = {e: v for e, v in f.terms.items() if e != lead}  # f − c·q², q = x^half
     last_key = grlex_key(half)
     while r:
@@ -485,25 +466,9 @@ def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
     return [[Fraction(x, d) for x in row] for row in a], pivots
 
 
-def rref_kernel(red: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel read off a reduced row echelon form.
-
-    Free variables are taken in increasing column order, each set to 1 in turn.
-    """
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0}, deterministic (see `rref_kernel`)."""
+    """Basis of the right kernel {x : M x = 0}, read off the reduced row
+    echelon form: free columns in increasing order, each set to 1 in turn."""
     m = [list(row) for row in rows]
     if ncols is None:
         if not m:
@@ -511,7 +476,15 @@ def nullspace(rows: Iterable[Iterable], ncols: int | None = None) -> list[list[F
         ncols = len(m[0])
     if m and len(m[0]) != ncols:
         raise ValueError("ncols disagrees with the row length")
-    return rref_kernel(*rref(m), ncols)
+    red, pivots = rref(m)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(int(i == fc)) for i in range(ncols)]
+            for r, pc in enumerate(pivots):
+                vec[pc] = -red[r][fc]
+            basis.append(vec)
+    return basis
 
 
 def primitive_integer_vector(vec: Sequence) -> list[int]:

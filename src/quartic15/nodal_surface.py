@@ -220,6 +220,8 @@ def even_set_code() -> EvenSetCode:
 
 
 def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
+    """Code word of a node set; certifies that the 10 trope node sets, with
+    the eta bit, are words of the 15-nodal quartic's even-set code."""
     w = 1 if eta_bit else 0
     for d in nodes:
         w |= 1 << (1 + NODE_INDEX[d])
@@ -227,6 +229,7 @@ def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
 
 
 def nodes_of_word(word: int) -> tuple[Duad, ...]:
+    """Node set of a code word; certifies that S6 maps the even-set code to itself."""
     return tuple(d for d in NODES if word & (1 << (1 + NODE_INDEX[d])))
 
 
@@ -236,7 +239,9 @@ def is_pic_integral(cls: DivisorClass) -> bool:
 
 
 def class_invariants(cls: DivisorClass) -> tuple[Fraction, Fraction, bool]:
-    """(self-intersection, degree against eta, membership in the Picard lattice)."""
+    """(self-intersection, degree against eta, membership in the Picard
+    lattice); certifies the paper's classes: b̃ (10, 10), the degree-20
+    class and the (−2)-classes of nodes and of the σ-curves."""
     return cls.norm(), cls.degree(), is_pic_integral(cls)
 
 

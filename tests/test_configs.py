@@ -8,7 +8,6 @@ from quartic15.configs import (
     MarkedGraph,
     apply_perm_duad,
     apply_perm_syntheme,
-    canonical_three_subset,
     conjugacy_graph,
     cremona_richmond_model,
     duads,
@@ -53,11 +52,6 @@ def test_totals_cover_each_duad_once():
 def test_two_synthemes_share_at_most_one_duad():
     for s, t in itertools.combinations(synthemes(), 2):
         assert len(set(s) & set(t)) <= 1
-
-
-def test_canonical_three_subset():
-    assert canonical_three_subset((4, 5, 6)) == (1, 2, 3)
-    assert canonical_three_subset((1, 4, 6)) == (1, 4, 6)
 
 
 def test_conjugacy_graph_degrees():

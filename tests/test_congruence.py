@@ -17,9 +17,6 @@ def test_invariants_2_3_1():
     assert inv.deg_l_curve == 4
     assert inv.deg_p_surface == 2
     assert inv.deg_branch_locus == 10
-    # multiplicity formulas: conic-type nodes vs quartic-type nodes
-    assert inv.mult_l_curve(1) == 0 and inv.mult_l_curve(2) == 1
-    assert inv.mult_p_surface(1) == 0 and inv.mult_p_surface(2) == 1
 
 
 def test_invariants_2_2_0():

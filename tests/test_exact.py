@@ -230,11 +230,16 @@ def test_jsonable_term_order():
     assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
 
 
-def test_linear_map_compose_apply():
-    m = LinearMap([[1, 2], [3, 4]])
-    n = LinearMap([[0, 1], [1, 0]])
-    assert LinearMap(mat_mul(m.entries, n.entries)) == LinearMap([[2, 1], [4, 3]])
-    assert m.apply([1, 1]) == [3, 7]
+def test_linear_map_entries_immutable_and_rectangular():
+    m = LinearMap([[1, 2], [Fraction(3, 2), 4]])
+    assert m.entries == ((1, 2), (Fraction(3, 2), 4))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    with pytest.raises(AttributeError):
+        m.entries = ()
+    with pytest.raises(TypeError):
+        m.entries[0] = (0, 0)
+    with pytest.raises(ValueError, match="ragged"):
+        LinearMap([[1, 2], [3]])
 
 
 def test_rref_nullspace_solve():

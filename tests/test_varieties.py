@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
 from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, rref
+from quartic15 import varieties
 from quartic15.varieties import (
+    ONES,
     Hypersurface,
     LinearSubspace,
     SectionModel,
@@ -43,6 +45,16 @@ from quartic15.varieties import (
 )
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
+
+
+def param_point(space, x):
+    """The point of a subspace with parameters x: parametrization·x."""
+    return [sum(a * b for a, b in zip(row, x)) for row in space.parametrization]
+
+
+def reduced_rows(space):
+    """The subspace's RREF rows as Fractions: the same for every scaling by den."""
+    return frozenset(tuple(Fraction(a, space.den) for a in row) for row in space.rows)
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +115,7 @@ def test_line_points_meet_rule():
             if s1 >= s2:
                 continue
             shared = set(s1) & set(s2)
-            eqs = [list(e) for e in lines[s1].equations] + [
-                list(e) for e in lines[s2].equations
-            ]
-            from quartic15.exact import nullspace
-
-            meet = nullspace(eqs, 6)
+            meet = nullspace(lines[s1].rows + lines[s2].rows, 6)
             assert bool(shared) == bool(meet)
             if shared:
                 (d,) = shared
@@ -123,9 +130,7 @@ def test_special_loci_s6_equivariant():
     node_set = set(seg.nodes.values())
     point_set = set(crl.line_points.values())
     card_set = {ProjectivePoint(c) for c in crl.cardinal_hyperplanes.values()}
-    line_eqs = {
-        frozenset(line.equations) for line in crl.double_lines.values()
-    }
+    line_eqs = {reduced_rows(line) for line in crl.double_lines.values()}
     for g in s6_elements()[::37]:  # a spread of permutations, exact either way
         perm0 = [g[i] - 1 for i in range(6)]  # 0-based positions
 
@@ -144,7 +149,7 @@ def test_special_loci_s6_equivariant():
     for g in s6_elements()[::97]:
         for s in synthemes():
             img = syntheme_line(apply_perm_syntheme(g, s))
-            assert frozenset(img.equations) in line_eqs
+            assert reduced_rows(img) in line_eqs
 
 
 def test_duality_plane_onto_line():
@@ -195,8 +200,8 @@ def test_double_lines(cr):
 def test_generic_chord_is_not_double_line(cr):
     # a line through two points of the quartic is not in the singular locus
     lines = special_loci("cr").double_lines
-    p1 = lines[synthemes()[0]].parametrization.apply([1, 2])
-    p2 = lines[synthemes()[5]].parametrization.apply([3, 1])
+    p1 = param_point(lines[synthemes()[0]], [1, 2])
+    p2 = param_point(lines[synthemes()[5]], [3, 1])
     chord = LinearSubspace.from_equations(nullspace([p1, p2], 6), 6)
     assert verify_double_line(cr, chord) is False
 
@@ -264,7 +269,7 @@ def subspaces(draw):
 @given(subspaces(), st.data())
 def test_coordinates_match_fraction_solve(sub, data):
     nvars, rows, space = sub
-    param = space.parametrization.entries
+    param = space.parametrization
     if data.draw(st.booleans()):
         x = data.draw(st.lists(small_rationals, min_size=len(space.free), max_size=len(space.free)))
         p = [sum(a * b for a, b in zip(row, x)) for row in param]
@@ -289,11 +294,50 @@ def test_annihilates_matches_rank_test(sub, data):
     assert space.annihilates(v) == (len(fraction_rref(rows + [v])[1]) == rank)
 
 
+def reference_kernel(rows, nvars):
+    """The right kernel read off `fraction_rref`: one column per free column,
+    1 there, 0 at the other free columns, as plain rows (one per variable)."""
+    red, pivots = fraction_rref(rows)
+    free = [c for c in range(nvars) if c not in pivots]
+    return tuple(
+        tuple(
+            Fraction(int(i == fc)) if i not in pivots else -red[pivots.index(i)][fc] for fc in free
+        )
+        for i in range(nvars)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces(), st.data())
+def test_from_equations_matches_fraction_rref(sub, data):
+    nvars, rows, space = sub
+    red, pivots = fraction_rref(rows)
+    assert [[Fraction(a, space.den) for a in row] for row in space.rows] == red[: len(pivots)]
+    assert space.nvars == nvars and space.den > 0
+    assert all(type(a) is int for row in space.rows for a in row)
+    assert space.parametrization == reference_kernel(rows, nvars)
+    assert LinearSubspace(space.rows, space.den, nvars) == space
+    # refusals: a row scaled off den, two rows swapped, a wrong length
+    if space.rows:
+        k = data.draw(st.integers(0, len(space.rows) - 1))
+        scaled = list(space.rows)
+        scaled[k] = tuple(2 * a for a in scaled[k])
+        with pytest.raises(ValueError, match="reduced row echelon form"):
+            LinearSubspace(tuple(scaled), space.den, nvars)
+        if len(space.rows) > 1:
+            with pytest.raises(ValueError, match="reduced row echelon form"):
+                LinearSubspace(space.rows[::-1], space.den, nvars)
+        with pytest.raises(ValueError, match=f"has {nvars + 1} entries, expected {nvars}"):
+            LinearSubspace(space.rows[:k] + (space.rows[k] + (0,),) + space.rows[k + 1 :], space.den, nvars)
+    with pytest.raises(ValueError, match="reduced row echelon form"):
+        LinearSubspace(space.rows, -space.den, nvars)
+
+
 def test_linear_subspace_refuses_wrong_lengths(cr):
     with pytest.raises(ValueError, match="has 3 entries, expected 2"):
         LinearSubspace.from_equations([[1, 1, 1]], 2)
     with pytest.raises(ValueError, match="has 3 entries, expected 2"):
-        LinearSubspace(((Fraction(1), Fraction(1), Fraction(1)),), LinearMap([[1], [-1]]))
+        LinearSubspace(((1, 1, 1),), 1, 2)
     with pytest.raises(ValueError, match="has 3 entries, expected 6"):
         cr.ambient.contains([1, -1, 0])
     with pytest.raises(ValueError, match="has 3 entries, expected 6"):
@@ -303,12 +347,24 @@ def test_linear_subspace_refuses_wrong_lengths(cr):
 
 
 def test_linear_subspace_checks_the_unit_pattern():
-    # the column (2, -2) spans the solutions of x0 + x1 = 0, but its entry at
-    # the free column x1 is -2, not 1: coordinates read there would be wrong
-    with pytest.raises(ValueError, match="unit vectors on the free columns"):
-        LinearSubspace(((Fraction(1), Fraction(1)),), LinearMap([[2], [-2]]))
-    with pytest.raises(ValueError, match="does not satisfy"):
-        LinearSubspace(((Fraction(1), Fraction(1)),), LinearMap([[1], [1]]))
+    # x0 + x1 = 0 over den 1, and the same row over den 2: both accepted, and
+    # the parametrization is the unit vector (1 at the free column x1) over den
+    for rows, den in ((((1, 1),), 1), (((2, 2),), 2)):
+        space = LinearSubspace(rows, den, 2)
+        assert space.free == (1,) and space.parametrization == ((-1,), (1,))
+    # each leading entry must be den, and each leading column zero in the
+    # other rows: otherwise coordinates read off the free columns are wrong
+    for rows, den in (
+        (((2, 2),), 1),  # leads with 2, not den
+        (((1, 1), (0, 1)), 1),  # the second leading column is 1 in row 0
+        (((0, 1), (1, 0)), 1),  # leading columns not increasing
+        (((1, 0), (0, 0)), 1),  # a zero row
+        (((-1, -1),), -1),  # den must be positive
+    ):
+        with pytest.raises(ValueError, match="reduced row echelon form over a positive den"):
+            LinearSubspace(rows, den, 2)
+    with pytest.raises(TypeError):
+        LinearSubspace(((1, Fraction(1, 2)),), 1, 2)  # rows are integers
 
 
 def test_chart_matches_greedy_basis_on_segre_nodes(segre):
@@ -328,7 +384,7 @@ def test_chart_matches_greedy_basis_on_random_points(sub, data):
     nvars, rows, space = sub
     k = len(space.free)
     x = data.draw(st.lists(small_rationals, min_size=k, max_size=k))
-    p = [sum(a * b for a, b in zip(row, x)) for row in space.parametrization.entries]
+    p = param_point(space, x)
     assume(nvars > 1 and any(p))
     # l vanishes at p, so p is a singular point of the form l^2
     j = next(i for i, c in enumerate(p) if c)
@@ -337,8 +393,8 @@ def test_chart_matches_greedy_basis_on_random_points(sub, data):
     line[i], line[j] = p[j], -p[i]
     l = MultiPoly.linear_form(line)
     pt = ProjectivePoint(p)
-    cert = certify_ordinary_node(Hypersurface(l * l, space.equations), pt)
-    assert cert.chart == greedy_chart_basis(pt.coords, space.equations, nvars)
+    cert = certify_ordinary_node(Hypersurface(l * l, space.rows), pt)
+    assert cert.chart == greedy_chart_basis(pt.coords, space.rows, nvars)
 
 
 def test_duality_examples():
@@ -387,6 +443,22 @@ def test_cardinal_restriction_all_squares():
     for subset in three_subsets():
         res = cardinal_restriction(subset)
         assert res.square_root.total_degree() == 2
+
+
+def test_bench_chart_gives_the_section_quartic():
+    # the benchmark picks scan primes from the quartic restricted through a
+    # LinearMap of the `nullspace` columns; it must be the quartic the
+    # section certifies and scans
+    rng = random.Random(5)
+    models = [hyperplane_section(REFERENCE_COEFFS)]
+    while len(models) < 4:
+        try:
+            models.append(hyperplane_section([rng.randint(-30, 30) for _ in range(6)]))
+        except GenericityError:
+            continue
+    for model in models:
+        chart = LinearMap(zip(*nullspace([list(ONES), model.hyperplane], 6)))
+        assert cr_quartic_form().substitute_linear(chart) == model.quartic3
 
 
 def test_non_cardinal_restriction_not_square():
@@ -467,7 +539,7 @@ def test_scan_cr_f7(cr):
 
     lines = special_loci("cr").double_lines
     int_eqs = {
-        s: [primitive_integer_vector(eq) for eq in line.equations]
+        s: [primitive_integer_vector(eq) for eq in line.rows]
         for s, line in lines.items()
     }
 
@@ -596,7 +668,7 @@ def reference_scan(target, p):
 
 def _section_of(form):
     """A SectionModel carrying only the quartic: all the scan reads."""
-    return SectionModel((), LinearMap([]), form, (), ())
+    return SectionModel((), (), form, (), ())
 
 
 def forms(nvars, degree):
@@ -666,6 +738,24 @@ def test_scan_evaluates_only_candidates(monkeypatch):
     assert len(calls) < p**2
 
 
+def test_max_height_caps_the_plane_parameters(monkeypatch):
+    drawn = []
+    plane_point = varieties.plane_point
+
+    def recorded(s, params):
+        drawn.append(params)
+        return plane_point(s, params)
+
+    monkeypatch.setattr(varieties, "plane_point", recorded)
+    rng = random.Random(1)
+    for _ in range(20):
+        sample_smooth_cubic_point(rng, max_height=1)
+    assert drawn and all(abs(x) <= 1 for params in drawn for x in params)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_height must be at least 1"):
+            sample_smooth_cubic_point(rng, max_height=bad)
+
+
 def test_tangent_section_16_nodes():
     rng = random.Random(11)
     model = sample_tangent_section(rng)
@@ -694,7 +784,7 @@ def test_tangent_section_sixteenth_node_is_the_tangency_point():
 def test_tangent_section_rejects_singular_point():
     # points of a double line are singular on the quartic
     line = syntheme_line(synthemes()[0])
-    pt = ProjectivePoint(line.parametrization.apply([1, 2]))
+    pt = ProjectivePoint(param_point(line, [1, 2]))
     with pytest.raises(NotOnVarietyError, match="singular"):
         tangent_section(pt)
 
@@ -750,9 +840,13 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
 def test_cached_constants_are_immutable():
     plane = syntheme_plane(synthemes()[0])
     with pytest.raises(AttributeError):
-        plane.equations = ()
+        plane.rows = ()
     with pytest.raises(AttributeError):
-        plane.parametrization.entries = ()
+        plane.parametrization = ()
+    with pytest.raises(TypeError):
+        plane.parametrization[0] = ()
+    with pytest.raises(TypeError):
+        plane.kernel[0] = ()
     with pytest.raises(AttributeError):
         cr_quartic_form().terms = {}
 
