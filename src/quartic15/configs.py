@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Optional
 
 Duad = tuple[int, int]
@@ -26,8 +27,9 @@ def duads() -> list[Duad]:
     return [tuple(sorted(d)) for d in itertools.combinations(POINTS, 2)]
 
 
-def synthemes() -> list[Syntheme]:
-    """All perfect matchings of {1,...,6} into three duads."""
+@lru_cache(maxsize=None)
+def _syntheme_tuple() -> tuple[Syntheme, ...]:
+    """All perfect matchings of {1,...,6} into three duads, sorted; built once."""
     result = []
 
     def extend(remaining: tuple[int, ...], acc: tuple[Duad, ...]):
@@ -40,7 +42,13 @@ def synthemes() -> list[Syntheme]:
             extend(rest, acc + ((a, b),))
 
     extend(POINTS, ())
-    return sorted(set(result))
+    return tuple(sorted(set(result)))
+
+
+def synthemes() -> list[Syntheme]:
+    """All perfect matchings of {1,...,6} into three duads, as a fresh list
+    on each call (the matchings themselves are built once)."""
+    return list(_syntheme_tuple())
 
 
 def totals() -> list[Total]:

@@ -192,21 +192,19 @@ def goepel_pentads() -> list[Pentad]:
 
 
 def _components(edges: Sequence[Duad]) -> list[set[Duad]]:
-    remaining = set(edges)
-    comps = []
-    while remaining:
-        e = remaining.pop()
-        comp = {e}
-        grew = True
-        while grew:
-            grew = False
-            for f in list(remaining):
-                if any(set(f) & set(g) for g in comp):
-                    comp.add(f)
-                    remaining.remove(f)
-                    grew = True
-        comps.append(comp)
-    return comps
+    """Edge sets of the connected components, merged in one pass: each edge
+    joins every component that shares one of its vertices."""
+    comps: list[tuple[set[int], set[Duad]]] = []  # (vertices, edges) of each component
+    for e in edges:
+        verts, joined, rest = set(e), {e}, []
+        for cv, ce in comps:
+            if cv.isdisjoint(e):
+                rest.append((cv, ce))
+            else:
+                verts |= cv
+                joined |= ce
+        comps = rest + [(verts, joined)]
+    return [ce for _, ce in comps]
 
 
 def _is_triangle(edges: Iterable[Duad]) -> bool:
@@ -226,20 +224,23 @@ def _is_triangle_plus_segment(edges: Sequence[Duad]) -> bool:
     return len(comps[0]) == 1 and _is_triangle(comps[1])
 
 
+def _one_edge_deletions(pentad: Pentad) -> list[bool]:
+    """For each edge, whether deleting it leaves a disjoint triangle+segment."""
+    return [_is_triangle_plus_segment([e for e in pentad if e != edge]) for edge in pentad]
+
+
+_READINGS = {"exists": any, "forall": all}
+
+
 def graph_criterion(pentad: Pentad, reading: str) -> bool:
     """The classical one-edge-deletion criterion under a chosen reading.
 
     reading='exists': some edge deletion leaves a disjoint triangle+segment;
     reading='forall': every edge deletion does.
     """
-    results = [
-        _is_triangle_plus_segment([e for e in pentad if e != edge]) for edge in pentad
-    ]
-    if reading == "exists":
-        return any(results)
-    if reading == "forall":
-        return all(results)
-    raise ValueError(f"unknown reading {reading!r}")
+    if reading not in _READINGS:
+        raise ValueError(f"unknown reading {reading!r}")
+    return _READINGS[reading](_one_edge_deletions(pentad))
 
 
 def triple_criterion(pentad: Pentad, triple: Sequence[Duad]) -> bool:
@@ -280,8 +281,8 @@ def graph_criterion_crosscheck() -> CriterionReport:
     mism_e: dict[Pentad, tuple[Pentad, bool, bool]] = {}
     mism_f: dict[Pentad, tuple[Pentad, bool, bool]] = {}
     for p, cls in classes.items():
-        ge = graph_criterion(p, "exists")
-        gf = graph_criterion(p, "forall")
+        deletions = _one_edge_deletions(p)  # both readings from one evaluation
+        ge, gf = any(deletions), all(deletions)
         if ge == cls.admissible:
             agree_e += 1
         if gf == cls.admissible:

@@ -442,20 +442,21 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
     """Polar duality from the cubic to the quartic: traceless coordinate square.
 
     y_i = z_i^2 − (sum_j z_j^2)/6.  Undefined exactly at the ten nodes, where
-    the traceless square collapses to zero.
+    the traceless square collapses to zero.  z is cleared once to an integer
+    vector, and the image is formed from it as 6·z_i^2 − sum_j z_j^2, which
+    is y scaled by six times the square of the denominator.
     """
-    coords = z.coords
-    if sum(coords) != 0 or sum(c**3 for c in coords) != 0:
+    zs, _ = clear_denominators(z.coords)
+    if sum(zs) != 0 or sum(c**3 for c in zs) != 0:
         raise NotOnVarietyError("point is not on the cubic")
-    s = sum(c**2 for c in coords)
-    y = [c**2 - s / 6 for c in coords]
-    if all(v == 0 for v in y):
+    s = sum(c * c for c in zs)
+    y = [NVARS * c * c - s for c in zs]
+    if not any(y):
         raise NotOnVarietyError("duality image undefined at a node of the cubic")
-    image = ProjectivePoint(y)
-    value = cr_quartic_form().evaluate(image.coords)
+    value = cr_quartic_form().evaluate(y)
     if value != 0:
         raise AssertionError("duality image must land on the quartic")
-    return DualityImage(z, image, value)
+    return DualityImage(z, ProjectivePoint(y), value)
 
 
 def duality_plane_to_line(s: Syntheme) -> bool:
@@ -507,7 +508,6 @@ def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
 @dataclass(frozen=True)
 class TropeRecord:
     subset: tuple[int, int, int]
-    plane_chart: tuple[tuple[Fraction, ...], ...]  # 4 x 3: plane params -> section chart
     conic: MultiPoly  # in the 3 plane parameters
     scale: Fraction
     incident_nodes: tuple[Syntheme, ...]
@@ -640,11 +640,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if sq is None:
             raise AssertionError("restriction to a cardinal plane must be a perfect square")
         scale, conic = sq
-        # plane parameters -> section chart coordinates (4 x 3 matrix)
-        plane_chart = [section.coordinates(col) for col in plane.columns]
-        if None in plane_chart:
+        if not all(section.contains(col) for col in plane.kernel):
             raise AssertionError("the trope plane must lie in the section chart")
-        plane_chart_t = tuple(zip(*plane_chart))
         incident = []
         for node, vec in zip(nodes, node_vectors):
             params = plane.coordinates(vec)
@@ -660,9 +657,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
         if set(incident) != expected:
             raise GenericityError("trope incidence differs from the matching rule", subset)
-        tropes.append(
-            TropeRecord(subset, plane_chart_t, conic, scale, tuple(sorted(incident)))
-        )
+        tropes.append(TropeRecord(subset, conic, scale, tuple(sorted(incident))))
 
     return SectionModel(hp, chart, quartic3, tuple(nodes), tuple(tropes))
 
@@ -811,15 +806,27 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
 # -- rational point sampling ------------------------------------------------------
 
 
-def plane_point(s: Syntheme, params: Sequence) -> list[Fraction]:
-    """Point of the cubic's plane for syntheme s with the given 3 parameters:
-    Σ x_k·col_k over q·den, with params = x/q and the kernel columns col_k
-    over den, summed in integers."""
+def plane_point(s: Syntheme, params: Sequence) -> list[int]:
+    """Point of the cubic's plane for syntheme s with the given 3 parameters,
+    as the integer vector Σ x_k·col_k: with params = x/q and the kernel
+    columns col_k over den, that is the plane point scaled by q·den."""
     plane = syntheme_plane(s)
     _check_length(params, len(plane.kernel), "parameter vector")
-    x, q = clear_denominators(params)
-    den = q * plane.den
-    return [Fraction(sum(a * col[i] for a, col in zip(x, plane.kernel)), den) for i in range(NVARS)]
+    x, _ = clear_denominators(params)
+    return [sum(a * col[i] for a, col in zip(x, plane.kernel)) for i in range(NVARS)]
+
+
+def _chord_cubic(form: MultiPoly, pa: Sequence[int], pb: Sequence[int]) -> tuple[int, int, int, int]:
+    """Coefficients (c30, c21, c12, c03) of the binary cubic form(α·pa + β·pb),
+    read off four values: form(pa) = c30, form(pb) = c03 and
+    form(pa ± pb) = c30 ± c21 + c12 ± c03.  The form must have integer
+    coefficients, as the Segre form does; on integer endpoints every value
+    and coefficient is then an integer, and both halvings are exact."""
+    c30, c03, plus, minus = (
+        form.evaluate(v).numerator  # an integer value: its denominator is 1
+        for v in (pa, pb, [a + b for a, b in zip(pa, pb)], [a - b for a, b in zip(pa, pb)])
+    )
+    return c30, (plus - minus) // 2 - c03, (plus + minus) // 2 - c30, c03
 
 
 def sample_smooth_cubic_point(
@@ -831,6 +838,10 @@ def sample_smooth_cubic_point(
     Retries with growing coefficient height until the point is smooth (and,
     if requested, off all 15 planes); the plane parameters start at height
     min(3, max_height) and never exceed `max_height`, which must be at least 1.
+    The chord runs on the integer plane points and the binary cubic along it
+    is read off four values of the form; the smoothness and plane tests are
+    projective, so they run on the integer third point, and the one
+    `ProjectivePoint` is built for the point returned.
     """
     if max_height < 1:
         raise ValueError(f"max_height must be at least 1, not {max_height}")
@@ -844,26 +855,22 @@ def sample_smooth_cubic_point(
         s1, s2 = rng.sample(all_synthemes, 2)
         pa = plane_point(s1, [rng.randint(-height, height) for _ in range(3)])
         pb = plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
-        if all(x == 0 for x in pa) or all(x == 0 for x in pb):
+        if not any(pa) or not any(pb):
             continue
-        chord = list(zip(pa, pb))
-        cubic = segre.form.substitute_linear(chord)  # binary cubic in (alpha, beta)
-        c21 = cubic.terms.get((2, 1), 0)
-        c12 = cubic.terms.get((1, 2), 0)
-        if cubic.terms.get((3, 0)) or cubic.terms.get((0, 3)):
+        c30, c21, c12, c03 = _chord_cubic(segre.form, pa, pb)
+        if c30 or c03:
             continue  # endpoints not on the cubic: degenerate sample
         if c21 == 0:
             continue
-        coords = [pa[i] * c12 - pb[i] * c21 for i in range(NVARS)]
-        if all(x == 0 for x in coords):
+        coords = [a * c12 - b * c21 for a, b in zip(pa, pb)]
+        if not any(coords):
             continue
-        point = ProjectivePoint(coords)
-        grad = [g.evaluate(point.coords) for g in segre.gradient]
+        grad = [g.evaluate(coords) for g in segre.gradient]
         if segre.ambient.annihilates(grad):
             continue  # singular (a node)
-        if avoid_planes and any(pl.contains(point.coords) for pl in planes):
+        if avoid_planes and any(pl.contains(coords) for pl in planes):
             continue
-        return point
+        return ProjectivePoint(coords)
     raise RuntimeError("failed to sample a smooth rational point of the cubic")
 
 

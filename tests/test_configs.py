@@ -43,6 +43,17 @@ def test_syntheme_brute_force_oracle():
     assert count == 15
 
 
+def test_synthemes_are_built_once_and_handed_out_as_fresh_lists():
+    first = synthemes()
+    expected = list(first)
+    first.reverse()
+    first.append(((1, 2), (3, 4), (5, 6)))
+    first[0] = None
+    again = synthemes()
+    assert again == expected and again is not first
+    assert len(again) == 15 and again == sorted(again)
+
+
 def test_totals_cover_each_duad_once():
     for total in totals():
         seen = [d for s in total for d in s]

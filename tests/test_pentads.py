@@ -1,10 +1,14 @@
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quartic15.configs import trope_node_sets
+from quartic15.configs import duads, trope_node_sets
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
+    _components,
     all_pentads,
     classify,
     classify_all,
@@ -84,6 +88,37 @@ def test_graph_criterion_readings_disagree_on_goepel():
     assert classify(goepel).admissible
     assert not graph_criterion(goepel, "exists")
     assert not graph_criterion(goepel, "forall")
+
+
+def test_graph_criterion_refuses_an_unknown_reading():
+    with pytest.raises(ValueError, match="unknown reading 'some'"):
+        graph_criterion(TYPE_II, "some")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(duads()), max_size=7))
+def test_components_match_networkx(edges):
+    graph = nx.Graph(edges)
+    expected = {
+        frozenset(e for e in edges if e[0] in comp) for comp in nx.connected_components(graph)
+    }
+    got = _components(edges)
+    assert len(got) == len(expected)
+    assert {frozenset(c) for c in got} == expected
+
+
+def test_graph_criterion_readings_match_networkx():
+    # both readings against an independent test on every pentad: a deletion
+    # leaves two components, a 3-cycle and a single edge
+    def triangle_plus_segment(edges):
+        graph = nx.Graph(edges)
+        comps = sorted((graph.subgraph(c) for c in nx.connected_components(graph)), key=len)
+        return [g.number_of_edges() for g in comps] == [1, 3] and len(comps[1]) == 3
+
+    for p in all_pentads():
+        deletions = [triangle_plus_segment([e for e in p if e != edge]) for edge in p]
+        assert graph_criterion(p, "exists") == any(deletions)
+        assert graph_criterion(p, "forall") == all(deletions)
 
 
 def test_triple_criterion_examples():

@@ -29,7 +29,6 @@ FRACTION_SITES = {
         "ProjectivePoint.__init__",  # input: coordinates, scaled to a leading 1
         "LinearSubspace.parametrization",  # output: the kernel columns over den
         "LinearSubspace.coordinates",  # output: the point's entries at the free columns
-        "plane_point",  # output: the plane's point over q·den
     },
     "lattice.py": {
         "clear_denominators",  # input: rational rows to integer rows over one denominator

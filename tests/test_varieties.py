@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
 from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, rref
+from quartic15.lattice import clear_denominators
 from quartic15 import varieties
 from quartic15.varieties import (
     ONES,
@@ -516,6 +517,23 @@ def test_section_genericity_failures():
         hyperplane_section((1, 1, 4, 0, 0, 0))
 
 
+def test_trope_plane_outside_the_section_chart_is_refused(monkeypatch):
+    # each trope plane is {sum = 0, hp = 0, cardinal = 0}; built with another
+    # row in place of hp, it is still a plane of the cardinal 3-space, so the
+    # restriction stays a perfect square, but it leaves the section chart
+    from_equations = LinearSubspace.from_equations
+    off_section = (1, -1, 0, 0, 0, 0)
+
+    def without_hp(cls, rows, nvars):
+        if len(rows) == 3 and tuple(rows[0]) == ONES:
+            rows = [rows[0], off_section, rows[2]]
+        return from_equations(rows, nvars)
+
+    monkeypatch.setattr(LinearSubspace, "from_equations", classmethod(without_hp))
+    with pytest.raises(AssertionError, match="the trope plane must lie in the section chart"):
+        hyperplane_section(REFERENCE_COEFFS)
+
+
 def test_section_json(reference_section):
     data = reference_section.to_jsonable()
     assert len(data["nodes"]) == 15 and len(data["tropes"]) == 10
@@ -754,6 +772,143 @@ def test_max_height_caps_the_plane_parameters(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_height must be at least 1"):
             sample_smooth_cubic_point(rng, max_height=bad)
+
+
+# -- the integer sampler against the Fraction sampler it replaced ----------------
+
+
+def fraction_plane_point(s, params):
+    """The point of the cubic's plane for s as Fractions: parametrization·params."""
+    return param_point(syntheme_plane(s), [Fraction(x) for x in params])
+
+
+def fraction_sample(rng, max_height=50, avoid_planes=False):
+    """The Fraction sampler: Fraction plane points, the binary cubic along the
+    chord by symbolic substitution, and a ProjectivePoint for every candidate."""
+    segre = build_variety("segre")
+    all_synthemes = synthemes()
+    planes = [syntheme_plane(s) for s in all_synthemes]
+    height = min(3, max_height)
+    for attempt in range(400):
+        if attempt and attempt % 40 == 0:
+            height = min(height + 4, max_height)
+        s1, s2 = rng.sample(all_synthemes, 2)
+        pa = fraction_plane_point(s1, [rng.randint(-height, height) for _ in range(3)])
+        pb = fraction_plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
+        if all(x == 0 for x in pa) or all(x == 0 for x in pb):
+            continue
+        cubic = segre.form.substitute_linear(list(zip(pa, pb)))
+        c21 = cubic.terms.get((2, 1), 0)
+        c12 = cubic.terms.get((1, 2), 0)
+        if cubic.terms.get((3, 0)) or cubic.terms.get((0, 3)):
+            continue
+        if c21 == 0:
+            continue
+        coords = [a * c12 - b * c21 for a, b in zip(pa, pb)]
+        if all(x == 0 for x in coords):
+            continue
+        point = ProjectivePoint(coords)
+        grad = [g.evaluate(point.coords) for g in segre.gradient]
+        if segre.ambient.annihilates(grad):
+            continue
+        if avoid_planes and any(pl.contains(point.coords) for pl in planes):
+            continue
+        return point
+    raise RuntimeError("failed to sample a smooth rational point of the cubic")
+
+
+def _outcome(sampler, rng, *args):
+    try:
+        return sampler(rng, *args)
+    except RuntimeError as exc:  # all 400 chords refused
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 3, 50]), st.booleans())
+def test_sampler_matches_the_fraction_sampler(seed, max_height, avoid_planes):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        got = _outcome(sample_smooth_cubic_point, rng, max_height, avoid_planes)
+        assert got == _outcome(fraction_sample, ref_rng, max_height, avoid_planes)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_plane_point_is_the_fraction_point_scaled():
+    for s in synthemes():
+        plane = syntheme_plane(s)
+        for params in ([1, 2, 3], [0, -1, 4], [Fraction(1, 2), Fraction(-2, 3), 5]):
+            ints = varieties.plane_point(s, params)
+            q = clear_denominators(params)[1]
+            assert all(type(x) is int for x in ints)
+            assert [Fraction(x, q * plane.den) for x in ints] == fraction_plane_point(s, params)
+
+
+small_vectors = st.lists(st.integers(-40, 40), min_size=6, max_size=6)
+
+
+@st.composite
+def chord_ends(draw):
+    """An integer vector: arbitrary (mostly off the cubic) or a plane point."""
+    if draw(st.booleans()):
+        return draw(small_vectors)
+    s = draw(st.sampled_from(synthemes()))
+    return varieties.plane_point(s, draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chord_ends(), chord_ends())
+def test_chord_cubic_matches_substitution(pa, pb):
+    cubic = segre_form().substitute_linear(list(zip(pa, pb)))
+    expected = tuple(cubic.terms.get(e, 0) for e in ((3, 0), (2, 1), (1, 2), (0, 3)))
+    got = varieties._chord_cubic(segre_form(), pa, pb)
+    assert got == expected
+    assert all(type(c) is int for c in got)
+
+
+def fraction_duality_image(z):
+    """y_i = z_i^2 − s/6 over the Fractions, or the refusal's message."""
+    c = [Fraction(x) for x in z.coords]
+    if sum(c) != 0 or sum(x**3 for x in c) != 0:
+        return "point is not on the cubic"
+    s = sum(x * x for x in c)
+    y = [x * x - s / 6 for x in c]
+    if all(v == 0 for v in y):
+        return "duality image undefined at a node of the cubic"
+    return ProjectivePoint(y)
+
+
+@st.composite
+def duality_sources(draw):
+    """Points on the cubic (sampled, on a plane, at a node) and points off it."""
+    kind = draw(st.sampled_from(["sample", "plane", "node", "off"]))
+    if kind == "sample":
+        return sample_smooth_cubic_point(random.Random(draw(st.integers(0, 10**6))))
+    if kind == "plane":
+        s = draw(st.sampled_from(synthemes()))
+        params = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(any))
+        return ProjectivePoint(varieties.plane_point(s, params))
+    if kind == "node":
+        return varieties.node_point(draw(st.sampled_from(three_subsets())))
+    v = draw(small_vectors.filter(any))
+    if draw(st.booleans()):
+        v[-1] -= sum(v)  # on the sum-zero hyperplane, rarely on the cubic
+    assume(any(v))
+    return ProjectivePoint([Fraction(x, 7) for x in v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(duality_sources())
+def test_duality_image_matches_the_fraction_formula(z):
+    expected = fraction_duality_image(z)
+    if isinstance(expected, str):
+        with pytest.raises(NotOnVarietyError, match=expected):
+            duality_image(z)
+        return
+    img = duality_image(z)
+    assert img.source is z
+    assert img.point == expected
+    assert img.quartic_value == 0
 
 
 def test_tangent_section_16_nodes():
