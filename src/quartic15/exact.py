@@ -183,23 +183,22 @@ class MultiPoly:
 
     # -- calculus --------------------------------------------------------
 
-    def _integer_terms(self) -> tuple[int, int, tuple[tuple[Exponent, int, int], ...]]:
-        """(den, D, ((exp, num, deg), ...)): every coefficient as num/den over
-        one common denominator, with D the total degree; built once."""
+    def _integer_terms(self) -> tuple[int, int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+        """(den, D, ((num, D − deg, ((i, e), ...)), ...)): every coefficient as
+        num/den over one common denominator, with D the total degree and each
+        monomial kept as its nonzero (variable, exponent) pairs; built once."""
         try:
             return self._integral
         except AttributeError:
             pass
         den = lcm(*(c.denominator for c in self.terms.values()))
-        data = (
-            den,
-            self.total_degree(),
-            tuple(
-                (e, c.numerator * (den // c.denominator), sum(e)) for e, c in self.terms.items()
-            ),
+        top = self.total_degree()
+        terms = tuple(
+            (c.numerator * (den // c.denominator), top - sum(e), tuple((i, k) for i, k in enumerate(e) if k))
+            for e, c in self.terms.items()
         )
-        object.__setattr__(self, "_integral", data)
-        return data
+        object.__setattr__(self, "_integral", (den, top, terms))
+        return self._integral
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Value at `point`, summed in integers: with point = xs/d, each term
@@ -208,16 +207,12 @@ class MultiPoly:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
         xs, d = clear_denominators(point)
         den, top, terms = self._integer_terms()
-        dpow = _power_table(d, top)
-        xpow = [_power_table(x, top) for x in xs]
         total = 0
-        for exp, c, deg in terms:
-            v = c * dpow[top - deg]
-            for pw, e in zip(xpow, exp):
-                if e:
-                    v *= pw[e]
-            total += v
-        return Fraction(total, den * dpow[top])
+        for c, gap, mono in terms:
+            for i, e in mono:
+                c *= xs[i] ** e
+            total += c * d**gap if gap else c
+        return Fraction(total, den * d**top)
 
     def partial(self, i: int) -> "MultiPoly":
         res: dict[Exponent, Fraction] = {}
@@ -259,17 +254,16 @@ class MultiPoly:
         one = {(0,) * ncols: 1}
         powers = [[one] for _ in rows]  # powers[i][e] = F_i^e
         den, _, terms = self._integer_terms()
-        scales = [prod(d**e for d, e in zip(dens, exp) if e) for exp, _, _ in terms]
+        scales = [prod(dens[i] ** e for i, e in mono) for _, _, mono in terms]
         common = lcm(*scales)
         acc: dict[Exponent, int] = {}
-        for (exp, c, _), q in zip(terms, scales):
+        for (c, _, mono), q in zip(terms, scales):
             product = one
-            for i, e in enumerate(exp):
-                if e:
-                    pw = powers[i]
-                    while len(pw) <= e:
-                        pw.append(_mul_integer_terms(pw[-1], forms[i]))
-                    product = pw[e] if product is one else _mul_integer_terms(product, pw[e])
+            for i, e in mono:
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(_mul_integer_terms(pw[-1], forms[i]))
+                product = pw[e] if product is one else _mul_integer_terms(product, pw[e])
             c *= common // q
             for e, v in product.items():
                 acc[e] = acc.get(e, 0) + c * v
@@ -316,14 +310,6 @@ class MultiPoly:
                 {"num": str(c.numerator), "den": str(c.denominator), "exp": list(exp)}
             )
         return {"vars": names, "terms": terms}
-
-
-def _power_table(x: int, top: int) -> list[int]:
-    """[1, x, x^2, ..., x^top]."""
-    table = [1]
-    for _ in range(top):
-        table.append(table[-1] * x)
-    return table
 
 
 def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict[Exponent, int]:

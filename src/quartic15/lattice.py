@@ -69,7 +69,11 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
 
 
 def clear_denominators(row: Iterable) -> tuple[list[int], int]:
-    """(ints, den) with row = ints/den and den the least common denominator."""
+    """(ints, den) with row = ints/den and den the least common denominator;
+    a row of plain ints comes back as a fresh list over 1."""
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row, 1
     # ints and Fractions already carry .numerator and .denominator
     fr = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))

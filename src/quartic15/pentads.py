@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .configs import Duad, S6_GENERATORS, apply_perm_duad_set, trope_node_sets
 from .nodal_surface import (
@@ -128,8 +129,10 @@ def pencil_fiber_hints(cls: PentadClass) -> tuple[str, ...]:
     return tuple(hints)
 
 
-def orbit_partition() -> tuple[list[tuple[Pentad, frozenset[Pentad]]], dict[Pentad, Pentad]]:
-    """Orbits under node relabeling and the pentad -> representative map."""
+@lru_cache(maxsize=None)
+def orbit_partition() -> tuple[tuple[tuple[Pentad, frozenset[Pentad]], ...], Mapping[Pentad, Pentad]]:
+    """Orbits under node relabeling and the read-only pentad -> representative
+    map; built once, and immutable so the cached copy cannot go stale."""
     seen: set[Pentad] = set()
     orbits = []
     rep_of: dict[Pentad, Pentad] = {}
@@ -150,7 +153,7 @@ def orbit_partition() -> tuple[list[tuple[Pentad, frozenset[Pentad]]], dict[Pent
         for q in orbit:
             rep_of[q] = rep
         seen |= orbit
-    return orbits, rep_of
+    return tuple(orbits), MappingProxyType(rep_of)
 
 
 def orbit_table() -> list[PentadOrbit]:

@@ -60,11 +60,11 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        fr = [Fraction(x) for x in coords]
-        lead = next((x for x in fr if x), None)
+        xs, _ = clear_denominators(coords)
+        lead = next((x for x in xs if x), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", tuple(x / lead for x in fr))
+        object.__setattr__(self, "coords", tuple(Fraction(x, lead) for x in xs))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ProjectivePoint is immutable")

@@ -265,6 +265,16 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
     assert clear_denominators([0, 0]) == ([0, 0], 1)
     assert clear_denominators([]) == ([], 1)
+    # a row of plain ints passes through as a fresh list over 1
+    row = [3, -4, 0]
+    ints, d = clear_denominators(row)
+    assert (ints, d) == ([3, -4, 0], 1) and ints is not row
+    ints[0] = 99
+    assert row == [3, -4, 0]
+    # bool and float entries keep the rational route
+    ints, d = clear_denominators([True, 2])
+    assert (ints, d) == ([1, 2], 1) and all(type(x) is int for x in ints)
+    assert clear_denominators([0.5, 1]) == ([1, 2], 2)
 
 
 # -- oracle tests: the fraction-free kernel against the Fraction Gauss-Jordan --
@@ -467,6 +477,9 @@ def test_substitute_linear_matches_reference(case):
     expected = reference_substitute_linear(f, m)
     assert dict(f.substitute_linear(m).terms) == dict(expected.terms)
     assert dict(f.substitute_linear(LinearMap(m)).terms) == dict(expected.terms)
+    # integral entries as plain ints, so the all-int rows skip the Fraction route
+    m_int = [[int(x) if x.denominator == 1 else x for x in row] for row in m]
+    assert dict(f.substitute_linear(m_int).terms) == dict(expected.terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,6 +488,24 @@ def test_evaluate_matches_reference(case):
     f, pt = case
     assert f.evaluate(pt) == reference_evaluate(f, pt)
     assert f.evaluate(pt) == f.evaluate(pt)  # the integer form is reused
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            polynomials(n),
+            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+            st.lists(st.one_of(st.integers(-20, 20), wide_rationals), min_size=n, max_size=n),
+        )
+    )
+)
+def test_evaluate_at_integer_points_matches_reference(case):
+    # the sampler evaluates at plain int points, which `points` never draws
+    f, int_pt, mixed_pt = case
+    for pt in (int_pt, mixed_pt):
+        value = f.evaluate(pt)
+        assert type(value) is Fraction and value == reference_evaluate(f, pt)
 
 
 @settings(max_examples=150, deadline=None)

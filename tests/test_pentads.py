@@ -15,6 +15,7 @@ from quartic15.pentads import (
     goepel_pentads,
     graph_criterion,
     graph_criterion_crosscheck,
+    orbit_partition,
     orbit_table,
     pencil_classes,
     permute_pentad,
@@ -71,6 +72,14 @@ def test_admissibility_is_orbit_invariant():
     assert sum(o.size for o in table) == 3003
     goepel_orbits = [o for o in table if o.goepel]
     assert len(goepel_orbits) == 1 and goepel_orbits[0].size == 6
+
+
+def test_orbit_partition_built_once_and_read_only():
+    orbits, rep_of = orbit_partition()
+    assert orbit_partition() is orbit_partition()
+    assert isinstance(orbits, tuple) and sum(len(o) for _, o in orbits) == 3003
+    with pytest.raises(TypeError):
+        rep_of[all_pentads()[0]] = all_pentads()[1]
 
 
 def test_orbit_table_counts():

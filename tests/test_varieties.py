@@ -80,6 +80,23 @@ def test_build_variety_points(segre, cr):
     assert cr.form.evaluate(q.coords) == 0 and cr.ambient.contains(q.coords)
 
 
+def test_projective_point_normalisation():
+    # the integer normalisation agrees with the Fraction rule Fraction(x) / lead
+    for coords in (
+        [0, -3, 6, 0, 9, 1],
+        [Fraction(0), Fraction(-2, 3), Fraction(5, 7), Fraction(1, 2)],
+        [0, Fraction(3, 4), -2, 5, Fraction(-7, 6), 0],
+        [0.5, -1, Fraction(1, 3)],
+    ):
+        fr = [Fraction(x) for x in coords]
+        lead = next(x for x in fr if x)
+        point = ProjectivePoint(coords).coords
+        assert point == tuple(x / lead for x in fr) and all(type(x) is Fraction for x in point)
+    for zero in ([0, 0, 0], [Fraction(0), 0]):
+        with pytest.raises(ValueError):
+            ProjectivePoint(zero)
+
+
 def test_forms_s6_invariant(segre, cr):
     assert segre.is_s6_invariant()
     assert cr.is_s6_invariant()
