@@ -239,24 +239,23 @@ def checks_duality(r: Runner, samples: int, max_height: int):
     r.run("duality-nodes-to-cardinals", "cubic nodes are dual to cardinal hyperplanes", nodes_to_cardinals)
 
 
-def checks_section(r: Runner, coeffs, scan_prime: int | None, expect_f11_defect: bool = False):
+def checks_section(r: Runner, coeffs, scan_prime: int | None):
     tag = ",".join(str(c) for c in coeffs)
-    model_holder = {}
+    model = None
 
     def build():
+        nonlocal model
         try:
-            model_holder["m"] = va.hyperplane_section(coeffs)
+            model = va.hyperplane_section(coeffs)
         except va.GenericityError as exc:
             return False, f"genericity failure: {exc}"
-        m = model_holder["m"]
-        ordinary = all(n.certificate.is_ordinary and n.certificate.hessian_rank == 3 for n in m.nodes)
+        ordinary = all(n.certificate.is_ordinary and n.certificate.hessian_rank == 3 for n in model.nodes)
         return (
-            len(m.nodes) == 15 and ordinary,
+            len(model.nodes) == 15 and ordinary,
             f"15 ordinary nodes certified (Hessian rank 3) for hyperplane ({tag})",
         )
 
     r.run(f"section-nodes[{tag}]", "the hyperplane section is a 15-nodal quartic surface", build)
-    model = model_holder.get("m")
     if model is None:
         return
 
@@ -294,7 +293,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None, expect_f11_defect:
                     f"pairing with the line-intersection point(s) {list(bad)}, so the three "
                     "nodes on each such duad's lines collide in reduction"
                 )
-            if expect_f11_defect and scan_prime == 11:
+            if tuple(coeffs) == REFERENCE_COEFFS and scan_prime == 11:
                 detail += (
                     "; the asserted count 15 is therefore unattainable here — the true "
                     "count is 13, and scans at the good primes 23 and 29 give 15"
@@ -366,7 +365,12 @@ def checks_lattice(r: Runner):
 
     def disc():
         comp = ns.discriminant_comparison()
-        ok = comp.groups_match and comp.q_match_negated and comp.snf_generators_generate
+        ok = (
+            comp.groups_match
+            and comp.q_match_negated
+            and comp.snf_generators_generate
+            and comp.weight4_duals_are_four_cycles
+        )
         dual_count = sum(1 for x in comp.classical_generator_duality if x)
         detail = (
             f"invariant factors {list(comp.pic_invariants.invariant_factors)} on both sides; "
@@ -398,12 +402,10 @@ def checks_lattice(r: Runner):
     r.run("kummer-embedding", "the 15-nodal lattice embeds into the 16-nodal one", kummer)
 
 
-def checks_code(r: Runner, out):
+def checks_code(r: Runner):
     def code():
         c = ns.even_set_code()
         enum = c.node_weight_enumerator()
-        print(f"code dimension: {c.dimension}", file=out)
-        print(f"node-weight enumerator: {enum}", file=out)
         return (
             c.dimension == 5 and enum == {0: 1, 6: 10, 8: 15, 10: 6},
             f"dimension {c.dimension}, node weights {enum}",
@@ -655,14 +657,13 @@ def run(argv, out=None) -> tuple[int, Report]:
     elif cmd == "duality":
         checks_duality(runner, args.samples, args.max_height)
     elif cmd == "section":
-        defect = tuple(args.coeffs) == REFERENCE_COEFFS and args.scan_prime == 11
-        checks_section(runner, args.coeffs, args.scan_prime, expect_f11_defect=defect)
+        checks_section(runner, args.coeffs, args.scan_prime)
     elif cmd == "tangent-section":
         checks_tangent_section(runner, args.max_height)
     elif cmd == "lattice":
         checks_lattice(runner)
     elif cmd == "code":
-        checks_code(runner, out)
+        checks_code(runner)
     elif cmd == "involutions":
         checks_involutions(runner)
     elif cmd == "pentads":
@@ -676,11 +677,11 @@ def run(argv, out=None) -> tuple[int, Report]:
         checks_segre(runner)
         checks_cr(runner)
         checks_duality(runner, 200, args.max_height)
-        checks_section(runner, REFERENCE_COEFFS, 11, expect_f11_defect=True)
+        checks_section(runner, REFERENCE_COEFFS, 11)
         checks_section(runner, (0, 1, 3, 14, 15, 17), 13)
         checks_tangent_section(runner, args.max_height)
         checks_lattice(runner)
-        checks_code(runner, out)
+        checks_code(runner)
         checks_involutions(runner)
         checks_pentads(runner, crosscheck=True)
         checks_congruence_profile(runner)

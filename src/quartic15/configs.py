@@ -241,13 +241,6 @@ class IncidenceStructure:
             self.block_degree(j) == k for j in range(len(self.blocks))
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "points": [str(p) for p in self.points],
-            "blocks": [str(b) for b in self.blocks],
-            "matrix": [[bool(x) for x in row] for row in self.matrix],
-        }
-
 
 def trope_incidence_model() -> IncidenceStructure:
     """Nodes (synthemes) vs trope planes (3-subsets): type (15_4, 10_6).
@@ -297,7 +290,8 @@ def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) 
     """Orbit partition with stabilizer orders; checks the action axioms.
     Certifies that S6 permutes each of these in one orbit: the 15 nodes and
     the 15 double lines (stabilizer 48), the 6 totals (120), the 10 tropes
-    (72) and the even-set code words of weight 6, 8 and 10.
+    (72) and the even-set code words of weight 6, 8 and 10; it also
+    partitions the 3003 pentads into the orbit table of `pentads`.
 
     `action(g, x)` must define a left action of S6 on the elements.  The
     identity and compatibility axioms are checked on the generators, and the

@@ -25,18 +25,6 @@ class CongruenceInvariants:
     deg_p_surface: int
     deg_branch_locus: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "g": self.g,
-            "deg_focal": self.deg_focal,
-            "deg_l_curve": self.deg_l_curve,
-            "deg_p_surface": self.deg_p_surface,
-            "deg_branch_locus": self.deg_branch_locus,
-        }
-
 
 def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
     """All derived invariants of a bidegree-(m, n) congruence of rank r.
@@ -150,7 +138,6 @@ class Table1Report:
     n: int
     with_node_count: tuple[AlphaVector, ...]
     without_node_count_total: int
-    published: tuple[AlphaVector, ...]
     published_found: bool
     extra_solutions: tuple[AlphaVector, ...]
 
@@ -167,7 +154,6 @@ def table1_report(n: int) -> Table1Report:
         n=n,
         with_node_count=tuple(strict),
         without_node_count_total=len(loose),
-        published=tuple(published),
         published_found=found,
         extra_solutions=extras,
     )

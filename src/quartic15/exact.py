@@ -297,20 +297,6 @@ class MultiPoly:
                 terms[exp] = v
         return ModPoly(self.nvars, p, terms)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_jsonable(self, varnames: Sequence[str] | None = None) -> dict:
-        names = list(varnames) if varnames else [f"z{i}" for i in range(self.nvars)]
-        if len(names) != self.nvars:
-            raise ValueError("wrong number of variable names")
-        terms = []
-        for exp in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[exp]
-            terms.append(
-                {"num": str(c.numerator), "den": str(c.denominator), "exp": list(exp)}
-            )
-        return {"vars": names, "terms": terms}
-
 
 def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict[Exponent, int]:
     """Product of two polynomials given as {exponent: integer coefficient}."""

@@ -282,14 +282,11 @@ def _snf_once(m):
 class IntegerLattice:
     """Basis-free lattice data: a symmetric integer Gram matrix.
 
-    `scale` records a uniform rescaling applied to clear denominators, so the
-    underlying rational form is gram/scale.  The Gram entries are stored as
-    ints; an entry that is not an integer is refused, never truncated.
+    The Gram entries are stored as ints; an entry that is not an integer is
+    refused, never truncated.
     """
 
     gram: tuple[tuple[int, ...], ...]
-    basis_labels: tuple[str, ...] | None = None
-    scale: int = 1
 
     def __post_init__(self):
         g = _freeze(self.gram)
@@ -333,14 +330,6 @@ class IntegerLattice:
     def signature(self) -> tuple[int, int]:
         """Exact inertia (n_plus, n_minus) from the characteristic polynomial; cached."""
         return _signature_cached(self.gram)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rank": self.rank,
-            "gram": [list(r) for r in self.gram],
-            "labels": list(self.basis_labels) if self.basis_labels else None,
-            "scale": self.scale,
-        }
 
 
 @lru_cache(maxsize=256)
@@ -422,7 +411,7 @@ def named_lattice(name: str) -> IntegerLattice:
     if name.startswith("diag(") and name.endswith(")"):
         entries = [int(x) for x in name[5:-1].split(",")]
         g = [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
-        return IntegerLattice(g, basis_labels=tuple(f"d{i}" for i in range(len(entries))))
+        return IntegerLattice(g)
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unknown lattice name: {name!r}")
@@ -434,21 +423,19 @@ def named_lattice(name: str) -> IntegerLattice:
     else:
         g = _E8_GRAM
     g = [[scale * x for x in row] for row in g]
-    return IntegerLattice(g, basis_labels=tuple(f"{name}:{i}" for i in range(len(g))))
+    return IntegerLattice(g)
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
     n = sum(l.rank for l in lattices)
     g = [[0] * n for _ in range(n)]
-    labels: list[str] = []
     off = 0
     for l in lattices:
         for i in range(l.rank):
             for j in range(l.rank):
                 g[off + i][off + j] = l.gram[i][j]
-        labels.extend(l.basis_labels or (f"b{off+i}" for i in range(l.rank)))
         off += l.rank
-    return IntegerLattice(g, basis_labels=tuple(labels))
+    return IntegerLattice(g)
 
 
 # -- discriminant groups -----------------------------------------------------
@@ -562,7 +549,7 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence], den: int = 1) ->
     gram = mat_mul(mat_mul(basis.rows, lat.gram), mat_transpose(basis.rows))
     if any(x % (den * den) for row in gram for x in row):
         raise AssertionError("overlattice Gram must be integral")
-    new = IntegerLattice([[x // (den * den) for x in row] for row in gram], basis_labels=lat.basis_labels)
+    new = IntegerLattice([[x // (den * den) for x in row] for row in gram])
     if not new.det() or lat.det() % new.det():
         raise AssertionError("overlattice index squared must be an integer")
     return Overlattice(new, basis, _isqrt_exact(abs(lat.det() // new.det())))

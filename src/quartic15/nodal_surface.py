@@ -43,8 +43,6 @@ L_SET: tuple[Duad, ...] = tuple(d for d in NODES if 6 not in d)
 C_SET: tuple[Duad, ...] = tuple(d for d in NODES if 6 in d)
 RANK = 16  # eta plus 15 exceptional classes
 
-BASIS_LABELS = ("eta",) + tuple(f"E{a}{b}" for a, b in NODES)
-
 
 def ambient_lattice() -> IntegerLattice:
     """<4> + A1^15 on the basis (eta, E_x)."""
@@ -180,7 +178,6 @@ def b_tilde() -> DivisorClass:
 class EvenSetCode:
     """Binary code of (weakly) even node sets; bit 0 marks the eta coefficient."""
 
-    generators: tuple[int, ...]
     words: frozenset[int]
 
     @property
@@ -216,7 +213,7 @@ def even_set_code() -> EvenSetCode:
         words |= {w ^ g for w in words}
     if len(words) != 32:
         raise AssertionError("the even-set code must have 32 words")
-    return EvenSetCode(tuple(gens), frozenset(words))
+    return EvenSetCode(frozenset(words))
 
 
 def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
@@ -254,8 +251,6 @@ class PicardModel:
     lattice: IntegerLattice  # rank-16 overlattice Gram (integral, even)
     basis: RowBasis  # lattice basis in (eta, E_x) coords: integer rows over basis.den
     index: int  # = 2**dim(code) / 2 ... index of N in Pic
-    code: EvenSetCode
-    named: dict[str, DivisorClass]
 
     def in_lattice(self, cls: DivisorClass) -> Optional[list[int]]:
         """Integer coordinates of the class on the lattice basis, or None."""
@@ -300,19 +295,10 @@ def standard_classes() -> dict[str, DivisorClass]:
 def picard_lattice() -> PicardModel:
     """Rank-16 overlattice of <4> + A1^15 glued by the five code generators."""
     ambient = ambient_lattice()
-    code = even_set_code()
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(ambient, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
-    named = standard_classes()
-    model = PicardModel(
-        ambient=ambient,
-        lattice=over.lattice,
-        basis=over.basis,
-        index=over.index,
-        code=code,
-        named=named,
-    )
-    for name, cls in named.items():
+    model = PicardModel(ambient=ambient, lattice=over.lattice, basis=over.basis, index=over.index)
+    for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
         if model.in_lattice(cls) is None:
@@ -399,7 +385,6 @@ CLASSICAL_DISCRIMINANT_GENERATORS: tuple[tuple[Fraction, dict], ...] = (
 @dataclass(frozen=True)
 class DiscriminantComparison:
     pic_invariants: FiniteAbelianInvariants
-    reference_invariants: FiniteAbelianInvariants
     groups_match: bool
     q_match_direct: bool
     q_match_negated: bool
@@ -432,8 +417,7 @@ def discriminant_comparison() -> DiscriminantComparison:
     model = picard_lattice()
     pic_inv = discriminant_group(model.lattice)
     ref = transcendental_reference_lattice()
-    ref_inv = discriminant_group(ref)
-    groups_match = pic_inv.invariant_factors == ref_inv.invariant_factors
+    groups_match = pic_inv.invariant_factors == discriminant_group(ref).invariant_factors
     q_pic = discriminant_q_multiset(model.lattice)
     q_ref = discriminant_q_multiset(ref)
     q_neg: dict[Fraction, int] = {}
@@ -453,7 +437,6 @@ def discriminant_comparison() -> DiscriminantComparison:
     snf_ok = pic_inv.order == 128
     return DiscriminantComparison(
         pic_invariants=pic_inv,
-        reference_invariants=ref_inv,
         groups_match=groups_match,
         q_match_direct=(q_pic == q_ref),
         q_match_negated=(q_pic == q_neg),

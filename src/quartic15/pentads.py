@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .configs import Duad, S6_GENERATORS, apply_perm_duad_set, trope_node_sets
+from .configs import Duad, apply_perm_duad_set, s6_orbits, trope_node_sets
 from .nodal_surface import (
     E,
     ETA,
@@ -37,7 +37,6 @@ class PentadClass:
     admissible: bool
     goepel: bool
     trope_triples: tuple[tuple[Duad, tuple[Duad, Duad, Duad]], ...]
-    gamma_edges: Pentad  # the pentad viewed as a 5-edge graph on {1,...,6}
 
     @property
     def trope_triple_count(self) -> int:
@@ -58,102 +57,39 @@ def classify(pentad: Sequence[Duad]) -> PentadClass:
         for triple in itertools.combinations(meet, 3):
             triples.append((label, triple))
     goepel = admissible and not triples
-    return PentadClass(p, admissible, goepel, tuple(triples), p)
+    return PentadClass(p, admissible, goepel, tuple(triples))
 
 
 def all_pentads() -> list[Pentad]:
     return [tuple(sorted(c)) for c in itertools.combinations(NODES, 5)]
 
 
-def classify_all() -> dict[Pentad, PentadClass]:
-    return dict(_classify_all_cached())
-
-
-@lru_cache(maxsize=1)
-def _classify_all_cached() -> tuple[tuple[Pentad, PentadClass], ...]:
-    return tuple((p, classify(p)) for p in all_pentads())
+@lru_cache(maxsize=None)
+def classify_all() -> Mapping[Pentad, PentadClass]:
+    """The class of every pentad, built once and read-only so the cached
+    copy cannot go stale."""
+    return MappingProxyType({p: classify(p) for p in all_pentads()})
 
 
 # -- orbits --------------------------------------------------------------------
 
 
-def permute_pentad(g: Sequence[int], p: Pentad) -> Pentad:
-    return apply_perm_duad_set(g, p)
-
-
 @dataclass(frozen=True)
 class PentadOrbit:
-    orbit_id: int
     representative: Pentad
     size: int
     admissible: bool
     goepel: bool
     trope_triple_count: int
-    fiber_hints: tuple[str, ...]  # one hint per pencil of the representative
-
-
-def pencil_fiber_hints(cls: PentadClass) -> tuple[str, ...]:
-    """Combinatorial degeneration hints for the five pencils of a pentad.
-
-    For the pencil attached to node x_i, each trope-triple through x_i
-    contributes a D4-type reducible fiber; two triples through x_i whose
-    remaining pairs share a node merge bookkeeping into a single fiber
-    pattern, and complementary pairs indicate a D6-type fiber.  Goepel
-    pentads carry one D4-type fiber per pencil through the trope-quartic
-    class instead.  These are derived hints, not certified fiber types.
-    """
-    hints = []
-    for x in cls.pentad:
-        pairs = [
-            tuple(sorted(set(t[1]) - {x})) for t in cls.trope_triples if x in t[1]
-        ]
-        if cls.goepel:
-            hints.append("D4(quartic)")
-            continue
-        if not pairs:
-            hints.append("generic")
-            continue
-        rest = [y for y in cls.pentad if y != x]
-        tags = []
-        used = set()
-        for i, pr in enumerate(pairs):
-            if i in used:
-                continue
-            comp = tuple(sorted(set(rest) - set(pr)))
-            if comp in pairs[i + 1 :]:
-                tags.append("D6")
-                used.add(pairs.index(comp, i + 1))
-            else:
-                tags.append("D4")
-        hints.append("+".join(sorted(tags)))
-    return tuple(hints)
 
 
 @lru_cache(maxsize=None)
-def orbit_partition() -> tuple[tuple[tuple[Pentad, frozenset[Pentad]], ...], Mapping[Pentad, Pentad]]:
+def orbit_partition() -> tuple[tuple[tuple[Pentad, tuple[Pentad, ...]], ...], Mapping[Pentad, Pentad]]:
     """Orbits under node relabeling and the read-only pentad -> representative
     map; built once, and immutable so the cached copy cannot go stale."""
-    seen: set[Pentad] = set()
-    orbits = []
-    rep_of: dict[Pentad, Pentad] = {}
-    for p in all_pentads():
-        if p in seen:
-            continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for g in S6_GENERATORS:
-                img = permute_pentad(g, q)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        rep = min(orbit)
-        orbits.append((rep, frozenset(orbit)))
-        for q in orbit:
-            rep_of[q] = rep
-        seen |= orbit
-    return tuple(orbits), MappingProxyType(rep_of)
+    orbits = tuple((o.representative, o.elements) for o in s6_orbits(apply_perm_duad_set, all_pentads()))
+    rep_of = {q: rep for rep, orbit in orbits for q in orbit}
+    return orbits, MappingProxyType(rep_of)
 
 
 def orbit_table() -> list[PentadOrbit]:
@@ -174,13 +110,11 @@ def orbit_table() -> list[PentadOrbit]:
                 raise AssertionError("pentad classification must be an orbit invariant")
         table.append(
             PentadOrbit(
-                orbit_id=len(table),
                 representative=rep,
                 size=len(orbit),
                 admissible=cls.admissible,
                 goepel=cls.goepel,
                 trope_triple_count=cls.trope_triple_count,
-                fiber_hints=pencil_fiber_hints(cls),
             )
         )
     return table
@@ -318,7 +252,6 @@ def graph_criterion_crosscheck() -> CriterionReport:
 @dataclass(frozen=True)
 class CoplanarityReport:
     coplanar_quadruples: int
-    trope_quadruples: int  # quadruples inside some trope's six nodes
     accidental_quadruples: int
     geometric_admissible: int
     combinatorial_admissible: int
@@ -351,17 +284,15 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     trope_sets = [set(t.incident_nodes) for t in section.tropes]
     synths = sorted(pts)
     coplanar: dict[tuple, bool] = {}
-    trope_quads = accidental = 0
+    accidental = 0
     for quad in itertools.combinations(synths, 4):
         flat = det_bareiss([pts[s] for s in quad]) == 0
         coplanar[quad] = flat
         on_trope = any(set(quad) <= ts for ts in trope_sets)
-        if flat and on_trope:
-            trope_quads += 1
-        elif flat:
-            accidental += 1
-        elif on_trope:
+        if on_trope and not flat:
             raise AssertionError("a quadruple on a trope-conic must be coplanar")
+        if flat and not on_trope:
+            accidental += 1
     geometric = sum(
         1
         for pent in itertools.combinations(synths, 5)
@@ -370,7 +301,6 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     combinatorial = sum(1 for c in classify_all().values() if c.admissible)
     return CoplanarityReport(
         coplanar_quadruples=sum(coplanar.values()),
-        trope_quadruples=trope_quads,
         accidental_quadruples=accidental,
         geometric_admissible=geometric,
         combinatorial_admissible=combinatorial,

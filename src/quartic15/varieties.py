@@ -346,7 +346,6 @@ class SmoothPointFailure:
 @dataclass(frozen=True)
 class NodeCertificate:
     point: ProjectivePoint
-    value: Fraction
     gradient: tuple[Fraction, ...]  # in the span of the ambient constraints
     hessian_rank: int
     is_ordinary: bool
@@ -379,8 +378,7 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     coords = p.coords
     if not v.ambient.contains(coords):
         raise NotOnVarietyError("point violates the ambient constraints")
-    value = v.form.evaluate(coords)
-    if value != 0:
+    if v.form.evaluate(coords) != 0:
         raise NotOnVarietyError("point is not on the variety")
     grad = tuple(g.evaluate(coords) for g in v.gradient)
     if not v.ambient.annihilates(grad):
@@ -397,7 +395,6 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     expected = len(keep)  # = projective dimension of the ambient space
     return NodeCertificate(
         point=p,
-        value=value,
         gradient=grad,
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
@@ -509,7 +506,6 @@ def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
 class TropeRecord:
     subset: tuple[int, int, int]
     conic: MultiPoly  # in the 3 plane parameters
-    scale: Fraction
     incident_nodes: tuple[Syntheme, ...]
 
 
@@ -526,36 +522,9 @@ class SectionModel:
     """A hyperplane section of the quartic as a nodal surface in P^3."""
 
     hyperplane: tuple[int, ...]  # primitive integer coefficients, sum zero
-    chart: tuple[tuple[Fraction, ...], ...]  # 6 x 4, columns span {sum=0, hyperplane=0}
     quartic3: MultiPoly  # the restricted quartic in the 4 chart variables
     nodes: tuple[SectionNode, ...]
     tropes: tuple[TropeRecord, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "hyperplane": list(self.hyperplane),
-            "chart": [[str(x) for x in row] for row in self.chart],
-            "quartic3": self.quartic3.to_jsonable([f"x{i}" for i in range(4)]),
-            "nodes": [
-                {
-                    "syntheme": None if n.syntheme is None else [list(d) for d in n.syntheme],
-                    "ambient": [str(x) for x in n.ambient.coords],
-                    "chart_point": [str(x) for x in n.chart_point.coords],
-                    "hessian_rank": n.certificate.hessian_rank,
-                    "ordinary": n.certificate.is_ordinary,
-                }
-                for n in self.nodes
-            ],
-            "tropes": [
-                {
-                    "subset": list(t.subset),
-                    "conic": t.conic.to_jsonable([f"t{i}" for i in range(3)]),
-                    "scale": str(t.scale),
-                    "incident_nodes": [[list(d) for d in s] for s in t.incident_nodes],
-                }
-                for t in self.tropes
-            ],
-        }
 
 
 def _normalize_hyperplane(coeffs: Sequence) -> tuple[int, ...]:
@@ -589,10 +558,9 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if sum(a * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
-    chart = section.parametrization
     if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
-    quartic3 = form.substitute_linear(chart)
+    quartic3 = form.substitute_linear(section.parametrization)
     surface = Hypersurface(quartic3, ())
 
     def chart_coords(p6: Sequence[Fraction]) -> ProjectivePoint:
@@ -639,7 +607,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         sq = perfect_square_factor(form.substitute_linear(plane.parametrization))
         if sq is None:
             raise AssertionError("restriction to a cardinal plane must be a perfect square")
-        scale, conic = sq
+        _, conic = sq
         if not all(section.contains(col) for col in plane.kernel):
             raise AssertionError("the trope plane must lie in the section chart")
         incident = []
@@ -657,9 +625,9 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
         if set(incident) != expected:
             raise GenericityError("trope incidence differs from the matching rule", subset)
-        tropes.append(TropeRecord(subset, conic, scale, tuple(sorted(incident))))
+        tropes.append(TropeRecord(subset, conic, tuple(sorted(incident))))
 
-    return SectionModel(hp, chart, quartic3, tuple(nodes), tuple(tropes))
+    return SectionModel(hp, quartic3, tuple(nodes), tuple(tropes))
 
 
 def tangent_section(q: ProjectivePoint) -> SectionModel:
@@ -837,7 +805,9 @@ def sample_smooth_cubic_point(
 
     Retries with growing coefficient height until the point is smooth (and,
     if requested, off all 15 planes); the plane parameters start at height
-    min(3, max_height) and never exceed `max_height`, which must be at least 1.
+    min(3, max_height) and never exceed `max_height`, which must be at least 1,
+    and at least 2 with `avoid_planes`: at height 1 every smooth third point
+    of a chord lies on one of the 15 planes.
     The chord runs on the integer plane points and the binary cubic along it
     is read off four values of the form; the smoothness and plane tests are
     projective, so they run on the integer third point, and the one
@@ -845,6 +815,11 @@ def sample_smooth_cubic_point(
     """
     if max_height < 1:
         raise ValueError(f"max_height must be at least 1, not {max_height}")
+    if avoid_planes and max_height < 2:
+        raise ValueError(
+            f"max_height must be at least 2 to avoid the syntheme planes, not {max_height}: "
+            "at height 1 every smooth third point of a chord lies on one of them"
+        )
     segre = build_variety("segre")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -157,3 +158,48 @@ def test_picard_lattice_check_certifies_the_class_identities(monkeypatch):
     failing = next(c for c in report.checks if c["id"] == "picard-lattice")
     assert code == 1 and failing["status"] == "fail"
     assert failing["details"] == passing["details"]
+
+
+def test_picard_discriminant_check_certifies_the_weight4_classification(monkeypatch):
+    from quartic15 import nodal_surface as ns
+
+    code, report, _ = run_quiet(["lattice"])
+    passing = next(c for c in report.checks if c["id"] == "picard-discriminant")
+    assert passing["status"] == "pass"
+    assert "the valid weight-4 dual classes are exactly the 45 four-cycles" in passing["details"]
+    monkeypatch.setattr(ns, "_weight4_duals_are_cycles", lambda model: False)
+    code, report, _ = run_quiet(["lattice"])
+    failing = next(c for c in report.checks if c["id"] == "picard-discriminant")
+    assert code == 1 and failing["status"] == "fail"
+    assert failing["details"] == passing["details"]
+
+
+def test_tangent_section_at_height_one_fails_with_its_reason():
+    code, report, _ = run_quiet(["--max-height", "1", "tangent-section"])
+    (check,) = report.checks
+    assert code == 1 and check["status"] == "fail"
+    assert "at least 2 to avoid the syntheme planes" in check["details"]
+    assert check["error"]["type"] == "ValueError"
+    assert check["error"]["where"].startswith("varieties.py:")
+
+
+# sha256 of the --no-timing reports; a change that alters report bytes on
+# purpose must update these pins and say why
+PINNED_REPORTS = [
+    ("--seed 1 --no-timing --json r.json verify --all", 1,
+     "9958c86fe85b73c5f5419e4b922d524600b510563059e1e697214157c7f26ef9"),
+    ("--seed 1 --no-timing --json r.json duality --samples 200", 0,
+     "aafdf5aa562735f699e5728178b6333479c1f26a16d0550b55f122f98aabe829"),
+    ("--no-timing --json r.json section --coeffs=0,1,3,14,15,17 --scan-prime 23", 1,
+     "a32a27e351e1035891a13c146b7076990fd69af2dfd0fa4421966c414d6e22f8"),
+    ("--no-timing --json r.json section --coeffs=1,2,3,5,7,11 --scan-prime 11", 1,
+     "43caf323397fc83bb6bbee0998e49fddc0db84eecea9798ec51ea773a73855a2"),
+]
+
+
+def test_reports_are_pinned(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for line, exit_code, digest in PINNED_REPORTS:
+        code, _, _ = run_quiet(line.split())
+        assert code == exit_code, line
+        assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == digest, line

@@ -53,15 +53,15 @@ def test_focal_degree_identity_symbolic():
 
 def test_focal_degree_identity_sweep():
     rows = [
-        invariants(m, n, r).to_jsonable()
+        invariants(m, n, r)
         for m in range(2, 9)
         for n in range(2, 9)
         for r in range((m - 1) * (n - 1) + 1)
     ]
     for row in rows:
-        m, n, r, g = row["m"], row["n"], row["r"], row["g"]
-        assert row["deg_focal"] == 2 * m + 2 * g - 2 == 2 * n * (m - 1) - 2 * r
-        assert row["deg_branch_locus"] == 4 * (m * n - r) - 2 * (m + n)
+        m, n, r, g = row.m, row.n, row.r, row.g
+        assert row.deg_focal == 2 * m + 2 * g - 2 == 2 * n * (m - 1) - 2 * r
+        assert row.deg_branch_locus == 4 * (m * n - r) - 2 * (m + n)
 
 
 def test_duality_swap():

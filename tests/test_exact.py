@@ -222,14 +222,6 @@ def test_permute_variables():
     assert g.permute_variables([2, 0, 1]) == MultiPoly(3, {(1, 0, 2): Fraction(1)})
 
 
-def test_jsonable_term_order():
-    data = cr_form().to_jsonable()
-    degrees = [sum(t["exp"]) for t in data["terms"]]
-    assert degrees == sorted(degrees, reverse=True)
-    exps = [tuple(t["exp"]) for t in data["terms"]]
-    assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
-
-
 def test_linear_map_entries_immutable_and_rectangular():
     m = LinearMap([[1, 2], [Fraction(3, 2), 4]])
     assert m.entries == ((1, 2), (Fraction(3, 2), 4))

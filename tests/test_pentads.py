@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartic15.configs import duads, trope_node_sets
+from quartic15.configs import apply_perm_duad_set, duads, s6_elements, trope_node_sets
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
     _components,
@@ -18,7 +18,6 @@ from quartic15.pentads import (
     orbit_partition,
     orbit_table,
     pencil_classes,
-    permute_pentad,
     triple_criterion,
 )
 
@@ -80,6 +79,10 @@ def test_orbit_partition_built_once_and_read_only():
     assert isinstance(orbits, tuple) and sum(len(o) for _, o in orbits) == 3003
     with pytest.raises(TypeError):
         rep_of[all_pentads()[0]] = all_pentads()[1]
+    classes = classify_all()
+    assert classify_all() is classes and len(classes) == 3003
+    with pytest.raises(TypeError):
+        classes[all_pentads()[0]] = classify(TYPE_II)
 
 
 def test_orbit_table_counts():
@@ -88,7 +91,7 @@ def test_orbit_table_counts():
     assert admissible_total == sum(1 for c in classify_all().values() if c.admissible)
     # the type-II pentad's orbit carries 3 trope-triples
     rep_counts = {o.representative: o.trope_triple_count for o in table}
-    rep = min(permute_pentad(g, TYPE_II) for g in __import__("quartic15.configs", fromlist=["s6_elements"]).s6_elements())
+    rep = min(apply_perm_duad_set(g, TYPE_II) for g in s6_elements())
     assert rep_counts[rep] == 3
 
 

@@ -551,14 +551,6 @@ def test_trope_plane_outside_the_section_chart_is_refused(monkeypatch):
         hyperplane_section(REFERENCE_COEFFS)
 
 
-def test_section_json(reference_section):
-    data = reference_section.to_jsonable()
-    assert len(data["nodes"]) == 15 and len(data["tropes"]) == 10
-    terms = data["quartic3"]["terms"]
-    got = {tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in terms}
-    assert got == dict(reference_section.quartic3.terms) and len(got) == len(terms)
-
-
 def test_scan_segre_f11(segre):
     pts = singular_scan_fp(segre, 11)
     assert len(pts) == 10
@@ -703,7 +695,7 @@ def reference_scan(target, p):
 
 def _section_of(form):
     """A SectionModel carrying only the quartic: all the scan reads."""
-    return SectionModel((), (), form, (), ())
+    return SectionModel((), form, (), ())
 
 
 def forms(nvars, degree):
@@ -789,6 +781,12 @@ def test_max_height_caps_the_plane_parameters(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_height must be at least 1"):
             sample_smooth_cubic_point(rng, max_height=bad)
+    # at height 1 every smooth third point of a chord lies on a syntheme
+    # plane, so avoiding the planes is refused before a chord is drawn
+    calls = len(drawn)
+    with pytest.raises(ValueError, match="at least 2 to avoid the syntheme planes, not 1"):
+        sample_smooth_cubic_point(rng, max_height=1, avoid_planes=True)
+    assert len(drawn) == calls
 
 
 # -- the integer sampler against the Fraction sampler it replaced ----------------
@@ -845,6 +843,12 @@ def _outcome(sampler, rng, *args):
 @given(st.integers(0, 10**6), st.sampled_from([1, 3, 50]), st.booleans())
 def test_sampler_matches_the_fraction_sampler(seed, max_height, avoid_planes):
     rng, ref_rng = random.Random(seed), random.Random(seed)
+    if avoid_planes and max_height == 1:
+        # refused up front, where the Fraction sampler spends all 400 chords
+        with pytest.raises(ValueError, match="at least 2 to avoid the syntheme planes"):
+            sample_smooth_cubic_point(rng, max_height, avoid_planes)
+        assert _outcome(fraction_sample, ref_rng, max_height, avoid_planes).startswith("failed")
+        return
     for _ in range(2):
         got = _outcome(sample_smooth_cubic_point, rng, max_height, avoid_planes)
         assert got == _outcome(fraction_sample, ref_rng, max_height, avoid_planes)
