@@ -240,6 +240,7 @@ def checks_duality(r: Runner, samples: int, max_height: int):
 
 
 def checks_section(r: Runner, coeffs, scan_prime: int | None):
+    """The section checks; returns the built model, or None if building it failed."""
     tag = ",".join(str(c) for c in coeffs)
     model = None
 
@@ -257,7 +258,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
 
     r.run(f"section-nodes[{tag}]", "the hyperplane section is a 15-nodal quartic surface", build)
     if model is None:
-        return
+        return None
 
     def tropes():
         ok = len(model.tropes) == 10 and all(len(t.incident_nodes) == 6 for t in model.tropes)
@@ -305,6 +306,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
             "the finite-field singular scan sees exactly the reduced nodes",
             scan,
         )
+    return model
 
 
 def checks_tangent_section(r: Runner, max_height: int):
@@ -419,7 +421,7 @@ def checks_involutions(r: Runner):
 
     def sigma():
         iso = inv.sigma_star(model)
-        ok = iso.is_involution() and iso.preserves_gram(model.lattice.gram)
+        ok = all(iso.involutive_isometry(model.lattice))
         img = inv._apply_to_class(iso, ns.ETA, model)
         return ok and img.degree() == 16, "integral involutive isometry; image of eta has degree 16"
 
@@ -466,7 +468,9 @@ def checks_involutions(r: Runner):
     r.run("pentad-naturality", "reflections transform naturally under relabeling", naturality)
 
 
-def checks_pentads(r: Runner, crosscheck: bool):
+def checks_pentads(r: Runner, crosscheck: bool, section=None):
+    """The pentad checks; `pentads-coplanarity` uses `section`, the reference
+    section already built by `checks_section`, or builds it when given None."""
     def counts():
         table = pt.orbit_table()
         total = sum(o.size for o in table)
@@ -507,7 +511,8 @@ def checks_pentads(r: Runner, crosscheck: bool):
         r.run("pentads-graph-criterion", "the one-edge criterion is reported under both readings", crosscheck_fn)
 
         def coplanarity_fn():
-            rep = pt.geometric_admissibility_crosscheck(va.hyperplane_section(REFERENCE_COEFFS))
+            model = section if section is not None else va.hyperplane_section(REFERENCE_COEFFS)
+            rep = pt.geometric_admissibility_crosscheck(model)
             detail = (
                 f"{rep.coplanar_quadruples} coplanar node quadruples on the reference "
                 f"section, all on trope-conics ({rep.accidental_quadruples} accidental); "
@@ -677,13 +682,13 @@ def run(argv, out=None) -> tuple[int, Report]:
         checks_segre(runner)
         checks_cr(runner)
         checks_duality(runner, 200, args.max_height)
-        checks_section(runner, REFERENCE_COEFFS, 11)
+        reference = checks_section(runner, REFERENCE_COEFFS, 11)
         checks_section(runner, (0, 1, 3, 14, 15, 17), 13)
         checks_tangent_section(runner, args.max_height)
         checks_lattice(runner)
         checks_code(runner)
         checks_involutions(runner)
-        checks_pentads(runner, crosscheck=True)
+        checks_pentads(runner, crosscheck=True, section=reference)
         checks_congruence_profile(runner)
         for n in range(2, 8):
             checks_table1(runner, n)

@@ -76,7 +76,8 @@ def three_subsets() -> list[tuple[int, int, int]]:
 
 
 def apply_perm_duad(g: Perm, d: Duad) -> Duad:
-    return tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
+    a, b = g[d[0] - 1], g[d[1] - 1]
+    return (a, b) if a < b else (b, a)
 
 
 def apply_perm_duad_set(g: Perm, ds: Iterable[Duad]) -> tuple[Duad, ...]:

@@ -5,8 +5,12 @@ the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes.  Every one is a `lattice.Isometry` on the fixed Z-basis
 of the Picard lattice; classes reach that basis through the integer row-basis
-coordinates of `PicardModel.in_lattice`.  Each matrix is certified integral,
-Gram-preserving and involutive by direct matrix arithmetic.
+coordinates of `PicardModel.in_lattice`.  The 3003 pentad roots skip the
+class arithmetic: coordinates are linear, so each root's integer coordinates
+are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.  Each matrix
+is certified integral by exact division, then involutive and Gram-preserving
+by `Isometry.involutive_isometry`: the full product M·M, and, once M² = 1,
+the full product M·G tested for symmetry, which is equivalent to M·G·M^T = G.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
 from .lattice import Isometry, reflection_isometry
@@ -96,9 +100,10 @@ def tau_rey_star(model: PicardModel | None = None) -> Isometry:
     """The Reye reflection, in the root 2*eta − sum over conic-type nodes."""
     model = model or picard_lattice()
     iso = _root_reflection("tau_rey", reye_root(), model)
-    if not iso.preserves_gram(model.lattice.gram):
+    involutive, isometric = iso.involutive_isometry(model.lattice)
+    if not isometric:
         raise AssertionError("tau_rey must preserve the Gram form")
-    if not iso.is_involution():
+    if not involutive:
         raise AssertionError("tau_rey must square to the identity")
     return iso
 
@@ -108,8 +113,29 @@ def tau_pentad_star(pentad: Sequence[Duad], model: PicardModel | None = None) ->
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5:
         raise ValueError("a pentad consists of five distinct node labels")
-    name = "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
-    return _root_reflection(name, pentad_root(p), model or picard_lattice())
+    return _root_reflection(_pentad_name(p), pentad_root(p), model or picard_lattice())
+
+
+def _pentad_name(p: Sequence[Duad]) -> str:
+    return "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
+
+
+def pentad_root_coordinates(model: PicardModel) -> Iterator[tuple[Pentad, list[int]]]:
+    """Each of the 3003 pentads (sorted) with the integer lattice coordinates
+    of its root 3*eta − 2*sum_P E.
+
+    Coordinates on a Z-basis are linear, so w_P = 3·w_eta − 2·Σ_{x∈P} w_x
+    from one `in_lattice` call for eta and one for each E_x; the root lies in
+    the lattice because eta and every E_x do.
+    """
+    w_eta = model.in_lattice(ETA)
+    w_e = {x: model.in_lattice(E[x]) for x in NODES}
+    if w_eta is None or any(w is None for w in w_e.values()):
+        raise ValueError("eta and every E_x must lie in the Picard lattice")
+    eta3 = [3 * c for c in w_eta]
+    e2 = {x: [2 * c for c in w] for x, w in w_e.items()}
+    for p in itertools.combinations(NODES, 5):
+        yield p, [t - a - b - c - d - e for t, a, b, c, d, e in zip(eta3, *(e2[x] for x in p))]
 
 
 def s6_isometry(g: Sequence[int], model: PicardModel | None = None) -> Isometry:
@@ -234,22 +260,23 @@ def verify_relations(model: PicardModel | None = None) -> RelationReport:
 def verify_all_pentad_reflections(model: PicardModel | None = None):
     """Certify every one of the 3003 pentad reflections.
 
-    Returns (count, all_integral, all_gram_preserving, all_involutive).
+    Returns (count, all_integral, all_gram_preserving, all_involutive).  The
+    roots come from `pentad_root_coordinates`; each reflection is the same
+    matrix `tau_pentad_star` builds through the divisor-class route.
     """
     model = model or picard_lattice()
-    gram = model.lattice.gram
+    lat = model.lattice
     count = integral = isometric = involutive = 0
-    for pentad in itertools.combinations(NODES, 5):
+    for pentad, w in pentad_root_coordinates(model):
         count += 1
         try:
-            iso = tau_pentad_star(pentad, model)
+            iso = reflection_isometry(lat, w, _pentad_name(pentad))
         except ValueError:
             continue
         integral += 1
-        if iso.preserves_gram(gram):
-            isometric += 1
-        if iso.is_involution():
-            involutive += 1
+        squares_to_one, preserves = iso.involutive_isometry(lat)
+        isometric += preserves
+        involutive += squares_to_one
     return count, integral, isometric, involutive
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt, lcm
-from operator import index
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -673,6 +673,20 @@ class Isometry:
         image = mat_mul(mat_mul(self.matrix, gram), mat_transpose(self.matrix))
         return image == [list(r) for r in gram]
 
+    def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
+        """(M·M = 1, M·G·M^T = G), exactly, from two full products.
+
+        If M² = 1 then M^T is its own inverse, so M·G·M^T = G holds iff
+        M·G = G·M^T, and G·M^T = (M·G)^T because G is symmetric (which
+        `IntegerLattice` guarantees): the Gram test becomes the symmetry of
+        A = M·G.  A matrix with M² ≠ 1 gets the full `preserves_gram`.
+        """
+        _check_length(self.matrix, lat.rank, "isometry matrix")
+        if mat_mul(self.matrix, self.matrix) != mat_identity(self.rank):
+            return False, self.preserves_gram(lat.gram)
+        a = mat_mul(self.matrix, lat.gram)
+        return True, a == mat_transpose(a)
+
     def order(self) -> Optional[int]:
         """The smallest k <= 4 with M^k = 1, else None."""
         ident = mat_identity(self.rank)
@@ -693,16 +707,19 @@ class Isometry:
 
 
 def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
-    """The reflection v -> v − 2(v·r)/(r·r)·r, for r of norm −2 or −4.
+    """The reflection v -> v − 2(v·r)/(r·r)·r, for an integer r of norm −2 or −4.
 
     For norm −4 the map is integral only if every basis vector pairs evenly
-    with r; the first offending basis vector is named otherwise.
+    with r; the first offending basis vector is named otherwise.  A
+    non-integral entry of r is refused, never truncated.
     """
-    n = lat.rank
-    gr = [sum(g * x for g, x in zip(row, r)) for row in lat.gram]  # e_i·r
-    rr = sum(x * y for x, y in zip(r, gr))
+    _check_length(r, lat.rank, "reflection vector")
+    r = [x if type(x) is int else _as_int(x, 0, j) for j, x in enumerate(r)]
+    gr = [sum(map(mul, row, r)) for row in lat.gram]  # e_i·r
+    rr = sum(map(mul, r, gr))
     if rr not in (-2, -4):
         raise ValueError(f"{name}: reflection vector must have norm -2 or -4, got {rr}")
+    units = _unit_rows(lat.rank)
     rows = []
     for i, p in enumerate(gr):
         coeff, rem = divmod(-2 * p, rr)
@@ -710,5 +727,15 @@ def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Iso
             raise ValueError(
                 f"{name}: non-integral reflection: basis vector {i} pairs oddly with r (v·r = {p})"
             )
-        rows.append(tuple((i == j) + coeff * int(r[j]) for j in range(n)))
+        if coeff:
+            row = [coeff * x for x in r]
+            row[i] += 1
+            rows.append(tuple(row))
+        else:
+            rows.append(units[i])  # e_i ⟂ r is fixed
     return Isometry(name, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return _freeze(mat_identity(n))

@@ -174,6 +174,55 @@ def test_picard_discriminant_check_certifies_the_weight4_classification(monkeypa
     assert failing["details"] == passing["details"]
 
 
+def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
+    from quartic15 import involutions
+    from quartic15.lattice import Isometry
+    from quartic15.nodal_surface import picard_lattice
+
+    target = "tau_P(12,13,14,15,16)"
+    real = involutions.reflection_isometry
+    mutants = []
+
+    def bumped(lat, r, name):
+        iso = real(lat, r, name)
+        if name != target:
+            return iso
+        rows = [list(row) for row in iso.matrix]
+        rows[0][0] += 1
+        mutants.append(Isometry(name, tuple(map(tuple, rows))))
+        return mutants[-1]
+
+    monkeypatch.setattr(involutions, "reflection_isometry", bumped)
+    code, report, _ = run_quiet(["involutions"])
+    check = next(c for c in report.checks if c["id"] == "pentad-reflections")
+    assert code == 1 and check["status"] == "fail"
+    (bad,) = mutants
+    gram = picard_lattice().lattice.gram
+    isometric = 3003 - (not bad.preserves_gram(gram))
+    involutive = 3003 - (not bad.is_involution())
+    assert 3002 in (isometric, involutive)
+    assert check["details"] == (
+        f"3003 pentad reflections: 3003 integral, {isometric} Gram-preserving, "
+        f"{involutive} involutive"
+    )
+
+
+def test_coplanarity_check_reuses_the_given_section(monkeypatch):
+    from quartic15 import cli
+    from quartic15 import varieties as va
+
+    reference = va.hyperplane_section(cli.REFERENCE_COEFFS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the section was built again")
+
+    monkeypatch.setattr(va, "hyperplane_section", refuse)
+    report = cli.Report(quartic15.__version__, 0, [])
+    cli.checks_pentads(cli.Runner(report, io.StringIO()), True, section=reference)
+    check = next(c for c in report.checks if c["id"] == "pentads-coplanarity")
+    assert check["status"] == "pass", check["details"]
+
+
 def test_tangent_section_at_height_one_fails_with_its_reason():
     code, report, _ = run_quiet(["--max-height", "1", "tangent-section"])
     (check,) = report.checks

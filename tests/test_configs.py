@@ -142,6 +142,14 @@ def test_trope_node_sets_s6_stable():
         assert {frozenset(apply_perm_duad(g, d) for d in s) for s in sets} == sets
 
 
+def test_apply_perm_duad_is_the_sorted_image_pair():
+    # the sort-free comparison gives the sorted pair for every permutation
+    # and every duad
+    for g in configs.s6_elements():
+        for d in duads():
+            assert apply_perm_duad(g, d) == tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
+
+
 def test_s6_orbits_duads():
     orbits = s6_orbits(apply_perm_duad, duads())
     assert len(orbits) == 1

@@ -6,6 +6,7 @@ from quartic15.involutions import (
     _apply_to_class,
     pentad_naturality_spot_check,
     pentad_root,
+    pentad_root_coordinates,
     reye_image_report,
     reye_root,
     s6_isometry,
@@ -135,3 +136,18 @@ def test_sparse_products_see_every_entry_of_a_reflection(model):
             rows[i][j] += step
             bad = Isometry("mutant", tuple(map(tuple, rows)))
             assert not (bad.preserves_gram(gram) and bad.is_involution()), (i, j, step)
+            # the two-product test answers exactly as the two separate ones
+            expected = (bad.is_involution(), bad.preserves_gram(gram))
+            assert bad.involutive_isometry(model.lattice) == expected, (i, j, step)
+
+
+def test_pentad_root_coordinates_match_the_class_route(model):
+    # the integer roots by linearity are the coordinates of the divisor
+    # class 3*eta - 2*sum_P E for every one of the 3003 pentads
+    roots = list(pentad_root_coordinates(model))
+    assert len(roots) == 3003
+    for pentad, w in roots:
+        assert w == model.in_lattice(pentad_root(pentad)), pentad
+    pentad, w = roots[0]
+    iso = reflection_isometry(model.lattice, w, "w")
+    assert iso.matrix == tau_pentad_star(pentad, model).matrix

@@ -219,6 +219,34 @@ def test_reflection_norm4_parity_guard():
         reflection_isometry(l, [1, 0], "s")
 
 
+def test_reflection_refuses_a_non_integral_root():
+    # r = (1/2, 1/2) has norm -4 in diag(-8,-8) and its true reflection is
+    # integral, ((0, -1), (-1, 0)); the root itself must be an integer row,
+    # so it is refused rather than truncated to zero (the identity)
+    lat = IntegerLattice(((-8, 0), (0, -8)))
+    with pytest.raises(ValueError, match="non-integral entry 1/2"):
+        reflection_isometry(lat, [Fraction(1, 2), Fraction(1, 2)], "s")
+    # an integral Fraction is an integer entry
+    lat = named_lattice("diag(-1)")
+    assert reflection_isometry(lat, [Fraction(2)], "s").matrix == ((-1,),)
+    assert reflection_isometry(lat, [2], "s").matrix == ((-1,),)
+    with pytest.raises(ValueError, match="1 entries, expected 2"):
+        reflection_isometry(named_lattice("diag(-2,-2)"), [1], "s")
+
+
+def test_involutive_isometry_cases():
+    square = named_lattice("diag(-2,-2)")
+    rotation = Isometry("rot", ((0, 1), (-1, 0)))
+    assert rotation.involutive_isometry(square) == (False, True)  # order 4
+    swap = Isometry("swap", ((0, 1), (1, 0)))
+    assert swap.involutive_isometry(square) == (True, True)
+    assert swap.involutive_isometry(named_lattice("diag(-2,-4)")) == (True, False)
+    shear = Isometry("shear", ((1, 1), (0, 1)))
+    assert shear.involutive_isometry(named_lattice("U")) == (False, False)
+    with pytest.raises(ValueError, match="isometry matrix"):
+        swap.involutive_isometry(named_lattice("A1"))
+
+
 def test_reflections_in_orthogonal_vectors_commute():
     l = direct_sum(*[named_lattice("A1")] * 3)
     m1 = reflection_isometry(l, [1, 0, 0], "s1")
