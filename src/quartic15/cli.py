@@ -181,10 +181,8 @@ def checks_cr(r: Runner):
             if res.square_root.total_degree() != 2:
                 return False, f"cardinal {subset} square root is not a conic"
         res = va.cardinal_restriction((1, 2, 3))
-        stated = va.cardinal_tangency_quadric().substitute_linear(res.chart)
-        lead = stated.terms[stated.leading_monomial()]
-        lead_q = res.square_root.terms[res.square_root.leading_monomial()]
-        match = stated * lead_q == res.square_root * lead
+        stated = va.cardinal_tangency_quadric().substitute_linear(res.plane.parametrization, res.plane.den)
+        match = stated * res.square_root.leading_coefficient() == res.square_root * stated.leading_coefficient()
         return match, "all 10 cardinal restrictions are perfect squares; {1,2,3} matches the classical quadric"
 
     r.run("cr-cardinal-tangency", "cardinal hyperplanes touch the quartic along doubled quadrics", cardinals)
@@ -200,7 +198,7 @@ def checks_cr(r: Runner):
             if len(plane.rows) != 2:
                 continue
             tried += 1
-            if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization)):
+            if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization, plane.den)):
                 return False, f"sampled hyperplane {h} restricted to a perfect square"
         return True, "3 sampled non-cardinal hyperplane restrictions are not perfect squares"
 

@@ -1,11 +1,11 @@
 """Exact rational and modular arithmetic, sparse multivariate polynomials.
 
-Every coefficient in the workbench is a `fractions.Fraction`; nothing here
-ever touches floating point.  Polynomials are stored sparsely as a map from
-exponent tuples to nonzero rational coefficients, with graded-lexicographic
-term order fixed once so that serialized output is bit-stable.  Evaluation
-and linear substitution clear denominators once and sum in integers,
-building one Fraction per returned coefficient or value.  The rational
+A polynomial is stored as integer numerators `nums`, keyed by exponent
+tuples, over one positive denominator `den` coprime to them: the lcm of the
+reduced coefficient denominators, 1 for the zero polynomial.  The form is
+canonical, and every operation runs on these integers.  Coefficients enter
+as `int` or `Fraction` (nothing here touches floating point) and leave as a
+`Fraction` only through `evaluate` and `leading_coefficient`.  The rational
 linear algebra (`rref`, `nullspace` and `LinearMap`) is a front end to the
 fraction-free integer kernels of `lattice`; no library module calls it, and
 the benchmark builds its section chart with it.
@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import bareiss, clear_denominators
-
-Rational = Fraction
 
 Exponent = tuple[int, ...]
 
@@ -31,27 +29,54 @@ def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+def _check_index(i: int, nvars: int) -> None:
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} out of range for {nvars} variables")
 
-    Immutable after construction, `terms` included (a read-only view);
-    zero coefficients are never stored.
+
+def _rational(c) -> int | Fraction:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return c
+
+
+class MultiPoly:
+    """Sparse multivariate polynomial with exact rational coefficients, the
+    integer numerators `nums` over the one denominator `den`.
+
+    Immutable after construction, `nums` included (a read-only view).  It is
+    normalised like `DivisorClass`: den > 0, gcd(den, *nums) = 1, no zero
+    numerator is stored, and the zero polynomial has den 1.
     """
 
-    __slots__ = ("nvars", "terms", "_integral")
+    __slots__ = ("nvars", "nums", "den", "_sparse")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
-        for exp, coeff in (terms or {}).items():
+    def __init__(self, nvars: int, terms: Mapping[Exponent, int | Fraction] | None = None):
+        coeffs = {}
+        for exp, c in (terms or {}).items():
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} does not have {nvars} entries")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if c != 0:
-                cleaned[tuple(exp)] = c
+            coeffs[tuple(exp)] = _rational(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._set(nvars, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den)
+
+    def _set(self, nvars: int, nums: dict[Exponent, int], den: int) -> None:
+        nums = {e: c for e, c in nums.items() if c}
+        g = gcd(den, *nums.values()) * (-1 if den < 0 else 1)  # ±den for the zero form
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def _from_nums(cls, nvars: int, nums: dict[Exponent, int], den: int) -> "MultiPoly":
+        """The polynomial nums/den, normalised."""
+        f = object.__new__(cls)
+        f._set(nvars, nums, den)
+        return f
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -68,22 +93,13 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for {nvars} variables")
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
+        _check_index(i, nvars)
+        return cls.linear_form([int(k == i) for k in range(nvars)])
 
     @classmethod
     def linear_form(cls, coeffs: Sequence) -> "MultiPoly":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exp = [0] * n
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        return cls(n, terms)
+        return cls(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
 
     # -- ring structure ------------------------------------------------
 
@@ -93,42 +109,32 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        res = self.terms.copy()
-        for exp, c in other.terms.items():
-            s = res.get(exp, 0) + c
-            if s:
-                res[exp] = s
-            else:
-                res.pop(exp, None)
-        return MultiPoly(self.nvars, res)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        res = {e: a * c for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            res[e] = res.get(e, 0) + b * c
+        return MultiPoly._from_nums(self.nvars, res, den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_nums(self.nvars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_compatible(other)
-        res: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return MultiPoly(self.nvars, res)
+        return MultiPoly._from_nums(self.nvars, _mul_integer_terms(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        c = _rational(c)
+        return MultiPoly._from_nums(
+            self.nvars, {e: c.numerator * v for e, v in self.nums.items()}, self.den * c.denominator
+        )
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -145,98 +151,103 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
+            and (self.nvars, self.den) == (other.nvars, other.den)
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(self.nums, key=grlex_key, reverse=True):
+            c = self.nums[exp]
             mono = "*".join(
                 f"z{i}^{e}" if e > 1 else f"z{i}" for i, e in enumerate(exp) if e
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
-        return " + ".join(parts)
+        return " + ".join(parts) if self.den == 1 else f"({' + '.join(parts)})/{self.den}"
 
     # -- degree bookkeeping ---------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len({sum(e) for e in self.nums}) <= 1
 
     def leading_monomial(self) -> Optional[Exponent]:
-        if not self.terms:
+        if not self.nums:
             return None
-        return max(self.terms, key=grlex_key)
+        return max(self.nums, key=grlex_key)
+
+    def leading_coefficient(self) -> Fraction:
+        """Coefficient of the leading (graded-lex) monomial; 0 for the zero form."""
+        return Fraction(self.nums.get(self.leading_monomial(), 0), self.den)
 
     # -- calculus --------------------------------------------------------
 
-    def _integer_terms(self) -> tuple[int, int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
-        """(den, D, ((num, D − deg, ((i, e), ...)), ...)): every coefficient as
-        num/den over one common denominator, with D the total degree and each
-        monomial kept as its nonzero (variable, exponent) pairs; built once."""
+    def _monomials(self) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+        """(D, ((num, D − deg, ((i, e), ...)), ...)): the total degree D and
+        each term's numerator with its degree gap to D and its nonzero
+        (variable, exponent) pairs; built once."""
         try:
-            return self._integral
+            return self._sparse
         except AttributeError:
             pass
-        den = lcm(*(c.denominator for c in self.terms.values()))
         top = self.total_degree()
         terms = tuple(
-            (c.numerator * (den // c.denominator), top - sum(e), tuple((i, k) for i, k in enumerate(e) if k))
-            for e, c in self.terms.items()
+            (c, top - sum(e), tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.nums.items()
         )
-        object.__setattr__(self, "_integral", (den, top, terms))
-        return self._integral
+        object.__setattr__(self, "_sparse", (top, terms))
+        return self._sparse
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Value at `point`, summed in integers: with point = xs/d, each term
-        c·xs^e/d^deg is brought to the common denominator d^D by d^(D − deg)."""
+        num·xs^e/d^deg is brought to the common denominator d^D by d^(D − deg)."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
         xs, d = clear_denominators(point)
-        den, top, terms = self._integer_terms()
+        top, terms = self._monomials()
         total = 0
         for c, gap, mono in terms:
             for i, e in mono:
                 c *= xs[i] ** e
             total += c * d**gap if gap else c
-        return Fraction(total, den * d**top)
+        return Fraction(total, self.den * d**top)
 
     def partial(self, i: int) -> "MultiPoly":
-        res: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
+        _check_index(i, self.nvars)
+        res = {}
+        for exp, c in self.nums.items():
             if exp[i]:
                 e = list(exp)
                 e[i] -= 1
                 res[tuple(e)] = c * exp[i]
-        return MultiPoly(self.nvars, res)
+        return MultiPoly._from_nums(self.nvars, res, self.den)
 
     def gradient(self) -> list["MultiPoly"]:
         return [self.partial(i) for i in range(self.nvars)]
 
     # -- substitution -----------------------------------------------------
 
-    def substitute_linear(self, matrix: "LinearMap | Sequence[Sequence]") -> "MultiPoly":
+    def substitute_linear(self, matrix: "LinearMap | Sequence[Sequence]", den: int = 1) -> "MultiPoly":
         """Compose with a linear substitution: variables become linear forms.
 
-        `matrix` has one row per current variable; the result lives in
-        `cols` variables.  Homogeneity degree is preserved.  Row i is cleared
-        once to an integer form F_i over d_i, so a term (c/den)·x^e becomes
-        c·Π F_i^(e_i) over den·Π d_i^(e_i); every term is summed in integers
-        over the least common multiple of those denominators.
+        `matrix` has one row per current variable, over the common positive
+        `den`; the result lives in `cols` variables, with the same degrees.
+        Row i is cleared once to an integer form F_i over d_i, so x_i becomes
+        F_i/(d_i·den) and a term num·x^e becomes num·Π F_i^(e_i) over
+        Π (d_i·den)^(e_i) (for a form of degree k, den^k enters the result's
+        den); every term is summed in integers over the lcm of those.
         """
+        if index(den) < 1:
+            raise ValueError(f"den must be positive, not {den}")
         rows = matrix.entries if isinstance(matrix, LinearMap) else [list(r) for r in matrix]
         if len(rows) != self.nvars:
             raise ValueError(
@@ -250,10 +261,10 @@ class MultiPoly:
         for row in rows:
             ints, d = clear_denominators(row)
             forms.append({units[j]: a for j, a in enumerate(ints) if a})
-            dens.append(d)
+            dens.append(d * den)
         one = {(0,) * ncols: 1}
         powers = [[one] for _ in rows]  # powers[i][e] = F_i^e
-        den, _, terms = self._integer_terms()
+        _, terms = self._monomials()
         scales = [prod(dens[i] ** e for i, e in mono) for _, _, mono in terms]
         common = lcm(*scales)
         acc: dict[Exponent, int] = {}
@@ -267,35 +278,34 @@ class MultiPoly:
             c *= common // q
             for e, v in product.items():
                 acc[e] = acc.get(e, 0) + c * v
-        denominator = den * common
-        return MultiPoly(ncols, {e: Fraction(v, denominator) for e, v in acc.items() if v})
+        return MultiPoly._from_nums(ncols, acc, self.den * common)
 
     def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
         """Relabel variables: new variable perm[i] receives old variable i."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation of the variable indices")
         res = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.nums.items():
             e = [0] * self.nvars
             for i, v in enumerate(exp):
                 e[perm[i]] = v
             res[tuple(e)] = c
-        return MultiPoly(self.nvars, res)
+        return MultiPoly._from_nums(self.nvars, res, self.den)
 
     # -- reduction mod p ----------------------------------------------------
 
     def mod_p(self, p: int) -> "ModPoly":
-        """Coefficient-wise reduction mod a prime not dividing any denominator."""
+        """Coefficient-wise reduction mod a prime not dividing any denominator,
+        that is, not dividing den."""
         if p < 2:
             raise ValueError("modulus must be at least 2")
-        terms = {}
-        for exp, c in self.terms.items():
-            if c.denominator % p == 0:
-                raise ValueError(f"denominator of {c} divisible by {p}")
-            v = (c.numerator * pow(c.denominator, -1, p)) % p
-            if v:
-                terms[exp] = v
-        return ModPoly(self.nvars, p, terms)
+        if self.den % p == 0:  # name a coefficient whose denominator p divides
+            for c in self.nums.values():
+                g = gcd(c, self.den)
+                if self.den // g % p == 0:
+                    raise ValueError(f"denominator of {c // g}/{self.den // g} divisible by {p}")
+        inv = pow(self.den, -1, p)
+        return ModPoly(self.nvars, p, {e: c * inv for e, c in self.nums.items()})
 
 
 def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict[Exponent, int]:
@@ -354,6 +364,7 @@ class ModPoly:
         return total % p
 
     def partial(self, i: int) -> "ModPoly":
+        _check_index(i, self.nvars)
         res = {}
         for exp, c in self.terms.items():
             if exp[i]:
@@ -374,28 +385,31 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
 
     q is normalized to leading (graded-lex) coefficient 1 and c absorbs the
     scale; returns None when f is not a rational square times a constant.
-    The loop is the triangular linear solve for q's coefficients: each step
-    peels the leading term of the residual f − c·q², which each new term of
-    q updates by one product with a monomial instead of squaring q again.
+    With f = F/den and lc the leading coefficient of F, Q = lc·q has integer
+    coefficients (Gauss's lemma) and Q² = lc·F.  The loop solves for Q's
+    coefficients in integers: each step peels the leading term of the
+    residual lc·F − Q² by a new term of Q, its leading coefficient over
+    2·lc (a nonzero remainder: not a square), updating the residual by one
+    product with a monomial instead of squaring Q again.
     """
     if not f.is_homogeneous():
         raise ValueError("perfect_square_factor needs a homogeneous form")
     if not f:
-        return (Fraction(1), MultiPoly.zero(f.nvars))
+        return (MultiPoly.constant(f.nvars, 1).leading_coefficient(), f)  # 0 = 1·0²
     deg = f.total_degree()
     if deg % 2:
         raise ValueError("perfect_square_factor needs even degree")
     lead = f.leading_monomial()
     if any(e % 2 for e in lead):
         return None
-    c = f.terms[lead]
+    lc = f.nums[lead]
     half = tuple(e // 2 for e in lead)
-    q = {half: 1}
-    r = {e: v for e, v in f.terms.items() if e != lead}  # f − c·q², q = x^half
+    q = {half: lc}
+    r = {e: lc * v for e, v in f.nums.items() if e != lead}  # lc·F − Q², Q = lc·x^half
     last_key = grlex_key(half)
     while r:
         t = max(r, key=grlex_key)
-        # next term of q is a·x^e with a = lead(r) / (2c·x^half)
+        # next term of Q is a·x^e with 2·lc·a = lead(r), x^e = x^t / x^half
         e = tuple(a - b for a, b in zip(t, half))
         if any(x < 0 for x in e):
             return None
@@ -403,17 +417,18 @@ def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
         if key >= last_key:
             return None
         last_key = key
-        lt = r[t]
-        a = lt / (2 * c)
-        # f − c·(q + a·x^e)² = r − lt·x^e·q − c·a²·x^(2e), since 2c·a = lt
+        a, rem = divmod(r[t], 2 * lc)
+        if rem:
+            return None
+        # lc·F − (Q + a·x^e)² = r − 2a·x^e·Q − a²·x^(2e)
         for eq, cq in q.items():
-            _add_to_term(r, tuple(map(add, eq, e)), -lt * cq)
-        _add_to_term(r, tuple(2 * x for x in e), -lt * a / 2)
+            _add_to_term(r, tuple(map(add, eq, e)), -2 * a * cq)
+        _add_to_term(r, tuple(2 * x for x in e), -a * a)
         q[e] = a
-    return (c, MultiPoly(f.nvars, q))
+    return (f.leading_coefficient(), MultiPoly._from_nums(f.nvars, q, lc))
 
 
-def _add_to_term(terms: dict[Exponent, Fraction], e: Exponent, v: Fraction) -> None:
+def _add_to_term(terms: dict[Exponent, int], e: Exponent, v: int) -> None:
     s = terms.get(e, 0) + v
     if s:
         terms[e] = s

@@ -95,7 +95,8 @@ class LinearSubspace:
     columns.  The parameters of a point of the subspace are therefore its
     entries at the free columns.  Membership and annihilation are integer
     dot products against these rows and columns, each point or covector
-    cleared once per call.
+    cleared once per call, and a form is restricted to the subspace by
+    substituting `parametrization` over `den`.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -151,14 +152,10 @@ class LinearSubspace:
         return tuple(cols)
 
     @cached_property
-    def parametrization(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The kernel columns over den as plain rows, one per variable: the
+    def parametrization(self) -> tuple[tuple[int, ...], ...]:
+        """The kernel columns as plain rows, one per variable: over den, the
         linear substitution of the subspace's parameters."""
-        return tuple(tuple(Fraction(col[i], self.den) for col in self.kernel) for i in range(self.nvars))
-
-    @cached_property
-    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(zip(*self.parametrization))
+        return tuple(tuple(col[i] for col in self.kernel) for i in range(self.nvars))
 
     def _cleared(self, v: Sequence, what: str) -> list[int]:
         _check_length(v, self.nvars, what)
@@ -170,7 +167,7 @@ class LinearSubspace:
         return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self.rows)
 
     def coordinates(self, p: Sequence) -> Optional[list[Fraction]]:
-        """Parameters x with parametrization·x = p, or None when p is off the subspace."""
+        """Parameters x with parametrization·x = den·p, or None when p is off the subspace."""
         if not self.contains(p):
             return None
         return [Fraction(p[f]) for f in self.free]
@@ -309,26 +306,14 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
 class SpecialLoci:
     kind: str
     nodes: dict | None = None            # 3-subset -> ProjectivePoint (cubic)
-    planes: dict | None = None           # syntheme -> LinearSubspace (cubic)
     double_lines: dict | None = None     # syntheme -> LinearSubspace (quartic)
-    line_points: dict | None = None      # duad -> ProjectivePoint (quartic)
-    cardinal_hyperplanes: dict | None = None  # 3-subset -> coefficient row (quartic)
 
 
 def special_loci(kind: str) -> SpecialLoci:
     if kind == "segre":
-        return SpecialLoci(
-            kind,
-            nodes={a: node_point(a) for a in three_subsets()},
-            planes={s: syntheme_plane(s) for s in synthemes()},
-        )
+        return SpecialLoci(kind, nodes={a: node_point(a) for a in three_subsets()})
     if kind == "cr":
-        return SpecialLoci(
-            kind,
-            double_lines={s: syntheme_line(s) for s in synthemes()},
-            line_points={d: duad_point(d) for d in duads()},
-            cardinal_hyperplanes={a: cardinal_coefficients(a) for a in three_subsets()},
-        )
+        return SpecialLoci(kind, double_lines={s: syntheme_line(s) for s in synthemes()})
     raise ValueError(f"unknown variety kind {kind!r}")
 
 
@@ -349,7 +334,7 @@ class NodeCertificate:
     gradient: tuple[Fraction, ...]  # in the span of the ambient constraints
     hessian_rank: int
     is_ordinary: bool
-    chart: tuple[tuple[Fraction, ...], ...]  # chart direction vectors
+    chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
 
 
 def _chart_basis(point: Sequence[Fraction], ambient: LinearSubspace) -> list[int]:
@@ -398,7 +383,7 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
         gradient=grad,
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
-        chart=tuple(v.ambient.columns[k] for k in keep),
+        chart=tuple(w),
     )
 
 
@@ -411,12 +396,11 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
     if len(v.ambient_constraints) != 1:
         raise ValueError("double-line check implemented for one ambient constraint")
     constraint = v.ambient_constraints[0]
-    param = line.parametrization
     if not all(v.ambient.contains(col) for col in line.kernel):
         raise ValueError("line does not lie inside the ambient constraints")
-    if v.form.substitute_linear(param):
+    if v.form.substitute_linear(line.parametrization, line.den):
         return False
-    partials = [g.substitute_linear(param) for g in v.gradient]
+    partials = [g.substitute_linear(line.parametrization, line.den) for g in v.gradient]
     # gradient parallel to the constraint row along the whole line
     for i in range(len(partials)):
         for j in range(i + 1, len(partials)):
@@ -457,7 +441,8 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
 
 
 def duality_plane_to_line(s: Syntheme) -> bool:
-    """Symbolic check: the cubic's plane for s maps into the quartic's line for s."""
+    """Symbolic check: the cubic's plane for s maps into the quartic's line
+    for s.  The integer parametrization scales every image by den²."""
     plane = syntheme_plane(s)
     squares = [f * f for f in map(MultiPoly.linear_form, plane.parametrization)]
     total = sum(squares, MultiPoly.zero(len(plane.free)))
@@ -476,7 +461,7 @@ class CardinalRestriction:
     subset: tuple[int, int, int]
     scale: Fraction
     square_root: MultiPoly  # conic q with restriction = scale * q^2
-    chart: tuple[tuple[Fraction, ...], ...]  # 6 x 4 parametrization of the cardinal 3-plane
+    plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
 
 
 def cardinal_tangency_quadric() -> MultiPoly:
@@ -488,15 +473,15 @@ def cardinal_tangency_quadric() -> MultiPoly:
 def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
     """Restrict the quartic to a cardinal 3-plane; must be a perfect square."""
     subset = tuple(sorted(subset))
-    chart = LinearSubspace.from_equations([ONES, cardinal_coefficients(subset)], NVARS).parametrization
-    restricted = cr_quartic_form().substitute_linear(chart)
+    plane = LinearSubspace.from_equations([ONES, cardinal_coefficients(subset)], NVARS)
+    restricted = cr_quartic_form().substitute_linear(plane.parametrization, plane.den)
     result = perfect_square_factor(restricted)
     if result is None:
         raise AssertionError(
             f"cardinal restriction for {subset} is not a perfect square; model falsified"
         )
     c, q = result
-    return CardinalRestriction(subset, c, q, chart)
+    return CardinalRestriction(subset, c, q, plane)
 
 
 # -- hyperplane sections -----------------------------------------------------------
@@ -560,7 +545,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
     if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
-    quartic3 = form.substitute_linear(section.parametrization)
+    quartic3 = form.substitute_linear(section.parametrization, section.den)
     surface = Hypersurface(quartic3, ())
 
     def chart_coords(p6: Sequence[Fraction]) -> ProjectivePoint:
@@ -604,7 +589,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         plane = LinearSubspace.from_equations([ONES, hp, cardinal_coefficients(subset)], NVARS)
         if len(plane.rows) != 3:
             raise GenericityError("hyperplane coincides with a cardinal hyperplane", subset)
-        sq = perfect_square_factor(form.substitute_linear(plane.parametrization))
+        sq = perfect_square_factor(form.substitute_linear(plane.parametrization, plane.den))
         if sq is None:
             raise AssertionError("restriction to a cardinal plane must be a perfect square")
         _, conic = sq

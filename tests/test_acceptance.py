@@ -104,12 +104,12 @@ def test_criterion_04_cardinal_tangency():
     def body():
         for subset in three_subsets():
             res = va.cardinal_restriction(subset)
-            assert res.scale * res.square_root * res.square_root == va.cr_quartic_form().substitute_linear(res.chart)
+            plane = res.plane
+            restricted = va.cr_quartic_form().substitute_linear(plane.parametrization, plane.den)
+            assert res.scale * res.square_root * res.square_root == restricted
         res = va.cardinal_restriction((1, 2, 3))
-        stated = va.cardinal_tangency_quadric().substitute_linear(res.chart)
-        lead = stated.terms[stated.leading_monomial()]
-        lead_q = res.square_root.terms[res.square_root.leading_monomial()]
-        assert stated * lead_q == res.square_root * lead
+        stated = va.cardinal_tangency_quadric().substitute_linear(res.plane.parametrization, res.plane.den)
+        assert stated * res.square_root.leading_coefficient() == res.square_root * stated.leading_coefficient()
 
     _criterion(4, "all 10 cardinal restrictions are perfect squares", body)
 

@@ -252,3 +252,26 @@ def test_reports_are_pinned(monkeypatch, tmp_path):
         code, _, _ = run_quiet(line.split())
         assert code == exit_code, line
         assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == digest, line
+
+
+VERIFY_ALL, VERIFY_ALL_EXIT, VERIFY_ALL_DIGEST = PINNED_REPORTS[0]
+
+
+def test_pinned_report_under_python_dash_O(tmp_path):
+    # `python -O` strips assert statements: every self-check must still run
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "quartic15", *VERIFY_ALL.split()],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == VERIFY_ALL_EXIT, proc.stderr
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+def test_pinned_report_twice_in_one_process(monkeypatch, tmp_path):
+    # the second run reads every cache the first one filled: none may be stale
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        code, _, _ = run_quiet(VERIFY_ALL.split())
+        assert code == VERIFY_ALL_EXIT
+        assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == VERIFY_ALL_DIGEST

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quartic15.exact import (
     LinearMap,
+    ModPoly,
     MultiPoly,
     nullspace,
     perfect_square_factor,
@@ -114,7 +116,7 @@ def test_taylor_expansion_matches_symbolic():
         p = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
         v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
         # substitution matrix: row i = (p_i, v_i) for variables (s, t), then s=1
-        line = f.substitute_linear([[p[i], v[i]] for i in range(3)])
+        line = RefPoly.of(f.substitute_linear([[p[i], v[i]] for i in range(3)]))
         # collect the coefficient of s^(d-1) t^1 summed over degrees: evaluate
         # at s=1 symbolically by summing coefficients with matching t-power
         coeff_t1 = sum(
@@ -207,12 +209,77 @@ def test_perfect_square_requires_even_homogeneous():
         perfect_square_factor(x * x + x)
 
 
-def test_multipoly_keeps_fraction_coefficients_and_converts_the_rest():
-    c = Fraction(1, 3)
-    f = MultiPoly(2, {(1, 0): c, (0, 1): 2, (0, 0): Fraction(0), (1, 1): 0})
-    assert f.terms[(1, 0)] is c  # not re-wrapped
-    assert type(f.terms[(0, 1)]) is Fraction and f.terms[(0, 1)] == 2
-    assert set(f.terms) == {(1, 0), (0, 1)}  # zeros are dropped
+def test_multipoly_is_integer_numerators_over_one_normalised_den():
+    f = MultiPoly(2, {(1, 0): Fraction(1, 3), (0, 1): 2, (0, 0): Fraction(0), (1, 1): 0})
+    assert (dict(f.nums), f.den) == ({(1, 0): 1, (0, 1): 6}, 3)  # zeros are dropped
+    assert all(type(c) is int for c in f.nums.values())
+    # the same polynomial reached any way has the same (nums, den)
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    for g in (
+        x * Fraction(1, 3) + y * 2,
+        (x * 2 + y * 12) * Fraction(1, 6),
+        MultiPoly(2, {(1, 0): Fraction(-2, -6), (0, 1): Fraction(10, 5)}),
+        (x * Fraction(1, 3) + y * 3) - y,
+        ((x + y * 6) * (x - y) - (x**2 + x * y * 5 - y**2 * 6 - x - y * 6)) * Fraction(1, 3),
+    ):
+        assert (dict(g.nums), g.den) == (dict(f.nums), f.den) and g == f and hash(g) == hash(f)
+    # den > 0 and coprime to the numerators; the zero form has den 1
+    h = MultiPoly(1, {(2,): Fraction(-4, 6), (0,): Fraction(2, 9)})
+    assert (dict(h.nums), h.den) == ({(2,): -6, (0,): 2}, 9)
+    for zero in (MultiPoly.zero(2), f - f, f.scale(0), f * MultiPoly.zero(2), MultiPoly(2, {(1, 0): Fraction(0, 5)})):
+        assert (dict(zero.nums), zero.den) == ({}, 1) and not zero
+    assert f.leading_coefficient() == Fraction(1, 3) and h.leading_coefficient() == Fraction(-2, 3)
+    assert MultiPoly.zero(2).leading_coefficient() == 0
+    assert repr(h) == "(-6*z0^2 + 2)/9" and repr(MultiPoly.variable(2, 1) * 3) == "3*z1"
+
+
+def test_floats_are_refused():
+    # a float coefficient or scalar would store its binary expansion, not the
+    # rational it was meant to be
+    x = MultiPoly.variable(1, 0)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        MultiPoly(1, {(1,): 0.1})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        MultiPoly.constant(1, 0.5)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        x.scale(0.1)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        x * 0.5
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        0.5 * x
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        x * "2"
+    assert x * 2 == 2 * x == x.scale(Fraction(4, 2)) == MultiPoly(1, {(1,): 2})
+    assert x * True == x  # a bool is an int
+
+
+def test_partial_refuses_an_index_out_of_range():
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    f = z0 * z0 * z1
+    assert f.partial(1) == z0 * z0 and f.mod_p(7).partial(1) == (z0 * z0).mod_p(7)
+    for poly in (f, f.mod_p(7)):
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"variable index {i} out of range for 2 variables"):
+                poly.partial(i)
+
+
+def test_substitute_linear_refuses_a_den_below_one():
+    f = MultiPoly.variable(2, 0)
+    assert f.substitute_linear([[2], [4]], 2) == MultiPoly.variable(1, 0)
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="den must be positive"):
+            f.substitute_linear([[1], [0]], den)
+    with pytest.raises(TypeError):
+        f.substitute_linear([[1], [0]], Fraction(1, 2))
+
+
+def test_mod_p_refusal_names_a_coefficient():
+    f = MultiPoly(2, {(1, 0): Fraction(3, 4), (0, 1): Fraction(5, 6)})
+    with pytest.raises(ValueError, match="^denominator of 3/4 divisible by 2$"):
+        f.mod_p(2)
+    with pytest.raises(ValueError, match="^denominator of 5/6 divisible by 3$"):
+        f.mod_p(3)
+    assert f.mod_p(5).terms == {(1, 0): 2}  # 3/4 = 2 and 5/6 = 0 mod 5
 
 
 def test_permute_variables():
@@ -367,35 +434,124 @@ def test_nullspace_annihilates(m):
 # -- oracle tests: the integer polynomial kernel against the Fraction routines --
 
 
-def reference_evaluate(f, point):
-    """Reference: the term-by-term Fraction evaluation the kernel replaced."""
-    pt = [Fraction(x) for x in point]
-    total = Fraction(0)
-    for exp, c in f.terms.items():
-        v = c
-        for x, e in zip(pt, exp):
-            if e:
-                v *= x**e
-        total += v
-    return total
+class RefPoly:
+    """Reference: the Fraction-dict polynomial `MultiPoly` replaced, one
+    Fraction per nonzero term, with every operation written out term by term."""
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, f):
+        """The reference reading of a `MultiPoly`: each numerator over den."""
+        return cls(f.nvars, {e: Fraction(c, f.den) for e, c in f.nums.items()})
+
+    def poly(self):
+        return MultiPoly(self.nvars, self.terms)
+
+    def __eq__(self, other):
+        return (self.nvars, self.terms) == (other.nvars, other.terms)
+
+    def __repr__(self):
+        return f"RefPoly({self.nvars}, {self.terms})"
+
+    def __add__(self, other):
+        res = dict(self.terms)
+        for e, c in other.terms.items():
+            res[e] = res.get(e, 0) + c
+        return RefPoly(self.nvars, res)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            return self.scale(other)
+        res = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                res[e] = res.get(e, 0) + c1 * c2
+        return RefPoly(self.nvars, res)
+
+    def scale(self, c):
+        return RefPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def __pow__(self, k):
+        result = RefPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def partial(self, i):
+        res = {}
+        for exp, c in self.terms.items():
+            if exp[i]:
+                e = list(exp)
+                e[i] -= 1
+                res[tuple(e)] = c * exp[i]
+        return RefPoly(self.nvars, res)
+
+    def permute_variables(self, perm):
+        res = {}
+        for exp, c in self.terms.items():
+            e = [0] * self.nvars
+            for i, v in enumerate(exp):
+                e[perm[i]] = v
+            res[tuple(e)] = c
+        return RefPoly(self.nvars, res)
+
+    def mod_p(self, p):
+        terms = {}
+        for exp, c in self.terms.items():
+            if c.denominator % p == 0:
+                raise ValueError(f"denominator of {c} divisible by {p}")
+            terms[exp] = c.numerator * pow(c.denominator, -1, p)
+        return ModPoly(self.nvars, p, terms)
+
+    def evaluate(self, point):
+        pt = [Fraction(x) for x in point]
+        total = Fraction(0)
+        for exp, c in self.terms.items():
+            v = c
+            for x, e in zip(pt, exp):
+                if e:
+                    v *= x**e
+            total += v
+        return total
+
+    def substitute_linear(self, matrix, den=1):
+        """Substitution through Fraction products of the rows over den."""
+        rows = [[Fraction(x) / den for x in row] for row in matrix]
+        ncols = len(rows[0]) if rows else 0
+        forms = [RefPoly(ncols, {tuple(int(k == j) for k in range(ncols)): a for j, a in enumerate(row)}) for row in rows]
+        one = RefPoly(ncols, {(0,) * ncols: 1})
+        powers = [[one] for _ in forms]
+        result = RefPoly(ncols, {})
+        for exp, c in self.terms.items():
+            term = one.scale(c)
+            for i, e in enumerate(exp):
+                while len(powers[i]) <= e:
+                    powers[i].append(powers[i][-1] * forms[i])
+                if e:
+                    term = term * powers[i][e]
+            result = result + term
+        return result
+
+    def leading_monomial(self):
+        return max(self.terms, key=lambda e: (sum(e), e), default=None)
 
 
-def reference_substitute_linear(f, matrix):
-    """Reference: substitution through Fraction MultiPoly products."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    forms = [MultiPoly.linear_form(row) for row in rows]
-    powers = [[MultiPoly.constant(ncols, 1)] for _ in forms]
-    result = MultiPoly.zero(ncols)
-    for exp, c in f.terms.items():
-        term = MultiPoly.constant(ncols, c)
-        for i, e in enumerate(exp):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * forms[i])
-            if e:
-                term = term * powers[i][e]
-        result = result + term
-    return result
+def assert_matches(f, ref):
+    """f is the reference polynomial, in its normalised integer form."""
+    assert isinstance(f, MultiPoly) and RefPoly.of(f) == ref
+    assert all(type(c) is int and c for c in f.nums.values()) and type(f.den) is int
+    assert f.den > 0 and math.gcd(f.den, *f.nums.values()) == 1
+    assert f == ref.poly() and hash(f) == hash(ref.poly())
 
 
 def reference_hessian_at(f, point):
@@ -405,7 +561,7 @@ def reference_hessian_at(f, point):
     for i in range(n):
         fi = f.partial(i)
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = reference_evaluate(fi.partial(j), point)
+            rows[i][j] = rows[j][i] = fi.partial(j).evaluate(point)
     return rows
 
 
@@ -419,7 +575,8 @@ wide_rationals = st.one_of(
 
 @st.composite
 def polynomials(draw, nvars, homogeneous_degree=None):
-    """Sparse polynomials, the zero polynomial and inhomogeneous ones included."""
+    """Sparse reference polynomials, the zero polynomial and inhomogeneous
+    ones included."""
     nterms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(nterms):
@@ -431,13 +588,13 @@ def polynomials(draw, nvars, homogeneous_degree=None):
                 exp[draw(st.integers(0, nvars - 1))] += 1
             exp = tuple(exp)
         terms[exp] = draw(wide_rationals)
-    return MultiPoly(nvars, terms)
+    return RefPoly(nvars, terms)
 
 
 @st.composite
 def substitutions(draw):
-    """(f, matrix): a polynomial and a rational matrix with some rows and
-    columns forced to zero."""
+    """(f, matrix): a reference polynomial and a rational matrix with some
+    rows and columns forced to zero."""
     nvars = draw(st.integers(1, 4))
     ncols = draw(st.integers(1, 4))
     f = draw(polynomials(nvars))
@@ -463,22 +620,30 @@ def points(draw, nvars):
 
 
 @settings(max_examples=300, deadline=None)
-@given(substitutions())
-def test_substitute_linear_matches_reference(case):
-    f, m = case
-    expected = reference_substitute_linear(f, m)
-    assert dict(f.substitute_linear(m).terms) == dict(expected.terms)
-    assert dict(f.substitute_linear(LinearMap(m)).terms) == dict(expected.terms)
+@given(substitutions(), st.integers(1, 12))
+def test_substitute_linear_matches_reference(case, den):
+    ref, m = case
+    f = ref.poly()
+    expected = ref.substitute_linear(m)
+    assert_matches(f.substitute_linear(m), expected)
+    assert_matches(f.substitute_linear(LinearMap(m)), expected)
     # integral entries as plain ints, so the all-int rows skip the Fraction route
     m_int = [[int(x) if x.denominator == 1 else x for x in row] for row in m]
-    assert dict(f.substitute_linear(m_int).terms) == dict(expected.terms)
+    assert_matches(f.substitute_linear(m_int), expected)
+    # the same rows over a common den: each term of degree k is divided by den^k
+    assert_matches(f.substitute_linear(m, den), ref.substitute_linear(m, den))
+    ints, d = clear_denominators([x for row in m for x in row])
+    ncols = len(m[0])
+    int_rows = [ints[k : k + ncols] for k in range(0, len(ints), ncols)]
+    assert_matches(f.substitute_linear(int_rows, d), expected)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(polynomials(n), points(n))))
 def test_evaluate_matches_reference(case):
-    f, pt = case
-    assert f.evaluate(pt) == reference_evaluate(f, pt)
+    ref, pt = case
+    f = ref.poly()
+    assert f.evaluate(pt) == ref.evaluate(pt)
     assert f.evaluate(pt) == f.evaluate(pt)  # the integer form is reused
 
 
@@ -494,10 +659,10 @@ def test_evaluate_matches_reference(case):
 )
 def test_evaluate_at_integer_points_matches_reference(case):
     # the sampler evaluates at plain int points, which `points` never draws
-    f, int_pt, mixed_pt = case
+    ref, int_pt, mixed_pt = case
     for pt in (int_pt, mixed_pt):
-        value = f.evaluate(pt)
-        assert type(value) is Fraction and value == reference_evaluate(f, pt)
+        value = ref.poly().evaluate(pt)
+        assert type(value) is Fraction and value == ref.evaluate(pt)
 
 
 @settings(max_examples=150, deadline=None)
@@ -507,8 +672,55 @@ def test_evaluate_at_integer_points_matches_reference(case):
     )
 )
 def test_hessian_at_matches_reference(case):
-    f, pt = case
-    assert Hypersurface(f, ()).hessian_at(pt) == reference_hessian_at(f, pt)
+    ref, pt = case
+    assert Hypersurface(ref.poly(), ()).hessian_at(pt) == reference_hessian_at(ref, pt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(polynomials(n), polynomials(n), wide_rationals, st.integers(0, 3), st.permutations(range(n)))
+    )
+)
+def test_ring_operations_match_reference(case):
+    a_ref, b_ref, c, k, perm = case
+    a, b = a_ref.poly(), b_ref.poly()
+    assert_matches(a, a_ref)  # the constructor keeps every coefficient
+    assert_matches(a + b, a_ref + b_ref)
+    assert_matches(a - b, a_ref - b_ref)
+    assert_matches(-a, -a_ref)
+    assert_matches(a * b, a_ref * b_ref)
+    assert_matches(a**k, a_ref**k)
+    assert_matches(a.scale(c), a_ref.scale(c))
+    assert_matches(a * c, a_ref.scale(c))
+    assert_matches(c * a, a_ref.scale(c))
+    assert_matches(a.permute_variables(perm), a_ref.permute_variables(perm))
+    for i in range(a.nvars):
+        assert_matches(a.partial(i), a_ref.partial(i))
+    lead = a_ref.leading_monomial()
+    assert a.leading_monomial() == lead
+    assert a.leading_coefficient() == a_ref.terms.get(lead, 0)
+
+
+def _reduction(f, p):
+    try:
+        return f.mod_p(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: polynomials(n)),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 999983]),
+)
+def test_mod_p_matches_reference(ref, p):
+    # refused for the same primes with the same message, else the same terms
+    got, expected = _reduction(ref.poly(), p), _reduction(ref, p)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, ModPoly) and got.terms == expected.terms
 
 
 def test_integer_kernel_reference_cases():
@@ -518,34 +730,36 @@ def test_integer_kernel_reference_cases():
     assert MultiPoly.constant(2, Fraction(-3, 5)).evaluate([Fraction(1, 999983), 4]) == Fraction(-3, 5)
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     f = x**3 * Fraction(1, 6) - y + MultiPoly.constant(2, Fraction(5, 4))
+    ref = RefPoly.of(f)
     pt = [Fraction(-2, 999983), Fraction(7, 999979)]
-    assert f.evaluate(pt) == reference_evaluate(f, pt)
+    assert f.evaluate(pt) == ref.evaluate(pt)
     m = [[Fraction(1, 999983), 0, Fraction(-3, 2)], [0, 0, 0]]
-    assert f.substitute_linear(m) == reference_substitute_linear(f, m)
+    assert_matches(f.substitute_linear(m), ref.substitute_linear(m))
+    assert_matches(f.substitute_linear(m, 7), ref.substitute_linear(m, 7))
     assert MultiPoly.zero(2).substitute_linear(m) == MultiPoly.zero(3)
     with pytest.raises(ValueError, match="ragged"):
         f.substitute_linear([[1, 2], [3]])
 
 
 def reference_perfect_square_factor(f):
-    """Reference: the peeling loop that squares q afresh on every step."""
+    """Reference: the Fraction peeling loop that squares q afresh on every step."""
     lead = f.leading_monomial()
     if any(e % 2 for e in lead):
         return None
     c = f.terms[lead]
     half = tuple(e // 2 for e in lead)
-    q = MultiPoly(f.nvars, {half: Fraction(1)})
+    q = RefPoly(f.nvars, {half: 1})
     last_key = (sum(half), half)
     while True:
         r = f - q * q * c
-        if not r:
+        if not r.terms:
             return (c, q)
         t = r.leading_monomial()
         e = tuple(a - b for a, b in zip(t, half))
         if any(x < 0 for x in e) or (sum(e), e) >= last_key:
             return None
         last_key = (sum(e), e)
-        q = q + MultiPoly(f.nvars, {e: r.terms[t] / (2 * c)})
+        q = q + RefPoly(f.nvars, {e: r.terms[t] / (2 * c)})
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,9 +777,15 @@ def test_perfect_square_factor_matches_reference(case):
     # scaled squares of linear and quadratic forms and (with `perturb`) sums
     # of two squares, which are mostly not squares
     root, noise, scale, perturb = case
-    f = root * root * scale
+    ref = root * root * scale
     if perturb:
-        f = f + noise * noise
-    if not f:
+        ref = ref + noise * noise
+    if not ref.terms:
         return
-    assert perfect_square_factor(f) == reference_perfect_square_factor(f)
+    got, expected = perfect_square_factor(ref.poly()), reference_perfect_square_factor(ref)
+    if expected is None:
+        assert got is None
+    else:
+        c, q = got
+        assert type(c) is Fraction and c == expected[0]
+        assert_matches(q, expected[1])

@@ -17,17 +17,14 @@ def test_no_assert_statements_in_library():
 # Where the integer layers may build a Fraction: the rational edges only.
 FRACTION_SITES = {
     "exact.py": {
-        "MultiPoly.__init__",  # input: each stored coefficient as a Fraction
         "MultiPoly.evaluate",  # output: the value over the common denominator
-        "MultiPoly.substitute_linear",  # output: each coefficient over the common denominator
-        "perfect_square_factor",  # output: the scale 1 of the zero form
+        "MultiPoly.leading_coefficient",  # output: one coefficient over the common denominator
         "LinearMap.__init__",  # input: the benchmark's section chart
         "rref",  # output: the integer RREF divided by its final pivot
         "nullspace",  # output: the unit entries of the kernel basis
     },
     "varieties.py": {
         "ProjectivePoint.__init__",  # input: coordinates, scaled to a leading 1
-        "LinearSubspace.parametrization",  # output: the kernel columns over den
         "LinearSubspace.coordinates",  # output: the point's entries at the free columns
     },
     "lattice.py": {

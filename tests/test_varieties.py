@@ -48,9 +48,24 @@ from quartic15.varieties import (
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
 
+def fraction_parametrization(space):
+    """The subspace's parametrization rows over den, as Fractions."""
+    return tuple(tuple(Fraction(a, space.den) for a in row) for row in space.parametrization)
+
+
 def param_point(space, x):
-    """The point of a subspace with parameters x: parametrization·x."""
-    return [sum(a * b for a, b in zip(row, x)) for row in space.parametrization]
+    """The point of a subspace with parameters x: parametrization·x over den."""
+    return [sum(a * b for a, b in zip(row, x)) for row in fraction_parametrization(space)]
+
+
+def coefficient(f, exp):
+    """The coefficient of a monomial, as a Fraction."""
+    return Fraction(f.nums.get(exp, 0), f.den)
+
+
+def scaled(vectors, den):
+    """Each vector multiplied by den."""
+    return tuple(tuple(den * x for x in v) for v in vectors)
 
 
 def reduced_rows(space):
@@ -117,12 +132,13 @@ def test_five_variable_equations_recovered(segre, cr):
 
 def test_special_loci_orbit_sizes():
     seg = special_loci("segre")
-    assert len(seg.nodes) == 10 and len(seg.planes) == 15
+    planes = {s: syntheme_plane(s) for s in synthemes()}
+    assert len(seg.nodes) == 10 and len(planes) == 15
     assert len(set(seg.nodes.values())) == 10
     crl = special_loci("cr")
     assert len(crl.double_lines) == 15
-    assert len(crl.line_points) == 15
-    assert len(crl.cardinal_hyperplanes) == 10
+    assert len({d: duad_point(d) for d in duads()}) == 15
+    assert len({a: cardinal_coefficients(a) for a in three_subsets()}) == 10
 
 
 def test_line_points_meet_rule():
@@ -146,8 +162,8 @@ def test_special_loci_s6_equivariant():
     seg = special_loci("segre")
     crl = special_loci("cr")
     node_set = set(seg.nodes.values())
-    point_set = set(crl.line_points.values())
-    card_set = {ProjectivePoint(c) for c in crl.cardinal_hyperplanes.values()}
+    point_set = set({d: duad_point(d) for d in duads()}.values())
+    card_set = {ProjectivePoint(c) for c in {a: cardinal_coefficients(a) for a in three_subsets()}.values()}
     line_eqs = {reduced_rows(line) for line in crl.double_lines.values()}
     for g in s6_elements()[::37]:  # a spread of permutations, exact either way
         perm0 = [g[i] - 1 for i in range(6)]  # 0-based positions
@@ -287,7 +303,7 @@ def subspaces(draw):
 @given(subspaces(), st.data())
 def test_coordinates_match_fraction_solve(sub, data):
     nvars, rows, space = sub
-    param = space.parametrization
+    param = fraction_parametrization(space)
     if data.draw(st.booleans()):
         x = data.draw(st.lists(small_rationals, min_size=len(space.free), max_size=len(space.free)))
         p = [sum(a * b for a, b in zip(row, x)) for row in param]
@@ -333,7 +349,9 @@ def test_from_equations_matches_fraction_rref(sub, data):
     assert [[Fraction(a, space.den) for a in row] for row in space.rows] == red[: len(pivots)]
     assert space.nvars == nvars and space.den > 0
     assert all(type(a) is int for row in space.rows for a in row)
-    assert space.parametrization == reference_kernel(rows, nvars)
+    assert fraction_parametrization(space) == reference_kernel(rows, nvars)
+    assert all(type(a) is int for row in space.parametrization for a in row)
+    assert space.parametrization == tuple(tuple(col[i] for col in space.kernel) for i in range(nvars))
     assert LinearSubspace(space.rows, space.den, nvars) == space
     # refusals: a row scaled off den, two rows swapped, a wrong length
     if space.rows:
@@ -369,7 +387,7 @@ def test_linear_subspace_checks_the_unit_pattern():
     # the parametrization is the unit vector (1 at the free column x1) over den
     for rows, den in ((((1, 1),), 1), (((2, 2),), 2)):
         space = LinearSubspace(rows, den, 2)
-        assert space.free == (1,) and space.parametrization == ((-1,), (1,))
+        assert space.free == (1,) and space.parametrization == ((-den,), (den,))
     # each leading entry must be den, and each leading column zero in the
     # other rows: otherwise coordinates read off the free columns are wrong
     for rows, den in (
@@ -388,12 +406,13 @@ def test_linear_subspace_checks_the_unit_pattern():
 def test_chart_matches_greedy_basis_on_segre_nodes(segre):
     for pt in special_loci("segre").nodes.values():
         cert = certify_ordinary_node(segre, pt)
-        assert cert.chart == greedy_chart_basis(pt.coords, segre.ambient_constraints, 6)
+        assert cert.chart == scaled(greedy_chart_basis(pt.coords, segre.ambient_constraints, 6), segre.ambient.den)
 
 
 def test_chart_matches_greedy_basis_on_section_nodes(reference_section):
+    # the section chart has no constraints, so its den is 1
     for node in reference_section.nodes:
-        assert node.certificate.chart == greedy_chart_basis(node.chart_point.coords, (), 4)
+        assert node.certificate.chart == scaled(greedy_chart_basis(node.chart_point.coords, (), 4), 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -411,8 +430,9 @@ def test_chart_matches_greedy_basis_on_random_points(sub, data):
     line[i], line[j] = p[j], -p[i]
     l = MultiPoly.linear_form(line)
     pt = ProjectivePoint(p)
-    cert = certify_ordinary_node(Hypersurface(l * l, space.rows), pt)
-    assert cert.chart == greedy_chart_basis(pt.coords, space.rows, nvars)
+    surface = Hypersurface(l * l, space.rows)
+    cert = certify_ordinary_node(surface, pt)
+    assert cert.chart == scaled(greedy_chart_basis(pt.coords, space.rows, nvars), surface.ambient.den)
 
 
 def test_duality_examples():
@@ -447,13 +467,12 @@ def test_duality_random_samples():
 
 def test_cardinal_restriction_123():
     res = cardinal_restriction((1, 2, 3))
-    stated = cardinal_tangency_quadric().substitute_linear(res.chart)
+    plane = res.plane
+    stated = cardinal_tangency_quadric().substitute_linear(plane.parametrization, plane.den)
     # q equals the stated quadric's restriction up to scale
-    lead = stated.terms[stated.leading_monomial()]
-    lead_q = res.square_root.terms[res.square_root.leading_monomial()]
-    assert stated * lead_q == res.square_root * lead
+    assert stated * res.square_root.leading_coefficient() == res.square_root * stated.leading_coefficient()
     assert res.scale * res.square_root * res.square_root == cr_quartic_form().substitute_linear(
-        res.chart
+        fraction_parametrization(plane)
     )
 
 
@@ -813,9 +832,9 @@ def fraction_sample(rng, max_height=50, avoid_planes=False):
         if all(x == 0 for x in pa) or all(x == 0 for x in pb):
             continue
         cubic = segre.form.substitute_linear(list(zip(pa, pb)))
-        c21 = cubic.terms.get((2, 1), 0)
-        c12 = cubic.terms.get((1, 2), 0)
-        if cubic.terms.get((3, 0)) or cubic.terms.get((0, 3)):
+        c21 = coefficient(cubic, (2, 1))
+        c12 = coefficient(cubic, (1, 2))
+        if coefficient(cubic, (3, 0)) or coefficient(cubic, (0, 3)):
             continue
         if c21 == 0:
             continue
@@ -881,7 +900,7 @@ def chord_ends(draw):
 @given(chord_ends(), chord_ends())
 def test_chord_cubic_matches_substitution(pa, pb):
     cubic = segre_form().substitute_linear(list(zip(pa, pb)))
-    expected = tuple(cubic.terms.get(e, 0) for e in ((3, 0), (2, 1), (1, 2), (0, 3)))
+    expected = tuple(coefficient(cubic, e) for e in ((3, 0), (2, 1), (1, 2), (0, 3)))
     got = varieties._chord_cubic(segre_form(), pa, pb)
     assert got == expected
     assert all(type(c) is int for c in got)
@@ -1010,7 +1029,7 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
     with pytest.raises(AttributeError):
         v.second_partials = ()
     with pytest.raises(AttributeError):
-        v.gradient[0].terms.clear()
+        v.gradient[0].nums.clear()
 
 
 def test_cached_constants_are_immutable():
@@ -1024,19 +1043,21 @@ def test_cached_constants_are_immutable():
     with pytest.raises(TypeError):
         plane.kernel[0] = ()
     with pytest.raises(AttributeError):
-        cr_quartic_form().terms = {}
+        cr_quartic_form().nums = {}
+    with pytest.raises(AttributeError):
+        cr_quartic_form().den = 2
 
 
 def test_polynomial_terms_are_read_only():
     form = cr_quartic_form()
     with pytest.raises(AttributeError):
-        form.terms.clear()
+        form.nums.clear()
     with pytest.raises(TypeError):
-        form.terms[(4, 0, 0, 0, 0, 0)] = Fraction(0)
-    assert len(cr_quartic_form().terms) == 21
+        form.nums[(4, 0, 0, 0, 0, 0)] = 0
+    assert len(cr_quartic_form().nums) == 21 and form.den == 1
     fp = form.mod_p(7)
     with pytest.raises(AttributeError):
         fp.terms.clear()
     with pytest.raises(TypeError):
         fp.terms[(4, 0, 0, 0, 0, 0)] = 1
-    assert fp.terms == {e: int(c) % 7 for e, c in form.terms.items() if int(c) % 7}
+    assert fp.terms == {e: c % 7 for e, c in form.nums.items() if c % 7}
