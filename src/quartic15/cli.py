@@ -15,7 +15,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from . import congruence as cg
@@ -191,7 +190,7 @@ def checks_cr(r: Runner):
         rng = random.Random(seed)
         tried = 0
         while tried < 3:
-            h = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
+            h = [rng.randint(-9, 9) for _ in range(6)]
             if all(x == h[0] for x in h):
                 continue
             plane = va.LinearSubspace.from_equations([va.ONES, h], 6)

@@ -70,14 +70,16 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
 
 def clear_denominators(row: Iterable) -> tuple[list[int], int]:
     """(ints, den) with row = ints/den and den the least common denominator;
-    a row of plain ints comes back as a fresh list over 1."""
+    a row of plain ints comes back as a fresh list over 1.  Any entry that is
+    not an int or a Fraction (a float, a str) is refused with TypeError."""
     row = list(row)
     if all(type(x) is int for x in row):
         return row, 1
-    # ints and Fractions already carry .numerator and .denominator
-    fr = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (den // x.denominator) for x in fr], den
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entry {x!r} is not an int or a Fraction")
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def bareiss(m: Iterable[Iterable[int]], reduce_above: bool = False) -> tuple[IntMatrix, list[int], int]:
@@ -686,16 +688,6 @@ class Isometry:
             return False, self.preserves_gram(lat.gram)
         a = mat_mul(self.matrix, lat.gram)
         return True, a == mat_transpose(a)
-
-    def order(self) -> Optional[int]:
-        """The smallest k <= 4 with M^k = 1, else None."""
-        ident = mat_identity(self.rank)
-        power = [list(r) for r in self.matrix]
-        for k in range(1, 5):
-            if power == ident:
-                return k
-            power = mat_mul(power, self.matrix)
-        return None
 
     def trace(self) -> int:
         return sum(self.matrix[i][i] for i in range(self.rank))

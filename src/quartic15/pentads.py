@@ -166,20 +166,6 @@ def _one_edge_deletions(pentad: Pentad) -> list[bool]:
     return [_is_triangle_plus_segment([e for e in pentad if e != edge]) for edge in pentad]
 
 
-_READINGS = {"exists": any, "forall": all}
-
-
-def graph_criterion(pentad: Pentad, reading: str) -> bool:
-    """The classical one-edge-deletion criterion under a chosen reading.
-
-    reading='exists': some edge deletion leaves a disjoint triangle+segment;
-    reading='forall': every edge deletion does.
-    """
-    if reading not in _READINGS:
-        raise ValueError(f"unknown reading {reading!r}")
-    return _READINGS[reading](_one_edge_deletions(pentad))
-
-
 def triple_criterion(pentad: Pentad, triple: Sequence[Duad]) -> bool:
     """Two-edge-deletion criterion for 'these three nodes lie on a trope-conic':
     the three remaining edges form a disconnected triangle, or a disconnected
@@ -273,14 +259,9 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     general section the coplanar quadruples are exactly those lying on a
     trope-conic, so the two admissibility counts agree.
     """
-    from .exact import primitive_integer_vector
     from .lattice import det_bareiss
 
-    pts = {
-        n.syntheme: primitive_integer_vector(n.chart_point.coords)
-        for n in section.nodes
-        if n.syntheme is not None
-    }
+    pts = {n.syntheme: n.chart_point.coords for n in section.nodes if n.syntheme is not None}
     trope_sets = [set(t.incident_nodes) for t in section.tropes]
     synths = sorted(pts)
     coplanar: dict[tuple, bool] = {}

@@ -54,23 +54,20 @@ class GenericityError(ValueError):
 
 
 class ProjectivePoint:
-    """Point of projective space, stored by the canonical representative
-    whose first nonzero coordinate is 1."""
+    """Point of projective space, stored by its canonical integer
+    representative: the primitive integer vector whose first nonzero entry
+    is positive."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        xs, _ = clear_denominators(coords)
-        lead = next((x for x in xs if x), None)
-        if lead is None:
+        xs = tuple(primitive_integer_vector(coords))
+        if not any(xs):
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", tuple(Fraction(x, lead) for x in xs))
+        object.__setattr__(self, "coords", xs)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ProjectivePoint is immutable")
-
-    def primitive(self) -> tuple[int, ...]:
-        return tuple(primitive_integer_vector(self.coords))
 
     def __eq__(self, other):
         return isinstance(other, ProjectivePoint) and self.coords == other.coords
@@ -79,7 +76,7 @@ class ProjectivePoint:
         return hash(self.coords)
 
     def __repr__(self):
-        return f"ProjectivePoint{self.primitive()}"
+        return f"ProjectivePoint{self.coords}"
 
 
 @dataclass(frozen=True)
@@ -166,11 +163,12 @@ class LinearSubspace:
         w = self._cleared(p, "point")
         return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self.rows)
 
-    def coordinates(self, p: Sequence) -> Optional[list[Fraction]]:
-        """Parameters x with parametrization·x = den·p, or None when p is off the subspace."""
+    def coordinates(self, p: Sequence) -> Optional[list]:
+        """Parameters x with parametrization·x = den·p, or None when p is off
+        the subspace: p's own entries at the free columns."""
         if not self.contains(p):
             return None
-        return [Fraction(p[f]) for f in self.free]
+        return [p[f] for f in self.free]
 
     def annihilates(self, v: Sequence) -> bool:
         """True iff the covector v kills every kernel column, i.e. v lies in
@@ -337,7 +335,7 @@ class NodeCertificate:
     chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
 
 
-def _chart_basis(point: Sequence[Fraction], ambient: LinearSubspace) -> list[int]:
+def _chart_basis(point: Sequence[int], ambient: LinearSubspace) -> list[int]:
     """Indices of the directions completing the point to a basis of the
     ambient subspace: every parametrization column but the one at the last
     free column where the point is nonzero.  The point's coefficient on that
@@ -423,11 +421,10 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
     """Polar duality from the cubic to the quartic: traceless coordinate square.
 
     y_i = z_i^2 − (sum_j z_j^2)/6.  Undefined exactly at the ten nodes, where
-    the traceless square collapses to zero.  z is cleared once to an integer
-    vector, and the image is formed from it as 6·z_i^2 − sum_j z_j^2, which
-    is y scaled by six times the square of the denominator.
+    the traceless square collapses to zero.  The image is formed from z's
+    integer coordinates as 6·z_i^2 − sum_j z_j^2, which is y scaled by six.
     """
-    zs, _ = clear_denominators(z.coords)
+    zs = z.coords
     if sum(zs) != 0 or sum(c**3 for c in zs) != 0:
         raise NotOnVarietyError("point is not on the cubic")
     s = sum(c * c for c in zs)
@@ -548,7 +545,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     quartic3 = form.substitute_linear(section.parametrization, section.den)
     surface = Hypersurface(quartic3, ())
 
-    def chart_coords(p6: Sequence[Fraction]) -> ProjectivePoint:
+    def chart_coords(p6: Sequence[int]) -> ProjectivePoint:
         x = section.coordinates(p6)
         if x is None:
             raise AssertionError("point must lie in the section chart")
@@ -580,9 +577,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if not cert.is_ordinary:
             raise GenericityError("degenerate tangency at the section point")
         nodes.append(SectionNode(None, ambient, xp, cert))
-    # incidence and the conic test are projective: each node's point is
-    # cleared to its primitive integer vector once, for all ten planes
-    node_vectors = [node.ambient.primitive() for node in nodes]
 
     tropes: list[TropeRecord] = []
     for subset in three_subsets():
@@ -596,8 +590,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if not all(section.contains(col) for col in plane.kernel):
             raise AssertionError("the trope plane must lie in the section chart")
         incident = []
-        for node, vec in zip(nodes, node_vectors):
-            params = plane.coordinates(vec)
+        for node in nodes:
+            params = plane.coordinates(node.ambient.coords)
             if node.syntheme is None:
                 if params is not None:
                     raise GenericityError("tangency point lies on a cardinal plane", subset)
@@ -712,7 +706,7 @@ def bad_prime_duads(model: SectionModel, p: int) -> tuple[Duad, ...]:
     return tuple(
         d
         for d in duads()
-        if sum(a * b for a, b in zip(hp, duad_point(d).coords)).numerator % p == 0
+        if sum(a * b for a, b in zip(hp, duad_point(d).coords)) % p == 0
     )
 
 

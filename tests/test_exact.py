@@ -330,10 +330,12 @@ def test_clear_denominators():
     assert (ints, d) == ([3, -4, 0], 1) and ints is not row
     ints[0] = 99
     assert row == [3, -4, 0]
-    # bool and float entries keep the rational route
+    # bool entries keep the rational route; a float or a str is refused
     ints, d = clear_denominators([True, 2])
     assert (ints, d) == ([1, 2], 1) and all(type(x) is int for x in ints)
-    assert clear_denominators([0.5, 1]) == ([1, 2], 2)
+    for bad in ([0.5, 1], [Fraction(1, 2), "1/3"]):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            clear_denominators(bad)
 
 
 # -- oracle tests: the fraction-free kernel against the Fraction Gauss-Jordan --

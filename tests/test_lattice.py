@@ -153,6 +153,13 @@ def test_overlattice_rejects_odd_norm():
         overlattice(l, [[Fraction(1, 2), Fraction(1, 2)]])
 
 
+def test_overlattice_refuses_non_rational_glue():
+    l = direct_sum(named_lattice("A1"), named_lattice("A1"))
+    for glue in ([0.5, 0.5], ["1/2", "1/2"]):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            overlattice(l, [glue])
+
+
 def test_overlattice_valid_rank7():
     l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
     glue = [Fraction(1, 2)] * 7
@@ -200,14 +207,14 @@ def test_reflection_a1():
     a1 = named_lattice("A1")
     iso = reflection_isometry(a1, [1], "s")
     assert iso.matrix == ((-1,),)
-    assert iso.preserves_gram(a1.gram) and iso.order() == 2
+    assert iso.preserves_gram(a1.gram) and iso.is_involution()
 
 
 def test_reflection_fixes_mirror_and_involutive():
     l = direct_sum(named_lattice("A1"), named_lattice("A1"))
     iso = reflection_isometry(l, [1, 0], "s")
     assert iso.matrix[1] == (0, 1)  # orthogonal vector fixed
-    assert iso.preserves_gram(l.gram) and iso.order() == 2
+    assert iso.preserves_gram(l.gram) and iso.is_involution()
 
 
 def test_reflection_norm4_parity_guard():
@@ -257,12 +264,13 @@ def test_reflections_in_orthogonal_vectors_commute():
 def test_isometry_reports_higher_order():
     u = named_lattice("U")
     swap = Isometry("swap", ((0, 1), (1, 0)))
-    assert swap.preserves_gram(u.gram) and swap.order() == 2
+    assert swap.preserves_gram(u.gram) and swap.is_involution()
     not_iso = Isometry("shear", ((1, 1), (0, 1)))
-    assert not not_iso.preserves_gram(u.gram) and not_iso.order() is None
+    assert not not_iso.preserves_gram(u.gram) and not not_iso.is_involution()
     rotation = Isometry("rot", ((0, 1), (-1, 0)))
     square = named_lattice("diag(-2,-2)")
-    assert rotation.preserves_gram(square.gram) and rotation.order() == 4
+    assert rotation.preserves_gram(square.gram)
+    # order 4: not an involution, but its square is
     assert not rotation.is_involution() and rotation.compose(rotation).is_involution()
 
 
@@ -294,7 +302,7 @@ def test_reflection_laws_in_diagonal_lattice(diag, head):
     r = head + [1]
     iso = reflection_isometry(lat, r, "s")
     assert iso.preserves_gram(lat.gram)
-    assert iso.order() == 2
+    assert iso.is_involution()
     assert iso.apply(r) == [-x for x in r]
     _, mirror = orthogonal_complement(lat, [r])
     assert len(mirror) == lat.rank - 1

@@ -9,11 +9,11 @@ from quartic15.configs import apply_perm_duad_set, duads, s6_elements, trope_nod
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
     _components,
+    _one_edge_deletions,
     all_pentads,
     classify,
     classify_all,
     goepel_pentads,
-    graph_criterion,
     graph_criterion_crosscheck,
     orbit_partition,
     orbit_table,
@@ -96,15 +96,13 @@ def test_orbit_table_counts():
 
 
 def test_graph_criterion_readings_disagree_on_goepel():
-    goepel = tuple(sorted(C_SET))
-    assert classify(goepel).admissible
-    assert not graph_criterion(goepel, "exists")
-    assert not graph_criterion(goepel, "forall")
-
-
-def test_graph_criterion_refuses_an_unknown_reading():
-    with pytest.raises(ValueError, match="unknown reading 'some'"):
-        graph_criterion(TYPE_II, "some")
+    assert classify(tuple(sorted(C_SET))).admissible
+    # the Goepel orbit is admissible, but no edge deletion of a five-star
+    # leaves a triangle, so both readings reject it
+    goepel = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
+    report = graph_criterion_crosscheck()
+    assert (goepel, True, False) in report.mismatch_orbits_exists
+    assert (goepel, True, False) in report.mismatch_orbits_forall
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,8 +127,7 @@ def test_graph_criterion_readings_match_networkx():
 
     for p in all_pentads():
         deletions = [triangle_plus_segment([e for e in p if e != edge]) for edge in p]
-        assert graph_criterion(p, "exists") == any(deletions)
-        assert graph_criterion(p, "forall") == all(deletions)
+        assert _one_edge_deletions(p) == deletions
 
 
 def test_triple_criterion_examples():

@@ -23,12 +23,8 @@ FRACTION_SITES = {
         "rref",  # output: the integer RREF divided by its final pivot
         "nullspace",  # output: the unit entries of the kernel basis
     },
-    "varieties.py": {
-        "ProjectivePoint.__init__",  # input: coordinates, scaled to a leading 1
-        "LinearSubspace.coordinates",  # output: the point's entries at the free columns
-    },
+    "varieties.py": set(),
     "lattice.py": {
-        "clear_denominators",  # input: rational rows to integer rows over one denominator
         "IntegerLattice.pair",  # output: the value of the pairing
         "discriminant_group",  # output: the q-values of the generators
         "discriminant_q_multiset",  # output: one key per q-value
@@ -40,6 +36,9 @@ FRACTION_SITES = {
     },
     "involutions.py": set(),
     "pentads.py": set(),
+    "configs.py": set(),
+    "congruence.py": set(),
+    "cli.py": set(),
 }
 
 

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -95,21 +96,41 @@ def test_build_variety_points(segre, cr):
     assert cr.form.evaluate(q.coords) == 0 and cr.ambient.contains(q.coords)
 
 
-def test_projective_point_normalisation():
-    # the integer normalisation agrees with the Fraction rule Fraction(x) / lead
-    for coords in (
-        [0, -3, 6, 0, 9, 1],
-        [Fraction(0), Fraction(-2, 3), Fraction(5, 7), Fraction(1, 2)],
-        [0, Fraction(3, 4), -2, 5, Fraction(-7, 6), 0],
-        [0.5, -1, Fraction(1, 3)],
-    ):
-        fr = [Fraction(x) for x in coords]
-        lead = next(x for x in fr if x)
-        point = ProjectivePoint(coords).coords
-        assert point == tuple(x / lead for x in fr) and all(type(x) is Fraction for x in point)
-    for zero in ([0, 0, 0], [Fraction(0), 0]):
+_nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9) | _nonzero_rationals, min_size=1, max_size=6).filter(any),
+    _nonzero_rationals,
+)
+def test_projective_point_normalisation(coords, c):
+    point = ProjectivePoint(coords)
+    xs = point.coords
+    # the canonical form: a primitive integer vector, first nonzero entry positive
+    assert all(type(x) is int for x in xs) and math.gcd(*xs) == 1
+    assert next(x for x in xs if x) > 0
+    # a point is its own for every nonzero rational multiple, negative ones too
+    assert ProjectivePoint([c * x for x in coords]) == point
+    assert hash(ProjectivePoint([c * x for x in coords])) == hash(point)
+    # the Fraction rule Fraction(x) / lead names the same point
+    fr = [Fraction(x) for x in coords]
+    lead = next(x for x in fr if x)
+    assert tuple(Fraction(x, next(y for y in xs if y)) for x in xs) == tuple(x / lead for x in fr)
+    assert ProjectivePoint([x / lead for x in fr]) == point
+
+
+def test_projective_point_refusals():
+    for zero in ([0, 0, 0], [Fraction(0), 0], []):
         with pytest.raises(ValueError):
             ProjectivePoint(zero)
+    # only ints and Fractions: a float or a str is refused, not converted
+    for bad in ([0.5, -1, Fraction(1, 3)], [0.1, 1, 1], ["1/2", 1, 1]):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            ProjectivePoint(bad)
+    for bad in ([0.1, 1, 1], [1, "1", 0]):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            LinearSubspace.from_equations([bad], 3)
 
 
 def test_forms_s6_invariant(segre, cr):
@@ -204,7 +225,7 @@ def test_derived_duad_point_matches():
     # constraint; solving the three line systems yields (-2,-2,1,1,1,1)
     for d in duads():
         assert derive_duad_point(d) == duad_point(d)
-    assert duad_point((1, 2)).primitive() in ((2, 2, -1, -1, -1, -1), (-2, -2, 1, 1, 1, 1))
+    assert duad_point((1, 2)).coords == (2, 2, -1, -1, -1, -1)
 
 
 def test_certify_segre_nodes(segre):
