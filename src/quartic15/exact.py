@@ -208,18 +208,24 @@ class MultiPoly:
         return self._sparse
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Value at `point`, summed in integers: with point = xs/d, each term
-        num·xs^e/d^deg is brought to the common denominator d^D by d^(D − deg)."""
+        """Value at `point`: cleared to xs/d, then `_integer_value` over
+        den·d^D, D the total degree."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
         xs, d = clear_denominators(point)
+        return Fraction(self._integer_value(xs, d), self.den * d ** self._monomials()[0])
+
+    def _integer_value(self, xs: Sequence[int], d: int = 1) -> int:
+        """den·d^D·f(xs/d) for an integer vector xs of nvars entries, summed
+        in integers: each term num·xs^e/d^deg is brought to the common
+        denominator d^D by d^(D − deg).  With den 1 and d 1 it is f(xs)."""
         top, terms = self._monomials()
         total = 0
         for c, gap, mono in terms:
             for i, e in mono:
                 c *= xs[i] ** e
             total += c * d**gap if gap else c
-        return Fraction(total, self.den * d**top)
+        return total
 
     def partial(self, i: int) -> "MultiPoly":
         _check_index(i, self.nvars)

@@ -11,6 +11,9 @@ are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.  Each matrix
 is certified integral by exact division, then involutive and Gram-preserving
 by `Isometry.involutive_isometry`: the full product M·M, and, once M² = 1,
 the full product M·G tested for symmetry, which is equivalent to M·G·M^T = G.
+That method sparsifies each M once, for both factors of M·M and the left
+factor of M·G, and reads the sparse rows of G from a cache keyed by the Gram
+tuple, so the Gram matrix is sparsified once for all 3003 reflections.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.

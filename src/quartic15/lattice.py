@@ -46,16 +46,32 @@ def _check_length(v: Sequence, n: int, what: str) -> None:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """The full product a·b, accumulated over the nonzero entries only."""
-    ncols = len(b[0]) if b else 0
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
+    """The full product a·b; both factors are sparsified here, on every call.
+
+    A caller that multiplies by one factor more than once keeps its
+    `_sparse_rows` and calls `_sparse_product` directly.  A row of a whose
+    length is not the row count of b is refused.
+    """
     for row in a:
+        _check_length(row, len(b), "row of the left factor")
+    return _sparse_product(_sparse_rows(a), _sparse_rows(b), len(b[0]) if b else 0)
+
+
+def _sparse_rows(m: Iterable[Iterable]) -> list[list[tuple[int, object]]]:
+    """Each row of m as its (column, entry) pairs with a nonzero entry."""
+    return [[(j, y) for j, y in enumerate(row) if y] for row in m]
+
+
+def _sparse_product(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> list[list]:
+    """The full product of two matrices given by their sparse rows, with
+    ncols columns: row i accumulates a[i][k]·(row k of b) over the nonzero
+    entries only."""
+    out = []
+    for arow in a:
         acc = [0] * ncols
-        for x, brow in zip(row, sparse_b):
-            if x:
-                for j, y in brow:
-                    acc[j] += x * y
+        for k, x in arow:
+            for j, y in b[k]:
+                acc[j] += x * y
         out.append(acc)
     return out
 
@@ -668,7 +684,7 @@ class Isometry:
         return Isometry(f"{self.name};{other.name}", _freeze(mat_mul(self.matrix, other.matrix)))
 
     def is_involution(self) -> bool:
-        return mat_mul(self.matrix, self.matrix) == mat_identity(self.rank)
+        return mat_mul(self.matrix, self.matrix) == _identity(self.rank)
 
     def preserves_gram(self, gram: Sequence[Sequence[int]]) -> bool:
         """M·G·M^T = G, exactly."""
@@ -678,15 +694,20 @@ class Isometry:
     def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
         """(M·M = 1, M·G·M^T = G), exactly, from two full products.
 
-        If M² = 1 then M^T is its own inverse, so M·G·M^T = G holds iff
-        M·G = G·M^T, and G·M^T = (M·G)^T because G is symmetric (which
-        `IntegerLattice` guarantees): the Gram test becomes the symmetry of
-        A = M·G.  A matrix with M² ≠ 1 gets the full `preserves_gram`.
+        M is sparsified once, here, and serves as both factors of M·M and as
+        the left factor of M·G; the sparse rows of G are built once per Gram
+        matrix (`_sparse_gram`).  If M² = 1 then M^T is its own inverse, so
+        M·G·M^T = G holds iff M·G = G·M^T, and G·M^T = (M·G)^T because G is
+        symmetric (which `IntegerLattice` guarantees): the Gram test becomes
+        the symmetry of A = M·G.  A matrix with M² ≠ 1 gets the full
+        `preserves_gram`.
         """
         _check_length(self.matrix, lat.rank, "isometry matrix")
-        if mat_mul(self.matrix, self.matrix) != mat_identity(self.rank):
+        n = self.rank
+        m = _sparse_rows(self.matrix)
+        if _sparse_product(m, m, n) != _identity(n):
             return False, self.preserves_gram(lat.gram)
-        a = mat_mul(self.matrix, lat.gram)
+        a = _sparse_product(m, _sparse_gram(lat.gram), n)
         return True, a == mat_transpose(a)
 
     def trace(self) -> int:
@@ -731,3 +752,17 @@ def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Iso
 @lru_cache(maxsize=None)
 def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return _freeze(mat_identity(n))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> IntMatrix:
+    """The n×n identity that products are compared against; shared, so it
+    is never handed out or changed."""
+    return mat_identity(n)
+
+
+@lru_cache(maxsize=256)
+def _sparse_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sparse rows of a Gram matrix, keyed by the immutable Gram tuple
+    itself, so they cannot go stale; read-only tuples."""
+    return tuple(map(tuple, _sparse_rows(gram)))

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_orbits, trope_node_sets
 from .nodal_surface import (
@@ -128,56 +128,42 @@ def goepel_pentads() -> list[Pentad]:
 # -- the graph criterion -----------------------------------------------------------
 
 
-def _components(edges: Sequence[Duad]) -> list[set[Duad]]:
-    """Edge sets of the connected components, merged in one pass: each edge
-    joins every component that shares one of its vertices."""
-    comps: list[tuple[set[int], set[Duad]]] = []  # (vertices, edges) of each component
-    for e in edges:
-        verts, joined, rest = set(e), {e}, []
-        for cv, ce in comps:
-            if cv.isdisjoint(e):
-                rest.append((cv, ce))
-            else:
-                verts |= cv
-                joined |= ce
-        comps = rest + [(verts, joined)]
-    return [ce for _, ce in comps]
+def _mask(edge: Duad) -> int:
+    """The edge's two vertices as a bitmask."""
+    a, b = edge
+    return 1 << a | 1 << b
 
 
-def _is_triangle(edges: Iterable[Duad]) -> bool:
-    es = list(edges)
-    verts = set(v for e in es for v in e)
-    return len(es) == 3 and len(verts) == 3
-
-
-def _is_triangle_plus_segment(edges: Sequence[Duad]) -> bool:
-    """Exactly a 3-cycle plus one vertex-disjoint edge (4 edges in all)."""
-    if len(edges) != 4:
-        return False
-    comps = _components(edges)
-    if len(comps) != 2:
-        return False
-    comps.sort(key=len)
-    return len(comps[0]) == 1 and _is_triangle(comps[1])
+def _triangle_plus_segment(masks: Sequence[int]) -> bool:
+    """Four distinct edges, as masks, are a 3-cycle plus one vertex-disjoint
+    edge: some edge is disjoint from the other three, and those three form a
+    triangle, i.e. cover exactly three vertices."""
+    for i, seg in enumerate(masks):
+        a, b, c = masks[:i] + masks[i + 1 :]
+        union = a | b | c
+        if not seg & union and union.bit_count() == 3:
+            return True
+    return False
 
 
 def _one_edge_deletions(pentad: Pentad) -> list[bool]:
     """For each edge, whether deleting it leaves a disjoint triangle+segment."""
-    return [_is_triangle_plus_segment([e for e in pentad if e != edge]) for edge in pentad]
+    masks = [_mask(e) for e in pentad]
+    return [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(len(masks))]
 
 
 def triple_criterion(pentad: Pentad, triple: Sequence[Duad]) -> bool:
     """Two-edge-deletion criterion for 'these three nodes lie on a trope-conic':
-    the three remaining edges form a disconnected triangle, or a disconnected
-    union of a segment and a chain."""
-    edges = list(triple)
-    comps = _components(edges)
-    if len(comps) == 1:
-        return _is_triangle(edges)  # a triangle is one component
-    if len(comps) == 2:
-        comps.sort(key=len)
-        return len(comps[0]) == 1 and len(comps[1]) == 2
-    return False
+    the three remaining (distinct) edges form a disconnected triangle, or a
+    disconnected union of a segment and a chain.  On vertex bitmasks: the
+    edges cover exactly three vertices (a triangle), or some edge is disjoint
+    from the other two and those two share a vertex."""
+    a, b, c = map(_mask, triple)
+    if (a | b | c).bit_count() == 3:
+        return True
+    return any(
+        not seg & (x | y) and x & y for seg, x, y in ((a, b, c), (b, a, c), (c, a, b))
+    )
 
 
 @dataclass(frozen=True)

@@ -767,10 +767,13 @@ def _chord_cubic(form: MultiPoly, pa: Sequence[int], pb: Sequence[int]) -> tuple
     """Coefficients (c30, c21, c12, c03) of the binary cubic form(α·pa + β·pb),
     read off four values: form(pa) = c30, form(pb) = c03 and
     form(pa ± pb) = c30 ± c21 + c12 ± c03.  The form must have integer
-    coefficients, as the Segre form does; on integer endpoints every value
-    and coefficient is then an integer, and both halvings are exact."""
+    coefficients, as the Segre form does, and is refused otherwise; on integer
+    endpoints every value and coefficient is then an integer, and both
+    halvings are exact."""
+    if form.den != 1:
+        raise ValueError("the chord cubic needs a form with integer coefficients")
     c30, c03, plus, minus = (
-        form.evaluate(v).numerator  # an integer value: its denominator is 1
+        form._integer_value(v)
         for v in (pa, pb, [a + b for a, b in zip(pa, pb)], [a - b for a, b in zip(pa, pb)])
     )
     return c30, (plus - minus) // 2 - c03, (plus + minus) // 2 - c30, c03
@@ -789,8 +792,9 @@ def sample_smooth_cubic_point(
     of a chord lies on one of the 15 planes.
     The chord runs on the integer plane points and the binary cubic along it
     is read off four values of the form; the smoothness and plane tests are
-    projective, so they run on the integer third point, and the one
-    `ProjectivePoint` is built for the point returned.
+    projective, so they run on the integer third point (the gradient as the
+    integer values of the partials, which must have integer coefficients),
+    and the one `ProjectivePoint` is built for the point returned.
     """
     if max_height < 1:
         raise ValueError(f"max_height must be at least 1, not {max_height}")
@@ -800,6 +804,8 @@ def sample_smooth_cubic_point(
             "at height 1 every smooth third point of a chord lies on one of them"
         )
     segre = build_variety("segre")
+    if any(g.den != 1 for g in segre.gradient):
+        raise ValueError("the gradient test needs partials with integer coefficients")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]
     height = min(3, max_height)
@@ -819,7 +825,7 @@ def sample_smooth_cubic_point(
         coords = [a * c12 - b * c21 for a, b in zip(pa, pb)]
         if not any(coords):
             continue
-        grad = [g.evaluate(coords) for g in segre.gradient]
+        grad = [g._integer_value(coords) for g in segre.gradient]
         if segre.ambient.annihilates(grad):
             continue  # singular (a node)
         if avoid_planes and any(pl.contains(coords) for pl in planes):

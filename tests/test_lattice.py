@@ -404,6 +404,88 @@ def test_mat_mul_matches_dense_product(data):
     assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
 
 
+@st.composite
+def isometry_cases(draw):
+    """(M, G): a random integer M, or an involution (a signed involutive
+    permutation conjugated by an elementary unimodular matrix), with a
+    symmetric G that M preserves (G + M·G·M^T) or a random one; now and then
+    a zero row of M and of G."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entries)
+    if draw(st.booleans()):
+        m = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+    else:
+        order = draw(st.permutations(range(n)))
+        s = [[0] * n for _ in range(n)]
+        for k in range(0, n, 2):
+            i, j = order[k], order[min(k + 1, n - 1)]
+            if i != j and draw(st.booleans()):
+                s[i][j] = s[j][i] = draw(st.sampled_from([1, -1]))
+            else:
+                s[i][i] = draw(st.sampled_from([1, -1]))
+                s[j][j] = draw(st.sampled_from([1, -1]))
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = draw(st.integers(-2, 2)) if a != b else 0
+        u, u_inv = mat_identity(n), mat_identity(n)
+        u[a][b] += t
+        u_inv[a][b] -= t
+        m = reference_mat_mul(reference_mat_mul(u, s), u_inv)
+        if draw(st.booleans()):
+            image = reference_mat_mul(reference_mat_mul(m, g), [list(c) for c in zip(*m)])
+            g = [[x + y for x, y in zip(r, q)] for r, q in zip(g, image)]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, n - 1))] = [0] * n
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            g[k][i] = g[i][k] = 0
+    return m, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(isometry_cases())
+def test_involutive_isometry_matches_the_dense_definition(case):
+    m, g = case
+    n = len(m)
+    involutive = reference_mat_mul(m, m) == mat_identity(n)
+    isometric = reference_mat_mul(reference_mat_mul(m, g), [list(c) for c in zip(*m)]) == g
+    iso = Isometry("m", tuple(map(tuple, m)))
+    assert iso.involutive_isometry(IntegerLattice(tuple(map(tuple, g)))) == (involutive, isometric)
+    assert iso.is_involution() == involutive
+    assert iso.preserves_gram(g) == isometric
+
+
+def test_involutive_isometry_reads_each_lattices_own_gram():
+    # the cached sparse Gram rows are keyed by the Gram matrix itself: one M
+    # on two Picard Grams that differ in one diagonal entry gets each
+    # lattice's own answer, in either order and again after the other
+    from quartic15.involutions import GOEPEL_PENTAD, tau_pentad_star
+    from quartic15.nodal_surface import picard_lattice
+
+    lat = picard_lattice().lattice
+    tau = tau_pentad_star(GOEPEL_PENTAD)
+    i = next(k for k, row in enumerate(tau.matrix) if row[k] != 1)  # a moved basis vector
+    rows = [list(r) for r in lat.gram]
+    rows[i][i] += 2
+    other = IntegerLattice(tuple(map(tuple, rows)))
+    for first, second in ((lat, other), (other, lat)):
+        assert tau.involutive_isometry(first) == (True, first is lat)
+        assert tau.involutive_isometry(second) == (True, second is lat)
+    assert not tau.preserves_gram(other.gram)
+
+
+def test_mat_mul_refuses_mismatched_shapes():
+    # a row of a longer or shorter than b's row count was cut to fit, so the
+    # extra entries were dropped from the product unseen
+    for a, b in (([[1, 0]], [[1]]), ([[1, 2]], [[1]]), ([[1]], [[1], [2]])):
+        with pytest.raises(ValueError, match="row of the left factor"):
+            mat_mul(a, b)
+
+
 def test_discriminant_group_rejects_non_dual_generator(monkeypatch):
     # a wrong Smith form whose first generator e0/4 pairs to 1/2 with e0
     wrong = ([[4, 0], [0, 2]], mat_identity(2), mat_identity(2))

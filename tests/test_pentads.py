@@ -2,13 +2,10 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from quartic15.configs import apply_perm_duad_set, duads, s6_elements, trope_node_sets
+from quartic15.configs import apply_perm_duad_set, s6_elements, trope_node_sets
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
-    _components,
     _one_edge_deletions,
     all_pentads,
     classify,
@@ -105,16 +102,22 @@ def test_graph_criterion_readings_disagree_on_goepel():
     assert (goepel, True, False) in report.mismatch_orbits_forall
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(duads()), max_size=7))
-def test_components_match_networkx(edges):
-    graph = nx.Graph(edges)
-    expected = {
-        frozenset(e for e in edges if e[0] in comp) for comp in nx.connected_components(graph)
-    }
-    got = _components(edges)
-    assert len(got) == len(expected)
-    assert {frozenset(c) for c in got} == expected
+def test_triple_criterion_matches_networkx():
+    # every (pentad, triple) pair against an independent reading of the
+    # rule: the three edges are one 3-cycle, or two components, a single
+    # edge and a two-edge chain
+    def triangle_or_segment_plus_chain(edges):
+        graph = nx.Graph(edges)
+        comps = sorted((graph.subgraph(c) for c in nx.connected_components(graph)), key=len)
+        sizes = [g.number_of_edges() for g in comps]
+        return (sizes == [3] and len(comps[0]) == 3) or sizes == [1, 2]
+
+    pairs = 0
+    for p in all_pentads():
+        for triple in itertools.combinations(p, 3):
+            assert triple_criterion(p, triple) == triangle_or_segment_plus_chain(triple), (p, triple)
+            pairs += 1
+    assert pairs == 30030
 
 
 def test_graph_criterion_readings_match_networkx():

@@ -927,6 +927,17 @@ def test_chord_cubic_matches_substitution(pa, pb):
     assert all(type(c) is int for c in got)
 
 
+def test_integer_readings_refuse_a_form_with_a_denominator(monkeypatch):
+    # the chord cubic and the gradient test read integer values; a form or a
+    # partial with a denominator is refused, not read through its numerator
+    half = segre_form().scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match="form with integer coefficients"):
+        varieties._chord_cubic(half, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0])
+    monkeypatch.setattr(varieties, "build_variety", lambda kind: Hypersurface(half, (ONES,)))
+    with pytest.raises(ValueError, match="partials with integer coefficients"):
+        sample_smooth_cubic_point(random.Random(1))
+
+
 def fraction_duality_image(z):
     """y_i = z_i^2 − s/6 over the Fractions, or the refusal's message."""
     c = [Fraction(x) for x in z.coords]
