@@ -1,10 +1,11 @@
 """Integer lattices with symmetric bilinear forms.
 
-Construction of named lattices, Smith and Hermite normal forms with
-transformation matrices (re-verified on every call), discriminant groups
-with their Q/2Z-valued quadratic forms, even overlattices from glue
-vectors, integer coordinates over a row basis, orthogonal complements, and
-the `Isometry` type with reflections.
+Construction of named lattices, the Hermite normal form with its
+transformation matrix as the one unimodular eliminator, the Smith normal
+form and orthogonal complements derived from it (every transform
+re-verified on every call), discriminant groups with their Q/2Z-valued
+quadratic forms, even overlattices from glue vectors, integer coordinates
+over a row basis, and the `Isometry` type with reflections.
 
 Vector convention: lattice vectors are row coordinate lists; an isometry is
 a matrix whose i-th row is the image of the i-th basis vector, so it acts by
@@ -205,31 +206,42 @@ def smith_normal_form(
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: (D, U, V) with U·m·V = D, d1 | d2 | ... >= 0.
 
-    U and V are unimodular; the identity U·m·V = D, the divisibility chain,
-    and unimodularity are re-verified before returning.  Diagonalization
-    sweeps alternate with divisibility fix-ups until the chain stabilizes.
+    Derived from the HNF (Cohen, GTM 138, §2.4): row HNFs of a and of a^T
+    alternate until a is diagonal, each transform folded into U or V.  The
+    diagonal then has its zeros last; each pair d_i ∤ d_j (i < j) becomes
+    (gcd, lcm) by one 2×2 unimodular step on each side, from a Bézout triple
+    g = s·d_i + t·d_j.  The identity U·m·V = D, the divisibility chain, and
+    unimodularity are re-verified before returning.
     """
     original = _as_int_matrix(m)
-    a = [row[:] for row in original]
-    rows, cols = len(a), len(a[0]) if a else 0
-    u = mat_identity(rows)
+    rows, cols = len(original), len(original[0]) if original else 0
+    a, u = hermite_normal_form(original)
     v = mat_identity(cols)
-    while True:
-        d1, u1, v1 = _snf_once(a)
-        u = mat_mul(u1, u)
-        v = mat_mul(v, v1)
-        a = d1
-        progress = False
-        for k in range(min(rows, cols) - 1):
-            if a[k][k] and a[k + 1][k + 1] % a[k][k]:
-                a[k] = [x + y for x, y in zip(a[k], a[k + 1])]
-                u[k] = [x + y for x, y in zip(u[k], u[k + 1])]
-                progress = True
-        if not progress:
+    while not _is_diagonal(a):
+        at, v1 = hermite_normal_form(mat_transpose(a))  # a·v1^T = at^T
+        a, v = mat_transpose(at), mat_mul(v, mat_transpose(v1))
+        if _is_diagonal(a):
             break
+        a, u1 = hermite_normal_form(a)
+        u = mat_mul(u1, u)
+    k = min(rows, cols)
+    for i in range(k):
+        for j in range(i + 1, k):
+            di, dj = a[i][i], a[j][j]
+            if not di or not dj % di:
+                continue
+            g, s, t = _bezout(di, dj)
+            p, q = di // g, dj // g
+            a[i][i], a[j][j] = g, p * dj
+            u[i], u[j] = (
+                [s * x + t * y for x, y in zip(u[i], u[j])],
+                [p * y - q * x for x, y in zip(u[i], u[j])],
+            )
+            for row in v:
+                row[i], row[j] = row[i] + row[j], s * p * row[j] - t * q * row[i]
     if mat_mul(mat_mul(u, original), v) != a:
         raise AssertionError("SNF verification failed")
-    diag = [a[i][i] for i in range(min(rows, cols))]
+    diag = [a[i][i] for i in range(k)]
     for i in range(len(diag) - 1):
         if diag[i] < 0 or (diag[i + 1] % diag[i] if diag[i] else diag[i + 1]):
             raise AssertionError(f"SNF divisibility chain broken at {i}: {diag}")
@@ -238,59 +250,17 @@ def smith_normal_form(
     return a, u, v
 
 
-def _snf_once(m):
-    """One diagonalization sweep without the divisibility fix-up."""
-    a = _as_int_matrix(m)
-    rows, cols = len(a), len(a[0]) if a else 0
-    u = mat_identity(rows)
-    v = mat_identity(cols)
-    n = min(rows, cols)
-    for k in range(n):
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        a[k], a[pivot[0]] = a[pivot[0]], a[k]
-        u[k], u[pivot[0]] = u[pivot[0]], u[k]
-        for r in range(rows):
-            a[r][k], a[r][pivot[1]] = a[r][pivot[1]], a[r][k]
-        for r in range(cols):
-            v[r][k], v[r][pivot[1]] = v[r][pivot[1]], v[r][k]
-        while True:
-            for i in range(k + 1, rows):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-            nz = [i for i in range(k + 1, rows) if a[i][k]]
-            if nz:
-                i = min(nz, key=lambda r: abs(a[r][k]))
-                a[k], a[i] = a[i], a[k]
-                u[k], u[i] = u[i], u[k]
-                continue
-            for j in range(k + 1, cols):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    for r in range(rows):
-                        a[r][j] -= q * a[r][k]
-                    for r in range(cols):
-                        v[r][j] -= q * v[r][k]
-            nz = [j for j in range(k + 1, cols) if a[k][j]]
-            if nz:
-                j = min(nz, key=lambda c: abs(a[k][c]))
-                for r in range(rows):
-                    a[r][k], a[r][j] = a[r][j], a[r][k]
-                for r in range(cols):
-                    v[r][k], v[r][j] = v[r][j], v[r][k]
-                continue
-            break
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    return a, u, v
+def _is_diagonal(a: IntMatrix) -> bool:
+    return not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s·a + t·b, for positive a and b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
 
 # -- lattices ----------------------------------------------------------------
@@ -643,21 +613,18 @@ def orthogonal_complement(
 ) -> tuple[IntegerLattice, list[list[int]]]:
     """Primitive sublattice {v in L : v·s = 0 for all s} with induced Gram.
 
-    Returns (lattice, basis rows in L's coordinates).  The kernel of an
-    integer matrix is saturated, so the result is primitive automatically.
+    Returns (lattice, basis rows in L's coordinates).  A = G·S^T has one
+    column per vector s, and one HNF gives U·A = H: the rows of U at the zero
+    rows of H span the integer kernel of A, and since U is unimodular that
+    kernel is saturated, so the result is primitive.
     """
     n = lat.rank
     if not vectors:
         return lat, mat_identity(n)
-    # rows of constraints: v·G·s = 0  ->  A v^T = 0 with A[s] = (G s^T)^T
-    a = []
     for s in vectors:
-        col = [sum(lat.gram[i][j] * s[j] for j in range(n)) for i in range(n)]
-        a.append(col)
-    d, u, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(a), n)) if d[i][i] != 0)
-    # kernel basis: columns of V beyond the rank, as rows in L coordinates
-    basis = [[v[i][j] for i in range(n)] for j in range(r, n)]
+        _check_length(s, n, "vector")
+    h, u = hermite_normal_form(mat_mul(lat.gram, mat_transpose(vectors)))
+    basis = [row for row, hrow in zip(u, h) if not any(hrow)]
     gram = mat_mul(mat_mul(basis, lat.gram), mat_transpose(basis))
     return IntegerLattice(gram), basis
 

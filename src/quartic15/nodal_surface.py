@@ -44,9 +44,9 @@ C_SET: tuple[Duad, ...] = tuple(d for d in NODES if 6 in d)
 RANK = 16  # eta plus 15 exceptional classes
 
 
-def ambient_lattice() -> IntegerLattice:
-    """<4> + A1^15 on the basis (eta, E_x)."""
-    return direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 15)
+# <4> + A1^15 on the basis (eta, E_x), built once: `DivisorClass.dot` and
+# the Picard overlattice both pair through it
+AMBIENT = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 15)
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,7 @@ class DivisorClass:
         return self * -1
 
     def dot(self, other: "DivisorClass") -> Fraction:
-        # Gram of (eta, E_x) is diag(4, -2, ..., -2)
-        a, b = self.nums, other.nums
-        total = 4 * a[0] * b[0] - 2 * sum(x * y for x, y in zip(a[1:], b[1:]))
-        return Fraction(total, self.den * other.den)
+        return AMBIENT.pair(self.nums, other.nums, self.den * other.den)
 
     def norm(self) -> Fraction:
         return self.dot(self)
@@ -294,10 +291,9 @@ def standard_classes() -> dict[str, DivisorClass]:
 @lru_cache(maxsize=None)
 def picard_lattice() -> PicardModel:
     """Rank-16 overlattice of <4> + A1^15 glued by the five code generators."""
-    ambient = ambient_lattice()
     # the generators' words carry the eta bit, so each one has denominator 2
-    over = overlattice(ambient, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
-    model = PicardModel(ambient=ambient, lattice=over.lattice, basis=over.basis, index=over.index)
+    over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
+    model = PicardModel(ambient=AMBIENT, lattice=over.lattice, basis=over.basis, index=over.index)
     for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")

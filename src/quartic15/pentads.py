@@ -152,7 +152,7 @@ def _one_edge_deletions(pentad: Pentad) -> list[bool]:
     return [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(len(masks))]
 
 
-def triple_criterion(pentad: Pentad, triple: Sequence[Duad]) -> bool:
+def triple_criterion(triple: Sequence[Duad]) -> bool:
     """Two-edge-deletion criterion for 'these three nodes lie on a trope-conic':
     the three remaining (distinct) edges form a disconnected triangle, or a
     disconnected union of a segment and a chain.  On vertex bitmasks: the
@@ -203,10 +203,11 @@ def graph_criterion_crosscheck() -> CriterionReport:
             mism_f[rep] = (rep, cls.admissible, gf)
     triple_ok = True
     for p, cls in classes.items():
-        recorded = {tuple(sorted(t[1])) for t in cls.trope_triples}
+        # p is sorted and classify builds each trope triple from a sorted
+        # meet, so both sides are sorted tuples already
+        recorded = {t[1] for t in cls.trope_triples}
         for triple in itertools.combinations(p, 3):
-            on_trope = tuple(sorted(triple)) in recorded
-            if triple_criterion(p, triple) != on_trope:
+            if triple_criterion(triple) != (triple in recorded):
                 triple_ok = False
     return CriterionReport(
         total=len(classes),

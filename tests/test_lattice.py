@@ -192,6 +192,8 @@ def test_orthogonal_complement():
     assert full.rank == 2
     zero, b = orthogonal_complement(u, [[1, 0], [0, 1]])
     assert zero.rank == 0 and b == []
+    with pytest.raises(ValueError, match="vector has 3 entries"):
+        orthogonal_complement(u, [[1, 0, 5]])
 
 
 def test_orthogonal_complement_primitive():
@@ -312,13 +314,13 @@ def test_reflection_laws_in_diagonal_lattice(diag, head):
 
 def test_snf_self_check_survives_optimize_flag():
     # under -O a bare assert vanishes; the self-check must still raise
+    # a wrong Bézout triple breaks the (gcd, lcm) step of diag(2, 3)
     code = (
         "import quartic15.lattice as L\n"
-        "one = [[1, 0], [0, 1]]\n"
-        "L._snf_once = lambda m: (one, one, one)\n"
+        "L._bezout = lambda a, b: (1, 0, 0)\n"
         "print('debug', __debug__)\n"
         "try:\n"
-        "    L.smith_normal_form([[2, 0], [0, 2]])\n"
+        "    L.smith_normal_form([[2, 0], [0, 3]])\n"
         "except AssertionError as exc:\n"
         "    print('raised', exc)\n"
     )
@@ -666,11 +668,46 @@ def test_smith_normal_form_and_charpoly_match_sympy():
         ref = normalforms.smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
         k = min(rows, cols)
         assert [d[i][i] for i in range(k)] == [abs(int(ref[i, i])) for i in range(k)], m
+    # rank-deficient products A·B, A n×r and B r×m with r < min(n, m)
+    for _ in range(40):
+        n, k = rng.randint(2, 9), rng.randint(2, 9)
+        r = rng.randint(1, min(n, k) - 1)
+        a = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)]
+        m = mat_mul(a, b)
+        d, _, _ = smith_normal_form(m)
+        ref = normalforms.smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        assert [d[i][i] for i in range(min(n, k))] == [
+            abs(int(ref[i, i])) for i in range(min(n, k))
+        ], m
     x = sympy.symbols("x")
     for _ in range(40):
         n = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly(x).all_coeffs()], m
+
+
+def test_orthogonal_complement_matches_sympy_kernel():
+    # random symmetric Grams and 1–3 vectors: n − rank basis rows, each
+    # orthogonal to every vector, and a saturated basis (its SNF is all 1s)
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.choice([0, rng.randint(-6, 6)])
+        lat = IntegerLattice(g)
+        vectors = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        comp, basis = orthogonal_complement(lat, vectors)
+        rank = sympy.Matrix(mat_mul(vectors, g)).rank()
+        assert len(basis) == comp.rank == n - rank
+        assert all(lat.form(b, s) == 0 for b in basis for s in vectors)
+        if basis:
+            d = normalforms.smith_normal_form(sympy.Matrix(basis), domain=sympy.ZZ)
+            assert [abs(int(d[i, i])) for i in range(len(basis))] == [1] * len(basis), (g, vectors)
 
 
 def _zeta8_power(k):

@@ -115,7 +115,7 @@ def test_triple_criterion_matches_networkx():
     pairs = 0
     for p in all_pentads():
         for triple in itertools.combinations(p, 3):
-            assert triple_criterion(p, triple) == triangle_or_segment_plus_chain(triple), (p, triple)
+            assert triple_criterion(triple) == triangle_or_segment_plus_chain(triple), (p, triple)
             pairs += 1
     assert pairs == 30030
 
@@ -135,11 +135,11 @@ def test_graph_criterion_readings_match_networkx():
 
 def test_triple_criterion_examples():
     # triangle: {34,35,45} within the type-II pentad is on a trope
-    assert triple_criterion(TYPE_II, ((3, 4), (3, 5), (4, 5)))
+    assert triple_criterion(((3, 4), (3, 5), (4, 5)))
     # chain 1-5-4-3 is not
-    assert not triple_criterion(TYPE_II, ((1, 5), (4, 5), (3, 4)))
+    assert not triple_criterion(((1, 5), (4, 5), (3, 4)))
     # segment + chain: {15, 23, 34}
-    assert triple_criterion(TYPE_II, ((1, 5), (2, 3), (3, 4)))
+    assert triple_criterion(((1, 5), (2, 3), (3, 4)))
 
 
 def test_crosscheck_report():

@@ -30,7 +30,6 @@ FRACTION_SITES = {
         "discriminant_q_multiset",  # output: one key per q-value
     },
     "nodal_surface.py": {
-        "DivisorClass.dot",  # output: the intersection number
         "DivisorClass.degree",  # output: the degree against eta
         "CLASSICAL_DISCRIMINANT_GENERATORS",  # literal data, as transcribed
     },

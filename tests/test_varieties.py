@@ -519,6 +519,24 @@ def test_bench_chart_gives_the_section_quartic():
         assert cr_quartic_form().substitute_linear(chart) == model.quartic3
 
 
+def test_section_quartic_takes_the_ambient_values():
+    # the scale of quartic3 pinned without `substitute_linear`: its value at
+    # integer parameters x is the quartic's value at Σ x_k·kernel_k / den
+    rng = random.Random(7)
+    form = cr_quartic_form()
+    for coeffs in (REFERENCE_COEFFS, (0, 1, 3, 14, 15, 17)):
+        model = hyperplane_section(coeffs)
+        chart = LinearSubspace.from_equations([ONES, model.hyperplane], 6)
+        assert chart.den > 1
+        for _ in range(8):
+            x = [rng.randint(-5, 5) for _ in range(4)]
+            point = [
+                Fraction(sum(c * col[i] for c, col in zip(x, chart.kernel)), chart.den)
+                for i in range(6)
+            ]
+            assert model.quartic3.evaluate(x) == form.evaluate(point), (coeffs, x)
+
+
 def test_non_cardinal_restriction_not_square():
     from quartic15.exact import nullspace, perfect_square_factor, LinearMap
 
