@@ -107,18 +107,16 @@ def _error_record(exc: Exception) -> dict:
 
 
 def checks_segre(r: Runner):
-    variety = va.build_variety("segre")
-
     def invariance():
-        return variety.is_s6_invariant(), "cubic form fixed by all 720 coordinate permutations"
+        return va.build_variety("segre").is_s6_invariant(), "cubic form fixed by all 720 coordinate permutations"
 
     r.run("segre-s6-invariance", "the cubic is symmetric in the six coordinates", invariance)
 
     def nodes():
-        loci = va.special_loci("segre")
+        variety = va.build_variety("segre")
         certs = {}
-        for label, p in loci.nodes.items():
-            cert = va.certify_ordinary_node(variety, p)
+        for label in three_subsets():
+            cert = va.certify_ordinary_node(variety, va.node_point(label))
             if isinstance(cert, va.SmoothPointFailure) or not cert.is_ordinary:
                 return False, f"node {label} failed certification"
             certs[label] = cert
@@ -131,23 +129,21 @@ def checks_segre(r: Runner):
     r.run("segre-nodes", "the cubic has exactly 10 ordinary nodes", nodes)
 
     def scan():
-        pts = va.singular_scan_fp(variety, 11)
+        pts = va.singular_scan_fp(va.build_variety("segre"), 11)
         return len(pts) == 10, f"F11 exhaustive scan found {len(pts)} singular points (expected 10)"
 
     r.run("segre-scan-f11", "brute force over F11 sees exactly the 10 nodes", scan)
 
 
 def checks_cr(r: Runner):
-    variety = va.build_variety("cr")
-
     def invariance():
-        return variety.is_s6_invariant(), "quartic form fixed by all 720 coordinate permutations"
+        return va.build_variety("cr").is_s6_invariant(), "quartic form fixed by all 720 coordinate permutations"
 
     r.run("cr-s6-invariance", "the quartic is symmetric in the six coordinates", invariance)
 
     def lines():
-        loci = va.special_loci("cr")
-        bad = [s for s, line in loci.double_lines.items() if not va.verify_double_line(variety, line)]
+        variety = va.build_variety("cr")
+        bad = [s for s in synthemes() if not va.verify_double_line(variety, va.syntheme_line(s))]
         return not bad, f"15 double lines verified identically singular; failures: {bad}"
 
     r.run("cr-double-lines", "all 15 syntheme lines are double lines", lines)
@@ -165,7 +161,7 @@ def checks_cr(r: Runner):
     r.run("cr-duad-points", "the 15 line-intersection points match the derived orbit", duad_points)
 
     def scan():
-        pts = va.singular_scan_fp(variety, 7)
+        pts = va.singular_scan_fp(va.build_variety("cr"), 7)
         expected = 15 * 8 - 2 * 15
         return (
             len(pts) == expected,
@@ -227,9 +223,8 @@ def checks_duality(r: Runner, samples: int, max_height: int):
     r.run("duality-planes-to-lines", "cubic planes map onto the quartic's double lines", planes)
 
     def nodes_to_cardinals():
-        loci = va.special_loci("segre")
-        for subset, p in loci.nodes.items():
-            if va.ProjectivePoint(va.cardinal_coefficients(subset)) != p:
+        for subset in three_subsets():
+            if va.ProjectivePoint(va.cardinal_coefficients(subset)) != va.node_point(subset):
                 return False, f"node {subset} does not match its cardinal hyperplane"
         return True, "each node's coordinate vector equals the cardinal hyperplane of its 3-subset"
 
@@ -414,24 +409,22 @@ def checks_code(r: Runner):
 
 
 def checks_involutions(r: Runner):
-    model = ns.picard_lattice()
-
     def sigma():
-        iso = inv.sigma_star(model)
-        ok = all(iso.involutive_isometry(model.lattice))
-        img = inv._apply_to_class(iso, ns.ETA, model)
+        iso = inv.sigma_star()
+        ok = all(iso.involutive_isometry(ns.picard_lattice().lattice))
+        img = inv._apply_to_class(iso, ns.ETA)
         return ok and img.degree() == 16, "integral involutive isometry; image of eta has degree 16"
 
     r.run("sigma-star", "the covering involution acts integrally on the lattice", sigma)
 
     def tau_rey():
-        report = inv.reye_image_report(model)
+        report = inv.reye_image_report()
         return report.all_hold(), "all six classical image formulas hold exactly"
 
     r.run("tau-rey-images", "the Reye reflection has its classical image table", tau_rey)
 
     def relations():
-        rep = inv.verify_relations(model)
+        rep = inv.verify_relations()
         ok = (
             rep.goepel_conjugation
             and rep.reflection_routes_agree
@@ -453,14 +446,14 @@ def checks_involutions(r: Runner):
     r.run("involution-relations", "conjugation, ranks and Lefschetz arithmetic all verify", relations)
 
     def all_pentads():
-        count, integral, isometric, involutive = inv.verify_all_pentad_reflections(model)
+        count, integral, isometric, involutive = inv.verify_all_pentad_reflections()
         ok = count == integral == isometric == involutive == 3003
         return ok, f"{count} pentad reflections: {integral} integral, {isometric} Gram-preserving, {involutive} involutive"
 
     r.run("pentad-reflections", "all 3003 pentad reflections are certified isometries", all_pentads)
 
     def naturality():
-        return inv.pentad_naturality_spot_check(model), "conjugation by node relabelings permutes the reflections"
+        return inv.pentad_naturality_spot_check(), "conjugation by node relabelings permutes the reflections"
 
     r.run("pentad-naturality", "reflections transform naturally under relabeling", naturality)
 

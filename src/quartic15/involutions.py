@@ -4,7 +4,8 @@ Three families: the covering involution sigma* (determined by its images on
 the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes.  Every one is a `lattice.Isometry` on the fixed Z-basis
-of the Picard lattice; classes reach that basis through the integer row-basis
+of the one Picard lattice, which each function reads from the cached
+`picard_lattice()`; classes reach that basis through the integer row-basis
 coordinates of `PicardModel.in_lattice`.  The 3003 pentad roots skip the
 class arithmetic: coordinates are linear, so each root's integer coordinates
 are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.  Each matrix
@@ -34,7 +35,6 @@ from .nodal_surface import (
     L_SET,
     NODES,
     DivisorClass,
-    PicardModel,
     eta_star,
     picard_lattice,
     sigma_class,
@@ -43,10 +43,9 @@ from .nodal_surface import (
 Pentad = tuple[Duad, Duad, Duad, Duad, Duad]
 
 
-def _isometry_from_class_images(
-    name: str, images: Sequence[DivisorClass], model: PicardModel
-) -> Isometry:
+def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> Isometry:
     """Matrix rows from the images of the Picard basis, certified integral."""
+    model = picard_lattice()
     rows = []
     for i, img in enumerate(images):
         pic = model.in_lattice(img)
@@ -59,9 +58,8 @@ def _isometry_from_class_images(
     return iso
 
 
-def sigma_star(model: PicardModel | None = None) -> Isometry:
+def sigma_star() -> Isometry:
     """The covering involution: eta and every E_x map to their sigma-classes."""
-    model = model or picard_lattice()
     sigma_eta = (
         4 * ETA
         - sum((E[x] for x in L_SET), DivisorClass.make())
@@ -76,8 +74,8 @@ def sigma_star(model: PicardModel | None = None) -> Isometry:
                 out = out + c * img
         return out / cls.den
 
-    images = [image_of(b) for b in model.basis_classes()]
-    iso = _isometry_from_class_images("sigma", images, model)
+    images = [image_of(b) for b in picard_lattice().basis_classes()]
+    iso = _isometry_from_class_images("sigma", images)
     if not iso.is_involution():
         raise AssertionError("sigma* must square to the identity")
     return iso
@@ -91,19 +89,19 @@ def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
     return 3 * ETA - sum((2 * E[x] for x in pentad), DivisorClass.make())
 
 
-def _root_reflection(name: str, root: DivisorClass, model: PicardModel) -> Isometry:
+def _root_reflection(name: str, root: DivisorClass) -> Isometry:
     """Reflection in a root of the lattice, through its integer coordinates."""
+    model = picard_lattice()
     w = model.in_lattice(root)
     if w is None:
         raise ValueError(f"{name}: the root is not in the Picard lattice")
     return reflection_isometry(model.lattice, w, name)
 
 
-def tau_rey_star(model: PicardModel | None = None) -> Isometry:
+def tau_rey_star() -> Isometry:
     """The Reye reflection, in the root 2*eta − sum over conic-type nodes."""
-    model = model or picard_lattice()
-    iso = _root_reflection("tau_rey", reye_root(), model)
-    involutive, isometric = iso.involutive_isometry(model.lattice)
+    iso = _root_reflection("tau_rey", reye_root())
+    involutive, isometric = iso.involutive_isometry(picard_lattice().lattice)
     if not isometric:
         raise AssertionError("tau_rey must preserve the Gram form")
     if not involutive:
@@ -111,19 +109,19 @@ def tau_rey_star(model: PicardModel | None = None) -> Isometry:
     return iso
 
 
-def tau_pentad_star(pentad: Sequence[Duad], model: PicardModel | None = None) -> Isometry:
+def tau_pentad_star(pentad: Sequence[Duad]) -> Isometry:
     """Reflection attached to a pentad of nodes (admissibility not required)."""
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5:
         raise ValueError("a pentad consists of five distinct node labels")
-    return _root_reflection(_pentad_name(p), pentad_root(p), model or picard_lattice())
+    return _root_reflection(_pentad_name(p), pentad_root(p))
 
 
 def _pentad_name(p: Sequence[Duad]) -> str:
     return "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
 
 
-def pentad_root_coordinates(model: PicardModel) -> Iterator[tuple[Pentad, list[int]]]:
+def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
     """Each of the 3003 pentads (sorted) with the integer lattice coordinates
     of its root 3*eta − 2*sum_P E.
 
@@ -131,6 +129,7 @@ def pentad_root_coordinates(model: PicardModel) -> Iterator[tuple[Pentad, list[i
     from one `in_lattice` call for eta and one for each E_x; the root lies in
     the lattice because eta and every E_x do.
     """
+    model = picard_lattice()
     w_eta = model.in_lattice(ETA)
     w_e = {x: model.in_lattice(E[x]) for x in NODES}
     if w_eta is None or any(w is None for w in w_e.values()):
@@ -141,11 +140,10 @@ def pentad_root_coordinates(model: PicardModel) -> Iterator[tuple[Pentad, list[i
         yield p, [t - a - b - c - d - e for t, a, b, c, d, e in zip(eta3, *(e2[x] for x in p))]
 
 
-def s6_isometry(g: Sequence[int], model: PicardModel | None = None) -> Isometry:
+def s6_isometry(g: Sequence[int]) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
-    model = model or picard_lattice()
-    images = [b.permuted(g) for b in model.basis_classes()]
-    return _isometry_from_class_images(f"perm{tuple(g)}", images, model)
+    images = [b.permuted(g) for b in picard_lattice().basis_classes()]
+    return _isometry_from_class_images(f"perm{tuple(g)}", images)
 
 
 # -- verification of the classical identities ---------------------------------
@@ -167,22 +165,22 @@ class ReyeImageReport:
         return all(getattr(self, f) for f in self.__dataclass_fields__)
 
 
-def _apply_to_class(iso: Isometry, cls: DivisorClass, model: PicardModel | None = None) -> DivisorClass:
-    model = model or picard_lattice()
+def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
+    model = picard_lattice()
     pic = model.in_lattice(cls)
     if pic is None:
         raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
     return DivisorClass(tuple(model.basis.vector(iso.apply(pic))), model.basis.den)
 
 
-def reye_image_report(model: PicardModel | None = None) -> ReyeImageReport:
-    tau = tau_rey_star(model)
+def reye_image_report() -> ReyeImageReport:
+    tau = tau_rey_star()
     zero = DivisorClass.make()
     sum_l = sum((E[x] for x in L_SET), zero)
     es = eta_star()
 
     def img(cls):
-        return _apply_to_class(tau, cls, model)
+        return _apply_to_class(tau, cls)
 
     e_conic = all(
         img(E[x]) == 2 * ETA - (sum_l - E[x]) for x in L_SET
@@ -207,7 +205,6 @@ class RelationReport:
     goepel_conjugation: bool     # sigma · tau_rey · sigma = tau_{Goepel pentad}
     reye_invariant_rank: int
     goepel_invariant_rank: int
-    sigma_involution: bool
     lefschetz_reye: int          # 2 + trace on Pic - 6, transcendental part at -1
     lefschetz_goepel: int
     pencil_norms: bool           # F_i^2 = 0, F_i·F_j = 2 for the Goepel pentad
@@ -218,21 +215,20 @@ class RelationReport:
 GOEPEL_PENTAD: Pentad = tuple(C_SET)
 
 
-def verify_relations(model: PicardModel | None = None) -> RelationReport:
+def verify_relations() -> RelationReport:
     """The conjugation identity, invariant ranks, Lefschetz numbers and
     pencil pairings, all as exact integer computations.
 
     The Lefschetz numbers assume the involutions act as -1 on the rank-6
     transcendental part; that assumption is recorded here, not derived.
     """
-    model = model or picard_lattice()
-    sig = sigma_star(model)
-    tau = tau_rey_star(model)
-    goepel = tau_pentad_star(GOEPEL_PENTAD, model)
+    sig = sigma_star()
+    tau = tau_rey_star()
+    goepel = tau_pentad_star(GOEPEL_PENTAD)
     conj = sig.compose(tau).compose(sig)
     goepel_conj = conj.matrix == goepel.matrix
     # independent route: sigma maps the Reye root to the Goepel root
-    routes = _apply_to_class(sig, reye_root(), model) == pentad_root(GOEPEL_PENTAD)
+    routes = _apply_to_class(sig, reye_root()) == pentad_root(GOEPEL_PENTAD)
     zero = DivisorClass.make()
     pencils = [
         2 * ETA - 2 * E[x] - sum((E[y] for y in GOEPEL_PENTAD if y != x), zero)
@@ -245,13 +241,12 @@ def verify_relations(model: PicardModel | None = None) -> RelationReport:
     )
     es = eta_star()
     fixes = all(
-        _apply_to_class(tau, es - E[x], model) == es - E[x] for x in L_SET
+        _apply_to_class(tau, es - E[x]) == es - E[x] for x in L_SET
     )
     return RelationReport(
         goepel_conjugation=goepel_conj,
         reye_invariant_rank=tau.invariant_rank(),
         goepel_invariant_rank=goepel.invariant_rank(),
-        sigma_involution=sig.is_involution(),
         lefschetz_reye=2 + tau.trace() - 6,
         lefschetz_goepel=2 + goepel.trace() - 6,
         pencil_norms=pencil_norms,
@@ -260,17 +255,16 @@ def verify_relations(model: PicardModel | None = None) -> RelationReport:
     )
 
 
-def verify_all_pentad_reflections(model: PicardModel | None = None):
+def verify_all_pentad_reflections():
     """Certify every one of the 3003 pentad reflections.
 
     Returns (count, all_integral, all_gram_preserving, all_involutive).  The
     roots come from `pentad_root_coordinates`; each reflection is the same
     matrix `tau_pentad_star` builds through the divisor-class route.
     """
-    model = model or picard_lattice()
-    lat = model.lattice
+    lat = picard_lattice().lattice
     count = integral = isometric = involutive = 0
-    for pentad, w in pentad_root_coordinates(model):
+    for pentad, w in pentad_root_coordinates():
         count += 1
         try:
             iso = reflection_isometry(lat, w, _pentad_name(pentad))
@@ -283,19 +277,21 @@ def verify_all_pentad_reflections(model: PicardModel | None = None):
     return count, integral, isometric, involutive
 
 
-def pentad_naturality_spot_check(model: PicardModel | None = None, sample: int = 12) -> bool:
+NATURALITY_SAMPLE = 12  # (permutation, pentad) pairs in the naturality spot check
+
+
+def pentad_naturality_spot_check() -> bool:
     """g · tau_P · g^{-1} = tau_{g(P)} on a deterministic sample of pairs."""
-    model = model or picard_lattice()
     perms = s6_elements()
     pentads = list(itertools.combinations(NODES, 5))
-    for k in range(sample):
+    for k in range(NATURALITY_SAMPLE):
         g = perms[(37 * k + 11) % len(perms)]
         p = pentads[(211 * k + 5) % len(pentads)]
         gp = apply_perm_duad_set(g, p)
-        giso = s6_isometry(g, model)
-        ginv = s6_isometry(_inverse_perm(g), model)
-        lhs = ginv.compose(tau_pentad_star(p, model)).compose(giso)
-        if lhs.matrix != tau_pentad_star(gp, model).matrix:
+        giso = s6_isometry(g)
+        ginv = s6_isometry(_inverse_perm(g))
+        lhs = ginv.compose(tau_pentad_star(p)).compose(giso)
+        if lhs.matrix != tau_pentad_star(gp).matrix:
             return False
     return True
 

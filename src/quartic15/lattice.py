@@ -35,10 +35,17 @@ def _as_int(x, i: int, j: int) -> int:
 
 
 def _as_int_matrix(m: Iterable[Iterable]) -> IntMatrix:
-    return [
+    """m as a fresh list of int rows; a ragged m is refused, naming the first
+    row whose length differs from row 0's, never truncated."""
+    a = [
         [x if type(x) is int else _as_int(x, i, j) for j, x in enumerate(row)]
         for i, row in enumerate(m)
     ]
+    n = len(a[0]) if a else 0
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+    return a
 
 
 def _check_length(v: Sequence, n: int, what: str) -> None:

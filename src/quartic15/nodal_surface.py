@@ -395,7 +395,8 @@ def transcendental_reference_lattice() -> IntegerLattice:
     )
 
 
-def is_dual_vector(model: PicardModel, cls: DivisorClass) -> bool:
+def is_dual_vector(cls: DivisorClass) -> bool:
+    model = picard_lattice()
     den = cls.den * model.basis.den
     return all(model.ambient.form(cls.nums, row) % den == 0 for row in model.basis.rows)
 
@@ -424,10 +425,10 @@ def discriminant_comparison() -> DiscriminantComparison:
     zero = DivisorClass.make()
     for eta_coeff, node_coeffs in CLASSICAL_DISCRIMINANT_GENERATORS:
         vec = eta_coeff * ETA + sum((c * E[d] for d, c in node_coeffs.items()), zero)
-        duality.append(is_dual_vector(model, vec))
+        duality.append(is_dual_vector(vec))
     # classification: the half-sums over four nodes lying in the dual are
     # exactly the 4-cycles among the duad labels (45 of them)
-    cycles_ok = _weight4_duals_are_cycles(model)
+    cycles_ok = _weight4_duals_are_cycles()
     # the SNF generators are certified dual inside discriminant_group; their
     # orders must multiply up to the full group
     snf_ok = pic_inv.order == 128
@@ -442,12 +443,12 @@ def discriminant_comparison() -> DiscriminantComparison:
     )
 
 
-def _weight4_duals_are_cycles(model: PicardModel) -> bool:
+def _weight4_duals_are_cycles() -> bool:
     from collections import Counter
 
     count = 0
     for combo in itertools.combinations(NODES, 4):
-        if not is_dual_vector(model, DivisorClass.make(nodes=dict.fromkeys(combo, 1)) / 2):
+        if not is_dual_vector(DivisorClass.make(nodes=dict.fromkeys(combo, 1)) / 2):
             continue
         count += 1
         deg = Counter()
@@ -538,7 +539,6 @@ class KummerEmbeddingCertificate:
     image_orthogonal_to_n0: bool
     image_equals_complement: bool
     gram_match: bool
-    mismatches: tuple[str, ...] = ()  # names the offending pairs, if any
 
 
 def _embedding_images() -> dict[str, tuple[int, ...]]:
@@ -580,23 +580,18 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
 
     # sigma images must match the classical trope combinations
     pairings = True
-    mismatches: list[str] = []
     for d in NODES:
         sigma = sigma_class(d)
-        got = image_of(sigma)
-        if got != [sigma.den * x for x in images[f"sigma_E{d[0]}{d[1]}"]]:
+        if image_of(sigma) != [sigma.den * x for x in images[f"sigma_E{d[0]}{d[1]}"]]:
             pairings = False
-            mismatches.append(f"sigma image of node {d}")
     # pairings preserved on all pairs of Picard basis vectors
     basis = pic.basis_classes()
     image_rows = [image_of(b) for b in basis]
     for i, v in enumerate(basis):
         for j, w in enumerate(basis):
             lhs = pic.ambient.pair(v.nums, w.nums, v.den * w.den)
-            rhs = kum.ambient.pair(image_rows[i], image_rows[j], 4 * v.den * w.den)
-            if lhs != rhs:
+            if lhs != kum.ambient.pair(image_rows[i], image_rows[j], 4 * v.den * w.den):
                 pairings = False
-                mismatches.append(f"basis pair ({i},{j}): {lhs} vs {rhs}")
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
     n0 = _kummer_node(())
     image_in_kummer = [kum.in_lattice(v, 2 * b.den) for v, b in zip(image_rows, basis)]
@@ -625,5 +620,4 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
         image_orthogonal_to_n0=orthogonal,
         image_equals_complement=equals_complement,
         gram_match=gram_match,
-        mismatches=tuple(mismatches),
     )

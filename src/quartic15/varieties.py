@@ -181,9 +181,13 @@ class LinearSubspace:
 class Hypersurface:
     """Homogeneous form together with ambient linear constraints.
 
-    The constraints are kept as one `LinearSubspace`, `ambient`, and the
-    first and second partials of the form are built once per surface, on
-    first use, and shared by every node certified on it.
+    The form is stored cleared of its denominator (scaled by `den`), which
+    leaves its zero set unchanged: the form and every partial then have
+    integer coefficients, so values at integer points are integers, read by
+    `MultiPoly._integer_value`.  The constraints are kept as one
+    `LinearSubspace`, `ambient`, and the first and second partials of the
+    form are built once per surface, on first use, and shared by every node
+    certified on it.
     """
 
     form: MultiPoly
@@ -192,6 +196,7 @@ class Hypersurface:
     def __post_init__(self):
         if not self.form.is_homogeneous():
             raise ValueError("form must be homogeneous")
+        object.__setattr__(self, "form", self.form.scale(self.form.den))
         if len(self.ambient.rows) != len(self.ambient_constraints):
             raise ValueError("ambient constraints must be independent")
 
@@ -210,16 +215,33 @@ class Hypersurface:
         upper = {(i, j): self.gradient[i].partial(j) for i in range(n) for j in range(i, n)}
         return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
-    def hessian_at(self, point: Sequence) -> list[list[Fraction]]:
-        """Matrix of second partials at `point`, one evaluation per pair i <= j."""
+    def gradient_at(self, point: Sequence) -> tuple[int, ...]:
+        """Integer gradient at a point of the variety: with the point cleared
+        to xs/d, the partials at xs/d times d^(D−1), D the degree.  A point
+        off the ambient constraints or off the form is refused."""
+        xs, d = self._cleared(point)
+        if not self.ambient.contains(xs):
+            raise NotOnVarietyError("point violates the ambient constraints")
+        if self.form._integer_value(xs, d) != 0:
+            raise NotOnVarietyError("point is not on the variety")
+        return tuple(g._integer_value(xs, d) for g in self.gradient)
+
+    def hessian_at(self, point: Sequence) -> list[list[int]]:
+        """Integer matrix of second partials at `point`, one evaluation per
+        pair i <= j: with the point cleared to xs/d, the Hessian at xs/d
+        times d^(D−2), one positive scale for every entry since the form is
+        homogeneous of degree D."""
+        xs, d = self._cleared(point)
         n = self.form.nvars
-        if len(point) != n:
-            raise ValueError(f"point has {len(point)} entries, expected {n}")
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = self.second_partials[i][j].evaluate(point)
+                rows[i][j] = rows[j][i] = self.second_partials[i][j]._integer_value(xs, d)
         return rows
+
+    def _cleared(self, point: Sequence) -> tuple[list[int], int]:
+        _check_length(point, self.form.nvars, "point")
+        return clear_denominators(point)
 
     def is_s6_invariant(self) -> bool:
         """Exact invariance of the form under all 720 coordinate permutations."""
@@ -300,21 +322,6 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
     return ProjectivePoint(meet.kernel[0])
 
 
-@dataclass(frozen=True)
-class SpecialLoci:
-    kind: str
-    nodes: dict | None = None            # 3-subset -> ProjectivePoint (cubic)
-    double_lines: dict | None = None     # syntheme -> LinearSubspace (quartic)
-
-
-def special_loci(kind: str) -> SpecialLoci:
-    if kind == "segre":
-        return SpecialLoci(kind, nodes={a: node_point(a) for a in three_subsets()})
-    if kind == "cr":
-        return SpecialLoci(kind, double_lines={s: syntheme_line(s) for s in synthemes()})
-    raise ValueError(f"unknown variety kind {kind!r}")
-
-
 # -- node certification ---------------------------------------------------------
 
 
@@ -323,13 +330,13 @@ class SmoothPointFailure:
     """Typed failure: the point lies on the variety but is smooth there."""
 
     point: ProjectivePoint
-    gradient: tuple[Fraction, ...]
+    gradient: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class NodeCertificate:
     point: ProjectivePoint
-    gradient: tuple[Fraction, ...]  # in the span of the ambient constraints
+    gradient: tuple[int, ...]  # in the span of the ambient constraints
     hessian_rank: int
     is_ordinary: bool
     chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
@@ -348,29 +355,22 @@ def _chart_basis(point: Sequence[int], ambient: LinearSubspace) -> list[int]:
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
-    The gradient and the Hessian come from the partials built once on `v`.
-    The Hessian is restricted to a chart of the constrained tangent space
-    as W·H·Wᵀ, formed in integers from the chart's kernel columns (the
-    chart directions times den) and the denominator-cleared Hessian
-    (positive scalings leave its rank unchanged); the rank is
+    The gradient and the Hessian are the integer readings of the partials
+    built once on `v`.  The Hessian is restricted to a chart of the
+    constrained tangent space as W·H·Wᵀ, formed in integers from the chart's
+    kernel columns (the chart directions times den); the rank is
     computed twice, by fraction-free (Bareiss) elimination and by the gcd
     row operations of the Hermite normal form, and the two must agree.
     Ordinary means full rank, i.e. rank equal to the dimension of the
     ambient projective space.
     """
     coords = p.coords
-    if not v.ambient.contains(coords):
-        raise NotOnVarietyError("point violates the ambient constraints")
-    if v.form.evaluate(coords) != 0:
-        raise NotOnVarietyError("point is not on the variety")
-    grad = tuple(g.evaluate(coords) for g in v.gradient)
+    grad = v.gradient_at(coords)
     if not v.ambient.annihilates(grad):
         return SmoothPointFailure(p, grad)
     keep = _chart_basis(coords, v.ambient)
-    n = v.form.nvars
-    hess, _ = clear_denominators([x for row in v.hessian_at(coords) for x in row])
     w = [v.ambient.kernel[k] for k in keep]
-    chart_hess = mat_mul(mat_mul(w, [hess[i * n : (i + 1) * n] for i in range(n)]), mat_transpose(w))
+    chart_hess = mat_mul(mat_mul(w, v.hessian_at(coords)), mat_transpose(w))
     r1 = len(bareiss(chart_hess)[1])
     hnf, _ = hermite_normal_form(chart_hess)
     if r1 != sum(1 for row in hnf if any(row)):
@@ -414,7 +414,7 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
 class DualityImage:
     source: ProjectivePoint
     point: ProjectivePoint
-    quartic_value: Fraction  # exact CR value at the image, must be 0
+    quartic_value: int  # exact CR value at the image, must be 0
 
 
 def duality_image(z: ProjectivePoint) -> DualityImage:
@@ -431,7 +431,7 @@ def duality_image(z: ProjectivePoint) -> DualityImage:
     y = [NVARS * c * c - s for c in zs]
     if not any(y):
         raise NotOnVarietyError("duality image undefined at a node of the cubic")
-    value = cr_quartic_form().evaluate(y)
+    value = cr_quartic_form()._integer_value(y)
     if value != 0:
         raise AssertionError("duality image must land on the quartic")
     return DualityImage(z, ProjectivePoint(y), value)
@@ -533,7 +533,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     form = cr_quartic_form()
     for subset in three_subsets():
         card = primitive_integer_vector(cardinal_coefficients(subset))
-        if hp == tuple(card) or hp == tuple(-x for x in card):
+        if hp == tuple(card):
             raise GenericityError("hyperplane is a cardinal hyperplane", subset)
     for d in duads():
         pt = duad_point(d)
@@ -545,11 +545,19 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     quartic3 = form.substitute_linear(section.parametrization, section.den)
     surface = Hypersurface(quartic3, ())
 
-    def chart_coords(p6: Sequence[int]) -> ProjectivePoint:
-        x = section.coordinates(p6)
+    def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:
+        """The point as a certified ordinary node of the section, or the
+        genericity failure named by `smooth` or `degenerate`."""
+        x = section.coordinates(ambient.coords)
         if x is None:
             raise AssertionError("point must lie in the section chart")
-        return ProjectivePoint(x)
+        xp = ProjectivePoint(x)
+        cert = certify_ordinary_node(surface, xp)
+        if isinstance(cert, SmoothPointFailure):
+            raise GenericityError(smooth, s)
+        if not cert.is_ordinary:
+            raise GenericityError(degenerate, s)
+        return SectionNode(s, ambient, xp, cert)
 
     nodes: list[SectionNode] = []
     for s in synthemes():
@@ -558,25 +566,26 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if a0 == 0 and a1 == 0:
             raise GenericityError("hyperplane contains a double line", s)
         ambient = ProjectivePoint([a1 * x - a0 * y for x, y in zip(c0, c1)])  # pairs to 0 with hp
-        xp = chart_coords(ambient.coords)
-        cert = certify_ordinary_node(surface, xp)
-        if isinstance(cert, SmoothPointFailure):
-            raise GenericityError("section is smooth where a node was expected", s)
-        if not cert.is_ordinary:
-            raise GenericityError("hyperplane tangent to the quartic on a double line", s)
-        nodes.append(SectionNode(s, ambient, xp, cert))
+        nodes.append(
+            section_node(
+                s,
+                ambient,
+                "section is smooth where a node was expected",
+                "hyperplane tangent to the quartic on a double line",
+            )
+        )
     if len({n.chart_point for n in nodes}) != len(nodes):
         raise GenericityError("two double lines meet the hyperplane in the same point")
 
     if tangent_at is not None:
-        ambient = tangent_at
-        xp = chart_coords(ambient.coords)
-        cert = certify_ordinary_node(surface, xp)
-        if isinstance(cert, SmoothPointFailure):
-            raise GenericityError("tangency point is not a node of the section")
-        if not cert.is_ordinary:
-            raise GenericityError("degenerate tangency at the section point")
-        nodes.append(SectionNode(None, ambient, xp, cert))
+        nodes.append(
+            section_node(
+                None,
+                tangent_at,
+                "tangency point is not a node of the section",
+                "degenerate tangency at the section point",
+            )
+        )
 
     tropes: list[TropeRecord] = []
     for subset in three_subsets():
@@ -599,7 +608,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             if params is not None:
                 incident.append(node.syntheme)
                 # the node must sit on the trope conic itself
-                if conic.evaluate(params) != 0:
+                if conic._integer_value(params) != 0:
                     raise AssertionError("incident node must lie on the trope conic")
         expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
         if set(incident) != expected:
@@ -612,11 +621,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 def tangent_section(q: ProjectivePoint) -> SectionModel:
     """Section by the tangent hyperplane at a smooth rational point: 16 nodes."""
     cr = build_variety("cr")
-    if not cr.ambient.contains(q.coords):
-        raise NotOnVarietyError("point violates the ambient constraint")
-    if cr.form.evaluate(q.coords) != 0:
-        raise NotOnVarietyError("point is not on the quartic")
-    grad = [g.evaluate(q.coords) for g in cr.gradient]
+    grad = cr.gradient_at(q.coords)
     if cr.ambient.annihilates(grad):
         raise NotOnVarietyError("point is singular on the quartic")
     return hyperplane_section(grad, tangent_at=q)
@@ -729,8 +734,8 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     For a constrained hypersurface a point is singular when the gradient is
     proportional to the constraint direction; for a section surface in P^3
     the gradient must vanish outright.  Moduli that are not prime, primes
-    below 5 and primes dividing any coefficient denominator are rejected as
-    bad.
+    below 5 and primes dividing a coefficient denominator of a section's
+    quartic are rejected as bad (a hypersurface's form is stored cleared).
     """
     if not _is_prime(p):
         raise ValueError(f"bad prime: {p} is not prime")
@@ -739,7 +744,6 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     if isinstance(target, Hypersurface):
         if target.ambient_constraints != (ONES,):
             raise ValueError("scan supports the sum-zero ambient constraint")
-        _reduce_mod(target.form, p)  # refuses a p dividing a denominator of f
         # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
         # gradient vanish exactly where f = 0 and the gradient of f is
         # parallel to (1,...,1)
@@ -766,12 +770,9 @@ def plane_point(s: Syntheme, params: Sequence) -> list[int]:
 def _chord_cubic(form: MultiPoly, pa: Sequence[int], pb: Sequence[int]) -> tuple[int, int, int, int]:
     """Coefficients (c30, c21, c12, c03) of the binary cubic form(α·pa + β·pb),
     read off four values: form(pa) = c30, form(pb) = c03 and
-    form(pa ± pb) = c30 ± c21 + c12 ± c03.  The form must have integer
-    coefficients, as the Segre form does, and is refused otherwise; on integer
-    endpoints every value and coefficient is then an integer, and both
-    halvings are exact."""
-    if form.den != 1:
-        raise ValueError("the chord cubic needs a form with integer coefficients")
+    form(pa ± pb) = c30 ± c21 + c12 ± c03.  Each value is read by
+    `_integer_value`, den times the form's value; on integer endpoints every
+    value and coefficient is an integer, and both halvings are exact."""
     c30, c03, plus, minus = (
         form._integer_value(v)
         for v in (pa, pb, [a + b for a, b in zip(pa, pb)], [a - b for a, b in zip(pa, pb)])
@@ -793,8 +794,8 @@ def sample_smooth_cubic_point(
     The chord runs on the integer plane points and the binary cubic along it
     is read off four values of the form; the smoothness and plane tests are
     projective, so they run on the integer third point (the gradient as the
-    integer values of the partials, which must have integer coefficients),
-    and the one `ProjectivePoint` is built for the point returned.
+    integer values of the partials of the cleared form), and the one
+    `ProjectivePoint` is built for the point returned.
     """
     if max_height < 1:
         raise ValueError(f"max_height must be at least 1, not {max_height}")
@@ -804,8 +805,6 @@ def sample_smooth_cubic_point(
             "at height 1 every smooth third point of a chord lies on one of them"
         )
     segre = build_variety("segre")
-    if any(g.den != 1 for g in segre.gradient):
-        raise ValueError("the gradient test needs partials with integer coefficients")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]
     height = min(3, max_height)

@@ -64,10 +64,9 @@ def picard():
 
 def test_criterion_01_segre_nodes(segre):
     def body():
-        loci = va.special_loci("segre")
-        assert len(loci.nodes) == 10
-        for label, point in loci.nodes.items():
-            cert = va.certify_ordinary_node(segre, point)
+        assert len(three_subsets()) == 10
+        for label in three_subsets():
+            cert = va.certify_ordinary_node(segre, va.node_point(label))
             assert not isinstance(cert, va.SmoothPointFailure)
             assert cert.hessian_rank == 4 and cert.is_ordinary
         assert len(va.singular_scan_fp(segre, 11)) == 10
@@ -77,10 +76,9 @@ def test_criterion_01_segre_nodes(segre):
 
 def test_criterion_02_double_lines(cr):
     def body():
-        loci = va.special_loci("cr")
-        assert len(loci.double_lines) == 15
-        for s, line in loci.double_lines.items():
-            assert va.verify_double_line(cr, line)
+        assert len(synthemes()) == 15
+        for s in synthemes():
+            assert va.verify_double_line(cr, va.syntheme_line(s))
         assert len(va.singular_scan_fp(cr, 7)) == 15 * 8 - 30 == 90
 
     _criterion(2, "quartic: 15 double lines, F7 scan finds the 90 line points", body)
@@ -94,8 +92,8 @@ def test_criterion_03_duality():
             assert va.duality_image(z).quartic_value == 0
         for s in synthemes():
             assert va.duality_plane_to_line(s)
-        for subset, point in va.special_loci("segre").nodes.items():
-            assert va.ProjectivePoint(va.cardinal_coefficients(subset)) == point
+        for subset in three_subsets():
+            assert va.ProjectivePoint(va.cardinal_coefficients(subset)) == va.node_point(subset)
 
     _criterion(3, "duality: 200 samples, planes to lines, nodes to cardinals", body)
 
@@ -181,14 +179,14 @@ def test_criterion_09_kummer_embedding():
 
 def test_criterion_10_involutions(picard):
     def body():
-        sig = inv.sigma_star(picard)
+        sig = inv.sigma_star()
         assert sig.is_involution() and sig.preserves_gram(picard.lattice.gram)
-        assert inv.reye_image_report(picard).all_hold()
-        rep = inv.verify_relations(picard)
+        assert inv.reye_image_report().all_hold()
+        rep = inv.verify_relations()
         assert rep.goepel_conjugation
         assert rep.reye_invariant_rank == 15 and rep.goepel_invariant_rank == 15
         assert rep.lefschetz_reye == 10 and rep.lefschetz_goepel == 10
-        count, integral, isometric, involutive = inv.verify_all_pentad_reflections(picard)
+        count, integral, isometric, involutive = inv.verify_all_pentad_reflections()
         assert count == integral == isometric == involutive == 3003
 
     _criterion(10, "all involutions certified; conjugation and Lefschetz arithmetic", body)

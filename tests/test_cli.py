@@ -167,7 +167,7 @@ def test_picard_discriminant_check_certifies_the_weight4_classification(monkeypa
     passing = next(c for c in report.checks if c["id"] == "picard-discriminant")
     assert passing["status"] == "pass"
     assert "the valid weight-4 dual classes are exactly the 45 four-cycles" in passing["details"]
-    monkeypatch.setattr(ns, "_weight4_duals_are_cycles", lambda model: False)
+    monkeypatch.setattr(ns, "_weight4_duals_are_cycles", lambda: False)
     code, report, _ = run_quiet(["lattice"])
     failing = next(c for c in report.checks if c["id"] == "picard-discriminant")
     assert code == 1 and failing["status"] == "fail"
@@ -205,6 +205,98 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
         f"3003 pentad reflections: 3003 integral, {isometric} Gram-preserving, "
         f"{involutive} involutive"
     )
+
+
+INVOLUTION_CHECKS = ["sigma-star", "tau-rey-images", "involution-relations", "pentad-reflections", "pentad-naturality"]
+
+
+def test_involution_checks_read_the_picard_lattice_they_are_given(monkeypatch):
+    # one Gram entry changed: the pentad reflections are no longer isometries
+    import dataclasses
+
+    from quartic15 import involutions
+    from quartic15.lattice import IntegerLattice
+
+    real = involutions.picard_lattice()
+    gram = [list(row) for row in real.lattice.gram]
+    gram[1][1] += 2
+    bent = dataclasses.replace(real, lattice=IntegerLattice(gram))
+    monkeypatch.setattr(involutions, "picard_lattice", lambda: bent)
+    code, report, _ = run_quiet(["involutions"])
+    check = next(c for c in report.checks if c["id"] == "pentad-reflections")
+    assert code == 1 and check["status"] == "fail"
+    assert not check["details"].startswith("3003 pentad reflections: 3003 integral")
+
+
+def test_a_raising_picard_lattice_turns_each_involution_check_red(monkeypatch, tmp_path):
+    # the lattice is built inside the checks, so the report is still written
+    from quartic15 import involutions
+    from quartic15 import nodal_surface as ns
+
+    def refuse():
+        raise RuntimeError("no lattice")
+
+    monkeypatch.setattr(ns, "picard_lattice", refuse)
+    monkeypatch.setattr(involutions, "picard_lattice", refuse)
+    path = tmp_path / "r.json"
+    code, report, _ = run_quiet(["--json", str(path), "involutions"])
+    assert code == 1
+    checks = json.loads(path.read_text())["checks"]
+    assert [c["id"] for c in checks] == INVOLUTION_CHECKS
+    for c in checks:
+        assert c["status"] == "fail" and c["error"]["type"] == "RuntimeError", c["id"]
+
+
+def test_a_raising_variety_build_turns_each_threefold_check_red(monkeypatch, tmp_path):
+    from quartic15 import varieties as va
+
+    def refuse(kind):
+        raise RuntimeError(f"no {kind} variety")
+
+    monkeypatch.setattr(va, "build_variety", refuse)
+    for command, count in (("segre", 3), ("cr", 6)):
+        path = tmp_path / f"{command}.json"
+        code, _, _ = run_quiet(["--json", str(path), command])
+        checks = json.loads(path.read_text())["checks"]
+        assert code == 1 and len(checks) == count, command
+        built = [c for c in checks if "error" in c]
+        assert {c["error"]["type"] for c in built} == {"RuntimeError"}, command
+        assert all(c["status"] == "fail" for c in built), command
+
+
+def _failed(argv):
+    code, report, _ = run_quiet(argv)
+    return code, {c["id"] for c in report.checks if c["status"] == "fail"}
+
+
+def test_a_moved_node_turns_the_node_checks_red(monkeypatch):
+    from quartic15 import varieties as va
+
+    real = va.node_point
+    # a smooth point of the cubic in place of the node for {1,2,3}
+    monkeypatch.setattr(
+        va, "node_point", lambda s: va.ProjectivePoint([1, -1, 0, 0, 0, 0]) if tuple(s) == (1, 2, 3) else real(s)
+    )
+    assert _failed(["segre"]) == (1, {"segre-nodes"})
+    assert _failed(["duality", "--samples", "1"]) == (1, {"duality-nodes-to-cardinals"})
+
+
+def test_a_moved_double_line_turns_the_line_check_red(monkeypatch):
+    from quartic15 import varieties as va
+    from quartic15.configs import synthemes
+
+    real = va.syntheme_line
+    moved = synthemes()[0]
+    # the line through (1,-1,0,0,0,0) and (0,0,1,-1,0,0), which meets the
+    # quartic only where 4(a² − b²)² vanishes
+    chord = va.LinearSubspace.from_equations(
+        [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], 6
+    )
+    monkeypatch.setattr(va, "syntheme_line", lambda s: chord if s == moved else real(s))
+    code, report, _ = run_quiet(["cr"])
+    check = next(c for c in report.checks if c["id"] == "cr-double-lines")
+    assert code == 1 and check["status"] == "fail"
+    assert check["details"].endswith(f"failures: {[moved]}")
 
 
 def test_coplanarity_check_reuses_the_given_section(monkeypatch):

@@ -674,8 +674,15 @@ def test_evaluate_at_integer_points_matches_reference(case):
     )
 )
 def test_hessian_at_matches_reference(case):
+    # the integer Hessian of the cleared form at x/d: den·d^(deg−2) times the
+    # reference, one positive scale for every entry
     ref, pt = case
-    assert Hypersurface(ref.poly(), ()).hessian_at(pt) == reference_hessian_at(ref, pt)
+    f = ref.poly()
+    d = clear_denominators(pt)[1]
+    scale = f.den * Fraction(d) ** (f.total_degree() - 2)
+    expected = [[scale * x for x in row] for row in reference_hessian_at(ref, pt)]
+    got = Hypersurface(f, ()).hessian_at(pt)
+    assert got == expected and all(type(x) is int for row in got for x in row)
 
 
 @settings(max_examples=200, deadline=None)

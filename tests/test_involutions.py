@@ -34,79 +34,78 @@ def model():
 
 
 def test_sigma_star_involution_and_images(model):
-    sig = sigma_star(model)
+    sig = sigma_star()
     assert sig.is_involution()
     assert sig.preserves_gram(model.lattice.gram)
     # sigma exchanges E_x and sigma(E_x)
     for d in NODES:
-        assert _apply_to_class(sig, E[d], model) == sigma_class(d)
-        assert _apply_to_class(sig, sigma_class(d), model) == E[d]
+        assert _apply_to_class(sig, E[d]) == sigma_class(d)
+        assert _apply_to_class(sig, sigma_class(d)) == E[d]
     # image of eta has degree 16
-    img = _apply_to_class(sig, ETA, model)
+    img = _apply_to_class(sig, ETA)
     assert img.degree() == 16
     # the branch class is sigma-invariant
-    assert _apply_to_class(sig, b_tilde(), model) == b_tilde()
+    assert _apply_to_class(sig, b_tilde()) == b_tilde()
 
 
-def test_reye_root_norm(model):
+def test_reye_root_norm():
     assert reye_root().norm() == -4
     assert pentad_root(GOEPEL_PENTAD).norm() == -4
 
 
-def test_tau_rey_images(model):
-    report = reye_image_report(model)
+def test_tau_rey_images():
+    report = reye_image_report()
     assert report.all_hold(), report
 
 
-def test_tau_rey_invariant_rank(model):
-    tau = tau_rey_star(model)
+def test_tau_rey_invariant_rank():
+    tau = tau_rey_star()
     assert tau.invariant_rank() == 15
     assert tau.trace() == 14
 
 
 def test_tau_pentad_examples(model):
     pentad = tuple(sorted(NODES[:5]))
-    tau = tau_pentad_star(pentad, model)
+    tau = tau_pentad_star(pentad)
     assert tau.is_involution() and tau.preserves_gram(model.lattice.gram)
     # eta -> 19*eta - 12*sum_P E
     expected = 19 * ETA - sum((12 * E[x] for x in pentad), DivisorClass.make())
-    assert _apply_to_class(tau, ETA, model) == expected
+    assert _apply_to_class(tau, ETA) == expected
     # E_x fixed for x outside the pentad
     for x in NODES[5:]:
-        assert _apply_to_class(tau, E[x], model) == E[x]
+        assert _apply_to_class(tau, E[x]) == E[x]
 
 
-def test_verify_relations(model):
-    rep = verify_relations(model)
+def test_verify_relations():
+    rep = verify_relations()
     assert rep.goepel_conjugation
     assert rep.reflection_routes_agree
     assert rep.reye_invariant_rank == 15
     assert rep.goepel_invariant_rank == 15
-    assert rep.sigma_involution
     assert rep.lefschetz_reye == 10
     assert rep.lefschetz_goepel == 10
     assert rep.pencil_norms
     assert rep.reye_fixes_pencils
 
 
-def test_pentad_naturality(model):
-    assert pentad_naturality_spot_check(model)
+def test_pentad_naturality():
+    assert pentad_naturality_spot_check()
 
 
 def test_s6_isometries_are_isometries(model):
     for g in s6_elements()[:24]:
-        iso = s6_isometry(g, model)
+        iso = s6_isometry(g)
         assert iso.preserves_gram(model.lattice.gram)
 
 
-def test_reflections_commute_for_disjoint_roots(model):
+def test_reflections_commute_for_disjoint_roots():
     # two pentads with orthogonal roots? pentad roots are never orthogonal:
     # r_P·r_Q = 36 - 8*|P∩Q| ... instead check commuting with a fixed E-reflection
     # via the S6 action: conjugation by commuting permutations commutes
     g1 = (2, 1, 3, 4, 5, 6)
     g2 = (1, 2, 4, 3, 5, 6)
-    a = s6_isometry(g1, model)
-    b = s6_isometry(g2, model)
+    a = s6_isometry(g1)
+    b = s6_isometry(g2)
     assert a.compose(b).matrix == b.compose(a).matrix
 
 
@@ -125,7 +124,7 @@ def test_sparse_products_see_every_entry_of_a_reflection(model):
     # is zero or not, must break M·G·M^T = G or M·M = 1: skipping zero
     # entries in the products drops no part of either check
     gram = model.lattice.gram
-    tau = tau_pentad_star(tuple(sorted(NODES[:5])), model)
+    tau = tau_pentad_star(tuple(sorted(NODES[:5])))
     assert tau.preserves_gram(gram) and tau.is_involution()
     m = tau.matrix
     nonzero = [(i, j) for i in range(tau.rank) for j in range(tau.rank) if m[i][j]]
@@ -144,10 +143,10 @@ def test_sparse_products_see_every_entry_of_a_reflection(model):
 def test_pentad_root_coordinates_match_the_class_route(model):
     # the integer roots by linearity are the coordinates of the divisor
     # class 3*eta - 2*sum_P E for every one of the 3003 pentads
-    roots = list(pentad_root_coordinates(model))
+    roots = list(pentad_root_coordinates())
     assert len(roots) == 3003
     for pentad, w in roots:
         assert w == model.in_lattice(pentad_root(pentad)), pentad
     pentad, w = roots[0]
     iso = reflection_isometry(model.lattice, w, "w")
-    assert iso.matrix == tau_pentad_star(pentad, model).matrix
+    assert iso.matrix == tau_pentad_star(pentad).matrix

@@ -521,6 +521,19 @@ def test_hermite_normal_form_refuses_a_rational_entry():
     assert h == [[2, 1]] and all(type(x) is int for x in h[0])
 
 
+def test_ragged_matrices_are_refused_naming_the_row():
+    # a short or long row used to be truncated by zip (bareiss, rref) or to
+    # surface as a failed self-check (HNF, SNF); now every integer kernel
+    # names it
+    from quartic15.exact import rref
+
+    for fn in (bareiss, det_bareiss, hermite_normal_form, smith_normal_form, rref):
+        with pytest.raises(ValueError, match="^row 1 has 2 entries, expected 3$"):
+            fn([[1, 2, 3], [4, 5]])
+        with pytest.raises(ValueError, match="^row 2 has 3 entries, expected 2$"):
+            fn([[1, 2], [3, 4], [5, 6, 7]])
+
+
 def test_integer_lattice_refuses_a_rational_gram_entry():
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
         IntegerLattice(((Fraction(1, 2),),))

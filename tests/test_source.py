@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import quartic15
@@ -71,3 +73,84 @@ def test_lattice_layer_builds_fractions_only_at_its_edges():
         sites = _fraction_call_sites(tree)
         assert not sites - allowed, f"{name} calls Fraction in {sorted(sites - allowed)}"
         assert not allowed - sites, f"stale allowlist entries for {name}: {sorted(allowed - sites)}"
+
+
+# Library functions that no README command reaches (a `sys.setprofile` census
+# of the commands), each kept for the claim its tests certify.  An entry must
+# still resolve, and no library code outside this table may reference it by
+# name; a function the commands call again leaves the table.
+REACHED_ONLY_BY_TESTS = {
+    "configs.MarkedGraph.girth": "the mark-1 part of the (2,3) conjugacy graph is the Petersen graph",
+    "configs.MarkedGraph.neighbors": "the Petersen adjacency of the mark-1 vertices (and girth's search)",
+    "configs.apply_perm_syntheme": "S6 permutes the 15 synthemes and the double lines in one orbit",
+    "configs.conjugacy_graph": "the marked conjugacy graphs: degrees and the multiplicity rule",
+    "configs.cremona_richmond_model": "the Cremona-Richmond configuration is not the trope incidence",
+    "configs.totals": "S6 permutes the 6 totals in one orbit with stabilizer 120",
+    "congruence.AlphaVector.cubic_sum": "Table 1's defining sum holds on every published column",
+    "exact.LinearMap.__init__": "held by the benchmark: bench/worker.py builds its section chart with it",
+    "exact.nullspace": "held by the benchmark: bench/worker.py builds its section chart with it",
+    "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
+    "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
+    "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
+    "lattice.IntegerLattice.is_even": "the Picard lattice and the glued overlattices are even",
+    "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
+    "nodal_surface.class_invariants": "norm, degree and Pic-membership of the named classes",
+    "nodal_surface.nodes_of_word": "code words and node sets correspond (S6-equivariance of the code)",
+    "nodal_surface.word_of_nodes": "the trope and L-set words lie in the even-set code",
+    "pentads.goepel_pentads": "the Goepel orbit is the six five-stars",
+}
+
+
+def _resolve(key: str):
+    """The object that "module.qualname" names in the package, or None."""
+    module, *path = key.split(".")
+    obj = importlib.import_module(f"quartic15.{module}")
+    for name in path:
+        obj = getattr(obj, name, None)
+        if obj is None:
+            return None
+    return obj
+
+
+def _referenced_names(skip: set[str]) -> set[str]:
+    """Every name the library loads (plain names and attribute names),
+    outside the bodies of the functions named in `skip`."""
+    names: set[str] = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            if ".".join(scope) in skip:
+                return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=path.name), [path.stem])
+    return names
+
+
+def test_functions_reached_only_by_tests_are_listed_with_their_claim():
+    stale = [key for key in REACHED_ONLY_BY_TESTS if _resolve(key) is None]
+    assert not stale, f"entries that no longer resolve: {stale}"
+    referenced = _referenced_names(set(REACHED_ONLY_BY_TESTS))
+    # an operator method is reached through syntax, not by its name
+    named = [key for key in REACHED_ONLY_BY_TESTS if not key.rsplit(".", 1)[1].startswith("__")]
+    used = [key for key in named if key.rsplit(".", 1)[1] in referenced]
+    assert not used, f"the library references these by name: {used}"
+
+
+# Tracer keys of bench/worker.py that name no library function.  The
+# benchmark reads 0 for them; repointing them is a change to the benchmark.
+STALE_BENCH_KEYS = {"involutions._reflection_norm4", "involutions._Basis.to_pic"}
+
+
+def test_bench_tracer_keys_name_library_functions():
+    worker = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    keys = set(re.findall(r'stat\("([\w.]+)"\)', worker.read_text()))
+    assert len(keys) >= 15
+    assert {key for key in keys if _resolve(key) is None} == STALE_BENCH_KEYS

@@ -31,6 +31,7 @@ from quartic15.varieties import (
     cr_quartic_form,
     derive_duad_point,
     duad_point,
+    node_point,
     duality_image,
     duality_plane_to_line,
     hyperplane_section,
@@ -38,7 +39,6 @@ from quartic15.varieties import (
     sample_tangent_section,
     segre_form,
     singular_scan_fp,
-    special_loci,
     cardinal_tangency_quadric,
     syntheme_line,
     syntheme_plane,
@@ -152,19 +152,18 @@ def test_five_variable_equations_recovered(segre, cr):
 
 
 def test_special_loci_orbit_sizes():
-    seg = special_loci("segre")
+    nodes = {a: node_point(a) for a in three_subsets()}
     planes = {s: syntheme_plane(s) for s in synthemes()}
-    assert len(seg.nodes) == 10 and len(planes) == 15
-    assert len(set(seg.nodes.values())) == 10
-    crl = special_loci("cr")
-    assert len(crl.double_lines) == 15
+    assert len(nodes) == 10 and len(planes) == 15
+    assert len(set(nodes.values())) == 10
+    assert len({syntheme_line(s) for s in synthemes()}) == 15
     assert len({d: duad_point(d) for d in duads()}) == 15
     assert len({a: cardinal_coefficients(a) for a in three_subsets()}) == 10
 
 
 def test_line_points_meet_rule():
     # two double lines intersect iff their synthemes share a duad
-    lines = special_loci("cr").double_lines
+    lines = {s: syntheme_line(s) for s in synthemes()}
     for s1 in lines:
         for s2 in lines:
             if s1 >= s2:
@@ -180,12 +179,10 @@ def test_line_points_meet_rule():
 def test_special_loci_s6_equivariant():
     from quartic15.configs import s6_elements
 
-    seg = special_loci("segre")
-    crl = special_loci("cr")
-    node_set = set(seg.nodes.values())
+    node_set = {node_point(a) for a in three_subsets()}
     point_set = set({d: duad_point(d) for d in duads()}.values())
     card_set = {ProjectivePoint(c) for c in {a: cardinal_coefficients(a) for a in three_subsets()}.values()}
-    line_eqs = {reduced_rows(line) for line in crl.double_lines.values()}
+    line_eqs = {reduced_rows(syntheme_line(s)) for s in synthemes()}
     for g in s6_elements()[::37]:  # a spread of permutations, exact either way
         perm0 = [g[i] - 1 for i in range(6)]  # 0-based positions
 
@@ -229,8 +226,8 @@ def test_derived_duad_point_matches():
 
 
 def test_certify_segre_nodes(segre):
-    for subset, pt in special_loci("segre").nodes.items():
-        cert = certify_ordinary_node(segre, pt)
+    for subset in three_subsets():
+        cert = certify_ordinary_node(segre, node_point(subset))
         assert not isinstance(cert, SmoothPointFailure)
         assert cert.hessian_rank == 4 and cert.is_ordinary
 
@@ -248,15 +245,14 @@ def test_certify_not_on_variety(segre):
 
 
 def test_double_lines(cr):
-    for s, line in special_loci("cr").double_lines.items():
-        assert verify_double_line(cr, line)
+    for s in synthemes():
+        assert verify_double_line(cr, syntheme_line(s))
 
 
 def test_generic_chord_is_not_double_line(cr):
     # a line through two points of the quartic is not in the singular locus
-    lines = special_loci("cr").double_lines
-    p1 = param_point(lines[synthemes()[0]], [1, 2])
-    p2 = param_point(lines[synthemes()[5]], [3, 1])
+    p1 = param_point(syntheme_line(synthemes()[0]), [1, 2])
+    p2 = param_point(syntheme_line(synthemes()[5]), [3, 1])
     chord = LinearSubspace.from_equations(nullspace([p1, p2], 6), 6)
     assert verify_double_line(cr, chord) is False
 
@@ -425,7 +421,7 @@ def test_linear_subspace_checks_the_unit_pattern():
 
 
 def test_chart_matches_greedy_basis_on_segre_nodes(segre):
-    for pt in special_loci("segre").nodes.values():
+    for pt in map(node_point, three_subsets()):
         cert = certify_ordinary_node(segre, pt)
         assert cert.chart == scaled(greedy_chart_basis(pt.coords, segre.ambient_constraints, 6), segre.ambient.den)
 
@@ -473,9 +469,9 @@ def test_duality_planes_to_lines():
 
 def test_duality_node_to_cardinal():
     # a node's coordinate vector is the cardinal hyperplane of its 3-subset
-    for subset, pt in special_loci("segre").nodes.items():
+    for subset in three_subsets():
         card = cardinal_coefficients(subset)
-        assert ProjectivePoint(card) == pt
+        assert ProjectivePoint(card) == node_point(subset)
 
 
 def test_duality_random_samples():
@@ -622,11 +618,7 @@ def test_scan_cr_f7(cr):
     # the scanned set is exactly the union of the reduced double lines
     from quartic15.exact import primitive_integer_vector
 
-    lines = special_loci("cr").double_lines
-    int_eqs = {
-        s: [primitive_integer_vector(eq) for eq in line.rows]
-        for s, line in lines.items()
-    }
+    int_eqs = {s: [primitive_integer_vector(eq) for eq in syntheme_line(s).rows] for s in synthemes()}
 
     def lines_through(v):
         return [
@@ -945,15 +937,34 @@ def test_chord_cubic_matches_substitution(pa, pb):
     assert all(type(c) is int for c in got)
 
 
-def test_integer_readings_refuse_a_form_with_a_denominator(monkeypatch):
-    # the chord cubic and the gradient test read integer values; a form or a
-    # partial with a denominator is refused, not read through its numerator
-    half = segre_form().scale(Fraction(1, 2))
-    with pytest.raises(ValueError, match="form with integer coefficients"):
-        varieties._chord_cubic(half, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0])
-    monkeypatch.setattr(varieties, "build_variety", lambda kind: Hypersurface(half, (ONES,)))
-    with pytest.raises(ValueError, match="partials with integer coefficients"):
-        sample_smooth_cubic_point(random.Random(1))
+def test_integer_readings_clear_a_form_with_a_denominator(monkeypatch):
+    # a Hypersurface stores its form times den: the same zero set, with every
+    # partial integral, so the integer readings need no refusal
+    rational = segre_form().scale(Fraction(3, 2))
+    v = Hypersurface(rational, (ONES,))
+    assert v.form == segre_form().scale(3) and v.form.den == 1
+    assert all(g.den == 1 for g in v.gradient)
+    # at a rational point x/d the Hessian is integral, with the one scale
+    # 3·d^(3−2) on every entry, and the gradient with 3·d^(3−1)
+    point = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 0, 0]
+    d = 6
+    hess = v.hessian_at(point)
+    for i in range(6):
+        for j in range(6):
+            expected = segre_form().partial(i).partial(j).evaluate(point)
+            assert type(hess[i][j]) is int and hess[i][j] == 3 * d * expected
+    grad = v.gradient_at(point)
+    assert grad == tuple(3 * d * d * g.evaluate(point) for g in segre_form().gradient())
+    assert all(type(x) is int for x in grad)
+    # the chord cubic of a form with a denominator is den times its own
+    pa, pb = [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]
+    assert varieties._chord_cubic(segre_form().scale(Fraction(1, 2)), pa, pb) == varieties._chord_cubic(
+        segre_form(), pa, pb
+    )
+    # so the sampler on the rational form draws the same points
+    expected = sample_smooth_cubic_point(random.Random(1))
+    monkeypatch.setattr(varieties, "build_variety", lambda kind: v)
+    assert sample_smooth_cubic_point(random.Random(1)) == expected
 
 
 def fraction_duality_image(z):
