@@ -24,7 +24,6 @@ from . import pentads as pt
 from . import varieties as va
 from .configs import (
     duads,
-    incidence_isomorphic,
     IncidenceStructure,
     synthemes,
     three_subsets,
@@ -269,8 +268,9 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
         geometric = IncidenceStructure(pts, blocks, matrix)
         if not geometric.is_configuration(4, 6):
             return False, "node-trope incidence is not of type (15_4, 10_6)"
-        iso = incidence_isomorphic(geometric, trope_incidence_model())
-        return iso is not None, "geometric incidence isomorphic to the matching-rule model"
+        # the labels are the witness: the identity labelling is the isomorphism
+        ok = geometric == trope_incidence_model()
+        return ok, "geometric incidence isomorphic to the matching-rule model"
 
     r.run(f"section-incidence[{tag}]", "node-trope incidence has the abstract (15_4,10_6) type", incidence)
 

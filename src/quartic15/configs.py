@@ -1,8 +1,7 @@
 """Finite combinatorics of the set {1,...,6}.
 
 Duads, synthemes and totals, the marked conjugacy graph of an order-2
-congruence, trope incidence, orbits of the symmetric group S6, and a
-backtracking isomorphism test for small incidence structures.
+congruence, trope incidence and orbits of the symmetric group S6.
 
 Canonical labels: duads are sorted pairs, synthemes sorted triples of
 sorted pairs, 3-subsets up to complement by the one that contains 1.
@@ -129,7 +128,6 @@ class MarkedGraph:
     vertices: tuple[Hashable, ...]
     marks: dict[Hashable, int]
     edges: dict[frozenset, int]
-    complete: bool = True
 
     def degree(self, v) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -181,8 +179,7 @@ def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
     mark 1, K(5) on the vertices (a6) with mark 2, and cross edges
     (ab)-(a6), (ab)-(b6).  Stored edge multiplicity is max(h+h'-n, 0).
     For other n only the vertex marks (from the singular-point table) and
-    the forced edges with h+h' > n are known; such graphs carry
-    complete=False.
+    the forced edges with h+h' > n are known.
     """
     if n == 3:
         l_vertices = [tuple(sorted(d)) for d in itertools.combinations(range(1, 6), 2)]
@@ -198,7 +195,7 @@ def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
         for a, b in l_vertices:
             edges[frozenset(((a, b), (a, 6)))] = 0
             edges[frozenset(((a, b), (b, 6)))] = 0
-        return MarkedGraph(tuple(l_vertices + c_vertices), marks, edges, complete=True)
+        return MarkedGraph(tuple(l_vertices + c_vertices), marks, edges)
     key = f"(2,{n})"
     if n == 6:
         if variant not in ("I", "II"):
@@ -219,7 +216,7 @@ def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
         mult = marks[u] + marks[v] - n
         if mult > 0:  # forced conjugate pairs only
             edges[frozenset((u, v))] = mult
-    return MarkedGraph(tuple(vertices), marks, edges, complete=False)
+    return MarkedGraph(tuple(vertices), marks, edges)
 
 
 # -- incidence structures ----------------------------------------------------
@@ -247,7 +244,11 @@ def trope_incidence_model() -> IncidenceStructure:
     """Nodes (synthemes) vs trope planes (3-subsets): type (15_4, 10_6).
 
     A syntheme is on the block {a,b,c} iff it matches {a,b,c} with its
-    complement, i.e. every duad has one endpoint on each side.
+    complement, i.e. every duad has one endpoint on each side.  Points and
+    blocks come in the order of `synthemes()` and `three_subsets()`, the
+    order in which a hyperplane section labels its nodes and tropes, so a
+    section's incidence certifies by equality with this model: the labels
+    are the isomorphism.
     """
     pts = synthemes()
     blocks = three_subsets()
@@ -281,10 +282,6 @@ class Orbit:
     representative: Hashable
     elements: tuple
     stabilizer_order: int
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) -> list[Orbit]:
@@ -333,103 +330,3 @@ def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) 
         orbits.append(Orbit(rep, tuple(sorted(orbit)), stab))
         seen |= orbit
     return orbits
-
-
-# -- incidence isomorphism ---------------------------------------------------
-
-
-def incidence_isomorphic(
-    a: IncidenceStructure, b: IncidenceStructure
-) -> Optional[tuple[dict, dict]]:
-    """Point/block relabeling of `a` onto `b`, or None.
-
-    Backtracking over point images; each partially-mapped block keeps the set
-    of blocks of `b` it could still land on, which prunes hard enough for the
-    15-point instances used here.
-    """
-    np_, nb = len(a.points), len(a.blocks)
-    if (np_, nb) != (len(b.points), len(b.blocks)):
-        return None
-
-    def signature(struct, i):
-        degs = sorted(
-            sum(row[j] for row in struct.matrix)
-            for j in range(len(struct.blocks))
-            if struct.matrix[i][j]
-        )
-        return (sum(struct.matrix[i]), tuple(degs))
-
-    sig_a = [signature(a, i) for i in range(np_)]
-    sig_b = [signature(b, i) for i in range(np_)]
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    blocks_a = [frozenset(i for i in range(np_) if a.matrix[i][j]) for j in range(nb)]
-    blocks_b = [frozenset(i for i in range(np_) if b.matrix[i][j]) for j in range(nb)]
-    block_lookup = {blk: j for j, blk in enumerate(blocks_b)}
-    if len(block_lookup) != nb or len(set(blocks_a)) != nb:
-        return None  # repeated blocks: out of scope for these instances
-    a_blocks_of = [[j for j in range(nb) if i in blocks_a[j]] for i in range(np_)]
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    # candidate b-block indices for each a-block, narrowed as points are mapped
-    bcand: list[set[int]] = [
-        {j for j in range(nb) if len(blocks_b[j]) == len(blocks_a[k])}
-        for k in range(nb)
-    ]
-
-    def choose_next() -> Optional[int]:
-        best, best_score = None, None
-        for i in range(np_):
-            if i in mapping:
-                continue
-            constrained = sum(1 for k in a_blocks_of[i] if any(x in mapping for x in blocks_a[k]))
-            score = (-constrained, i)
-            if best_score is None or score < best_score:
-                best, best_score = i, score
-        return best
-
-    def candidates_for(i: int) -> list[int]:
-        cands = {j for j in range(np_) if j not in used and sig_b[j] == sig_a[i]}
-        for k in a_blocks_of[i]:
-            allowed = set()
-            for jb in bcand[k]:
-                allowed |= blocks_b[jb]
-            cands &= allowed
-            if not cands:
-                break
-        return sorted(cands)
-
-    def backtrack() -> bool:
-        if len(mapping) == np_:
-            return True
-        i = choose_next()
-        for j in candidates_for(i):
-            narrowed = []
-            ok = True
-            for k in a_blocks_of[i]:
-                new = {jb for jb in bcand[k] if j in blocks_b[jb]}
-                if not new:
-                    ok = False
-                    break
-                narrowed.append((k, bcand[k]))
-                bcand[k] = new
-            if ok:
-                mapping[i] = j
-                used.add(j)
-                if backtrack():
-                    return True
-                del mapping[i]
-                used.remove(j)
-            for k, old in reversed(narrowed):
-                bcand[k] = old
-        return False
-
-    if not backtrack():
-        return None
-    point_map = {a.points[i]: b.points[j] for i, j in mapping.items()}
-    block_map = {}
-    for jdx, blk in enumerate(blocks_a):
-        img = frozenset(mapping[x] for x in blk)
-        block_map[a.blocks[jdx]] = b.blocks[block_lookup[img]]
-    return point_map, block_map

@@ -16,9 +16,6 @@ from .configs import TABLE1_COLUMNS
 
 @dataclass(frozen=True)
 class CongruenceInvariants:
-    m: int
-    n: int
-    r: int
     g: int
     deg_focal: int
     deg_l_curve: int
@@ -45,9 +42,6 @@ def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
     if deg_branch != 4 * (g - 1) + 2 * (m + n):
         raise AssertionError("branch degree identities disagree")
     return CongruenceInvariants(
-        m=m,
-        n=n,
-        r=r,
         g=g,
         deg_focal=deg_focal,
         deg_l_curve=n * (n - 1) // 2 + r,
@@ -58,7 +52,6 @@ def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
 
 @dataclass(frozen=True)
 class TwoNProfile:
-    n: int
     invariants: CongruenceInvariants
     expected_nodes: int  # 18 - n singular points on the focal quartic
 
@@ -74,7 +67,7 @@ def two_n_profile(n: int) -> TwoNProfile:
         raise AssertionError("the order-2 branch locus has degree 2(n + 2)")
     if inv.deg_p_surface != n - 1:
         raise AssertionError("the order-2 surface (P) has degree n - 1")
-    return TwoNProfile(n=n, invariants=inv, expected_nodes=18 - n)
+    return TwoNProfile(invariants=inv, expected_nodes=18 - n)
 
 
 @dataclass(frozen=True)
@@ -87,9 +80,6 @@ class AlphaVector:
         """Σ i³·α_i; certifies Table 1's defining sum (n+2)³ − 3(n+2)² on
         every published column."""
         return sum((i + 1) ** 3 * a for i, a in enumerate(self.counts))
-
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def table1_solutions(n: int, require_node_count: bool = True) -> list[AlphaVector]:
@@ -135,7 +125,6 @@ def published_columns(n: int) -> list[AlphaVector]:
 
 @dataclass(frozen=True)
 class Table1Report:
-    n: int
     with_node_count: tuple[AlphaVector, ...]
     without_node_count_total: int
     published_found: bool
@@ -151,7 +140,6 @@ def table1_report(n: int) -> Table1Report:
     found = all(col in strict for col in published)
     extras = tuple(v for v in strict if v not in published)
     return Table1Report(
-        n=n,
         with_node_count=tuple(strict),
         without_node_count_total=len(loose),
         published_found=found,

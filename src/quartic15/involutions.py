@@ -5,16 +5,17 @@ the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes.  Every one is a `lattice.Isometry` on the fixed Z-basis
 of the one Picard lattice, which each function reads from the cached
-`picard_lattice()`; classes reach that basis through the integer row-basis
-coordinates of `PicardModel.in_lattice`.  The 3003 pentad roots skip the
-class arithmetic: coordinates are linear, so each root's integer coordinates
-are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.  Each matrix
-is certified integral by exact division, then involutive and Gram-preserving
-by `Isometry.involutive_isometry`: the full product M·M, and, once M² = 1,
-the full product M·G tested for symmetry, which is equivalent to M·G·M^T = G.
-That method sparsifies each M once, for both factors of M·M and the left
-factor of M·G, and reads the sparse rows of G from a cache keyed by the Gram
-tuple, so the Gram matrix is sparsified once for all 3003 reflections.
+`picard_lattice()`; a class reaches that basis through its integer row-basis
+coordinates `basis.coordinates(cls.nums, cls.den)`.  The 3003 pentad roots
+skip the class arithmetic: coordinates are linear, so each root's integer
+coordinates are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.
+Each matrix is certified integral by exact division, then involutive and
+Gram-preserving by `Isometry.involutive_isometry`: the full product M·M,
+and, once M² = 1, the full product M·G tested for symmetry, which is
+equivalent to M·G·M^T = G.  That method sparsifies each M once, for both
+factors of M·M and the left factor of M·G, and reads the sparse rows of G
+from a cache keyed by the Gram tuple, so the Gram matrix is sparsified once
+for all 3003 reflections.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -36,6 +37,7 @@ from .nodal_surface import (
     NODES,
     DivisorClass,
     eta_star,
+    picard_basis_classes,
     picard_lattice,
     sigma_class,
 )
@@ -48,7 +50,7 @@ def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> Is
     model = picard_lattice()
     rows = []
     for i, img in enumerate(images):
-        pic = model.in_lattice(img)
+        pic = model.basis.coordinates(img.nums, img.den)
         if pic is None:
             raise ValueError(f"{name}: image of basis vector {i} is not in the lattice")
         rows.append(tuple(pic))
@@ -74,7 +76,7 @@ def sigma_star() -> Isometry:
                 out = out + c * img
         return out / cls.den
 
-    images = [image_of(b) for b in picard_lattice().basis_classes()]
+    images = [image_of(b) for b in picard_basis_classes()]
     iso = _isometry_from_class_images("sigma", images)
     if not iso.is_involution():
         raise AssertionError("sigma* must square to the identity")
@@ -92,7 +94,7 @@ def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
 def _root_reflection(name: str, root: DivisorClass) -> Isometry:
     """Reflection in a root of the lattice, through its integer coordinates."""
     model = picard_lattice()
-    w = model.in_lattice(root)
+    w = model.basis.coordinates(root.nums, root.den)
     if w is None:
         raise ValueError(f"{name}: the root is not in the Picard lattice")
     return reflection_isometry(model.lattice, w, name)
@@ -126,12 +128,12 @@ def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
     of its root 3*eta − 2*sum_P E.
 
     Coordinates on a Z-basis are linear, so w_P = 3·w_eta − 2·Σ_{x∈P} w_x
-    from one `in_lattice` call for eta and one for each E_x; the root lies in
-    the lattice because eta and every E_x do.
+    from the coordinates of eta and of each E_x; the root lies in the lattice
+    because eta and every E_x do.
     """
-    model = picard_lattice()
-    w_eta = model.in_lattice(ETA)
-    w_e = {x: model.in_lattice(E[x]) for x in NODES}
+    basis = picard_lattice().basis
+    w_eta = basis.coordinates(ETA.nums, ETA.den)
+    w_e = {x: basis.coordinates(E[x].nums, E[x].den) for x in NODES}
     if w_eta is None or any(w is None for w in w_e.values()):
         raise ValueError("eta and every E_x must lie in the Picard lattice")
     eta3 = [3 * c for c in w_eta]
@@ -142,7 +144,7 @@ def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
 
 def s6_isometry(g: Sequence[int]) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
-    images = [b.permuted(g) for b in picard_lattice().basis_classes()]
+    images = [b.permuted(g) for b in picard_basis_classes()]
     return _isometry_from_class_images(f"perm{tuple(g)}", images)
 
 
@@ -166,11 +168,11 @@ class ReyeImageReport:
 
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
-    model = picard_lattice()
-    pic = model.in_lattice(cls)
+    basis = picard_lattice().basis
+    pic = basis.coordinates(cls.nums, cls.den)
     if pic is None:
         raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
-    return DivisorClass(tuple(model.basis.vector(iso.apply(pic))), model.basis.den)
+    return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
 
 
 def reye_image_report() -> ReyeImageReport:

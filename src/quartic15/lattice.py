@@ -164,9 +164,11 @@ def hermite_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatri
     """Row-style HNF: returns (H, U) with U·m = H, U unimodular.
 
     H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).  Zero rows sink to the bottom.
+    pivot reduced into [0, pivot).  Zero rows sink to the bottom.  The input
+    is read once, so a one-shot iterable serves as well as a list.
     """
-    h = _as_int_matrix(m)
+    original = _as_int_matrix(m)
+    h = [row[:] for row in original]
     rows = len(h)
     cols = len(h[0]) if rows else 0
     u = mat_identity(rows)
@@ -203,7 +205,7 @@ def hermite_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatri
                     h[r] = [x - q * y for x, y in zip(h[r], h[row])]
                     u[r] = [x - q * y for x, y in zip(u[r], u[row])]
             row += 1
-    if mat_mul(u, _as_int_matrix(m)) != h:
+    if mat_mul(u, original) != h:
         raise AssertionError("HNF verification failed")
     return h, u
 

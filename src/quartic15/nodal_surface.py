@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .configs import Duad, apply_perm_duad, duads, trope_node_sets
 from .lattice import (
     FiniteAbelianInvariants,
     IntegerLattice,
+    Overlattice,
     RowBasis,
     det_bareiss,
     direct_sum,
@@ -242,22 +244,6 @@ def class_invariants(cls: DivisorClass) -> tuple[Fraction, Fraction, bool]:
 # -- the Picard lattice ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PicardModel:
-    ambient: IntegerLattice  # <4> + A1^15 on (eta, E_x)
-    lattice: IntegerLattice  # rank-16 overlattice Gram (integral, even)
-    basis: RowBasis  # lattice basis in (eta, E_x) coords: integer rows over basis.den
-    index: int  # = 2**dim(code) / 2 ... index of N in Pic
-
-    def in_lattice(self, cls: DivisorClass) -> Optional[list[int]]:
-        """Integer coordinates of the class on the lattice basis, or None."""
-        return self.basis.coordinates(cls.nums, cls.den)
-
-    def basis_classes(self) -> list[DivisorClass]:
-        """The lattice basis as divisor classes."""
-        return [DivisorClass(tuple(row), self.basis.den) for row in self.basis.rows]
-
-
 def standard_classes() -> dict[str, DivisorClass]:
     """Every named divisor class used by the checks, certified Pic-integral."""
     classes: dict[str, DivisorClass] = {"eta": ETA, "eta_star": eta_star()}
@@ -289,17 +275,27 @@ def standard_classes() -> dict[str, DivisorClass]:
 
 
 @lru_cache(maxsize=None)
-def picard_lattice() -> PicardModel:
-    """Rank-16 overlattice of <4> + A1^15 glued by the five code generators."""
+def picard_lattice() -> Overlattice:
+    """Rank-16 overlattice of AMBIENT glued by the five code generators.
+
+    Its basis holds integer rows over `basis.den` in the coordinates
+    (eta, E_x), so a class reaches the lattice as
+    `basis.coordinates(cls.nums, cls.den)`: its integer coordinates, or None.
+    """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
-    model = PicardModel(ambient=AMBIENT, lattice=over.lattice, basis=over.basis, index=over.index)
     for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
-        if model.in_lattice(cls) is None:
+        if over.basis.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
-    return model
+    return over
+
+
+def picard_basis_classes() -> list[DivisorClass]:
+    """The basis of the Picard lattice as divisor classes."""
+    basis = picard_lattice().basis
+    return [DivisorClass(tuple(row), basis.den) for row in basis.rows]
 
 
 def verify_class_identities() -> dict[str, bool]:
@@ -382,7 +378,6 @@ CLASSICAL_DISCRIMINANT_GENERATORS: tuple[tuple[Fraction, dict], ...] = (
 class DiscriminantComparison:
     pic_invariants: FiniteAbelianInvariants
     groups_match: bool
-    q_match_direct: bool
     q_match_negated: bool
     classical_generator_duality: tuple[bool, ...]  # per quoted generator, as transcribed
     weight4_duals_are_four_cycles: bool
@@ -396,26 +391,26 @@ def transcendental_reference_lattice() -> IntegerLattice:
 
 
 def is_dual_vector(cls: DivisorClass) -> bool:
-    model = picard_lattice()
-    den = cls.den * model.basis.den
-    return all(model.ambient.form(cls.nums, row) % den == 0 for row in model.basis.rows)
+    basis = picard_lattice().basis
+    den = cls.den * basis.den
+    return all(AMBIENT.form(cls.nums, row) % den == 0 for row in basis.rows)
 
 
 def discriminant_comparison() -> DiscriminantComparison:
     """Compare disc(Pic) with disc(U(2)+U(2)+A1(2)+A1): groups and q-values.
 
-    The q-value multisets are compared directly and with a global sign flip;
-    the expected match is the sign-flipped one (the two lattices sit on
-    opposite sides of a unimodular lattice).  The classically quoted generators
-    are checked one by one: three of the six are not dual vectors as transcribed.
+    The q-value multisets are compared after a global sign flip, the
+    expected match (the two lattices sit on opposite sides of a unimodular
+    lattice).  The classically quoted generators are checked one by one:
+    three of the six are not dual vectors as transcribed.
     The full isometry statement for the transcendental lattice is *not*
     certified here, only this desk-scale discriminant evidence.
     """
-    model = picard_lattice()
-    pic_inv = discriminant_group(model.lattice)
+    pic = picard_lattice().lattice
+    pic_inv = discriminant_group(pic)
     ref = transcendental_reference_lattice()
     groups_match = pic_inv.invariant_factors == discriminant_group(ref).invariant_factors
-    q_pic = discriminant_q_multiset(model.lattice)
+    q_pic = discriminant_q_multiset(pic)
     q_ref = discriminant_q_multiset(ref)
     q_neg: dict[Fraction, int] = {}
     for k, v in q_ref.items():
@@ -435,7 +430,6 @@ def discriminant_comparison() -> DiscriminantComparison:
     return DiscriminantComparison(
         pic_invariants=pic_inv,
         groups_match=groups_match,
-        q_match_direct=(q_pic == q_ref),
         q_match_negated=(q_pic == q_neg),
         classical_generator_duality=tuple(duality),
         weight4_duals_are_four_cycles=cycles_ok,
@@ -478,17 +472,8 @@ def kummer_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-@dataclass(frozen=True)
-class KummerModel:
-    ambient: IntegerLattice  # <4> + A1^16 on (eta, N_alpha)
-    lattice: IntegerLattice  # rank-17 overlattice
-    basis: RowBasis
-    index: int
-    tropes: dict[tuple[int, ...], tuple[int, ...]]  # T_beta in ambient coords, numerators over 2
-
-    def in_lattice(self, v: Sequence[int], den: int = 1) -> Optional[list[int]]:
-        """Integer coordinates of v/den on the lattice basis, or None."""
-        return self.basis.coordinates(v, den)
+# <4> + A1^16 on the basis (eta, N_alpha), alpha in KUMMER_GROUP
+KUMMER_AMBIENT = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 16)
 
 
 def kummer_trope_support(beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -503,12 +488,12 @@ def _kummer_node(alpha: tuple[int, ...], c: int = 1) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def kummer_model() -> KummerModel:
-    """Rank-17 lattice of a 16-nodal quartic glued by the sixteen trope words."""
-    ambient = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 16)
+def kummer_tropes() -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """The trope T_beta of each beta in KUMMER_GROUP, in the coordinates of
+    KUMMER_AMBIENT as numerators over 2: T_beta = (eta − its six nodes)/2.
+    Built once, and read-only so the cached copy cannot go stale."""
     tropes = {}
     for beta in KUMMER_GROUP:
-        # T_beta = (eta − the six nodes of its support)/2
         v = [1] + [0] * 16
         support = kummer_trope_support(beta)
         if len(support) != 6:
@@ -516,18 +501,23 @@ def kummer_model() -> KummerModel:
         for alpha in support:
             v[1 + KUMMER_INDEX[alpha]] = -1
         tropes[beta] = tuple(v)
-    over = overlattice(ambient, list(tropes.values()), 2)
-    return KummerModel(ambient, over.lattice, over.basis, over.index, tropes)
+    return MappingProxyType(tropes)
+
+
+@lru_cache(maxsize=None)
+def kummer_model() -> Overlattice:
+    """Rank-17 lattice of a 16-nodal quartic: KUMMER_AMBIENT glued by the
+    sixteen trope words."""
+    return overlattice(KUMMER_AMBIENT, list(kummer_tropes().values()), 2)
 
 
 def kummer_node_trope_pairings() -> bool:
     """N_alpha · T_beta = 1 exactly when alpha+beta lies in the special 6-set."""
-    model = kummer_model()
     for alpha in KUMMER_GROUP:
         n_vec = _kummer_node(alpha)
-        for beta, t_vec in model.tropes.items():
+        for beta, t_vec in kummer_tropes().items():
             expected = 1 if kummer_add(alpha, beta) in KUMMER_SPECIAL else 0
-            if model.ambient.pair(n_vec, t_vec, 2) != expected:
+            if KUMMER_AMBIENT.pair(n_vec, t_vec, 2) != expected:
                 return False
     return True
 
@@ -544,16 +534,16 @@ class KummerEmbeddingCertificate:
 def _embedding_images() -> dict[str, tuple[int, ...]]:
     """Images of the 21 Picard generators in the Kummer ambient coordinates,
     as numerators over 2."""
-    model = kummer_model()
+    tropes = kummer_tropes()
     images: dict[str, tuple[int, ...]] = {"eta": (2,) + (0,) * 16}
     for d in NODES:
         images[f"E{d[0]}{d[1]}"] = tuple(_kummer_node(d, 2))
     for d in L_SET:
-        images[f"sigma_E{d[0]}{d[1]}"] = model.tropes[d]
+        images[f"sigma_E{d[0]}{d[1]}"] = tropes[d]
     n0 = _kummer_node((), 2)
-    t0 = model.tropes[()]
+    t0 = tropes[()]
     for d in C_SET:
-        t = model.tropes[d]
+        t = tropes[d]
         images[f"sigma_E{d[0]}{d[1]}"] = tuple(a + b + c for a, b, c in zip(t, t0, n0))
     return images
 
@@ -585,20 +575,20 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
         if image_of(sigma) != [sigma.den * x for x in images[f"sigma_E{d[0]}{d[1]}"]]:
             pairings = False
     # pairings preserved on all pairs of Picard basis vectors
-    basis = pic.basis_classes()
+    basis = picard_basis_classes()
     image_rows = [image_of(b) for b in basis]
     for i, v in enumerate(basis):
         for j, w in enumerate(basis):
-            lhs = pic.ambient.pair(v.nums, w.nums, v.den * w.den)
-            if lhs != kum.ambient.pair(image_rows[i], image_rows[j], 4 * v.den * w.den):
+            lhs = AMBIENT.pair(v.nums, w.nums, v.den * w.den)
+            if lhs != KUMMER_AMBIENT.pair(image_rows[i], image_rows[j], 4 * v.den * w.den):
                 pairings = False
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
     n0 = _kummer_node(())
-    image_in_kummer = [kum.in_lattice(v, 2 * b.den) for v, b in zip(image_rows, basis)]
+    image_in_kummer = [kum.basis.coordinates(v, 2 * b.den) for v, b in zip(image_rows, basis)]
     in_lattice = all(c is not None for c in image_in_kummer)
-    orthogonal = all(kum.ambient.form(v, n0) == 0 for v in image_rows)
+    orthogonal = all(KUMMER_AMBIENT.form(v, n0) == 0 for v in image_rows)
     # the orthogonal complement of N_0 inside the Kummer lattice
-    n0_coords = kum.in_lattice(n0)
+    n0_coords = kum.basis.coordinates(n0)
     if n0_coords is None:
         raise AssertionError("the node N_0 must lie in the Kummer lattice")
     comp, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])

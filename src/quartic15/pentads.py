@@ -282,7 +282,6 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
 class PencilData:
     pentad: Pentad
     classes: tuple[DivisorClass, ...]  # F_1, ..., F_5
-    degenerations: tuple[tuple[Duad, tuple[Duad, Duad, Duad]], ...]
     half_sum: DivisorClass
 
 
@@ -330,4 +329,4 @@ def pencil_classes(pentad: Sequence[Duad]) -> PencilData:
         rhs = 2 * sigma_class(label) + sum((E[y] for y in rest), zero)
         if lhs != rhs:
             raise AssertionError(f"degeneration identity fails for trope {label}")
-    return PencilData(p, tuple(fs), cls.trope_triples, half_sum)
+    return PencilData(p, tuple(fs), half_sum)

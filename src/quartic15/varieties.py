@@ -177,6 +177,10 @@ class LinearSubspace:
         return all(sum(a * b for a, b in zip(col, w) if a) == 0 for col in self.kernel)
 
 
+# the hyperplane u1+...+u6 = 0 that holds both varieties
+SUM_ZERO = LinearSubspace.from_equations([ONES], NVARS)
+
+
 @dataclass(frozen=True)
 class Hypersurface:
     """Homogeneous form together with ambient linear constraints.
@@ -184,25 +188,23 @@ class Hypersurface:
     The form is stored cleared of its denominator (scaled by `den`), which
     leaves its zero set unchanged: the form and every partial then have
     integer coefficients, so values at integer points are integers, read by
-    `MultiPoly._integer_value`.  The constraints are kept as one
-    `LinearSubspace`, `ambient`, and the first and second partials of the
-    form are built once per surface, on first use, and shared by every node
-    certified on it.
+    `MultiPoly._integer_value`.  The constraints are one `LinearSubspace`,
+    `ambient` (no equations for an unconstrained form), and the first and
+    second partials of the form are built once per surface, on first use,
+    and shared by every node certified on it.
     """
 
     form: MultiPoly
-    ambient_constraints: tuple[tuple[Fraction, ...], ...]
+    ambient: LinearSubspace
 
     def __post_init__(self):
         if not self.form.is_homogeneous():
             raise ValueError("form must be homogeneous")
+        if self.ambient.nvars != self.form.nvars:
+            raise ValueError(
+                f"ambient subspace has {self.ambient.nvars} variables, the form {self.form.nvars}"
+            )
         object.__setattr__(self, "form", self.form.scale(self.form.den))
-        if len(self.ambient.rows) != len(self.ambient_constraints):
-            raise ValueError("ambient constraints must be independent")
-
-    @cached_property
-    def ambient(self) -> LinearSubspace:
-        return LinearSubspace.from_equations(self.ambient_constraints, self.form.nvars)
 
     @cached_property
     def gradient(self) -> tuple[MultiPoly, ...]:
@@ -268,9 +270,9 @@ def cr_quartic_form() -> MultiPoly:
 @lru_cache(maxsize=None)
 def build_variety(kind: str) -> Hypersurface:
     if kind == "segre":
-        return Hypersurface(segre_form(), (ONES,))
+        return Hypersurface(segre_form(), SUM_ZERO)
     if kind == "cr":
-        return Hypersurface(cr_quartic_form(), (ONES,))
+        return Hypersurface(cr_quartic_form(), SUM_ZERO)
     raise ValueError(f"unknown variety kind {kind!r}")
 
 
@@ -330,13 +332,11 @@ class SmoothPointFailure:
     """Typed failure: the point lies on the variety but is smooth there."""
 
     point: ProjectivePoint
-    gradient: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class NodeCertificate:
     point: ProjectivePoint
-    gradient: tuple[int, ...]  # in the span of the ambient constraints
     hessian_rank: int
     is_ordinary: bool
     chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
@@ -367,7 +367,7 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     coords = p.coords
     grad = v.gradient_at(coords)
     if not v.ambient.annihilates(grad):
-        return SmoothPointFailure(p, grad)
+        return SmoothPointFailure(p)
     keep = _chart_basis(coords, v.ambient)
     w = [v.ambient.kernel[k] for k in keep]
     chart_hess = mat_mul(mat_mul(w, v.hessian_at(coords)), mat_transpose(w))
@@ -378,7 +378,6 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     expected = len(keep)  # = projective dimension of the ambient space
     return NodeCertificate(
         point=p,
-        gradient=grad,
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
         chart=tuple(w),
@@ -391,9 +390,9 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
     The gradient is required to be proportional, as a polynomial identity
     along the line, to the ambient-constraint direction.
     """
-    if len(v.ambient_constraints) != 1:
+    if len(v.ambient.rows) != 1:
         raise ValueError("double-line check implemented for one ambient constraint")
-    constraint = v.ambient_constraints[0]
+    (constraint,) = v.ambient.rows
     if not all(v.ambient.contains(col) for col in line.kernel):
         raise ValueError("line does not lie inside the ambient constraints")
     if v.form.substitute_linear(line.parametrization, line.den):
@@ -543,7 +542,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
     quartic3 = form.substitute_linear(section.parametrization, section.den)
-    surface = Hypersurface(quartic3, ())
+    surface = Hypersurface(quartic3, LinearSubspace((), 1, quartic3.nvars))
 
     def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:
         """The point as a certified ordinary node of the section, or the
@@ -742,7 +741,7 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     if p < 5:
         raise ValueError("bad prime: need p >= 5")
     if isinstance(target, Hypersurface):
-        if target.ambient_constraints != (ONES,):
+        if target.ambient != SUM_ZERO:
             raise ValueError("scan supports the sum-zero ambient constraint")
         # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
         # gradient vanish exactly where f = 0 and the gradient of f is

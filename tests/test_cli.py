@@ -40,6 +40,58 @@ def test_section_reference_checks_pass_without_scan():
     assert all(c["status"] == "pass" for c in report.checks)
 
 
+def _section_with_tropes(monkeypatch, mutate):
+    """Run `section` on the reference hyperplane with its trope records
+    passed through `mutate`; returns the section-incidence check."""
+    import dataclasses
+
+    from quartic15 import varieties as va
+
+    real = va.hyperplane_section
+
+    def mutated(coeffs):
+        model = real(coeffs)
+        return dataclasses.replace(model, tropes=mutate(model.tropes))
+
+    monkeypatch.setattr(va, "hyperplane_section", mutated)
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11"])
+    assert code == 1
+    return next(c for c in report.checks if c["id"] == "section-incidence[1,2,3,5,7,11]")
+
+
+def test_a_flipped_incidence_entry_turns_section_incidence_red(monkeypatch):
+    import dataclasses
+
+    from quartic15.configs import synthemes
+
+    def flip(tropes):
+        first = tropes[0]
+        outside = next(s for s in synthemes() if s not in first.incident_nodes)
+        return (dataclasses.replace(first, incident_nodes=first.incident_nodes + (outside,)),) + tropes[1:]
+
+    check = _section_with_tropes(monkeypatch, flip)
+    assert check["status"] == "fail"
+    assert check["details"] == "node-trope incidence is not of type (15_4, 10_6)"
+
+
+def test_swapped_trope_labels_turn_section_incidence_red(monkeypatch):
+    # two tropes trade their node sets: the incidence is still of type
+    # (15_4, 10_6) and isomorphic to the model, but its labels are wrong,
+    # and the labels are what the check certifies
+    import dataclasses
+
+    def swap(tropes):
+        a, b = tropes[0], tropes[1]
+        return (
+            dataclasses.replace(a, incident_nodes=b.incident_nodes),
+            dataclasses.replace(b, incident_nodes=a.incident_nodes),
+        ) + tropes[2:]
+
+    check = _section_with_tropes(monkeypatch, swap)
+    assert check["status"] == "fail"
+    assert check["details"] == "geometric incidence isomorphic to the matching-rule model"
+
+
 def test_section_scan_good_prime():
     code, report, _ = run_quiet(["section", "--coeffs", "0,1,3,14,15,17", "--scan-prime", "11"])
     assert code == 0

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -11,7 +10,6 @@ from quartic15.configs import (
     conjugacy_graph,
     cremona_richmond_model,
     duads,
-    incidence_isomorphic,
     s6_orbits,
     synthemes,
     three_subsets,
@@ -103,7 +101,7 @@ def test_petersen_subgraph_properties():
 
 def test_conjugacy_graph_other_n():
     g = conjugacy_graph(2)
-    assert len(g.vertices) == 16 and not g.complete and not g.edges
+    assert len(g.vertices) == 16 and not g.edges
     g7 = conjugacy_graph(7)
     assert len(g7.vertices) == 11
     v6 = next(v for v in g7.vertices if g7.marks[v] == 6)
@@ -133,6 +131,11 @@ def test_trope_incidence_model():
 def test_cremona_richmond_model():
     inc = cremona_richmond_model()
     assert inc.is_configuration(3, 3)
+    # not the trope incidence: its points lie on 3 blocks, the nodes on 4
+    trope = trope_incidence_model()
+    assert {inc.point_degree(i) for i in range(15)} == {3}
+    assert {trope.point_degree(i) for i in range(15)} == {4}
+    assert not inc.is_configuration(4, 6) and inc != trope
 
 
 def test_trope_node_sets_s6_stable():
@@ -153,18 +156,18 @@ def test_apply_perm_duad_is_the_sorted_image_pair():
 def test_s6_orbits_duads():
     orbits = s6_orbits(apply_perm_duad, duads())
     assert len(orbits) == 1
-    assert orbits[0].size == 15 and orbits[0].stabilizer_order == 48
+    assert len(orbits[0].elements) == 15 and orbits[0].stabilizer_order == 48
 
 
 def test_s6_orbits_synthemes_and_totals():
     orbits = s6_orbits(apply_perm_syntheme, synthemes())
-    assert len(orbits) == 1 and orbits[0].size == 15 and orbits[0].stabilizer_order == 48
+    assert len(orbits) == 1 and len(orbits[0].elements) == 15 and orbits[0].stabilizer_order == 48
 
     def act_total(g, t):
         return tuple(sorted(apply_perm_syntheme(g, s) for s in t))
 
     orbits = s6_orbits(act_total, [tuple(sorted(t)) for t in totals()])
-    assert len(orbits) == 1 and orbits[0].size == 6 and orbits[0].stabilizer_order == 120
+    assert len(orbits) == 1 and len(orbits[0].elements) == 6 and orbits[0].stabilizer_order == 120
 
 
 def test_s6_orbits_rejects_non_action():
@@ -183,34 +186,7 @@ def test_trope_words_orbit_and_stabilizers():
         return frozenset(apply_perm_duad(g, d) for d in s)
 
     orbits = s6_orbits(act, sets)
-    assert len(orbits) == 1 and orbits[0].size == 10 and orbits[0].stabilizer_order == 72
-
-
-def test_incidence_isomorphic_shuffled_copy():
-    inc = trope_incidence_model()
-    rng = random.Random(2)
-    pp = list(range(15))
-    bb = list(range(10))
-    rng.shuffle(pp)
-    rng.shuffle(bb)
-    shuffled = configs.IncidenceStructure(
-        tuple(inc.points[i] for i in pp),
-        tuple(inc.blocks[j] for j in bb),
-        tuple(tuple(inc.matrix[i][j] for j in bb) for i in pp),
-    )
-    res = incidence_isomorphic(inc, shuffled)
-    assert res is not None
-    point_map, block_map = res
-    # the found maps must carry incidence to incidence
-    pidx = {p: i for i, p in enumerate(shuffled.points)}
-    bidx = {b: j for j, b in enumerate(shuffled.blocks)}
-    for i, p in enumerate(inc.points):
-        for j, b in enumerate(inc.blocks):
-            assert inc.matrix[i][j] == shuffled.matrix[pidx[point_map[p]]][bidx[block_map[b]]]
-
-
-def test_incidence_isomorphic_rejects_different_types():
-    assert incidence_isomorphic(trope_incidence_model(), cremona_richmond_model()) is None
+    assert len(orbits) == 1 and len(orbits[0].elements) == 10 and orbits[0].stabilizer_order == 72
 
 
 def test_incidence_json_roundtrip():

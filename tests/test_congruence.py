@@ -53,13 +53,13 @@ def test_focal_degree_identity_symbolic():
 
 def test_focal_degree_identity_sweep():
     rows = [
-        invariants(m, n, r)
+        (m, n, r, invariants(m, n, r))
         for m in range(2, 9)
         for n in range(2, 9)
         for r in range((m - 1) * (n - 1) + 1)
     ]
-    for row in rows:
-        m, n, r, g = row.m, row.n, row.r, row.g
+    for m, n, r, row in rows:
+        g = row.g
         assert row.deg_focal == 2 * m + 2 * g - 2 == 2 * n * (m - 1) - 2 * r
         assert row.deg_branch_locus == 4 * (m * n - r) - 2 * (m + n)
 
@@ -79,7 +79,7 @@ def test_two_n_profiles():
     assert two_n_profile(3).expected_nodes == 15
     assert two_n_profile(7).expected_nodes == 11
     assert two_n_profile(2).expected_nodes == 16
-    assert two_n_profile(3).invariants.r == 1
+    assert two_n_profile(3).invariants == invariants(2, 3, 1)
     with pytest.raises(ValueError):
         two_n_profile(8)
 
@@ -89,7 +89,7 @@ def test_table1_columns_verified_against_constraints():
     for n in range(2, 8):
         for col in published_columns(n):
             assert col.cubic_sum() == (n + 2) ** 3 - 3 * (n + 2) ** 2
-            assert col.total() == 18 - n
+            assert sum(col.counts) == 18 - n
 
 
 def test_table1_solutions_contain_published():

@@ -16,7 +16,7 @@ from quartic15.exact import (
     rref,
 )
 from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
-from quartic15.varieties import Hypersurface
+from quartic15.varieties import Hypersurface, LinearSubspace
 
 
 def poly_sum_cubes(n=6):
@@ -65,18 +65,25 @@ def test_gradient():
         assert gi == MultiPoly(6, {tuple(exp): Fraction(3)})
 
 
+def unconstrained(f: MultiPoly) -> Hypersurface:
+    """The form with no ambient equations."""
+    return Hypersurface(f, LinearSubspace((), 1, f.nvars))
+
+
 def test_hessian_at():
     # the Hessian from the second partials a Hypersurface builds once
     f = poly_sum_cubes()
-    h = Hypersurface(f, ()).hessian_at([1, 1, 1, -1, -1, -1])
+    h = unconstrained(f).hessian_at([1, 1, 1, -1, -1, -1])
     for i in range(6):
         for j in range(6):
             expected = (6 if i < 3 else -6) if i == j else 0
             assert h[i][j] == expected
     g = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    assert Hypersurface(g, ()).hessian_at([5, -7]) == [[2, 0], [0, 2]]
+    assert unconstrained(g).hessian_at([5, -7]) == [[2, 0], [0, 2]]
     with pytest.raises(ValueError):
-        Hypersurface(g, ()).hessian_at([5, -7, 1])
+        unconstrained(g).hessian_at([5, -7, 1])
+    with pytest.raises(ValueError, match="ambient subspace has 3 variables, the form 2"):
+        Hypersurface(g, LinearSubspace((), 1, 3))
 
 
 def test_substitute_identity_and_degree():
@@ -681,7 +688,7 @@ def test_hessian_at_matches_reference(case):
     d = clear_denominators(pt)[1]
     scale = f.den * Fraction(d) ** (f.total_degree() - 2)
     expected = [[scale * x for x in row] for row in reference_hessian_at(ref, pt)]
-    got = Hypersurface(f, ()).hessian_at(pt)
+    got = unconstrained(f).hessian_at(pt)
     assert got == expected and all(type(x) is int for row in got for x in row)
 
 

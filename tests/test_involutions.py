@@ -23,6 +23,7 @@ from quartic15.nodal_surface import (
     NODES,
     DivisorClass,
     b_tilde,
+    picard_basis_classes,
     picard_lattice,
     sigma_class,
 )
@@ -112,8 +113,8 @@ def test_reflections_commute_for_disjoint_roots():
 def test_reflection_matches_divisor_class_formula(model):
     # v -> v + (v·r)/2 · r through DivisorClass.dot, in ambient coordinates
     for root in (reye_root(), pentad_root(C_SET)):
-        iso = reflection_isometry(model.lattice, model.in_lattice(root), "r")
-        for i, b in enumerate(model.basis_classes()):
+        iso = reflection_isometry(model.lattice, model.basis.coordinates(root.nums, root.den), "r")
+        for i, b in enumerate(picard_basis_classes()):
             expected = b + (b.dot(root) / 2) * root
             image = model.basis.vector(iso.matrix[i])
             assert DivisorClass(tuple(image), model.basis.den) == expected
@@ -146,7 +147,8 @@ def test_pentad_root_coordinates_match_the_class_route(model):
     roots = list(pentad_root_coordinates())
     assert len(roots) == 3003
     for pentad, w in roots:
-        assert w == model.in_lattice(pentad_root(pentad)), pentad
+        root = pentad_root(pentad)
+        assert w == model.basis.coordinates(root.nums, root.den), pentad
     pentad, w = roots[0]
     iso = reflection_isometry(model.lattice, w, "w")
     assert iso.matrix == tau_pentad_star(pentad).matrix

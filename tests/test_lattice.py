@@ -521,6 +521,17 @@ def test_hermite_normal_form_refuses_a_rational_entry():
     assert h == [[2, 1]] and all(type(x) is int for x in h[0])
 
 
+def test_normal_forms_read_a_one_shot_iterator():
+    # each kernel reads its input once, so an iterator of rows gives the
+    # same result as the list it came from
+    m = [[1, 2], [3, 4]]
+    assert hermite_normal_form(iter(m)) == hermite_normal_form(m)
+    assert hermite_normal_form(iter(m))[0] == [[1, 0], [0, 2]]
+    assert hermite_normal_form(map(list, m)) == hermite_normal_form(m)
+    assert smith_normal_form(iter(m)) == smith_normal_form(m)
+    assert smith_normal_form(iter(m))[0] == [[1, 0], [0, 2]]
+
+
 def test_ragged_matrices_are_refused_naming_the_row():
     # a short or long row used to be truncated by zip (bareiss, rref) or to
     # surface as a failed self-check (HNF, SNF); now every integer kernel

@@ -12,7 +12,7 @@ import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
 from quartic15.exact import rref
-from quartic15.lattice import RowBasis, orthogonal_complement, overlattice
+from quartic15.lattice import RowBasis, discriminant_q_multiset, orthogonal_complement, overlattice
 from quartic15.nodal_surface import (
     E,
     L_SET,
@@ -27,9 +27,12 @@ from quartic15.nodal_surface import (
     kummer_embedding_check,
     kummer_model,
     kummer_node_trope_pairings,
+    kummer_tropes,
+    picard_basis_classes,
     picard_lattice,
     sigma_class,
     standard_classes,
+    transcendental_reference_lattice,
     verify_class_identities,
     word_of_nodes,
 )
@@ -92,7 +95,7 @@ def test_code_words_orbit_structure():
         words = sorted(w for w in code.words if bin(w >> 1).count("1") == weight)
         orbits = s6_orbits(act, words)
         assert len(orbits) == 1
-        assert orbits[0].size == orbit_size and orbits[0].stabilizer_order == stab
+        assert len(orbits[0].elements) == orbit_size and orbits[0].stabilizer_order == stab
 
 
 def test_pic_membership_words_and_nonwords():
@@ -104,7 +107,7 @@ def test_pic_membership_words_and_nonwords():
     for w in code.words:
         cls = DivisorClass(tuple(1 if w & (1 << i) else 0 for i in range(16)), 2)
         assert is_pic_integral(cls)
-        assert model.in_lattice(cls) is not None
+        assert model.basis.coordinates(cls.nums, cls.den) is not None
     # 100 random non-words do not
     nonwords = 0
     while nonwords < 100:
@@ -115,7 +118,7 @@ def test_pic_membership_words_and_nonwords():
         cls = DivisorClass(tuple(1 if w & (1 << i) else 0 for i in range(16)), 2)
         assert not is_pic_integral(cls)
         if nonwords <= 10:
-            assert model.in_lattice(cls) is None
+            assert model.basis.coordinates(cls.nums, cls.den) is None
 
 
 def test_named_class_norm_table():
@@ -144,7 +147,7 @@ def test_picard_lattice_rank_det_index():
 def test_degree_even_on_pic():
     # the degree functional is even on the whole Picard lattice
     model = picard_lattice()
-    for cls in model.basis_classes():
+    for cls in picard_basis_classes():
         deg = cls.degree()
         assert deg.denominator == 1 and int(deg) % 2 == 0
 
@@ -196,7 +199,9 @@ def test_discriminant_comparison():
     assert list(comp.pic_invariants.invariant_factors) == [2, 2, 2, 2, 2, 4]
     assert comp.pic_invariants.order == 128
     # q(Pic) = -q(transcendental); the direct match must fail
-    assert comp.q_match_negated and not comp.q_match_direct
+    assert comp.q_match_negated
+    q_pic = discriminant_q_multiset(picard_lattice().lattice)
+    assert q_pic != discriminant_q_multiset(transcendental_reference_lattice())
     # the classically quoted generator list carries typos: exactly the
     # first, fifth and sixth vectors are dual as transcribed
     assert comp.classical_generator_duality == (True, False, False, False, True, True)
@@ -217,8 +222,10 @@ def test_kummer_model_basics():
     assert model.index == 64  # the 16-node even-set code has dimension 6
     assert abs(model.lattice.det()) == 64
     assert kummer_node_trope_pairings()
-    for beta, t in model.tropes.items():
+    for beta, t in kummer_tropes().items():
         assert sum(1 for x in t[1:] if x) == 6
+    with pytest.raises(TypeError):  # the cached tropes are read-only
+        kummer_tropes()[()] = (0,) * 17
 
 
 def test_kummer_embedding():
@@ -254,17 +261,17 @@ def test_integer_coordinates_match_rational_solve():
     model = picard_lattice()
     for name, cls in standard_classes().items():
         assert is_pic_integral(cls), name
-        got = model.in_lattice(cls)
+        got = model.basis.coordinates(cls.nums, cls.den)
         assert got is not None, name
         coords = [Fraction(x, cls.den) for x in cls.nums]
         assert got == _rational_coordinates(_rational_rows(model.basis), coords), name
     kum = kummer_model()
-    for beta, t in kum.tropes.items():
+    for beta, t in kummer_tropes().items():
         coords = [Fraction(x, 2) for x in t]
-        assert kum.in_lattice(t, 2) == _rational_coordinates(_rational_rows(kum.basis), coords), beta
+        assert kum.basis.coordinates(t, 2) == _rational_coordinates(_rational_rows(kum.basis), coords), beta
     n0 = [0] * 17
     n0[1 + ns.KUMMER_INDEX[()]] = 1
-    n0_coords = kum.in_lattice(n0)
+    n0_coords = kum.basis.coordinates(n0)
     _, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])
     comp = RowBasis(comp_basis)
     rng = random.Random(5)
@@ -281,7 +288,7 @@ def test_integer_coordinates_reject_non_members():
     half_eta = DivisorClass((1,) + (0,) * 15, 2)
     third = DivisorClass((1,) + (0,) * 15, 3)
     for cls in (half_eta, third):
-        assert model.in_lattice(cls) is None
+        assert model.basis.coordinates(cls.nums, cls.den) is None
         coords = [Fraction(x, cls.den) for x in cls.nums]
         assert _rational_coordinates(_rational_rows(model.basis), coords) is None
 
@@ -306,29 +313,29 @@ def test_named_class_check_survives_optimize_flag():
 
 def test_overlattice_names_a_perturbed_kummer_glue():
     model = kummer_model()
-    glues = [[Fraction(x, 2) for x in t] for t in model.tropes.values()]
+    glues = [[Fraction(x, 2) for x in t] for t in kummer_tropes().values()]
     # a step of ±1 adds a lattice vector: same coset, so the same overlattice
     shifted = [row[:] for row in glues]
     shifted[3][0] += 1
-    assert overlattice(model.ambient, shifted).lattice == model.lattice
+    assert overlattice(ns.KUMMER_AMBIENT, shifted).lattice == model.lattice
     # a step of ±1/2 in any single entry leaves the coset and must be named
     for k in range(len(glues[3])):
         for step in (Fraction(1, 2), Fraction(-1, 2)):
             bad = [row[:] for row in glues]
             bad[3][k] += step
             with pytest.raises(ValueError, match="glue vector 3 "):
-                overlattice(model.ambient, bad)
+                overlattice(ns.KUMMER_AMBIENT, bad)
 
 
 def test_kummer_in_lattice_rejects_vectors_of_the_wrong_length():
     n0 = [0] * 17
     n0[1 + ns.KUMMER_INDEX[()]] = 1
     model = kummer_model()
-    assert model.in_lattice(n0) is not None
+    assert model.basis.coordinates(n0) is not None
     with pytest.raises(ValueError, match="expected 17"):
-        model.in_lattice(n0 + [5])
+        model.basis.coordinates(n0 + [5])
     with pytest.raises(ValueError, match="expected 17"):
-        model.in_lattice(n0[:-1])
+        model.basis.coordinates(n0[:-1])
 
 
 def test_divisor_class_integer_arithmetic():

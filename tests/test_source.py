@@ -80,6 +80,7 @@ def test_lattice_layer_builds_fractions_only_at_its_edges():
 # still resolve, and no library code outside this table may reference it by
 # name; a function the commands call again leaves the table.
 REACHED_ONLY_BY_TESTS = {
+    "configs.MarkedGraph.degree": "the vertex degrees of the marked conjugacy graphs (K(5) plus cross edges, the forced (2,7) edges)",
     "configs.MarkedGraph.girth": "the mark-1 part of the (2,3) conjugacy graph is the Petersen graph",
     "configs.MarkedGraph.neighbors": "the Petersen adjacency of the mark-1 vertices (and girth's search)",
     "configs.apply_perm_syntheme": "S6 permutes the 15 synthemes and the double lines in one orbit",
@@ -92,12 +93,21 @@ REACHED_ONLY_BY_TESTS = {
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
     "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
+    "exact.MultiPoly.evaluate": "the rational value of a form: the oracle of the integer readings and of hessian_at",
     "lattice.IntegerLattice.is_even": "the Picard lattice and the glued overlattices are even",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
     "nodal_surface.class_invariants": "norm, degree and Pic-membership of the named classes",
     "nodal_surface.nodes_of_word": "code words and node sets correspond (S6-equivariance of the code)",
     "nodal_surface.word_of_nodes": "the trope and L-set words lie in the even-set code",
     "pentads.goepel_pentads": "the Goepel orbit is the six five-stars",
+}
+
+
+# Listed entries whose name a live method of another class also carries, so
+# that a by-name check cannot tell them apart: each maps to that method.
+LISTED_HOMONYMS = {
+    "configs.MarkedGraph.degree": "nodal_surface.DivisorClass.degree",
+    "exact.MultiPoly.evaluate": "exact.ModPoly.evaluate",
 }
 
 
@@ -140,8 +150,66 @@ def test_functions_reached_only_by_tests_are_listed_with_their_claim():
     referenced = _referenced_names(set(REACHED_ONLY_BY_TESTS))
     # an operator method is reached through syntax, not by its name
     named = [key for key in REACHED_ONLY_BY_TESTS if not key.rsplit(".", 1)[1].startswith("__")]
-    used = [key for key in named if key.rsplit(".", 1)[1] in referenced]
+    used = [key for key in named if key.rsplit(".", 1)[1] in referenced and key not in LISTED_HOMONYMS]
     assert not used, f"the library references these by name: {used}"
+    for key, live in LISTED_HOMONYMS.items():
+        name = key.rsplit(".", 1)[1]
+        assert key in REACHED_ONLY_BY_TESTS and live.rsplit(".", 1)[1] == name, key
+        assert _resolve(live) is not None and name in referenced, f"{key}: {live} is no live homonym"
+
+
+def _dataclass_fields() -> dict[str, str]:
+    """Every dataclass field in the library, "module.Class.field" -> field,
+    with the classes that read all their fields through
+    `__dataclass_fields__`."""
+    fields, by_fields = {}, set()
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if not any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields[f"{path.stem}.{cls.name}.{stmt.target.id}"] = stmt.target.id
+            if any(isinstance(n, ast.Attribute) and n.attr == "__dataclass_fields__" for n in ast.walk(cls)):
+                by_fields.add(f"{path.stem}.{cls.name}")
+    return {key: name for key, name in fields.items() if key.rsplit(".", 1)[0] not in by_fields}
+
+
+def _loaded_attributes() -> set[str]:
+    """Every attribute name the library loads (x.name)."""
+    names = set()
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return names
+
+
+# Dataclass fields that no library code reads, each kept for the claim its
+# tests certify or for the reader named.  Every other field is loaded as an
+# attribute somewhere in the library (or, for a report read whole, through
+# `__dataclass_fields__`); a field nothing reads is deleted, not listed.
+FIELDS_READ_ONLY_BY_TESTS = {
+    "configs.MarkedGraph.marks": "the vertex marks h(x) of the conjugacy graphs and the multiplicity rule max(h+h'-n, 0)",
+    "configs.Orbit.stabilizer_order": "the stabilizers 48, 120 and 72 of the nodes, totals and tropes, and of the code words",
+    "lattice.FiniteAbelianInvariants.q_values": "the discriminant quadratic form on the SNF generators (A1 gives 3/2, <4> gives 1/4)",
+    "varieties.DualityImage.source": "read by the bench digest, which recomputes each duality image from its source",
+    "varieties.NodeCertificate.chart": "the chart of a node is the greedy completion of the point to a basis",
+    "varieties.TropeRecord.conic": "each trope plane cuts a doubled conic",
+}
+
+
+def test_every_dataclass_field_is_read_or_listed_with_its_claim():
+    fields = _dataclass_fields()
+    stale = [key for key in FIELDS_READ_ONLY_BY_TESTS if key not in fields]
+    assert not stale, f"listed fields that are no dataclass field: {stale}"
+    loaded = _loaded_attributes()
+    unread = sorted(key for key, name in fields.items() if name not in loaded and key not in FIELDS_READ_ONLY_BY_TESTS)
+    assert not unread, f"fields that nothing in the library reads: {unread}"
+    read = sorted(key for key in FIELDS_READ_ONLY_BY_TESTS if fields[key] in loaded)
+    assert not read, f"the library reads these listed fields by name: {read}"
 
 
 # Tracer keys of bench/worker.py that name no library function.  The
