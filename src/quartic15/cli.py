@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import __version__
 from . import congruence as cg
@@ -269,8 +270,18 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
         if not geometric.is_configuration(4, 6):
             return False, "node-trope incidence is not of type (15_4, 10_6)"
         # the labels are the witness: the identity labelling is the isomorphism
-        ok = geometric == trope_incidence_model()
-        return ok, "geometric incidence isomorphic to the matching-rule model"
+        expected = trope_incidence_model()
+        if geometric == expected:
+            return True, "geometric incidence isomorphic to the matching-rule model"
+
+        def nodes_on(inc, j):
+            return {pt for pt, row in zip(inc.points, inc.matrix) if row[j]}
+
+        wanted = {blk: nodes_on(expected, j) for j, blk in enumerate(expected.blocks)}
+        for j, blk in enumerate(geometric.blocks):
+            if nodes_on(geometric, j) != wanted.get(blk):
+                return False, f"trope {blk}: labelled nodes differ from the matching-rule model"
+        return False, "node and trope labels are not in the matching-rule model's order"
 
     r.run(f"section-incidence[{tag}]", "node-trope incidence has the abstract (15_4,10_6) type", incidence)
 
@@ -603,7 +614,10 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
     return flags
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="quartic15",
         description="exact certification suite for 15-nodal quartic surface geometry",

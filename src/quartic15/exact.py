@@ -342,15 +342,21 @@ class LinearMap:
 
 class ModPoly:
     """Polynomial with coefficients reduced mod p, with read-only `terms`;
-    used by the F_p singular scans."""
+    used by the F_p singular scans.  `monomials` holds each term once more
+    as (c, ((i, e), ...)) over its nonzero exponents, the form `evaluate`
+    reads."""
 
-    __slots__ = ("nvars", "p", "terms")
+    __slots__ = ("nvars", "p", "terms", "monomials")
 
     def __init__(self, nvars: int, p: int, terms: Mapping[Exponent, int]):
+        reduced = {e: c % p for e, c in terms.items() if c % p}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", MappingProxyType(reduced))
         object.__setattr__(
-            self, "terms", MappingProxyType({e: c % p for e, c in terms.items() if c % p})
+            self,
+            "monomials",
+            tuple((c, tuple((i, x) for i, x in enumerate(e) if x)) for e, c in reduced.items()),
         )
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -359,14 +365,10 @@ class ModPoly:
     def evaluate(self, point: Sequence[int]) -> int:
         p = self.p
         total = 0
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v = (v * pow(x, e, p)) % p
-                    if v == 0:
-                        break
-            total += v
+        for c, mono in self.monomials:
+            for i, e in mono:
+                c *= point[i] ** e
+            total += c
         return total % p
 
     def partial(self, i: int) -> "ModPoly":

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
-from operator import index
+from operator import index, mul, not_
 from typing import Optional, Sequence
 
 from .configs import (
@@ -652,49 +653,76 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     P^{n-2} with the last coordinate t running over F_p, then the point
     (0,...,0,1).  On a line the form is a polynomial h(t) = f(a, t) whose
     derivative is the last partial at (a, t), so a singular point is a common
-    root of h and h'; h is built once per line from power tables and its
-    roots are found by Horner's rule.  Each candidate is confirmed by
-    evaluating the form and every partial.
+    root of h and h'.
+
+    The lines come in planes: the representatives a = (b, y) that share the
+    prefix b differ only in y.  For each prefix the coefficients of h are
+    tabled once as polynomials in y, so a line gets h_0..h_d, reduced mod p,
+    by Horner's rule in y.  The values of h at every t are then one integer,
+    H = sum_j h_j·P_j with P_j = sum_t (t^j mod p)·2^(w·t): its w-bit slot t
+    holds sum_j h_j·(t^j mod p), d+1 terms in [0, (p−1)²].  The slot width w
+    (16, 32 or 64 bits) exceeds (d+1)(p−1)², so no slot carries into the
+    next, and t is a root of h exactly where its slot is a multiple of p.  A
+    line with no such slot is skipped by one set test; at the roots h' is
+    evaluated by Horner's rule.  Each candidate is confirmed by evaluating the
+    form and every partial.  A prime whose slot bound does not fit 64 bits is
+    refused.
     """
     p, n = fp.p, fp.nvars
+    deg = max((e[-1] for e in fp.terms), default=0)
+    bound = (deg + 1) * (p - 1) ** 2
+    width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
+    if width is None:
+        raise ValueError(f"bad prime: {p} is too large for 64-bit slots of a degree-{deg} scan")
+    fmt = {16: "H", 32: "I", 64: "Q"}[width]
+    nbytes = p * width // 8
+    packs = [sum(pow(t, j, p) << (width * t) for t in range(p)) for j in range(deg + 1)]
+    zeros = set(range(0, bound + 1, p))
     partials = [fp.partial(i) for i in range(n)]
 
     def singular(v):
         return fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
 
-    deg = max((e[-1] for e in fp.terms), default=0)
-    top = max((max(e) for e in fp.terms), default=0)
-    powers = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
-    # h's coefficient of t^j collects the terms whose last exponent is j
-    by_power = [[] for _ in range(deg + 1)]
-    for exp, c in fp.terms.items():
-        by_power[exp[-1]].append((c, [(i, e) for i, e in enumerate(exp[:-1]) if e]))
+    # P^{n-2} in `_projective_reps` order: each prefix b with every y, then
+    # the representative (0,...,0,1); each term as (t exponent, y exponent, c,
+    # its monomial in the prefix)
+    planes, split = [], []
+    if n > 1:
+        planes = [(b, range(p)) for b in _projective_reps(p, n - 2)] + [((0,) * (n - 2), (1,))]
+        split = [(e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-2]) if x]) for e, c in fp.terms.items()]
+    ydeg = max((k for _, k, _, _ in split), default=0)
+
+    def plane(b):
+        """For each j, h_j's coefficients in y mod p, highest power first."""
+        rows = [[0] * (ydeg + 1) for _ in range(deg + 1)]
+        for j, k, c, mono in split:
+            for i, x in mono:
+                c *= b[i] ** x
+            rows[j][k] += c
+        return [list(itertools.dropwhile(not_, (c % p for c in reversed(row)))) for row in rows]
+
     found = []
-    for a in _projective_reps(p, n - 1):
-        pa = [powers[x] for x in a]
-        h = []
-        for terms in by_power:
-            s = 0
-            for c, mono in terms:
-                for i, e in mono:
-                    c *= pa[i][e]
-                s += c
-            h.append(s % p)
-        # h' is the last partial along the line; when h vanishes identically
-        # so does h', and every t is a candidate
-        dh = [j * h[j] for j in range(deg, 0, -1)]
-        h.reverse()
-        for t in range(p):
-            v = 0
-            for c in h:
-                v = v * t + c
-            if v % p:
+    for b, ys in planes:
+        table = plane(b)
+        for y in ys:
+            h = []
+            for row in table:
+                v = 0
+                for c in row:
+                    v = v * y + c
+                h.append(v % p)
+            slots = memoryview(sum(map(mul, h, packs)).to_bytes(nbytes, sys.byteorder)).cast(fmt)
+            if zeros.isdisjoint(slots):
                 continue
-            w = 0
-            for c in dh:
-                w = w * t + c
-            if w % p == 0 and singular(a + (t,)):
-                found.append(a + (t,))
+            # h' is the last partial along the line; when h vanishes identically
+            # so does h', and every t is a candidate
+            dh = [j * h[j] for j in range(deg, 0, -1)]
+            for t in itertools.compress(range(p), map(zeros.__contains__, slots)):
+                w = 0
+                for c in dh:
+                    w = w * t + c
+                if w % p == 0 and singular(point := b + (y, t)):
+                    found.append(point)
     last = (0,) * (n - 1) + (1,)
     if singular(last):
         found.append(last)
@@ -741,7 +769,8 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     if p < 5:
         raise ValueError("bad prime: need p >= 5")
     if isinstance(target, Hypersurface):
-        if target.ambient != SUM_ZERO:
+        ambient = target.ambient
+        if not (ambient.nvars == NVARS and len(ambient.rows) == 1 and SUM_ZERO.annihilates(ambient.rows[0])):
             raise ValueError("scan supports the sum-zero ambient constraint")
         # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
         # gradient vanish exactly where f = 0 and the gradient of f is

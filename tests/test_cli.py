@@ -89,7 +89,8 @@ def test_swapped_trope_labels_turn_section_incidence_red(monkeypatch):
 
     check = _section_with_tropes(monkeypatch, swap)
     assert check["status"] == "fail"
-    assert check["details"] == "geometric incidence isomorphic to the matching-rule model"
+    # the details name the first trope whose nodes are wrong, not the pass text
+    assert check["details"] == "trope (1, 2, 3): labelled nodes differ from the matching-rule model"
 
 
 def test_section_scan_good_prime():
@@ -134,6 +135,26 @@ def test_json_report_determinism(tmp_path):
     assert data["seed"] == 3
     assert all(c["elapsed_ms"] == 0 for c in data["checks"])
     assert all(c["status"] == "pass" for c in data["checks"])
+
+
+def test_successive_runs_do_not_share_flags(tmp_path, monkeypatch):
+    # the parser is built once per process; a flag given to one run must not
+    # carry into the next.  A stepping clock makes every check take 1 s, so a
+    # report written with timing has nonzero elapsed_ms.
+    import itertools
+    import types
+
+    from quartic15 import cli
+
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_quiet(["--seed", "5", "--no-timing", "--json", str(a), "code"])[0] == 0
+    assert run_quiet(["--json", str(b), "code"])[0] == 0
+    first, second = json.loads(a.read_text()), json.loads(b.read_text())
+    assert first["seed"] == 5 and all(c["elapsed_ms"] == 0 for c in first["checks"])
+    assert second["seed"] == 0 and all(c["elapsed_ms"] > 0 for c in second["checks"])
+    assert build_parser() is build_parser()
 
 
 def test_report_schema_fields():

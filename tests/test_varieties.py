@@ -735,12 +735,16 @@ def reference_scan(target, p):
             if all(x == g[0] for x in g):  # gradient parallel to (1,...,1)
                 found.append(v)
         return found
-    fp = target.quartic3.mod_p(p)
-    partials = [fp.partial(i) for i in range(4)]
+    return _brute_force_singular_points(target.quartic3.mod_p(p))
+
+
+def _brute_force_singular_points(fp):
+    """Every point of P^{n-1}(F_p) where the form and all its partials vanish."""
+    partials = [fp.partial(i) for i in range(fp.nvars)]
     return [
         v
-        for v in _projective_reps(p, 4)
-        if not fp.evaluate(v) and all(gi.evaluate(v) == 0 for gi in partials)
+        for v in _projective_reps(fp.p, fp.nvars)
+        if fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
     ]
 
 
@@ -814,6 +818,59 @@ def test_scan_evaluates_only_candidates(monkeypatch):
     assert len(pts) == 13  # 37 is a bad prime for this hyperplane
     assert 0 < len(calls) < p**3 / 10
     assert len(calls) < p**2
+
+
+@pytest.mark.parametrize("p", [127, 131, 251])
+def test_packed_kernel_matches_brute_force_with_32_bit_slots(p):
+    # a quartic of degree 4 in the last variable has slot bound 5(p-1)^2,
+    # which needs 32-bit slots from p = 127 on; a slot's j = 0 term stays
+    # below p, so 16 bits would first overflow at larger primes, and at 251
+    # they do on these forms
+    assert 5 * (p - 1) ** 2 >= 1 << 16
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    conic = x * x + y * y - z * z
+    forms = [
+        conic * conic,  # singular along the whole conic
+        (x - z) * (y - z) * (x + y - z) * (x + y * 2 + z * 3),  # four lines
+        z**4 + x * y**3 + x * x * z * z * 2 + y**4,
+    ]
+    found = []
+    for form in forms:
+        fp = form.mod_p(p)
+        assert max(e[-1] for e in fp.terms) == 4
+        found.append(varieties._singular_points_fp(fp))
+        assert found[-1] == _brute_force_singular_points(fp)
+    assert len(found[0]) == p + 1
+
+
+@pytest.mark.parametrize("coeffs", [REFERENCE_COEFFS, (0, 1, 3, 14, 15, 17)])
+def test_reference_section_scans_match_reference_at_23(coeffs):
+    model = hyperplane_section(coeffs)
+    assert singular_scan_fp(model, 23) == reference_scan(model, 23)
+
+
+def test_scan_refuses_a_prime_too_large_for_64_bit_slots(monkeypatch):
+    # 5(p-1)^2 >= 2^64 for p = 2^31 - 1; the kernel refuses it before
+    # building any table, here before any call to range
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    fp = (x[3] ** 4 + x[0] * x[1] * x[2] * x[3]).mod_p(2**31 - 1)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(varieties, "range", no_table, raising=False)
+    with pytest.raises(ValueError, match="64-bit slots"):
+        varieties._singular_points_fp(fp)
+
+
+def test_scan_accepts_sum_zero_in_any_representation(segre):
+    # (2,...,2) over den 2 is the sum-zero hyperplane in another (rows, den)
+    doubled = Hypersurface(segre_form(), LinearSubspace(((2,) * 6,), 2, 6))
+    assert singular_scan_fp(doubled, 5) == singular_scan_fp(segre, 5)
+    assert len(singular_scan_fp(doubled, 5)) == 10
+    plane = LinearSubspace.from_equations([ONES, (1, -1, 0, 0, 0, 0)], 6)
+    with pytest.raises(ValueError, match="sum-zero ambient"):
+        singular_scan_fp(Hypersurface(segre_form(), plane), 5)
 
 
 def test_max_height_caps_the_plane_parameters(monkeypatch):
