@@ -280,7 +280,6 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
 
 @dataclass(frozen=True)
 class PencilData:
-    pentad: Pentad
     classes: tuple[DivisorClass, ...]  # F_1, ..., F_5
     half_sum: DivisorClass
 
@@ -329,4 +328,4 @@ def pencil_classes(pentad: Sequence[Duad]) -> PencilData:
         rhs = 2 * sigma_class(label) + sum((E[y] for y in rest), zero)
         if lhs != rhs:
             raise AssertionError(f"degeneration identity fails for trope {label}")
-    return PencilData(p, tuple(fs), half_sum)
+    return PencilData(tuple(fs), half_sum)

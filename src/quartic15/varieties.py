@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import index, mul, not_
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from .configs import (
     duads,
     synthemes,
     three_subsets,
+    trope_incidence_model,
 )
 from .exact import ModPoly, MultiPoly, perfect_square_factor, primitive_integer_vector
 from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
@@ -94,7 +95,9 @@ class LinearSubspace:
     entries at the free columns.  Membership and annihilation are integer
     dot products against these rows and columns, each point or covector
     cleared once per call, and a form is restricted to the subspace by
-    substituting `parametrization` over `den`.
+    substituting `parametrization` over `den`.  The rows and den are divided
+    by their common gcd, so each subspace has one representation and
+    equality of records is equality of subspaces.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -117,6 +120,9 @@ class LinearSubspace:
             )
         ):
             raise ValueError("equation rows must be in reduced row echelon form over a positive den")
+        g = gcd(self.den, *(x for row in self.rows for x in row))
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in self.rows))
+        object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
@@ -332,12 +338,9 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
 class SmoothPointFailure:
     """Typed failure: the point lies on the variety but is smooth there."""
 
-    point: ProjectivePoint
-
 
 @dataclass(frozen=True)
 class NodeCertificate:
-    point: ProjectivePoint
     hessian_rank: int
     is_ordinary: bool
     chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
@@ -368,7 +371,7 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     coords = p.coords
     grad = v.gradient_at(coords)
     if not v.ambient.annihilates(grad):
-        return SmoothPointFailure(p)
+        return SmoothPointFailure()
     keep = _chart_basis(coords, v.ambient)
     w = [v.ambient.kernel[k] for k in keep]
     chart_hess = mat_mul(mat_mul(w, v.hessian_at(coords)), mat_transpose(w))
@@ -378,7 +381,6 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
         raise AssertionError("rank cross-check failed")
     expected = len(keep)  # = projective dimension of the ambient space
     return NodeCertificate(
-        point=p,
         hessian_rank=r1,
         is_ordinary=(r1 == expected),
         chart=tuple(w),
@@ -455,7 +457,6 @@ def duality_plane_to_line(s: Syntheme) -> bool:
 
 @dataclass(frozen=True)
 class CardinalRestriction:
-    subset: tuple[int, int, int]
     scale: Fraction
     square_root: MultiPoly  # conic q with restriction = scale * q^2
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
@@ -467,9 +468,10 @@ def cardinal_tangency_quadric() -> MultiPoly:
     return u[0] * u[1] + u[0] * u[2] + u[1] * u[2] - u[3] * u[4] - u[3] * u[5] - u[4] * u[5]
 
 
-def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
-    """Restrict the quartic to a cardinal 3-plane; must be a perfect square."""
-    subset = tuple(sorted(subset))
+@lru_cache(maxsize=None)
+def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
+    """Restrict the quartic to a cardinal 3-plane; must be a perfect square.
+    Cached: the cardinal checks and every hyperplane section share one record."""
     plane = LinearSubspace.from_equations([ONES, cardinal_coefficients(subset)], NVARS)
     restricted = cr_quartic_form().substitute_linear(plane.parametrization, plane.den)
     result = perfect_square_factor(restricted)
@@ -478,7 +480,7 @@ def cardinal_restriction(subset: Sequence[int]) -> CardinalRestriction:
             f"cardinal restriction for {subset} is not a perfect square; model falsified"
         )
     c, q = result
-    return CardinalRestriction(subset, c, q, plane)
+    return CardinalRestriction(c, q, plane)
 
 
 # -- hyperplane sections -----------------------------------------------------------
@@ -527,10 +529,12 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     the hyperplane must avoid the 15 line-intersection points, meet every
     double line in a single point, and be non-tangent there (each of the 15
     points must be an ordinary node of the restricted surface).  With
-    `tangent_at`, that point is certified as a sixteenth node.
+    `tangent_at`, that point is certified as a sixteenth node.  Each trope
+    is read off the cached `cardinal_restriction` (quartic = scale·q² there):
+    the plane hp = 0 in its 4 parameters, with q cut on it; a node, on hp by
+    construction, is incident iff it lies in the cardinal 3-space.
     """
     hp = _normalize_hyperplane(coeffs)
-    form = cr_quartic_form()
     for subset in three_subsets():
         card = primitive_integer_vector(cardinal_coefficients(subset))
         if hp == tuple(card):
@@ -542,7 +546,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
     if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
-    quartic3 = form.substitute_linear(section.parametrization, section.den)
+    quartic3 = cr_quartic_form().substitute_linear(section.parametrization, section.den)
     surface = Hypersurface(quartic3, LinearSubspace((), 1, quartic3.nvars))
 
     def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:
@@ -587,30 +591,25 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             )
         )
 
+    rule = trope_incidence_model()
     tropes: list[TropeRecord] = []
-    for subset in three_subsets():
-        plane = LinearSubspace.from_equations([ONES, hp, cardinal_coefficients(subset)], NVARS)
-        if len(plane.rows) != 3:
-            raise GenericityError("hyperplane coincides with a cardinal hyperplane", subset)
-        sq = perfect_square_factor(form.substitute_linear(plane.parametrization, plane.den))
-        if sq is None:
-            raise AssertionError("restriction to a cardinal plane must be a perfect square")
-        _, conic = sq
-        if not all(section.contains(col) for col in plane.kernel):
-            raise AssertionError("the trope plane must lie in the section chart")
+    for j, subset in enumerate(rule.blocks):
+        card = cardinal_restriction(subset)
+        # the trope plane: hp = 0 in the cardinal 3-space's 4 parameters
+        plane = LinearSubspace.from_equations([[sum(map(mul, hp, col)) for col in card.plane.kernel]], 4)
+        conic = card.square_root.substitute_linear(plane.parametrization, plane.den)
         incident = []
         for node in nodes:
-            params = plane.coordinates(node.ambient.coords)
-            if node.syntheme is None:
-                if params is not None:
-                    raise GenericityError("tangency point lies on a cardinal plane", subset)
+            params = card.plane.coordinates(node.ambient.coords)
+            if params is None:
                 continue
-            if params is not None:
-                incident.append(node.syntheme)
-                # the node must sit on the trope conic itself
-                if conic._integer_value(params) != 0:
-                    raise AssertionError("incident node must lie on the trope conic")
-        expected = {s for s in synthemes() if all(len(set(subset) & set(d)) == 1 for d in s)}
+            if node.syntheme is None:
+                raise GenericityError("tangency point lies on a cardinal plane", subset)
+            incident.append(node.syntheme)
+            # the node must sit on the trope conic itself
+            if card.square_root._integer_value(params) != 0:
+                raise AssertionError("incident node must lie on the trope conic")
+        expected = {s for s, row in zip(rule.points, rule.matrix) if row[j]}
         if set(incident) != expected:
             raise GenericityError("trope incidence differs from the matching rule", subset)
         tropes.append(TropeRecord(subset, conic, tuple(sorted(incident))))
@@ -769,8 +768,7 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     if p < 5:
         raise ValueError("bad prime: need p >= 5")
     if isinstance(target, Hypersurface):
-        ambient = target.ambient
-        if not (ambient.nvars == NVARS and len(ambient.rows) == 1 and SUM_ZERO.annihilates(ambient.rows[0])):
+        if target.ambient != SUM_ZERO:
             raise ValueError("scan supports the sum-zero ambient constraint")
         # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
         # gradient vanish exactly where f = 0 and the gradient of f is

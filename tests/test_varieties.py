@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, rref
-from quartic15.lattice import clear_denominators
+from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, perfect_square_factor, rref
+from quartic15.lattice import clear_denominators, mat_mul
 from quartic15 import varieties
 from quartic15.varieties import (
     ONES,
@@ -401,10 +402,13 @@ def test_linear_subspace_refuses_wrong_lengths(cr):
 
 def test_linear_subspace_checks_the_unit_pattern():
     # x0 + x1 = 0 over den 1, and the same row over den 2: both accepted, and
-    # the parametrization is the unit vector (1 at the free column x1) over den
+    # both normalise to den 1, so the parametrization is the unit vector (1 at
+    # the free column x1) and the two records are equal
     for rows, den in ((((1, 1),), 1), (((2, 2),), 2)):
         space = LinearSubspace(rows, den, 2)
-        assert space.free == (1,) and space.parametrization == ((-den,), (den,))
+        assert space.rows == ((1, 1),) and space.den == 1
+        assert space.free == (1,) and space.parametrization == ((-1,), (1,))
+    assert LinearSubspace(((2,) * 6,), 2, 6) == varieties.SUM_ZERO
     # each leading entry must be den, and each leading column zero in the
     # other rows: otherwise coordinates read off the free columns are wrong
     for rows, den in (
@@ -518,19 +522,16 @@ def test_bench_chart_gives_the_section_quartic():
 def test_section_quartic_takes_the_ambient_values():
     # the scale of quartic3 pinned without `substitute_linear`: its value at
     # integer parameters x is the quartic's value at Σ x_k·kernel_k / den
+    # (the reference charts normalise to den 1; this hyperplane's is den 14)
     rng = random.Random(7)
     form = cr_quartic_form()
-    for coeffs in (REFERENCE_COEFFS, (0, 1, 3, 14, 15, 17)):
-        model = hyperplane_section(coeffs)
-        chart = LinearSubspace.from_equations([ONES, model.hyperplane], 6)
-        assert chart.den > 1
-        for _ in range(8):
-            x = [rng.randint(-5, 5) for _ in range(4)]
-            point = [
-                Fraction(sum(c * col[i] for c, col in zip(x, chart.kernel)), chart.den)
-                for i in range(6)
-            ]
-            assert model.quartic3.evaluate(x) == form.evaluate(point), (coeffs, x)
+    model = hyperplane_section((-5, 9, -7, -1, -6, 6))
+    chart = LinearSubspace.from_equations([ONES, model.hyperplane], 6)
+    assert chart.den > 1
+    for _ in range(8):
+        x = [rng.randint(-5, 5) for _ in range(4)]
+        point = [Fraction(sum(c * col[i] for c, col in zip(x, chart.kernel)), chart.den) for i in range(6)]
+        assert model.quartic3.evaluate(x) == form.evaluate(point), x
 
 
 def test_non_cardinal_restriction_not_square():
@@ -589,21 +590,65 @@ def test_section_genericity_failures():
         hyperplane_section((1, 1, 4, 0, 0, 0))
 
 
-def test_trope_plane_outside_the_section_chart_is_refused(monkeypatch):
-    # each trope plane is {sum = 0, hp = 0, cardinal = 0}; built with another
-    # row in place of hp, it is still a plane of the cardinal 3-space, so the
-    # restriction stays a perfect square, but it leaves the section chart
-    from_equations = LinearSubspace.from_equations
-    off_section = (1, -1, 0, 0, 0, 0)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: hyperplane_section(REFERENCE_COEFFS),
+        lambda: hyperplane_section((0, 1, 3, 14, 15, 17)),
+        lambda: sample_tangent_section(random.Random(11)),
+    ],
+    ids=["reference", "second-reference", "tangent"],
+)
+def test_tropes_match_the_three_equation_oracle(make):
+    # the trope plane as {sum u = 0, hp = 0, cardinal = 0} in six variables:
+    # the quartic restricted to it is a perfect square, its members are the
+    # incident nodes, and it is spanned by the plane the conic lives on
+    model = make()
+    form = cr_quartic_form()
+    for t in model.tropes:
+        plane = LinearSubspace.from_equations([ONES, model.hyperplane, cardinal_coefficients(t.subset)], 6)
+        assert len(plane.rows) == 3
+        assert perfect_square_factor(form.substitute_linear(plane.parametrization, plane.den)) is not None
+        on_plane = [n.syntheme for n in model.nodes if plane.contains(n.ambient.coords)]
+        assert None not in on_plane and tuple(sorted(on_plane)) == t.incident_nodes
+        # the conic's 3 parameters, mapped through the cardinal 3-space into
+        # six variables, span the oracle plane, and there scale·conic² is the quartic
+        card = cardinal_restriction(t.subset)
+        row = [sum(h * x for h, x in zip(model.hyperplane, col)) for col in card.plane.kernel]
+        trope = LinearSubspace.from_equations([row], 4)
+        chart = mat_mul(card.plane.parametrization, trope.parametrization)
+        assert all(plane.contains(col) for col in zip(*chart))
+        assert card.scale * t.conic * t.conic == form.substitute_linear(chart, card.plane.den * trope.den)
 
-    def without_hp(cls, rows, nvars):
-        if len(rows) == 3 and tuple(rows[0]) == ONES:
-            rows = [rows[0], off_section, rows[2]]
-        return from_equations(rows, nvars)
 
-    monkeypatch.setattr(LinearSubspace, "from_equations", classmethod(without_hp))
-    with pytest.raises(AssertionError, match="the trope plane must lie in the section chart"):
-        hyperplane_section(REFERENCE_COEFFS)
+def test_sections_read_the_cached_cardinal_records(monkeypatch):
+    hyperplane_section(REFERENCE_COEFFS)  # warm the cache
+    form = cr_quartic_form()
+    calls = {"square": 0, "quartic": 0}
+    substitute = MultiPoly.substitute_linear
+
+    def counted_substitute(self, *args, **kwargs):
+        calls["quartic"] += self is form
+        return substitute(self, *args, **kwargs)
+
+    def counted_square(f):
+        calls["square"] += 1
+        return perfect_square_factor(f)
+
+    monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
+    monkeypatch.setattr(varieties, "perfect_square_factor", counted_square)
+    model = hyperplane_section((0, 1, 3, 14, 15, 17))
+    assert len(model.tropes) == 10
+    assert calls == {"square": 0, "quartic": 1}  # the section chart only
+    assert cardinal_restriction.cache_info().currsize == 10
+
+
+def test_cardinal_restriction_is_one_shared_frozen_record():
+    for subset in three_subsets():
+        res = cardinal_restriction(subset)
+        assert cardinal_restriction(subset) is res
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.scale = Fraction(1)
 
 
 def test_scan_segre_f11(segre):
@@ -864,7 +909,7 @@ def test_scan_refuses_a_prime_too_large_for_64_bit_slots(monkeypatch):
 
 
 def test_scan_accepts_sum_zero_in_any_representation(segre):
-    # (2,...,2) over den 2 is the sum-zero hyperplane in another (rows, den)
+    # (2,...,2) over den 2 is the sum-zero hyperplane, normalised to SUM_ZERO
     doubled = Hypersurface(segre_form(), LinearSubspace(((2,) * 6,), 2, 6))
     assert singular_scan_fp(doubled, 5) == singular_scan_fp(segre, 5)
     assert len(singular_scan_fp(doubled, 5)) == 10
