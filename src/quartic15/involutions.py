@@ -5,8 +5,8 @@ the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes.  Every one is a `lattice.Isometry` on the fixed Z-basis
 of the one Picard lattice, which each function reads from the cached
-`picard_lattice()`; a class reaches that basis through its integer row-basis
-coordinates `basis.coordinates(cls.nums, cls.den)`.  The 3003 pentad roots
+`picard_lattice()`; a class reaches that basis through its integer
+coordinates `nodal_surface.pic_coordinates`.  The 3003 pentad roots
 skip the class arithmetic: coordinates are linear, so each root's integer
 coordinates are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.
 Each matrix is certified integral by exact division, then involutive and
@@ -23,9 +23,8 @@ the i-th basis vector and the isometry condition reads M·G·M^T = G.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
 from .lattice import Isometry, reflection_isometry
@@ -37,37 +36,33 @@ from .nodal_surface import (
     NODES,
     DivisorClass,
     eta_star,
+    pentad_root,
+    pic_coordinates,
     picard_basis_classes,
     picard_lattice,
+    reye_root,
     sigma_class,
+    sigma_eta,
 )
+from .pentads import all_pentads, pencil_classes
 
 Pentad = tuple[Duad, Duad, Duad, Duad, Duad]
 
 
 def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> Isometry:
     """Matrix rows from the images of the Picard basis, certified integral."""
-    model = picard_lattice()
-    rows = []
-    for i, img in enumerate(images):
-        pic = model.basis.coordinates(img.nums, img.den)
-        if pic is None:
-            raise ValueError(f"{name}: image of basis vector {i} is not in the lattice")
-        rows.append(tuple(pic))
-    iso = Isometry(name, tuple(rows))
-    if not iso.preserves_gram(model.lattice.gram):
+    rows = tuple(
+        tuple(pic_coordinates(img, f"{name}: image of basis vector {i}")) for i, img in enumerate(images)
+    )
+    iso = Isometry(name, rows)
+    if not iso.preserves_gram(picard_lattice().lattice.gram):
         raise ValueError(f"{name}: Gram form not preserved")
     return iso
 
 
 def sigma_star() -> Isometry:
     """The covering involution: eta and every E_x map to their sigma-classes."""
-    sigma_eta = (
-        4 * ETA
-        - sum((E[x] for x in L_SET), DivisorClass.make())
-        - sum((2 * E[x] for x in C_SET), DivisorClass.make())
-    )
-    generator_images = [sigma_eta] + [sigma_class(d) for d in NODES]
+    generator_images = [sigma_eta()] + [sigma_class(d) for d in NODES]
 
     def image_of(cls: DivisorClass) -> DivisorClass:
         out = DivisorClass.make()
@@ -83,21 +78,10 @@ def sigma_star() -> Isometry:
     return iso
 
 
-def reye_root() -> DivisorClass:
-    return 2 * ETA - sum((E[x] for x in L_SET), DivisorClass.make())
-
-
-def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
-    return 3 * ETA - sum((2 * E[x] for x in pentad), DivisorClass.make())
-
-
 def _root_reflection(name: str, root: DivisorClass) -> Isometry:
     """Reflection in a root of the lattice, through its integer coordinates."""
-    model = picard_lattice()
-    w = model.basis.coordinates(root.nums, root.den)
-    if w is None:
-        raise ValueError(f"{name}: the root is not in the Picard lattice")
-    return reflection_isometry(model.lattice, w, name)
+    w = pic_coordinates(root, f"{name}: the root")
+    return reflection_isometry(picard_lattice().lattice, w, name)
 
 
 def tau_rey_star() -> Isometry:
@@ -131,14 +115,9 @@ def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
     from the coordinates of eta and of each E_x; the root lies in the lattice
     because eta and every E_x do.
     """
-    basis = picard_lattice().basis
-    w_eta = basis.coordinates(ETA.nums, ETA.den)
-    w_e = {x: basis.coordinates(E[x].nums, E[x].den) for x in NODES}
-    if w_eta is None or any(w is None for w in w_e.values()):
-        raise ValueError("eta and every E_x must lie in the Picard lattice")
-    eta3 = [3 * c for c in w_eta]
-    e2 = {x: [2 * c for c in w] for x, w in w_e.items()}
-    for p in itertools.combinations(NODES, 5):
+    eta3 = [3 * c for c in pic_coordinates(ETA, "eta")]
+    e2 = {x: [2 * c for c in pic_coordinates(E[x], f"E_{x}")] for x in NODES}
+    for p in all_pentads():
         yield p, [t - a - b - c - d - e for t, a, b, c, d, e in zip(eta3, *(e2[x] for x in p))]
 
 
@@ -169,9 +148,7 @@ class ReyeImageReport:
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
     basis = picard_lattice().basis
-    pic = basis.coordinates(cls.nums, cls.den)
-    if pic is None:
-        raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
+    pic = pic_coordinates(cls, f"{iso.name}: the class {cls}")
     return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
 
 
@@ -231,11 +208,7 @@ def verify_relations() -> RelationReport:
     goepel_conj = conj.matrix == goepel.matrix
     # independent route: sigma maps the Reye root to the Goepel root
     routes = _apply_to_class(sig, reye_root()) == pentad_root(GOEPEL_PENTAD)
-    zero = DivisorClass.make()
-    pencils = [
-        2 * ETA - 2 * E[x] - sum((E[y] for y in GOEPEL_PENTAD if y != x), zero)
-        for x in GOEPEL_PENTAD
-    ]
+    pencils = pencil_classes(GOEPEL_PENTAD).classes
     pencil_norms = all(f.norm() == 0 and f.degree() == 8 for f in pencils) and all(
         pencils[i].dot(pencils[j]) == 2
         for i in range(5)
@@ -285,7 +258,7 @@ NATURALITY_SAMPLE = 12  # (permutation, pentad) pairs in the naturality spot che
 def pentad_naturality_spot_check() -> bool:
     """g · tau_P · g^{-1} = tau_{g(P)} on a deterministic sample of pairs."""
     perms = s6_elements()
-    pentads = list(itertools.combinations(NODES, 5))
+    pentads = all_pentads()
     for k in range(NATURALITY_SAMPLE):
         g = perms[(37 * k + 11) % len(perms)]
         p = pentads[(211 * k + 5) % len(pentads)]

@@ -5,7 +5,10 @@ binary even-set code: basis eta (the hyperplane class, eta^2 = 4) and one
 exceptional class E_x of norm -2 per node x, nodes indexed by the duads of
 {1,...,6}.  The splitting fixed once here is L = duads avoiding 6 (the ten
 conic-type nodes) and C = duads containing 6 (the five quartic-type nodes);
-every other splitting is an S6 translate.
+every other splitting is an S6 translate.  Each named class (sigma(E_x),
+sigma(eta), eta_star, B̃, the Reye and pentad roots) is one coefficient map
+defined once here, and `pic_coordinates` is the one map from a class to its
+Picard coordinates.
 
 Also builds the rank-17 lattice of a 16-nodal (Kummer) quartic and certifies
 the embedding of the 15-nodal Picard lattice onto the orthogonal complement
@@ -142,32 +145,35 @@ E = {d: DivisorClass.make(nodes={d: 1}) for d in NODES}
 def sigma_class(d: Duad) -> DivisorClass:
     """Image class sigma(E_x): a trope-conic for x in L, a trope-quartic for x in C."""
     if 6 not in d:
-        word = trope_node_sets()[d]
-        return (ETA - sum((E[x] for x in sorted(word)), DivisorClass.make())) / 2
-    a = d[0]
-    others_c = [x for x in C_SET if x != d]
-    arm = [tuple(sorted((a, b))) for b in range(1, 6) if b != a]
-    total = 2 * ETA - 2 * E[d]
-    for x in others_c:
-        total = total - E[x]
-    for x in arm:
-        total = total - E[x]
-    return total / 2
+        return DivisorClass.make(1, dict.fromkeys(trope_node_sets()[d], -1)) / 2
+    arm = [tuple(sorted((d[0], b))) for b in range(1, 6) if b != d[0]]
+    return DivisorClass.make(2, dict.fromkeys(C_SET, -1) | {d: -2} | dict.fromkeys(arm, -1)) / 2
+
+
+def sigma_eta() -> DivisorClass:
+    """Image of the hyperplane class under the covering involution:
+    4*eta − sum_L E − 2*sum_C E."""
+    return DivisorClass.make(4, dict.fromkeys(L_SET, -1) | dict.fromkeys(C_SET, -2))
 
 
 def eta_star() -> DivisorClass:
     """Hyperplane class of the dual sextic model: 2*eta_star = 3*eta − sum_L E."""
-    return (3 * ETA - sum((E[x] for x in L_SET), DivisorClass.make())) / 2
+    return DivisorClass.make(3, dict.fromkeys(L_SET, -1)) / 2
 
 
 def b_tilde() -> DivisorClass:
     """Branch-curve class: half of 5*eta − sum_L E − 2*sum_C E; norm and degree 10."""
-    total = 5 * ETA
-    for x in L_SET:
-        total = total - E[x]
-    for x in C_SET:
-        total = total - 2 * E[x]
-    return total / 2
+    return DivisorClass.make(5, dict.fromkeys(L_SET, -1) | dict.fromkeys(C_SET, -2)) / 2
+
+
+def reye_root() -> DivisorClass:
+    """The Reye root 2*eta − sum_L E, of norm -4."""
+    return DivisorClass.make(2, dict.fromkeys(L_SET, -1))
+
+
+def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
+    """The root 3*eta − 2*sum_P E of a pentad P, of norm -4."""
+    return DivisorClass.make(3, dict.fromkeys(pentad, -2))
 
 
 # -- even-set code -------------------------------------------------------------
@@ -251,26 +257,19 @@ def standard_classes() -> dict[str, DivisorClass]:
         classes[f"E{d[0]}{d[1]}"] = E[d]
         classes[f"sigma_E{d[0]}{d[1]}"] = sigma_class(d)
     classes["B_tilde"] = b_tilde()
-    classes["reye_root"] = 2 * ETA - sum((E[x] for x in L_SET), DivisorClass.make())
-    classes["goepel_root"] = 3 * ETA - sum((2 * E[x] for x in C_SET), DivisorClass.make())
+    classes["reye_root"] = reye_root()
+    classes["goepel_root"] = pentad_root(C_SET)
     for x in L_SET:
         classes[f"F{x[0]}{x[1]}"] = eta_star() - E[x]
     for a in range(1, 6):
         # elliptic pencil through the quartic-type node (a,6)
-        total = 2 * ETA
-        for b in range(1, 6):
-            if b != a:
-                total = total - E[tuple(sorted((b, 6)))] / 2 - E[tuple(sorted((a, b)))] / 2
-        for c, d in itertools.combinations([x for x in range(1, 6) if x != a], 2):
-            total = total - E[(c, d)]
-        classes[f"F{a}6"] = total
+        rest = [b for b in range(1, 6) if b != a]
+        halves = [(b, 6) for b in rest] + [tuple(sorted((a, b))) for b in rest]
+        nodes = dict.fromkeys(halves, -1) | dict.fromkeys(itertools.combinations(rest, 2), -2)
+        classes[f"F{a}6"] = DivisorClass.make(4, nodes) / 2
     classes["map10"] = ETA + eta_star() - sum((E[x] for x in C_SET), DivisorClass.make())
     classes["deg20"] = 4 * eta_star() - ETA
-    classes["deg10_rey"] = (
-        5 * ETA
-        - sum((E[x] for x in C_SET), DivisorClass.make())
-        - sum((2 * E[x] for x in L_SET), DivisorClass.make())
-    )
+    classes["deg10_rey"] = DivisorClass.make(5, dict.fromkeys(C_SET, -1) | dict.fromkeys(L_SET, -2))
     return classes
 
 
@@ -279,8 +278,7 @@ def picard_lattice() -> Overlattice:
     """Rank-16 overlattice of AMBIENT glued by the five code generators.
 
     Its basis holds integer rows over `basis.den` in the coordinates
-    (eta, E_x), so a class reaches the lattice as
-    `basis.coordinates(cls.nums, cls.den)`: its integer coordinates, or None.
+    (eta, E_x), so a class reaches the lattice through `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
@@ -290,6 +288,15 @@ def picard_lattice() -> Overlattice:
         if over.basis.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
     return over
+
+
+def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
+    """The integer coordinates of a class on the Picard basis; a class off
+    the lattice raises ValueError naming `what`."""
+    coords = picard_lattice().basis.coordinates(cls.nums, cls.den)
+    if coords is None:
+        raise ValueError(f"{what} is not in the Picard lattice")
+    return coords
 
 
 def picard_basis_classes() -> list[DivisorClass]:
@@ -328,8 +335,7 @@ def verify_class_identities() -> dict[str, bool]:
         ok = ok and lhs == 2 * sigma_class(y)
     results["quartic_halves"] = ok
     # image of the hyperplane class under the covering involution
-    sigma_eta = 4 * ETA - sum_l_e - 2 * sum_c_e
-    results["sigma_eta"] = is_pic_integral(sigma_eta)
+    results["sigma_eta"] = is_pic_integral(sigma_eta())
     # dual-model hyperplane: 2 eta_star = 3 eta - sum_L E
     results["eta_star_halves"] = 2 * named["eta_star"] == 3 * ETA - sum_l_e
     # branch curve: three expressions for B_tilde agree
@@ -480,10 +486,10 @@ def kummer_trope_support(beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(kummer_add(beta, k) for k in KUMMER_SPECIAL))
 
 
-def _kummer_node(alpha: tuple[int, ...], c: int = 1) -> list[int]:
-    """c·N_alpha in the Kummer ambient coordinates."""
+def _kummer_node(alpha: tuple[int, ...]) -> list[int]:
+    """N_alpha in the Kummer ambient coordinates."""
     v = [0] * 17
-    v[1 + KUMMER_INDEX[alpha]] = c
+    v[1 + KUMMER_INDEX[alpha]] = 1
     return v
 
 
@@ -531,21 +537,10 @@ class KummerEmbeddingCertificate:
     gram_match: bool
 
 
-def _embedding_images() -> dict[str, tuple[int, ...]]:
-    """Images of the 21 Picard generators in the Kummer ambient coordinates,
-    as numerators over 2."""
-    tropes = kummer_tropes()
-    images: dict[str, tuple[int, ...]] = {"eta": (2,) + (0,) * 16}
-    for d in NODES:
-        images[f"E{d[0]}{d[1]}"] = tuple(_kummer_node(d, 2))
-    for d in L_SET:
-        images[f"sigma_E{d[0]}{d[1]}"] = tropes[d]
-    n0 = _kummer_node((), 2)
-    t0 = tropes[()]
-    for d in C_SET:
-        t = tropes[d]
-        images[f"sigma_E{d[0]}{d[1]}"] = tuple(a + b + c for a, b, c in zip(t, t0, n0))
-    return images
+def _specialize(nums: Sequence[int]) -> list[int]:
+    """eta -> eta, E_x -> N_x: KUMMER_GROUP is () followed by the nodes in
+    NODES order, so the Kummer coordinates insert a zero N_0 entry after eta."""
+    return [nums[0], 0, *nums[1:]]
 
 
 def kummer_embedding_check() -> KummerEmbeddingCertificate:
@@ -557,34 +552,25 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     """
     pic = picard_lattice()
     kum = kummer_model()
-    images = _embedding_images()
-    generators = [images["eta"]] + [images[f"E{d[0]}{d[1]}"] for d in NODES]
-
-    def image_of(cls: DivisorClass) -> list[int]:
-        """Numerators of the image of cls over 2·cls.den."""
-        vec = [0] * 17
-        for c, img in zip(cls.nums, generators):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, img)]
-        return vec
-
-    # sigma images must match the classical trope combinations
+    tropes = kummer_tropes()
+    n0 = _kummer_node(())
+    # sigma images must match the classical trope combinations (over 2)
+    t0_n0 = [t + 2 * n for t, n in zip(tropes[()], n0)]
     pairings = True
     for d in NODES:
+        target = tropes[d] if d in L_SET else [a + b for a, b in zip(tropes[d], t0_n0)]
         sigma = sigma_class(d)
-        if image_of(sigma) != [sigma.den * x for x in images[f"sigma_E{d[0]}{d[1]}"]]:
+        if [2 * x for x in _specialize(sigma.nums)] != [sigma.den * x for x in target]:
             pairings = False
-    # pairings preserved on all pairs of Picard basis vectors
-    basis = picard_basis_classes()
-    image_rows = [image_of(b) for b in basis]
-    for i, v in enumerate(basis):
-        for j, w in enumerate(basis):
-            lhs = AMBIENT.pair(v.nums, w.nums, v.den * w.den)
-            if lhs != KUMMER_AMBIENT.pair(image_rows[i], image_rows[j], 4 * v.den * w.den):
-                pairings = False
+    # pairings preserved: the images of the basis rows (over basis.den) have
+    # the Picard Gram matrix times den^2 in the Kummer ambient
+    den = pic.basis.den
+    image_rows = [_specialize(row) for row in pic.basis.rows]
+    image_gram = mat_mul(mat_mul(image_rows, KUMMER_AMBIENT.gram), mat_transpose(image_rows))
+    if image_gram != [[den * den * g for g in row] for row in pic.lattice.gram]:
+        pairings = False
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
-    n0 = _kummer_node(())
-    image_in_kummer = [kum.basis.coordinates(v, 2 * b.den) for v, b in zip(image_rows, basis)]
+    image_in_kummer = [kum.basis.coordinates(v, den) for v in image_rows]
     in_lattice = all(c is not None for c in image_in_kummer)
     orthogonal = all(KUMMER_AMBIENT.form(v, n0) == 0 for v in image_rows)
     # the orthogonal complement of N_0 inside the Kummer lattice
@@ -595,7 +581,7 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     # image coordinates in the Kummer basis, then in the complement basis
     equals_complement = comp.rank == RANK
     gram_match = False
-    if equals_complement and all(c is not None for c in image_in_kummer):
+    if equals_complement and in_lattice:
         comp_coords = RowBasis(comp_basis)
         trans = [comp_coords.coordinates(vec) for vec in image_in_kummer]
         equals_complement = all(t is not None for t in trans)

@@ -61,7 +61,8 @@ def classify(pentad: Sequence[Duad]) -> PentadClass:
 
 
 def all_pentads() -> list[Pentad]:
-    return [tuple(sorted(c)) for c in itertools.combinations(NODES, 5)]
+    """The 3003 pentads, each sorted: combinations of the sorted NODES."""
+    return list(itertools.combinations(NODES, 5))
 
 
 @lru_cache(maxsize=None)

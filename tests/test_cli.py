@@ -247,6 +247,19 @@ def test_picard_discriminant_check_certifies_the_weight4_classification(monkeypa
     assert failing["details"] == passing["details"]
 
 
+def test_swapped_kummer_tropes_turn_the_kummer_embedding_red(monkeypatch):
+    from quartic15 import nodal_surface as ns
+
+    ns.kummer_model()  # built from the true tropes before the patch
+    tropes = dict(ns.kummer_tropes())
+    tropes[(1, 2)], tropes[(1, 6)] = tropes[(1, 6)], tropes[(1, 2)]
+    monkeypatch.setattr(ns, "kummer_tropes", lambda: tropes)
+    assert not ns.kummer_embedding_check().pairings_preserved
+    code, report, _ = run_quiet(["lattice"])
+    check = next(c for c in report.checks if c["id"] == "kummer-embedding")
+    assert code == 1 and check["status"] == "fail"
+
+
 def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
     from quartic15 import involutions
     from quartic15.lattice import Isometry

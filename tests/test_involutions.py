@@ -99,6 +99,20 @@ def test_s6_isometries_are_isometries(model):
         assert iso.preserves_gram(model.lattice.gram)
 
 
+def test_isometry_errors_name_the_isometry(monkeypatch):
+    import re
+
+    from quartic15 import involutions
+
+    basis = picard_basis_classes()
+    monkeypatch.setattr(involutions, "picard_basis_classes", lambda: [E[(1, 2)] / 2] + basis[1:])
+    with pytest.raises(ValueError, match=re.escape("perm(2, 1, 3, 4, 5, 6): image of basis vector 0 ")):
+        s6_isometry((2, 1, 3, 4, 5, 6))
+    monkeypatch.setattr(involutions, "pentad_root", lambda p: ETA / 2)
+    with pytest.raises(ValueError, match=re.escape("tau_P(16,26,36,46,56): the root ")):
+        tau_pentad_star(C_SET)
+
+
 def test_reflections_commute_for_disjoint_roots():
     # two pentads with orthogonal roots? pentad roots are never orthogonal:
     # r_P·r_Q = 36 - 8*|P∩Q| ... instead check commuting with a fixed E-reflection

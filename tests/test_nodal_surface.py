@@ -28,6 +28,7 @@ from quartic15.nodal_surface import (
     kummer_model,
     kummer_node_trope_pairings,
     kummer_tropes,
+    pic_coordinates,
     picard_basis_classes,
     picard_lattice,
     sigma_class,
@@ -235,6 +236,24 @@ def test_kummer_embedding():
     assert cert.image_orthogonal_to_n0
     assert cert.image_equals_complement
     assert cert.gram_match
+
+
+@pytest.mark.parametrize("d", [(1, 3), (1, 6)])
+def test_a_perturbed_sigma_class_turns_the_kummer_embedding_red(monkeypatch, d):
+    # E_12 added to one conic-type or quartic-type sigma-class: its image is
+    # no longer the classical trope combination
+    picard_lattice()  # built from the true classes before the patch
+    real = ns.sigma_class
+    monkeypatch.setattr(ns, "sigma_class", lambda x: real(x) + E[(1, 2)] if x == d else real(x))
+    cert = kummer_embedding_check()
+    assert not cert.pairings_preserved
+    assert cert.image_in_lattice and cert.image_equals_complement and cert.gram_match
+
+
+def test_pic_coordinates_names_a_class_off_the_lattice():
+    assert pic_coordinates(E[(1, 2)], "E_12") == picard_lattice().basis.coordinates(E[(1, 2)].nums)
+    with pytest.raises(ValueError, match="^half of E_12 is not in the Picard lattice$"):
+        pic_coordinates(E[(1, 2)] / 2, "half of E_12")
 
 
 def _rational_rows(basis):
