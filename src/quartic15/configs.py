@@ -292,8 +292,13 @@ def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) 
     partitions the 3003 pentads into the orbit table of `pentads`.
 
     `action(g, x)` must define a left action of S6 on the elements.  The
-    identity and compatibility axioms are checked on the generators, and the
-    orbit-stabilizer identity |orbit|*|stab| = 720 is verified for every orbit.
+    identity and compatibility axioms are checked on the generators.  Each
+    new orbit takes one pass over the 720 elements of S6, which gives the
+    orbit and the stabilizer of its first element together; the images must
+    stay in the element set, and |orbit|*|stab| = 720 is verified for every
+    orbit.  Orbits come in the order of their first elements, and each lists
+    its elements in the given order, so the representative is its first
+    element (the least one when the elements are given sorted).
     """
     elements = list(elements)
     identity = POINTS
@@ -305,28 +310,20 @@ def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) 
                 gh = tuple(g[h[i] - 1] for i in range(6))
                 if action(gh, x) != action(g, action(h, x)):
                     raise ValueError("not a group action (compatibility fails)")
-    element_set = set(elements)
+    position = {x: i for i, x in enumerate(elements)}
     seen: set = set()
     orbits = []
     full_group = s6_elements()
     for x in elements:
         if x in seen:
             continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in S6_GENERATORS:
-                z = action(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        if not orbit <= element_set:
+        images = [action(g, x) for g in full_group]
+        orbit = set(images)
+        if not orbit <= position.keys():
             raise ValueError("element set is not closed under the action")
-        rep = min(orbit)
-        stab = sum(1 for g in full_group if action(g, rep) == rep)
+        stab = images.count(x)
         if stab * len(orbit) != 720:
             raise AssertionError("orbit-stabilizer identity failed")
-        orbits.append(Orbit(rep, tuple(sorted(orbit)), stab))
+        orbits.append(Orbit(x, tuple(sorted(orbit, key=position.__getitem__)), stab))
         seen |= orbit
     return orbits

@@ -208,12 +208,12 @@ def verify_relations() -> RelationReport:
     goepel_conj = conj.matrix == goepel.matrix
     # independent route: sigma maps the Reye root to the Goepel root
     routes = _apply_to_class(sig, reye_root()) == pentad_root(GOEPEL_PENTAD)
-    pencils = pencil_classes(GOEPEL_PENTAD).classes
-    pencil_norms = all(f.norm() == 0 and f.degree() == 8 for f in pencils) and all(
-        pencils[i].dot(pencils[j]) == 2
-        for i in range(5)
-        for j in range(i + 1, 5)
-    )
+    try:  # pencil_classes refuses pencils that break any pencil identity
+        pencil_classes(GOEPEL_PENTAD)
+    except (ValueError, AssertionError):
+        pencil_norms = False
+    else:
+        pencil_norms = True
     es = eta_star()
     fixes = all(
         _apply_to_class(tau, es - E[x]) == es - E[x] for x in L_SET

@@ -562,13 +562,14 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
         sigma = sigma_class(d)
         if [2 * x for x in _specialize(sigma.nums)] != [sigma.den * x for x in target]:
             pairings = False
-    # pairings preserved: the images of the basis rows (over basis.den) have
-    # the Picard Gram matrix times den^2 in the Kummer ambient
+    # pairings preserved: the insertion of a zero N_0 entry preserves every
+    # pairing exactly when the Kummer ambient Gram matrix without N_0's row
+    # and column is the ambient one
+    kummer_gram = KUMMER_AMBIENT.gram
+    if tuple(r[:1] + r[2:] for r in kummer_gram[:1] + kummer_gram[2:]) != AMBIENT.gram:
+        pairings = False
     den = pic.basis.den
     image_rows = [_specialize(row) for row in pic.basis.rows]
-    image_gram = mat_mul(mat_mul(image_rows, KUMMER_AMBIENT.gram), mat_transpose(image_rows))
-    if image_gram != [[den * den * g for g in row] for row in pic.lattice.gram]:
-        pairings = False
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
     image_in_kummer = [kum.basis.coordinates(v, den) for v in image_rows]
     in_lattice = all(c is not None for c in image_in_kummer)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .configs import Duad, apply_perm_duad_set, s6_orbits, trope_node_sets
+from .configs import Duad, Perm, apply_perm_duad, s6_elements, s6_orbits, trope_node_sets
 from .nodal_surface import (
     E,
     ETA,
@@ -29,6 +29,12 @@ from .nodal_surface import (
 Pentad = tuple[Duad, ...]
 
 TROPES = trope_node_sets()  # conic label (duad of [1,5]) -> frozenset of 6 nodes
+
+# nodes by their position in NODES, and as the bits of a 15-bit mask in that
+# order; each trope as its mask
+NODE_INDEX = {d: i for i, d in enumerate(NODES)}
+NODE_BIT = {d: 1 << i for d, i in NODE_INDEX.items()}
+TROPE_MASKS = tuple((label, sum(map(NODE_BIT.__getitem__, nodes))) for label, nodes in sorted(TROPES.items()))
 
 
 @dataclass(frozen=True)
@@ -45,17 +51,20 @@ class PentadClass:
 
 def classify(pentad: Sequence[Duad]) -> PentadClass:
     p = tuple(sorted(pentad))
-    if len(p) != 5 or len(set(p)) != 5:
+    if len(p) != 5 or len(set(p)) != 5 or not set(p) <= NODE_BIT.keys():
         raise ValueError("a pentad consists of five distinct node labels")
-    pset = set(p)
+    bits = [NODE_BIT[x] for x in p]
+    mask = sum(bits)
     triples = []
     admissible = True
-    for label, nodes in sorted(TROPES.items()):
-        meet = sorted(pset & nodes)
-        if len(meet) >= 4:
+    for label, trope in TROPE_MASKS:
+        size = (mask & trope).bit_count()
+        if size < 3:
+            continue
+        if size >= 4:
             admissible = False
-        for triple in itertools.combinations(meet, 3):
-            triples.append((label, triple))
+        meet = [x for x, bit in zip(p, bits) if bit & trope]  # sorted, as p is
+        triples.extend((label, triple) for triple in itertools.combinations(meet, 3))
     goepel = admissible and not triples
     return PentadClass(p, admissible, goepel, tuple(triples))
 
@@ -85,10 +94,24 @@ class PentadOrbit:
 
 
 @lru_cache(maxsize=None)
+def node_tables() -> Mapping[Perm, tuple[Duad, ...]]:
+    """Each permutation of S6 as its table of node labels: entry i is the
+    image of NODES[i], as the label object in NODES.  Built once, on first
+    use, and read-only so the cached copy cannot go stale."""
+    label = {d: d for d in NODES}
+    return MappingProxyType({g: tuple(label[apply_perm_duad(g, d)] for d in NODES) for g in s6_elements()})
+
+
+def _relabel(g: Perm, nodes: Sequence[Duad]) -> tuple[Duad, ...]:
+    """The sorted image of a set of node labels under g, read off its table."""
+    return tuple(sorted(map(node_tables()[g].__getitem__, map(NODE_INDEX.__getitem__, nodes))))
+
+
+@lru_cache(maxsize=None)
 def orbit_partition() -> tuple[tuple[tuple[Pentad, tuple[Pentad, ...]], ...], Mapping[Pentad, Pentad]]:
     """Orbits under node relabeling and the read-only pentad -> representative
     map; built once, and immutable so the cached copy cannot go stale."""
-    orbits = tuple((o.representative, o.elements) for o in s6_orbits(apply_perm_duad_set, all_pentads()))
+    orbits = tuple((o.representative, o.elements) for o in s6_orbits(_relabel, all_pentads()))
     rep_of = {q: rep for rep, orbit in orbits for q in orbit}
     return orbits, MappingProxyType(rep_of)
 
@@ -167,6 +190,13 @@ def triple_criterion(triple: Sequence[Duad]) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def triple_rule() -> frozenset[tuple[Duad, Duad, Duad]]:
+    """The sorted node triples that satisfy `triple_criterion`, tabled once
+    over all 455, on first use."""
+    return frozenset(t for t in itertools.combinations(NODES, 3) if triple_criterion(t))
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     total: int
@@ -202,14 +232,13 @@ def graph_criterion_crosscheck() -> CriterionReport:
             mism_e[rep] = (rep, cls.admissible, ge)
         if gf != cls.admissible and rep not in mism_f:
             mism_f[rep] = (rep, cls.admissible, gf)
-    triple_ok = True
-    for p, cls in classes.items():
-        # p is sorted and classify builds each trope triple from a sorted
-        # meet, so both sides are sorted tuples already
-        recorded = {t[1] for t in cls.trope_triples}
-        for triple in itertools.combinations(p, 3):
-            if triple_criterion(triple) != (triple in recorded):
-                triple_ok = False
+    # p is sorted and classify builds each trope triple from a sorted meet,
+    # so both sides are sorted tuples already
+    rule = triple_rule()
+    triple_ok = all(
+        {t for t in itertools.combinations(p, 3) if t in rule} == {t[1] for t in cls.trope_triples}
+        for p, cls in classes.items()
+    )
     return CriterionReport(
         total=len(classes),
         agree_exists=agree_e,
@@ -238,6 +267,34 @@ class CoplanarityReport:
         )
 
 
+def _cofactors(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple[int, int, int, int]:
+    """The cofactors of the last row of the 4x4 matrix with rows a, b, c, x,
+    so that its determinant is their dot product with x."""
+    def minor(i: int, j: int, k: int) -> int:
+        return (
+            a[i] * (b[j] * c[k] - b[k] * c[j])
+            - a[j] * (b[i] * c[k] - b[k] * c[i])
+            + a[k] * (b[i] * c[j] - b[j] * c[i])
+        )
+
+    return -minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2)
+
+
+def quadruple_determinants(points: Mapping) -> dict[tuple, int]:
+    """det of the 4x4 integer matrix of every sorted quadruple of the keys of
+    `points` (each a 4-vector), read as the dot product of its fourth row
+    with the cofactor vector of its first three: one cofactor vector per
+    triple, not one elimination per quadruple."""
+    keys = sorted(points)
+    rows = [points[k] for k in keys]
+    dets = {}
+    for i, j, k in itertools.combinations(range(len(keys)), 3):
+        cof = _cofactors(rows[i], rows[j], rows[k])
+        for m in range(k + 1, len(keys)):
+            dets[keys[i], keys[j], keys[k], keys[m]] = sum(x * y for x, y in zip(cof, rows[m]))
+    return dets
+
+
 def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     """Compare coplanarity-based admissibility on a section with the trope rule.
 
@@ -247,15 +304,13 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     general section the coplanar quadruples are exactly those lying on a
     trope-conic, so the two admissibility counts agree.
     """
-    from .lattice import det_bareiss
-
     pts = {n.syntheme: n.chart_point.coords for n in section.nodes if n.syntheme is not None}
     trope_sets = [set(t.incident_nodes) for t in section.tropes]
     synths = sorted(pts)
     coplanar: dict[tuple, bool] = {}
     accidental = 0
-    for quad in itertools.combinations(synths, 4):
-        flat = det_bareiss([pts[s] for s in quad]) == 0
+    for quad, det in quadruple_determinants(pts).items():
+        flat = det == 0
         coplanar[quad] = flat
         on_trope = any(set(quad) <= ts for ts in trope_sets)
         if on_trope and not flat:

@@ -333,6 +333,25 @@ def test_a_raising_picard_lattice_turns_each_involution_check_red(monkeypatch, t
         assert c["status"] == "fail" and c["error"]["type"] == "RuntimeError", c["id"]
 
 
+def test_a_doubled_goepel_node_turns_involution_relations_red(monkeypatch, tmp_path):
+    # pencil_classes refuses the Goepel pencils once E_16 is doubled where
+    # pentads reads it, so pencil_norms reads False and only the relations
+    # check fails, with the report still written
+    from quartic15 import involutions
+    from quartic15 import pentads as pt
+
+    monkeypatch.setattr(pt, "E", {**pt.E, (1, 6): 2 * pt.E[(1, 6)]})
+    rep = involutions.verify_relations()
+    assert not rep.pencil_norms
+    assert rep.goepel_conjugation and rep.reflection_routes_agree and rep.reye_fixes_pencils
+    path = tmp_path / "r.json"
+    code, _, _ = run_quiet(["--json", str(path), "involutions"])
+    checks = json.loads(path.read_text())["checks"]
+    assert code == 1 and [c["id"] for c in checks] == INVOLUTION_CHECKS
+    assert [c["id"] for c in checks if c["status"] == "fail"] == ["involution-relations"]
+    assert all("error" not in c for c in checks)
+
+
 def test_a_raising_variety_build_turns_each_threefold_check_red(monkeypatch, tmp_path):
     from quartic15 import varieties as va
 

@@ -178,6 +178,79 @@ def test_s6_orbits_rejects_non_action():
         s6_orbits(bogus, duads())
 
 
+def _generator_bfs_orbits(action, elements):
+    """The orbit partition by a search over the five generators, each orbit
+    in the given order of the elements, its first element the
+    representative, and the stabilizer counted over all of S6."""
+    elements = list(elements)
+    position = {x: i for i, x in enumerate(elements)}
+    seen, result = set(), []
+    for x in elements:
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for g in configs.S6_GENERATORS:
+                z = action(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        ordered = tuple(sorted(orbit, key=position.__getitem__))
+        stab = sum(1 for g in configs.s6_elements() if action(g, x) == x)
+        result.append((x, ordered, stab))
+        seen |= orbit
+    return result
+
+
+def _orbit_cases():
+    from quartic15 import pentads
+    from quartic15.nodal_surface import even_set_code, nodes_of_word, word_of_nodes
+
+    def act_total(g, t):
+        return tuple(sorted(apply_perm_syntheme(g, s) for s in t))
+
+    def act_trope(g, s):
+        return frozenset(apply_perm_duad(g, d) for d in s)
+
+    def act_word(g, w):
+        return word_of_nodes([apply_perm_duad(g, d) for d in nodes_of_word(w)], eta_bit=bool(w & 1))
+
+    return {
+        "duads": (apply_perm_duad, apply_perm_duad, duads()),
+        "synthemes": (apply_perm_syntheme, apply_perm_syntheme, synthemes()),
+        "totals": (act_total, act_total, [tuple(sorted(t)) for t in totals()]),
+        "tropes": (act_trope, act_trope, sorted(trope_node_sets().values(), key=sorted)),
+        "code words": (act_word, act_word, sorted(even_set_code().words)),
+        # the library's table action against the per-duad action
+        "pentads": (pentads._relabel, configs.apply_perm_duad_set, pentads.all_pentads()),
+    }
+
+
+@pytest.mark.parametrize("case", ["duads", "synthemes", "totals", "tropes", "code words", "pentads"])
+def test_s6_orbits_match_a_generator_search(case):
+    action, oracle_action, elements = _orbit_cases()[case]
+    got = [(o.representative, o.elements, o.stabilizer_order) for o in s6_orbits(action, elements)]
+    assert got == _generator_bfs_orbits(oracle_action, elements)
+    if case != "tropes":  # sorted input: the representative is the least element
+        assert all(rep == min(orbit) and orbit == tuple(sorted(orbit)) for rep, orbit, _ in got)
+    if case == "pentads":
+        from quartic15.pentads import orbit_partition
+
+        assert orbit_partition()[0] == tuple((rep, orbit) for rep, orbit, _ in got)
+
+
+def test_s6_orbits_refuses_an_open_set_and_a_broken_orbit_count():
+    with pytest.raises(ValueError, match="not closed"):
+        s6_orbits(apply_perm_duad, duads()[:3])
+
+    def lopsided(g, x):  # trivial on the checked generators, not an action
+        return x if g[5] == 6 else 1 - x
+
+    with pytest.raises(AssertionError, match="orbit-stabilizer"):
+        s6_orbits(lopsided, [0, 1])
+
+
 def test_trope_words_orbit_and_stabilizers():
     # weight-6 words = trope node sets: orbit 10, stabilizer 72
     sets = sorted(trope_node_sets().values(), key=sorted)

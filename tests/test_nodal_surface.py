@@ -12,7 +12,7 @@ import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
 from quartic15.exact import rref
-from quartic15.lattice import RowBasis, discriminant_q_multiset, orthogonal_complement, overlattice
+from quartic15.lattice import IntegerLattice, RowBasis, discriminant_q_multiset, orthogonal_complement, overlattice
 from quartic15.nodal_surface import (
     E,
     L_SET,
@@ -248,6 +248,21 @@ def test_a_perturbed_sigma_class_turns_the_kummer_embedding_red(monkeypatch, d):
     cert = kummer_embedding_check()
     assert not cert.pairings_preserved
     assert cert.image_in_lattice and cert.image_equals_complement and cert.gram_match
+
+
+def test_an_altered_kummer_ambient_entry_turns_the_kummer_embedding_red(monkeypatch):
+    # N_12's square doubled: inserting a zero N_0 entry no longer preserves
+    # the pairings, while the glued lattice, built before, is unchanged
+    kummer_model()
+    gram = [list(row) for row in ns.KUMMER_AMBIENT.gram]
+    i = 1 + ns.KUMMER_INDEX[(1, 2)]
+    assert gram[i][i] == -2
+    gram[i][i] = -4
+    monkeypatch.setattr(ns, "KUMMER_AMBIENT", IntegerLattice(gram))
+    cert = kummer_embedding_check()
+    assert not cert.pairings_preserved
+    assert cert.image_in_lattice and cert.image_orthogonal_to_n0
+    assert cert.image_equals_complement and cert.gram_match
 
 
 def test_pic_coordinates_names_a_class_off_the_lattice():

@@ -3,7 +3,10 @@ import itertools
 import networkx as nx
 import pytest
 
+import random
+
 from quartic15.configs import apply_perm_duad_set, s6_elements, trope_node_sets
+from quartic15.lattice import det_bareiss
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
     _one_edge_deletions,
@@ -15,7 +18,9 @@ from quartic15.pentads import (
     orbit_partition,
     orbit_table,
     pencil_classes,
+    quadruple_determinants,
     triple_criterion,
+    triple_rule,
 )
 
 TYPE_II = ((1, 5), (2, 3), (3, 4), (3, 5), (4, 5))
@@ -61,6 +66,27 @@ def test_inadmissible_four_on_trope():
     cls = classify(pentad)
     assert not cls.admissible and not cls.goepel
     assert cls.trope_triples  # the contained triples are recorded
+
+
+def test_classify_matches_the_set_definition_on_every_pentad():
+    # the definition on node sets: admissible when no trope holds four of the
+    # five nodes, Goepel when none holds three; every triple the meet of a
+    # trope holds is recorded, tropes in label order, triples sorted
+    tropes = sorted(trope_node_sets().items())
+    for p in all_pentads():
+        meets = [(label, sorted(set(p) & nodes)) for label, nodes in tropes]
+        triples = tuple((label, t) for label, meet in meets for t in itertools.combinations(meet, 3))
+        admissible = all(len(meet) <= 3 for _, meet in meets)
+        cls = classify(tuple(reversed(p)))
+        assert cls.pentad == p
+        assert (cls.admissible, cls.goepel, cls.trope_triples) == (admissible, admissible and not triples, triples)
+
+
+def test_classify_refuses_labels_that_are_no_nodes():
+    star = ((1, 2), (1, 3), (1, 4), (1, 5))
+    for bad in (star, star + ((1, 5),), star + ((6, 7),)):
+        with pytest.raises(ValueError, match="five distinct node labels"):
+            classify(bad)
 
 
 def test_admissibility_is_orbit_invariant():
@@ -120,6 +146,17 @@ def test_triple_criterion_matches_networkx():
     assert pairs == 30030
 
 
+def test_triple_rule_is_the_criterion_and_the_trope_incidence():
+    # tabled over all 455 triples; the two-edge rule holds exactly on the
+    # triples that lie on a trope-conic
+    assert triple_rule() is triple_rule()
+    triples = list(itertools.combinations(NODES, 3))
+    assert len(triples) == 455
+    assert triple_rule() == {t for t in triples if triple_criterion(t)}
+    tropes = trope_node_sets().values()
+    assert triple_rule() == {t for t in triples if any(set(t) <= nodes for nodes in tropes)}
+
+
 def test_graph_criterion_readings_match_networkx():
     # both readings against an independent test on every pentad: a deletion
     # leaves two components, a 3-cycle and a single edge
@@ -177,6 +214,29 @@ def test_geometric_admissibility_crosscheck():
     assert report.coplanar_quadruples == 150 == 10 * 15  # C(6,4) per trope
     assert report.accidental_quadruples == 0
     assert report.geometric_admissible == report.combinatorial_admissible == 1593
+
+
+def test_cofactor_determinants_match_bareiss_on_the_reference_section():
+    from quartic15.varieties import hyperplane_section
+
+    section = hyperplane_section((1, 2, 3, 5, 7, 11))
+    pts = {n.syntheme: n.chart_point.coords for n in section.nodes if n.syntheme is not None}
+    dets = quadruple_determinants(pts)
+    assert list(dets) == list(itertools.combinations(sorted(pts), 4)) and len(dets) == 1365
+    for quad, det in dets.items():
+        assert det == det_bareiss([pts[s] for s in quad]), quad
+    assert sum(det == 0 for det in dets.values()) == 150
+
+
+def test_cofactor_determinants_match_bareiss_on_random_points():
+    # integer points of mixed sign and size, with repeated and dependent rows
+    rng = random.Random(25)
+    for _ in range(40):
+        pts = {k: [rng.randint(-9, 9) for _ in range(4)] for k in range(7)}
+        pts[5] = [a - 2 * b for a, b in zip(pts[0], pts[1])]
+        pts[6] = [rng.randint(-10**12, 10**12) for _ in range(4)]
+        for quad, det in quadruple_determinants(pts).items():
+            assert det == det_bareiss([pts[k] for k in quad]), (pts, quad)
 
 
 def test_pencil_classes_every_admissible_orbit():

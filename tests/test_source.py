@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quartic15
@@ -222,3 +225,23 @@ def test_bench_tracer_keys_name_library_functions():
     keys = set(re.findall(r'stat\("([\w.]+)"\)', worker.read_text()))
     assert len(keys) >= 15
     assert {key for key in keys if _resolve(key) is None} == STALE_BENCH_KEYS
+
+
+def test_importing_every_module_fills_no_cache():
+    # the tables built on first use (the S6 node tables and the triple rule
+    # of `pentads` among them) stay unbuilt when a fresh interpreter imports
+    # every module, so the import time does not grow with them
+    code = (
+        "import importlib, pkgutil, quartic15\n"
+        "for m in pkgutil.iter_modules(quartic15.__path__):\n"
+        "    module = importlib.import_module('quartic15.' + m.name)\n"
+        "    for name, obj in vars(module).items():\n"
+        "        if hasattr(obj, 'cache_info') and obj.__module__ == module.__name__:\n"
+        "            print(m.name + '.' + name, obj.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sizes = dict(line.split() for line in proc.stdout.splitlines())
+    assert {"pentads.node_tables", "pentads.triple_rule", "pentads.orbit_partition"} <= sizes.keys()
+    assert {name for name, size in sizes.items() if size != "0"} == set()
