@@ -508,7 +508,9 @@ def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
 @dataclass(frozen=True)
 class Overlattice:
     lattice: IntegerLattice
-    basis: RowBasis  # the new basis in old coordinates: HNF rows over basis.den
+    # the new basis in old coordinates, integer rows over basis.den: the HNF
+    # rows from `overlattice`, or any basis of the same lattice in their place
+    basis: RowBasis
     index: int
 
 
@@ -577,7 +579,8 @@ class RowBasis:
         self.pivots = self._pivots()
         # echelon form: strictly increasing pivots, a zero row would come last
         if any(a >= b for a, b in zip(self.pivots, self.pivots[1:])) or self.pivots[-1] == self.ncols:
-            self.hnf, self.transform = hermite_normal_form(self.rows)
+            self.hnf, u = hermite_normal_form(self.rows)
+            self.transform = _sparse_rows(u)  # U as its sparse rows
             self.pivots = self._pivots()
             if self.pivots[-1] == self.ncols:
                 raise ValueError("basis rows must be linearly independent")
@@ -606,7 +609,12 @@ class RowBasis:
             return None
         if self.transform is None:
             return y
-        return [sum(c * t[j] for c, t in zip(y, self.transform)) for j in range(len(self.transform))]
+        x = [0] * len(self.rows)  # y·U, over the nonzero entries of y and U
+        for c, urow in zip(y, self.transform):
+            if c:
+                for j, u in urow:
+                    x[j] += c * u
+        return x
 
     def vector(self, x: Sequence[int]) -> list[int]:
         """The numerators of x·B over den."""

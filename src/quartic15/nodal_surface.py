@@ -1,9 +1,14 @@
 """Arithmetic model of the minimal resolution of a general 15-nodal quartic.
 
 The Picard lattice is realized as an overlattice of <4> + A1^15 glued by the
-binary even-set code: basis eta (the hyperplane class, eta^2 = 4) and one
-exceptional class E_x of norm -2 per node x, nodes indexed by the duads of
-{1,...,6}.  The splitting fixed once here is L = duads avoiding 6 (the ten
+binary even-set code, in the coordinates eta (the hyperplane class,
+eta^2 = 4) and one exceptional class E_x of norm -2 per node x, nodes
+indexed by the duads of {1,...,6}.  It is certified on the Hermite normal
+form of the glued generators and handed out on a basis of 16 named classes:
+eta, the five glue classes sigma(E_d), d in CODE_BASIS_DUADS, and the ten
+E_x off the pivots CODE_PIVOTS (the systematic form of the code's generator
+matrix), whose sparse rows make the isometry products cheaper.  The
+splitting fixed once here is L = duads avoiding 6 (the ten
 conic-type nodes) and C = duads containing 6 (the five quartic-type nodes);
 every other splitting is an S6 translate.  Each named class (sigma(E_x),
 sigma(eta), eta_star, B̃, the Reye and pentad roots) is one coefficient map
@@ -202,6 +207,9 @@ class EvenSetCode:
 
 
 CODE_BASIS_DUADS = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
+# for each d in CODE_BASIS_DUADS, the one node of its trope set T_d that lies
+# in none of the other four: the information set of the code's generators
+CODE_PIVOTS = ((3, 5), (1, 4), (2, 5), (1, 3), (2, 4))
 
 
 @lru_cache(maxsize=None)
@@ -275,32 +283,67 @@ def standard_classes() -> dict[str, DivisorClass]:
 
 @lru_cache(maxsize=None)
 def picard_lattice() -> Overlattice:
-    """Rank-16 overlattice of AMBIENT glued by the five code generators.
+    """Rank-16 overlattice of AMBIENT glued by the five code generators, on
+    the named basis `picard_basis_classes()`, built once.
 
-    Its basis holds integer rows over `basis.den` in the coordinates
+    The lattice is built and certified on the Hermite normal form of the
+    glued generators; every class of `standard_classes()` must lie in it.
+    The named basis is then certified to span the same lattice: each named
+    class has integer coordinates on the HNF basis, each HNF row has integer
+    coordinates on the named basis, and the named Gram is divisible by den².
+    The basis holds integer rows over `basis.den` in the coordinates
     (eta, E_x), so a class reaches the lattice through `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
+    hnf, den = over.basis, over.basis.den
     for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
-        if over.basis.coordinates(cls.nums, cls.den) is None:
+        if hnf.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
-    return over
+    rows = []
+    for i, cls in enumerate(_named_basis_classes()):
+        coords = hnf.coordinates(cls.nums, cls.den)
+        if coords is None:
+            raise AssertionError(f"named basis class {i} must lie in the Picard lattice")
+        rows.append(hnf.vector(coords))
+    named = RowBasis(rows, den)
+    for i, row in enumerate(hnf.rows):
+        if named.coordinates(row, den) is None:
+            raise AssertionError(f"HNF basis row {i} must lie in the span of the named basis")
+    gram = mat_mul(mat_mul(rows, AMBIENT.gram), mat_transpose(rows))
+    if any(x % (den * den) for row in gram for x in row):
+        raise AssertionError("the Gram matrix of the named basis must be integral")
+    return Overlattice(IntegerLattice([[x // (den * den) for x in row] for row in gram]), named, over.index)
 
 
 def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
-    """The integer coordinates of a class on the Picard basis; a class off
-    the lattice raises ValueError naming `what`."""
+    """The integer coordinates of a class on the named Picard basis; a class
+    off the lattice raises ValueError naming `what`."""
     coords = picard_lattice().basis.coordinates(cls.nums, cls.den)
     if coords is None:
         raise ValueError(f"{what} is not in the Picard lattice")
     return coords
 
 
+def _named_basis_classes() -> list[DivisorClass]:
+    """eta, the glue classes sigma(E_d) = (eta − sum_{x in T_d} E_x)/2 for d in
+    CODE_BASIS_DUADS, and the ten E_x with x off CODE_PIVOTS.  Each pivot's
+    E_x is eta − 2 sigma(E_d) minus the other five E of T_d, which are all
+    named, so these classes span the glued lattice; `picard_lattice`
+    certifies it."""
+    return (
+        [ETA]
+        + [sigma_class(d) for d in CODE_BASIS_DUADS]
+        + [E[x] for x in NODES if x not in CODE_PIVOTS]
+    )
+
+
 def picard_basis_classes() -> list[DivisorClass]:
-    """The basis of the Picard lattice as divisor classes."""
+    """The named basis of the Picard lattice as divisor classes, read off the
+    cached lattice: eta, the five sigma(E_d) for d in CODE_BASIS_DUADS and the
+    ten E_x with x off CODE_PIVOTS."""
     basis = picard_lattice().basis
     return [DivisorClass(tuple(row), basis.den) for row in basis.rows]
 

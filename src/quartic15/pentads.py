@@ -170,10 +170,22 @@ def _triangle_plus_segment(masks: Sequence[int]) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def quadruple_rule() -> frozenset[tuple[Duad, Duad, Duad, Duad]]:
+    """The sorted node quadruples whose edges are a triangle plus a
+    vertex-disjoint segment (`_triangle_plus_segment`), tabled once over all
+    1,365, on first use."""
+    return frozenset(
+        q for q in itertools.combinations(NODES, 4) if _triangle_plus_segment([_mask(e) for e in q])
+    )
+
+
 def _one_edge_deletions(pentad: Pentad) -> list[bool]:
-    """For each edge, whether deleting it leaves a disjoint triangle+segment."""
-    masks = [_mask(e) for e in pentad]
-    return [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(len(masks))]
+    """For each edge of a sorted pentad, whether deleting it leaves a disjoint
+    triangle+segment: the four other edges, sorted as well, are looked up in
+    `quadruple_rule()`."""
+    rule = quadruple_rule()
+    return [pentad[:i] + pentad[i + 1 :] in rule for i in range(len(pentad))]
 
 
 def triple_criterion(triple: Sequence[Duad]) -> bool:

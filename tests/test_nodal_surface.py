@@ -390,3 +390,91 @@ def test_divisor_class_integer_arithmetic():
         DivisorClass((1,) * 16, 0)
     with pytest.raises(TypeError):
         DivisorClass((Fraction(1, 2),) + (0,) * 15)
+
+
+# -- the named Picard basis ----------------------------------------------------------
+
+
+def _hnf_basis():
+    """The Hermite normal form basis the Picard lattice is certified on."""
+    return overlattice(ns.AMBIENT, [sigma_class(d).nums for d in ns.CODE_BASIS_DUADS], 2).basis
+
+
+def _gram_det(sympy, rows, den):
+    """det of the Gram matrix of rows/den, by sympy."""
+    m = sympy.Matrix(rows) / den
+    return (m * sympy.Matrix(ns.AMBIENT.gram) * m.T).det()
+
+
+def test_picard_basis_classes_are_the_named_classes():
+    tropes = ns.trope_node_sets()
+    for i, (d, pivot) in enumerate(zip(ns.CODE_BASIS_DUADS, ns.CODE_PIVOTS)):
+        # each pivot lies in T_d for its own d and in no other of the five
+        assert [pivot in tropes[e] for e in ns.CODE_BASIS_DUADS] == [j == i for j in range(5)]
+    named = (
+        [ns.ETA]
+        + [(ns.ETA - sum((E[x] for x in tropes[d]), DivisorClass.make())) / 2 for d in ns.CODE_BASIS_DUADS]
+        + [E[x] for x in ns.NODES if x not in {(3, 5), (1, 4), (2, 5), (1, 3), (2, 4)}]
+    )
+    assert picard_basis_classes() == named
+
+
+def test_named_basis_is_a_unimodular_change_of_the_hnf_basis():
+    sympy = pytest.importorskip("sympy")
+    hnf, named = _hnf_basis(), picard_lattice().basis
+    assert named.den == hnf.den == 2
+    # both containments: each basis has integer coordinates on the other
+    to_named = [named.coordinates(row, hnf.den) for row in hnf.rows]
+    to_hnf = [hnf.coordinates(row, named.den) for row in named.rows]
+    assert None not in to_named and None not in to_hnf
+    assert sympy.Matrix(to_named).det() in (1, -1)
+    assert sympy.Matrix(to_named) * sympy.Matrix(to_hnf) == sympy.eye(16)
+    assert _gram_det(sympy, hnf.rows, 2) == _gram_det(sympy, named.rows, 2) == -128
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        # sigma(E_12) for its pivot E_35: the 16 classes span an index-2 sublattice
+        (E[(3, 5)], "HNF basis row 0 must lie in the span of the named basis"),
+        # sigma(E_12) for half of E_12, which is off the lattice
+        (E[(1, 2)] / 2, "named basis class 1 must lie in the Picard lattice"),
+    ],
+)
+def test_a_wrong_named_basis_makes_picard_lattice_raise(monkeypatch, swap, message):
+    real = ns._named_basis_classes()
+    classes = real[:1] + [swap] + real[2:]
+    monkeypatch.setattr(ns, "_named_basis_classes", lambda: classes)
+    ns.picard_lattice.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            ns.picard_lattice()
+    finally:
+        ns.picard_lattice.cache_clear()
+
+
+def test_the_pivot_swap_spans_an_index_two_sublattice():
+    sympy = pytest.importorskip("sympy")
+    classes = picard_basis_classes()
+    classes[1] = E[(3, 5)]
+    rows = [[x * (2 // c.den) for x in c.nums] for c in classes]
+    assert _gram_det(sympy, rows, 2) == -512 == 2**2 * -128
+
+
+def test_the_named_basis_check_survives_optimize_flag():
+    # the same pivot swap under -O, where a bare assert would vanish
+    code = (
+        "import quartic15.nodal_surface as ns\n"
+        "real = ns._named_basis_classes()\n"
+        "ns._named_basis_classes = lambda: real[:1] + [ns.E[(3, 5)]] + real[2:]\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    ns.picard_lattice()\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised HNF basis row 0 must lie in the span of the named basis" in proc.stdout

@@ -9,7 +9,10 @@ from quartic15.configs import apply_perm_duad_set, s6_elements, trope_node_sets
 from quartic15.lattice import det_bareiss
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
+    CriterionReport,
+    _mask,
     _one_edge_deletions,
+    _triangle_plus_segment,
     all_pentads,
     classify,
     classify_all,
@@ -19,6 +22,7 @@ from quartic15.pentads import (
     orbit_table,
     pencil_classes,
     quadruple_determinants,
+    quadruple_rule,
     triple_criterion,
     triple_rule,
 )
@@ -168,6 +172,40 @@ def test_graph_criterion_readings_match_networkx():
     for p in all_pentads():
         deletions = [triangle_plus_segment([e for e in p if e != edge]) for edge in p]
         assert _one_edge_deletions(p) == deletions
+
+
+def test_quadruple_rule_is_the_triangle_plus_segment_table():
+    # tabled once, read-only, over all 1,365 sorted quadruples
+    assert quadruple_rule() is quadruple_rule() and isinstance(quadruple_rule(), frozenset)
+    quads = list(itertools.combinations(NODES, 4))
+    assert len(quads) == 1365
+    for q in quads:
+        assert (q in quadruple_rule()) == _triangle_plus_segment([_mask(e) for e in q]), q
+
+
+def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
+    # the report against the loop that tests every 4-edge subset of every
+    # pentad on its own, with the same tallies and first mismatch per orbit
+    classes = classify_all()
+    _, rep_of = orbit_partition()
+    agree = [0, 0]
+    mismatches = [{}, {}]
+    for p, cls in classes.items():
+        masks = [_mask(e) for e in p]
+        deletions = [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(5)]
+        for k, reading in enumerate((any(deletions), all(deletions))):
+            agree[k] += reading == cls.admissible
+            if reading != cls.admissible:
+                mismatches[k].setdefault(rep_of[p], (rep_of[p], cls.admissible, reading))
+    expected = CriterionReport(
+        total=3003,
+        agree_exists=agree[0],
+        agree_forall=agree[1],
+        mismatch_orbits_exists=tuple(sorted(mismatches[0].values())),
+        mismatch_orbits_forall=tuple(sorted(mismatches[1].values())),
+        triple_rule_agrees=True,
+    )
+    assert graph_criterion_crosscheck() == expected
 
 
 def test_triple_criterion_examples():

@@ -228,8 +228,8 @@ def test_bench_tracer_keys_name_library_functions():
 
 
 def test_importing_every_module_fills_no_cache():
-    # the tables built on first use (the S6 node tables and the triple rule
-    # of `pentads` among them) stay unbuilt when a fresh interpreter imports
+    # the tables built on first use (the S6 node tables and the triple and
+    # quadruple rules of `pentads` among them) stay unbuilt when a fresh interpreter imports
     # every module, so the import time does not grow with them
     code = (
         "import importlib, pkgutil, quartic15\n"
@@ -243,5 +243,10 @@ def test_importing_every_module_fills_no_cache():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     sizes = dict(line.split() for line in proc.stdout.splitlines())
-    assert {"pentads.node_tables", "pentads.triple_rule", "pentads.orbit_partition"} <= sizes.keys()
+    assert {
+        "pentads.node_tables",
+        "pentads.triple_rule",
+        "pentads.quadruple_rule",
+        "pentads.orbit_partition",
+    } <= sizes.keys()
     assert {name for name, size in sizes.items() if size != "0"} == set()
