@@ -14,13 +14,16 @@ basis the lattice is certified on, so the 6,006 full products below take
 2,260,736 multiply-adds instead of 4,504,124.  The 3003 pentad roots
 skip the class arithmetic: coordinates are linear, so each root's integer
 coordinates are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.
-Each matrix is certified integral by exact division, then involutive and
-Gram-preserving by `Isometry.involutive_isometry`: the full product M·M,
-and, once M² = 1, the full product M·G tested for symmetry, which is
-equivalent to M·G·M^T = G.  That method sparsifies each M once, for both
-factors of M·M and the left factor of M·G, and reads the sparse rows of G
-from a cache keyed by the Gram tuple, so the Gram matrix is sparsified once
-for all 3003 reflections.
+Each reflection is certified integral by exact division, then involutive
+and Gram-preserving by the full product M·M and, once M² = 1, the full
+product M·G tested for symmetry, which is equivalent to M·G·M^T = G.  The
+3003 pentad reflections are built as sparse rows straight from their roots
+(`lattice.reflection_rows`), and those rows are both factors of M·M and the
+left factor of M·G (`lattice.involutive_rows`), so no dense matrix is built
+for them; the sparse rows of G come from a cache keyed by the Gram tuple,
+so the Gram matrix is sparsified once for all 3003 reflections.  The Reye
+reflection is certified by `Isometry.involutive_isometry`, which hands the
+sparse rows of its matrix to the same check.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
-from .lattice import Isometry, reflection_isometry
+from .lattice import Isometry, involutive_rows, reflection_isometry, reflection_rows
 from .nodal_surface import (
     C_SET,
     E,
@@ -239,19 +242,21 @@ def verify_all_pentad_reflections():
     """Certify every one of the 3003 pentad reflections.
 
     Returns (count, all_integral, all_gram_preserving, all_involutive).  The
-    roots come from `pentad_root_coordinates`; each reflection is the same
-    matrix `tau_pentad_star` builds through the divisor-class route.
+    roots come from `pentad_root_coordinates`; each reflection is built as
+    sparse rows by `lattice.reflection_rows`, whose dense form is the matrix
+    `tau_pentad_star` builds through the divisor-class route, and those rows
+    go straight into the two full products of `lattice.involutive_rows`.
     """
     lat = picard_lattice().lattice
     count = integral = isometric = involutive = 0
     for pentad, w in pentad_root_coordinates():
         count += 1
         try:
-            iso = reflection_isometry(lat, w, _pentad_name(pentad))
+            rows = reflection_rows(lat, w, _pentad_name(pentad))
         except ValueError:
             continue
         integral += 1
-        squares_to_one, preserves = iso.involutive_isometry(lat)
+        squares_to_one, preserves = involutive_rows(rows, lat)
         isometric += preserves
         involutive += squares_to_one
     return count, integral, isometric, involutive

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt, lcm
-from operator import index, mul
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -676,23 +677,9 @@ class Isometry:
         return image == [list(r) for r in gram]
 
     def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
-        """(M·M = 1, M·G·M^T = G), exactly, from two full products.
-
-        M is sparsified once, here, and serves as both factors of M·M and as
-        the left factor of M·G; the sparse rows of G are built once per Gram
-        matrix (`_sparse_gram`).  If M² = 1 then M^T is its own inverse, so
-        M·G·M^T = G holds iff M·G = G·M^T, and G·M^T = (M·G)^T because G is
-        symmetric (which `IntegerLattice` guarantees): the Gram test becomes
-        the symmetry of A = M·G.  A matrix with M² ≠ 1 gets the full
-        `preserves_gram`.
-        """
-        _check_length(self.matrix, lat.rank, "isometry matrix")
-        n = self.rank
-        m = _sparse_rows(self.matrix)
-        if _sparse_product(m, m, n) != _identity(n):
-            return False, self.preserves_gram(lat.gram)
-        a = _sparse_product(m, _sparse_gram(lat.gram), n)
-        return True, a == mat_transpose(a)
+        """(M·M = 1, M·G·M^T = G), exactly: `involutive_rows` on the sparse
+        rows of M."""
+        return involutive_rows(_sparse_rows(self.matrix), lat)
 
     def trace(self) -> int:
         return sum(self.matrix[i][i] for i in range(self.rank))
@@ -703,20 +690,50 @@ class Isometry:
         return self.rank - len(bareiss(delta)[1])
 
 
-def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
-    """The reflection v -> v − 2(v·r)/(r·r)·r, for an integer r of norm −2 or −4.
+def involutive_rows(rows: Sequence[Sequence[tuple[int, int]]], lat: IntegerLattice) -> tuple[bool, bool]:
+    """(M·M = 1, M·G·M^T = G), exactly, for M given by its sparse rows, from
+    two full products.
 
-    For norm −4 the map is integral only if every basis vector pairs evenly
-    with r; the first offending basis vector is named otherwise.  A
-    non-integral entry of r is refused, never truncated.
+    The rows of M serve as both factors of M·M and as the left factor of
+    M·G; the sparse rows of G are built once per Gram matrix
+    (`_sparse_gram`).  If M² = 1 then M^T is its own inverse, so
+    M·G·M^T = G holds iff M·G = G·M^T, and G·M^T = (M·G)^T because G is
+    symmetric (which `IntegerLattice` guarantees): the Gram test becomes the
+    symmetry of A = M·G.  A matrix with M² ≠ 1 gets the full
+    `Isometry.preserves_gram`.
     """
-    _check_length(r, lat.rank, "reflection vector")
-    r = [x if type(x) is int else _as_int(x, 0, j) for j, x in enumerate(r)]
-    gr = [sum(map(mul, row, r)) for row in lat.gram]  # e_i·r
-    rr = sum(map(mul, r, gr))
+    n = lat.rank
+    _check_length(rows, n, "isometry matrix")
+    if _sparse_product(rows, rows, n) != _identity(n):
+        return False, Isometry("M", _dense_rows(rows, n)).preserves_gram(lat.gram)
+    a = _sparse_product(rows, _sparse_gram(lat.gram), n)
+    return True, a == mat_transpose(a)
+
+
+def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sparse rows of the reflection v -> v − 2(v·r)/(r·r)·r, for an
+    integer r of norm −2 or −4, built from the nonzero entries of r.
+
+    e_i·r is the combination of the Gram rows on the support of r (G is
+    symmetric).  Row i is ((i, 1),) when e_i ⟂ r, and otherwise
+    e_i − 2(e_i·r)/(r·r)·r over the support of r and i, in column order,
+    with a zero entry dropped.  For norm −4 the map is integral only if
+    every basis vector pairs evenly with r; the first offending basis vector
+    is named otherwise.  A non-integral entry of r is refused, never
+    truncated.
+    """
+    n = lat.rank
+    _check_length(r, n, "reflection vector")
+    support = [(j, x if type(x) is int else _as_int(x, 0, j)) for j, x in enumerate(r) if x]
+    gr = [0] * n  # e_i·r
+    gram = _sparse_gram(lat.gram)
+    for j, x in support:
+        for i, g in gram[j]:
+            gr[i] += x * g
+    rr = sum(x * gr[j] for j, x in support)
     if rr not in (-2, -4):
         raise ValueError(f"{name}: reflection vector must have norm -2 or -4, got {rr}")
-    units = _unit_rows(lat.rank)
+    cols = [j for j, _ in support]
     rows = []
     for i, p in enumerate(gr):
         coeff, rem = divmod(-2 * p, rr)
@@ -724,18 +741,38 @@ def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Iso
             raise ValueError(
                 f"{name}: non-integral reflection: basis vector {i} pairs oddly with r (v·r = {p})"
             )
-        if coeff:
-            row = [coeff * x for x in r]
-            row[i] += 1
-            rows.append(tuple(row))
+        if not coeff:
+            rows.append(((i, 1),))  # e_i ⟂ r is fixed
+            continue
+        row = [(j, coeff * x) for j, x in support]
+        k = bisect_left(cols, i)
+        if k < len(cols) and cols[k] == i:
+            y = row[k][1] + 1
+            if y:
+                row[k] = (i, y)
+            else:
+                del row[k]
         else:
-            rows.append(units[i])  # e_i ⟂ r is fixed
-    return Isometry(name, tuple(rows))
+            row.insert(k, (i, 1))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return _freeze(mat_identity(n))
+def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
+    """The reflection in r as an `Isometry`: the dense form of
+    `reflection_rows`, with its refusals."""
+    return Isometry(name, _dense_rows(reflection_rows(lat, r, name), lat.rank))
+
+
+def _dense_rows(rows: Iterable[Iterable[tuple[int, int]]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix with n columns whose sparse rows are rows."""
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

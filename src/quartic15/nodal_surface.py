@@ -23,6 +23,7 @@ of the sixteenth exceptional class.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -289,10 +290,12 @@ def picard_lattice() -> Overlattice:
     The lattice is built and certified on the Hermite normal form of the
     glued generators; every class of `standard_classes()` must lie in it.
     The named basis is then certified to span the same lattice: each named
-    class has integer coordinates on the HNF basis, each HNF row has integer
-    coordinates on the named basis, and the named Gram is divisible by den².
-    The basis holds integer rows over `basis.den` in the coordinates
-    (eta, E_x), so a class reaches the lattice through `pic_coordinates`.
+    class has integer coordinates on the HNF basis (the rows of an integer
+    matrix T), and each HNF row has integer coordinates on the named basis.
+    The named Gram is T·G·T^T, with G the Gram matrix of the glued lattice,
+    so it is integral by construction.  The basis holds integer rows over
+    `basis.den` in the coordinates (eta, E_x), so a class reaches the
+    lattice through `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
@@ -302,20 +305,18 @@ def picard_lattice() -> Overlattice:
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
         if hnf.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
-    rows = []
+    coords = []
     for i, cls in enumerate(_named_basis_classes()):
-        coords = hnf.coordinates(cls.nums, cls.den)
-        if coords is None:
+        c = hnf.coordinates(cls.nums, cls.den)
+        if c is None:
             raise AssertionError(f"named basis class {i} must lie in the Picard lattice")
-        rows.append(hnf.vector(coords))
-    named = RowBasis(rows, den)
+        coords.append(c)
+    named = RowBasis([hnf.vector(c) for c in coords], den)
     for i, row in enumerate(hnf.rows):
         if named.coordinates(row, den) is None:
             raise AssertionError(f"HNF basis row {i} must lie in the span of the named basis")
-    gram = mat_mul(mat_mul(rows, AMBIENT.gram), mat_transpose(rows))
-    if any(x % (den * den) for row in gram for x in row):
-        raise AssertionError("the Gram matrix of the named basis must be integral")
-    return Overlattice(IntegerLattice([[x // (den * den) for x in row] for row in gram]), named, over.index)
+    gram = mat_mul(mat_mul(coords, over.lattice.gram), mat_transpose(coords))
+    return Overlattice(IntegerLattice(gram), named, over.index)
 
 
 def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
@@ -486,21 +487,32 @@ def discriminant_comparison() -> DiscriminantComparison:
     )
 
 
-def _weight4_duals_are_cycles() -> bool:
-    from collections import Counter
+def _weight4_dual_quadruples() -> list[tuple[Duad, ...]]:
+    """The node quadruples whose half-sum (sum of the four E_x)/2 lies in the
+    dual of the Picard lattice.
 
-    count = 0
-    for combo in itertools.combinations(NODES, 4):
-        if not is_dual_vector(DivisorClass.make(nodes=dict.fromkeys(combo, 1)) / 2):
-            continue
-        count += 1
-        deg = Counter()
-        for a, b in combo:
-            deg[a] += 1
-            deg[b] += 1
-        if not (len(deg) == 4 and all(v == 2 for v in deg.values())):
-            return False
-    return count == 45
+    By linearity the half-sum pairs with the named basis row b_j = row/den
+    as the sum of the four integer pairings E_x·row over 2·den, so it is
+    dual exactly when the four rows of the 15×16 table of E_x·row sum to 0
+    mod 2·den in every column; the table is built once per call.
+    """
+    basis = picard_lattice().basis
+    mod = 2 * basis.den
+    table = {x: [AMBIENT.form(E[x].nums, row) % mod for row in basis.rows] for x in NODES}
+    return [
+        combo
+        for combo in itertools.combinations(NODES, 4)
+        if not any(sum(col) % mod for col in zip(*(table[x] for x in combo)))
+    ]
+
+
+def _weight4_duals_are_cycles() -> bool:
+    """The dual weight-4 half-sums are exactly the 45 four-cycles among the
+    duad labels: four duads on four labels, each label in two of them."""
+    quadruples = _weight4_dual_quadruples()
+    return len(quadruples) == 45 and all(
+        sorted(Counter(a for duad in q for a in duad).values()) == [2, 2, 2, 2] for q in quadruples
+    )
 
 
 # -- the Kummer model ---------------------------------------------------------------

@@ -261,24 +261,29 @@ def test_swapped_kummer_tropes_turn_the_kummer_embedding_red(monkeypatch):
 
 
 def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
+    # the loop multiplies the sparse rows of `reflection_rows`: one entry
+    # bumped there is seen by its two full products
     from quartic15 import involutions
     from quartic15.lattice import Isometry
     from quartic15.nodal_surface import picard_lattice
 
     target = "tau_P(12,13,14,15,16)"
-    real = involutions.reflection_isometry
+    real = involutions.reflection_rows
     mutants = []
 
     def bumped(lat, r, name):
-        iso = real(lat, r, name)
+        rows = real(lat, r, name)
         if name != target:
-            return iso
-        rows = [list(row) for row in iso.matrix]
-        rows[0][0] += 1
-        mutants.append(Isometry(name, tuple(map(tuple, rows))))
-        return mutants[-1]
+            return rows
+        dense = [[0] * lat.rank for _ in rows]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                dense[i][j] = x
+        dense[0][0] += 1
+        mutants.append(Isometry(name, tuple(map(tuple, dense))))
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in dense)
 
-    monkeypatch.setattr(involutions, "reflection_isometry", bumped)
+    monkeypatch.setattr(involutions, "reflection_rows", bumped)
     code, report, _ = run_quiet(["involutions"])
     check = next(c for c in report.checks if c["id"] == "pentad-reflections")
     assert code == 1 and check["status"] == "fail"
@@ -291,6 +296,23 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
         f"3003 pentad reflections: 3003 integral, {isometric} Gram-preserving, "
         f"{involutive} involutive"
     )
+
+
+def test_a_perturbed_node_class_turns_the_weight4_census_red(monkeypatch):
+    # E_15 (in none of the classically quoted generators) read as E_15 + E_23
+    # by the pairing table: the dual half-sums are no longer the 45 four-cycles
+    from quartic15 import nodal_surface as ns
+
+    ns.picard_lattice()  # built from the true classes before the patch
+    code, report, _ = run_quiet(["lattice"])
+    passing = next(c for c in report.checks if c["id"] == "picard-discriminant")
+    assert passing["status"] == "pass"
+    monkeypatch.setitem(ns.E, (1, 5), ns.E[(1, 5)] + ns.E[(2, 3)])
+    assert not ns._weight4_duals_are_cycles()
+    code, report, _ = run_quiet(["lattice"])
+    failing = next(c for c in report.checks if c["id"] == "picard-discriminant")
+    assert code == 1 and failing["status"] == "fail"
+    assert failing["details"] == passing["details"]
 
 
 INVOLUTION_CHECKS = ["sigma-star", "tau-rey-images", "involution-relations", "pentad-reflections", "pentad-naturality"]

@@ -1,8 +1,9 @@
 import pytest
 
-from quartic15.configs import s6_elements
+from quartic15.configs import apply_perm_duad_set, s6_elements
 from quartic15.involutions import (
     GOEPEL_PENTAD,
+    NATURALITY_SAMPLE,
     _apply_to_class,
     pentad_naturality_spot_check,
     pentad_root,
@@ -15,7 +16,7 @@ from quartic15.involutions import (
     tau_rey_star,
     verify_relations,
 )
-from quartic15.lattice import Isometry, reflection_isometry
+from quartic15.lattice import Isometry, _sparse_gram, _sparse_rows, reflection_isometry, reflection_rows
 from quartic15.nodal_surface import (
     C_SET,
     E,
@@ -27,6 +28,7 @@ from quartic15.nodal_surface import (
     picard_lattice,
     sigma_class,
 )
+from quartic15.pentads import all_pentads
 
 
 @pytest.fixture(scope="module")
@@ -169,19 +171,57 @@ def test_pentad_root_coordinates_match_the_class_route(model):
 
 
 def test_the_pentad_products_take_the_multiply_adds_of_the_named_basis(model):
-    # `involutive_isometry` forms M·M and M·G over the sparse rows of M and G:
-    # row i of a product costs, for each nonzero M[i][k], the length of row k
-    # of the right factor.  On the named basis the 6,006 products of the 3003
-    # pentad reflections cost 2,260,736 multiply-adds (4,504,124 on the HNF
-    # basis), over a Gram matrix with 76 nonzero entries
-    def lengths(matrix):
-        return [sum(1 for x in row if x) for row in matrix]
-
-    gram = lengths(model.lattice.gram)
+    # the loop forms M·M and M·G over the sparse rows `reflection_rows` gives
+    # it and the sparse rows of G: row i of a product costs, for each entry
+    # (k, x) of row i of M, the length of row k of the right factor.  On the
+    # named basis the 6,006 products of the 3003 pentad reflections cost
+    # 2,260,736 multiply-adds (4,504,124 on the HNF basis), over a Gram
+    # matrix with 76 nonzero entries
+    gram = [len(row) for row in _sparse_gram(model.lattice.gram)]
     assert sum(gram) == 76
     total = 0
     for pentad, w in pentad_root_coordinates():
-        m = reflection_isometry(model.lattice, w, "r").matrix
-        own = lengths(m)
-        total += sum(own[k] + gram[k] for row in m for k, x in enumerate(row) if x)
+        m = reflection_rows(model.lattice, w, "r")
+        own = [len(row) for row in m]
+        total += sum(own[k] + gram[k] for row in m for k, _ in row)
     assert total == 2_260_736
+
+
+def _dense_reflection(gram, r):
+    """The reflection in r, row by row from its dense definition
+    e_i − 2(e_i·r)/(r·r)·r, as the library built it before its sparse rows."""
+    gr = [sum(g * x for g, x in zip(row, r)) for row in gram]
+    rr = sum(x * y for x, y in zip(r, gr))
+    rows = []
+    for i, p in enumerate(gr):
+        coeff, rem = divmod(-2 * p, rr)
+        assert rem == 0
+        row = [coeff * x for x in r]
+        row[i] += 1
+        rows.append(row)
+    return rows
+
+
+def test_reflection_rows_are_the_sparse_rows_of_the_dense_reflection(model):
+    gram = model.lattice.gram
+    for pentad, w in pentad_root_coordinates():
+        rows = reflection_rows(model.lattice, w, "r")
+        assert [list(row) for row in rows] == _sparse_rows(_dense_reflection(gram, w)), pentad
+        assert all(x for row in rows for _, x in row), pentad
+
+
+def test_tau_pentad_star_is_the_dense_form_of_the_rows(model):
+    # the 12 pentads P and g(P) of the naturality spot check, through the
+    # divisor-class route of `tau_pentad_star`
+    perms, pentads = s6_elements(), all_pentads()
+    for k in range(NATURALITY_SAMPLE):
+        p = pentads[(211 * k + 5) % len(pentads)]
+        for q in (p, apply_perm_duad_set(perms[(37 * k + 11) % len(perms)], p)):
+            tau = tau_pentad_star(q)
+            w = model.basis.coordinates(pentad_root(q).nums)
+            rows = reflection_rows(model.lattice, w, tau.name)
+            dense = [[0] * 16 for _ in rows]
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    dense[i][j] = x
+            assert tau.matrix == tuple(map(tuple, dense)), q

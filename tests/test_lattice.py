@@ -27,8 +27,10 @@ from quartic15.lattice import (
     mat_mul,
     named_lattice,
     orthogonal_complement,
+    involutive_rows,
     overlattice,
     reflection_isometry,
+    reflection_rows,
     smith_normal_form,
 )
 
@@ -241,6 +243,17 @@ def test_reflection_refuses_a_non_integral_root():
     assert reflection_isometry(lat, [2], "s").matrix == ((-1,),)
     with pytest.raises(ValueError, match="1 entries, expected 2"):
         reflection_isometry(named_lattice("diag(-2,-2)"), [1], "s")
+
+
+def test_reflection_rows_drop_a_cancelled_diagonal_entry():
+    # r = (1, 1) in diag(-2, -2) has norm -4 and e_0 -> e_0 − (1, 1) = (0, −1):
+    # the sparse row stores no zero at its own diagonal, and the dense form
+    # is the signed swap
+    lat = named_lattice("diag(-2,-2)")
+    rows = reflection_rows(lat, [1, 1], "s")
+    assert rows == (((1, -1),), ((0, -1),))
+    assert reflection_isometry(lat, [1, 1], "s").matrix == ((0, -1), (-1, 0))
+    assert involutive_rows(rows, lat) == (True, True)
 
 
 def test_involutive_isometry_cases():

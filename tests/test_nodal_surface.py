@@ -478,3 +478,30 @@ def test_the_named_basis_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "raised HNF basis row 0 must lie in the span of the named basis" in proc.stdout
+
+
+def test_the_named_gram_is_the_ambient_gram_of_the_named_rows():
+    # T·G·T^T from the glued Gram equals B·AMBIENT·B^T/den² for the named
+    # rows B over den = 2, formed here without the library's products
+    model = picard_lattice()
+    rows, den = model.basis.rows, model.basis.den
+    g = ns.AMBIENT.gram
+    expected = []
+    for u in rows:
+        line = []
+        for v in rows:
+            total = sum(u[i] * g[i][j] * v[j] for i in range(16) for j in range(16))
+            assert total % (den * den) == 0
+            line.append(total // (den * den))
+        expected.append(tuple(line))
+    assert model.lattice.gram == tuple(expected)
+
+
+def test_the_pairing_table_finds_the_dual_half_sums_of_is_dual_vector():
+    # the table route against one `is_dual_vector` call per half-sum, over
+    # all 1,365 node quadruples
+    quadruples = list(itertools.combinations(ns.NODES, 4))
+    assert len(quadruples) == 1365
+    dual = [q for q in quadruples if ns.is_dual_vector(DivisorClass.make(nodes=dict.fromkeys(q, 1)) / 2)]
+    assert len(dual) == 45
+    assert ns._weight4_dual_quadruples() == dual
