@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import __version__
@@ -36,12 +35,17 @@ from .lattice import direct_sum, mat_mul, named_lattice, smith_normal_form
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
 
-@dataclass
 class Report:
     tool_version: str
     seed: int
     argv: list[str]
-    checks: list[dict] = field(default_factory=list)
+    checks: list[dict]
+
+    def __init__(self, tool_version: str, seed: int, argv: list[str], checks: list[dict] | None = None):
+        self.tool_version = tool_version
+        self.seed = seed
+        self.argv = argv
+        self.checks = [] if checks is None else checks
 
     @property
     def failed(self) -> bool:

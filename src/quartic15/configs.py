@@ -10,9 +10,8 @@ sorted pairs, 3-subsets up to complement by the one that contains 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 Duad = tuple[int, int]
 Syntheme = tuple[Duad, Duad, Duad]
@@ -121,8 +120,7 @@ def trope_node_sets() -> dict[Duad, frozenset[Duad]]:
 # -- marked graphs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkedGraph:
+class MarkedGraph(NamedTuple):
     """Vertices with integer marks h(x); edges carry multiplicities."""
 
     vertices: tuple[Hashable, ...]
@@ -222,8 +220,7 @@ def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
 # -- incidence structures ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(NamedTuple):
     points: tuple[Hashable, ...]
     blocks: tuple[Hashable, ...]
     matrix: tuple[tuple[bool, ...], ...]  # rows = points, cols = blocks
@@ -240,6 +237,7 @@ class IncidenceStructure:
         )
 
 
+@lru_cache(maxsize=None)
 def trope_incidence_model() -> IncidenceStructure:
     """Nodes (synthemes) vs trope planes (3-subsets): type (15_4, 10_6).
 
@@ -248,7 +246,8 @@ def trope_incidence_model() -> IncidenceStructure:
     blocks come in the order of `synthemes()` and `three_subsets()`, the
     order in which a hyperplane section labels its nodes and tropes, so a
     section's incidence certifies by equality with this model: the labels
-    are the isomorphism.
+    are the isomorphism.  Built once, on first use; the record is all
+    tuples, so the cached copy cannot go stale.
     """
     pts = synthemes()
     blocks = three_subsets()
@@ -277,8 +276,7 @@ def cremona_richmond_model() -> IncidenceStructure:
 # -- S6 orbits ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: Hashable
     elements: tuple
     stabilizer_order: int

@@ -9,13 +9,12 @@ singular-point table is solved by exhaustive enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .configs import TABLE1_COLUMNS
 
 
-@dataclass(frozen=True)
-class CongruenceInvariants:
+class CongruenceInvariants(NamedTuple):
     g: int
     deg_focal: int
     deg_l_curve: int
@@ -50,8 +49,7 @@ def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
     )
 
 
-@dataclass(frozen=True)
-class TwoNProfile:
+class TwoNProfile(NamedTuple):
     invariants: CongruenceInvariants
     expected_nodes: int  # 18 - n singular points on the focal quartic
 
@@ -70,8 +68,7 @@ def two_n_profile(n: int) -> TwoNProfile:
     return TwoNProfile(invariants=inv, expected_nodes=18 - n)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
+class AlphaVector(NamedTuple):
     """Counts alpha_i of focal singular points with cone degree i."""
 
     counts: tuple[int, int, int, int, int, int]  # alpha_1 ... alpha_6
@@ -123,8 +120,7 @@ def published_columns(n: int) -> list[AlphaVector]:
     return cols
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(NamedTuple):
     with_node_count: tuple[AlphaVector, ...]
     without_node_count_total: int
     published_found: bool

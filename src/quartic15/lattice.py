@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 IntMatrix = list[list[int]]
 
@@ -276,7 +275,6 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 # -- lattices ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntegerLattice:
     """Basis-free lattice data: a symmetric integer Gram matrix.
 
@@ -286,13 +284,21 @@ class IntegerLattice:
 
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        g = _freeze(self.gram)
-        object.__setattr__(self, "gram", g)
+    __slots__ = ("gram",)
+
+    def __init__(self, gram: Iterable[Iterable[int]]):
+        g = _freeze(gram)
         if any(len(r) != len(g) for r in g):
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(len(g))):
             raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "gram", g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntegerLattice is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerLattice) and self.gram == other.gram
 
     @property
     def rank(self) -> int:
@@ -439,8 +445,7 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
 # -- discriminant groups -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAbelianInvariants:
+class FiniteAbelianInvariants(NamedTuple):
     """Discriminant group data: invariant factors, generators, and q-values.
 
     Generator i is the dual vector generators[i]/invariant_factors[i]: an
@@ -506,8 +511,7 @@ def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
 # -- overlattices ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(NamedTuple):
     lattice: IntegerLattice
     # the new basis in old coordinates, integer rows over basis.den: the HNF
     # rows from `overlattice`, or any basis of the same lattice in their place
@@ -650,8 +654,7 @@ def orthogonal_complement(
 # -- isometries --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """A named integer isometry matrix: row i is the image of basis vector i."""
 
     name: str

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .configs import Duad, apply_perm_duad, duads, trope_node_sets
 from .lattice import (
@@ -60,7 +59,6 @@ RANK = 16  # eta plus 15 exceptional classes
 AMBIENT = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 15)
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """Divisor class nums/den in coordinates over (eta, E_x).
 
@@ -71,17 +69,32 @@ class DivisorClass:
     """
 
     nums: tuple[int, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self):
-        if len(self.nums) != RANK:
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple[int, ...], den: int = 1):
+        if len(nums) != RANK:
             raise ValueError("divisor class needs 16 coordinates")
-        if self.den <= 0:
+        if den <= 0:
             raise ValueError("the denominator of a divisor class must be positive")
-        g = gcd(self.den, *self.nums)
+        g = gcd(den, *nums)
         if g != 1:
-            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
-            object.__setattr__(self, "den", self.den // g)
+            nums, den = tuple(x // g for x in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DivisorClass is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, DivisorClass) and self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"DivisorClass(nums={self.nums!r}, den={self.den!r})"
 
     @classmethod
     def make(cls, eta: int = 0, nodes: Mapping[Duad, int] | None = None) -> "DivisorClass":
@@ -185,8 +198,7 @@ def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
 # -- even-set code -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvenSetCode:
+class EvenSetCode(NamedTuple):
     """Binary code of (weakly) even node sets; bit 0 marks the eta coefficient."""
 
     words: frozenset[int]
@@ -424,8 +436,7 @@ CLASSICAL_DISCRIMINANT_GENERATORS: tuple[tuple[Fraction, dict], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DiscriminantComparison:
+class DiscriminantComparison(NamedTuple):
     pic_invariants: FiniteAbelianInvariants
     groups_match: bool
     q_match_negated: bool
@@ -583,8 +594,7 @@ def kummer_node_trope_pairings() -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class KummerEmbeddingCertificate:
+class KummerEmbeddingCertificate(NamedTuple):
     pairings_preserved: bool
     image_in_lattice: bool
     image_orthogonal_to_n0: bool

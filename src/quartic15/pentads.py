@@ -11,10 +11,9 @@ divisor classes with their exact degeneration identities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .configs import Duad, Perm, apply_perm_duad, s6_elements, s6_orbits, trope_node_sets
 from .nodal_surface import (
@@ -37,8 +36,7 @@ NODE_BIT = {d: 1 << i for d, i in NODE_INDEX.items()}
 TROPE_MASKS = tuple((label, sum(map(NODE_BIT.__getitem__, nodes))) for label, nodes in sorted(TROPES.items()))
 
 
-@dataclass(frozen=True)
-class PentadClass:
+class PentadClass(NamedTuple):
     pentad: Pentad
     admissible: bool
     goepel: bool
@@ -84,8 +82,7 @@ def classify_all() -> Mapping[Pentad, PentadClass]:
 # -- orbits --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PentadOrbit:
+class PentadOrbit(NamedTuple):
     representative: Pentad
     size: int
     admissible: bool
@@ -209,8 +206,7 @@ def triple_rule() -> frozenset[tuple[Duad, Duad, Duad]]:
     return frozenset(t for t in itertools.combinations(NODES, 3) if triple_criterion(t))
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     total: int
     agree_exists: int
     agree_forall: int
@@ -264,8 +260,7 @@ def graph_criterion_crosscheck() -> CriterionReport:
 # -- geometric coplanarity cross-check ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoplanarityReport:
+class CoplanarityReport(NamedTuple):
     coplanar_quadruples: int
     accidental_quadruples: int
     geometric_admissible: int
@@ -346,8 +341,7 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
 # -- elliptic pencil classes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilData:
+class PencilData(NamedTuple):
     classes: tuple[DivisorClass, ...]  # F_1, ..., F_5
     half_sum: DivisorClass
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import index, mul, not_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .configs import (
     Duad,
@@ -81,7 +80,6 @@ class ProjectivePoint:
         return f"ProjectivePoint{self.coords}"
 
 
-@dataclass(frozen=True)
 class LinearSubspace:
     """Linear subspace as integer reduced row echelon rows over one denominator.
 
@@ -104,25 +102,38 @@ class LinearSubspace:
     den: int
     nvars: int
 
-    def __post_init__(self):
-        for row in self.rows:
-            _check_length(row, self.nvars, "equation row")
-        object.__setattr__(self, "rows", tuple(tuple(map(index, row)) for row in self.rows))
-        lead = [next((i for i, x in enumerate(row) if x), self.nvars) for row in self.rows]
+    def __init__(self, rows: Sequence[Sequence[int]], den: int, nvars: int):
+        for row in rows:
+            _check_length(row, nvars, "equation row")
+        rows = tuple(tuple(map(index, row)) for row in rows)
+        lead = [next((i for i, x in enumerate(row) if x), nvars) for row in rows]
         if (
-            self.den < 1
-            or lead[-1:] == [self.nvars]
+            den < 1
+            or lead[-1:] == [nvars]
             or any(a >= b for a, b in zip(lead, lead[1:]))
             or any(
-                row[c] != (self.den if r == k else 0)
-                for r, row in enumerate(self.rows)
+                row[c] != (den if r == k else 0)
+                for r, row in enumerate(rows)
                 for k, c in enumerate(lead)
             )
         ):
             raise ValueError("equation rows must be in reduced row echelon form over a positive den")
-        g = gcd(self.den, *(x for row in self.rows for x in row))
-        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in self.rows))
-        object.__setattr__(self, "den", self.den // g)
+        g = gcd(den, *(x for row in rows for x in row))
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nvars", nvars)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearSubspace is immutable")
+
+    def _key(self) -> tuple:
+        return self.rows, self.den, self.nvars
+
+    def __eq__(self, other):
+        return isinstance(other, LinearSubspace) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
@@ -188,7 +199,6 @@ class LinearSubspace:
 SUM_ZERO = LinearSubspace.from_equations([ONES], NVARS)
 
 
-@dataclass(frozen=True)
 class Hypersurface:
     """Homogeneous form together with ambient linear constraints.
 
@@ -204,14 +214,19 @@ class Hypersurface:
     form: MultiPoly
     ambient: LinearSubspace
 
-    def __post_init__(self):
-        if not self.form.is_homogeneous():
+    def __init__(self, form: MultiPoly, ambient: LinearSubspace):
+        if not form.is_homogeneous():
             raise ValueError("form must be homogeneous")
-        if self.ambient.nvars != self.form.nvars:
-            raise ValueError(
-                f"ambient subspace has {self.ambient.nvars} variables, the form {self.form.nvars}"
-            )
-        object.__setattr__(self, "form", self.form.scale(self.form.den))
+        if ambient.nvars != form.nvars:
+            raise ValueError(f"ambient subspace has {ambient.nvars} variables, the form {form.nvars}")
+        object.__setattr__(self, "form", form.scale(form.den))
+        object.__setattr__(self, "ambient", ambient)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hypersurface is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Hypersurface) and (self.form, self.ambient) == (other.form, other.ambient)
 
     @cached_property
     def gradient(self) -> tuple[MultiPoly, ...]:
@@ -334,13 +349,11 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
 # -- node certification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SmoothPointFailure:
     """Typed failure: the point lies on the variety but is smooth there."""
 
 
-@dataclass(frozen=True)
-class NodeCertificate:
+class NodeCertificate(NamedTuple):
     hessian_rank: int
     is_ordinary: bool
     chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
@@ -412,8 +425,7 @@ def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
 # -- duality -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityImage:
+class DualityImage(NamedTuple):
     source: ProjectivePoint
     point: ProjectivePoint
     quartic_value: int  # exact CR value at the image, must be 0
@@ -455,8 +467,7 @@ def duality_plane_to_line(s: Syntheme) -> bool:
 # -- cardinal restrictions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CardinalRestriction:
+class CardinalRestriction(NamedTuple):
     scale: Fraction
     square_root: MultiPoly  # conic q with restriction = scale * q^2
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
@@ -486,23 +497,20 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
 # -- hyperplane sections -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TropeRecord:
+class TropeRecord(NamedTuple):
     subset: tuple[int, int, int]
     conic: MultiPoly  # in the 3 plane parameters
     incident_nodes: tuple[Syntheme, ...]
 
 
-@dataclass(frozen=True)
-class SectionNode:
+class SectionNode(NamedTuple):
     syntheme: Syntheme | None  # None for the tangency node of a tangent section
     ambient: ProjectivePoint  # 6-coordinate representative
     chart_point: ProjectivePoint  # 4-coordinate representative in the section chart
     certificate: NodeCertificate
 
 
-@dataclass(frozen=True)
-class SectionModel:
+class SectionModel(NamedTuple):
     """A hyperplane section of the quartic as a nodal surface in P^3."""
 
     hyperplane: tuple[int, ...]  # primitive integer coefficients, sum zero

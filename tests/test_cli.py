@@ -43,15 +43,13 @@ def test_section_reference_checks_pass_without_scan():
 def _section_with_tropes(monkeypatch, mutate):
     """Run `section` on the reference hyperplane with its trope records
     passed through `mutate`; returns the section-incidence check."""
-    import dataclasses
-
     from quartic15 import varieties as va
 
     real = va.hyperplane_section
 
     def mutated(coeffs):
         model = real(coeffs)
-        return dataclasses.replace(model, tropes=mutate(model.tropes))
+        return model._replace(tropes=mutate(model.tropes))
 
     monkeypatch.setattr(va, "hyperplane_section", mutated)
     code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11"])
@@ -60,14 +58,12 @@ def _section_with_tropes(monkeypatch, mutate):
 
 
 def test_a_flipped_incidence_entry_turns_section_incidence_red(monkeypatch):
-    import dataclasses
-
     from quartic15.configs import synthemes
 
     def flip(tropes):
         first = tropes[0]
         outside = next(s for s in synthemes() if s not in first.incident_nodes)
-        return (dataclasses.replace(first, incident_nodes=first.incident_nodes + (outside,)),) + tropes[1:]
+        return (first._replace(incident_nodes=first.incident_nodes + (outside,)),) + tropes[1:]
 
     check = _section_with_tropes(monkeypatch, flip)
     assert check["status"] == "fail"
@@ -78,13 +74,11 @@ def test_swapped_trope_labels_turn_section_incidence_red(monkeypatch):
     # two tropes trade their node sets: the incidence is still of type
     # (15_4, 10_6) and isomorphic to the model, but its labels are wrong,
     # and the labels are what the check certifies
-    import dataclasses
-
     def swap(tropes):
         a, b = tropes[0], tropes[1]
         return (
-            dataclasses.replace(a, incident_nodes=b.incident_nodes),
-            dataclasses.replace(b, incident_nodes=a.incident_nodes),
+            a._replace(incident_nodes=b.incident_nodes),
+            b._replace(incident_nodes=a.incident_nodes),
         ) + tropes[2:]
 
     check = _section_with_tropes(monkeypatch, swap)
@@ -267,13 +261,13 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
     from quartic15.lattice import Isometry
     from quartic15.nodal_surface import picard_lattice
 
-    target = "tau_P(12,13,14,15,16)"
+    target = dict(involutions.pentad_root_coordinates())[((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))]
     real = involutions.reflection_rows
     mutants = []
 
     def bumped(lat, r, name):
         rows = real(lat, r, name)
-        if name != target:
+        if list(r) != target:
             return rows
         dense = [[0] * lat.rank for _ in rows]
         for i, row in enumerate(rows):
@@ -320,15 +314,13 @@ INVOLUTION_CHECKS = ["sigma-star", "tau-rey-images", "involution-relations", "pe
 
 def test_involution_checks_read_the_picard_lattice_they_are_given(monkeypatch):
     # one Gram entry changed: the pentad reflections are no longer isometries
-    import dataclasses
-
     from quartic15 import involutions
     from quartic15.lattice import IntegerLattice
 
     real = involutions.picard_lattice()
     gram = [list(row) for row in real.lattice.gram]
     gram[1][1] += 2
-    bent = dataclasses.replace(real, lattice=IntegerLattice(gram))
+    bent = real._replace(lattice=IntegerLattice(gram))
     monkeypatch.setattr(involutions, "picard_lattice", lambda: bent)
     code, report, _ = run_quiet(["involutions"])
     check = next(c for c in report.checks if c["id"] == "pentad-reflections")

@@ -128,6 +128,12 @@ def test_trope_incidence_model():
             assert all(len({1, 2, 3} & set(d)) == 1 for d in s)
 
 
+def test_trope_incidence_model_is_built_once():
+    # the section builder and the section-incidence check share one record
+    assert trope_incidence_model() is trope_incidence_model()
+    assert trope_incidence_model() == trope_incidence_model.__wrapped__()  # a fresh build
+
+
 def test_cremona_richmond_model():
     inc = cremona_richmond_model()
     assert inc.is_configuration(3, 3)

@@ -161,22 +161,21 @@ def test_functions_reached_only_by_tests_are_listed_with_their_claim():
         assert _resolve(live) is not None and name in referenced, f"{key}: {live} is no live homonym"
 
 
-def _dataclass_fields() -> dict[str, str]:
-    """Every dataclass field in the library, "module.Class.field" -> field,
-    with the classes that read all their fields through
-    `__dataclass_fields__`."""
+def _record_fields() -> dict[str, str]:
+    """Every field the library declares, "module.Class.field" -> field: the
+    annotated names in a class body, which are the fields of a `NamedTuple`
+    record and the attributes a plain value class sets in `__init__`.  The
+    classes that read all their fields through `_fields` are left out."""
     fields, by_fields = {}, set()
     for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=path.name)
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            if not any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
-                continue
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     fields[f"{path.stem}.{cls.name}.{stmt.target.id}"] = stmt.target.id
-            if any(isinstance(n, ast.Attribute) and n.attr == "__dataclass_fields__" for n in ast.walk(cls)):
+            if any(isinstance(n, ast.Attribute) and n.attr == "_fields" for n in ast.walk(cls)):
                 by_fields.add(f"{path.stem}.{cls.name}")
     return {key: name for key, name in fields.items() if key.rsplit(".", 1)[0] not in by_fields}
 
@@ -190,10 +189,10 @@ def _loaded_attributes() -> set[str]:
     return names
 
 
-# Dataclass fields that no library code reads, each kept for the claim its
+# Record fields that no library code reads, each kept for the claim its
 # tests certify or for the reader named.  Every other field is loaded as an
 # attribute somewhere in the library (or, for a report read whole, through
-# `__dataclass_fields__`); a field nothing reads is deleted, not listed.
+# `_fields`); a field nothing reads is deleted, not listed.
 FIELDS_READ_ONLY_BY_TESTS = {
     "configs.MarkedGraph.marks": "the vertex marks h(x) of the conjugacy graphs and the multiplicity rule max(h+h'-n, 0)",
     "configs.Orbit.stabilizer_order": "the stabilizers 48, 120 and 72 of the nodes, totals and tropes, and of the code words",
@@ -204,10 +203,10 @@ FIELDS_READ_ONLY_BY_TESTS = {
 }
 
 
-def test_every_dataclass_field_is_read_or_listed_with_its_claim():
-    fields = _dataclass_fields()
+def test_every_record_field_is_read_or_listed_with_its_claim():
+    fields = _record_fields()
     stale = [key for key in FIELDS_READ_ONLY_BY_TESTS if key not in fields]
-    assert not stale, f"listed fields that are no dataclass field: {stale}"
+    assert not stale, f"listed fields that are no record field: {stale}"
     loaded = _loaded_attributes()
     unread = sorted(key for key, name in fields.items() if name not in loaded and key not in FIELDS_READ_ONLY_BY_TESTS)
     assert not unread, f"fields that nothing in the library reads: {unread}"
@@ -250,3 +249,21 @@ def test_importing_every_module_fills_no_cache():
         "pentads.orbit_partition",
     } <= sizes.keys()
     assert {name for name, size in sizes.items() if size != "0"} == set()
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # records are NamedTuples and value types plain classes: importing the
+    # CLI pulls in neither `dataclasses` nor, through it, `inspect`, and no
+    # other module of the package brings `dataclasses` back
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import quartic15.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        "for m in pkgutil.iter_modules(quartic15.__path__):\n"
+        "    importlib.import_module('quartic15.' + m.name)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False"]

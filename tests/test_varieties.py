@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import math
@@ -647,8 +646,27 @@ def test_cardinal_restriction_is_one_shared_frozen_record():
     for subset in three_subsets():
         res = cardinal_restriction(subset)
         assert cardinal_restriction(subset) is res
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        scale = res.scale
+        with pytest.raises(AttributeError):
             res.scale = Fraction(1)
+        assert res.scale == scale
+
+
+def test_value_classes_refuse_assignment():
+    from quartic15.lattice import IntegerLattice
+    from quartic15.nodal_surface import ETA
+
+    values = [
+        (IntegerLattice(((2,),)), "gram"),
+        (ETA, "den"),
+        (varieties.SUM_ZERO, "rows"),
+        (build_variety("cr"), "ambient"),
+    ]
+    for value, name in values:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        assert getattr(value, name) is before
 
 
 def test_scan_segre_f11(segre):
