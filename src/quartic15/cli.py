@@ -541,7 +541,7 @@ def checks_congruence(r: Runner, m: int, n: int, rank: int):
             f"deg|l| {invs.deg_l_curve}, deg(P) {invs.deg_p_surface}, branch degree {invs.deg_branch_locus}"
         )
 
-    r.run(f"congruence[{m},{n},{rank}]", "the closed-form invariants evaluate consistently", run)
+    r.run(f"congruence[{m},{n},{rank}]", "the closed-form invariants are evaluated from the formulas", run)
 
 
 def checks_table1(r: Runner, n: int):

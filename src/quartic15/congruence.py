@@ -25,27 +25,21 @@ class CongruenceInvariants(NamedTuple):
 def invariants(m: int, n: int, r: int) -> CongruenceInvariants:
     """All derived invariants of a bidegree-(m, n) congruence of rank r.
 
-    The two expressions for the focal degree (2m + 2g − 2 and 2n(m−1) − 2r)
-    and for the branch degree (4(mn−r) − 2(m+n) and 4(g−1) + 2(m+n)) must
-    agree; both identities are re-checked on every call.
+    With g = (m−1)(n−1) − r the focal degree 2m + 2g − 2 equals 2n(m−1) − 2r
+    and the branch degree 4(mn−r) − 2(m+n) equals 4(g−1) + 2(m+n) for every
+    input, so each is evaluated once (the tests prove both identities).
     """
     if m < 2 or n < 2:
         raise ValueError("order and class must both be at least 2")
     g = (m - 1) * (n - 1) - r
     if r < 0 or g < 0:
         raise ValueError(f"rank must lie in [0, {(m - 1) * (n - 1)}]")
-    deg_focal = 2 * m + 2 * g - 2
-    if deg_focal != 2 * n * (m - 1) - 2 * r:
-        raise AssertionError("focal degree identities disagree")
-    deg_branch = 4 * (m * n - r) - 2 * (m + n)
-    if deg_branch != 4 * (g - 1) + 2 * (m + n):
-        raise AssertionError("branch degree identities disagree")
     return CongruenceInvariants(
         g=g,
-        deg_focal=deg_focal,
+        deg_focal=2 * m + 2 * g - 2,
         deg_l_curve=n * (n - 1) // 2 + r,
         deg_p_surface=m * (m - 1) // 2 + r,
-        deg_branch_locus=deg_branch,
+        deg_branch_locus=4 * (m * n - r) - 2 * (m + n),
     )
 
 
@@ -55,17 +49,11 @@ class TwoNProfile(NamedTuple):
 
 
 def two_n_profile(n: int) -> TwoNProfile:
-    """The order-2 specialization: g = 1, r = n−2, focal surface a quartic."""
+    """The order-2 specialization r = n−2: g = 1, a quartic focal surface,
+    branch degree 2(n+2) and deg(P) = n−1, by algebra for every n."""
     if not 2 <= n <= 7:
         raise ValueError("the order-2 family requires 2 <= n <= 7")
-    inv = invariants(2, n, n - 2)
-    if not (inv.g == 1 and inv.deg_focal == 4):
-        raise AssertionError("the order-2 family has g = 1 and a quartic focal surface")
-    if inv.deg_branch_locus != 2 * (n + 2):
-        raise AssertionError("the order-2 branch locus has degree 2(n + 2)")
-    if inv.deg_p_surface != n - 1:
-        raise AssertionError("the order-2 surface (P) has degree n - 1")
-    return TwoNProfile(invariants=inv, expected_nodes=18 - n)
+    return TwoNProfile(invariants=invariants(2, n, n - 2), expected_nodes=18 - n)
 
 
 class AlphaVector(NamedTuple):

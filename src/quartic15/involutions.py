@@ -1,11 +1,12 @@
-"""Certified involutive isometries of the rank-16 Picard lattice.
+"""Certified isometries of the rank-16 Picard lattice.
 
-Three families: the covering involution sigma* (determined by its images on
+Four families: the covering involution sigma* (determined by its images on
 the hyperplane and exceptional classes), the Reye reflection in the norm -4
-vector 2*eta - sum_L E, and one pentad reflection in 3*eta - 2*sum_P E per
-5-subset P of nodes.  Every one is a `lattice.Isometry` on the named Z-basis
-of the one Picard lattice (eta, the five glue classes sigma(E_d) and the ten
-E_x off the code's pivots; `nodal_surface.picard_basis_classes`), which each
+vector 2*eta - sum_L E, one pentad reflection in 3*eta - 2*sum_P E per
+5-subset P of nodes, and the S6 relabelings of the nodes.  Every one is a
+`lattice.Isometry`, held by its sparse rows, on the named Z-basis of the
+one Picard lattice (eta, the five glue classes sigma(E_d) and the ten E_x
+off the code's pivots; `nodal_surface.picard_basis_classes`), which each
 function reads from the cached `picard_lattice()`; a class reaches that
 basis through its integer coordinates `nodal_surface.pic_coordinates`.  On
 that basis the Gram matrix has 76 nonzero entries and the median pentad
@@ -14,16 +15,11 @@ basis the lattice is certified on, so the 6,006 full products below take
 2,260,736 multiply-adds instead of 4,504,124.  The 3003 pentad roots
 skip the class arithmetic: coordinates are linear, so each root's integer
 coordinates are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.
-Each reflection is certified integral by exact division, then involutive
-and Gram-preserving by the full product M·M and, once M² = 1, the full
-product M·G tested for symmetry, which is equivalent to M·G·M^T = G.  The
-3003 pentad reflections are built as sparse rows straight from their roots
-(`lattice.reflection_rows`), and those rows are both factors of M·M and the
-left factor of M·G (`lattice.involutive_rows`), so no dense matrix is built
-for them; the sparse rows of G come from a cache keyed by the Gram tuple,
-so the Gram matrix is sparsified once for all 3003 reflections.  The Reye
-reflection is certified by `Isometry.involutive_isometry`, which hands the
-sparse rows of its matrix to the same check.
+A reflection is built from its root by `lattice.reflection_rows` (integral
+by exact division); sigma* and the relabelings sparsify the coordinates of
+their class images once.  One certificate, `Isometry.involutive_isometry`,
+decides involutive and Gram-preserving for all four families by full
+products over the rows: M·M and, once M² = 1, the symmetry of M·G.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -34,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
-from .lattice import Isometry, involutive_rows, reflection_isometry, reflection_rows
+from .lattice import Isometry, _sparse_rows, reflection_rows
 from .nodal_surface import (
     C_SET,
     E,
@@ -56,15 +52,15 @@ from .pentads import all_pentads, pencil_classes
 Pentad = tuple[Duad, Duad, Duad, Duad, Duad]
 
 
-def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> Isometry:
-    """Matrix rows from the images of the Picard basis, certified integral."""
-    rows = tuple(
-        tuple(pic_coordinates(img, f"{name}: image of basis vector {i}")) for i, img in enumerate(images)
-    )
-    iso = Isometry(name, rows)
-    if not iso.preserves_gram(picard_lattice().lattice.gram):
+def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> tuple[Isometry, bool]:
+    """The isometry whose row i is the image of basis vector i, certified
+    integral and Gram-preserving, with whether it squares to the identity."""
+    coords = (pic_coordinates(img, f"{name}: image of basis vector {i}") for i, img in enumerate(images))
+    iso = Isometry(name, _sparse_rows(coords))
+    involutive, isometric = iso.involutive_isometry(picard_lattice().lattice)
+    if not isometric:
         raise ValueError(f"{name}: Gram form not preserved")
-    return iso
+    return iso, involutive
 
 
 def sigma_star() -> Isometry:
@@ -79,8 +75,8 @@ def sigma_star() -> Isometry:
         return out / cls.den
 
     images = [image_of(b) for b in picard_basis_classes()]
-    iso = _isometry_from_class_images("sigma", images)
-    if not iso.is_involution():
+    iso, involutive = _isometry_from_class_images("sigma", images)
+    if not involutive:
         raise AssertionError("sigma* must square to the identity")
     return iso
 
@@ -88,7 +84,7 @@ def sigma_star() -> Isometry:
 def _root_reflection(name: str, root: DivisorClass) -> Isometry:
     """Reflection in a root of the lattice, through its integer coordinates."""
     w = pic_coordinates(root, f"{name}: the root")
-    return reflection_isometry(picard_lattice().lattice, w, name)
+    return reflection_rows(picard_lattice().lattice, w, name)
 
 
 def tau_rey_star() -> Isometry:
@@ -131,7 +127,7 @@ def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
 def s6_isometry(g: Sequence[int]) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
     images = [b.permuted(g) for b in picard_basis_classes()]
-    return _isometry_from_class_images(f"perm{tuple(g)}", images)
+    return _isometry_from_class_images(f"perm{tuple(g)}", images)[0]
 
 
 # -- verification of the classical identities ---------------------------------
@@ -154,7 +150,9 @@ class ReyeImageReport(NamedTuple):
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
     basis = picard_lattice().basis
-    pic = pic_coordinates(cls, f"{iso.name}: the class {cls}")
+    pic = basis.coordinates(cls.nums, cls.den)
+    if pic is None:  # the text is built only for a class off the lattice
+        raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
     return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
 
 
@@ -210,7 +208,7 @@ def verify_relations() -> RelationReport:
     tau = tau_rey_star()
     goepel = tau_pentad_star(GOEPEL_PENTAD)
     conj = sig.compose(tau).compose(sig)
-    goepel_conj = conj.matrix == goepel.matrix
+    goepel_conj = conj.rows == goepel.rows
     # independent route: sigma maps the Reye root to the Goepel root
     routes = _apply_to_class(sig, reye_root()) == pentad_root(GOEPEL_PENTAD)
     try:  # pencil_classes refuses pencils that break any pencil identity
@@ -239,21 +237,20 @@ def verify_all_pentad_reflections():
     """Certify every one of the 3003 pentad reflections.
 
     Returns (count, all_integral, all_gram_preserving, all_involutive).  The
-    roots come from `pentad_root_coordinates`; each reflection is built as
-    sparse rows by `lattice.reflection_rows`, whose dense form is the matrix
-    `tau_pentad_star` builds through the divisor-class route, and those rows
-    go straight into the two full products of `lattice.involutive_rows`.
+    roots come from `pentad_root_coordinates`; each reflection is built by
+    `lattice.reflection_rows`, the isometry `tau_pentad_star` builds through
+    the divisor-class route, and certified by `Isometry.involutive_isometry`.
     """
     lat = picard_lattice().lattice
     count = integral = isometric = involutive = 0
     for _, w in pentad_root_coordinates():
         count += 1
         try:
-            rows = reflection_rows(lat, w, "tau_P")  # the name is read only by the error, swallowed here
+            tau = reflection_rows(lat, w, "tau_P")  # the name is read only by the error, swallowed here
         except ValueError:
             continue
         integral += 1
-        squares_to_one, preserves = involutive_rows(rows, lat)
+        squares_to_one, preserves = tau.involutive_isometry(lat)
         isometric += preserves
         involutive += squares_to_one
     return count, integral, isometric, involutive
@@ -273,7 +270,7 @@ def pentad_naturality_spot_check() -> bool:
         giso = s6_isometry(g)
         ginv = s6_isometry(_inverse_perm(g))
         lhs = ginv.compose(tau_pentad_star(p)).compose(giso)
-        if lhs.matrix != tau_pentad_star(gp).matrix:
+        if lhs.rows != tau_pentad_star(gp).rows:
             return False
     return True
 

@@ -5,11 +5,13 @@ transformation matrix as the one unimodular eliminator, the Smith normal
 form and orthogonal complements derived from it (every transform
 re-verified on every call), discriminant groups with their Q/2Z-valued
 quadratic forms, even overlattices from glue vectors, integer coordinates
-over a row basis, and the `Isometry` type with reflections.
+over a row basis, and the one `Isometry` type with reflections.
 
 Vector convention: lattice vectors are row coordinate lists; an isometry is
 a matrix whose i-th row is the image of the i-th basis vector, so it acts by
-v -> v·M and preserves the form iff M·G·M^T = G.
+v -> v·M and preserves the form iff M·G·M^T = G.  An `Isometry` holds only
+its sparse rows (the nonzero (column, entry) pairs of each row, in column
+order), and every product, trace and certificate is taken over them.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return _sparse_product(_sparse_rows(a), _sparse_rows(b), len(b[0]) if b else 0)
 
 
-def _sparse_rows(m: Iterable[Iterable]) -> list[list[tuple[int, object]]]:
-    """Each row of m as its (column, entry) pairs with a nonzero entry."""
-    return [[(j, y) for j, y in enumerate(row) if y] for row in m]
+def _sparse_rows(m: Iterable[Iterable]) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Each row of m as the tuple of its (column, entry) pairs with a nonzero
+    entry, in column order: the canonical, read-only sparse form."""
+    return tuple([tuple([(j, y) for j, y in enumerate(row) if y]) for row in m])
 
 
 def _sparse_product(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> list[list]:
@@ -655,67 +658,69 @@ def orthogonal_complement(
 
 
 class Isometry(NamedTuple):
-    """A named integer isometry matrix: row i is the image of basis vector i."""
+    """A named integer isometry M by its sparse rows: row i is the image of
+    basis vector i as its nonzero (column, entry) pairs in column order, a
+    canonical form, so two isometries are one matrix iff their rows are equal."""
 
     name: str
-    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def rank(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     def apply(self, v: Sequence[int]) -> list[int]:
+        """v·M, over the nonzero entries of v and M."""
         _check_length(v, self.rank, "vector")
-        return [sum(v[i] * row[j] for i, row in enumerate(self.matrix)) for j in range(self.rank)]
+        out = [0] * self.rank
+        for x, row in zip(v, self.rows):
+            if x:
+                for j, y in row:
+                    out[j] += x * y
+        return out
 
     def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(f"{self.name};{other.name}", _freeze(mat_mul(self.matrix, other.matrix)))
-
-    def is_involution(self) -> bool:
-        return mat_mul(self.matrix, self.matrix) == _identity(self.rank)
-
-    def preserves_gram(self, gram: Sequence[Sequence[int]]) -> bool:
-        """M·G·M^T = G, exactly."""
-        image = mat_mul(mat_mul(self.matrix, gram), mat_transpose(self.matrix))
-        return image == [list(r) for r in gram]
+        """self·other, re-sparsified."""
+        n = self.rank
+        _check_length(other.rows, n, "isometry matrix")
+        return Isometry(f"{self.name};{other.name}", _sparse_rows(_sparse_product(self.rows, other.rows, n)))
 
     def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
-        """(M·M = 1, M·G·M^T = G), exactly: `involutive_rows` on the sparse
-        rows of M."""
-        return involutive_rows(_sparse_rows(self.matrix), lat)
+        """(M·M = 1, M·G·M^T = G), exactly, from full products over the rows.
+
+        The rows of M are both factors of M·M and the left factor of A = M·G,
+        over the sparse rows of G built once per Gram matrix (`_sparse_gram`).
+        If M² = 1 then M^T is its own inverse, so M·G·M^T = G iff
+        M·G = G·M^T = (M·G)^T (G is symmetric): the Gram test is the symmetry
+        of A.  Otherwise A·M^T is formed in full, entry (i, j) as row i of A
+        against row j of M.
+        """
+        n = lat.rank
+        rows = self.rows
+        _check_length(rows, n, "isometry matrix")
+        involutive = _sparse_product(rows, rows, n) == _identity(n)
+        a = _sparse_product(rows, _sparse_gram(lat.gram), n)
+        if involutive:
+            return True, a == mat_transpose(a)
+        image = tuple(tuple(sum(arow[k] * x for k, x in row) for row in rows) for arow in a)
+        return False, image == lat.gram
 
     def trace(self) -> int:
-        return sum(self.matrix[i][i] for i in range(self.rank))
+        return sum(x for i, row in enumerate(self.rows) for j, x in row if i == j)
 
     def invariant_rank(self) -> int:
         """Rank of the fixed sublattice: rank minus the rank of M − 1."""
-        delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.matrix)]
-        return self.rank - len(bareiss(delta)[1])
+        n = self.rank
+        delta = [[-(i == j) for j in range(n)] for i in range(n)]  # M − 1
+        for drow, row in zip(delta, self.rows):
+            for j, x in row:
+                drow[j] += x
+        return n - len(bareiss(delta)[1])
 
 
-def involutive_rows(rows: Sequence[Sequence[tuple[int, int]]], lat: IntegerLattice) -> tuple[bool, bool]:
-    """(M·M = 1, M·G·M^T = G), exactly, for M given by its sparse rows, from
-    two full products.
-
-    The rows of M serve as both factors of M·M and as the left factor of
-    M·G; the sparse rows of G are built once per Gram matrix
-    (`_sparse_gram`).  If M² = 1 then M^T is its own inverse, so
-    M·G·M^T = G holds iff M·G = G·M^T, and G·M^T = (M·G)^T because G is
-    symmetric (which `IntegerLattice` guarantees): the Gram test becomes the
-    symmetry of A = M·G.  A matrix with M² ≠ 1 gets the full
-    `Isometry.preserves_gram`.
-    """
-    n = lat.rank
-    _check_length(rows, n, "isometry matrix")
-    if _sparse_product(rows, rows, n) != _identity(n):
-        return False, Isometry("M", _dense_rows(rows, n)).preserves_gram(lat.gram)
-    a = _sparse_product(rows, _sparse_gram(lat.gram), n)
-    return True, a == mat_transpose(a)
-
-
-def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The sparse rows of the reflection v -> v − 2(v·r)/(r·r)·r, for an
-    integer r of norm −2 or −4, built from the nonzero entries of r.
+def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
+    """The reflection v -> v − 2(v·r)/(r·r)·r, for an integer r of norm −2
+    or −4, as an `Isometry` built from the nonzero entries of r.
 
     e_i·r is the combination of the Gram rows on the support of r (G is
     symmetric).  Row i is ((i, 1),) when e_i ⟂ r, and otherwise
@@ -758,24 +763,7 @@ def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> tuple[t
         else:
             row.insert(k, (i, 1))
         rows.append(tuple(row))
-    return tuple(rows)
-
-
-def reflection_isometry(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometry:
-    """The reflection in r as an `Isometry`: the dense form of
-    `reflection_rows`, with its refusals."""
-    return Isometry(name, _dense_rows(reflection_rows(lat, r, name), lat.rank))
-
-
-def _dense_rows(rows: Iterable[Iterable[tuple[int, int]]], n: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix with n columns whose sparse rows are rows."""
-    out = []
-    for row in rows:
-        dense = [0] * n
-        for j, x in row:
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
+    return Isometry(name, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -789,4 +777,4 @@ def _identity(n: int) -> IntMatrix:
 def _sparse_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The sparse rows of a Gram matrix, keyed by the immutable Gram tuple
     itself, so they cannot go stale; read-only tuples."""
-    return tuple(map(tuple, _sparse_rows(gram)))
+    return _sparse_rows(gram)

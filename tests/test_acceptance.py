@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from dense_oracle import dense, is_involution, preserves_gram
 from quartic15 import involutions as inv
 from quartic15 import nodal_surface as ns
 from quartic15 import pentads as pt
@@ -179,7 +180,7 @@ def test_criterion_09_kummer_embedding():
 def test_criterion_10_involutions(picard):
     def body():
         sig = inv.sigma_star()
-        assert sig.is_involution() and sig.preserves_gram(picard.lattice.gram)
+        assert is_involution(dense(sig)) and preserves_gram(dense(sig), picard.lattice.gram)
         assert inv.reye_image_report().all_hold()
         rep = inv.verify_relations()
         assert rep.goepel_conjugation

@@ -257,8 +257,8 @@ def test_swapped_kummer_tropes_turn_the_kummer_embedding_red(monkeypatch):
 def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
     # the loop multiplies the sparse rows of `reflection_rows`: one entry
     # bumped there is seen by its two full products
+    from dense_oracle import dense, is_involution, preserves_gram, sparse
     from quartic15 import involutions
-    from quartic15.lattice import Isometry
     from quartic15.nodal_surface import picard_lattice
 
     target = dict(involutions.pentad_root_coordinates())[((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))]
@@ -266,16 +266,13 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
     mutants = []
 
     def bumped(lat, r, name):
-        rows = real(lat, r, name)
+        iso = real(lat, r, name)
         if list(r) != target:
-            return rows
-        dense = [[0] * lat.rank for _ in rows]
-        for i, row in enumerate(rows):
-            for j, x in row:
-                dense[i][j] = x
-        dense[0][0] += 1
-        mutants.append(Isometry(name, tuple(map(tuple, dense))))
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in dense)
+            return iso
+        m = dense(iso)
+        m[0][0] += 1
+        mutants.append(m)
+        return iso._replace(rows=sparse(m))
 
     monkeypatch.setattr(involutions, "reflection_rows", bumped)
     code, report, _ = run_quiet(["involutions"])
@@ -283,8 +280,8 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
     assert code == 1 and check["status"] == "fail"
     (bad,) = mutants
     gram = picard_lattice().lattice.gram
-    isometric = 3003 - (not bad.preserves_gram(gram))
-    involutive = 3003 - (not bad.is_involution())
+    isometric = 3003 - (not preserves_gram(bad, gram))
+    involutive = 3003 - (not is_involution(bad))
     assert 3002 in (isometric, involutive)
     assert check["details"] == (
         f"3003 pentad reflections: 3003 integral, {isometric} Gram-preserving, "

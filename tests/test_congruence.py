@@ -80,6 +80,12 @@ def test_two_n_profiles():
     assert two_n_profile(7).expected_nodes == 11
     assert two_n_profile(2).expected_nodes == 16
     assert two_n_profile(3).invariants == invariants(2, 3, 1)
+    # the order-2 identities the library no longer re-checks on every call
+    for n in range(2, 8):
+        inv = two_n_profile(n).invariants
+        assert inv.g == 1 and inv.deg_focal == 4, n
+        assert inv.deg_branch_locus == 2 * (n + 2), n
+        assert inv.deg_p_surface == n - 1, n
     with pytest.raises(ValueError):
         two_n_profile(8)
 

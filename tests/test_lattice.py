@@ -27,12 +27,13 @@ from quartic15.lattice import (
     mat_mul,
     named_lattice,
     orthogonal_complement,
-    involutive_rows,
     overlattice,
-    reflection_isometry,
     reflection_rows,
     smith_normal_form,
 )
+
+from dense_oracle import dense, is_involution, preserves_gram, sparse
+from dense_oracle import mat_mul as reference_mat_mul
 
 
 def test_named_lattices():
@@ -209,25 +210,26 @@ def test_orthogonal_complement_primitive():
 
 def test_reflection_a1():
     a1 = named_lattice("A1")
-    iso = reflection_isometry(a1, [1], "s")
-    assert iso.matrix == ((-1,),)
-    assert iso.preserves_gram(a1.gram) and iso.is_involution()
+    iso = reflection_rows(a1, [1], "s")
+    assert iso == Isometry("s", (((0, -1),),))
+    assert preserves_gram(dense(iso), a1.gram) and is_involution(dense(iso))
+    assert iso.involutive_isometry(a1) == (True, True)
 
 
 def test_reflection_fixes_mirror_and_involutive():
     l = direct_sum(named_lattice("A1"), named_lattice("A1"))
-    iso = reflection_isometry(l, [1, 0], "s")
-    assert iso.matrix[1] == (0, 1)  # orthogonal vector fixed
-    assert iso.preserves_gram(l.gram) and iso.is_involution()
+    iso = reflection_rows(l, [1, 0], "s")
+    assert iso.rows[1] == ((1, 1),)  # orthogonal vector fixed
+    assert preserves_gram(dense(iso), l.gram) and is_involution(dense(iso))
 
 
 def test_reflection_norm4_parity_guard():
     with pytest.raises(ValueError, match="norm -2 or -4"):
-        reflection_isometry(named_lattice("diag(-4,-2)"), [1, 1], "s")  # norm -6
+        reflection_rows(named_lattice("diag(-4,-2)"), [1, 1], "s")  # norm -6
     # norm -4 vector pairing oddly with a basis vector is rejected by name
     l = IntegerLattice(((-4, 1), (1, -2)))
     with pytest.raises(ValueError, match="basis vector 1"):
-        reflection_isometry(l, [1, 0], "s")
+        reflection_rows(l, [1, 0], "s")
 
 
 def test_reflection_refuses_a_non_integral_root():
@@ -236,13 +238,13 @@ def test_reflection_refuses_a_non_integral_root():
     # so it is refused rather than truncated to zero (the identity)
     lat = IntegerLattice(((-8, 0), (0, -8)))
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
-        reflection_isometry(lat, [Fraction(1, 2), Fraction(1, 2)], "s")
+        reflection_rows(lat, [Fraction(1, 2), Fraction(1, 2)], "s")
     # an integral Fraction is an integer entry
     lat = named_lattice("diag(-1)")
-    assert reflection_isometry(lat, [Fraction(2)], "s").matrix == ((-1,),)
-    assert reflection_isometry(lat, [2], "s").matrix == ((-1,),)
+    assert reflection_rows(lat, [Fraction(2)], "s").rows == (((0, -1),),)
+    assert reflection_rows(lat, [2], "s").rows == (((0, -1),),)
     with pytest.raises(ValueError, match="1 entries, expected 2"):
-        reflection_isometry(named_lattice("diag(-2,-2)"), [1], "s")
+        reflection_rows(named_lattice("diag(-2,-2)"), [1], "s")
 
 
 def test_reflection_rows_drop_a_cancelled_diagonal_entry():
@@ -250,20 +252,20 @@ def test_reflection_rows_drop_a_cancelled_diagonal_entry():
     # the sparse row stores no zero at its own diagonal, and the dense form
     # is the signed swap
     lat = named_lattice("diag(-2,-2)")
-    rows = reflection_rows(lat, [1, 1], "s")
-    assert rows == (((1, -1),), ((0, -1),))
-    assert reflection_isometry(lat, [1, 1], "s").matrix == ((0, -1), (-1, 0))
-    assert involutive_rows(rows, lat) == (True, True)
+    iso = reflection_rows(lat, [1, 1], "s")
+    assert iso.rows == (((1, -1),), ((0, -1),))
+    assert dense(iso) == [[0, -1], [-1, 0]]
+    assert iso.involutive_isometry(lat) == (True, True)
 
 
 def test_involutive_isometry_cases():
     square = named_lattice("diag(-2,-2)")
-    rotation = Isometry("rot", ((0, 1), (-1, 0)))
+    rotation = Isometry("rot", sparse(((0, 1), (-1, 0))))
     assert rotation.involutive_isometry(square) == (False, True)  # order 4
-    swap = Isometry("swap", ((0, 1), (1, 0)))
+    swap = Isometry("swap", sparse(((0, 1), (1, 0))))
     assert swap.involutive_isometry(square) == (True, True)
     assert swap.involutive_isometry(named_lattice("diag(-2,-4)")) == (True, False)
-    shear = Isometry("shear", ((1, 1), (0, 1)))
+    shear = Isometry("shear", sparse(((1, 1), (0, 1))))
     assert shear.involutive_isometry(named_lattice("U")) == (False, False)
     with pytest.raises(ValueError, match="isometry matrix"):
         swap.involutive_isometry(named_lattice("A1"))
@@ -271,22 +273,36 @@ def test_involutive_isometry_cases():
 
 def test_reflections_in_orthogonal_vectors_commute():
     l = direct_sum(*[named_lattice("A1")] * 3)
-    m1 = reflection_isometry(l, [1, 0, 0], "s1")
-    m2 = reflection_isometry(l, [0, 1, 0], "s2")
-    assert m1.compose(m2).matrix == m2.compose(m1).matrix
+    m1 = reflection_rows(l, [1, 0, 0], "s1")
+    m2 = reflection_rows(l, [0, 1, 0], "s2")
+    assert m1.compose(m2).rows == m2.compose(m1).rows
+    assert dense(m1.compose(m2)) == reference_mat_mul(dense(m1), dense(m2))
 
 
 def test_isometry_reports_higher_order():
     u = named_lattice("U")
-    swap = Isometry("swap", ((0, 1), (1, 0)))
-    assert swap.preserves_gram(u.gram) and swap.is_involution()
-    not_iso = Isometry("shear", ((1, 1), (0, 1)))
-    assert not not_iso.preserves_gram(u.gram) and not not_iso.is_involution()
-    rotation = Isometry("rot", ((0, 1), (-1, 0)))
+    swap = Isometry("swap", sparse(((0, 1), (1, 0))))
+    assert swap.involutive_isometry(u) == (True, True)
+    not_iso = Isometry("shear", sparse(((1, 1), (0, 1))))
+    assert not_iso.involutive_isometry(u) == (False, False)
+    rotation = Isometry("rot", sparse(((0, 1), (-1, 0))))
     square = named_lattice("diag(-2,-2)")
-    assert rotation.preserves_gram(square.gram)
     # order 4: not an involution, but its square is
-    assert not rotation.is_involution() and rotation.compose(rotation).is_involution()
+    assert rotation.involutive_isometry(square) == (False, True)
+    assert rotation.compose(rotation).involutive_isometry(square) == (True, True)
+
+
+def test_compose_drops_the_entries_that_cancel():
+    # the product of a shear and its inverse is the identity: the entry
+    # 1·(−1) + 1·1 at (0, 1) is not stored, so the rows equal the identity's
+    shear = Isometry("shear", sparse(((1, 1), (0, 1))))
+    unshear = Isometry("unshear", sparse(((1, -1), (0, 1))))
+    product = shear.compose(unshear)
+    assert product == Isometry("shear;unshear", (((0, 1),), ((1, 1),)))
+    rotation = Isometry("rot", sparse(((0, 1), (-1, 0))))
+    assert rotation.compose(rotation).rows == (((0, -1),), ((1, -1),))
+    with pytest.raises(ValueError, match="isometry matrix"):
+        shear.compose(Isometry("1", (((0, 1),),)))
 
 
 def test_row_basis_coordinates():
@@ -315,9 +331,10 @@ def test_reflection_laws_in_diagonal_lattice(diag, head):
     assume(last != 0)
     lat = named_lattice("diag(" + ",".join(map(str, diag + [last])) + ")")
     r = head + [1]
-    iso = reflection_isometry(lat, r, "s")
-    assert iso.preserves_gram(lat.gram)
-    assert iso.is_involution()
+    iso = reflection_rows(lat, r, "s")
+    assert preserves_gram(dense(iso), lat.gram)
+    assert is_involution(dense(iso))
+    assert iso.involutive_isometry(lat) == (True, True)
     assert iso.apply(r) == [-x for x in r]
     _, mirror = orthogonal_complement(lat, [r])
     assert len(mirror) == lat.rank - 1
@@ -351,12 +368,6 @@ def reference_pair(lat, v, w):
     """The former dense Fraction double sum over all n² entries."""
     g, n = lat.gram, lat.rank
     return sum(Fraction(v[i]) * g[i][j] * Fraction(w[j]) for i in range(n) for j in range(n))
-
-
-def reference_mat_mul(a, b):
-    """The former dense product over every row-column pair."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 @st.composite
@@ -466,12 +477,15 @@ def isometry_cases(draw):
 def test_involutive_isometry_matches_the_dense_definition(case):
     m, g = case
     n = len(m)
-    involutive = reference_mat_mul(m, m) == mat_identity(n)
-    isometric = reference_mat_mul(reference_mat_mul(m, g), [list(c) for c in zip(*m)]) == g
-    iso = Isometry("m", tuple(map(tuple, m)))
-    assert iso.involutive_isometry(IntegerLattice(tuple(map(tuple, g)))) == (involutive, isometric)
-    assert iso.is_involution() == involutive
-    assert iso.preserves_gram(g) == isometric
+    iso = Isometry("m", sparse(m))
+    assert dense(iso) == m
+    expected = (is_involution(m), preserves_gram(m, g))
+    assert iso.involutive_isometry(IntegerLattice(tuple(map(tuple, g)))) == expected
+    # the other sparse-row methods against the same dense matrix
+    assert iso.compose(iso).rows == sparse(reference_mat_mul(m, m))
+    assert iso.trace() == sum(m[i][i] for i in range(n))
+    v = list(range(1, n + 1))
+    assert iso.apply(v) == reference_mat_mul([v], m)[0]
 
 
 def test_involutive_isometry_reads_each_lattices_own_gram():
@@ -483,14 +497,14 @@ def test_involutive_isometry_reads_each_lattices_own_gram():
 
     lat = picard_lattice().lattice
     tau = tau_pentad_star(GOEPEL_PENTAD)
-    i = next(k for k, row in enumerate(tau.matrix) if row[k] != 1)  # a moved basis vector
+    i = next(k for k, row in enumerate(dense(tau)) if row[k] != 1)  # a moved basis vector
     rows = [list(r) for r in lat.gram]
     rows[i][i] += 2
     other = IntegerLattice(tuple(map(tuple, rows)))
     for first, second in ((lat, other), (other, lat)):
         assert tau.involutive_isometry(first) == (True, first is lat)
         assert tau.involutive_isometry(second) == (True, second is lat)
-    assert not tau.preserves_gram(other.gram)
+    assert not preserves_gram(dense(tau), other.gram)
 
 
 def test_mat_mul_refuses_mismatched_shapes():
@@ -577,7 +591,7 @@ def test_pair_rejects_vectors_of_the_wrong_length():
 
 
 def test_isometry_apply_rejects_vectors_of_the_wrong_length():
-    ident = Isometry("1", ((1, 0), (0, 1)))
+    ident = Isometry("1", (((0, 1),), ((1, 1),)))
     with pytest.raises(ValueError, match="expected 2"):
         ident.apply([1, 2, 3])
     with pytest.raises(ValueError, match="expected 2"):
