@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
-from .lattice import Isometry, _sparse_rows, reflection_rows
+from .lattice import Isometry, reflection_rows
 from .nodal_surface import (
     C_SET,
     E,
@@ -56,7 +56,7 @@ def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> tu
     """The isometry whose row i is the image of basis vector i, certified
     integral and Gram-preserving, with whether it squares to the identity."""
     coords = (pic_coordinates(img, f"{name}: image of basis vector {i}") for i, img in enumerate(images))
-    iso = Isometry(name, _sparse_rows(coords))
+    iso = Isometry.from_matrix(name, coords)
     involutive, isometric = iso.involutive_isometry(picard_lattice().lattice)
     if not isometric:
         raise ValueError(f"{name}: Gram form not preserved")
@@ -150,9 +150,7 @@ class ReyeImageReport(NamedTuple):
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
     basis = picard_lattice().basis
-    pic = basis.coordinates(cls.nums, cls.den)
-    if pic is None:  # the text is built only for a class off the lattice
-        raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
+    pic = pic_coordinates(cls, f"{iso.name}: the class", name_class=True)
     return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
 
 

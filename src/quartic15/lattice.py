@@ -67,10 +67,9 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return _sparse_product(_sparse_rows(a), _sparse_rows(b), len(b[0]) if b else 0)
 
 
-def _sparse_rows(m: Iterable[Iterable]) -> tuple[tuple[tuple[int, object], ...], ...]:
-    """Each row of m as the tuple of its (column, entry) pairs with a nonzero
-    entry, in column order: the canonical, read-only sparse form."""
-    return tuple([tuple([(j, y) for j, y in enumerate(row) if y]) for row in m])
+def _sparse_rows(m: Iterable[Iterable]) -> list[list[tuple[int, object]]]:
+    """Each row of m as its (column, entry) pairs with a nonzero entry."""
+    return [[(j, y) for j, y in enumerate(row) if y] for row in m]
 
 
 def _sparse_product(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> list[list]:
@@ -665,6 +664,11 @@ class Isometry(NamedTuple):
     name: str
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
+    @classmethod
+    def from_matrix(cls, name: str, m: Iterable[Iterable[int]]) -> "Isometry":
+        """The isometry whose row i is row i of m, frozen as canonical sparse rows."""
+        return cls(name, tuple(map(tuple, _sparse_rows(m))))
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -683,7 +687,7 @@ class Isometry(NamedTuple):
         """self·other, re-sparsified."""
         n = self.rank
         _check_length(other.rows, n, "isometry matrix")
-        return Isometry(f"{self.name};{other.name}", _sparse_rows(_sparse_product(self.rows, other.rows, n)))
+        return Isometry.from_matrix(f"{self.name};{other.name}", _sparse_product(self.rows, other.rows, n))
 
     def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
         """(M·M = 1, M·G·M^T = G), exactly, from full products over the rows.
@@ -777,4 +781,4 @@ def _identity(n: int) -> IntMatrix:
 def _sparse_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The sparse rows of a Gram matrix, keyed by the immutable Gram tuple
     itself, so they cannot go stale; read-only tuples."""
-    return _sparse_rows(gram)
+    return tuple(map(tuple, _sparse_rows(gram)))

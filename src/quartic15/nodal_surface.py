@@ -331,11 +331,14 @@ def picard_lattice() -> Overlattice:
     return Overlattice(IntegerLattice(gram), named, over.index)
 
 
-def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
+def pic_coordinates(cls: DivisorClass, what: str, *, name_class: bool = False) -> list[int]:
     """The integer coordinates of a class on the named Picard basis; a class
-    off the lattice raises ValueError naming `what`."""
+    off the lattice raises ValueError naming `what`, followed by the class
+    itself when `name_class` (its text is built only for that error)."""
     coords = picard_lattice().basis.coordinates(cls.nums, cls.den)
     if coords is None:
+        if name_class:
+            what = f"{what} {cls}"
         raise ValueError(f"{what} is not in the Picard lattice")
     return coords
 

@@ -305,6 +305,14 @@ def test_compose_drops_the_entries_that_cancel():
         shear.compose(Isometry("1", (((0, 1),),)))
 
 
+def test_from_matrix_freezes_the_canonical_sparse_rows():
+    m = [[0, 2, 0], [-1, 0, 3], [0, 0, 0]]
+    iso = Isometry.from_matrix("m", iter([iter(row) for row in m]))  # any iterables, read once
+    assert iso == Isometry("m", sparse(m))
+    assert isinstance(iso.rows, tuple) and all(isinstance(row, tuple) for row in iso.rows)
+    assert dense(iso) == m
+
+
 def test_row_basis_coordinates():
     l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
     res = overlattice(l, [[1] * 7], 2)

@@ -269,6 +269,10 @@ def test_pic_coordinates_names_a_class_off_the_lattice():
     assert pic_coordinates(E[(1, 2)], "E_12") == picard_lattice().basis.coordinates(E[(1, 2)].nums)
     with pytest.raises(ValueError, match="^half of E_12 is not in the Picard lattice$"):
         pic_coordinates(E[(1, 2)] / 2, "half of E_12")
+    half = E[(1, 2)] / 2
+    with pytest.raises(ValueError) as err:
+        pic_coordinates(half, "the class", name_class=True)
+    assert str(err.value) == f"the class {half} is not in the Picard lattice"
 
 
 def _rational_rows(basis):
