@@ -67,17 +67,12 @@ class AlphaVector(NamedTuple):
         return sum((i + 1) ** 3 * a for i, a in enumerate(self.counts))
 
 
-def table1_solutions(n: int, require_node_count: bool = True) -> list[AlphaVector]:
-    """All non-negative solutions of the singular-point count equation.
-
-    The defining constraint is sum_i i^3 alpha_i = (n+2)^3 − 3(n+2)^2; with
-    `require_node_count` the additional constraint sum_i alpha_i = 18 − n is
-    imposed (the default, matching the published table).
-    """
+def _cube_sum_solutions(n: int) -> list[AlphaVector]:
+    """All non-negative solutions of the singular-point count equation
+    sum_i i^3 alpha_i = (n+2)^3 − 3(n+2)^2, in decreasing order."""
     if not 2 <= n <= 7:
         raise ValueError("the order-2 family requires 2 <= n <= 7")
     target = (n + 2) ** 3 - 3 * (n + 2) ** 2
-    nodes = 18 - n
     solutions = []
     bounds = [target // ((i + 1) ** 3) for i in range(6)]
     for a6 in range(bounds[5] + 1):
@@ -91,10 +86,7 @@ def table1_solutions(n: int, require_node_count: bool = True) -> list[AlphaVecto
                         if partial > target:
                             break
                         a1 = target - partial
-                        counts = (a1, a2, a3, a4, a5, a6)
-                        if require_node_count and sum(counts) != nodes:
-                            continue
-                        solutions.append(AlphaVector(counts))
+                        solutions.append(AlphaVector((a1, a2, a3, a4, a5, a6)))
     return sorted(solutions, key=lambda v: v.counts, reverse=True)
 
 
@@ -116,10 +108,11 @@ class Table1Report(NamedTuple):
 
 
 def table1_report(n: int) -> Table1Report:
-    """Solver output under both constraint settings, with the published
-    columns flagged; extra solutions are reported, never suppressed."""
-    strict = table1_solutions(n, require_node_count=True)
-    loose = table1_solutions(n, require_node_count=False)
+    """Solver output with and without the node count sum_i alpha_i = 18 − n,
+    from one enumeration, with the published columns flagged; extra
+    solutions are reported, never suppressed."""
+    loose = _cube_sum_solutions(n)
+    strict = [v for v in loose if sum(v.counts) == 18 - n]
     published = published_columns(n)
     found = all(col in strict for col in published)
     extras = tuple(v for v in strict if v not in published)

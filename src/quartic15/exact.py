@@ -7,8 +7,9 @@ canonical, and every operation runs on these integers.  Coefficients enter
 as `int` or `Fraction` (nothing here touches floating point) and leave as a
 `Fraction` only through `evaluate` and `leading_coefficient`.  The rational
 linear algebra (`rref`, `nullspace` and `LinearMap`) is a front end to the
-fraction-free integer kernels of `lattice`; no library module calls it, and
-the benchmark builds its section chart with it.
+fraction-free integer kernels of `lattice`.  No library module calls it: the
+benchmark builds its section chart with it, and besides its own tests only
+the ragged-row refusal and the pin of that chart reach it.
 """
 
 from __future__ import annotations

@@ -258,23 +258,15 @@ NATURALITY_SAMPLE = 12  # (permutation, pentad) pairs in the naturality spot che
 
 
 def pentad_naturality_spot_check() -> bool:
-    """g · tau_P · g^{-1} = tau_{g(P)} on a deterministic sample of pairs."""
+    """g · tau_P · g^{-1} = tau_{g(P)} on a deterministic sample of pairs,
+    checked without inverting g as tau_P · M_g = M_g · tau_{g(P)}."""
     perms = s6_elements()
     pentads = all_pentads()
     for k in range(NATURALITY_SAMPLE):
         g = perms[(37 * k + 11) % len(perms)]
         p = pentads[(211 * k + 5) % len(pentads)]
-        gp = apply_perm_duad_set(g, p)
         giso = s6_isometry(g)
-        ginv = s6_isometry(_inverse_perm(g))
-        lhs = ginv.compose(tau_pentad_star(p)).compose(giso)
-        if lhs.rows != tau_pentad_star(gp).rows:
+        tau_gp = tau_pentad_star(apply_perm_duad_set(g, p))
+        if tau_pentad_star(p).compose(giso).rows != giso.compose(tau_gp).rows:
             return False
     return True
-
-
-def _inverse_perm(g: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * 6
-    for i, x in enumerate(g):
-        inv[x - 1] = i + 1
-    return tuple(inv)

@@ -19,6 +19,7 @@ from .configs import Duad, Perm, apply_perm_duad, s6_elements, s6_orbits, trope_
 from .nodal_surface import (
     E,
     ETA,
+    NODE_INDEX,
     NODES,
     DivisorClass,
     is_pic_integral,
@@ -29,9 +30,7 @@ Pentad = tuple[Duad, ...]
 
 TROPES = trope_node_sets()  # conic label (duad of [1,5]) -> frozenset of 6 nodes
 
-# nodes by their position in NODES, and as the bits of a 15-bit mask in that
-# order; each trope as its mask
-NODE_INDEX = {d: i for i, d in enumerate(NODES)}
+# nodes as the bits of a 15-bit mask in the order of NODES; each trope as its mask
 NODE_BIT = {d: 1 << i for d, i in NODE_INDEX.items()}
 TROPE_MASKS = tuple((label, sum(map(NODE_BIT.__getitem__, nodes))) for label, nodes in sorted(TROPES.items()))
 

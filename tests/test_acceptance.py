@@ -24,7 +24,7 @@ from quartic15.configs import (
     three_subsets,
     trope_incidence_model,
 )
-from quartic15.congruence import published_columns, table1_solutions, two_n_profile
+from quartic15.congruence import published_columns, table1_report, two_n_profile
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
@@ -239,7 +239,7 @@ def test_criterion_13_congruence():
         assert i.deg_p_surface == 2 and i.deg_branch_locus == 10
         assert prof.expected_nodes == 15
         for n in range(2, 8):
-            sols = table1_solutions(n)
+            sols = table1_report(n).with_node_count
             for col in published_columns(n):
                 assert col in sols
         assert len(published_columns(6)) == 2

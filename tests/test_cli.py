@@ -363,6 +363,23 @@ def test_a_doubled_goepel_node_turns_involution_relations_red(monkeypatch, tmp_p
     assert all("error" not in c for c in checks)
 
 
+def test_identity_relabelings_turn_pentad_naturality_red(monkeypatch, tmp_path):
+    # with every M_g the identity, tau_P·M_g = M_g·tau_{g(P)} asks for
+    # tau_P = tau_{g(P)}, which a sampled pair that moves its pentad refutes
+    from dense_oracle import identity
+    from quartic15 import involutions
+    from quartic15.lattice import Isometry
+
+    one = Isometry.from_matrix("identity", identity(16))
+    monkeypatch.setattr(involutions, "s6_isometry", lambda g: one)
+    path = tmp_path / "r.json"
+    code, _, _ = run_quiet(["--json", str(path), "involutions"])
+    checks = json.loads(path.read_text())["checks"]
+    assert code == 1 and [c["id"] for c in checks] == INVOLUTION_CHECKS
+    assert [c["id"] for c in checks if c["status"] == "fail"] == ["pentad-naturality"]
+    assert all("error" not in c for c in checks)
+
+
 def test_a_raising_variety_build_turns_each_threefold_check_red(monkeypatch, tmp_path):
     from quartic15 import varieties as va
 

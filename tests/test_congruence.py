@@ -5,7 +5,6 @@ from quartic15.congruence import (
     invariants,
     published_columns,
     table1_report,
-    table1_solutions,
     two_n_profile,
 )
 
@@ -99,11 +98,11 @@ def test_table1_columns_verified_against_constraints():
 
 
 def test_table1_solutions_contain_published():
-    assert AlphaVector((10, 5, 0, 0, 0, 0)) in table1_solutions(3)
-    sols6 = table1_solutions(6)
+    assert AlphaVector((10, 5, 0, 0, 0, 0)) in table1_report(3).with_node_count
+    sols6 = table1_report(6).with_node_count
     assert AlphaVector((1, 4, 6, 0, 1, 0)) in sols6
     assert AlphaVector((0, 8, 0, 4, 0, 0)) in sols6
-    assert AlphaVector((0, 0, 10, 0, 0, 1)) in table1_solutions(7)
+    assert AlphaVector((0, 0, 10, 0, 0, 1)) in table1_report(7).with_node_count
 
 
 def test_table1_report_all_n():
@@ -111,3 +110,5 @@ def test_table1_report_all_n():
         rep = table1_report(n)
         assert rep.published_found, f"published column missing for n={n}"
         assert rep.without_node_count_total >= len(rep.with_node_count)
+    rep6 = table1_report(6)
+    assert (len(rep6.with_node_count), rep6.without_node_count_total) == (3, 841)

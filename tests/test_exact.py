@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import det, fraction_rref, rationals
 from quartic15.exact import (
     LinearMap,
     ModPoly,
@@ -91,7 +92,7 @@ def test_substitute_identity_and_degree():
     assert f.substitute_linear(mat_identity(2)) == f
     rng = random.Random(1)
     quartic = cr_form()
-    m = LinearMap([[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)])
+    m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)]
     g = quartic.substitute_linear(m)
     assert not g or (g.is_homogeneous() and g.total_degree() == 4)
 
@@ -308,6 +309,16 @@ def test_linear_map_entries_immutable_and_rectangular():
         LinearMap([[1, 2], [3]])
 
 
+def test_substitute_linear_reads_a_linear_map():
+    # a LinearMap substitutes its entries, as the same rows given plainly
+    rng = random.Random(3)
+    for _ in range(20):
+        f = random_poly(rng, nvars=3)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2)] for _ in range(3)]
+        m[rng.randrange(3)] = [0, 0]
+        assert f.substitute_linear(LinearMap(m)) == f.substitute_linear(m)
+
+
 def test_rref_nullspace_solve():
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert len(rref(m)[1]) == 2
@@ -348,33 +359,7 @@ def test_clear_denominators():
 # -- oracle tests: the fraction-free kernel against the Fraction Gauss-Jordan --
 
 
-def reference_rref(rows):
-    """Reference: the Fraction Gauss-Jordan elimination the kernel replaced."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
-
-
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+matrix_rationals = rationals(-9, 9, 6)
 
 
 @st.composite
@@ -384,49 +369,35 @@ def rational_matrices(draw, square=False):
     ncols = nrows if square else draw(st.integers(1, 6))
     if nrows and draw(st.booleans()):
         k = draw(st.integers(1, min(nrows, ncols)))
-        a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
-        b = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+        a = draw(st.lists(st.lists(matrix_rationals, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(matrix_rationals, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
         return mat_mul(a, b)
-    row = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=ncols, max_size=ncols)
+    row = st.lists(st.one_of(st.just(Fraction(0)), matrix_rationals), min_size=ncols, max_size=ncols)
     return draw(st.lists(row, min_size=nrows, max_size=nrows))
 
 
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_rref_matches_reference(m):
-    assert rref(m) == reference_rref(m)
+    assert rref(m) == fraction_rref(m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
 def test_rank_two_paths_agree_random(m):
-    # the Bareiss rank against the pivots of the new and of the reference RREF
+    # the Bareiss rank against the pivots of the Fraction RREF
     ints = [clear_denominators(row)[0] for row in m]
-    assert len(bareiss(ints)[1]) == len(rref(m)[1]) == len(reference_rref(m)[1])
+    assert len(bareiss(ints)[1]) == len(fraction_rref(m)[1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices(square=True))
 def test_det_vanishes_exactly_when_rank_deficient(m):
     ints = [clear_denominators(row)[0] for row in m]
-    det = det_bareiss(ints)
-    assert (det == 0) == (len(reference_rref(m)[1]) < len(m))
-    # the determinant itself, against the Fraction elimination
-    a = [[Fraction(x) for x in row] for row in ints]
-    expected = Fraction(1)
-    for k in range(len(a)):
-        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
-        if pivot is None:
-            expected = Fraction(0)
-            break
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            expected = -expected
-        expected *= a[k][k]
-        for r in range(k + 1, len(a)):
-            f = a[r][k] / a[k][k]
-            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    assert det == expected
+    d = det_bareiss(ints)
+    assert (d == 0) == (len(fraction_rref(m)[1]) < len(m))
+    # the determinant itself, against the Leibniz sum
+    assert d == det(ints)
 
 
 @settings(max_examples=100, deadline=None)
@@ -434,7 +405,7 @@ def test_det_vanishes_exactly_when_rank_deficient(m):
 def test_nullspace_annihilates(m):
     ncols = len(m[0]) if m else 3
     basis = nullspace(m, ncols)
-    assert len(basis) == ncols - len(rref(m)[1])
+    assert len(basis) == ncols - len(fraction_rref(m)[1])
     for v in basis:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -578,7 +549,7 @@ def reference_hessian_at(f, point):
 wide_rationals = st.one_of(
     st.just(Fraction(0)),
     st.integers(-20, 20).map(Fraction),
-    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    rationals(-50, 50, 10**6),
 )
 
 
@@ -635,7 +606,6 @@ def test_substitute_linear_matches_reference(case, den):
     f = ref.poly()
     expected = ref.substitute_linear(m)
     assert_matches(f.substitute_linear(m), expected)
-    assert_matches(f.substitute_linear(LinearMap(m)), expected)
     # integral entries as plain ints, so the all-int rows skip the Fraction route
     m_int = [[int(x) if x.denominator == 1 else x for x in row] for row in m]
     assert_matches(f.substitute_linear(m_int), expected)

@@ -214,6 +214,37 @@ def test_every_record_field_is_read_or_listed_with_its_claim():
     assert not read, f"the library reads these listed fields by name: {read}"
 
 
+# The rational front end of `exact` and the test functions that may still
+# load it: its own tests, the ragged-row refusal of every integer kernel and
+# the pin of the benchmark's section chart.  Every other test reaches linear
+# algebra through `LinearSubspace` or the Fraction oracle of `dense_oracle`,
+# so deleting the front end empties this table.
+RATIONAL_FRONT_END = {"rref", "nullspace", "LinearMap"}
+FRONT_END_HOLDERS = {
+    "test_exact.py::test_linear_map_entries_immutable_and_rectangular",
+    "test_exact.py::test_substitute_linear_reads_a_linear_map",
+    "test_exact.py::test_rref_nullspace_solve",
+    "test_exact.py::test_rref_matches_reference",
+    "test_exact.py::test_nullspace_annihilates",
+    "test_lattice.py::test_ragged_matrices_are_refused_naming_the_row",
+    "test_varieties.py::test_bench_chart_gives_the_section_quartic",
+}
+
+
+def test_only_the_listed_tests_load_the_rational_front_end():
+    holders = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            scope = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for n in ast.walk(node):
+                name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+                if name in RATIONAL_FRONT_END and isinstance(n.ctx, ast.Load):
+                    holders.add(f"{path.name}::{scope}")
+    assert holders == FRONT_END_HOLDERS, (
+        f"unlisted: {sorted(holders - FRONT_END_HOLDERS)}, stale: {sorted(FRONT_END_HOLDERS - holders)}"
+    )
+
+
 # Tracer keys of bench/worker.py that name no library function.  The
 # benchmark reads 0 for them; repointing them is a change to the benchmark.
 STALE_BENCH_KEYS = {"involutions._reflection_norm4", "involutions._Basis.to_pic"}

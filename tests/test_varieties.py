@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationals
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import LinearMap, ModPoly, MultiPoly, nullspace, perfect_square_factor, rref
+from quartic15.exact import ModPoly, MultiPoly, perfect_square_factor
 from quartic15.lattice import clear_denominators, mat_mul
 from quartic15 import varieties
 from quartic15.varieties import (
@@ -169,7 +170,7 @@ def test_line_points_meet_rule():
             if s1 >= s2:
                 continue
             shared = set(s1) & set(s2)
-            meet = nullspace(lines[s1].rows + lines[s2].rows, 6)
+            meet = LinearSubspace.from_equations(lines[s1].rows + lines[s2].rows, 6).kernel
             assert bool(shared) == bool(meet)
             if shared:
                 (d,) = shared
@@ -253,56 +254,26 @@ def test_generic_chord_is_not_double_line(cr):
     # a line through two points of the quartic is not in the singular locus
     p1 = param_point(syntheme_line(synthemes()[0]), [1, 2])
     p2 = param_point(syntheme_line(synthemes()[5]), [3, 1])
-    chord = LinearSubspace.from_equations(nullspace([p1, p2], 6), 6)
+    chord = LinearSubspace.from_equations(LinearSubspace.from_equations([p1, p2], 6).kernel, 6)
     assert verify_double_line(cr, chord) is False
 
 
 # -- charts: LinearSubspace against Fraction solves --------------------------------
 
 
-def fraction_rref(rows):
-    """Plain Fraction Gauss-Jordan elimination: (reduced rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return m, pivots
-
-
-def fraction_solve(a, b):
-    """The solution x of a·x = b for a of full column rank, or None."""
-    red, pivots = fraction_rref([list(row) + [y] for row, y in zip(a, b)])
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:
-        return None
-    return [red[i][-1] for i in range(ncols)]
-
-
 def greedy_chart_basis(point, constraints, nvars):
-    """The chart the certificate used to take: a nullspace basis of the
-    constraints, kept greedily while it stays independent of the point."""
-    if constraints:
-        space = nullspace([list(c) for c in constraints], nvars)
-    else:
-        space = [[Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+    """The chart the certificate used to take: the Fraction kernel basis of
+    the constraints, kept greedily while it stays independent of the point."""
+    space = fraction_kernel(constraints, nvars)
     chosen = [list(point)]
     for cand in space:
-        if len(rref(chosen + [cand])[1]) == len(chosen) + 1:
+        if len(fraction_rref(chosen + [cand])[1]) == len(chosen) + 1:
             chosen.append(cand)
     assert len(chosen) == len(space)
     return tuple(tuple(c) for c in chosen[1:])
 
 
-small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_rationals = rationals(-6, 6, 4)
 
 
 @st.composite
@@ -345,19 +316,6 @@ def test_annihilates_matches_rank_test(sub, data):
     assert space.annihilates(v) == (len(fraction_rref(rows + [v])[1]) == rank)
 
 
-def reference_kernel(rows, nvars):
-    """The right kernel read off `fraction_rref`: one column per free column,
-    1 there, 0 at the other free columns, as plain rows (one per variable)."""
-    red, pivots = fraction_rref(rows)
-    free = [c for c in range(nvars) if c not in pivots]
-    return tuple(
-        tuple(
-            Fraction(int(i == fc)) if i not in pivots else -red[pivots.index(i)][fc] for fc in free
-        )
-        for i in range(nvars)
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(subspaces(), st.data())
 def test_from_equations_matches_fraction_rref(sub, data):
@@ -366,7 +324,7 @@ def test_from_equations_matches_fraction_rref(sub, data):
     assert [[Fraction(a, space.den) for a in row] for row in space.rows] == red[: len(pivots)]
     assert space.nvars == nvars and space.den > 0
     assert all(type(a) is int for row in space.rows for a in row)
-    assert fraction_parametrization(space) == reference_kernel(rows, nvars)
+    assert [[Fraction(a, space.den) for a in col] for col in space.kernel] == fraction_kernel(rows, nvars)
     assert all(type(a) is int for row in space.parametrization for a in row)
     assert space.parametrization == tuple(tuple(col[i] for col in space.kernel) for i in range(nvars))
     assert LinearSubspace(space.rows, space.den, nvars) == space
@@ -506,6 +464,8 @@ def test_bench_chart_gives_the_section_quartic():
     # the benchmark picks scan primes from the quartic restricted through a
     # LinearMap of the `nullspace` columns; it must be the quartic the
     # section certifies and scans
+    from quartic15.exact import LinearMap, nullspace
+
     rng = random.Random(5)
     models = [hyperplane_section(REFERENCE_COEFFS)]
     while len(models) < 4:
@@ -534,19 +494,16 @@ def test_section_quartic_takes_the_ambient_values():
 
 
 def test_non_cardinal_restriction_not_square():
-    from quartic15.exact import nullspace, perfect_square_factor, LinearMap
-
     rng = random.Random(3)
     ones = [Fraction(1)] * 6
     for _ in range(5):
         h = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
         if h in ([0] * 6,) or all(x == h[0] for x in h):
             continue
-        basis = nullspace([ones, h], 6)
-        if len(basis) != 4:
+        chart = LinearSubspace.from_equations([ones, h], 6)
+        if len(chart.free) != 4:
             continue
-        chart = LinearMap([[basis[k][i] for k in range(4)] for i in range(6)])
-        restricted = cr_quartic_form().substitute_linear(chart)
+        restricted = cr_quartic_form().substitute_linear(chart.parametrization, chart.den)
         assert perfect_square_factor(restricted) is None
 
 
