@@ -17,10 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
-from operator import index, mul, not_
+from operator import index, mul
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .configs import (
@@ -204,11 +206,17 @@ class Hypersurface:
 
     The form is stored cleared of its denominator (scaled by `den`), which
     leaves its zero set unchanged: the form and every partial then have
-    integer coefficients, so values at integer points are integers, read by
-    `MultiPoly._integer_value`.  The constraints are one `LinearSubspace`,
-    `ambient` (no equations for an unconstrained form), and the first and
-    second partials of the form are built once per surface, on first use,
-    and shared by every node certified on it.
+    integer coefficients, so values at integer points are integers.  The
+    constraints are one `LinearSubspace`, `ambient` (no equations for an
+    unconstrained form), and the first and second partials of the form are
+    built once per surface, on first use, and shared by every node
+    certified on it.  For evaluation the form, its n first partials and its
+    n(n+1)/2 second partials d_i d_j f (i <= j) are also held as rows of
+    (monomial index, coefficient) into one table of monomials: the
+    monomials these polynomials use and the smaller ones each is built
+    from, by one multiplication each, with the build steps cached per
+    exponent set (`_monomial_steps`).  At a point the table is filled once
+    and every value is read off its own polynomial's row.
     """
 
     form: MultiPoly
@@ -239,29 +247,62 @@ class Hypersurface:
         upper = {(i, j): self.gradient[i].partial(j) for i in range(n) for j in range(i, n)}
         return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
-    def gradient_at(self, point: Sequence) -> tuple[int, ...]:
-        """Integer gradient at a point of the variety: with the point cleared
-        to xs/d, the partials at xs/d times d^(D−1), D the degree.  A point
-        off the ambient constraints or off the form is refused."""
-        xs, d = self._cleared(point)
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """(steps, rows): the monomial table's build steps, and the rows of
+        the form, of each d_i f and of each d_i d_j f, i <= j, in that order."""
+        n = self.form.nvars
+        polys = [self.form, *self.gradient, *(self.second_partials[i][j] for i in range(n) for j in range(i, n))]
+        position, steps = _monomial_steps(n, frozenset(e for f in polys for e in f.nums))
+        return steps, tuple(tuple((position[e], c) for e, c in f.nums.items()) for f in polys)
+
+    def _monomial_values(self, xs: Sequence[int]) -> list[int]:
+        """The monomial table at the integer point xs."""
+        values = [1]
+        for parent, i in self._rows[0]:
+            values.append(values[parent] * xs[i])
+        return values
+
+    def _read(self, values: list[int], first: int, count: int) -> list[int]:
+        """The values of `count` consecutive rows from row `first` on."""
+        return [sum([c * values[k] for k, c in row]) for row in self._rows[1][first : first + count]]
+
+    def _values_on_variety(self, point: Sequence) -> list[int]:
+        """The monomial table at the cleared point, refusing a point off the
+        ambient constraints or off the form."""
+        xs, _ = self._cleared(point)
         if not self.ambient.contains(xs):
             raise NotOnVarietyError("point violates the ambient constraints")
-        if self.form._integer_value(xs, d) != 0:
+        values = self._monomial_values(xs)
+        if self._read(values, 0, 1)[0] != 0:
             raise NotOnVarietyError("point is not on the variety")
-        return tuple(g._integer_value(xs, d) for g in self.gradient)
+        return values
 
-    def hessian_at(self, point: Sequence) -> list[list[int]]:
-        """Integer matrix of second partials at `point`, one evaluation per
-        pair i <= j: with the point cleared to xs/d, the Hessian at xs/d
-        times d^(D−2), one positive scale for every entry since the form is
-        homogeneous of degree D."""
-        xs, d = self._cleared(point)
+    def _gradient(self, values: list[int]) -> tuple[int, ...]:
+        return tuple(self._read(values, 1, self.form.nvars))
+
+    def _hessian(self, values: list[int]) -> list[list[int]]:
         n = self.form.nvars
+        entries = iter(self._read(values, 1 + n, n * (n + 1) // 2))
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = self.second_partials[i][j]._integer_value(xs, d)
+                rows[i][j] = rows[j][i] = next(entries)
         return rows
+
+    def gradient_at(self, point: Sequence) -> tuple[int, ...]:
+        """Integer gradient at a point of the variety: with the point cleared
+        to xs/d, the partials at xs/d times d^(D−1), D the degree, which for
+        a homogeneous form are the partials at xs.  A point off the ambient
+        constraints or off the form is refused."""
+        return self._gradient(self._values_on_variety(point))
+
+    def hessian_at(self, point: Sequence) -> list[list[int]]:
+        """Integer matrix of second partials at `point`, one row read per
+        pair i <= j: with the point cleared to xs/d, the Hessian at xs/d
+        times d^(D−2), one positive scale for every entry since the form is
+        homogeneous of degree D."""
+        return self._hessian(self._monomial_values(self._cleared(point)[0]))
 
     def _cleared(self, point: Sequence) -> tuple[list[int], int]:
         _check_length(point, self.form.nvars, "point")
@@ -273,6 +314,28 @@ class Hypersurface:
             if self.form.permute_variables(list(perm)) != self.form:
                 return False
         return True
+
+
+@lru_cache(maxsize=64)
+def _monomial_steps(nvars: int, exponents: frozenset) -> tuple[MappingProxyType, tuple[tuple[int, int], ...]]:
+    """(position, steps) for a table of monomials in `nvars` variables that
+    holds `exponents`: entry 0 is the monomial 1, and entry k > 0 is entry
+    steps[k−1][0] times the variable steps[k−1][1], a monomial already in the
+    table with one less in its last nonzero exponent; `position` maps each
+    exponent of the table to its entry."""
+    position: dict[tuple[int, ...], int] = {(0,) * nvars: 0}
+    steps: list[tuple[int, int]] = []
+
+    def add(e: tuple[int, ...]) -> int:
+        if e not in position:
+            i = max(k for k, x in enumerate(e) if x)
+            steps.append((add(e[:i] + (e[i] - 1,) + e[i + 1 :]), i))
+            position[e] = len(steps)
+        return position[e]
+
+    for e in sorted(exponents):
+        add(e)
+    return MappingProxyType(position), tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -382,12 +445,12 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     ambient projective space.
     """
     coords = p.coords
-    grad = v.gradient_at(coords)
-    if not v.ambient.annihilates(grad):
+    values = v._values_on_variety(coords)
+    if not v.ambient.annihilates(v._gradient(values)):
         return SmoothPointFailure()
     keep = _chart_basis(coords, v.ambient)
     w = [v.ambient.kernel[k] for k in keep]
-    chart_hess = mat_mul(mat_mul(w, v.hessian_at(coords)), mat_transpose(w))
+    chart_hess = mat_mul(mat_mul(w, v._hessian(values)), mat_transpose(w))
     r1 = len(bareiss(chart_hess)[1])
     hnf, _ = hermite_normal_form(chart_hess)
     if r1 != sum(1 for row in hnf if any(row)):
@@ -652,83 +715,127 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+_SLOT_FORMATS = {16: "H", 32: "I", 64: "Q"}
+
+
+@lru_cache(maxsize=16)
+def _plane_packs(p: int, deg: int, ydeg: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Q[j][k] for j <= deg, k <= ydeg: the integer whose w-bit slot y·p + t
+    holds y^k·t^j mod p, for y and t in F_p.  A plane's slots are the p
+    blocks a·t^j mod p, a = y^k mod p, each packed once per j.  Keyed by
+    ints only, so a cached table is never stale."""
+    fmt = _SLOT_FORMATS[width]
+    ts = range(p)
+    packs = []
+    for j in range(deg + 1):
+        tj = [pow(t, j, p) for t in ts]
+        blocks = [array(fmt, [a * v % p for v in tj]).tobytes() for a in ts]
+        packs.append(
+            tuple(
+                int.from_bytes(b"".join([blocks[pow(y, k, p)] for y in ts]), sys.byteorder)
+                for k in range(ydeg + 1)
+            )
+        )
+    return tuple(packs)
+
+
 def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     """F_p points of P^{n-1} where the form and all its partials vanish, in
     `_projective_reps` order.
 
-    P^{n-1}(F_p) is walked one line at a time: each representative a of
-    P^{n-2} with the last coordinate t running over F_p, then the point
-    (0,...,0,1).  On a line the form is a polynomial h(t) = f(a, t) whose
-    derivative is the last partial at (a, t), so a singular point is a common
-    root of h and h'.
-
-    The lines come in planes: the representatives a = (b, y) that share the
-    prefix b differ only in y.  For each prefix the coefficients of h are
-    tabled once as polynomials in y, so a line gets h_0..h_d, reduced mod p,
-    by Horner's rule in y.  The values of h at every t are then one integer,
-    H = sum_j h_j·P_j with P_j = sum_t (t^j mod p)·2^(w·t): its w-bit slot t
-    holds sum_j h_j·(t^j mod p), d+1 terms in [0, (p−1)²].  The slot width w
-    (16, 32 or 64 bits) exceeds (d+1)(p−1)², so no slot carries into the
-    next, and t is a root of h exactly where its slot is a multiple of p.  A
-    line with no such slot is skipped by one set test; at the roots h' is
-    evaluated by Horner's rule.  Each candidate is confirmed by evaluating the
-    form and every partial.  A prime whose slot bound does not fit 64 bits is
-    refused.
+    P^{n-1}(F_p) is walked one plane at a time: each representative b of
+    P^{n-3} with the last two coordinates (y, t) running over F_p², then the
+    line (0,...,0,1,t) and the point (0,...,0,1).  On a plane the form is
+    sum_{j,k} c_jk(b)·y^k·t^j, its coefficients tabled once per prefix and
+    reduced mod p.  Its values at every (y, t) are then one integer,
+    H = sum c_jk·Q_jk, where Q_jk holds y^k·t^j mod p in its w-bit slot
+    y·p + t, and the partials in t and y are packed from the same tables as
+    sum (j·c_jk mod p)·Q_{j−1,k} and sum (k·c_jk mod p)·Q_{j,k−1}.  Each slot
+    of the three is a sum of at most T terms in [0, (p−1)²], T the number of
+    distinct (j, k) among the terms (at least 1), and the slot width w (16,
+    32 or 64 bits) exceeds T·(p−1)², so no slot carries into the next.  The
+    tables are built once per (p, degrees, w) and kept in a small cache
+    (`_plane_packs`).  A point is a candidate exactly where its three slots
+    are multiples of p; with 16-bit slots (p < 256) these are found as the
+    zero bytes of one integer made by two byte tables of residues, and with
+    wider slots by a set of the multiples.  Each candidate is confirmed by
+    evaluating the form and every partial.  A prime whose slot bound does
+    not fit 64 bits, or whose plane would hold 2^32 slots or more, is refused
+    before any table is built.
     """
     p, n = fp.p, fp.nvars
-    deg = max((e[-1] for e in fp.terms), default=0)
-    bound = (deg + 1) * (p - 1) ** 2
+    # each term as (t exponent, y exponent, c, its monomial in the prefix)
+    split = []
+    if n > 1:
+        split = [(e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-2]) if x]) for e, c in fp.terms.items()]
+    pairs = sorted({(j, k) for j, k, _, _ in split})
+    deg = max((j for j, _ in pairs), default=0)
+    bound = max(len(pairs), 1) * (p - 1) ** 2
     width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
-    if width is None:
-        raise ValueError(f"bad prime: {p} is too large for 64-bit slots of a degree-{deg} scan")
-    fmt = {16: "H", 32: "I", 64: "Q"}[width]
-    nbytes = p * width // 8
-    packs = [sum(pow(t, j, p) << (width * t) for t in range(p)) for j in range(deg + 1)]
-    zeros = set(range(0, bound + 1, p))
+    if width is None or p * p >= 1 << 32:
+        raise ValueError(f"bad prime: {p} is too large for planes of 64-bit slots in a degree-{deg} scan")
     partials = [fp.partial(i) for i in range(n)]
 
     def singular(v):
         return fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
 
-    # P^{n-2} in `_projective_reps` order: each prefix b with every y, then
-    # the representative (0,...,0,1); each term as (t exponent, y exponent, c,
-    # its monomial in the prefix)
-    planes, split = [], []
-    if n > 1:
-        planes = [(b, range(p)) for b in _projective_reps(p, n - 2)] + [((0,) * (n - 2), (1,))]
-        split = [(e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-2]) if x]) for e, c in fp.terms.items()]
-    ydeg = max((k for _, k, _, _ in split), default=0)
-
-    def plane(b):
-        """For each j, h_j's coefficients in y mod p, highest power first."""
-        rows = [[0] * (ydeg + 1) for _ in range(deg + 1)]
-        for j, k, c, mono in split:
-            for i, x in mono:
-                c *= b[i] ** x
-            rows[j][k] += c
-        return [list(itertools.dropwhile(not_, (c % p for c in reversed(row)))) for row in rows]
-
     found = []
-    for b, ys in planes:
-        table = plane(b)
-        for y in ys:
-            h = []
-            for row in table:
-                v = 0
-                for c in row:
-                    v = v * y + c
-                h.append(v % p)
-            slots = memoryview(sum(map(mul, h, packs)).to_bytes(nbytes, sys.byteorder)).cast(fmt)
-            if zeros.isdisjoint(slots):
-                continue
-            # h' is the last partial along the line; when h vanishes identically
-            # so does h', and every t is a candidate
-            dh = [j * h[j] for j in range(deg, 0, -1)]
-            for t in itertools.compress(range(p), map(zeros.__contains__, slots)):
-                w = 0
-                for c in dh:
-                    w = w * t + c
-                if w % p == 0 and singular(point := b + (y, t)):
+    if n > 1:
+        nbytes = p * p * width // 8
+        packs = _plane_packs(p, deg, max((k for _, k in pairs), default=0), width)
+        pair_index = {jk: s for s, jk in enumerate(pairs)}
+        terms = [(pair_index[j, k], c, mono) for j, k, c, mono in split]
+        value = [packs[j][k] for j, k in pairs]
+        dt = [(s, j, packs[j - 1][k]) for s, (j, k) in enumerate(pairs) if j]
+        dy = [(s, k, packs[j][k - 1]) for s, (j, k) in enumerate(pairs) if k]
+
+        if width == 16:
+            # a 16-bit slot bounds (p−1)², so p < 256 and a byte's residue is a
+            # byte: the slot lo + 256·hi is a multiple of p exactly where
+            # lo mod p = −256·hi mod p, and `flags` has a zero byte exactly at
+            # the slots where all three sums are multiples of p
+            lo_res = bytes(v % p for v in range(256))
+            hi_res = bytes(-v * 256 % p for v in range(256))
+
+            def misses(total):
+                raw = total.to_bytes(nbytes, "little")
+                return int.from_bytes(raw[0::2].translate(lo_res), "little") ^ int.from_bytes(
+                    raw[1::2].translate(hi_res), "little"
+                )
+
+            def candidates(sums, lo, hi):
+                flags = (misses(sums[0]) | misses(sums[1]) | misses(sums[2])).to_bytes(p * p, "little")
+                s = flags.find(0, lo, hi)
+                while s >= 0:
+                    yield s
+                    s = flags.find(0, s + 1, hi)
+
+        else:
+            fmt, zeros = _SLOT_FORMATS[width], set(range(0, bound + 1, p))
+
+            def candidates(sums, lo, hi):
+                h, ts, ys = (memoryview(x.to_bytes(nbytes, sys.byteorder)).cast(fmt) for x in sums)
+                for s in itertools.compress(range(lo, hi), map(zeros.__contains__, h[lo:hi])):
+                    if ts[s] % p == 0 and ys[s] % p == 0:
+                        yield s
+
+        # P^{n-3} in `_projective_reps` order with every (y, t), then the line
+        # y = 1 over the zero prefix: slots p..2p−1 of its plane
+        planes = [(b, 0, p * p) for b in _projective_reps(p, n - 2)] + [((0,) * (n - 2), p, 2 * p)]
+        for b, lo, hi in planes:
+            c = [0] * len(pairs)
+            for s, a, mono in terms:
+                for i, x in mono:
+                    a *= b[i] ** x
+                c[s] += a
+            c = [a % p for a in c]
+            sums = (
+                sum(map(mul, c, value)),
+                sum([j * c[s] % p * q for s, j, q in dt]),
+                sum([k * c[s] % p * q for s, k, q in dy]),
+            )
+            for s in candidates(sums, lo, hi):
+                if singular(point := b + divmod(s, p)):
                     found.append(point)
     last = (0,) * (n - 1) + (1,)
     if singular(last):

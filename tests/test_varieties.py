@@ -737,12 +737,13 @@ def test_cli_composite_scan_prime_check_is_red():
     assert check["error"]["where"].startswith("varieties.py:")
 
 
-# -- the line-by-line scan against the old per-point scan ------------------------
+# -- the plane-by-plane scan against the per-point scan ----------------------------
 
 
 def reference_scan(target, p):
-    """The per-point scan the line-by-line kernel replaced: every point of
-    projective space is evaluated, the form first and then its gradient."""
+    """The per-point scan that the packed plane-by-plane kernel must agree
+    with: every point of projective space is evaluated, the form first and
+    then its gradient."""
     if isinstance(target, Hypersurface):
         fp = target.form.mod_p(p)
         partials = [fp.partial(i) for i in range(6)]
@@ -788,6 +789,38 @@ def test_section_scan_matches_reference(form, p):
     assert singular_scan_fp(model, p) == reference_scan(model, p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(forms(2, 3), forms(3, 4), forms(5, 3)), st.sampled_from([5, 7, 11, 13]))
+def test_scan_matches_brute_force_in_2_3_and_5_variables(form, p):
+    # two variables scan only the line (1, t); three scan one plane; five
+    # scan p^2 + p + 1 planes with prefixes of two coordinates
+    fp = form.mod_p(p)
+    assert varieties._singular_points_fp(fp) == _brute_force_singular_points(fp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(forms(4, 3), st.sampled_from([5, 7, 11, 13]))
+def test_scan_of_a_form_vanishing_on_a_scanned_plane(g, p):
+    # x0·g vanishes with both its partials in the plane's coordinates on the
+    # scanned plane x0 = 0, x1 = 1, so every slot of that plane is a
+    # candidate and is confirmed by evaluating the form at its point
+    fp = (MultiPoly.variable(4, 0) * g).mod_p(p)
+    evaluated = set()
+    evaluate = ModPoly.evaluate
+
+    def recorded(self, point):
+        evaluated.add(point)
+        return evaluate(self, point)
+
+    try:
+        ModPoly.evaluate = recorded
+        found = varieties._singular_points_fp(fp)
+    finally:
+        ModPoly.evaluate = evaluate
+    assert found == _brute_force_singular_points(fp)
+    assert {(0, 1, y, t) for y in range(p) for t in range(p)} <= evaluated
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(forms(6, 3), forms(6, 4)), st.sampled_from([5, 7]))
 def test_threefold_scan_matches_reference(form, p):
@@ -822,8 +855,10 @@ def test_cr_scan_matches_reference(cr, p):
 
 def test_scan_evaluates_only_candidates(monkeypatch):
     # the kernel confirms candidates with ModPoly.evaluate; a per-point scan
-    # would evaluate at every one of the p^3 + p^2 + p + 1 points, and a
-    # filter by h alone, without h', at about one point per line (~p^2)
+    # would evaluate at every one of the p^3 + p^2 + p + 1 points, a filter
+    # by the form alone at about one point per line (~p^2), and one by the
+    # form and its t-partial, without the y-partial, at some 189 calls here;
+    # with all three the candidates are the 13 singular points and a few more
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     calls = []
     evaluate = ModPoly.evaluate
@@ -837,7 +872,7 @@ def test_scan_evaluates_only_candidates(monkeypatch):
     pts = singular_scan_fp(model, p)
     assert len(pts) == 13  # 37 is a bad prime for this hyperplane
     assert 0 < len(calls) < p**3 / 10
-    assert len(calls) < p**2
+    assert len(calls) < 3 * p
 
 
 @pytest.mark.parametrize("p", [127, 131, 251])
@@ -1169,6 +1204,50 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
         v.second_partials = ()
     with pytest.raises(AttributeError):
         v.gradient[0].nums.clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(forms(4, 4), forms(6, 3)), st.data())
+def test_node_readings_match_each_partials_integer_value(form, data):
+    # gradient_at and hessian_at read one monomial table per point; each value
+    # must be its own partial's `_integer_value` at the cleared point
+    n, deg = form.nvars, form.total_degree()
+    xs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
+    q = data.draw(st.integers(2, 30))
+    k = next(i for i, x in enumerate(xs) if x)
+    # xs_k^D·f − f(xs)·x_k^D vanishes at xs, so gradient_at accepts xs
+    on = form * xs[k] ** deg - MultiPoly.variable(n, k) ** deg * form._integer_value(xs)
+    free = LinearSubspace((), 1, n)
+    for point in (xs, [Fraction(x, q) for x in xs]):
+        ys, d = clear_denominators(point)
+        for v in (Hypersurface(form, free), Hypersurface(on, free)):
+            assert v.hessian_at(point) == [
+                [v.second_partials[i][j]._integer_value(ys, d) for j in range(n)] for i in range(n)
+            ]
+        v = Hypersurface(on, free)
+        assert v.gradient_at(point) == tuple(g._integer_value(ys, d) for g in v.gradient)
+
+
+def test_node_certificate_reads_the_hessian_from_the_second_partial_rows(monkeypatch):
+    # one coefficient of the row of d_0 d_1 f changed by one: the chart
+    # Hessian the certificate ranks must change with it
+    model = hyperplane_section(REFERENCE_COEFFS)
+    surface = Hypersurface(model.quartic3, LinearSubspace((), 1, 4))
+    node = model.nodes[0].chart_point
+    charts = []
+    bareiss = varieties.bareiss
+    monkeypatch.setattr(varieties, "bareiss", lambda m, **kw: charts.append(m) or bareiss(m, **kw))
+    certify_ordinary_node(surface, node)
+    steps, rows = surface._rows
+    values = surface._monomial_values(node.coords)
+    r = 1 + 4 + 1  # the form, its 4 first partials, then d_0 d_0 f and d_0 d_1 f
+    e = next(e for e, (k, _) in enumerate(rows[r]) if values[k])
+    k, c = rows[r][e]
+    changed = rows[r][:e] + ((k, c + 1),) + rows[r][e + 1 :]
+    surface.__dict__["_rows"] = (steps, rows[:r] + (changed,) + rows[r + 1 :])
+    certify_ordinary_node(surface, node)
+    assert len(charts) == 2 and charts[1] != charts[0]
+    assert charts[1][0][1] - charts[0][0][1] == values[k]
 
 
 def test_cached_constants_are_immutable():
