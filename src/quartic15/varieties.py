@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
@@ -724,17 +723,14 @@ def _plane_packs(p: int, deg: int, ydeg: int, width: int) -> tuple[tuple[int, ..
     holds y^k·t^j mod p, for y and t in F_p.  A plane's slots are the p
     blocks a·t^j mod p, a = y^k mod p, each packed once per j.  Keyed by
     ints only, so a cached table is never stale."""
-    fmt = _SLOT_FORMATS[width]
+    block = f"<{p}{_SLOT_FORMATS[width]}"
     ts = range(p)
     packs = []
     for j in range(deg + 1):
         tj = [pow(t, j, p) for t in ts]
-        blocks = [array(fmt, [a * v % p for v in tj]).tobytes() for a in ts]
+        blocks = [struct.pack(block, *[a * v % p for v in tj]) for a in ts]
         packs.append(
-            tuple(
-                int.from_bytes(b"".join([blocks[pow(y, k, p)] for y in ts]), sys.byteorder)
-                for k in range(ydeg + 1)
-            )
+            tuple(int.from_bytes(b"".join([blocks[pow(y, k, p)] for y in ts]), "little") for k in range(ydeg + 1))
         )
     return tuple(packs)
 
@@ -811,10 +807,10 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
                     s = flags.find(0, s + 1, hi)
 
         else:
-            fmt, zeros = _SLOT_FORMATS[width], set(range(0, bound + 1, p))
+            plane, zeros = f"<{p * p}{_SLOT_FORMATS[width]}", set(range(0, bound + 1, p))
 
             def candidates(sums, lo, hi):
-                h, ts, ys = (memoryview(x.to_bytes(nbytes, sys.byteorder)).cast(fmt) for x in sums)
+                h, ts, ys = (struct.unpack(plane, x.to_bytes(nbytes, "little")) for x in sums)
                 for s in itertools.compress(range(lo, hi), map(zeros.__contains__, h[lo:hi])):
                     if ts[s] % p == 0 and ys[s] % p == 0:
                         yield s

@@ -857,8 +857,9 @@ def test_scan_evaluates_only_candidates(monkeypatch):
     # the kernel confirms candidates with ModPoly.evaluate; a per-point scan
     # would evaluate at every one of the p^3 + p^2 + p + 1 points, a filter
     # by the form alone at about one point per line (~p^2), and one by the
-    # form and its t-partial, without the y-partial, at some 189 calls here;
-    # with all three the candidates are the 13 singular points and a few more
+    # form and its t-partial, without the y-partial, at 189 calls here; with
+    # all three it makes 68: five at each of the 13 singular points, two at
+    # the one other candidate and one at (0, 0, 0, 1)
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     calls = []
     evaluate = ModPoly.evaluate
