@@ -717,12 +717,13 @@ def _is_prime(n: int) -> bool:
 _SLOT_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
-@lru_cache(maxsize=16)
-def _plane_packs(p: int, deg: int, ydeg: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Q[j][k] for j <= deg, k <= ydeg: the integer whose w-bit slot y·p + t
-    holds y^k·t^j mod p, for y and t in F_p.  A plane's slots are the p
-    blocks a·t^j mod p, a = y^k mod p, each packed once per j.  Keyed by
-    ints only, so a cached table is never stale."""
+@lru_cache(maxsize=8)
+def _plane_packs(p: int, deg: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Q[j][k] for j + k <= deg: the integer whose w-bit slot y·p + t holds
+    y^k·t^j mod p, for y and t in F_p, (deg+1)(deg+2)/2 integers of p²·w
+    bits.  A plane's slots are the p blocks a·t^j mod p, a = y^k mod p, each
+    packed once per j.  Keyed by ints only, so a cached table is never
+    stale."""
     block = f"<{p}{_SLOT_FORMATS[width]}"
     ts = range(p)
     packs = []
@@ -730,7 +731,7 @@ def _plane_packs(p: int, deg: int, ydeg: int, width: int) -> tuple[tuple[int, ..
         tj = [pow(t, j, p) for t in ts]
         blocks = [struct.pack(block, *[a * v % p for v in tj]) for a in ts]
         packs.append(
-            tuple(int.from_bytes(b"".join([blocks[pow(y, k, p)] for y in ts]), "little") for k in range(ydeg + 1))
+            tuple(int.from_bytes(b"".join([blocks[pow(y, k, p)] for y in ts]), "little") for k in range(deg - j + 1))
         )
     return tuple(packs)
 
@@ -743,21 +744,21 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     P^{n-3} with the last two coordinates (y, t) running over F_p², then the
     line (0,...,0,1,t) and the point (0,...,0,1).  On a plane the form is
     sum_{j,k} c_jk(b)·y^k·t^j, its coefficients tabled once per prefix and
-    reduced mod p.  Its values at every (y, t) are then one integer,
-    H = sum c_jk·Q_jk, where Q_jk holds y^k·t^j mod p in its w-bit slot
-    y·p + t, and the partials in t and y are packed from the same tables as
-    sum (j·c_jk mod p)·Q_{j−1,k} and sum (k·c_jk mod p)·Q_{j,k−1}.  Each slot
-    of the three is a sum of at most T terms in [0, (p−1)²], T the number of
-    distinct (j, k) among the terms (at least 1), and the slot width w (16,
-    32 or 64 bits) exceeds T·(p−1)², so no slot carries into the next.  The
-    tables are built once per (p, degrees, w) and kept in a small cache
-    (`_plane_packs`).  A point is a candidate exactly where its three slots
-    are multiples of p; with 16-bit slots (p < 256) these are found as the
-    zero bytes of one integer made by two byte tables of residues, and with
-    wider slots by a set of the multiples.  Each candidate is confirmed by
-    evaluating the form and every partial.  A prime whose slot bound does
-    not fit 64 bits, or whose plane would hold 2^32 slots or more, is refused
-    before any table is built.
+    reduced mod p.  Its values at every (y, t) are then one integer, H = sum
+    c_jk·Q_jk, where Q_jk holds y^k·t^j mod p in its w-bit slot y·p + t, and
+    the partials in t and y are packed from the same tables as sum (j·c_jk mod
+    p)·Q_{j−1,k} and sum (k·c_jk mod p)·Q_{j,k−1}.  Each slot of the three is
+    a sum of at most T terms in [0, (p−1)²], T the number of distinct (j, k)
+    among the terms (at least 1), and the slot width w (16, 32 or 64 bits)
+    exceeds T·(p−1)², so no slot carries into the next.  The tables, j + k up
+    to the form's degree D in (y, t), are built once per (p, D, w) and kept in
+    a small cache (`_plane_packs`), (D+1)(D+2)/2 integers of p²·w bits each.
+    A point is a candidate exactly where its three slots are multiples of p;
+    with 16-bit slots (p < 256) these are found as the zero bytes of one
+    integer made by two byte tables of residues, and with wider slots by a set
+    of the multiples.  Each candidate is confirmed by evaluating the form and
+    every partial.  A prime whose slot bound does not fit 64 bits, or whose
+    plane would hold 2^32 slots or more, is refused before any table is built.
     """
     p, n = fp.p, fp.nvars
     # each term as (t exponent, y exponent, c, its monomial in the prefix)
@@ -765,7 +766,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     if n > 1:
         split = [(e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-2]) if x]) for e, c in fp.terms.items()]
     pairs = sorted({(j, k) for j, k, _, _ in split})
-    deg = max((j for j, _ in pairs), default=0)
+    deg = max((j + k for j, k in pairs), default=0)
     bound = max(len(pairs), 1) * (p - 1) ** 2
     width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
     if width is None or p * p >= 1 << 32:
@@ -778,7 +779,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     found = []
     if n > 1:
         nbytes = p * p * width // 8
-        packs = _plane_packs(p, deg, max((k for _, k in pairs), default=0), width)
+        packs = _plane_packs(p, deg, width)
         pair_index = {jk: s for s, jk in enumerate(pairs)}
         terms = [(pair_index[j, k], c, mono) for j, k, c, mono in split]
         value = [packs[j][k] for j, k in pairs]
