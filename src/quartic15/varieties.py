@@ -269,7 +269,7 @@ class Hypersurface:
     def _values_on_variety(self, point: Sequence) -> list[int]:
         """The monomial table at the cleared point, refusing a point off the
         ambient constraints or off the form."""
-        xs, _ = self._cleared(point)
+        xs = self._cleared(point)
         if not self.ambient.contains(xs):
             raise NotOnVarietyError("point violates the ambient constraints")
         values = self._monomial_values(xs)
@@ -301,11 +301,13 @@ class Hypersurface:
         pair i <= j: with the point cleared to xs/d, the Hessian at xs/d
         times d^(D−2), one positive scale for every entry since the form is
         homogeneous of degree D."""
-        return self._hessian(self._monomial_values(self._cleared(point)[0]))
+        return self._hessian(self._monomial_values(self._cleared(point)))
 
-    def _cleared(self, point: Sequence) -> tuple[list[int], int]:
+    def _cleared(self, point: Sequence) -> list[int]:
+        """The integer vector xs of the point xs/d: a homogeneous form of
+        degree k has at xs its value at xs/d times d^k."""
         _check_length(point, self.form.nvars, "point")
-        return clear_denominators(point)
+        return clear_denominators(point)[0]
 
     def is_s6_invariant(self) -> bool:
         """Exact invariance of the form under all 720 coordinate permutations."""
