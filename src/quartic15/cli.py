@@ -257,7 +257,9 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
         return None
 
     def tropes():
-        ok = len(model.tropes) == 10 and all(len(t.incident_nodes) == 6 for t in model.tropes)
+        ok = len(model.tropes) == 10 and all(
+            len(t.incident_nodes) == 6 and t.conic.total_degree() == 2 for t in model.tropes
+        )
         return ok, "10 trope-conics, each through exactly 6 nodes"
 
     r.run(f"section-tropes[{tag}]", "the cardinal planes cut doubled conics", tropes)

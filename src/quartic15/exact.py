@@ -5,11 +5,13 @@ tuples, over one positive denominator `den` coprime to them: the lcm of the
 reduced coefficient denominators, 1 for the zero polynomial.  The form is
 canonical, and every operation runs on these integers.  Coefficients enter
 as `int` or `Fraction` (nothing here touches floating point) and leave as a
-`Fraction` only through `evaluate` and `leading_coefficient`.  The rational
-linear algebra (`rref`, `nullspace` and `LinearMap`) is a front end to the
-fraction-free integer kernels of `lattice`.  No library module calls it: the
-benchmark builds its section chart with it, and besides its own tests only
-the ragged-row refusal and the pin of that chart reach it.
+`Fraction` only through `leading_coefficient`.  Values are read in integers,
+den·f(xs) at an integer point xs, by the one sparse evaluation loop, which
+`ModPoly` also reads mod p.  The rational linear algebra (`rref`,
+`nullspace` and `LinearMap`) is a front end to the fraction-free integer
+kernels of `lattice`.  No library module calls it: the benchmark builds its
+section chart with it, and besides its own tests only the ragged-row
+refusal and the pin of that chart reach it.
 """
 
 from __future__ import annotations
@@ -193,39 +195,26 @@ class MultiPoly:
 
     # -- calculus --------------------------------------------------------
 
-    def _monomials(self) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
-        """(D, ((num, D − deg, ((i, e), ...)), ...)): the total degree D and
-        each term's numerator with its degree gap to D and its nonzero
+    def _monomials(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """((num, ((i, e), ...)), ...): each term's numerator with its nonzero
         (variable, exponent) pairs; built once."""
         try:
             return self._sparse
         except AttributeError:
             pass
-        top = self.total_degree()
-        terms = tuple(
-            (c, top - sum(e), tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.nums.items()
-        )
-        object.__setattr__(self, "_sparse", (top, terms))
-        return self._sparse
+        terms = tuple((c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.nums.items())
+        object.__setattr__(self, "_sparse", terms)
+        return terms
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Value at `point`: cleared to xs/d, then `_integer_value` over
-        den·d^D, D the total degree."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        xs, d = clear_denominators(point)
-        return Fraction(self._integer_value(xs, d), self.den * d ** self._monomials()[0])
-
-    def _integer_value(self, xs: Sequence[int], d: int = 1) -> int:
-        """den·d^D·f(xs/d) for an integer vector xs of nvars entries, summed
-        in integers: each term num·xs^e/d^deg is brought to the common
-        denominator d^D by d^(D − deg).  With den 1 and d 1 it is f(xs)."""
-        top, terms = self._monomials()
+    def _integer_value(self, xs: Sequence[int]) -> int:
+        """den·f(xs) for an integer vector xs of nvars entries, summed in
+        integers; with den 1 it is f(xs).  The one sparse evaluation loop:
+        `ModPoly.evaluate` reduces it mod p."""
         total = 0
-        for c, gap, mono in terms:
+        for c, mono in self._monomials():
             for i, e in mono:
                 c *= xs[i] ** e
-            total += c * d**gap if gap else c
+            total += c
         return total
 
     def partial(self, i: int) -> "MultiPoly":
@@ -271,11 +260,11 @@ class MultiPoly:
             dens.append(d * den)
         one = {(0,) * ncols: 1}
         powers = [[one] for _ in rows]  # powers[i][e] = F_i^e
-        _, terms = self._monomials()
-        scales = [prod(dens[i] ** e for i, e in mono) for _, _, mono in terms]
+        terms = self._monomials()
+        scales = [prod(dens[i] ** e for i, e in mono) for _, mono in terms]
         common = lcm(*scales)
         acc: dict[Exponent, int] = {}
-        for (c, _, mono), q in zip(terms, scales):
+        for (c, mono), q in zip(terms, scales):
             product = one
             for i, e in mono:
                 pw = powers[i]
@@ -342,51 +331,30 @@ class LinearMap:
 
 
 class ModPoly:
-    """Polynomial with coefficients reduced mod p, with read-only `terms`;
-    used by the F_p singular scans.  `monomials` holds each term once more
-    as (c, ((i, e), ...)) over its nonzero exponents, the form `evaluate`
-    reads."""
+    """Polynomial with coefficients reduced mod p, used by the F_p singular
+    scans.  It holds `poly`, the `MultiPoly` of the reduced coefficients in
+    [1, p) over den 1, and reads through its integer kernel: `terms` is its
+    read-only `nums`, `evaluate` its integer value reduced mod p, and
+    `partial` its partial reduced."""
 
-    __slots__ = ("nvars", "p", "terms", "monomials")
+    __slots__ = ("nvars", "p", "poly", "terms")
 
     def __init__(self, nvars: int, p: int, terms: Mapping[Exponent, int]):
-        reduced = {e: c % p for e, c in terms.items() if c % p}
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", MappingProxyType(reduced))
-        object.__setattr__(
-            self,
-            "monomials",
-            tuple((c, tuple((i, x) for i, x in enumerate(e) if x)) for e, c in reduced.items()),
-        )
+        poly = MultiPoly._from_nums(nvars, {e: c % p for e, c in terms.items()}, 1)
+        for name, value in (("nvars", nvars), ("p", p), ("poly", poly), ("terms", poly.nums)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ModPoly is immutable")
 
     def evaluate(self, point: Sequence[int]) -> int:
-        p = self.p
-        total = 0
-        for c, mono in self.monomials:
-            for i, e in mono:
-                c *= point[i] ** e
-            total += c
-        return total % p
+        return self.poly._integer_value(point) % self.p
 
     def partial(self, i: int) -> "ModPoly":
-        _check_index(i, self.nvars)
-        res = {}
-        for exp, c in self.terms.items():
-            if exp[i]:
-                e = list(exp)
-                e[i] -= 1
-                res[tuple(e)] = (c * exp[i]) % self.p
-        return ModPoly(self.nvars, self.p, res)
+        return ModPoly(self.nvars, self.p, self.poly.partial(i).nums)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModPoly)
-            and (self.nvars, self.p, self.terms) == (other.nvars, other.p, other.terms)
-        )
+        return isinstance(other, ModPoly) and (self.p, self.poly) == (other.p, other.poly)
 
 
 def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:

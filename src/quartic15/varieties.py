@@ -207,15 +207,16 @@ class Hypersurface:
     leaves its zero set unchanged: the form and every partial then have
     integer coefficients, so values at integer points are integers.  The
     constraints are one `LinearSubspace`, `ambient` (no equations for an
-    unconstrained form), and the first and second partials of the form are
-    built once per surface, on first use, and shared by every node
-    certified on it.  For evaluation the form, its n first partials and its
-    n(n+1)/2 second partials d_i d_j f (i <= j) are also held as rows of
-    (monomial index, coefficient) into one table of monomials: the
-    monomials these polynomials use and the smaller ones each is built
+    unconstrained form).  The first partials are built once per surface, on
+    first use, and shared by every node certified on it.  For evaluation the
+    form, its n first partials and its n(n+1)/2 second partials d_i d_j f
+    (i <= j, formed from the first partials in the same one build) are held
+    as rows of (monomial index, coefficient) into one table of monomials:
+    the monomials these polynomials use and the smaller ones each is built
     from, by one multiplication each, with the build steps cached per
     exponent set (`_monomial_steps`).  At a point the table is filled once
-    and every value is read off its own polynomial's row.
+    and every value is read off its own polynomial's row: `gradient_at` and
+    `certify_ordinary_node` read the gradient and the Hessian this way.
     """
 
     form: MultiPoly
@@ -240,18 +241,12 @@ class Hypersurface:
         return tuple(self.form.gradient())
 
     @cached_property
-    def second_partials(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        """Symmetric table of the forms d_i d_j f, each built once."""
-        n = self.form.nvars
-        upper = {(i, j): self.gradient[i].partial(j) for i in range(n) for j in range(i, n)}
-        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
-
-    @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
         """(steps, rows): the monomial table's build steps, and the rows of
-        the form, of each d_i f and of each d_i d_j f, i <= j, in that order."""
+        the form, of each d_i f and of each d_i d_j f, i <= j, in that order;
+        the second partials are formed here from `gradient`, once."""
         n = self.form.nvars
-        polys = [self.form, *self.gradient, *(self.second_partials[i][j] for i in range(n) for j in range(i, n))]
+        polys = [self.form, *self.gradient, *(self.gradient[i].partial(j) for i in range(n) for j in range(i, n))]
         position, steps = _monomial_steps(n, frozenset(e for f in polys for e in f.nums))
         return steps, tuple(tuple((position[e], c) for e, c in f.nums.items()) for f in polys)
 
@@ -295,13 +290,6 @@ class Hypersurface:
         a homogeneous form are the partials at xs.  A point off the ambient
         constraints or off the form is refused."""
         return self._gradient(self._values_on_variety(point))
-
-    def hessian_at(self, point: Sequence) -> list[list[int]]:
-        """Integer matrix of second partials at `point`, one row read per
-        pair i <= j: with the point cleared to xs/d, the Hessian at xs/d
-        times d^(D−2), one positive scale for every entry since the form is
-        homogeneous of degree D."""
-        return self._hessian(self._monomial_values(self._cleared(point)))
 
     def _cleared(self, point: Sequence) -> list[int]:
         """The integer vector xs of the point xs/d: a homogeneous form of
@@ -603,8 +591,9 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     points must be an ordinary node of the restricted surface).  With
     `tangent_at`, that point is certified as a sixteenth node.  Each trope
     is read off the cached `cardinal_restriction` (quartic = scale·q² there):
-    the plane hp = 0 in its 4 parameters, with q cut on it; a node, on hp by
-    construction, is incident iff it lies in the cardinal 3-space.
+    the plane hp = 0 in its 4 parameters, with q cut on it.  Every node lies
+    on hp and on u1+...+u6 = 0 by construction, so it is incident iff it
+    pairs to 0 with the cardinal row.
     """
     hp = _normalize_hyperplane(coeffs)
     for subset in three_subsets():
@@ -670,16 +659,18 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         # the trope plane: hp = 0 in the cardinal 3-space's 4 parameters
         plane = LinearSubspace.from_equations([[sum(map(mul, hp, col)) for col in card.plane.kernel]], 4)
         conic = card.square_root.substitute_linear(plane.parametrization, plane.den)
+        cardinal = cardinal_coefficients(subset)
         incident = []
         for node in nodes:
-            params = card.plane.coordinates(node.ambient.coords)
-            if params is None:
+            xs = node.ambient.coords
+            if sum(map(mul, cardinal, xs)):
                 continue
             if node.syntheme is None:
                 raise GenericityError("tangency point lies on a cardinal plane", subset)
             incident.append(node.syntheme)
-            # the node must sit on the trope conic itself
-            if card.square_root._integer_value(params) != 0:
+            # the node must sit on the trope conic itself; its parameters
+            # are its entries at the free columns
+            if card.square_root._integer_value([xs[f] for f in card.plane.free]) != 0:
                 raise AssertionError("incident node must lie on the trope conic")
         expected = {s for s, row in zip(rule.points, rule.matrix) if row[j]}
         if set(incident) != expected:

@@ -4,7 +4,8 @@ Plain products over every entry, the Leibniz determinant and one Fraction
 Gauss-Jordan elimination, written without any library code: the tests
 compare the library's sparse certificates and reflections, and its
 fraction-free linear algebra, against these definitions.  Also the one
-strategy that draws rationals for the property tests.
+Fraction evaluation of a polynomial, which the library no longer has, and
+the one strategy that draws rationals for the property tests.
 """
 
 import itertools
@@ -115,6 +116,18 @@ def fraction_kernel(rows, nvars):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def poly_value(terms, point, den=1):
+    """The value at a rational point of the polynomial sum of terms[e]·x^e
+    over den, one Fraction per term; a `MultiPoly` f is (f.nums, f.den)."""
+    pt = [Fraction(x) for x in point]
+    return sum((Fraction(c) / den * prod(x**e for x, e in zip(pt, exp)) for exp, c in terms.items()), Fraction(0))
+
+
+def value(f, point):
+    """The value of a `MultiPoly` f, its `nums` over its `den`, at a rational point."""
+    return poly_value(f.nums, point, f.den)
 
 
 @st.composite

@@ -42,7 +42,8 @@ def test_section_reference_checks_pass_without_scan():
 
 def _section_with_tropes(monkeypatch, mutate):
     """Run `section` on the reference hyperplane with its trope records
-    passed through `mutate`; returns the section-incidence check."""
+    passed through `mutate`; returns its checks by id, the hyperplane tag
+    dropped."""
     from quartic15 import varieties as va
 
     real = va.hyperplane_section
@@ -54,7 +55,7 @@ def _section_with_tropes(monkeypatch, mutate):
     monkeypatch.setattr(va, "hyperplane_section", mutated)
     code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11"])
     assert code == 1
-    return next(c for c in report.checks if c["id"] == "section-incidence[1,2,3,5,7,11]")
+    return {c["id"].removesuffix("[1,2,3,5,7,11]"): c for c in report.checks}
 
 
 def test_a_flipped_incidence_entry_turns_section_incidence_red(monkeypatch):
@@ -65,7 +66,7 @@ def test_a_flipped_incidence_entry_turns_section_incidence_red(monkeypatch):
         outside = next(s for s in synthemes() if s not in first.incident_nodes)
         return (first._replace(incident_nodes=first.incident_nodes + (outside,)),) + tropes[1:]
 
-    check = _section_with_tropes(monkeypatch, flip)
+    check = _section_with_tropes(monkeypatch, flip)["section-incidence"]
     assert check["status"] == "fail"
     assert check["details"] == "node-trope incidence is not of type (15_4, 10_6)"
 
@@ -81,10 +82,23 @@ def test_swapped_trope_labels_turn_section_incidence_red(monkeypatch):
             b._replace(incident_nodes=a.incident_nodes),
         ) + tropes[2:]
 
-    check = _section_with_tropes(monkeypatch, swap)
+    check = _section_with_tropes(monkeypatch, swap)["section-incidence"]
     assert check["status"] == "fail"
     # the details name the first trope whose nodes are wrong, not the pass text
     assert check["details"] == "trope (1, 2, 3): labelled nodes differ from the matching-rule model"
+
+
+def test_a_zeroed_trope_conic_turns_only_section_tropes_red(monkeypatch):
+    # the claim is that the cardinal planes cut doubled conics: a trope whose
+    # conic is not a conic fails it, while its incidence stays right
+    from quartic15.exact import MultiPoly
+
+    def zero_conic(tropes):
+        return (tropes[0]._replace(conic=MultiPoly.zero(3)),) + tropes[1:]
+
+    checks = _section_with_tropes(monkeypatch, zero_conic)
+    assert [key for key, c in checks.items() if c["status"] != "pass"] == ["section-tropes"]
+    assert checks["section-tropes"]["details"] == "10 trope-conics, each through exactly 6 nodes"
 
 
 def test_section_scan_good_prime():

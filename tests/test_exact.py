@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import det, fraction_rref, rationals
+from dense_oracle import det, fraction_rref, poly_value, rationals, value
 from quartic15.exact import (
     LinearMap,
     ModPoly,
@@ -44,14 +44,17 @@ def random_poly(rng, nvars=3, nterms=4, deg=3):
 
 def test_evaluate_reference_points():
     f = poly_sum_cubes()
-    assert f.evaluate([1, 1, 1, -1, -1, -1]) == 0
-    assert f.evaluate([1, -1, 0, 0, 0, 0]) == 0
-    assert cr_form().evaluate([2, 2, -1, -1, -1, -1]) == 0
+    assert f._integer_value([1, 1, 1, -1, -1, -1]) == 0
+    assert f._integer_value([1, -1, 0, 0, 0, 0]) == 0
+    assert cr_form()._integer_value([2, 2, -1, -1, -1, -1]) == 0
+    assert f._integer_value([1, 2, 0, 0, 0, 0]) == 9
 
 
 def test_evaluate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        poly_sum_cubes().evaluate([1, 2, 3])
+    # points enter the library through a Hypersurface, which refuses a point
+    # of the wrong length before reading any value
+    with pytest.raises(ValueError, match="point has 3 entries, expected 6"):
+        unconstrained(poly_sum_cubes()).gradient_at([1, 2, 3])
 
 
 def test_gradient():
@@ -71,18 +74,23 @@ def unconstrained(f: MultiPoly) -> Hypersurface:
     return Hypersurface(f, LinearSubspace((), 1, f.nvars))
 
 
+def hessian(v: Hypersurface, xs):
+    """The integer Hessian a node certificate reads at the integer point xs."""
+    return v._hessian(v._monomial_values(xs))
+
+
 def test_hessian_at():
     # the Hessian from the second partials a Hypersurface builds once
     f = poly_sum_cubes()
-    h = unconstrained(f).hessian_at([1, 1, 1, -1, -1, -1])
+    h = hessian(unconstrained(f), [1, 1, 1, -1, -1, -1])
     for i in range(6):
         for j in range(6):
             expected = (6 if i < 3 else -6) if i == j else 0
             assert h[i][j] == expected
     g = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    assert unconstrained(g).hessian_at([5, -7]) == [[2, 0], [0, 2]]
+    assert hessian(unconstrained(g), [5, -7]) == [[2, 0], [0, 2]]
     with pytest.raises(ValueError):
-        unconstrained(g).hessian_at([5, -7, 1])
+        unconstrained(g).gradient_at([5, -7, 1])
     with pytest.raises(ValueError, match="ambient subspace has 3 variables, the form 2"):
         Hypersurface(g, LinearSubspace((), 1, 3))
 
@@ -130,12 +138,12 @@ def test_taylor_expansion_matches_symbolic():
         coeff_t1 = sum(
             (c for (es, et), c in line.terms.items() if et == 1), Fraction(0)
         )
-        grad_dot_v = sum(f.partial(i).evaluate(p) * v[i] for i in range(3))
+        grad_dot_v = sum(value(f.partial(i), p) * v[i] for i in range(3))
         assert coeff_t1 == grad_dot_v
         coeff_t0 = sum(
             (c for (es, et), c in line.terms.items() if et == 0), Fraction(0)
         )
-        assert coeff_t0 == f.evaluate(p)
+        assert coeff_t0 == value(f, p)
 
 
 def test_euler_identity():
@@ -150,8 +158,8 @@ def test_euler_identity():
             terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         f = MultiPoly(3, terms)
         p = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-        lhs = sum(p[i] * f.partial(i).evaluate(p) for i in range(3))
-        assert lhs == d * f.evaluate(p)
+        lhs = sum(p[i] * value(f.partial(i), p) for i in range(3))
+        assert lhs == d * value(f, p)
 
 
 def test_mod_p():
@@ -169,7 +177,7 @@ def test_mod_p_evaluate_matches_rational():
     fp = f.mod_p(13)
     for _ in range(10):
         pt = [rng.randint(0, 12) for _ in range(3)]
-        exact = f.evaluate(pt)
+        exact = value(f, pt)
         assert fp.evaluate(pt) == (exact.numerator * pow(exact.denominator, -1, 13)) % 13
 
 
@@ -206,7 +214,7 @@ def test_perfect_square_random_roundtrip():
         # evaluation cross-check at 10 points
         for _ in range(10):
             pt = [rng.randint(-5, 5) for _ in range(3)]
-            assert f.evaluate(pt) == c * q.evaluate(pt) ** 2
+            assert value(f, pt) == c * value(q, pt) ** 2
 
 
 def test_perfect_square_requires_even_homogeneous():
@@ -494,15 +502,7 @@ class RefPoly:
         return ModPoly(self.nvars, p, terms)
 
     def evaluate(self, point):
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+        return poly_value(self.terms, point)
 
     def substitute_linear(self, matrix, den=1):
         """Substitution through Fraction products of the rows over den."""
@@ -620,10 +620,13 @@ def test_substitute_linear_matches_reference(case, den):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(polynomials(n), points(n))))
 def test_evaluate_matches_reference(case):
+    # the integer value den·f(xs) at the cleared point, whose entries run up
+    # to the lcm of the drawn denominators
     ref, pt = case
     f = ref.poly()
-    assert f.evaluate(pt) == ref.evaluate(pt)
-    assert f.evaluate(pt) == f.evaluate(pt)  # the integer form is reused
+    xs = clear_denominators(pt)[0]
+    assert f._integer_value(xs) == f.den * ref.evaluate(xs)
+    assert f._monomials() is f._monomials()  # the sparse terms are built once
 
 
 @settings(max_examples=200, deadline=None)
@@ -637,11 +640,13 @@ def test_evaluate_matches_reference(case):
     )
 )
 def test_evaluate_at_integer_points_matches_reference(case):
-    # the sampler evaluates at plain int points, which `points` never draws
+    # the sampler evaluates at plain int points, which `points` never draws;
+    # a point mixing ints and Fractions is read at its cleared integer vector
     ref, int_pt, mixed_pt = case
-    for pt in (int_pt, mixed_pt):
-        value = ref.poly().evaluate(pt)
-        assert type(value) is Fraction and value == ref.evaluate(pt)
+    f = ref.poly()
+    for xs in (int_pt, clear_denominators(mixed_pt)[0]):
+        got = f._integer_value(xs)
+        assert type(got) is int and got == f.den * ref.evaluate(xs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -658,7 +663,7 @@ def test_hessian_at_matches_reference(case):
     d = clear_denominators(pt)[1]
     scale = f.den * Fraction(d) ** (f.total_degree() - 2)
     expected = [[scale * x for x in row] for row in reference_hessian_at(ref, pt)]
-    got = unconstrained(f).hessian_at(pt)
+    got = hessian(unconstrained(f), clear_denominators(pt)[0])
     assert got == expected and all(type(x) is int for row in got for x in row)
 
 
@@ -709,16 +714,37 @@ def test_mod_p_matches_reference(ref, p):
         assert isinstance(got, ModPoly) and got.terms == expected.terms
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(polynomials(n), st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    ),
+    st.sampled_from([2, 3, 5, 7, 13]),
+)
+def test_mod_p_reads_values_and_partials_through_the_integer_kernel(case, p):
+    # zero and inhomogeneous polynomials included; the p-part of den is
+    # scaled away so that every drawn polynomial reduces
+    ref, pt = case
+    f = ref.poly()
+    while f.den % p == 0:
+        f = f.scale(p)
+    fp = f.mod_p(p)
+    for i in range(f.nvars):
+        assert fp.partial(i) == f.partial(i).mod_p(p)
+    exact = RefPoly.of(f).evaluate(pt)
+    assert fp.evaluate(pt) == exact.numerator * pow(exact.denominator, -1, p) % p
+
+
 def test_integer_kernel_reference_cases():
     # fixed cases the hypothesis search might miss: a zero polynomial, a
     # constant, an inhomogeneous form at a point with a large common denominator
-    assert MultiPoly.zero(3).evaluate([Fraction(1, 7), 0, -2]) == 0
-    assert MultiPoly.constant(2, Fraction(-3, 5)).evaluate([Fraction(1, 999983), 4]) == Fraction(-3, 5)
+    assert MultiPoly.zero(3)._integer_value([1, 0, -14]) == 0
+    assert MultiPoly.constant(2, Fraction(-3, 5))._integer_value([1, 4 * 999983]) == -3
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     f = x**3 * Fraction(1, 6) - y + MultiPoly.constant(2, Fraction(5, 4))
     ref = RefPoly.of(f)
-    pt = [Fraction(-2, 999983), Fraction(7, 999979)]
-    assert f.evaluate(pt) == ref.evaluate(pt)
+    xs = clear_denominators([Fraction(-2, 999983), Fraction(7, 999979)])[0]
+    assert f._integer_value(xs) == f.den * ref.evaluate(xs)
     m = [[Fraction(1, 999983), 0, Fraction(-3, 2)], [0, 0, 0]]
     assert_matches(f.substitute_linear(m), ref.substitute_linear(m))
     assert_matches(f.substitute_linear(m, 7), ref.substitute_linear(m, 7))

@@ -22,7 +22,6 @@ def test_no_assert_statements_in_library():
 # Where the integer layers may build a Fraction: the rational edges only.
 FRACTION_SITES = {
     "exact.py": {
-        "MultiPoly.evaluate",  # output: the value over the common denominator
         "MultiPoly.leading_coefficient",  # output: one coefficient over the common denominator
         "LinearMap.__init__",  # input: the benchmark's section chart
         "rref",  # output: the integer RREF divided by its final pivot
@@ -78,10 +77,13 @@ def test_lattice_layer_builds_fractions_only_at_its_edges():
         assert not allowed - sites, f"stale allowlist entries for {name}: {sorted(allowed - sites)}"
 
 
-# Library functions that no README command reaches (a `sys.setprofile` census
-# of the commands), each kept for the claim its tests certify.  An entry must
-# still resolve, and no library code outside this table may reference it by
-# name; a function the commands call again leaves the table.
+# Library functions that no README command reaches, each kept for the claim
+# its tests certify.  `tests/call_census.py` (a `sys.setprofile` census of the
+# commands) prints them, with the defs it leaves out of this table: dunders,
+# immutability guards, error and failure paths, the wide-slot branch of the
+# F_p scan and the `cli.main` entry point.  An entry must still resolve, and
+# no library code outside this table may reference it by name; a function the
+# commands call again leaves the table.
 REACHED_ONLY_BY_TESTS = {
     "configs.MarkedGraph.degree": "the vertex degrees of the marked conjugacy graphs (K(5) plus cross edges, the forced (2,7) edges)",
     "configs.MarkedGraph.girth": "the mark-1 part of the (2,3) conjugacy graph is the Petersen graph",
@@ -96,7 +98,6 @@ REACHED_ONLY_BY_TESTS = {
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
     "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
-    "exact.MultiPoly.evaluate": "the rational value of a form: the oracle of the integer readings and of hessian_at",
     "lattice.IntegerLattice.is_even": "the Picard lattice and the glued overlattices are even",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
     "nodal_surface.class_invariants": "norm, degree and Pic-membership of the named classes",
@@ -110,7 +111,6 @@ REACHED_ONLY_BY_TESTS = {
 # that a by-name check cannot tell them apart: each maps to that method.
 LISTED_HOMONYMS = {
     "configs.MarkedGraph.degree": "nodal_surface.DivisorClass.degree",
-    "exact.MultiPoly.evaluate": "exact.ModPoly.evaluate",
 }
 
 
@@ -199,7 +199,6 @@ FIELDS_READ_ONLY_BY_TESTS = {
     "lattice.FiniteAbelianInvariants.q_values": "the discriminant quadratic form on the SNF generators (A1 gives 3/2, <4> gives 1/4)",
     "varieties.DualityImage.source": "read by the bench digest, which recomputes each duality image from its source",
     "varieties.NodeCertificate.chart": "the chart of a node is the greedy completion of the point to a basis",
-    "varieties.TropeRecord.conic": "each trope plane cuts a doubled conic",
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationals
+from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationals, value
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
 from quartic15.exact import ModPoly, MultiPoly, perfect_square_factor
@@ -92,9 +92,9 @@ def reference_section():
 
 def test_build_variety_points(segre, cr):
     p = ProjectivePoint([1, 1, 1, -1, -1, -1])
-    assert segre.form.evaluate(p.coords) == 0 and segre.ambient.contains(p.coords)
+    assert segre.form._integer_value(p.coords) == 0 and segre.ambient.contains(p.coords)
     q = ProjectivePoint([2, 2, -1, -1, -1, -1])
-    assert cr.form.evaluate(q.coords) == 0 and cr.ambient.contains(q.coords)
+    assert cr.form._integer_value(q.coords) == 0 and cr.ambient.contains(q.coords)
 
 
 _nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
@@ -490,7 +490,7 @@ def test_section_quartic_takes_the_ambient_values():
     for _ in range(8):
         x = [rng.randint(-5, 5) for _ in range(4)]
         point = [Fraction(sum(c * col[i] for c, col in zip(x, chart.kernel)), chart.den) for i in range(6)]
-        assert model.quartic3.evaluate(x) == form.evaluate(point), x
+        assert value(model.quartic3, x) == value(form, point), x
 
 
 def test_non_cardinal_restriction_not_square():
@@ -987,7 +987,7 @@ def fraction_sample(rng, max_height=50, avoid_planes=False):
         if all(x == 0 for x in coords):
             continue
         point = ProjectivePoint(coords)
-        grad = [g.evaluate(point.coords) for g in segre.gradient]
+        grad = [value(g, point.coords) for g in segre.gradient]
         if segre.ambient.annihilates(grad):
             continue
         if avoid_planes and any(pl.contains(point.coords) for pl in planes):
@@ -1062,13 +1062,13 @@ def test_integer_readings_clear_a_form_with_a_denominator(monkeypatch):
     # 3·d^(3−2) on every entry, and the gradient with 3·d^(3−1)
     point = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 0, 0]
     d = 6
-    hess = v.hessian_at(point)
+    hess = v._hessian(v._monomial_values(v._cleared(point)))
     for i in range(6):
         for j in range(6):
-            expected = segre_form().partial(i).partial(j).evaluate(point)
+            expected = value(segre_form().partial(i).partial(j), point)
             assert type(hess[i][j]) is int and hess[i][j] == 3 * d * expected
     grad = v.gradient_at(point)
-    assert grad == tuple(3 * d * d * g.evaluate(point) for g in segre_form().gradient())
+    assert grad == tuple(3 * d * d * value(g, point) for g in segre_form().gradient())
     assert all(type(x) is int for x in grad)
     # the chord cubic of a form with a denominator is den times its own
     pa, pb = [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]
@@ -1188,21 +1188,21 @@ def test_cached_constants_do_not_go_stale(tmp_path):
 def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
     v = build_variety(kind)
     form = v.form
-    assert v.gradient is v.gradient and v.second_partials is v.second_partials
+    assert v.gradient is v.gradient and v._rows is v._rows
     assert v.gradient == tuple(form.gradient())
     n = form.nvars
-    assert v.second_partials == tuple(
-        tuple(form.partial(i).partial(j) for j in range(n)) for i in range(n)
-    )
-    assert all(v.second_partials[i][j] is v.second_partials[j][i] for i in range(n) for j in range(n))
+    # one row per polynomial: the form, each d_i f, then each d_i d_j f, i <= j
+    polys = [form, *form.gradient(), *(form.partial(i).partial(j) for i in range(n) for j in range(i, n))]
+    steps, rows = v._rows
+    assert [len(row) for row in rows] == [len(f.nums) for f in polys]
     with pytest.raises(TypeError):
         v.gradient[0] = MultiPoly.zero(n)
     with pytest.raises(TypeError):
-        v.second_partials[0][1] = MultiPoly.zero(n)
+        rows[0] = ()
     with pytest.raises(AttributeError):
         v.gradient = ()
     with pytest.raises(AttributeError):
-        v.second_partials = ()
+        v._rows = ()
     with pytest.raises(AttributeError):
         v.gradient[0].nums.clear()
 
@@ -1210,8 +1210,9 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(forms(4, 4), forms(6, 3)), st.data())
 def test_node_readings_match_each_partials_integer_value(form, data):
-    # gradient_at and hessian_at read one monomial table per point; each value
-    # must be its own partial's `_integer_value` at the cleared point
+    # the gradient and the Hessian are read off one monomial table per point;
+    # each value must be its own partial's `_integer_value` at the cleared
+    # point (the forms are homogeneous, so the point's denominator is a scale)
     n, deg = form.nvars, form.total_degree()
     xs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
     q = data.draw(st.integers(2, 30))
@@ -1220,13 +1221,13 @@ def test_node_readings_match_each_partials_integer_value(form, data):
     on = form * xs[k] ** deg - MultiPoly.variable(n, k) ** deg * form._integer_value(xs)
     free = LinearSubspace((), 1, n)
     for point in (xs, [Fraction(x, q) for x in xs]):
-        ys, d = clear_denominators(point)
+        ys = clear_denominators(point)[0]
         for v in (Hypersurface(form, free), Hypersurface(on, free)):
-            assert v.hessian_at(point) == [
-                [v.second_partials[i][j]._integer_value(ys, d) for j in range(n)] for i in range(n)
+            assert v._hessian(v._monomial_values(v._cleared(point))) == [
+                [v.gradient[i].partial(j)._integer_value(ys) for j in range(n)] for i in range(n)
             ]
         v = Hypersurface(on, free)
-        assert v.gradient_at(point) == tuple(g._integer_value(ys, d) for g in v.gradient)
+        assert v.gradient_at(point) == tuple(g._integer_value(ys) for g in v.gradient)
 
 
 def test_node_certificate_reads_the_hessian_from_the_second_partial_rows(monkeypatch):
