@@ -30,7 +30,7 @@ from .configs import (
     trope_incidence_model,
 )
 from .exact import perfect_square_factor
-from .lattice import direct_sum, mat_mul, named_lattice, smith_normal_form
+from .lattice import mat_mul, named_lattice, smith_normal_form
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
@@ -336,9 +336,7 @@ def checks_lattice(r: Runner):
     def named():
         u = named_lattice("U")
         a12 = named_lattice("A1(2)")
-        big = direct_sum(
-            named_lattice("U(2)"), named_lattice("U(2)"), a12, named_lattice("A1")
-        )
+        big = ns.transcendental_reference_lattice()  # U(2)+U(2)+A1(2)+A1
         ok = (
             u.gram == ((0, 1), (1, 0))
             and a12.gram == ((-4,),)

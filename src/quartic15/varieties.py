@@ -33,7 +33,7 @@ from .configs import (
     trope_incidence_model,
 )
 from .exact import ModPoly, MultiPoly, perfect_square_factor, primitive_integer_vector
-from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form, mat_mul, mat_transpose
+from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form
 
 NVARS = 6
 ONES = (1,) * NVARS
@@ -207,16 +207,16 @@ class Hypersurface:
     leaves its zero set unchanged: the form and every partial then have
     integer coefficients, so values at integer points are integers.  The
     constraints are one `LinearSubspace`, `ambient` (no equations for an
-    unconstrained form).  The first partials are built once per surface, on
-    first use, and shared by every node certified on it.  For evaluation the
-    form, its n first partials and its n(n+1)/2 second partials d_i d_j f
-    (i <= j, formed from the first partials in the same one build) are held
-    as rows of (monomial index, coefficient) into one table of monomials:
-    the monomials these polynomials use and the smaller ones each is built
-    from, by one multiplication each, with the build steps cached per
-    exponent set (`_monomial_steps`).  At a point the table is filled once
-    and every value is read off its own polynomial's row: `gradient_at` and
-    `certify_ordinary_node` read the gradient and the Hessian this way.
+    unconstrained form); `gradient`, the first partials, is built on first
+    use.  Node certificates read the chart form g(x) = f(parametrization·x/den),
+    the form on the ambient's n free coordinates (f itself without
+    equations), cleared: at a point xs of the ambient, x = xs at the free
+    columns and g(x) = f(xs).  g, its n first and n(n+1)/2 second partials
+    (d_i d_j g, i <= j) are held, once built, as rows of (monomial index,
+    coefficient) into one table of monomials: those the polynomials use and
+    the smaller ones each is built from by one multiplication, the build
+    steps cached per exponent set (`_monomial_steps`).  At a point the
+    table is filled once and each value read off its own polynomial's row.
     """
 
     form: MultiPoly
@@ -243,10 +243,14 @@ class Hypersurface:
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
         """(steps, rows): the monomial table's build steps, and the rows of
-        the form, of each d_i f and of each d_i d_j f, i <= j, in that order;
-        the second partials are formed here from `gradient`, once."""
-        n = self.form.nvars
-        polys = [self.form, *self.gradient, *(self.gradient[i].partial(j) for i in range(n) for j in range(i, n))]
+        the chart form g, of each d_i g and of each d_i d_j g, i <= j, in
+        that order, all formed here once."""
+        chart, n = self.form, len(self.ambient.free)
+        if self.ambient.rows:
+            chart = chart.substitute_linear(self.ambient.parametrization, self.ambient.den)
+            chart = chart.scale(chart.den)
+        gradient = chart.gradient()
+        polys = [chart, *gradient, *(gradient[i].partial(j) for i in range(n) for j in range(i, n))]
         position, steps = _monomial_steps(n, frozenset(e for f in polys for e in f.nums))
         return steps, tuple(tuple((position[e], c) for e, c in f.nums.items()) for f in polys)
 
@@ -262,34 +266,25 @@ class Hypersurface:
         return [sum([c * values[k] for k, c in row]) for row in self._rows[1][first : first + count]]
 
     def _values_on_variety(self, point: Sequence) -> list[int]:
-        """The monomial table at the cleared point, refusing a point off the
-        ambient constraints or off the form."""
+        """The monomial table at the chart point of the cleared point,
+        refusing a point off the ambient constraints or off the form."""
         xs = self._cleared(point)
         if not self.ambient.contains(xs):
             raise NotOnVarietyError("point violates the ambient constraints")
-        values = self._monomial_values(xs)
+        values = self._monomial_values([xs[f] for f in self.ambient.free])
         if self._read(values, 0, 1)[0] != 0:
             raise NotOnVarietyError("point is not on the variety")
         return values
 
-    def _gradient(self, values: list[int]) -> tuple[int, ...]:
-        return tuple(self._read(values, 1, self.form.nvars))
-
     def _hessian(self, values: list[int]) -> list[list[int]]:
-        n = self.form.nvars
+        """The chart Hessian d_i d_j g, read off the filled table."""
+        n = len(self.ambient.free)
         entries = iter(self._read(values, 1 + n, n * (n + 1) // 2))
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = next(entries)
         return rows
-
-    def gradient_at(self, point: Sequence) -> tuple[int, ...]:
-        """Integer gradient at a point of the variety: with the point cleared
-        to xs/d, the partials at xs/d times d^(D−1), D the degree, which for
-        a homogeneous form are the partials at xs.  A point off the ambient
-        constraints or off the form is refused."""
-        return self._gradient(self._values_on_variety(point))
 
     def _cleared(self, point: Sequence) -> list[int]:
         """The integer vector xs of the point xs/d: a homogeneous form of
@@ -408,48 +403,37 @@ class SmoothPointFailure:
 class NodeCertificate(NamedTuple):
     hessian_rank: int
     is_ordinary: bool
-    chart: tuple[tuple[int, ...], ...]  # chart directions: integer kernel columns over den
-
-
-def _chart_basis(point: Sequence[int], ambient: LinearSubspace) -> list[int]:
-    """Indices of the directions completing the point to a basis of the
-    ambient subspace: every parametrization column but the one at the last
-    free column where the point is nonzero.  The point's coefficient on that
-    column is its nonzero entry there, so the point can take its place; it
-    is the column a greedy left-to-right independence test would drop."""
-    last = max(k for k, f in enumerate(ambient.free) if point[f])
-    return [k for k in range(len(ambient.free)) if k != last]
 
 
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
-    The gradient and the Hessian are the integer readings of the partials
-    built once on `v`.  The Hessian is restricted to a chart of the
-    constrained tangent space as W·H·Wᵀ, formed in integers from the chart's
-    kernel columns (the chart directions times den); the rank is
-    computed twice, by fraction-free (Bareiss) elimination and by the gcd
-    row operations of the Hermite normal form, and the two must agree.
-    Ordinary means full rank, i.e. rank equal to the dimension of the
-    ambient projective space.
+    The gradient and the Hessian are the integer readings of the chart
+    form's partials built once on `v`, at p's chart point x.  By the chain
+    rule the chart gradient is the form's gradient paired with the kernel
+    columns over den, so p is singular exactly when it is zero.  The Hessian
+    is taken without the coordinate of the last nonzero entry of x: at a
+    singular point Euler's relation puts x in the Hessian's kernel, so the
+    rank is kept, and the coordinates left are a chart of the ambient
+    projective space at p.
+    The rank is computed twice, by fraction-free (Bareiss) elimination and
+    by the gcd row operations of the Hermite normal form, and the two must
+    agree.  Ordinary means full rank, i.e. rank equal to the dimension of
+    the ambient projective space.
     """
     coords = p.coords
     values = v._values_on_variety(coords)
-    if not v.ambient.annihilates(v._gradient(values)):
+    free = v.ambient.free
+    if any(v._read(values, 1, len(free))):
         return SmoothPointFailure()
-    keep = _chart_basis(coords, v.ambient)
-    w = [v.ambient.kernel[k] for k in keep]
-    chart_hess = mat_mul(mat_mul(w, v._hessian(values)), mat_transpose(w))
+    last = max(k for k, f in enumerate(free) if coords[f])
+    chart_hess = [row[:last] + row[last + 1 :] for k, row in enumerate(v._hessian(values)) if k != last]
     r1 = len(bareiss(chart_hess)[1])
     hnf, _ = hermite_normal_form(chart_hess)
     if r1 != sum(1 for row in hnf if any(row)):
         raise AssertionError("rank cross-check failed")
-    expected = len(keep)  # = projective dimension of the ambient space
-    return NodeCertificate(
-        hessian_rank=r1,
-        is_ordinary=(r1 == expected),
-        chart=tuple(w),
-    )
+    expected = len(chart_hess)  # = projective dimension of the ambient space
+    return NodeCertificate(hessian_rank=r1, is_ordinary=(r1 == expected))
 
 
 def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
@@ -586,14 +570,21 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     """Section of the quartic by a hyperplane inside {sum u = 0}.
 
     Checks the genericity conditions exactly and names every violation:
-    the hyperplane must avoid the 15 line-intersection points, meet every
-    double line in a single point, and be non-tangent there (each of the 15
-    points must be an ordinary node of the restricted surface).  With
+    the hyperplane must not be cardinal, must avoid the 15 line-intersection
+    points, and must be non-tangent where it meets each double line (each of
+    the 15 points must be an ordinary node of the restricted surface).  With
     `tangent_at`, that point is certified as a sixteenth node.  Each trope
     is read off the cached `cardinal_restriction` (quartic = scale·q² there):
     the plane hp = 0 in its 4 parameters, with q cut on it.  Every node lies
     on hp and on u1+...+u6 = 0 by construction, so it is incident iff it
     pairs to 0 with the cardinal row.
+
+    Once the line-intersection points are avoided nothing else can fail on
+    the lines: each syntheme line holds the duad points of its three duads
+    (so no line lies in hp), two lines meet only at their shared duad point
+    (so the 15 nodes are distinct), and a line meets a cardinal hyperplane
+    not containing it only at a duad point (so a node is on a cardinal
+    plane iff its line is, as `section-incidence` checks against the rule).
     """
     hp = _normalize_hyperplane(coeffs)
     for subset in three_subsets():
@@ -628,8 +619,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     for s in synthemes():
         c0, c1 = syntheme_line(s).kernel
         a0, a1 = (sum(h * x for h, x in zip(hp, c)) for c in (c0, c1))
-        if a0 == 0 and a1 == 0:
-            raise GenericityError("hyperplane contains a double line", s)
         ambient = ProjectivePoint([a1 * x - a0 * y for x, y in zip(c0, c1)])  # pairs to 0 with hp
         nodes.append(
             section_node(
@@ -639,8 +628,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
                 "hyperplane tangent to the quartic on a double line",
             )
         )
-    if len({n.chart_point for n in nodes}) != len(nodes):
-        raise GenericityError("two double lines meet the hyperplane in the same point")
 
     if tangent_at is not None:
         nodes.append(
@@ -652,9 +639,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             )
         )
 
-    rule = trope_incidence_model()
     tropes: list[TropeRecord] = []
-    for j, subset in enumerate(rule.blocks):
+    for subset in trope_incidence_model().blocks:
         card = cardinal_restriction(subset)
         # the trope plane: hp = 0 in the cardinal 3-space's 4 parameters
         plane = LinearSubspace.from_equations([[sum(map(mul, hp, col)) for col in card.plane.kernel]], 4)
@@ -672,9 +658,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             # are its entries at the free columns
             if card.square_root._integer_value([xs[f] for f in card.plane.free]) != 0:
                 raise AssertionError("incident node must lie on the trope conic")
-        expected = {s for s, row in zip(rule.points, rule.matrix) if row[j]}
-        if set(incident) != expected:
-            raise GenericityError("trope incidence differs from the matching rule", subset)
         tropes.append(TropeRecord(subset, conic, tuple(sorted(incident))))
 
     return SectionModel(hp, quartic3, tuple(nodes), tuple(tropes))
@@ -683,7 +666,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 def tangent_section(q: ProjectivePoint) -> SectionModel:
     """Section by the tangent hyperplane at a smooth rational point: 16 nodes."""
     cr = build_variety("cr")
-    grad = cr.gradient_at(q.coords)
+    cr._values_on_variety(q.coords)  # refuses a point off the quartic
+    grad = [g._integer_value(q.coords) for g in cr.gradient]
     if cr.ambient.annihilates(grad):
         raise NotOnVarietyError("point is singular on the quartic")
     return hyperplane_section(grad, tangent_at=q)
@@ -793,7 +777,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
                     raw[1::2].translate(hi_res), "little"
                 )
 
-            def candidates(sums, lo, hi):
+            def byte_candidates(sums, lo, hi):
                 flags = (misses(sums[0]) | misses(sums[1]) | misses(sums[2])).to_bytes(p * p, "little")
                 s = flags.find(0, lo, hi)
                 while s >= 0:
@@ -803,12 +787,13 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
         else:
             plane, zeros = f"<{p * p}{_SLOT_FORMATS[width]}", set(range(0, bound + 1, p))
 
-            def candidates(sums, lo, hi):
+            def slot_candidates(sums, lo, hi):
                 h, ts, ys = (struct.unpack(plane, x.to_bytes(nbytes, "little")) for x in sums)
                 for s in itertools.compress(range(lo, hi), map(zeros.__contains__, h[lo:hi])):
                     if ts[s] % p == 0 and ys[s] % p == 0:
                         yield s
 
+        candidates = byte_candidates if width == 16 else slot_candidates
         # P^{n-3} in `_projective_reps` order with every (y, t), then the line
         # y = 1 over the zero prefix: slots p..2p−1 of its plane
         planes = [(b, 0, p * p) for b in _projective_reps(p, n - 2)] + [((0,) * (n - 2), p, 2 * p)]

@@ -1,19 +1,23 @@
 """Call census: the library functions that no README command calls.
 
 Runs every `quartic15 ...` line of the README once, in this one interpreter,
-under `sys.setprofile`, and prints each function or method defined in the
-package that none of them called, one per line as "module.qualname" (the
-form of the keys of `REACHED_ONLY_BY_TESTS` in `test_source.py`; a nested
-function reads "outer.<locals>.inner") with its file and line.  The
-commands run in a temporary directory, so a `--json` path of the README is
-written there and removed.  Stdlib only; pytest does not collect this file.
-Run it from the repository root:
+under `sys.setprofile`, and prints each command's exit status and failed
+checks, then each function or method defined in the package that none of
+them called, one per line as "module.qualname" (the form of the keys of
+`REACHED_ONLY_BY_TESTS` in `test_source.py`; a nested function reads
+"outer.<locals>.inner") with its file and line.  The commands run in a
+temporary directory, so a `--json` path of the README is written there and
+removed.  With `--json` the same census is printed as one JSON object, which
+`test_source.py` reads.  Stdlib only; pytest does not collect this file.
+Run it from the repository root, in a fresh interpreter (a cached build
+that an earlier run filled is not called again):
 
-    PYTHONPATH=src python tests/call_census.py
+    PYTHONPATH=src python tests/call_census.py [--json]
 """
 
 import ast
 import io
+import json
 import os
 import shlex
 import sys
@@ -49,9 +53,11 @@ def library_defs(package: Path) -> dict[tuple[str, int], str]:
     return defs
 
 
-def main() -> None:
+def census() -> dict:
+    """{"commands": [[argv, exit status, failed check ids], ...], "defs":
+    the number of library defs, "never": [[qualname, file, line], ...]}."""
     commands = readme_commands()
-    called = set()
+    called, runs = set(), []
 
     def profile(frame, event, arg):
         if event == "call":
@@ -65,15 +71,28 @@ def main() -> None:
             from quartic15 import cli
 
             for argv in commands:
-                cli.run(argv, out=io.StringIO())
+                code, report = cli.run(argv, out=io.StringIO())
+                runs.append([argv, code, [c["id"] for c in report.checks if c["status"] == "fail"]])
         finally:
             sys.setprofile(None)
             os.chdir(cwd)
     package = Path(cli.__file__).resolve().parent
     defs = library_defs(package)
     reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
-    never = sorted((name, Path(path).name, line) for (path, line), name in defs.items() if (path, line) not in reached)
-    print(f"# {len(commands)} README commands; {len(defs)} library defs, {len(defs) - len(never)} called, {len(never)} never called")
+    never = sorted([name, Path(path).name, line] for (path, line), name in defs.items() if (path, line) not in reached)
+    return {"commands": runs, "defs": len(defs), "never": never}
+
+
+def main() -> None:
+    result = census()
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps(result))
+        return
+    runs, never = result["commands"], result["never"]
+    ndefs = result["defs"]
+    print(f"# {len(runs)} README commands; {ndefs} library defs, {ndefs - len(never)} called, {len(never)} never called")
+    for argv, code, failed in runs:
+        print(f"# exit {code}: {shlex.join(argv)}" + (f"  (failed: {', '.join(failed)})" if failed else ""))
     for name, file, line in never:
         print(f"{name}  ({file}:{line})")
 

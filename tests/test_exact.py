@@ -17,7 +17,7 @@ from quartic15.exact import (
     rref,
 )
 from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
-from quartic15.varieties import Hypersurface, LinearSubspace
+from quartic15.varieties import Hypersurface, LinearSubspace, ProjectivePoint, certify_ordinary_node
 
 
 def poly_sum_cubes(n=6):
@@ -54,7 +54,7 @@ def test_evaluate_dimension_mismatch():
     # points enter the library through a Hypersurface, which refuses a point
     # of the wrong length before reading any value
     with pytest.raises(ValueError, match="point has 3 entries, expected 6"):
-        unconstrained(poly_sum_cubes()).gradient_at([1, 2, 3])
+        certify_ordinary_node(unconstrained(poly_sum_cubes()), ProjectivePoint([1, 2, 3]))
 
 
 def test_gradient():
@@ -90,7 +90,7 @@ def test_hessian_at():
     g = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
     assert hessian(unconstrained(g), [5, -7]) == [[2, 0], [0, 2]]
     with pytest.raises(ValueError):
-        unconstrained(g).gradient_at([5, -7, 1])
+        certify_ordinary_node(unconstrained(g), ProjectivePoint([5, -7, 1]))
     with pytest.raises(ValueError, match="ambient subspace has 3 variables, the form 2"):
         Hypersurface(g, LinearSubspace((), 1, 3))
 

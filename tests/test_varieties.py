@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationals, value
+from dense_oracle import mat_mul as dense_mat_mul
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
 from quartic15.exact import ModPoly, MultiPoly, perfect_square_factor
@@ -63,11 +64,6 @@ def param_point(space, x):
 def coefficient(f, exp):
     """The coefficient of a monomial, as a Fraction."""
     return Fraction(f.nums.get(exp, 0), f.den)
-
-
-def scaled(vectors, den):
-    """Each vector multiplied by den."""
-    return tuple(tuple(den * x for x in v) for v in vectors)
 
 
 def reduced_rows(space):
@@ -262,8 +258,9 @@ def test_generic_chord_is_not_double_line(cr):
 
 
 def greedy_chart_basis(point, constraints, nvars):
-    """The chart the certificate used to take: the Fraction kernel basis of
-    the constraints, kept greedily while it stays independent of the point."""
+    """A chart of the constrained tangent space at the point: the Fraction
+    kernel basis of the constraints, kept greedily while it stays
+    independent of the point."""
     space = fraction_kernel(constraints, nvars)
     chosen = [list(point)]
     for cand in space:
@@ -271,6 +268,22 @@ def greedy_chart_basis(point, constraints, nvars):
             chosen.append(cand)
     assert len(chosen) == len(space)
     return tuple(tuple(c) for c in chosen[1:])
+
+
+def greedy_chart_rank(form, point, constraints):
+    """(rank, dimension): the Fraction rank of W·H·Wᵀ, H the form's Hessian
+    at the point and W the greedy chart basis, and the number of rows of W."""
+    n = form.nvars
+    w = greedy_chart_basis(point, constraints, n)
+    h = [[value(form.partial(i).partial(j), point) for j in range(n)] for i in range(n)]
+    return len(fraction_rref(dense_mat_mul(dense_mat_mul(w, h), list(zip(*w))))[1]), len(w)
+
+
+def assert_rank_matches_greedy_chart(cert, form, point, constraints):
+    """The certificate's rank is the rank of the Hessian on the greedy chart,
+    and ordinary means that rank is the chart's dimension."""
+    rank, dim = greedy_chart_rank(form, point, constraints)
+    assert (cert.hessian_rank, cert.is_ordinary) == (rank, rank == dim)
 
 
 small_rationals = rationals(-6, 6, 4)
@@ -382,15 +395,17 @@ def test_linear_subspace_checks_the_unit_pattern():
 
 
 def test_chart_matches_greedy_basis_on_segre_nodes(segre):
+    # the certificate ranks the Hessian of the form on the sum-zero chart
     for pt in map(node_point, three_subsets()):
         cert = certify_ordinary_node(segre, pt)
-        assert cert.chart == scaled(greedy_chart_basis(pt.coords, segre.ambient.rows, 6), segre.ambient.den)
+        assert_rank_matches_greedy_chart(cert, segre.form, pt.coords, segre.ambient.rows)
 
 
 def test_chart_matches_greedy_basis_on_section_nodes(reference_section):
-    # the section chart has no constraints, so its den is 1
+    # the section chart has no constraints
     for node in reference_section.nodes:
-        assert node.certificate.chart == scaled(greedy_chart_basis(node.chart_point.coords, (), 4), 1)
+        point = node.chart_point.coords
+        assert_rank_matches_greedy_chart(node.certificate, reference_section.quartic3, point, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,7 +425,7 @@ def test_chart_matches_greedy_basis_on_random_points(sub, data):
     pt = ProjectivePoint(p)
     surface = Hypersurface(l * l, space)
     cert = certify_ordinary_node(surface, pt)
-    assert cert.chart == scaled(greedy_chart_basis(pt.coords, space.rows, nvars), surface.ambient.den)
+    assert_rank_matches_greedy_chart(cert, l * l, pt.coords, space.rows)
 
 
 def test_duality_examples():
@@ -544,6 +559,38 @@ def test_section_genericity_failures():
     # hyperplane through the duad point (-2,-2,1,1,1,1)
     with pytest.raises(GenericityError, match="line-intersection"):
         hyperplane_section((1, 1, 4, 0, 0, 0))
+
+
+def test_double_line_lemmas_behind_the_section_refusals():
+    # the lemmas that leave `hyperplane_section` no refusal once it avoids
+    # the 15 line-intersection points, each checked on every case
+    from quartic15.configs import trope_incidence_model
+
+    lines = {s: syntheme_line(s) for s in synthemes()}
+    points = {s: {duad_point(d) for d in s} for s in lines}
+    # each syntheme line holds the duad points of its three duads
+    for s, line in lines.items():
+        assert len(line.kernel) == 2 and all(line.contains(pt.coords) for pt in points[s])
+    # two distinct lines meet only at the duad point they share (105 pairs)
+    pairs = list(itertools.combinations(lines, 2))
+    assert len(pairs) == 105
+    for s, t in pairs:
+        meet = LinearSubspace.from_equations(lines[s].rows + lines[t].rows, 6)
+        assert {ProjectivePoint(c) for c in meet.kernel} == {duad_point(d) for d in set(s) & set(t)}
+    # a line meets a cardinal hyperplane that does not contain it only at one
+    # of its duad points (150 pairs); the lines a cardinal hyperplane
+    # contains are the matching rule's incidences
+    contained = set()
+    for s, subset in itertools.product(lines, three_subsets()):
+        meet = LinearSubspace.from_equations(lines[s].rows + (cardinal_coefficients(subset),), 6)
+        if len(meet.kernel) == 2:
+            contained.add((s, subset))
+        else:
+            assert len(meet.kernel) == 1 and ProjectivePoint(meet.kernel[0]) in points[s]
+    rule = trope_incidence_model()
+    assert contained == {
+        (s, blk) for s, row in zip(rule.points, rule.matrix) for blk, hit in zip(rule.blocks, row) if hit
+    }
 
 
 @pytest.mark.parametrize(
@@ -1058,17 +1105,24 @@ def test_integer_readings_clear_a_form_with_a_denominator(monkeypatch):
     v = Hypersurface(rational, varieties.SUM_ZERO)
     assert v.form == segre_form().scale(3) and v.form.den == 1
     assert all(g.den == 1 for g in v.gradient)
-    # at a rational point x/d the Hessian is integral, with the one scale
-    # 3·d^(3−2) on every entry, and the gradient with 3·d^(3−1)
+    # at a rational point x/d the chart Hessian is integral, with the one
+    # scale 3·d^(3−2) on every entry, and the chart gradient with 3·d^(3−1):
+    # the chain rule pairs the form's derivatives with the kernel columns
     point = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 0, 0]
     d = 6
-    hess = v._hessian(v._monomial_values(v._cleared(point)))
-    for i in range(6):
-        for j in range(6):
-            expected = value(segre_form().partial(i).partial(j), point)
-            assert type(hess[i][j]) is int and hess[i][j] == 3 * d * expected
-    grad = v.gradient_at(point)
-    assert grad == tuple(3 * d * d * value(g, point) for g in segre_form().gradient())
+    cols = v.ambient.kernel
+    values = v._values_on_variety(point)
+    hess = v._hessian(values)
+    for a, ca in enumerate(cols):
+        for b, cb in enumerate(cols):
+            expected = sum(
+                x * y * value(segre_form().partial(i).partial(j), point)
+                for i, x in enumerate(ca)
+                for j, y in enumerate(cb)
+            )
+            assert type(hess[a][b]) is int and hess[a][b] == 3 * d * expected
+    grad = v._read(values, 1, len(cols))
+    assert grad == [3 * d * d * sum(x * value(g, point) for x, g in zip(c, segre_form().gradient())) for c in cols]
     assert all(type(x) is int for x in grad)
     # the chord cubic of a form with a denominator is den times its own
     pa, pb = [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]
@@ -1190,13 +1244,21 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
     form = v.form
     assert v.gradient is v.gradient and v._rows is v._rows
     assert v.gradient == tuple(form.gradient())
-    n = form.nvars
-    # one row per polynomial: the form, each d_i f, then each d_i d_j f, i <= j
-    polys = [form, *form.gradient(), *(form.partial(i).partial(j) for i in range(n) for j in range(i, n))]
+    # one row per polynomial of the chart form g, the form on the sum-zero
+    # chart in its 5 free coordinates: g, each d_i g, then each d_i d_j g, i <= j
+    chart = form.substitute_linear(v.ambient.parametrization, v.ambient.den)
+    n = chart.nvars
+    assert n == 5 and chart.den == 1
+    polys = [chart, *chart.gradient(), *(chart.partial(i).partial(j) for i in range(n) for j in range(i, n))]
     steps, rows = v._rows
-    assert [len(row) for row in rows] == [len(f.nums) for f in polys]
+    position = {}
+    for f, row in zip(polys, rows, strict=True):
+        assert len(row) == len(f.nums)
+        for (e, c), (k, c2) in zip(f.nums.items(), row, strict=True):
+            assert c == c2 and position.setdefault(e, k) == k
+    assert len(set(position.values())) == len(position)  # one table entry per monomial
     with pytest.raises(TypeError):
-        v.gradient[0] = MultiPoly.zero(n)
+        v.gradient[0] = MultiPoly.zero(form.nvars)
     with pytest.raises(TypeError):
         rows[0] = ()
     with pytest.raises(AttributeError):
@@ -1217,7 +1279,7 @@ def test_node_readings_match_each_partials_integer_value(form, data):
     xs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
     q = data.draw(st.integers(2, 30))
     k = next(i for i, x in enumerate(xs) if x)
-    # xs_k^D·f − f(xs)·x_k^D vanishes at xs, so gradient_at accepts xs
+    # xs_k^D·f − f(xs)·x_k^D vanishes at xs, so the reading accepts xs
     on = form * xs[k] ** deg - MultiPoly.variable(n, k) ** deg * form._integer_value(xs)
     free = LinearSubspace((), 1, n)
     for point in (xs, [Fraction(x, q) for x in xs]):
@@ -1227,7 +1289,7 @@ def test_node_readings_match_each_partials_integer_value(form, data):
                 [v.gradient[i].partial(j)._integer_value(ys) for j in range(n)] for i in range(n)
             ]
         v = Hypersurface(on, free)
-        assert v.gradient_at(point) == tuple(g._integer_value(ys) for g in v.gradient)
+        assert v._read(v._values_on_variety(point), 1, n) == [g._integer_value(ys) for g in v.gradient]
 
 
 def test_node_certificate_reads_the_hessian_from_the_second_partial_rows(monkeypatch):
