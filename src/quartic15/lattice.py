@@ -281,12 +281,15 @@ class IntegerLattice:
     """Basis-free lattice data: a symmetric integer Gram matrix.
 
     The Gram entries are stored as ints; an entry that is not an integer is
-    refused, never truncated.
+    refused, never truncated.  `sparse_gram` holds each Gram row's nonzero
+    (column, entry) pairs, built once here: the lattice is immutable, so the
+    rows cannot go stale.
     """
 
     gram: tuple[tuple[int, ...], ...]
+    sparse_gram: tuple[tuple[tuple[int, int], ...], ...]
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "sparse_gram")
 
     def __init__(self, gram: Iterable[Iterable[int]]):
         g = _freeze(gram)
@@ -295,6 +298,7 @@ class IntegerLattice:
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(len(g))):
             raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "sparse_gram", tuple(map(tuple, _sparse_rows(g))))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerLattice is immutable")
@@ -693,7 +697,7 @@ class Isometry(NamedTuple):
         """(M·M = 1, M·G·M^T = G), exactly, from full products over the rows.
 
         The rows of M are both factors of M·M and the left factor of A = M·G,
-        over the sparse rows of G built once per Gram matrix (`_sparse_gram`).
+        over the lattice's cached sparse Gram rows (`sparse_gram`).
         If M² = 1 then M^T is its own inverse, so M·G·M^T = G iff
         M·G = G·M^T = (M·G)^T (G is symmetric): the Gram test is the symmetry
         of A.  Otherwise A·M^T is formed in full, entry (i, j) as row i of A
@@ -703,7 +707,7 @@ class Isometry(NamedTuple):
         rows = self.rows
         _check_length(rows, n, "isometry matrix")
         involutive = _sparse_product(rows, rows, n) == _identity(n)
-        a = _sparse_product(rows, _sparse_gram(lat.gram), n)
+        a = _sparse_product(rows, lat.sparse_gram, n)
         if involutive:
             return True, a == mat_transpose(a)
         image = tuple(tuple(sum(arow[k] * x for k, x in row) for row in rows) for arow in a)
@@ -738,9 +742,8 @@ def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometr
     _check_length(r, n, "reflection vector")
     support = [(j, x if type(x) is int else _as_int(x, 0, j)) for j, x in enumerate(r) if x]
     gr = [0] * n  # e_i·r
-    gram = _sparse_gram(lat.gram)
     for j, x in support:
-        for i, g in gram[j]:
+        for i, g in lat.sparse_gram[j]:
             gr[i] += x * g
     rr = sum(x * gr[j] for j, x in support)
     if rr not in (-2, -4):
@@ -775,10 +778,3 @@ def _identity(n: int) -> IntMatrix:
     """The n×n identity that products are compared against; shared, so it
     is never handed out or changed."""
     return mat_identity(n)
-
-
-@lru_cache(maxsize=256)
-def _sparse_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The sparse rows of a Gram matrix, keyed by the immutable Gram tuple
-    itself, so they cannot go stale; read-only tuples."""
-    return tuple(map(tuple, _sparse_rows(gram)))

@@ -876,11 +876,12 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
 def plane_point(s: Syntheme, params: Sequence) -> list[int]:
     """Point of the cubic's plane for syntheme s with the given 3 parameters,
     as the integer vector Σ x_k·col_k: with params = x/q and the kernel
-    columns col_k over den, that is the plane point scaled by q·den."""
+    columns col_k over den, that is the plane point scaled by q·den.  Each
+    coordinate is x against one cached row of the plane's parametrization."""
     plane = syntheme_plane(s)
     _check_length(params, len(plane.kernel), "parameter vector")
-    x, _ = clear_denominators(params)
-    return [sum(a * col[i] for a, col in zip(x, plane.kernel)) for i in range(NVARS)]
+    x0, x1, x2 = clear_denominators(params)[0]
+    return [x0 * a + x1 * b + x2 * c for a, b, c in plane.parametrization]
 
 
 def _chord_cubic(form: MultiPoly, pa: Sequence[int], pb: Sequence[int]) -> tuple[int, int, int, int]:
@@ -922,7 +923,7 @@ def sample_smooth_cubic_point(
         )
     segre = build_variety("segre")
     all_synthemes = synthemes()
-    planes = [syntheme_plane(s) for s in all_synthemes]
+    planes = [syntheme_plane(s) for s in all_synthemes] if avoid_planes else ()
     height = min(3, max_height)
     for attempt in range(400):
         if attempt and attempt % 40 == 0:

@@ -20,7 +20,7 @@ from quartic15.involutions import (
     tau_rey_star,
     verify_relations,
 )
-from quartic15.lattice import Isometry, _sparse_gram, reflection_rows
+from quartic15.lattice import Isometry, reflection_rows
 from quartic15.nodal_surface import (
     C_SET,
     E,
@@ -217,7 +217,7 @@ def test_the_pentad_products_take_the_multiply_adds_of_the_named_basis(model):
     # named basis the 6,006 products of the 3003 pentad reflections cost
     # 2,260,736 multiply-adds (4,504,124 on the HNF basis), over a Gram
     # matrix with 76 nonzero entries
-    gram = [len(row) for row in _sparse_gram(model.lattice.gram)]
+    gram = [len(row) for row in model.lattice.sparse_gram]
     assert sum(gram) == 76
     total = 0
     for pentad, w in pentad_root_coordinates():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -1074,6 +1075,57 @@ def test_plane_point_is_the_fraction_point_scaled():
             q = clear_denominators(params)[1]
             assert all(type(x) is int for x in ints)
             assert [Fraction(x, q * plane.den) for x in ints] == fraction_plane_point(s, params)
+
+
+def test_plane_point_is_the_kernel_column_combination():
+    for s in synthemes():
+        plane = syntheme_plane(s)
+        for params in ([1, 2, 3], [-4, 0, 7], [Fraction(1, 2), Fraction(-2, 3), 5]):
+            x = clear_denominators(params)[0]
+            got = varieties.plane_point(s, params)
+            assert got == [sum(a * col[i] for a, col in zip(x, plane.kernel)) for i in range(6)]
+            assert plane.contains(got)
+            assert value(segre_form(), got) == 0
+        for bad in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match="parameter vector"):
+                varieties.plane_point(s, bad)
+
+
+def test_sample_stream_is_pinned():
+    # no report byte names the sampled points, so a change to the draws or
+    # refusals shows here: the first 200 default samples of seed 1, and the
+    # hyperplane of the seed-7 tangent section
+    rng = random.Random(1)
+    text = "\n".join(" ".join(map(str, sample_smooth_cubic_point(rng).coords)) for _ in range(200))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "2f569ddba6a127d1ca30247ce1556e439e64a730bd5c58c6b71658f2afd8d0cb"
+    assert sample_tangent_section(random.Random(7)).hyperplane == (16, -21, 11, 24, -21, -9)
+
+
+def test_sampler_reads_the_planes_only_to_avoid_them(monkeypatch):
+    # without avoid_planes a draw touches a syntheme plane only to read its
+    # two chord ends, and tests no point against a plane
+    calls = {"plane_point": 0, "syntheme_plane": 0, "contains": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("plane_point", "syntheme_plane"):
+        monkeypatch.setattr(varieties, name, counted(name, getattr(varieties, name)))
+    monkeypatch.setattr(LinearSubspace, "contains", counted("contains", LinearSubspace.contains))
+    rng = random.Random(5)
+    for _ in range(100):
+        sample_smooth_cubic_point(rng)
+    assert calls["contains"] == 0
+    assert calls["syntheme_plane"] == calls["plane_point"] >= 200
+    planes = [syntheme_plane(s) for s in synthemes()]
+    for _ in range(100):
+        z = sample_smooth_cubic_point(rng, avoid_planes=True)
+        assert not any(pl.contains(z.coords) for pl in planes)
 
 
 small_vectors = st.lists(st.integers(-40, 40), min_size=6, max_size=6)
