@@ -22,9 +22,10 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import index, mul
 from types import MappingProxyType
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .configs import (
+    S6_GENERATORS,
     Duad,
     Syntheme,
     duads,
@@ -94,9 +95,9 @@ class LinearSubspace:
     entries at the free columns.  Membership and annihilation are integer
     dot products against these rows and columns, each point or covector
     cleared once per call, and a form is restricted to the subspace by
-    substituting `parametrization` over `den`.  The rows and den are divided
-    by their common gcd, so each subspace has one representation and
-    equality of records is equality of subspaces.
+    substituting `parametrization` over `den` (`Hypersurface.chart`).  The
+    rows and den are divided by their common gcd, so each subspace has one
+    representation and equality of records is equality of subspaces.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -182,13 +183,6 @@ class LinearSubspace:
         w = self._cleared(p, "point")
         return all(sum(a * b for a, b in zip(eq, w) if a) == 0 for eq in self.rows)
 
-    def coordinates(self, p: Sequence) -> Optional[list]:
-        """Parameters x with parametrization·x = den·p, or None when p is off
-        the subspace: p's own entries at the free columns."""
-        if not self.contains(p):
-            return None
-        return [p[f] for f in self.free]
-
     def annihilates(self, v: Sequence) -> bool:
         """True iff the covector v kills every kernel column, i.e. v lies in
         the span of the equations."""
@@ -207,11 +201,15 @@ class Hypersurface:
     leaves its zero set unchanged: the form and every partial then have
     integer coefficients, so values at integer points are integers.  The
     constraints are one `LinearSubspace`, `ambient` (no equations for an
-    unconstrained form); `gradient`, the first partials, is built on first
-    use.  Node certificates read the chart form g(x) = f(parametrization·x/den),
-    the form on the ambient's n free coordinates (f itself without
-    equations), cleared: at a point xs of the ambient, x = xs at the free
-    columns and g(x) = f(xs).  g, its n first and n(n+1)/2 second partials
+    unconstrained form).  `chart` is the form restricted to the ambient,
+    g(x) = f(parametrization·x/den) in the ambient's n free coordinates (f
+    itself without equations): at a point xs of the ambient, x = xs at the
+    free columns and g(x) = f(xs).  It is the one chart the module reads a
+    hypersurface in: node certificates, the section quartic, the tangent
+    hyperplane and the F_p scans read g, and the double lines its partials,
+    which by the chain rule are the six partials `gradient` (built on first
+    use, also for the sampler) paired with the kernel columns.  For the node
+    certificates g, cleared, its n first and n(n+1)/2 second partials
     (d_i d_j g, i <= j) are held, once built, as rows of (monomial index,
     coefficient) into one table of monomials: those the polynomials use and
     the smaller ones each is built from by one multiplication, the build
@@ -241,14 +239,19 @@ class Hypersurface:
         return tuple(self.form.gradient())
 
     @cached_property
+    def chart(self) -> MultiPoly:
+        """The form restricted to the ambient, in its free coordinates, over
+        the denominator the substitution leaves."""
+        if not self.ambient.rows:
+            return self.form
+        return self.form.substitute_linear(self.ambient.parametrization, self.ambient.den)
+
+    @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
         """(steps, rows): the monomial table's build steps, and the rows of
-        the chart form g, of each d_i g and of each d_i d_j g, i <= j, in
+        the cleared chart g, of each d_i g and of each d_i d_j g, i <= j, in
         that order, all formed here once."""
-        chart, n = self.form, len(self.ambient.free)
-        if self.ambient.rows:
-            chart = chart.substitute_linear(self.ambient.parametrization, self.ambient.den)
-            chart = chart.scale(chart.den)
+        chart, n = self.chart.scale(self.chart.den), len(self.ambient.free)
         gradient = chart.gradient()
         polys = [chart, *gradient, *(gradient[i].partial(j) for i in range(n) for j in range(i, n))]
         position, steps = _monomial_steps(n, frozenset(e for f in polys for e in f.nums))
@@ -293,11 +296,10 @@ class Hypersurface:
         return clear_denominators(point)[0]
 
     def is_s6_invariant(self) -> bool:
-        """Exact invariance of the form under all 720 coordinate permutations."""
-        for perm in itertools.permutations(range(NVARS)):
-            if self.form.permute_variables(list(perm)) != self.form:
-                return False
-        return True
+        """Exact invariance of the form under all 720 coordinate permutations,
+        tested on the five adjacent transpositions `S6_GENERATORS`, which
+        generate S6."""
+        return all(self.form.permute_variables([i - 1 for i in g]) == self.form for g in S6_GENERATORS)
 
 
 @lru_cache(maxsize=64)
@@ -437,25 +439,20 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
 
 
 def verify_double_line(v: Hypersurface, line: LinearSubspace) -> bool:
-    """True iff the form and its constrained gradient vanish identically on the line.
+    """True iff the form and the chart gradient vanish identically on the line.
 
-    The gradient is required to be proportional, as a polynomial identity
-    along the line, to the ambient-constraint direction.
+    By the chain rule the chart partials are the six partials paired with
+    the ambient's kernel columns, so each pairing, restricted to the line,
+    must be the zero polynomial; this holds for any number of ambient
+    equations.
     """
-    if len(v.ambient.rows) != 1:
-        raise ValueError("double-line check implemented for one ambient constraint")
-    (constraint,) = v.ambient.rows
     if not all(v.ambient.contains(col) for col in line.kernel):
         raise ValueError("line does not lie inside the ambient constraints")
     if v.form.substitute_linear(line.parametrization, line.den):
         return False
     partials = [g.substitute_linear(line.parametrization, line.den) for g in v.gradient]
-    # gradient parallel to the constraint row along the whole line
-    for i in range(len(partials)):
-        for j in range(i + 1, len(partials)):
-            if partials[i] * constraint[j] != partials[j] * constraint[i]:
-                return False
-    return True
+    zero = MultiPoly.zero(len(line.free))
+    return not any(sum((g * c for g, c in zip(partials, col) if c), zero) for col in v.ambient.kernel)
 
 
 # -- duality -------------------------------------------------------------------
@@ -573,7 +570,10 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     the hyperplane must not be cardinal, must avoid the 15 line-intersection
     points, and must be non-tangent where it meets each double line (each of
     the 15 points must be an ordinary node of the restricted surface).  With
-    `tangent_at`, that point is certified as a sixteenth node.  Each trope
+    `tangent_at`, that point is certified as a sixteenth node.  The nodes are
+    certified on the quartic with the section as its ambient, from their
+    6-coordinate points; a node's chart point is its entries at the free
+    columns, and `quartic3` is that hypersurface's `chart`.  Each trope
     is read off the cached `cardinal_restriction` (quartic = scale·q² there):
     the plane hp = 0 in its 4 parameters, with q cut on it.  Every node lies
     on hp and on u1+...+u6 = 0 by construction, so it is incident iff it
@@ -598,22 +598,17 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
     if len(section.free) != 4:
         raise AssertionError("the section chart must be 4-dimensional")
-    quartic3 = cr_quartic_form().substitute_linear(section.parametrization, section.den)
-    surface = Hypersurface(quartic3, LinearSubspace((), 1, quartic3.nvars))
+    surface = Hypersurface(cr_quartic_form(), section)
 
     def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:
         """The point as a certified ordinary node of the section, or the
         genericity failure named by `smooth` or `degenerate`."""
-        x = section.coordinates(ambient.coords)
-        if x is None:
-            raise AssertionError("point must lie in the section chart")
-        xp = ProjectivePoint(x)
-        cert = certify_ordinary_node(surface, xp)
+        cert = certify_ordinary_node(surface, ambient)
         if isinstance(cert, SmoothPointFailure):
             raise GenericityError(smooth, s)
         if not cert.is_ordinary:
             raise GenericityError(degenerate, s)
-        return SectionNode(s, ambient, xp, cert)
+        return SectionNode(s, ambient, ProjectivePoint([ambient.coords[f] for f in section.free]), cert)
 
     nodes: list[SectionNode] = []
     for s in synthemes():
@@ -660,17 +655,25 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
                 raise AssertionError("incident node must lie on the trope conic")
         tropes.append(TropeRecord(subset, conic, tuple(sorted(incident))))
 
-    return SectionModel(hp, quartic3, tuple(nodes), tuple(tropes))
+    return SectionModel(hp, surface.chart, tuple(nodes), tuple(tropes))
 
 
 def tangent_section(q: ProjectivePoint) -> SectionModel:
-    """Section by the tangent hyperplane at a smooth rational point: 16 nodes."""
+    """Section by the tangent hyperplane at a smooth rational point: 16 nodes.
+
+    The chart gradient at q is read off the monomial table that refuses a
+    point off the quartic; placed at the free columns (zero at the pivot),
+    it is a positive multiple of the tangent hyperplane plus a multiple of
+    the constraint row, which the section's normalisation removes."""
     cr = build_variety("cr")
-    cr._values_on_variety(q.coords)  # refuses a point off the quartic
-    grad = [g._integer_value(q.coords) for g in cr.gradient]
-    if cr.ambient.annihilates(grad):
+    free = cr.ambient.free
+    grad = cr._read(cr._values_on_variety(q.coords), 1, len(free))
+    if not any(grad):
         raise NotOnVarietyError("point is singular on the quartic")
-    return hyperplane_section(grad, tangent_at=q)
+    row = [0] * NVARS
+    for f, g in zip(free, grad):
+        row[f] = g
+    return hyperplane_section(row, tangent_at=q)
 
 
 # -- finite-field scans --------------------------------------------------------
@@ -838,20 +841,18 @@ def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
         raise ValueError(f"bad prime: {exc}") from exc
 
 
-# u6 = -(u1+...+u5): the sum-zero hyperplane in the coordinates u1..u5
-_SUM_ZERO_CHART = tuple(tuple(int(i == j) for j in range(NVARS - 1)) for i in range(NVARS - 1)) + (
-    (-1,) * (NVARS - 1),
-)
-
-
 def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     """Exhaustive list of F_p singular points, deduplicated canonically.
 
-    For a constrained hypersurface a point is singular when the gradient is
-    proportional to the constraint direction; for a section surface in P^3
-    the gradient must vanish outright.  Moduli that are not prime, primes
-    below 5 and primes dividing a coefficient denominator of a section's
-    quartic are rejected as bad (a hypersurface's form is stored cleared).
+    A threefold in u1+...+u6 = 0 is scanned on its `chart`, whose gradient
+    vanishes exactly where the six partials are parallel to (1,...,1); each
+    singular F_p point is mapped back through the ambient's parametrization
+    to its canonical 6-coordinate representative (first nonzero entry 1),
+    so the list is in the chart's scan order.  A section is scanned on its
+    quartic in the 4 chart variables, where the gradient must vanish
+    outright.  Moduli that are not prime, primes below 5 and primes
+    dividing a coefficient denominator of the scanned form are rejected as
+    bad.
     """
     if not _is_prime(p):
         raise ValueError(f"bad prime: {p} is not prime")
@@ -860,11 +861,12 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     if isinstance(target, Hypersurface):
         if target.ambient != SUM_ZERO:
             raise ValueError("scan supports the sum-zero ambient constraint")
-        # g(u) = f(u, -sum u) has dg/du_i = d_i f - d_6 f, so g and its
-        # gradient vanish exactly where f = 0 and the gradient of f is
-        # parallel to (1,...,1)
-        g = _reduce_mod(target.form.substitute_linear(_SUM_ZERO_CHART), p)
-        return [v + ((-sum(v)) % p,) for v in _singular_points_fp(g)]
+        points = []
+        for x in _singular_points_fp(_reduce_mod(target.chart, p)):
+            u = [sum(map(mul, row, x)) % p for row in target.ambient.parametrization]
+            inverse = pow(next(a for a in u if a), -1, p)
+            points.append(tuple(a * inverse % p for a in u))
+        return points
     if isinstance(target, SectionModel):
         return _singular_points_fp(_reduce_mod(target.quartic3, p))
     raise TypeError("scan target must be a Hypersurface or SectionModel")
@@ -884,19 +886,6 @@ def plane_point(s: Syntheme, params: Sequence) -> list[int]:
     return [x0 * a + x1 * b + x2 * c for a, b, c in plane.parametrization]
 
 
-def _chord_cubic(form: MultiPoly, pa: Sequence[int], pb: Sequence[int]) -> tuple[int, int, int, int]:
-    """Coefficients (c30, c21, c12, c03) of the binary cubic form(α·pa + β·pb),
-    read off four values: form(pa) = c30, form(pb) = c03 and
-    form(pa ± pb) = c30 ± c21 + c12 ± c03.  Each value is read by
-    `_integer_value`, den times the form's value; on integer endpoints every
-    value and coefficient is an integer, and both halvings are exact."""
-    c30, c03, plus, minus = (
-        form._integer_value(v)
-        for v in (pa, pb, [a + b for a, b in zip(pa, pb)], [a - b for a, b in zip(pa, pb)])
-    )
-    return c30, (plus - minus) // 2 - c03, (plus + minus) // 2 - c30, c03
-
-
 def sample_smooth_cubic_point(
     rng: random.Random, max_height: int = 50, avoid_planes: bool = False
 ) -> ProjectivePoint:
@@ -908,8 +897,12 @@ def sample_smooth_cubic_point(
     min(3, max_height) and never exceed `max_height`, which must be at least 1,
     and at least 2 with `avoid_planes`: at height 1 every smooth third point
     of a chord lies on one of the 15 planes.
-    The chord runs on the integer plane points and the binary cubic along it
-    is read off four values of the form; the smoothness and plane tests are
+    The chord runs on the integer plane points.  Both ends lie on syntheme
+    planes, which lie on the cubic, so the binary cubic c21·α²β + c12·αβ²
+    along it is read off two values of the form, plus = c21 + c12 at
+    pa + pb and minus = c12 − c21 at pa − pb, and the third point
+    c12·pa − c21·pb is taken as (plus + minus)·pa − (plus − minus)·pb,
+    refused when c21 = 0; the smoothness and plane tests are
     projective, so they run on the integer third point (the gradient as the
     integer values of the partials of the cleared form), and the one
     `ProjectivePoint` is built for the point returned.
@@ -933,12 +926,11 @@ def sample_smooth_cubic_point(
         pb = plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
         if not any(pa) or not any(pb):
             continue
-        c30, c21, c12, c03 = _chord_cubic(segre.form, pa, pb)
-        if c30 or c03:
-            continue  # endpoints not on the cubic: degenerate sample
-        if c21 == 0:
-            continue
-        coords = [a * c12 - b * c21 for a, b in zip(pa, pb)]
+        plus = segre.form._integer_value([a + b for a, b in zip(pa, pb)])
+        minus = segre.form._integer_value([a - b for a, b in zip(pa, pb)])
+        if plus == minus:
+            continue  # c21 = 0
+        coords = [(plus + minus) * a - (plus - minus) * b for a, b in zip(pa, pb)]
         if not any(coords):
             continue
         grad = [g._integer_value(coords) for g in segre.gradient]

@@ -176,6 +176,20 @@ def test_s6_orbits_synthemes_and_totals():
     assert len(orbits) == 1 and len(orbits[0].elements) == 6 and orbits[0].stabilizer_order == 120
 
 
+def test_s6_generators_generate_s6():
+    # `Hypersurface.is_s6_invariant` tests only these five permutations, so
+    # their closure under composition must be all of S6
+    group, frontier = {tuple(range(1, 7))}, [tuple(range(1, 7))]
+    while frontier:
+        h = frontier.pop()
+        for g in configs.S6_GENERATORS:
+            gh = tuple(g[x - 1] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    assert len(group) == 720
+
+
 def test_s6_orbits_rejects_non_action():
     def bogus(g, x):
         return x if g == configs.POINTS else min(duads())

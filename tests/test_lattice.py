@@ -497,7 +497,7 @@ def test_involutive_isometry_matches_the_dense_definition(case):
 
 
 def test_involutive_isometry_reads_each_lattices_own_gram():
-    # the cached sparse Gram rows are keyed by the Gram matrix itself: one M
+    # each `IntegerLattice.__init__` builds its own sparse Gram rows: one M
     # on two Picard Grams that differ in one diagonal entry gets each
     # lattice's own answer, in either order and again after the other
     from quartic15.involutions import GOEPEL_PENTAD, tau_pentad_star

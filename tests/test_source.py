@@ -304,7 +304,7 @@ FIELD_HOMONYMS = {
     "varieties.Hypersurface.ambient": "varieties.certify_ordinary_node",
     "varieties.Hypersurface.form": "varieties.Hypersurface.is_s6_invariant",
     "varieties.LinearSubspace.den": "varieties.cardinal_restriction",
-    "varieties.LinearSubspace.rows": "varieties.verify_double_line",
+    "varieties.LinearSubspace.rows": "varieties.LinearSubspace.contains",
     "varieties.SectionNode.ambient": "varieties.hyperplane_section",
 }
 
