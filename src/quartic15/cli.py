@@ -4,6 +4,11 @@ Runs the full certification suite or individual check groups and emits a
 deterministic JSON report: identical arguments and seed give byte-identical
 output (timings are zeroed under --no-timing).  Exit status 0 means every
 executed check passed; 1 means at least one check failed; 2 is a usage error.
+
+Each subcommand is declared once, in `build_parser`, together with the
+`(runner, args)` callable that runs its check groups; `verify --all` runs
+them all through `verify_all`.  One `Runner` holds a run's seed, argv and
+checks, and `run` writes the JSON report from it.
 """
 
 from __future__ import annotations
@@ -35,38 +40,16 @@ from .lattice import mat_mul, named_lattice, smith_normal_form
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
 
-class Report:
-    tool_version: str
-    seed: int
-    argv: list[str]
-    checks: list[dict]
+class Runner:
+    """One run of the command: its seed and argv, the checks run so far, and
+    the stream their result lines go to."""
 
-    def __init__(self, tool_version: str, seed: int, argv: list[str], checks: list[dict] | None = None):
-        self.tool_version = tool_version
+    tool_version = __version__
+
+    def __init__(self, seed: int, argv: list[str], out):
         self.seed = seed
         self.argv = argv
-        self.checks = [] if checks is None else checks
-
-    @property
-    def failed(self) -> bool:
-        return any(c["status"] == "fail" for c in self.checks)
-
-    def to_jsonable(self, with_timing: bool) -> dict:
-        checks = [dict(c) for c in self.checks]
-        if not with_timing:
-            for c in checks:
-                c["elapsed_ms"] = 0
-        return {
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "argv": self.argv,
-            "checks": checks,
-        }
-
-
-class Runner:
-    def __init__(self, report: Report, out):
-        self.report = report
+        self.checks: list[dict] = []
         self.out = out
 
     def run(self, check_id: str, claim: str, fn):
@@ -89,7 +72,7 @@ class Runner:
         }
         if error:
             entry["error"] = error
-        self.report.checks.append(entry)
+        self.checks.append(entry)
         print(f"[{status.upper():4s}] {check_id}: {details}", file=self.out)
 
 
@@ -194,8 +177,6 @@ def checks_cr(r: Runner):
             if all(x == h[0] for x in h):
                 continue
             plane = va.LinearSubspace.from_equations([va.ONES, h], 6)
-            if len(plane.rows) != 2:
-                continue
             tried += 1
             if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization, plane.den)):
                 return False, f"sampled hyperplane {h} restricted to a perfect square"
@@ -204,13 +185,13 @@ def checks_cr(r: Runner):
     r.run(
         "cr-noncardinal-not-square",
         "generic hyperplane restrictions are not doubled quadrics",
-        lambda: noncardinal(r.report.seed),
+        lambda: noncardinal(r.seed),
     )
 
 
 def checks_duality(r: Runner, samples: int, max_height: int):
     def sample_check():
-        rng = random.Random(r.report.seed)
+        rng = random.Random(r.seed)
         for i in range(samples):
             z = va.sample_smooth_cubic_point(rng, max_height)
             img = va.duality_image(z)
@@ -320,7 +301,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
 
 def checks_tangent_section(r: Runner, max_height: int):
     def build():
-        rng = random.Random(r.report.seed)
+        rng = random.Random(r.seed)
         model = va.sample_tangent_section(rng, max_height)
         ordinary = all(n.certificate.is_ordinary for n in model.nodes)
         extra = sum(1 for n in model.nodes if n.syntheme is None)
@@ -349,7 +330,7 @@ def checks_lattice(r: Runner):
     r.run("lattice-named", "the named lattices have their classical Gram matrices", named)
 
     def snf_check():
-        rng = random.Random(r.report.seed)
+        rng = random.Random(r.seed)
         for _ in range(10):
             m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
             d, u, v = smith_normal_form(m)
@@ -472,7 +453,7 @@ def checks_involutions(r: Runner):
     r.run("pentad-naturality", "reflections transform naturally under relabeling", naturality)
 
 
-def checks_pentads(r: Runner, crosscheck: bool, section=None):
+def checks_pentads(r: Runner, section=None):
     """The pentad checks; `pentads-coplanarity` uses `section`, the reference
     section already built by `checks_section`, or builds it when given None."""
     def counts():
@@ -499,37 +480,35 @@ def checks_pentads(r: Runner, crosscheck: bool, section=None):
 
     r.run("pentads-pencils", "elliptic-pencil classes have the classical pairings", pencils)
 
-    if crosscheck:
-
-        def crosscheck_fn():
-            rep = pt.graph_criterion_crosscheck()
-            detail = (
-                f"one-edge readings agree with incidence on {rep.agree_exists}/{rep.total} "
-                f"(some-edge) and {rep.agree_forall}/{rep.total} (every-edge) pentads; "
-                f"the two-edge triple rule agrees on all; mismatching orbits: "
-                f"{len(rep.mismatch_orbits_exists)}/{len(rep.mismatch_orbits_forall)}"
-            )
-            # the report is the outcome; producing it is the check
-            return rep.triple_rule_agrees, detail
-
-        r.run("pentads-graph-criterion", "the one-edge criterion is reported under both readings", crosscheck_fn)
-
-        def coplanarity_fn():
-            model = section if section is not None else va.hyperplane_section(REFERENCE_COEFFS)
-            rep = pt.geometric_admissibility_crosscheck(model)
-            detail = (
-                f"{rep.coplanar_quadruples} coplanar node quadruples on the reference "
-                f"section, all on trope-conics ({rep.accidental_quadruples} accidental); "
-                f"geometric and combinatorial admissible counts both "
-                f"{rep.geometric_admissible}"
-            )
-            return rep.agrees, detail
-
-        r.run(
-            "pentads-coplanarity",
-            "coplanarity-based admissibility matches the trope rule on a section",
-            coplanarity_fn,
+    def graph_criterion():
+        rep = pt.graph_criterion_crosscheck()
+        detail = (
+            f"one-edge readings agree with incidence on {rep.agree_exists}/{rep.total} "
+            f"(some-edge) and {rep.agree_forall}/{rep.total} (every-edge) pentads; "
+            f"the two-edge triple rule agrees on all; mismatching orbits: "
+            f"{len(rep.mismatch_orbits_exists)}/{len(rep.mismatch_orbits_forall)}"
         )
+        # the report is the outcome; producing it is the check
+        return rep.triple_rule_agrees, detail
+
+    r.run("pentads-graph-criterion", "the one-edge criterion is reported under both readings", graph_criterion)
+
+    def coplanarity():
+        model = section if section is not None else va.hyperplane_section(REFERENCE_COEFFS)
+        rep = pt.geometric_admissibility_crosscheck(model)
+        detail = (
+            f"{rep.coplanar_quadruples} coplanar node quadruples on the reference "
+            f"section, all on trope-conics ({rep.accidental_quadruples} accidental); "
+            f"geometric and combinatorial admissible counts both "
+            f"{rep.geometric_admissible}"
+        )
+        return rep.agrees, detail
+
+    r.run(
+        "pentads-coplanarity",
+        "coplanarity-based admissibility matches the trope rule on a section",
+        coplanarity,
+    )
 
 
 def checks_congruence(r: Runner, m: int, n: int, rank: int):
@@ -617,10 +596,29 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
     return flags
 
 
+def verify_all(r: Runner, args):
+    """`verify --all`: every check group, with the reference section built
+    once and read again by the pentad checks."""
+    checks_segre(r)
+    checks_cr(r)
+    checks_duality(r, 200, args.max_height)
+    reference = checks_section(r, REFERENCE_COEFFS, 11)
+    checks_section(r, (0, 1, 3, 14, 15, 17), 13)
+    checks_tangent_section(r, args.max_height)
+    checks_lattice(r)
+    checks_code(r)
+    checks_involutions(r)
+    checks_pentads(r, section=reference)
+    checks_congruence_profile(r)
+    for n in range(2, 8):
+        checks_table1(r, n)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
-    unchanged, and every call gets a fresh namespace."""
+    unchanged, and every call gets a fresh namespace.  Each subcommand sets
+    `groups`, the `(runner, args)` callable that runs its checks."""
     parser = argparse.ArgumentParser(
         prog="quartic15",
         description="exact certification suite for 15-nodal quartic surface geometry",
@@ -628,87 +626,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = [_global_flags()]
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run the complete suite", parents=common)
+
+    def command(name, help, groups):
+        cmd = sub.add_parser(name, help=help, parents=common)
+        cmd.set_defaults(groups=groups)
+        return cmd
+
+    verify = command("verify", "run the complete suite", verify_all)
     verify.add_argument("--all", action="store_true", required=True)
-    sub.add_parser("segre", help="cubic checks", parents=common)
-    sub.add_parser("cr", help="quartic hypersurface checks", parents=common)
-    duality = sub.add_parser("duality", help="polar duality checks", parents=common)
+    command("segre", "cubic checks", lambda r, args: checks_segre(r))
+    command("cr", "quartic hypersurface checks", lambda r, args: checks_cr(r))
+    duality = command(
+        "duality", "polar duality checks", lambda r, args: checks_duality(r, args.samples, args.max_height)
+    )
     duality.add_argument("--samples", type=_positive_int, default=200)
-    section = sub.add_parser("section", help="hyperplane section checks", parents=common)
+    section = command(
+        "section", "hyperplane section checks", lambda r, args: checks_section(r, args.coeffs, args.scan_prime)
+    )
     section.add_argument("--coeffs", type=_parse_coeffs, required=True)
     section.add_argument("--scan-prime", type=int, default=None)
-    sub.add_parser("tangent-section", help="tangent hyperplane section checks", parents=common)
-    sub.add_parser("lattice", help="Picard and Kummer lattice checks", parents=common)
-    sub.add_parser("code", help="even-set code checks", parents=common)
-    sub.add_parser("involutions", help="involution certification", parents=common)
-    pentads = sub.add_parser("pentads", help="pentad classification", parents=common)
-    pentads.add_argument("--crosscheck-graph", action="store_true")
-    congr = sub.add_parser("congruence", help="congruence invariants", parents=common)
+    command(
+        "tangent-section",
+        "tangent hyperplane section checks",
+        lambda r, args: checks_tangent_section(r, args.max_height),
+    )
+    command("lattice", "Picard and Kummer lattice checks", lambda r, args: checks_lattice(r))
+    command("code", "even-set code checks", lambda r, args: checks_code(r))
+    command("involutions", "involution certification", lambda r, args: checks_involutions(r))
+    command("pentads", "pentad classification", lambda r, args: checks_pentads(r))
+    congr = command(
+        "congruence", "congruence invariants", lambda r, args: checks_congruence(r, *args.bidegree, args.rank)
+    )
     congr.add_argument("--bidegree", type=_parse_bidegree, required=True)
     congr.add_argument("--rank", type=int, required=True)
-    table1 = sub.add_parser("table1", help="singular-point table solver", parents=common)
+    table1 = command("table1", "singular-point table solver", lambda r, args: checks_table1(r, args.n))
     table1.add_argument("--n", type=int, required=True)
     return parser
 
 
-def run(argv, out=None) -> tuple[int, Report]:
+def run(argv, out=None) -> tuple[int, Runner]:
     out = out or sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return (code if code else 0), Report(__version__, 0, list(argv))
-    report = Report(__version__, args.seed, list(argv))
-    runner = Runner(report, out)
-    cmd = args.command
-    if cmd == "segre":
-        checks_segre(runner)
-    elif cmd == "cr":
-        checks_cr(runner)
-    elif cmd == "duality":
-        checks_duality(runner, args.samples, args.max_height)
-    elif cmd == "section":
-        checks_section(runner, args.coeffs, args.scan_prime)
-    elif cmd == "tangent-section":
-        checks_tangent_section(runner, args.max_height)
-    elif cmd == "lattice":
-        checks_lattice(runner)
-    elif cmd == "code":
-        checks_code(runner)
-    elif cmd == "involutions":
-        checks_involutions(runner)
-    elif cmd == "pentads":
-        checks_pentads(runner, args.crosscheck_graph)
-    elif cmd == "congruence":
-        m, n = args.bidegree
-        checks_congruence(runner, m, n, args.rank)
-    elif cmd == "table1":
-        checks_table1(runner, args.n)
-    elif cmd == "verify":
-        checks_segre(runner)
-        checks_cr(runner)
-        checks_duality(runner, 200, args.max_height)
-        reference = checks_section(runner, REFERENCE_COEFFS, 11)
-        checks_section(runner, (0, 1, 3, 14, 15, 17), 13)
-        checks_tangent_section(runner, args.max_height)
-        checks_lattice(runner)
-        checks_code(runner)
-        checks_involutions(runner)
-        checks_pentads(runner, crosscheck=True, section=reference)
-        checks_congruence_profile(runner)
-        for n in range(2, 8):
-            checks_table1(runner, n)
+        return (code if code else 0), Runner(0, list(argv), out)
+    runner = Runner(args.seed, list(argv), out)
+    args.groups(runner, args)
     if args.json:
+        checks = [dict(c, elapsed_ms=0) if args.no_timing else c for c in runner.checks]
+        report = {"tool_version": runner.tool_version, "seed": runner.seed, "argv": runner.argv, "checks": checks}
         with open(args.json, "w") as fh:
-            json.dump(report.to_jsonable(not args.no_timing), fh, sort_keys=True, indent=1)
+            json.dump(report, fh, sort_keys=True, indent=1)
             fh.write("\n")
-    failed = sum(1 for c in report.checks if c["status"] == "fail")
-    print(
-        f"{len(report.checks)} checks: {len(report.checks) - failed} passed, {failed} failed",
-        file=out,
-    )
-    return (1 if report.failed else 0), report
+    failed = sum(1 for c in runner.checks if c["status"] == "fail")
+    print(f"{len(runner.checks)} checks: {len(runner.checks) - failed} passed, {failed} failed", file=out)
+    return (1 if failed else 0), runner
 
 
 def main() -> None:

@@ -571,7 +571,7 @@ def kummer_tropes() -> Mapping[tuple[int, ...], tuple[int, ...]]:
     for beta in KUMMER_GROUP:
         v = [1] + [0] * 16
         support = kummer_trope_support(beta)
-        if len(support) != 6:
+        if len(set(support)) != 6:
             raise AssertionError("every trope word has exactly six nodes")
         for alpha in support:
             v[1 + KUMMER_INDEX[alpha]] = -1

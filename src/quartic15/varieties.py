@@ -585,6 +585,10 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     (so the 15 nodes are distinct), and a line meets a cardinal hyperplane
     not containing it only at a duad point (so a node is on a cardinal
     plane iff its line is, as `section-incidence` checks against the rule).
+
+    The section chart always has 4 free columns: `_normalize_hyperplane`
+    returns a nonzero hp with coordinate sum 0, which is never a multiple of
+    ONES (whose sum is 6), so the rows ONES and hp have rank 2.
     """
     hp = _normalize_hyperplane(coeffs)
     for subset in three_subsets():
@@ -596,8 +600,6 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         if sum(a * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
     section = LinearSubspace.from_equations([ONES, hp], NVARS)
-    if len(section.free) != 4:
-        raise AssertionError("the section chart must be 4-dimensional")
     surface = Hypersurface(cr_quartic_form(), section)
 
     def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:

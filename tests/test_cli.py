@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -6,6 +7,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import quartic15
 from quartic15 import congruence
@@ -456,9 +459,9 @@ def test_coplanarity_check_reuses_the_given_section(monkeypatch):
         raise AssertionError("the section was built again")
 
     monkeypatch.setattr(va, "hyperplane_section", refuse)
-    report = cli.Report(quartic15.__version__, 0, [])
-    cli.checks_pentads(cli.Runner(report, io.StringIO()), True, section=reference)
-    check = next(c for c in report.checks if c["id"] == "pentads-coplanarity")
+    runner = cli.Runner(0, [], io.StringIO())
+    cli.checks_pentads(runner, section=reference)
+    check = next(c for c in runner.checks if c["id"] == "pentads-coplanarity")
     assert check["status"] == "pass", check["details"]
 
 
@@ -469,6 +472,94 @@ def test_tangent_section_at_height_one_fails_with_its_reason():
     assert "at least 2 to avoid the syntheme planes" in check["details"]
     assert check["error"]["type"] == "ValueError"
     assert check["error"]["where"].startswith("varieties.py:")
+
+
+REFERENCE, OTHER = "1,2,3,5,7,11", "0,1,3,14,15,17"
+
+
+def _section_checks(tag, prime=None):
+    kinds = ["section-nodes", "section-tropes", "section-incidence"] + ([f"section-scan-f{prime}"] if prime else [])
+    return [f"{kind}[{tag}]" for kind in kinds]
+
+
+# the check ids each subcommand runs, in order
+SUBCOMMAND_CHECKS = {
+    "segre": ["segre-s6-invariance", "segre-nodes", "segre-scan-f11"],
+    "cr": [
+        "cr-s6-invariance",
+        "cr-double-lines",
+        "cr-duad-points",
+        "cr-scan-f7",
+        "cr-cardinal-tangency",
+        "cr-noncardinal-not-square",
+    ],
+    "duality": ["duality-samples", "duality-planes-to-lines", "duality-nodes-to-cardinals"],
+    f"section --coeffs {REFERENCE}": _section_checks(REFERENCE),
+    f"section --coeffs {REFERENCE} --scan-prime 11": _section_checks(REFERENCE, 11),
+    f"section --coeffs {OTHER} --scan-prime 13": _section_checks(OTHER, 13),
+    "tangent-section": ["tangent-section-16-nodes"],
+    "lattice": ["lattice-named", "lattice-snf", "picard-lattice", "picard-discriminant", "kummer-embedding"],
+    "code": ["even-set-code"],
+    "involutions": INVOLUTION_CHECKS,
+    "pentads": [
+        "pentads-classified",
+        "pentads-type-ii",
+        "pentads-pencils",
+        "pentads-graph-criterion",
+        "pentads-coplanarity",
+    ],
+    "congruence --bidegree 2,3 --rank 1": ["congruence[2,3,1]"],
+    **{f"table1 --n {n}": [f"table1[{n}]"] for n in range(2, 8)},
+}
+
+
+@pytest.mark.parametrize("line", SUBCOMMAND_CHECKS)
+def test_each_subcommand_runs_its_checks(line):
+    _, report, _ = run_quiet(line.split())
+    assert [c["id"] for c in report.checks] == SUBCOMMAND_CHECKS[line]
+
+
+def _verify_all_ids():
+    """The 44 ids of `verify --all`: the subcommands' lists in the order of
+    `cli.verify_all`, with the bidegree (2,3) profile before Table 1."""
+    groups = [
+        "segre",
+        "cr",
+        "duality",
+        f"section --coeffs {REFERENCE} --scan-prime 11",
+        f"section --coeffs {OTHER} --scan-prime 13",
+        "tangent-section",
+        "lattice",
+        "code",
+        "involutions",
+        "pentads",
+    ]
+    ids = [i for line in groups for i in SUBCOMMAND_CHECKS[line]] + ["congruence-2-3"]
+    return ids + [i for n in range(2, 8) for i in SUBCOMMAND_CHECKS[f"table1 --n {n}"]]
+
+
+def test_verify_all_runs_the_subcommands_checks_in_order():
+    _, report, _ = run_quiet(["verify", "--all"])
+    assert len(_verify_all_ids()) == 44
+    assert [c["id"] for c in report.checks] == _verify_all_ids()
+
+
+def test_runner_run_is_the_hook_of_the_benchmark(monkeypatch):
+    # bench/worker.py times each check by wrapping `Runner.run` on the class,
+    # and reads the checks off the object `cli.run` returns
+    from quartic15 import cli
+
+    assert list(inspect.signature(cli.Runner.run).parameters) == ["self", "check_id", "claim", "fn"]
+    real, seen = cli.Runner.run, []
+
+    def wrapped(runner, check_id, claim, fn):
+        seen.append(check_id)
+        return real(runner, check_id, claim, fn)
+
+    monkeypatch.setattr(cli.Runner, "run", wrapped)
+    _, runner = cli.run(["verify", "--all"], out=io.StringIO())
+    assert seen == _verify_all_ids()
+    assert [c["id"] for c in runner.checks] == seen
 
 
 # sha256 of the --no-timing reports; a change that alters report bytes on

@@ -229,6 +229,19 @@ def test_kummer_model_basics():
         kummer_tropes()[()] = (0,) * 17
 
 
+def test_a_repeated_special_element_is_refused(monkeypatch):
+    # (1, 6) twice: every trope support still has six entries, but only five
+    # distinct nodes
+    monkeypatch.setattr(ns, "KUMMER_SPECIAL", ((), (1, 6), (1, 6), (3, 6), (4, 6), (5, 6)))
+    assert len(ns.kummer_trope_support(())) == 6
+    kummer_tropes.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="every trope word has exactly six nodes"):
+            kummer_tropes()
+    finally:
+        kummer_tropes.cache_clear()
+
+
 def test_kummer_embedding():
     cert = kummer_embedding_check()
     assert cert.pairings_preserved

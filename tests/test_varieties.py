@@ -596,6 +596,24 @@ def test_section_genericity_failures():
         hyperplane_section((1, 1, 4, 0, 0, 0))
 
 
+def test_every_section_chart_has_four_free_columns():
+    # the lemma that leaves `hyperplane_section` no chart refusal: a nonzero
+    # sum-zero hp is never a multiple of ONES, so [ONES, hp] has rank 2
+    rng = random.Random(36)
+    tried = 0
+    for _ in range(600):
+        height = rng.choice((1, 2, 9, 1000))
+        coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(6)]
+        try:
+            hp = varieties._normalize_hyperplane(coeffs)
+        except GenericityError:
+            continue  # all six equal: no hyperplane inside {sum u = 0}
+        assert sum(hp) == 0 and any(hp)
+        assert len(LinearSubspace.from_equations([ONES, hp], 6).free) == 4, coeffs
+        tried += 1
+    assert tried > 500
+
+
 def test_double_line_lemmas_behind_the_section_refusals():
     # the lemmas that leave `hyperplane_section` no refusal once it avoids
     # the 15 line-intersection points, each checked on every case
