@@ -147,6 +147,39 @@ def bareiss(m: Iterable[Iterable[int]], reduce_above: bool = False) -> tuple[Int
     return a, pivots, sign
 
 
+def minor_rank(m: Iterable[Iterable[int]]) -> int:
+    """The rank of an integer matrix as the largest order of a nonzero minor.
+
+    Orders are tried from min(rows, columns) down, and each minor is a
+    Laplace expansion along its first row that skips zero entries, so a
+    square matrix of full rank costs one determinant.  Only ring operations
+    are used (no elimination, pivoting or division), which makes this rank
+    independent of `bareiss`.  The cost grows exponentially with the size:
+    it is meant for the chart Hessians of the node certificates, at most
+    4 × 4.
+    """
+    a = _as_int_matrix(m)
+    ncols = len(a[0]) if a else 0
+    for k in range(min(len(a), ncols), 0, -1):
+        for rows in itertools.combinations(a, k):
+            if any(_laplace_det(rows, cols) for cols in itertools.combinations(range(ncols), k)):
+                return k
+    return 0
+
+
+def _laplace_det(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """The minor of `rows` on the columns `cols`, expanded along its first row."""
+    first = rows[0]
+    if len(cols) == 1:
+        return first[cols[0]]
+    total = 0
+    for i, c in enumerate(cols):
+        if first[c]:
+            term = first[c] * _laplace_det(rows[1:], cols[:i] + cols[i + 1 :])
+            total += -term if i % 2 else term
+    return total
+
+
 def det_bareiss(m: Iterable[Iterable[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     a = _as_int_matrix(m)

@@ -34,7 +34,7 @@ from .configs import (
     trope_incidence_model,
 )
 from .exact import ModPoly, MultiPoly, perfect_square_factor, primitive_integer_vector
-from .lattice import _check_length, bareiss, clear_denominators, hermite_normal_form
+from .lattice import _check_length, bareiss, clear_denominators, minor_rank
 
 NVARS = 6
 ONES = (1,) * NVARS
@@ -419,9 +419,9 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     rank is kept, and the coordinates left are a chart of the ambient
     projective space at p.
     The rank is computed twice, by fraction-free (Bareiss) elimination and
-    by the gcd row operations of the Hermite normal form, and the two must
-    agree.  Ordinary means full rank, i.e. rank equal to the dimension of
-    the ambient projective space.
+    by its minors (`minor_rank`, Laplace expansion with no elimination),
+    and the two must agree.  Ordinary means full rank, i.e. rank equal to
+    the dimension of the ambient projective space.
     """
     coords = p.coords
     values = v._values_on_variety(coords)
@@ -431,8 +431,7 @@ def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificat
     last = max(k for k, f in enumerate(free) if coords[f])
     chart_hess = [row[:last] + row[last + 1 :] for k, row in enumerate(v._hessian(values)) if k != last]
     r1 = len(bareiss(chart_hess)[1])
-    hnf, _ = hermite_normal_form(chart_hess)
-    if r1 != sum(1 for row in hnf if any(row)):
+    if r1 != minor_rank(chart_hess):
         raise AssertionError("rank cross-check failed")
     expected = len(chart_hess)  # = projective dimension of the ambient space
     return NodeCertificate(hessian_rank=r1, is_ordinary=(r1 == expected))
@@ -579,6 +578,11 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     on hp and on u1+...+u6 = 0 by construction, so it is incident iff it
     pairs to 0 with the cardinal row.
 
+    A cardinal row is compared with hp as it stands: it has coordinate sum
+    0, and each `three_subsets()` representative contains 1, so its ±1 row
+    has gcd 1 and first entry +1.  It is therefore already the primitive row
+    with a positive first entry that `_normalize_hyperplane` returns.
+
     Once the line-intersection points are avoided nothing else can fail on
     the lines: each syntheme line holds the duad points of its three duads
     (so no line lies in hp), two lines meet only at their shared duad point
@@ -592,8 +596,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     """
     hp = _normalize_hyperplane(coeffs)
     for subset in three_subsets():
-        card = primitive_integer_vector(cardinal_coefficients(subset))
-        if hp == tuple(card):
+        if hp == cardinal_coefficients(subset):
             raise GenericityError("hyperplane is a cardinal hyperplane", subset)
     for d in duads():
         pt = duad_point(d)

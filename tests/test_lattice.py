@@ -25,6 +25,7 @@ from quartic15.lattice import (
     hermite_normal_form,
     mat_identity,
     mat_mul,
+    minor_rank,
     named_lattice,
     orthogonal_complement,
     overlattice,
@@ -580,6 +581,21 @@ def test_ragged_matrices_are_refused_naming_the_row():
             fn([[1, 2], [3, 4], [5, 6, 7]])
 
 
+def test_minor_rank_refuses_ragged_and_rational_matrices():
+    # `minor_rank` reads its input like every other integer kernel: the same
+    # message as `bareiss` for a ragged matrix, and no rounding of a Fraction
+    for m, message in (
+        ([[1, 2, 3], [4, 5]], "^row 1 has 2 entries, expected 3$"),
+        ([[1, 2], [3, 4], [5, 6, 7]], "^row 2 has 3 entries, expected 2$"),
+    ):
+        for fn in (bareiss, minor_rank):
+            with pytest.raises(ValueError, match=message):
+                fn(m)
+    with pytest.raises(ValueError, match=r"^non-integral entry 1/2 at \(1, 0\)$"):
+        minor_rank([[1, 2], [Fraction(1, 2), 4]])
+    assert minor_rank([[Fraction(4, 2), 1], [4, 2]]) == 1
+
+
 def test_integer_lattice_refuses_a_rational_gram_entry():
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
         IntegerLattice(((Fraction(1, 2),),))
@@ -711,6 +727,53 @@ def test_signature_self_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "raised a symmetric Gram matrix must have only real eigenvalues" in proc.stdout
+
+
+# -- the rank by minors --------------------------------------------------------
+
+
+@st.composite
+def rank_cases(draw):
+    """(m, deficient): an integer matrix of 1-5 rows and columns.  Half the
+    draws are deficient, of rank below min(rows, columns): a product of an
+    n x k and a k x m factor with k below both, or, with no more rows than
+    columns, a matrix with a repeated row."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def matrix(n, m):
+        return draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=n, max_size=n))
+
+    if not draw(st.booleans()):
+        return matrix(rows, cols), False
+    if 2 <= rows <= cols and draw(st.booleans()):
+        m = matrix(rows, cols)
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        m[j] = list(m[i])
+        return m, True
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    a, b = matrix(rows, k), matrix(k, cols)
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)], True
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_minor_rank_matches_bareiss(case):
+    m, deficient = case
+    rank = minor_rank(m)
+    assert rank == len(bareiss(m)[1]), m
+    assert not deficient or rank < min(len(m), len(m[0])), m
+
+
+def test_minor_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_cases())
+    def check(case):
+        m, _ = case
+        assert minor_rank(m) == sympy.Matrix(m).rank(), m
+
+    check()
 
 
 # -- test-only oracles: sympy and Milgram's formula -------------------------------

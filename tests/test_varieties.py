@@ -596,6 +596,49 @@ def test_section_genericity_failures():
         hyperplane_section((1, 1, 4, 0, 0, 0))
 
 
+def test_every_cardinal_row_and_its_negative_is_refused_with_its_subset():
+    # `hyperplane_section` compares hp with the +-1 rows as they stand: each
+    # representative contains 1, so the row is already primitive with a
+    # positive first entry, and the negated row normalizes to it
+    for subset in three_subsets():
+        row = cardinal_coefficients(subset)
+        for coeffs in (row, tuple(-x for x in row)):
+            with pytest.raises(GenericityError, match="cardinal") as refused:
+                hyperplane_section(coeffs)
+            assert refused.value.detail == subset
+
+
+def _reference_node_surface(model):
+    """The reference section's surface and one of its nodes, certified once.
+    The surface is built before a test patches `varieties.bareiss`, which
+    `LinearSubspace.from_equations` reads too."""
+    surface = Hypersurface(cr_quartic_form(), LinearSubspace.from_equations([ONES, model.hyperplane], 6))
+    node = model.nodes[0].ambient
+    assert certify_ordinary_node(surface, node).is_ordinary
+    return surface, node
+
+
+def test_node_certificate_refuses_a_bareiss_rank_the_minors_deny(reference_section, monkeypatch):
+    surface, node = _reference_node_surface(reference_section)
+    bareiss = varieties.bareiss
+
+    def one_pivot_short(m, **kwargs):
+        a, pivots, sign = bareiss(m, **kwargs)
+        return a, pivots[:-1], sign
+
+    monkeypatch.setattr(varieties, "bareiss", one_pivot_short)
+    with pytest.raises(AssertionError, match="rank cross-check failed"):
+        certify_ordinary_node(surface, node)
+
+
+def test_node_certificate_refuses_a_minor_rank_bareiss_denies(reference_section, monkeypatch):
+    surface, node = _reference_node_surface(reference_section)
+    minor_rank = varieties.minor_rank
+    monkeypatch.setattr(varieties, "minor_rank", lambda m: minor_rank(m) - 1)
+    with pytest.raises(AssertionError, match="rank cross-check failed"):
+        certify_ordinary_node(surface, node)
+
+
 def test_every_section_chart_has_four_free_columns():
     # the lemma that leaves `hyperplane_section` no chart refusal: a nonzero
     # sum-zero hp is never a multiple of ONES, so [ONES, hp] has rank 2
