@@ -189,14 +189,11 @@ def checks_cr(r: Runner):
     )
 
 
-def checks_duality(r: Runner, samples: int, max_height: int):
+def checks_duality(r: Runner, samples: int):
     def sample_check():
         rng = random.Random(r.seed)
-        for i in range(samples):
-            z = va.sample_smooth_cubic_point(rng, max_height)
-            img = va.duality_image(z)
-            if img.quartic_value != 0:
-                return False, f"sample {i} failed: nonzero quartic value"
+        for _ in range(samples):
+            va.duality_image(va.sample_smooth_cubic_point(rng))  # raises off the quartic
         return True, f"{samples} seeded smooth rational cubic points map to exact quartic zeros"
 
     r.run("duality-samples", "the traceless-square map lands on the quartic", sample_check)
@@ -209,7 +206,10 @@ def checks_duality(r: Runner, samples: int, max_height: int):
 
     def nodes_to_cardinals():
         for subset in three_subsets():
-            if va.ProjectivePoint(va.cardinal_coefficients(subset)) != va.node_point(subset):
+            node = va.node_point(subset)
+            if va.derive_node_point(subset) != node:
+                return False, f"node {subset} is not the meet of its six syntheme planes"
+            if va.ProjectivePoint(va.cardinal_coefficients(subset)) != node:
                 return False, f"node {subset} does not match its cardinal hyperplane"
         return True, "each node's coordinate vector equals the cardinal hyperplane of its 3-subset"
 
@@ -299,10 +299,10 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
     return model
 
 
-def checks_tangent_section(r: Runner, max_height: int):
+def checks_tangent_section(r: Runner):
     def build():
         rng = random.Random(r.seed)
-        model = va.sample_tangent_section(rng, max_height)
+        model = va.sample_tangent_section(rng)
         ordinary = all(n.certificate.is_ordinary for n in model.nodes)
         extra = sum(1 for n in model.nodes if n.syntheme is None)
         return (
@@ -591,7 +591,6 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
     flags.add_argument("--json", metavar="PATH", help="write the JSON report here")
     flags.add_argument("--seed", type=int, help="seed for sampled points")
     flags.add_argument("--no-timing", action="store_true", help="zero out timings for byte-stable output")
-    flags.add_argument("--max-height", type=_positive_int, help="coefficient height cap for sampling")
     flags.set_defaults(**defaults)
     return flags
 
@@ -601,10 +600,10 @@ def verify_all(r: Runner, args):
     once and read again by the pentad checks."""
     checks_segre(r)
     checks_cr(r)
-    checks_duality(r, 200, args.max_height)
+    checks_duality(r, 200)
     reference = checks_section(r, REFERENCE_COEFFS, 11)
     checks_section(r, (0, 1, 3, 14, 15, 17), 13)
-    checks_tangent_section(r, args.max_height)
+    checks_tangent_section(r)
     checks_lattice(r)
     checks_code(r)
     checks_involutions(r)
@@ -622,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartic15",
         description="exact certification suite for 15-nodal quartic surface geometry",
-        parents=[_global_flags(json=None, seed=0, no_timing=False, max_height=50)],
+        parents=[_global_flags(json=None, seed=0, no_timing=False)],
     )
     common = [_global_flags()]
     sub = parser.add_subparsers(dest="command", required=True)
@@ -636,20 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--all", action="store_true", required=True)
     command("segre", "cubic checks", lambda r, args: checks_segre(r))
     command("cr", "quartic hypersurface checks", lambda r, args: checks_cr(r))
-    duality = command(
-        "duality", "polar duality checks", lambda r, args: checks_duality(r, args.samples, args.max_height)
-    )
+    duality = command("duality", "polar duality checks", lambda r, args: checks_duality(r, args.samples))
     duality.add_argument("--samples", type=_positive_int, default=200)
     section = command(
         "section", "hyperplane section checks", lambda r, args: checks_section(r, args.coeffs, args.scan_prime)
     )
     section.add_argument("--coeffs", type=_parse_coeffs, required=True)
     section.add_argument("--scan-prime", type=int, default=None)
-    command(
-        "tangent-section",
-        "tangent hyperplane section checks",
-        lambda r, args: checks_tangent_section(r, args.max_height),
-    )
+    command("tangent-section", "tangent hyperplane section checks", lambda r, args: checks_tangent_section(r))
     command("lattice", "Picard and Kummer lattice checks", lambda r, args: checks_lattice(r))
     command("code", "even-set code checks", lambda r, args: checks_code(r))
     command("involutions", "involution certification", lambda r, args: checks_involutions(r))

@@ -395,6 +395,18 @@ def derive_duad_point(d: Duad) -> ProjectivePoint:
     return ProjectivePoint(meet.kernel[0])
 
 
+def derive_node_point(subset: Sequence[int]) -> ProjectivePoint:
+    """Independent derivation: intersect the six syntheme planes that the
+    trope incidence model puts on the block of the 3-subset."""
+    model = trope_incidence_model()
+    j = model.blocks.index(tuple(subset))
+    rows = [eq for s, row in zip(model.points, model.matrix) if row[j] for eq in syntheme_plane(s).rows]
+    meet = LinearSubspace.from_equations(rows, NVARS)
+    if len(meet.kernel) != 1:
+        raise AssertionError("six planes through a node must meet in one point")
+    return ProjectivePoint(meet.kernel[0])
+
+
 # -- node certification ---------------------------------------------------------
 
 
@@ -891,17 +903,14 @@ def plane_point(s: Syntheme, params: Sequence) -> list[int]:
     return [x0 * a + x1 * b + x2 * c for a, b, c in plane.parametrization]
 
 
-def sample_smooth_cubic_point(
-    rng: random.Random, max_height: int = 50, avoid_planes: bool = False
-) -> ProjectivePoint:
+def sample_smooth_cubic_point(rng: random.Random, avoid_planes: bool = False) -> ProjectivePoint:
     """Seeded chord construction: the third intersection of a line through
     two random plane points is a rational point of the cubic.
 
     Retries with growing coefficient height until the point is smooth (and,
-    if requested, off all 15 planes); the plane parameters start at height
-    min(3, max_height) and never exceed `max_height`, which must be at least 1,
-    and at least 2 with `avoid_planes`: at height 1 every smooth third point
-    of a chord lies on one of the 15 planes.
+    if requested, off all 15 planes): attempt k of at most 400 draws its
+    plane parameters from [−h, h] with h = 3 + 4·(k // 40), so the height
+    runs 3, 7, …, 39.
     The chord runs on the integer plane points.  Both ends lie on syntheme
     planes, which lie on the cubic, so the binary cubic c21·α²β + c12·αβ²
     along it is read off two values of the form, plus = c21 + c12 at
@@ -912,20 +921,11 @@ def sample_smooth_cubic_point(
     integer values of the partials of the cleared form), and the one
     `ProjectivePoint` is built for the point returned.
     """
-    if max_height < 1:
-        raise ValueError(f"max_height must be at least 1, not {max_height}")
-    if avoid_planes and max_height < 2:
-        raise ValueError(
-            f"max_height must be at least 2 to avoid the syntheme planes, not {max_height}: "
-            "at height 1 every smooth third point of a chord lies on one of them"
-        )
     segre = build_variety("segre")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes] if avoid_planes else ()
-    height = min(3, max_height)
     for attempt in range(400):
-        if attempt and attempt % 40 == 0:
-            height = min(height + 4, max_height)
+        height = 3 + 4 * (attempt // 40)
         s1, s2 = rng.sample(all_synthemes, 2)
         pa = plane_point(s1, [rng.randint(-height, height) for _ in range(3)])
         pb = plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
@@ -947,11 +947,11 @@ def sample_smooth_cubic_point(
     raise RuntimeError("failed to sample a smooth rational point of the cubic")
 
 
-def sample_tangent_section(rng: random.Random, max_height: int = 50) -> SectionModel:
+def sample_tangent_section(rng: random.Random) -> SectionModel:
     """Seeded search for a smooth quartic point whose tangent section certifies."""
     lines = [syntheme_line(s) for s in synthemes()]
     for _ in range(60):
-        z = sample_smooth_cubic_point(rng, max_height, avoid_planes=True)
+        z = sample_smooth_cubic_point(rng, avoid_planes=True)
         image = duality_image(z)
         y = image.point
         if any(l.contains(y.coords) for l in lines):

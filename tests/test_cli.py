@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import inspect
 import io
 import json
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -117,19 +120,15 @@ def test_usage_error_exit_code():
 
 
 def test_vacuous_sampling_is_a_usage_error(capsys):
-    # zero or negative samples would certify nothing, and a height cap below
-    # 1 leaves no plane parameter to draw: both are refused at parse time
+    # zero or negative samples would certify nothing: refused at parse time
     for argv in (
         ["duality", "--samples", "0"],
         ["duality", "--samples", "-3"],
-        ["--max-height", "0", "duality"],
-        ["duality", "--max-height", "-1"],
-        ["tangent-section", "--max-height", "0"],
     ):
         code, report, _ = run_quiet(argv)
         assert code == 2 and report.checks == [], argv
         assert "must be at least 1" in capsys.readouterr().err
-    code, report, _ = run_quiet(["duality", "--samples", "1", "--max-height", "1"])
+    code, report, _ = run_quiet(["duality", "--samples", "1"])
     assert code == 0 and report.checks[0]["details"].startswith("1 seeded")
 
 
@@ -198,7 +197,21 @@ def test_readme_command_lines_parse():
     # a global flag on either side of the subcommand; the side not given keeps it
     assert parser.parse_args(["--seed", "7", "verify", "--all"]).seed == 7
     args = parser.parse_args(["verify", "--all", "--seed", "7", "--json", "r.json", "--no-timing"])
-    assert (args.seed, args.json, args.no_timing, args.max_height) == (7, "r.json", True, 50)
+    assert (args.seed, args.json, args.no_timing) == (7, "r.json", True)
+
+
+def _long_flags(parser):
+    return {o for action in parser._actions for o in action.option_strings if o.startswith("--") and o != "--help"}
+
+
+def test_readme_flags_agree_with_the_parser():
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = _long_flags(parser).union(*map(_long_flags, sub.choices.values()))
+    assert named - accepted == set()
+    assert _long_flags(parser) - named == set()
 
 
 def test_python_dash_m_entry_point():
@@ -465,13 +478,42 @@ def test_coplanarity_check_reuses_the_given_section(monkeypatch):
     assert check["status"] == "pass", check["details"]
 
 
-def test_tangent_section_at_height_one_fails_with_its_reason():
-    code, report, _ = run_quiet(["--max-height", "1", "tangent-section"])
-    (check,) = report.checks
+def test_max_height_is_a_usage_error(capsys):
+    # sampled points depend only on the seed and the count: there is no
+    # height cap to set, before or after the subcommand
+    for argv in (["--max-height=50", "duality"], ["tangent-section", "--max-height=50"]):
+        code, report, _ = run_quiet(argv)
+        assert code == 2 and report.checks == [], argv
+        assert "unrecognized arguments: --max-height=50" in capsys.readouterr().err
+
+
+def test_a_quartic_value_off_zero_turns_the_samples_check_red(monkeypatch):
+    from quartic15 import varieties as va
+    from quartic15.exact import MultiPoly
+
+    perturbed = va.cr_quartic_form() + MultiPoly.variable(6, 0) ** 4
+    monkeypatch.setattr(va, "cr_quartic_form", lambda: perturbed)
+    code, report, _ = run_quiet(["duality", "--samples", "1"])
+    check = next(c for c in report.checks if c["id"] == "duality-samples")
     assert code == 1 and check["status"] == "fail"
-    assert "at least 2 to avoid the syntheme planes" in check["details"]
-    assert check["error"]["type"] == "ValueError"
+    assert check["error"]["type"] == "AssertionError"
     assert check["error"]["where"].startswith("varieties.py:")
+
+
+def test_a_moved_syntheme_plane_turns_the_node_derivation_red(monkeypatch):
+    from quartic15 import varieties as va
+    from quartic15.configs import synthemes
+
+    real = va.syntheme_plane
+    moved, other = synthemes()[:2]
+    # the plane of another syntheme misses the nodes on moved's blocks that
+    # are not on other's, so six planes there no longer meet in a point
+    monkeypatch.setattr(va, "syntheme_plane", lambda s: real(other) if s == moved else real(s))
+    code, report, _ = run_quiet(["duality", "--samples", "1"])
+    check = next(c for c in report.checks if c["id"] == "duality-nodes-to-cardinals")
+    assert code == 1 and check["status"] == "fail"
+    assert check["details"] == "unexpected error: six planes through a node must meet in one point"
+    assert check["error"]["type"] == "AssertionError"
 
 
 REFERENCE, OTHER = "1,2,3,5,7,11", "0,1,3,14,15,17"
@@ -605,3 +647,32 @@ def test_pinned_report_twice_in_one_process(monkeypatch, tmp_path):
         code, _, _ = run_quiet(VERIFY_ALL.split())
         assert code == VERIFY_ALL_EXIT
         assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+def _interpreter(version):
+    """An installed Python `version` ("3.12"), or None: a pyenv build first,
+    then `pythonX.Y` on PATH.  A pyenv shim may name a version that is not
+    enabled, so each candidate must run and report its version."""
+    candidates = sorted(Path.home().glob(f".pyenv/versions/{version}.*/bin/python"))
+    candidates += [Path(p) for p in [shutil.which(f"python{version}")] if p]
+    for exe in candidates:
+        proc = subprocess.run(
+            [str(exe), "-c", "import sys; print('%d.%d' % sys.version_info[:2])"], capture_output=True, text=True
+        )
+        if proc.returncode == 0 and proc.stdout.strip() == version:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_pinned_report_under_each_installed_interpreter(version, tmp_path):
+    # one subprocess at a time; the report may not depend on the interpreter
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} installed")
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run(
+        [str(exe), "-m", "quartic15", *VERIFY_ALL.split()], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == VERIFY_ALL_EXIT, proc.stderr
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == VERIFY_ALL_DIGEST

@@ -284,6 +284,7 @@ FIELDS_READ_ONLY_BY_TESTS = {
     "configs.Orbit.stabilizer_order": "the stabilizers 48, 120 and 72 of the nodes, totals and tropes, and of the code words",
     "lattice.FiniteAbelianInvariants.q_values": "the discriminant quadratic form on the SNF generators (A1 gives 3/2, <4> gives 1/4)",
     "varieties.DualityImage.source": "read by the bench digest, which recomputes each duality image from its source",
+    "varieties.DualityImage.quartic_value": "read by the bench digest; always 0, since `duality_image` raises off the quartic",
     "varieties.CardinalRestriction.scale": "the quartic on a cardinal 3-space is scale·q² (the three-equation trope oracle)",
     "pentads.PentadOrbit.representative": "the type-II orbit is keyed by its least pentad; the pencil identities hold on each representative",
     "pentads.PentadOrbit.admissible": "the sizes of the admissible orbits sum to the number of admissible pentads",

@@ -1075,7 +1075,7 @@ def test_scan_accepts_sum_zero_in_any_representation(segre):
         singular_scan_fp(Hypersurface(segre_form(), plane), 5)
 
 
-def test_max_height_caps_the_plane_parameters(monkeypatch):
+def test_sampler_height_grows_every_forty_attempts(monkeypatch):
     drawn = []
     plane_point = varieties.plane_point
 
@@ -1084,19 +1084,14 @@ def test_max_height_caps_the_plane_parameters(monkeypatch):
         return plane_point(s, params)
 
     monkeypatch.setattr(varieties, "plane_point", recorded)
-    rng = random.Random(1)
-    for _ in range(20):
-        sample_smooth_cubic_point(rng, max_height=1)
-    assert drawn and all(abs(x) <= 1 for params in drawn for x in params)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="max_height must be at least 1"):
-            sample_smooth_cubic_point(rng, max_height=bad)
-    # at height 1 every smooth third point of a chord lies on a syntheme
-    # plane, so avoiding the planes is refused before a chord is drawn
-    calls = len(drawn)
-    with pytest.raises(ValueError, match="at least 2 to avoid the syntheme planes, not 1"):
-        sample_smooth_cubic_point(rng, max_height=1, avoid_planes=True)
-    assert len(drawn) == calls
+    # seed 1170 needs 43 attempts to leave the syntheme planes; each attempt
+    # draws the parameters of two plane points
+    sample_smooth_cubic_point(random.Random(1170), avoid_planes=True)
+    attempts = [drawn[k : k + 2] for k in range(0, len(drawn), 2)]
+    assert len(attempts) == 43
+    for k, pair in enumerate(attempts):
+        assert all(abs(x) <= 3 + 4 * (k // 40) for params in pair for x in params), k
+    assert max(abs(x) for pair in attempts[40:] for params in pair for x in params) > 3
 
 
 # -- the integer sampler against the Fraction sampler it replaced ----------------
@@ -1107,16 +1102,16 @@ def fraction_plane_point(s, params):
     return param_point(syntheme_plane(s), [Fraction(x) for x in params])
 
 
-def fraction_sample(rng, max_height=50, avoid_planes=False):
+def fraction_sample(rng, avoid_planes=False):
     """The Fraction sampler: Fraction plane points, the binary cubic along the
     chord by symbolic substitution, and a ProjectivePoint for every candidate."""
     segre = build_variety("segre")
     all_synthemes = synthemes()
     planes = [syntheme_plane(s) for s in all_synthemes]
-    height = min(3, max_height)
+    height = 3
     for attempt in range(400):
         if attempt and attempt % 40 == 0:
-            height = min(height + 4, max_height)
+            height += 4
         s1, s2 = rng.sample(all_synthemes, 2)
         pa = fraction_plane_point(s1, [rng.randint(-height, height) for _ in range(3)])
         pb = fraction_plane_point(s2, [rng.randint(-height, height) for _ in range(3)])
@@ -1150,18 +1145,12 @@ def _outcome(sampler, rng, *args):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([1, 3, 50]), st.booleans())
-def test_sampler_matches_the_fraction_sampler(seed, max_height, avoid_planes):
+@given(st.integers(0, 10**6), st.booleans())
+def test_sampler_matches_the_fraction_sampler(seed, avoid_planes):
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    if avoid_planes and max_height == 1:
-        # refused up front, where the Fraction sampler spends all 400 chords
-        with pytest.raises(ValueError, match="at least 2 to avoid the syntheme planes"):
-            sample_smooth_cubic_point(rng, max_height, avoid_planes)
-        assert _outcome(fraction_sample, ref_rng, max_height, avoid_planes).startswith("failed")
-        return
     for _ in range(2):
-        got = _outcome(sample_smooth_cubic_point, rng, max_height, avoid_planes)
-        assert got == _outcome(fraction_sample, ref_rng, max_height, avoid_planes)
+        got = _outcome(sample_smooth_cubic_point, rng, avoid_planes)
+        assert got == _outcome(fraction_sample, ref_rng, avoid_planes)
         assert rng.getstate() == ref_rng.getstate()
 
 
