@@ -6,8 +6,9 @@ reduced coefficient denominators, 1 for the zero polynomial.  The form is
 canonical, and every operation runs on these integers.  Coefficients enter
 as `int` or `Fraction` (nothing here touches floating point) and leave as a
 `Fraction` only through `leading_coefficient`.  Values are read in integers,
-den·f(xs) at an integer point xs, by the one sparse evaluation loop, which
-`ModPoly` also reads mod p.  The rational linear algebra (`rref`,
+den·f(xs) at an integer point xs, by the one sparse evaluation loop: `ModPoly`
+reads it mod p, and the node readings of `varieties.Hypersurface` read the
+chart's second partials with it.  The rational linear algebra (`rref`,
 `nullspace` and `LinearMap`) is a front end to the fraction-free integer
 kernels of `lattice`.  No library module calls it: the benchmark builds its
 section chart with it, and besides its own tests only the ragged-row

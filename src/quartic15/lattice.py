@@ -371,8 +371,21 @@ class IntegerLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def signature(self) -> tuple[int, int]:
-        """Exact inertia (n_plus, n_minus) from the characteristic polynomial; cached."""
-        return _signature_cached(self.gram)
+        """Exact inertia (n_plus, n_minus) by Descartes' rule of signs on the
+        characteristic polynomial.
+
+        A symmetric matrix has only real eigenvalues, so once the factor x^k of
+        the kernel is stripped, the sign changes of χ(x) and χ(−x) count the
+        positive and the negative eigenvalues exactly.
+        """
+        chi = charpoly(self.gram)
+        while len(chi) > 1 and chi[-1] == 0:
+            chi.pop()
+        plus = _sign_changes(chi)
+        minus = _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(chi))
+        if plus + minus != len(chi) - 1:
+            raise AssertionError("a symmetric Gram matrix must have only real eigenvalues")
+        return plus, minus
 
 
 @lru_cache(maxsize=256)
@@ -407,24 +420,6 @@ def charpoly(m: Sequence[Sequence[int]]) -> list[int]:
 def _sign_changes(coeffs: Iterable[int]) -> int:
     signs = [c > 0 for c in coeffs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-@lru_cache(maxsize=256)
-def _signature_cached(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """Inertia by Descartes' rule of signs on the characteristic polynomial.
-
-    A symmetric matrix has only real eigenvalues, so once the factor x^k of
-    the kernel is stripped, the sign changes of χ(x) and χ(−x) count the
-    positive and the negative eigenvalues exactly.
-    """
-    chi = charpoly(gram)
-    while len(chi) > 1 and chi[-1] == 0:
-        chi.pop()
-    plus = _sign_changes(chi)
-    minus = _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(chi))
-    if plus + minus != len(chi) - 1:
-        raise AssertionError("a symmetric Gram matrix must have only real eigenvalues")
-    return plus, minus
 
 
 def _freeze(m: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

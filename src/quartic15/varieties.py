@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import index, mul
-from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .configs import (
@@ -209,12 +208,10 @@ class Hypersurface:
     hyperplane and the F_p scans read g, and the double lines its partials,
     which by the chain rule are the six partials `gradient` (built on first
     use, also for the sampler) paired with the kernel columns.  For the node
-    certificates g, cleared, its n first and n(n+1)/2 second partials
-    (d_i d_j g, i <= j) are held, once built, as rows of (monomial index,
-    coefficient) into one table of monomials: those the polynomials use and
-    the smaller ones each is built from by one multiplication, the build
-    steps cached per exponent set (`_monomial_steps`).  At a point the
-    table is filled once and each value read off its own polynomial's row.
+    certificates only the n(n+1)/2 second partials d_i d_j g, i <= j, of
+    the cleared g are held, once built: `node_reading` reads the Hessian H
+    at a point and, by Euler's identity, the value and the gradient of g
+    from it, as x·H·x and H·x.
     """
 
     form: MultiPoly
@@ -247,81 +244,51 @@ class Hypersurface:
         return self.form.substitute_linear(self.ambient.parametrization, self.ambient.den)
 
     @cached_property
-    def _rows(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-        """(steps, rows): the monomial table's build steps, and the rows of
-        the cleared chart g, of each d_i g and of each d_i d_j g, i <= j, in
-        that order, all formed here once."""
-        chart, n = self.chart.scale(self.chart.den), len(self.ambient.free)
-        gradient = chart.gradient()
-        polys = [chart, *gradient, *(gradient[i].partial(j) for i in range(n) for j in range(i, n))]
-        position, steps = _monomial_steps(n, frozenset(e for f in polys for e in f.nums))
-        return steps, tuple(tuple((position[e], c) for e, c in f.nums.items()) for f in polys)
+    def _second_partials(self) -> tuple[MultiPoly, ...]:
+        """d_i d_j g of the cleared chart g, i <= j, row by row; formed once."""
+        gradient = self.chart.scale(self.chart.den).gradient()
+        n = len(gradient)
+        return tuple(gradient[i].partial(j) for i in range(n) for j in range(i, n))
 
-    def _monomial_values(self, xs: Sequence[int]) -> list[int]:
-        """The monomial table at the integer point xs."""
-        values = [1]
-        for parent, i in self._rows[0]:
-            values.append(values[parent] * xs[i])
-        return values
-
-    def _read(self, values: list[int], first: int, count: int) -> list[int]:
-        """The values of `count` consecutive rows from row `first` on."""
-        return [sum([c * values[k] for k, c in row]) for row in self._rows[1][first : first + count]]
-
-    def _values_on_variety(self, point: Sequence) -> list[int]:
-        """The monomial table at the chart point of the cleared point,
-        refusing a point off the ambient constraints or off the form."""
-        xs = self._cleared(point)
-        if not self.ambient.contains(xs):
-            raise NotOnVarietyError("point violates the ambient constraints")
-        values = self._monomial_values([xs[f] for f in self.ambient.free])
-        if self._read(values, 0, 1)[0] != 0:
-            raise NotOnVarietyError("point is not on the variety")
-        return values
-
-    def _hessian(self, values: list[int]) -> list[list[int]]:
-        """The chart Hessian d_i d_j g, read off the filled table."""
-        n = len(self.ambient.free)
-        entries = iter(self._read(values, 1 + n, n * (n + 1) // 2))
+    def hessian_at(self, xs: Sequence[int]) -> list[list[int]]:
+        """The Hessian of the cleared chart at the integer chart point xs,
+        each entry its second partial's `_integer_value`, in any degree."""
+        n = len(xs)
+        entries = iter([h._integer_value(xs) for h in self._second_partials])
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = next(entries)
         return rows
 
-    def _cleared(self, point: Sequence) -> list[int]:
-        """The integer vector xs of the point xs/d: a homogeneous form of
-        degree k has at xs its value at xs/d times d^k."""
+    def node_reading(self, point: Sequence) -> tuple[list[int], list[list[int]], list[int]]:
+        """(x, H, H·x): the chart point x of the cleared point (the integer
+        vector xs of the point xs/q, where a form of degree k takes q^k
+        times its value at xs/q), the chart Hessian H there, and H·x,
+        refusing a point off the ambient constraints or off the form.  For
+        the cleared chart g of degree d, Euler's identity gives
+        H·x = (d−1)·∇g(x) and x·H·x = d(d−1)·g(x) in integers, so with
+        d >= 2 the point is on the form exactly when x·H·x = 0; a nonzero
+        chart of lower degree, the one kind whose second partials all
+        vanish, is refused."""
+        if self.chart and not any(self._second_partials):
+            raise ValueError("a node reading needs a form of degree at least 2")
         _check_length(point, self.form.nvars, "point")
-        return clear_denominators(point)[0]
+        xs = clear_denominators(point)[0]
+        if not self.ambient.contains(xs):
+            raise NotOnVarietyError("point violates the ambient constraints")
+        x = [xs[f] for f in self.ambient.free]
+        hess = self.hessian_at(x)
+        hx = [sum(map(mul, row, x)) for row in hess]
+        if sum(map(mul, hx, x)):
+            raise NotOnVarietyError("point is not on the variety")
+        return x, hess, hx
 
     def is_s6_invariant(self) -> bool:
         """Exact invariance of the form under all 720 coordinate permutations,
         tested on the five adjacent transpositions `S6_GENERATORS`, which
         generate S6."""
         return all(self.form.permute_variables([i - 1 for i in g]) == self.form for g in S6_GENERATORS)
-
-
-@lru_cache(maxsize=64)
-def _monomial_steps(nvars: int, exponents: frozenset) -> tuple[MappingProxyType, tuple[tuple[int, int], ...]]:
-    """(position, steps) for a table of monomials in `nvars` variables that
-    holds `exponents`: entry 0 is the monomial 1, and entry k > 0 is entry
-    steps[k−1][0] times the variable steps[k−1][1], a monomial already in the
-    table with one less in its last nonzero exponent; `position` maps each
-    exponent of the table to its entry."""
-    position: dict[tuple[int, ...], int] = {(0,) * nvars: 0}
-    steps: list[tuple[int, int]] = []
-
-    def add(e: tuple[int, ...]) -> int:
-        if e not in position:
-            i = max(k for k, x in enumerate(e) if x)
-            steps.append((add(e[:i] + (e[i] - 1,) + e[i + 1 :]), i))
-            position[e] = len(steps)
-        return position[e]
-
-    for e in sorted(exponents):
-        add(e)
-    return MappingProxyType(position), tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -422,26 +389,26 @@ class NodeCertificate(NamedTuple):
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
-    The gradient and the Hessian are the integer readings of the chart
-    form's partials built once on `v`, at p's chart point x.  By the chain
-    rule the chart gradient is the form's gradient paired with the kernel
-    columns over den, so p is singular exactly when it is zero.  The Hessian
-    is taken without the coordinate of the last nonzero entry of x: at a
-    singular point Euler's relation puts x in the Hessian's kernel, so the
-    rank is kept, and the coordinates left are a chart of the ambient
-    projective space at p.
+    The chart Hessian H is read at p's chart point x, each entry the integer
+    value of one second partial of the cleared chart g that `v` builds once.
+    For g of degree d, Euler's identity gives H·x = (d−1)·∇g(x) and
+    x·H·x = d(d−1)·g(x), both exact in integers: the reading refuses p off
+    the form when x·H·x ≠ 0, and p is singular exactly when H·x = 0.  By
+    the chain rule the chart gradient is the form's gradient paired with the
+    kernel columns over den.  The Hessian is taken without the coordinate of
+    the last nonzero entry of x: at a singular point H·x = 0, so the rank is
+    kept, and the coordinates left are a chart of the ambient projective
+    space at p.
     The rank is computed twice, by fraction-free (Bareiss) elimination and
     by its minors (`minor_rank`, Laplace expansion with no elimination),
     and the two must agree.  Ordinary means full rank, i.e. rank equal to
     the dimension of the ambient projective space.
     """
-    coords = p.coords
-    values = v._values_on_variety(coords)
-    free = v.ambient.free
-    if any(v._read(values, 1, len(free))):
+    x, hess, hx = v.node_reading(p.coords)
+    if any(hx):
         return SmoothPointFailure()
-    last = max(k for k, f in enumerate(free) if coords[f])
-    chart_hess = [row[:last] + row[last + 1 :] for k, row in enumerate(v._hessian(values)) if k != last]
+    last = max(k for k, c in enumerate(x) if c)
+    chart_hess = [row[:last] + row[last + 1 :] for k, row in enumerate(hess) if k != last]
     r1 = len(bareiss(chart_hess)[1])
     if r1 != minor_rank(chart_hess):
         raise AssertionError("rank cross-check failed")
@@ -678,17 +645,17 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
 def tangent_section(q: ProjectivePoint) -> SectionModel:
     """Section by the tangent hyperplane at a smooth rational point: 16 nodes.
 
-    The chart gradient at q is read off the monomial table that refuses a
-    point off the quartic; placed at the free columns (zero at the pivot),
-    it is a positive multiple of the tangent hyperplane plus a multiple of
-    the constraint row, which the section's normalisation removes."""
+    The gradient is H·x from the node reading that refuses a point off the
+    quartic: by Euler's identity it is 3 times the chart gradient at q.
+    Placed at the free columns (zero at the pivot), it is a positive
+    multiple of the tangent hyperplane plus a multiple of the constraint
+    row, which the section's normalisation removes."""
     cr = build_variety("cr")
-    free = cr.ambient.free
-    grad = cr._read(cr._values_on_variety(q.coords), 1, len(free))
+    grad = cr.node_reading(q.coords)[2]
     if not any(grad):
         raise NotOnVarietyError("point is singular on the quartic")
     row = [0] * NVARS
-    for f, g in zip(free, grad):
+    for f, g in zip(cr.ambient.free, grad):
         row[f] = g
     return hyperplane_section(row, tangent_at=q)
 

@@ -104,7 +104,20 @@ def test_a_zeroed_trope_conic_turns_only_section_tropes_red(monkeypatch):
 
     checks = _section_with_tropes(monkeypatch, zero_conic)
     assert [key for key, c in checks.items() if c["status"] != "pass"] == ["section-tropes"]
-    assert checks["section-tropes"]["details"] == "10 trope-conics, each through exactly 6 nodes"
+    assert checks["section-tropes"]["details"] == (
+        "9 of 10 tropes are conics through exactly 6 nodes (expected 10 of 10)"
+    )
+
+
+def test_a_dropped_node_turns_section_nodes_red(monkeypatch):
+    from quartic15 import varieties as va
+
+    real = va.hyperplane_section
+    monkeypatch.setattr(va, "hyperplane_section", lambda coeffs: real(coeffs)._replace(nodes=real(coeffs).nodes[:14]))
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11"])
+    check = report.checks[0]
+    assert code == 1 and check["id"] == "section-nodes[1,2,3,5,7,11]" and check["status"] == "fail"
+    assert check["details"] == "14 ordinary nodes certified (Hessian rank 3) for hyperplane (1,2,3,5,7,11)"
 
 
 def test_section_scan_good_prime():
@@ -442,6 +455,43 @@ def test_a_moved_node_turns_the_node_checks_red(monkeypatch):
     )
     assert _failed(["segre"]) == (1, {"segre-nodes"})
     assert _failed(["duality", "--samples", "1"]) == (1, {"duality-nodes-to-cardinals"})
+
+
+def _tangent_check(monkeypatch, mutate):
+    """The tangent-section check, run with `va.hyperplane_section` given
+    the coefficients and tangency point that `mutate` makes of its own."""
+    from quartic15 import varieties as va
+
+    real = va.hyperplane_section
+    monkeypatch.setattr(va, "hyperplane_section", lambda coeffs, tangent_at=None: real(*mutate(coeffs, tangent_at)))
+    code, report, _ = run_quiet(["tangent-section"])
+    (check,) = report.checks
+    assert code == 1 and check["id"] == "tangent-section-16-nodes" and check["status"] == "fail"
+    return check
+
+
+def test_a_dropped_tangency_point_turns_the_tangent_section_red(monkeypatch):
+    # without its tangency point the section has only the 15 syntheme nodes
+    check = _tangent_check(monkeypatch, lambda coeffs, tangent_at: (coeffs, None))
+    assert "error" not in check
+    assert check["details"] == (
+        "tangent hyperplane at a seeded smooth point: 15 certified ordinary nodes of 15, "
+        "0 at the tangency point (expected 16, one there)"
+    )
+
+
+def test_a_moved_tangent_hyperplane_turns_the_tangent_section_red(monkeypatch):
+    # one unit off the tangent hyperplane the tangency point is off the
+    # section, so every draw is refused and the search gives up
+    def moved(coeffs, tangent_at):
+        if tangent_at is not None:
+            coeffs = list(coeffs)
+            coeffs[0] += 1
+        return coeffs, tangent_at
+
+    check = _tangent_check(monkeypatch, moved)
+    assert check["error"]["type"] == "RuntimeError"
+    assert check["error"]["where"].startswith("varieties.py:")
 
 
 def test_a_moved_double_line_turns_the_line_check_red(monkeypatch):

@@ -74,21 +74,16 @@ def unconstrained(f: MultiPoly) -> Hypersurface:
     return Hypersurface(f, LinearSubspace((), 1, f.nvars))
 
 
-def hessian(v: Hypersurface, xs):
-    """The integer Hessian a node certificate reads at the integer point xs."""
-    return v._hessian(v._monomial_values(xs))
-
-
 def test_hessian_at():
     # the Hessian from the second partials a Hypersurface builds once
     f = poly_sum_cubes()
-    h = hessian(unconstrained(f), [1, 1, 1, -1, -1, -1])
+    h = unconstrained(f).hessian_at([1, 1, 1, -1, -1, -1])
     for i in range(6):
         for j in range(6):
             expected = (6 if i < 3 else -6) if i == j else 0
             assert h[i][j] == expected
     g = MultiPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    assert hessian(unconstrained(g), [5, -7]) == [[2, 0], [0, 2]]
+    assert unconstrained(g).hessian_at([5, -7]) == [[2, 0], [0, 2]]
     with pytest.raises(ValueError):
         certify_ordinary_node(unconstrained(g), ProjectivePoint([5, -7, 1]))
     with pytest.raises(ValueError, match="ambient subspace has 3 variables, the form 2"):
@@ -663,7 +658,7 @@ def test_hessian_at_matches_reference(case):
     d = clear_denominators(pt)[1]
     scale = f.den * Fraction(d) ** (f.total_degree() - 2)
     expected = [[scale * x for x in row] for row in reference_hessian_at(ref, pt)]
-    got = hessian(unconstrained(f), clear_denominators(pt)[0])
+    got = unconstrained(f).hessian_at(clear_denominators(pt)[0])
     assert got == expected and all(type(x) is int for row in got for x in row)
 
 

@@ -21,6 +21,24 @@ def test_no_assert_statements_in_library():
     assert not offenders, offenders
 
 
+def test_no_f_string_without_a_placeholder_in_library():
+    # an f-string with nothing to format is a constant that was meant to
+    # carry a value; implicitly joined pieces parse as one f-string, and a
+    # format spec (the `.3f` of `{x:.3f}`) is a nested f-string of its own
+    offenders = []
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        specs = {id(n.format_spec) for n in ast.walk(tree) if isinstance(n, ast.FormattedValue) and n.format_spec}
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr)
+            and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+        ]
+    assert not offenders, offenders
+
+
 # Where the integer layers may build a Fraction: the rational edges only.
 FRACTION_SITES = {
     "exact.py": {
@@ -302,7 +320,7 @@ FIELD_HOMONYMS = {
     "pentads.PentadClass.admissible": "pentads.orbit_table",
     "pentads.PentadClass.goepel": "pentads.orbit_table",
     "pentads.PentadOrbit.goepel": "cli.checks_pentads",
-    "varieties.Hypersurface.ambient": "varieties.certify_ordinary_node",
+    "varieties.Hypersurface.ambient": "varieties.Hypersurface.node_reading",
     "varieties.Hypersurface.form": "varieties.Hypersurface.is_s6_invariant",
     "varieties.LinearSubspace.den": "varieties.cardinal_restriction",
     "varieties.LinearSubspace.rows": "varieties.LinearSubspace.contains",

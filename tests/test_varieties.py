@@ -1258,8 +1258,8 @@ def test_integer_readings_clear_a_form_with_a_denominator(monkeypatch):
     point = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 0, 0]
     d = 6
     cols = v.ambient.kernel
-    values = v._values_on_variety(point)
-    hess = v._hessian(values)
+    x, hess, hx = v.node_reading(point)
+    assert x == [-3, 2, -2, 0, 0]  # the cleared point at the free columns
     for a, ca in enumerate(cols):
         for b, cb in enumerate(cols):
             expected = sum(
@@ -1268,9 +1268,9 @@ def test_integer_readings_clear_a_form_with_a_denominator(monkeypatch):
                 for j, y in enumerate(cb)
             )
             assert type(hess[a][b]) is int and hess[a][b] == 3 * d * expected
-    grad = v._read(values, 1, len(cols))
-    assert grad == [3 * d * d * sum(x * value(g, point) for x, g in zip(c, segre_form().gradient())) for c in cols]
-    assert all(type(x) is int for x in grad)
+    # H·x is the chart gradient times deg − 1 = 2 (Euler's identity)
+    assert hx == [2 * 3 * d * d * sum(a * value(g, point) for a, g in zip(c, segre_form().gradient())) for c in cols]
+    assert all(type(a) is int for a in hx)
     # the sampler on the rational form reads its chord values off the
     # cleared form, so it draws the same points
     expected = sample_smooth_cubic_point(random.Random(1))
@@ -1401,80 +1401,128 @@ def test_cached_constants_do_not_go_stale(tmp_path):
 def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
     v = build_variety(kind)
     form = v.form
-    assert v.gradient is v.gradient and v._rows is v._rows and v.chart is v.chart
+    assert v.gradient is v.gradient and v._second_partials is v._second_partials and v.chart is v.chart
     assert v.gradient == tuple(form.gradient())
-    # one row per polynomial of the chart form g, the form on the sum-zero
-    # chart in its 5 free coordinates: g, each d_i g, then each d_i d_j g, i <= j
+    # the chart form g is the form on the sum-zero chart in its 5 free
+    # coordinates; the node readings hold each d_i d_j g, i <= j, and no
+    # other derivative of it
     chart = form.substitute_linear(v.ambient.parametrization, v.ambient.den)
     assert v.chart == chart
     n = chart.nvars
     assert n == 5 and chart.den == 1
-    polys = [chart, *chart.gradient(), *(chart.partial(i).partial(j) for i in range(n) for j in range(i, n))]
-    steps, rows = v._rows
-    position = {}
-    for f, row in zip(polys, rows, strict=True):
-        assert len(row) == len(f.nums)
-        for (e, c), (k, c2) in zip(f.nums.items(), row, strict=True):
-            assert c == c2 and position.setdefault(e, k) == k
-    assert len(set(position.values())) == len(position)  # one table entry per monomial
+    partials = v._second_partials
+    assert partials == tuple(chart.partial(i).partial(j) for i in range(n) for j in range(i, n))
+    fresh = Hypersurface(form, v.ambient)
+    certify_ordinary_node(fresh, node_point((1, 2, 3)) if kind == "segre" else duad_point((1, 2)))
+    assert set(vars(fresh)) == {"form", "ambient", "chart", "_second_partials"}
     with pytest.raises(TypeError):
         v.gradient[0] = MultiPoly.zero(form.nvars)
     with pytest.raises(TypeError):
-        rows[0] = ()
+        partials[0] = MultiPoly.zero(n)
     with pytest.raises(AttributeError):
         v.gradient = ()
     with pytest.raises(AttributeError):
-        v._rows = ()
+        v._second_partials = ()
     with pytest.raises(AttributeError):
         v.chart = form
     with pytest.raises(AttributeError):
         v.gradient[0].nums.clear()
+    with pytest.raises(AttributeError):
+        partials[0].nums.clear()
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(forms(4, 4), forms(6, 3)), st.data())
-def test_node_readings_match_each_partials_integer_value(form, data):
-    # the gradient and the Hessian are read off one monomial table per point;
-    # each value must be its own partial's `_integer_value` at the cleared
-    # point (the forms are homogeneous, so the point's denominator is a scale)
+@given(st.one_of(forms(4, 4), forms(6, 3), forms(3, 2)), st.data())
+def test_node_reading_is_euler_on_the_chart_hessian(form, data):
+    # for the cleared chart g of degree d the reading's H·x is (d−1)·∇g(x)
+    # and x·H·x is d(d−1)·g(x): both checked against each first partial's
+    # and g's own `_integer_value` at the cleared point, on the form (where
+    # the reading accepts the point) and off it (where it refuses it)
     n, deg = form.nvars, form.total_degree()
     xs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
     q = data.draw(st.integers(2, 30))
     k = next(i for i, x in enumerate(xs) if x)
-    # xs_k^D·f − f(xs)·x_k^D vanishes at xs, so the reading accepts xs
+    # xs_k^D·f − f(xs)·x_k^D vanishes at xs
     on = form * xs[k] ** deg - MultiPoly.variable(n, k) ** deg * form._integer_value(xs)
     free = LinearSubspace((), 1, n)
     for point in (xs, [Fraction(x, q) for x in xs]):
         ys = clear_denominators(point)[0]
         for v in (Hypersurface(form, free), Hypersurface(on, free)):
             assert v.chart is v.form  # no equations: the chart is the form
-            assert v._hessian(v._monomial_values(v._cleared(point))) == [
-                [v.gradient[i].partial(j)._integer_value(ys) for j in range(n)] for i in range(n)
-            ]
-        v = Hypersurface(on, free)
-        assert v._read(v._values_on_variety(point), 1, n) == [g._integer_value(ys) for g in v.gradient]
+            g = v.chart
+            hess = v.hessian_at(ys)
+            assert hess == [[g.partial(i).partial(j)._integer_value(ys) for j in range(n)] for i in range(n)]
+            hx = [sum(a * b for a, b in zip(row, ys)) for row in hess]
+            assert hx == [(deg - 1) * p._integer_value(ys) for p in g.gradient()]
+            assert sum(a * b for a, b in zip(hx, ys)) == deg * (deg - 1) * g._integer_value(ys)
+            if g._integer_value(ys):
+                with pytest.raises(NotOnVarietyError, match="not on the variety"):
+                    v.node_reading(point)
+            else:
+                assert v.node_reading(point) == (ys, hess, hx)
 
 
-def test_node_certificate_reads_the_hessian_from_the_second_partial_rows(monkeypatch):
-    # one coefficient of the row of d_0 d_1 f changed by one: the chart
-    # Hessian the certificate ranks must change with it
+def test_node_reading_refuses_a_form_of_degree_below_two():
+    # Euler's identity needs d − 1 >= 1; the zero chart reads as zeros
+    free = LinearSubspace((), 1, 3)
+    for form in (MultiPoly.linear_form([1, 2, 3]), MultiPoly.constant(3, 5)):
+        v = Hypersurface(form, free)
+        with pytest.raises(ValueError, match="degree at least 2"):
+            v.node_reading([1, 1, -1])
+        with pytest.raises(ValueError, match="degree at least 2"):
+            certify_ordinary_node(v, ProjectivePoint([1, 1, -1]))
+    v = Hypersurface(MultiPoly.linear_form(ONES), varieties.SUM_ZERO)
+    assert not v.chart
+    assert v.node_reading([1, -1, 0, 0, 0, 0]) == ([-1, 0, 0, 0, 0], [[0] * 5 for _ in range(5)], [0] * 5)
+
+
+def test_node_certificate_reads_the_hessian_from_the_second_partials(monkeypatch):
+    # the chart Hessian H of the certificate is read off the cached second
+    # partials of the cleared chart, so a changed coefficient there reaches
+    # both the Euler value x·H·x and the matrix that is ranked
     model = hyperplane_section(REFERENCE_COEFFS)
     surface = Hypersurface(model.quartic3, LinearSubspace((), 1, 4))
     node = model.nodes[0].chart_point
+    x = list(node.coords)
+    assert x == [3, 3, -1, -1]
+    partials = surface._second_partials  # d_0 d_0, d_0 d_1, ..., d_1 d_1 at index 4
+    e = next(e for e in partials[1].nums if math.prod(a**b for a, b in zip(x, e)))
+    m = math.prod(a**b for a, b in zip(x, e))
+
+    def shifted(changes):
+        """The partials with `amount` added to the coefficient of e in each
+        (index, amount) of changes."""
+        rows = list(partials)
+        for r, amount in changes:
+            rows[r] = rows[r] + MultiPoly(4, {e: amount})
+        surface.__dict__["_second_partials"] = tuple(rows)
+
+    # d_0 d_1 g changed by one: H[0][1] and H[1][0] move by m, x·H·x by
+    # 2·m·x_0·x_1, and the point is refused as off the form
+    before = surface.hessian_at(x)
+    shifted([(1, 1)])
+    after = surface.hessian_at(x)
+    assert [[b - a for a, b in zip(r, s)] for r, s in zip(before, after)] == [
+        [0, m, 0, 0],
+        [m, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ]
+    with pytest.raises(NotOnVarietyError, match="not on the variety"):
+        certify_ordinary_node(surface, node)
+    # a change by m·w·wᵀ with w = (x_1, −x_0, 0, 0) keeps H·x = 0, so the
+    # point stays a node, and the ranked matrix (H without the last
+    # coordinate, 3) moves by exactly that change
     charts = []
     bareiss = varieties.bareiss
-    monkeypatch.setattr(varieties, "bareiss", lambda m, **kw: charts.append(m) or bareiss(m, **kw))
+    monkeypatch.setattr(varieties, "bareiss", lambda a, **kw: charts.append(a) or bareiss(a, **kw))
+    surface.__dict__["_second_partials"] = partials
     certify_ordinary_node(surface, node)
-    steps, rows = surface._rows
-    values = surface._monomial_values(node.coords)
-    r = 1 + 4 + 1  # the form, its 4 first partials, then d_0 d_0 f and d_0 d_1 f
-    e = next(e for e, (k, _) in enumerate(rows[r]) if values[k])
-    k, c = rows[r][e]
-    changed = rows[r][:e] + ((k, c + 1),) + rows[r][e + 1 :]
-    surface.__dict__["_rows"] = (steps, rows[:r] + (changed,) + rows[r + 1 :])
+    shifted([(0, x[1] ** 2), (1, -x[0] * x[1]), (4, x[0] ** 2)])
     certify_ordinary_node(surface, node)
-    assert len(charts) == 2 and charts[1] != charts[0]
-    assert charts[1][0][1] - charts[0][0][1] == values[k]
+    w = [x[1], -x[0], 0]
+    assert len(charts) == 2
+    assert [[b - a for a, b in zip(r, s)] for r, s in zip(*charts)] == [[m * a * b for b in w] for a in w]
 
 
 def test_cached_constants_are_immutable():
