@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 Duad = tuple[int, int]
 Syntheme = tuple[Duad, Duad, Duad]
@@ -282,44 +282,57 @@ class Orbit(NamedTuple):
     stabilizer_order: int
 
 
-def s6_orbits(action: Callable[[Perm, Hashable], Hashable], elements: Iterable) -> list[Orbit]:
+def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterable) -> list[Orbit]:
     """Orbit partition with stabilizer orders; checks the action axioms.
-    Certifies that S6 permutes each of these in one orbit: the 15 nodes and
-    the 15 double lines (stabilizer 48), the 6 totals (120), the 10 tropes
-    (72) and the even-set code words of weight 6, 8 and 10; it also
-    partitions the 3003 pentads into the orbit table of `pentads`.
 
-    `action(g, x)` must define a left action of S6 on the elements.  The
-    identity and compatibility axioms are checked on the generators.  Each
-    new orbit takes one pass over the 720 elements of S6, which gives the
-    orbit and the stabilizer of its first element together; the images must
-    stay in the element set, and |orbit|*|stab| = 720 is verified for every
-    orbit.  Orbits come in the order of their first elements, and each lists
-    its elements in the given order, so the representative is its first
-    element (the least one when the elements are given sorted).
+    `images(x)` must list the images of x under the permutations of S6, in
+    the order of `s6_elements()`, for a left action of S6 on the elements.
+    The identity and compatibility axioms are checked on the generators
+    (for the first three elements).  Each new orbit takes one call of
+    `images`, which gives the orbit and the stabilizer of its first element
+    together; the images must stay in the element set, and |orbit|*|stab| =
+    720 is verified for every orbit.  Orbits come in the order of their
+    first elements, and each lists its elements in the given order, so the
+    representative is its first element (the least one when the elements
+    are given sorted).
+
+    In the library, only `pentads.orbit_partition` calls it, on the 3003
+    pentad masks.  The tests certify through it that S6 permutes each of
+    these in one orbit: the 15 nodes and the 15 double lines (stabilizer
+    48), the 6 totals (120), the 10 tropes (72) and the even-set code words
+    of weight 6, 8 and 10.
     """
     elements = list(elements)
-    identity = POINTS
+    group = s6_elements()
+    index = {g: i for i, g in enumerate(group)}
+
+    def row(x) -> Sequence:
+        xs = images(x)
+        if len(xs) != len(group):
+            raise ValueError("images must list one image per element of S6")
+        return xs
+
     for x in elements[: min(3, len(elements))]:
-        if action(identity, x) != x:
+        xs = row(x)
+        if xs[index[POINTS]] != x:
             raise ValueError("identity permutation does not act trivially")
-        for g in S6_GENERATORS[:2]:
-            for h in S6_GENERATORS[:2]:
+        for h in S6_GENERATORS[:2]:
+            hxs = row(xs[index[h]])
+            for g in S6_GENERATORS[:2]:
                 gh = tuple(g[h[i] - 1] for i in range(6))
-                if action(gh, x) != action(g, action(h, x)):
+                if xs[index[gh]] != hxs[index[g]]:
                     raise ValueError("not a group action (compatibility fails)")
     position = {x: i for i, x in enumerate(elements)}
     seen: set = set()
     orbits = []
-    full_group = s6_elements()
     for x in elements:
         if x in seen:
             continue
-        images = [action(g, x) for g in full_group]
-        orbit = set(images)
+        xs = row(x)
+        orbit = set(xs)
         if not orbit <= position.keys():
             raise ValueError("element set is not closed under the action")
-        stab = images.count(x)
+        stab = xs.count(x)
         if stab * len(orbit) != 720:
             raise AssertionError("orbit-stabilizer identity failed")
         orbits.append(Orbit(x, tuple(sorted(orbit, key=position.__getitem__)), stab))

@@ -6,16 +6,24 @@ even three.  This module classifies every pentad, computes the orbit table
 under node relabeling, evaluates the ambiguous graph-theoretic admissibility
 criterion under its possible readings, and materializes the elliptic-pencil
 divisor classes with their exact degeneration identities.
+
+The sweeps over all pentads read node masks: a set of nodes is the 15-bit
+mask whose bit i stands for NODES[i], so a pentad is a mask of five bits, a
+trope meet is `&`, and dropping a node is `^`.  A pentad's images under S6
+are the OR of the image columns of its nodes (`mask_images`), which is the
+`images` contract of `configs.s6_orbits`.  The pentads handed out are
+sorted tuples of duads; `pentad_masks()` maps each mask to its tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from operator import itemgetter, or_
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .configs import Duad, Perm, apply_perm_duad, s6_elements, s6_orbits, trope_node_sets
+from .configs import Duad, POINTS, s6_elements, s6_orbits, trope_node_sets
 from .nodal_surface import (
     E,
     ETA,
@@ -30,9 +38,26 @@ Pentad = tuple[Duad, ...]
 
 TROPES = trope_node_sets()  # conic label (duad of [1,5]) -> frozenset of 6 nodes
 
-# nodes as the bits of a 15-bit mask in the order of NODES; each trope as its mask
+# nodes as the bits of a 15-bit mask in the order of NODES
 NODE_BIT = {d: 1 << i for d, i in NODE_INDEX.items()}
-TROPE_MASKS = tuple((label, sum(map(NODE_BIT.__getitem__, nodes))) for label, nodes in sorted(TROPES.items()))
+
+
+def node_mask(nodes: Iterable[Duad]) -> int:
+    """The mask of distinct node labels."""
+    return sum(map(NODE_BIT.__getitem__, nodes))
+
+
+TROPE_MASKS = tuple((label, node_mask(nodes)) for label, nodes in sorted(TROPES.items()))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first, each as a one-bit mask."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
 
 
 class PentadClass(NamedTuple):
@@ -46,24 +71,44 @@ class PentadClass(NamedTuple):
         return len(self.trope_triples)
 
 
+@lru_cache(maxsize=None)
+def trope_triple_tables() -> tuple[tuple[int, Mapping[int, tuple]], ...]:
+    """Each trope mask, in label order, with the map from every meet of three
+    to five of its nodes (as a mask) to the meet's `(label, triple)` pairs,
+    triples sorted.  Built once, on first use, and read-only so the cached
+    copy cannot go stale."""
+    return tuple(
+        (
+            trope,
+            MappingProxyType({
+                node_mask(meet): tuple((label, t) for t in itertools.combinations(meet, 3))
+                for size in (3, 4, 5)
+                for meet in itertools.combinations(sorted(TROPES[label]), size)
+            }),
+        )
+        for label, trope in TROPE_MASKS
+    )
+
+
+def _classify(p: Pentad, mask: int) -> PentadClass:
+    """The class of the sorted pentad p with node mask `mask`: every trope
+    meet of three or more nodes gives its triples, and one of four or more
+    makes the pentad inadmissible."""
+    triples: tuple = ()
+    admissible = True
+    for trope, table in trope_triple_tables():
+        meet = mask & trope
+        if meet in table:
+            triples += table[meet]
+            admissible = admissible and meet.bit_count() == 3
+    return PentadClass(p, admissible, admissible and not triples, triples)
+
+
 def classify(pentad: Sequence[Duad]) -> PentadClass:
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5 or not set(p) <= NODE_BIT.keys():
         raise ValueError("a pentad consists of five distinct node labels")
-    bits = [NODE_BIT[x] for x in p]
-    mask = sum(bits)
-    triples = []
-    admissible = True
-    for label, trope in TROPE_MASKS:
-        size = (mask & trope).bit_count()
-        if size < 3:
-            continue
-        if size >= 4:
-            admissible = False
-        meet = [x for x, bit in zip(p, bits) if bit & trope]  # sorted, as p is
-        triples.extend((label, triple) for triple in itertools.combinations(meet, 3))
-    goepel = admissible and not triples
-    return PentadClass(p, admissible, goepel, tuple(triples))
+    return _classify(p, node_mask(p))
 
 
 def all_pentads() -> list[Pentad]:
@@ -72,10 +117,19 @@ def all_pentads() -> list[Pentad]:
 
 
 @lru_cache(maxsize=None)
+def pentad_masks() -> Mapping[int, Pentad]:
+    """The mask of each pentad mapped to the pentad, in the order of
+    `all_pentads()`; read as plain masks, the keys are every choice of five
+    of fifteen bits.  Built once, on first use, and read-only."""
+    masks = map(sum, itertools.combinations(map(NODE_BIT.__getitem__, NODES), 5))
+    return MappingProxyType(dict(zip(masks, all_pentads())))
+
+
+@lru_cache(maxsize=None)
 def classify_all() -> Mapping[Pentad, PentadClass]:
-    """The class of every pentad, built once and read-only so the cached
-    copy cannot go stale."""
-    return MappingProxyType({p: classify(p) for p in all_pentads()})
+    """The class of every pentad, in the order of `all_pentads()`, built
+    once and read-only so the cached copy cannot go stale."""
+    return MappingProxyType({p: _classify(p, mask) for mask, p in pentad_masks().items()})
 
 
 # -- orbits --------------------------------------------------------------------
@@ -90,24 +144,34 @@ class PentadOrbit(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def node_tables() -> Mapping[Perm, tuple[Duad, ...]]:
-    """Each permutation of S6 as its table of node labels: entry i is the
-    image of NODES[i], as the label object in NODES.  Built once, on first
-    use, and read-only so the cached copy cannot go stale."""
-    label = {d: d for d in NODES}
-    return MappingProxyType({g: tuple(label[apply_perm_duad(g, d)] for d in NODES) for g in s6_elements()})
+def image_columns() -> tuple[tuple[int, ...], ...]:
+    """Column i holds the bit of the image of NODES[i] under each permutation
+    of S6, in `s6_elements()` order.  Read off the six position lists (the
+    image of each point under every permutation) through the bit of each
+    ordered pair of points; built once, on first use, all tuples."""
+    positions = dict(zip(POINTS, zip(*s6_elements())))
+    pair_bit = {pair: bit for (a, b), bit in NODE_BIT.items() for pair in ((a, b), (b, a))}
+    return tuple(tuple(map(pair_bit.__getitem__, zip(positions[a], positions[b]))) for a, b in NODES)
 
 
-def _relabel(g: Perm, nodes: Sequence[Duad]) -> tuple[Duad, ...]:
-    """The sorted image of a set of node labels under g, read off its table."""
-    return tuple(sorted(map(node_tables()[g].__getitem__, map(NODE_INDEX.__getitem__, nodes))))
+def mask_images(mask: int) -> list[int]:
+    """The images of a nonempty node mask under S6, in `s6_elements()`
+    order: each the OR of the image columns of its nodes."""
+    columns = image_columns()
+    return list(reduce(partial(map, or_), (columns[bit.bit_length() - 1] for bit in _bits(mask))))
 
 
 @lru_cache(maxsize=None)
 def orbit_partition() -> tuple[tuple[tuple[Pentad, tuple[Pentad, ...]], ...], Mapping[Pentad, Pentad]]:
-    """Orbits under node relabeling and the read-only pentad -> representative
-    map; built once, and immutable so the cached copy cannot go stale."""
-    orbits = tuple((o.representative, o.elements) for o in s6_orbits(_relabel, all_pentads()))
+    """Orbits under node relabeling, each sorted with its least pentad
+    first, and the read-only pentad -> representative map; the orbits are
+    found on the pentad masks.  Built once, and immutable so the cached copy
+    cannot go stale."""
+    pentad_of = pentad_masks()
+    orbits = tuple(
+        (pentad_of[o.representative], tuple(map(pentad_of.__getitem__, o.elements)))
+        for o in s6_orbits(mask_images, pentad_of)
+    )
     rep_of = {q: rep for rep, orbit in orbits for q in orbit}
     return orbits, MappingProxyType(rep_of)
 
@@ -148,16 +212,16 @@ def goepel_pentads() -> list[Pentad]:
 # -- the graph criterion -----------------------------------------------------------
 
 
-def _mask(edge: Duad) -> int:
-    """The edge's two vertices as a bitmask."""
+def _vertex_mask(edge: Duad) -> int:
+    """The edge's two vertices as a bitmask over the points 1..6."""
     a, b = edge
     return 1 << a | 1 << b
 
 
 def _triangle_plus_segment(masks: Sequence[int]) -> bool:
-    """Four distinct edges, as masks, are a 3-cycle plus one vertex-disjoint
-    edge: some edge is disjoint from the other three, and those three form a
-    triangle, i.e. cover exactly three vertices."""
+    """Four distinct edges, as vertex masks, are a 3-cycle plus one
+    vertex-disjoint edge: some edge is disjoint from the other three, and
+    those three form a triangle, i.e. cover exactly three vertices."""
     for i, seg in enumerate(masks):
         a, b, c = masks[:i] + masks[i + 1 :]
         union = a | b | c
@@ -167,21 +231,15 @@ def _triangle_plus_segment(masks: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def quadruple_rule() -> frozenset[tuple[Duad, Duad, Duad, Duad]]:
-    """The sorted node quadruples whose edges are a triangle plus a
+def quadruple_rule() -> frozenset[int]:
+    """The node masks of the quadruples whose edges are a triangle plus a
     vertex-disjoint segment (`_triangle_plus_segment`), tabled once over all
     1,365, on first use."""
     return frozenset(
-        q for q in itertools.combinations(NODES, 4) if _triangle_plus_segment([_mask(e) for e in q])
+        node_mask(q)
+        for q in itertools.combinations(NODES, 4)
+        if _triangle_plus_segment([_vertex_mask(e) for e in q])
     )
-
-
-def _one_edge_deletions(pentad: Pentad) -> list[bool]:
-    """For each edge of a sorted pentad, whether deleting it leaves a disjoint
-    triangle+segment: the four other edges, sorted as well, are looked up in
-    `quadruple_rule()`."""
-    rule = quadruple_rule()
-    return [pentad[:i] + pentad[i + 1 :] in rule for i in range(len(pentad))]
 
 
 def triple_criterion(triple: Sequence[Duad]) -> bool:
@@ -190,7 +248,7 @@ def triple_criterion(triple: Sequence[Duad]) -> bool:
     disconnected union of a segment and a chain.  On vertex bitmasks: the
     edges cover exactly three vertices (a triangle), or some edge is disjoint
     from the other two and those two share a vertex."""
-    a, b, c = map(_mask, triple)
+    a, b, c = map(_vertex_mask, triple)
     if (a | b | c).bit_count() == 3:
         return True
     return any(
@@ -199,10 +257,10 @@ def triple_criterion(triple: Sequence[Duad]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def triple_rule() -> frozenset[tuple[Duad, Duad, Duad]]:
-    """The sorted node triples that satisfy `triple_criterion`, tabled once
-    over all 455, on first use."""
-    return frozenset(t for t in itertools.combinations(NODES, 3) if triple_criterion(t))
+def triple_rule() -> frozenset[int]:
+    """The node masks of the triples that satisfy `triple_criterion`, tabled
+    once over all 455, on first use."""
+    return frozenset(node_mask(t) for t in itertools.combinations(NODES, 3) if triple_criterion(t))
 
 
 class CriterionReport(NamedTuple):
@@ -220,32 +278,34 @@ def graph_criterion_crosscheck() -> CriterionReport:
     Both readings disagree with the incidence definition (the Goepel five-star
     graph never leaves a triangle after one deletion), so mismatches are
     tallied per orbit rather than asserted away.  The two-edge-deletion rule
-    for triples is checked as well; it does agree exactly.
+    for triples is checked as well; it does agree exactly: on every pentad,
+    the triples it picks are the trope triples of the pentad's class.
     """
     classes = classify_all()
     _, rep_of = orbit_partition()
+    quadruples, triples = quadruple_rule(), triple_rule()
+    triple_mask = {t: node_mask(t) for t in itertools.combinations(NODES, 3)}
+    second = itemgetter(1)
     agree_e = agree_f = 0
     mism_e: dict[Pentad, tuple[Pentad, bool, bool]] = {}
     mism_f: dict[Pentad, tuple[Pentad, bool, bool]] = {}
-    for p, cls in classes.items():
-        deletions = _one_edge_deletions(p)  # both readings from one evaluation
-        ge, gf = any(deletions), all(deletions)
-        if ge == cls.admissible:
-            agree_e += 1
-        if gf == cls.admissible:
-            agree_f += 1
-        rep = rep_of[p]
-        if ge != cls.admissible and rep not in mism_e:
-            mism_e[rep] = (rep, cls.admissible, ge)
-        if gf != cls.admissible and rep not in mism_f:
-            mism_f[rep] = (rep, cls.admissible, gf)
-    # p is sorted and classify builds each trope triple from a sorted meet,
-    # so both sides are sorted tuples already
-    rule = triple_rule()
-    triple_ok = all(
-        {t for t in itertools.combinations(p, 3) if t in rule} == {t[1] for t in cls.trope_triples}
-        for p, cls in classes.items()
-    )
+    triple_ok = True
+    # classify_all is built in the order of pentad_masks()
+    for mask, cls in zip(pentad_masks(), classes.values()):
+        bits = _bits(mask)
+        # both readings from one count: the edges whose deletion leaves a rule quadruple
+        deletions = len(quadruples.intersection(map(mask.__xor__, bits)))
+        ge, gf, admissible = deletions > 0, deletions == 5, cls.admissible
+        agree_e += ge == admissible
+        agree_f += gf == admissible
+        if ge != admissible:
+            rep = rep_of[cls.pentad]
+            mism_e.setdefault(rep, (rep, admissible, ge))
+        if gf != admissible:
+            rep = rep_of[cls.pentad]
+            mism_f.setdefault(rep, (rep, admissible, gf))
+        picked = triples.intersection(map(sum, itertools.combinations(bits, 3)))
+        triple_ok = triple_ok and picked == set(map(triple_mask.__getitem__, map(second, cls.trope_triples)))
     return CriterionReport(
         total=len(classes),
         agree_exists=agree_e,
@@ -311,27 +371,23 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     trope-conic, so the two admissibility counts agree.
     """
     pts = {n.syntheme: n.chart_point.coords for n in section.nodes if n.syntheme is not None}
-    trope_sets = [set(t.incident_nodes) for t in section.tropes]
-    synths = sorted(pts)
-    coplanar: dict[tuple, bool] = {}
-    accidental = 0
-    for quad, det in quadruple_determinants(pts).items():
-        flat = det == 0
-        coplanar[quad] = flat
-        on_trope = any(set(quad) <= ts for ts in trope_sets)
-        if on_trope and not flat:
-            raise AssertionError("a quadruple on a trope-conic must be coplanar")
-        if flat and not on_trope:
-            accidental += 1
-    geometric = sum(
-        1
-        for pent in itertools.combinations(synths, 5)
-        if not any(coplanar[q] for q in itertools.combinations(pent, 4))
-    )
+    bit = {s: 1 << i for i, s in enumerate(sorted(pts))}
+    if len(bit) != len(NODES):
+        raise ValueError("the section must have a node on each of the 15 double lines")
+    on_trope = {
+        sum(map(bit.__getitem__, quad))
+        for t in section.tropes
+        for quad in itertools.combinations(set(t.incident_nodes), 4)
+    }
+    coplanar = {sum(map(bit.__getitem__, quad)) for quad, det in quadruple_determinants(pts).items() if det == 0}
+    if not on_trope <= coplanar:
+        raise AssertionError("a quadruple on a trope-conic must be coplanar")
+    # the keys of pentad_masks() are every five of the fifteen bits
+    geometric = sum(1 for mask in pentad_masks() if coplanar.isdisjoint(map(mask.__xor__, _bits(mask))))
     combinatorial = sum(1 for c in classify_all().values() if c.admissible)
     return CoplanarityReport(
-        coplanar_quadruples=sum(coplanar.values()),
-        accidental_quadruples=accidental,
+        coplanar_quadruples=len(coplanar),
+        accidental_quadruples=len(coplanar - on_trope),
         geometric_admissible=geometric,
         combinatorial_admissible=combinatorial,
     )

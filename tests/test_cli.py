@@ -528,6 +528,77 @@ def test_coplanarity_check_reuses_the_given_section(monkeypatch):
     assert check["status"] == "pass", check["details"]
 
 
+PENTAD_CHECKS = [
+    "pentads-classified",
+    "pentads-type-ii",
+    "pentads-pencils",
+    "pentads-graph-criterion",
+    "pentads-coplanarity",
+]
+
+
+def _failed_pentad_checks(path):
+    """Run `pentads` with its report at `path`; the failed checks by id."""
+    code, _, _ = run_quiet(["--json", str(path), "pentads"])
+    checks = json.loads(path.read_text())["checks"]
+    assert code == 1 and [c["id"] for c in checks] == PENTAD_CHECKS
+    return {c["id"]: c for c in checks if c["status"] == "fail"}
+
+
+def test_a_moved_image_column_entry_turns_pentads_classified_red(monkeypatch, tmp_path):
+    # the image of node (1,2) under the reversal (6,5,4,3,2,1), the last
+    # permutation, moved onto that of node (1,3): the first pentad then has
+    # an image of four nodes, which s6_orbits refuses.  The graph criterion
+    # reads the same orbit partition, so it fails with it; the checks that
+    # do not read the partition stay green.
+    from quartic15 import pentads as pt
+
+    columns = [list(column) for column in pt.image_columns()]
+    columns[0][-1] = columns[1][-1]
+    monkeypatch.setattr(pt, "image_columns", lambda: tuple(map(tuple, columns)))
+    pt.orbit_partition.cache_clear()
+    try:
+        failed = _failed_pentad_checks(tmp_path / "r.json")
+    finally:
+        pt.orbit_partition.cache_clear()
+    assert list(failed) == ["pentads-classified", "pentads-graph-criterion"]
+    for check in failed.values():
+        assert check["error"]["type"] == "ValueError"
+        assert check["details"] == "unexpected error: element set is not closed under the action"
+
+
+def test_a_dropped_rule_triple_turns_pentads_graph_criterion_red(monkeypatch, tmp_path):
+    from quartic15 import pentads as pt
+
+    rule = pt.triple_rule()
+    monkeypatch.setattr(pt, "triple_rule", lambda: rule - {min(rule)})
+    failed = _failed_pentad_checks(tmp_path / "r.json")
+    assert list(failed) == ["pentads-graph-criterion"]
+    assert "error" not in failed["pentads-graph-criterion"]
+
+
+def test_a_moved_node_chart_point_turns_pentads_coplanarity_red(monkeypatch, tmp_path):
+    # one chart coordinate of the first node of the reference section moved
+    # by one: the trope quadruples through it are no longer coplanar
+    from quartic15 import varieties as va
+
+    real = va.hyperplane_section
+
+    def moved(coeffs):
+        model = real(coeffs)
+        node = model.nodes[0]
+        coords = list(node.chart_point.coords)
+        coords[0] += 1
+        return model._replace(nodes=(node._replace(chart_point=va.ProjectivePoint(coords)),) + model.nodes[1:])
+
+    monkeypatch.setattr(va, "hyperplane_section", moved)
+    failed = _failed_pentad_checks(tmp_path / "r.json")
+    assert list(failed) == ["pentads-coplanarity"]
+    check = failed["pentads-coplanarity"]
+    assert check["error"]["type"] == "AssertionError"
+    assert check["details"] == "unexpected error: a quadruple on a trope-conic must be coplanar"
+
+
 def test_max_height_is_a_usage_error(capsys):
     # sampled points depend only on the seed and the count: there is no
     # height cap to set, before or after the subcommand

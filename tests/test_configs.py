@@ -159,20 +159,27 @@ def test_apply_perm_duad_is_the_sorted_image_pair():
             assert apply_perm_duad(g, d) == tuple(sorted((g[d[0] - 1], g[d[1] - 1])))
 
 
+def images_under(action):
+    """The `images` function of `s6_orbits` for an action `action(g, x)`:
+    the images of x in the order of `s6_elements()`."""
+    group = configs.s6_elements()
+    return lambda x: [action(g, x) for g in group]
+
+
 def test_s6_orbits_duads():
-    orbits = s6_orbits(apply_perm_duad, duads())
+    orbits = s6_orbits(images_under(apply_perm_duad), duads())
     assert len(orbits) == 1
     assert len(orbits[0].elements) == 15 and orbits[0].stabilizer_order == 48
 
 
 def test_s6_orbits_synthemes_and_totals():
-    orbits = s6_orbits(apply_perm_syntheme, synthemes())
+    orbits = s6_orbits(images_under(apply_perm_syntheme), synthemes())
     assert len(orbits) == 1 and len(orbits[0].elements) == 15 and orbits[0].stabilizer_order == 48
 
     def act_total(g, t):
         return tuple(sorted(apply_perm_syntheme(g, s) for s in t))
 
-    orbits = s6_orbits(act_total, [tuple(sorted(t)) for t in totals()])
+    orbits = s6_orbits(images_under(act_total), [tuple(sorted(t)) for t in totals()])
     assert len(orbits) == 1 and len(orbits[0].elements) == 6 and orbits[0].stabilizer_order == 120
 
 
@@ -195,7 +202,7 @@ def test_s6_orbits_rejects_non_action():
         return x if g == configs.POINTS else min(duads())
 
     with pytest.raises(ValueError):
-        s6_orbits(bogus, duads())
+        s6_orbits(images_under(bogus), duads())
 
 
 def _generator_bfs_orbits(action, elements):
@@ -236,21 +243,25 @@ def _orbit_cases():
     def act_word(g, w):
         return word_of_nodes([apply_perm_duad(g, d) for d in nodes_of_word(w)], eta_bit=bool(w & 1))
 
+    def pentad_images(p):
+        pentad_of = pentads.pentad_masks()
+        return [pentad_of[m] for m in pentads.mask_images(pentads.node_mask(p))]
+
     return {
-        "duads": (apply_perm_duad, apply_perm_duad, duads()),
-        "synthemes": (apply_perm_syntheme, apply_perm_syntheme, synthemes()),
-        "totals": (act_total, act_total, [tuple(sorted(t)) for t in totals()]),
-        "tropes": (act_trope, act_trope, sorted(trope_node_sets().values(), key=sorted)),
-        "code words": (act_word, act_word, sorted(even_set_code().words)),
-        # the library's table action against the per-duad action
-        "pentads": (pentads._relabel, configs.apply_perm_duad_set, pentads.all_pentads()),
+        "duads": (images_under(apply_perm_duad), apply_perm_duad, duads()),
+        "synthemes": (images_under(apply_perm_syntheme), apply_perm_syntheme, synthemes()),
+        "totals": (images_under(act_total), act_total, [tuple(sorted(t)) for t in totals()]),
+        "tropes": (images_under(act_trope), act_trope, sorted(trope_node_sets().values(), key=sorted)),
+        "code words": (images_under(act_word), act_word, sorted(even_set_code().words)),
+        # the library's image columns against the per-duad action
+        "pentads": (pentad_images, configs.apply_perm_duad_set, pentads.all_pentads()),
     }
 
 
 @pytest.mark.parametrize("case", ["duads", "synthemes", "totals", "tropes", "code words", "pentads"])
 def test_s6_orbits_match_a_generator_search(case):
-    action, oracle_action, elements = _orbit_cases()[case]
-    got = [(o.representative, o.elements, o.stabilizer_order) for o in s6_orbits(action, elements)]
+    images, oracle_action, elements = _orbit_cases()[case]
+    got = [(o.representative, o.elements, o.stabilizer_order) for o in s6_orbits(images, elements)]
     assert got == _generator_bfs_orbits(oracle_action, elements)
     if case != "tropes":  # sorted input: the representative is the least element
         assert all(rep == min(orbit) and orbit == tuple(sorted(orbit)) for rep, orbit, _ in got)
@@ -262,13 +273,16 @@ def test_s6_orbits_match_a_generator_search(case):
 
 def test_s6_orbits_refuses_an_open_set_and_a_broken_orbit_count():
     with pytest.raises(ValueError, match="not closed"):
-        s6_orbits(apply_perm_duad, duads()[:3])
+        s6_orbits(images_under(apply_perm_duad), duads()[:3])
 
     def lopsided(g, x):  # trivial on the checked generators, not an action
         return x if g[5] == 6 else 1 - x
 
     with pytest.raises(AssertionError, match="orbit-stabilizer"):
-        s6_orbits(lopsided, [0, 1])
+        s6_orbits(images_under(lopsided), [0, 1])
+
+    with pytest.raises(ValueError, match="one image per element"):
+        s6_orbits(lambda x: [x] * 719, [0])
 
 
 def test_trope_words_orbit_and_stabilizers():
@@ -278,7 +292,7 @@ def test_trope_words_orbit_and_stabilizers():
     def act(g, s):
         return frozenset(apply_perm_duad(g, d) for d in s)
 
-    orbits = s6_orbits(act, sets)
+    orbits = s6_orbits(images_under(act), sets)
     assert len(orbits) == 1 and len(orbits[0].elements) == 10 and orbits[0].stabilizer_order == 72
 
 

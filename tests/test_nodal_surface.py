@@ -82,7 +82,7 @@ def test_weight10_words_are_l_sets():
 
 def test_code_words_orbit_structure():
     # S6 orbit/stabilizer bookkeeping for the three nontrivial weights
-    from quartic15.configs import s6_orbits
+    from quartic15.configs import s6_elements, s6_orbits
     from quartic15.nodal_surface import nodes_of_word
 
     code = even_set_code()
@@ -94,7 +94,7 @@ def test_code_words_orbit_structure():
 
     for weight, orbit_size, stab in ((6, 10, 72), (8, 15, 48), (10, 6, 120)):
         words = sorted(w for w in code.words if bin(w >> 1).count("1") == weight)
-        orbits = s6_orbits(act, words)
+        orbits = s6_orbits(lambda w: [act(g, w) for g in s6_elements()], words)
         assert len(orbits) == 1
         assert len(orbits[0].elements) == orbit_size and orbits[0].stabilizer_order == stab
 

@@ -2,25 +2,29 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import random
 
-from quartic15.configs import apply_perm_duad_set, s6_elements, trope_node_sets
+from quartic15.configs import POINTS, apply_perm_duad_set, s6_elements, trope_node_sets
 from quartic15.lattice import det_bareiss
 from quartic15.nodal_surface import C_SET, NODES
 from quartic15.pentads import (
     CriterionReport,
-    _mask,
-    _one_edge_deletions,
     _triangle_plus_segment,
+    _vertex_mask,
     all_pentads,
     classify,
     classify_all,
     goepel_pentads,
     graph_criterion_crosscheck,
+    mask_images,
+    node_mask,
     orbit_partition,
     orbit_table,
     pencil_classes,
+    pentad_masks,
     quadruple_determinants,
     quadruple_rule,
     triple_criterion,
@@ -112,6 +116,38 @@ def test_orbit_partition_built_once_and_read_only():
         classes[all_pentads()[0]] = classify(TYPE_II)
 
 
+S6_INDEX = {g: i for i, g in enumerate(s6_elements())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.permutations(POINTS),
+    st.permutations(POINTS),
+    st.lists(st.integers(0, len(NODES) - 1), min_size=5, max_size=5, unique=True),
+)
+def test_mask_images_are_an_action_of_s6(g, h, positions):
+    # the image columns act as S6 does on node sets: the identity fixes a
+    # pentad mask, g∘h acts as g after h, every image keeps five bits, and
+    # the image under g is the mask of the relabelled pentad
+    g, h = tuple(g), tuple(h)
+    pentad = [NODES[i] for i in positions]
+    mask = node_mask(pentad)
+    images = mask_images(mask)
+    assert len(images) == 720
+    assert images[S6_INDEX[POINTS]] == mask
+    gh = tuple(g[h[i] - 1] for i in range(6))
+    assert images[S6_INDEX[gh]] == mask_images(images[S6_INDEX[h]])[S6_INDEX[g]]
+    assert all(image.bit_count() == 5 for image in images)
+    assert images[S6_INDEX[g]] == node_mask(apply_perm_duad_set(g, pentad))
+
+
+def test_pentad_masks_are_the_pentads_in_order():
+    masks = pentad_masks()
+    assert list(masks.values()) == all_pentads()
+    assert all(mask == node_mask(p) and mask.bit_count() == 5 for mask, p in masks.items())
+    assert list(classify_all()) == all_pentads()
+
+
 def test_orbit_table_counts():
     table = orbit_table()
     admissible_total = sum(o.size for o in table if o.admissible)
@@ -156,9 +192,9 @@ def test_triple_rule_is_the_criterion_and_the_trope_incidence():
     assert triple_rule() is triple_rule()
     triples = list(itertools.combinations(NODES, 3))
     assert len(triples) == 455
-    assert triple_rule() == {t for t in triples if triple_criterion(t)}
+    assert triple_rule() == {node_mask(t) for t in triples if triple_criterion(t)}
     tropes = trope_node_sets().values()
-    assert triple_rule() == {t for t in triples if any(set(t) <= nodes for nodes in tropes)}
+    assert triple_rule() == {node_mask(t) for t in triples if any(set(t) <= nodes for nodes in tropes)}
 
 
 def test_graph_criterion_readings_match_networkx():
@@ -171,7 +207,7 @@ def test_graph_criterion_readings_match_networkx():
 
     for p in all_pentads():
         deletions = [triangle_plus_segment([e for e in p if e != edge]) for edge in p]
-        assert _one_edge_deletions(p) == deletions
+        assert [node_mask(p) ^ node_mask([edge]) in quadruple_rule() for edge in p] == deletions
 
 
 def test_quadruple_rule_is_the_triangle_plus_segment_table():
@@ -180,7 +216,7 @@ def test_quadruple_rule_is_the_triangle_plus_segment_table():
     quads = list(itertools.combinations(NODES, 4))
     assert len(quads) == 1365
     for q in quads:
-        assert (q in quadruple_rule()) == _triangle_plus_segment([_mask(e) for e in q]), q
+        assert (node_mask(q) in quadruple_rule()) == _triangle_plus_segment([_vertex_mask(e) for e in q]), q
 
 
 def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
@@ -191,7 +227,7 @@ def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
     agree = [0, 0]
     mismatches = [{}, {}]
     for p, cls in classes.items():
-        masks = [_mask(e) for e in p]
+        masks = [_vertex_mask(e) for e in p]
         deletions = [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(5)]
         for k, reading in enumerate((any(deletions), all(deletions))):
             agree[k] += reading == cls.admissible
@@ -252,6 +288,15 @@ def test_geometric_admissibility_crosscheck():
     assert report.coplanar_quadruples == 150 == 10 * 15  # C(6,4) per trope
     assert report.accidental_quadruples == 0
     assert report.geometric_admissible == report.combinatorial_admissible == 1593
+
+
+def test_geometric_admissibility_crosscheck_needs_a_node_on_each_line():
+    from quartic15.pentads import geometric_admissibility_crosscheck
+    from quartic15.varieties import hyperplane_section
+
+    section = hyperplane_section((1, 2, 3, 5, 7, 11))
+    with pytest.raises(ValueError, match="each of the 15 double lines"):
+        geometric_admissibility_crosscheck(section._replace(nodes=section.nodes[:14]))
 
 
 def test_cofactor_determinants_match_bareiss_on_the_reference_section():

@@ -394,8 +394,9 @@ def test_bench_tracer_keys_name_library_functions():
 
 
 def test_importing_every_module_fills_no_cache():
-    # the tables built on first use (the S6 node tables and the triple and
-    # quadruple rules of `pentads` among them) stay unbuilt when a fresh interpreter imports
+    # the tables built on first use (the pentad masks, the S6 image columns,
+    # the per-trope triple tables and the triple and quadruple rules of
+    # `pentads` among them) stay unbuilt when a fresh interpreter imports
     # every module, so the import time does not grow with them
     code = (
         "import importlib, pkgutil, quartic15\n"
@@ -410,7 +411,9 @@ def test_importing_every_module_fills_no_cache():
     assert proc.returncode == 0, proc.stderr
     sizes = dict(line.split() for line in proc.stdout.splitlines())
     assert {
-        "pentads.node_tables",
+        "pentads.pentad_masks",
+        "pentads.image_columns",
+        "pentads.trope_triple_tables",
         "pentads.triple_rule",
         "pentads.quadruple_rule",
         "pentads.orbit_partition",
