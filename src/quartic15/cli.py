@@ -5,10 +5,12 @@ deterministic JSON report: identical arguments and seed give byte-identical
 output (timings are zeroed under --no-timing).  Exit status 0 means every
 executed check passed; 1 means at least one check failed; 2 is a usage error.
 
-Each subcommand is declared once, in `build_parser`, together with the
-`(runner, args)` callable that runs its check groups; `verify --all` runs
-them all through `verify_all`.  One `Runner` holds a run's seed, argv and
-checks, and `run` writes the JSON report from it.
+Each check states one claim of the paper and passes only on exact
+equalities that certify it.  Each subcommand is declared once, in
+`build_parser`, together with the `(runner, args)` callable that runs its
+check groups; `verify --all` runs them all through `verify_all`.  One
+`Runner` holds a run's seed, argv and checks, and `run` writes the JSON
+report from it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
 
 from . import __version__
@@ -28,6 +31,7 @@ from . import nodal_surface as ns
 from . import pentads as pt
 from . import varieties as va
 from .configs import (
+    POINTS,
     duads,
     IncidenceStructure,
     synthemes,
@@ -35,7 +39,7 @@ from .configs import (
     trope_incidence_model,
 )
 from .exact import perfect_square_factor
-from .lattice import mat_mul, named_lattice, smith_normal_form
+from .lattice import smith_normal_form
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
@@ -313,32 +317,37 @@ def checks_tangent_section(r: Runner):
     r.run("tangent-section-16-nodes", "a tangent section has sixteen nodes", build)
 
 
+def _smith_diagonal(lat) -> list[int]:
+    """The invariant factors of a Gram matrix; `smith_normal_form` re-verifies
+    U·G·V = D, the divisibility chain and the unimodularity of U and V."""
+    d, _, _ = smith_normal_form(lat.gram)
+    return [d[i][i] for i in range(lat.rank)]
+
+
+def _factor_text(diagonal: list[int]) -> str:
+    """Invariant factors as powers, e.g. 1^10·2^5·4."""
+    return "·".join(f"{d}^{k}" if k > 1 else str(d) for d, k in Counter(diagonal).items())
+
+
 def checks_lattice(r: Runner):
     def named():
-        u = named_lattice("U")
-        a12 = named_lattice("A1(2)")
-        big = ns.transcendental_reference_lattice()  # U(2)+U(2)+A1(2)+A1
-        ok = (
-            u.gram == ((0, 1), (1, 0))
-            and a12.gram == ((-4,),)
-            and big.rank == 6
-            and big.det() == (-4) * (-4) * (-4) * (-2)
-            and big.signature() == (2, 4)
-        )
-        return ok, "hyperbolic plane, scaled A1, and the rank-6 reference sum (det +128) have their classical Grams"
+        t = ns.transcendental_reference_lattice()
+        (plus, minus), det = t.signature(), t.det()
+        ok = t.rank == 6 and det == 128 and (plus, minus) == (2, 4)
+        return ok, f"T = U(2)+U(2)+A1(2)+A1 has rank {t.rank}, det {det:+d} and signature ({plus},{minus})"
 
-    r.run("lattice-named", "the named lattices have their classical Gram matrices", named)
+    r.run("lattice-named", "the reference lattice T has rank 6, det 128 and signature (2,4)", named)
 
     def snf_check():
-        rng = random.Random(r.seed)
-        for _ in range(10):
-            m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-            d, u, v = smith_normal_form(m)
-            if mat_mul(mat_mul(u, m), v) != d:
-                return False, "transformation identity failed"
-        return True, "10 random Smith decompositions re-verified (U·M·V = D, divisibility chain)"
+        pic = _smith_diagonal(ns.picard_lattice().lattice)
+        t = _smith_diagonal(ns.transcendental_reference_lattice())
+        ok = pic == [1] * 10 + [2] * 5 + [4] and t == [2] * 5 + [4]
+        return ok, (
+            f"Smith forms of the Gram matrices, U·G·V = D re-verified with U and V unimodular: "
+            f"Pic {_factor_text(pic)}, T {_factor_text(t)}"
+        )
 
-    r.run("lattice-snf", "Smith normal forms certify their transformations", snf_check)
+    r.run("lattice-snf", "the Gram matrices of Pic and T have Smith forms 1^10·2^5·4 and 2^5·4", snf_check)
 
     def picard():
         model = ns.picard_lattice()
@@ -347,9 +356,10 @@ def checks_lattice(r: Runner):
             and abs(model.lattice.det()) == 128
             and model.index == 32
             and model.lattice.signature() == (1, 15)
+            and model.lattice.is_even()
             and all(ns.verify_class_identities().values())
         )
-        return ok, "rank 16, |det| 128, index 32 over <4>+A1^15, signature (1,15)"
+        return ok, "rank 16, |det| 128, index 32 over <4>+A1^15, signature (1,15), even"
 
     r.run("picard-lattice", "the Picard lattice is the code-glued overlattice", picard)
 
@@ -378,6 +388,7 @@ def checks_lattice(r: Runner):
         cert = ns.kummer_embedding_check()
         ok = (
             ok_pairings
+            and ns.kummer_model().lattice.is_even()
             and cert.pairings_preserved
             and cert.image_in_lattice
             and cert.image_orthogonal_to_n0
@@ -385,8 +396,8 @@ def checks_lattice(r: Runner):
             and cert.gram_match
         )
         return ok, (
-            "node-trope pairings reproduce the six-node rule; the specialization map "
-            "is an isometry onto the orthogonal complement of the sixteenth node class"
+            "node-trope pairings reproduce the six-node rule; the Kummer lattice is even; the "
+            "specialization map is an isometry onto the orthogonal complement of the sixteenth node class"
         )
 
     r.run("kummer-embedding", "the 15-nodal lattice embeds into the 16-nodal one", kummer)
@@ -460,8 +471,12 @@ def checks_pentads(r: Runner, section=None):
         table = pt.orbit_table()
         total = sum(o.size for o in table)
         goepel = [o for o in table if o.goepel]
-        ok = total == 3003 and len(goepel) == 1 and goepel[0].size == 6
-        return ok, f"3003 pentads in {len(table)} orbits; one Goepel orbit of size 6"
+        five_stars = {tuple(d for d in ns.NODES if k in d) for k in POINTS}
+        ok = total == 3003 and len(goepel) == 1 and goepel[0].size == 6 and set(pt.goepel_pentads()) == five_stars
+        return ok, (
+            f"3003 pentads in {len(table)} orbits; one Goepel orbit of size 6, "
+            "the six five-stars (the five duads through one point)"
+        )
 
     r.run("pentads-classified", "all 3003 pentads classified into relabeling orbits", counts)
 
@@ -511,17 +526,6 @@ def checks_pentads(r: Runner, section=None):
     )
 
 
-def checks_congruence(r: Runner, m: int, n: int, rank: int):
-    def run():
-        invs = cg.invariants(m, n, rank)
-        return True, (
-            f"(m,n,r)=({m},{n},{rank}): genus {invs.g}, focal degree {invs.deg_focal}, "
-            f"deg|l| {invs.deg_l_curve}, deg(P) {invs.deg_p_surface}, branch degree {invs.deg_branch_locus}"
-        )
-
-    r.run(f"congruence[{m},{n},{rank}]", "the closed-form invariants are evaluated from the formulas", run)
-
-
 def checks_table1(r: Runner, n: int):
     def run():
         rep = cg.table1_report(n)
@@ -534,18 +538,19 @@ def checks_table1(r: Runner, n: int):
     r.run(f"table1[{n}]", "the published singular-point columns solve the count equations", run)
 
 
-def checks_congruence_profile(r: Runner):
+def checks_two_n_profile(r: Runner):
     def run():
         prof = cg.two_n_profile(3)
         i = prof.invariants
         ok = (
-            i.deg_focal == 4
+            i.g == 1
+            and i.deg_focal == 4
             and i.deg_l_curve == 4
             and i.deg_p_surface == 2
             and i.deg_branch_locus == 10
             and prof.expected_nodes == 15
         )
-        return ok, "class-3 profile: focal degree 4, deg|l| 4, deg(P) 2, branch 10, 15 nodes"
+        return ok, "class-3 profile: genus 1, focal degree 4, deg|l| 4, deg(P) 2, branch 10, 15 nodes"
 
     r.run("congruence-2-3", "the bidegree (2,3) profile matches the quartic model", run)
 
@@ -561,13 +566,6 @@ def _parse_coeffs(text: str):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("exactly six comma-separated coefficients required")
     return tuple(parts)
-
-
-def _parse_bidegree(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bidegree must be m,n")
-    return (int(parts[0]), int(parts[1]))
 
 
 def _positive_int(text: str) -> int:
@@ -608,7 +606,7 @@ def verify_all(r: Runner, args):
     checks_code(r)
     checks_involutions(r)
     checks_pentads(r, section=reference)
-    checks_congruence_profile(r)
+    checks_two_n_profile(r)
     for n in range(2, 8):
         checks_table1(r, n)
 
@@ -647,11 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("code", "even-set code checks", lambda r, args: checks_code(r))
     command("involutions", "involution certification", lambda r, args: checks_involutions(r))
     command("pentads", "pentad classification", lambda r, args: checks_pentads(r))
-    congr = command(
-        "congruence", "congruence invariants", lambda r, args: checks_congruence(r, *args.bidegree, args.rank)
-    )
-    congr.add_argument("--bidegree", type=_parse_bidegree, required=True)
-    congr.add_argument("--rank", type=int, required=True)
     table1 = command("table1", "singular-point table solver", lambda r, args: checks_table1(r, args.n))
     table1.add_argument("--n", type=int, required=True)
     return parser

@@ -1,6 +1,6 @@
 """Integer lattices with symmetric bilinear forms.
 
-Construction of named lattices, the Hermite normal form with its
+Diagonal lattices and direct sums, the Hermite normal form with its
 transformation matrix as the one unimodular eliminator, the Smith normal
 form and orthogonal complements derived from it (every transform
 re-verified on every call), discriminant groups with their Q/2Z-valued
@@ -17,7 +17,6 @@ order), and every product, trace and certificate is taken over them.
 from __future__ import annotations
 
 import itertools
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -426,42 +425,11 @@ def _freeze(m: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _as_int_matrix(m)))
 
 
-_E8_GRAM = [
-    [-2, 1, 0, 0, 0, 0, 0, 0],
-    [1, -2, 1, 0, 0, 0, 0, 0],
-    [0, 1, -2, 1, 0, 0, 0, 0],
-    [0, 0, 1, -2, 1, 0, 0, 0],
-    [0, 0, 0, 1, -2, 1, 0, 1],
-    [0, 0, 0, 0, 1, -2, 1, 0],
-    [0, 0, 0, 0, 0, 1, -2, 0],
-    [0, 0, 0, 0, 1, 0, 0, -2],
-]
-
-_NAME_RE = re.compile(r"^(U|A1|E8)(?:\((-?\d+)\))?$")
-
-
-def named_lattice(name: str) -> IntegerLattice:
-    """Standard Gram matrices: U, A1, E8 with optional integer scaling, diag(...).
-
-    E8 is taken negative definite.  `diag(d1,...,dk)` builds a diagonal form.
-    """
-    name = name.strip()
-    if name.startswith("diag(") and name.endswith(")"):
-        entries = [int(x) for x in name[5:-1].split(",")]
-        g = [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
-        return IntegerLattice(g)
-    m = _NAME_RE.match(name)
-    if not m:
-        raise ValueError(f"unknown lattice name: {name!r}")
-    base, scale = m.group(1), int(m.group(2) or 1)
-    if base == "U":
-        g = [[0, 1], [1, 0]]
-    elif base == "A1":
-        g = [[-2]]
-    else:
-        g = _E8_GRAM
-    g = [[scale * x for x in row] for row in g]
-    return IntegerLattice(g)
+def diagonal_lattice(*entries: int) -> IntegerLattice:
+    """The lattice with the diagonal Gram matrix of `entries`: <4> is
+    diagonal_lattice(4), A1 is diagonal_lattice(-2) and A1(2) is
+    diagonal_lattice(-4)."""
+    return IntegerLattice([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:

@@ -37,12 +37,12 @@ from .lattice import (
     Overlattice,
     RowBasis,
     det_bareiss,
+    diagonal_lattice,
     direct_sum,
     discriminant_group,
     discriminant_q_multiset,
     mat_mul,
     mat_transpose,
-    named_lattice,
     orthogonal_complement,
     overlattice,
 )
@@ -56,7 +56,7 @@ RANK = 16  # eta plus 15 exceptional classes
 
 # <4> + A1^15 on the basis (eta, E_x), built once: `DivisorClass.dot` and
 # the Picard overlattice both pair through it
-AMBIENT = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 15)
+AMBIENT = diagonal_lattice(4, *[-2] * 15)
 
 
 class DivisorClass:
@@ -261,13 +261,6 @@ def is_pic_integral(cls: DivisorClass) -> bool:
     return word is not None and word in even_set_code()
 
 
-def class_invariants(cls: DivisorClass) -> tuple[Fraction, Fraction, bool]:
-    """(self-intersection, degree against eta, membership in the Picard
-    lattice); certifies the paper's classes: b̃ (10, 10), the degree-20
-    class and the (−2)-classes of nodes and of the σ-curves."""
-    return cls.norm(), cls.degree(), is_pic_integral(cls)
-
-
 # -- the Picard lattice ----------------------------------------------------------
 
 
@@ -449,9 +442,9 @@ class DiscriminantComparison(NamedTuple):
 
 
 def transcendental_reference_lattice() -> IntegerLattice:
-    return direct_sum(
-        named_lattice("U(2)"), named_lattice("U(2)"), named_lattice("A1(2)"), named_lattice("A1")
-    )
+    """T = U(2) + U(2) + A1(2) + A1: rank 6, det 128, signature (2,4)."""
+    u2 = IntegerLattice([[0, 2], [2, 0]])
+    return direct_sum(u2, u2, diagonal_lattice(-4, -2))
 
 
 def is_dual_vector(cls: DivisorClass) -> bool:
@@ -548,7 +541,7 @@ def kummer_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # <4> + A1^16 on the basis (eta, N_alpha), alpha in KUMMER_GROUP
-KUMMER_AMBIENT = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 16)
+KUMMER_AMBIENT = diagonal_lattice(4, *[-2] * 16)
 
 
 def kummer_trope_support(beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

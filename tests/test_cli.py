@@ -181,7 +181,7 @@ def test_successive_runs_do_not_share_flags(tmp_path, monkeypatch):
 
 
 def test_report_schema_fields():
-    code, report, _ = run_quiet(["congruence", "--bidegree", "2,3", "--rank", "1"])
+    code, report, _ = run_quiet(["table1", "--n", "3"])
     assert code == 0
     entry = report.checks[0]
     assert set(entry) == {"id", "claim", "status", "details", "elapsed_ms"}
@@ -200,7 +200,7 @@ def test_console_script_entry_point():
 
 def test_readme_command_lines_parse():
     lines = [l for l in README.read_text().splitlines() if l.startswith("quartic15 ")]
-    assert len(lines) == 7
+    assert len(lines) == 6
     parser = build_parser()
     for line in lines:
         argv = shlex.split(line)[1:]
@@ -240,9 +240,9 @@ def test_raising_check_records_type_and_location(monkeypatch, tmp_path):
     def boom(*args):
         return 1 // 0
 
-    monkeypatch.setattr(congruence, "invariants", boom)
+    monkeypatch.setattr(congruence, "table1_report", boom)
     path = tmp_path / "r.json"
-    code, report, text = run_quiet(["--json", str(path), "congruence", "--bidegree", "2,3", "--rank", "1"])
+    code, report, text = run_quiet(["--json", str(path), "table1", "--n", "3"])
     assert code == 1
     entry = json.loads(path.read_text())["checks"][0]
     assert entry == report.checks[0]
@@ -282,6 +282,22 @@ def test_picard_discriminant_check_certifies_the_weight4_classification(monkeypa
     failing = next(c for c in report.checks if c["id"] == "picard-discriminant")
     assert code == 1 and failing["status"] == "fail"
     assert failing["details"] == passing["details"]
+
+
+def test_a1_in_place_of_a1_2_turns_the_reference_lattice_checks_red(monkeypatch):
+    # T = U(2)+U(2)+A1+A1 has det 64 and Smith form 2^6: the checks that
+    # read T go red, the two that do not stay green
+    from quartic15 import nodal_surface as ns
+    from quartic15.lattice import IntegerLattice, diagonal_lattice, direct_sum
+
+    u2 = IntegerLattice([[0, 2], [2, 0]])
+    monkeypatch.setattr(ns, "transcendental_reference_lattice", lambda: direct_sum(u2, u2, diagonal_lattice(-2, -2)))
+    code, report, _ = run_quiet(["lattice"])
+    failed = {c["id"]: c for c in report.checks if c["status"] == "fail"}
+    assert code == 1 and list(failed) == ["lattice-named", "lattice-snf", "picard-discriminant"]
+    assert "error" not in failed["lattice-snf"]
+    assert failed["lattice-named"]["details"] == "T = U(2)+U(2)+A1(2)+A1 has rank 6, det +64 and signature (2,4)"
+    assert failed["lattice-snf"]["details"].endswith("Pic 1^10·2^5·4, T 2^6")
 
 
 def test_swapped_kummer_tropes_turn_the_kummer_embedding_red(monkeypatch):
@@ -608,6 +624,14 @@ def test_max_height_is_a_usage_error(capsys):
         assert "unrecognized arguments: --max-height=50" in capsys.readouterr().err
 
 
+def test_congruence_is_no_subcommand(capsys):
+    # a single bidegree's invariants certify no claim: `congruence-2-3` in
+    # `verify --all` reads the one profile the paper uses
+    code, report, _ = run_quiet(["congruence", "--bidegree", "2,3", "--rank", "1"])
+    assert code == 2 and report.checks == []
+    assert "invalid choice: 'congruence'" in capsys.readouterr().err
+
+
 def test_a_quartic_value_off_zero_turns_the_samples_check_red(monkeypatch):
     from quartic15 import varieties as va
     from quartic15.exact import MultiPoly
@@ -671,7 +695,6 @@ SUBCOMMAND_CHECKS = {
         "pentads-graph-criterion",
         "pentads-coplanarity",
     ],
-    "congruence --bidegree 2,3 --rank 1": ["congruence[2,3,1]"],
     **{f"table1 --n {n}": [f"table1[{n}]"] for n in range(2, 8)},
 }
 
@@ -729,7 +752,7 @@ def test_runner_run_is_the_hook_of_the_benchmark(monkeypatch):
 # purpose must update these pins and say why
 PINNED_REPORTS = [
     ("--seed 1 --no-timing --json r.json verify --all", 1,
-     "9958c86fe85b73c5f5419e4b922d524600b510563059e1e697214157c7f26ef9"),
+     "2a8bd9acd70e96701b4e24f91c481afa32115d7352b6fcc8a48d0ac4a770042a"),
     ("--seed 1 --no-timing --json r.json duality --samples 200", 0,
      "aafdf5aa562735f699e5728178b6333479c1f26a16d0550b55f122f98aabe829"),
     ("--no-timing --json r.json section --coeffs=0,1,3,14,15,17 --scan-prime 23", 1,

@@ -19,6 +19,7 @@ from quartic15.lattice import (
     charpoly,
     clear_denominators,
     det_bareiss,
+    diagonal_lattice,
     direct_sum,
     discriminant_group,
     discriminant_q_multiset,
@@ -26,7 +27,6 @@ from quartic15.lattice import (
     mat_identity,
     mat_mul,
     minor_rank,
-    named_lattice,
     orthogonal_complement,
     overlattice,
     reflection_rows,
@@ -37,30 +37,42 @@ from dense_oracle import dense, is_involution, preserves_gram, sparse
 from dense_oracle import mat_mul as reference_mat_mul
 
 
+# the forms the tests build: the hyperbolic plane U and its scaling U(2),
+# and the root lattice A1 (norm -2) with its scaling A1(2)
+U = IntegerLattice([[0, 1], [1, 0]])
+U2 = IntegerLattice([[0, 2], [2, 0]])
+A1 = diagonal_lattice(-2)
+A1_2 = diagonal_lattice(-4)
+
+# E8, negative definite: the Cartan matrix of its Dynkin diagram, negated
+E8_GRAM = [
+    [-2, 1, 0, 0, 0, 0, 0, 0],
+    [1, -2, 1, 0, 0, 0, 0, 0],
+    [0, 1, -2, 1, 0, 0, 0, 0],
+    [0, 0, 1, -2, 1, 0, 0, 0],
+    [0, 0, 0, 1, -2, 1, 0, 1],
+    [0, 0, 0, 0, 1, -2, 1, 0],
+    [0, 0, 0, 0, 0, 1, -2, 0],
+    [0, 0, 0, 0, 1, 0, 0, -2],
+]
+
+
 def test_named_lattices():
-    assert named_lattice("U").gram == ((0, 1), (1, 0))
-    assert named_lattice("U(2)").gram == ((0, 2), (2, 0))
-    assert named_lattice("A1").gram == ((-2,),)
-    assert named_lattice("A1(2)").gram == ((-4,),)
-    assert named_lattice("A1(-1)").gram == ((2,),)
-    e8 = named_lattice("E8")
+    assert A1.gram == ((-2,),) and A1_2.gram == ((-4,),)
+    assert diagonal_lattice(4, -2).gram == ((4, 0), (0, -2))
+    e8 = IntegerLattice(E8_GRAM)
     assert e8.rank == 8 and e8.det() == 1 and e8.signature() == (0, 8)
-    assert named_lattice("diag(4,-2)").gram == ((4, 0), (0, -2))
-    with pytest.raises(ValueError):
-        named_lattice("E7")
 
 
 def test_direct_sum_det():
-    l = direct_sum(
-        named_lattice("U(2)"), named_lattice("U(2)"), named_lattice("A1(2)"), named_lattice("A1")
-    )
+    l = direct_sum(U2, U2, A1_2, A1)
     assert l.rank == 6
     assert l.det() == (-4) * (-4) * (-4) * (-2)
     assert l.signature() == (2, 4)
 
 
 def test_signature():
-    assert named_lattice("U").signature() == (1, 1)
+    assert U.signature() == (1, 1)
     assert IntegerLattice(((4,),)).signature() == (1, 0)
     assert IntegerLattice(((0, 0), (0, 0))).signature() == (0, 0)
 
@@ -117,27 +129,25 @@ def test_hermite_normal_form_random():
 
 
 def test_discriminant_group_small():
-    assert discriminant_group(named_lattice("U")).invariant_factors == ()
-    a1 = discriminant_group(named_lattice("A1"))
+    assert discriminant_group(U).invariant_factors == ()
+    a1 = discriminant_group(A1)
     assert a1.invariant_factors == (2,)
     assert a1.q_values == (Fraction(3, 2),)  # -1/2 mod 2Z
-    four = discriminant_group(named_lattice("diag(4)"))
+    four = discriminant_group(diagonal_lattice(4))
     assert four.invariant_factors == (4,)
     assert four.q_values == (Fraction(1, 4),)
 
 
 def test_discriminant_group_item47_lattice():
-    l = direct_sum(
-        named_lattice("U(2)"), named_lattice("U(2)"), named_lattice("A1(2)"), named_lattice("A1")
-    )
+    l = direct_sum(U2, U2, A1_2, A1)
     inv = discriminant_group(l)
     assert inv.order == 128
     assert list(inv.invariant_factors) == [2, 2, 2, 2, 2, 4]
 
 
 def test_discriminant_of_direct_sum_merges():
-    a = named_lattice("A1")
-    b = named_lattice("diag(4)")
+    a = A1
+    b = diagonal_lattice(4)
     ab = discriminant_group(direct_sum(a, b))
     assert sorted(ab.invariant_factors) == [2, 4]
     # q-multiset of a sum is the convolution of the summands'
@@ -152,20 +162,20 @@ def test_discriminant_of_direct_sum_merges():
 
 
 def test_overlattice_rejects_odd_norm():
-    l = direct_sum(named_lattice("A1"), named_lattice("A1"))
+    l = direct_sum(A1, A1)
     with pytest.raises(ValueError, match="non-even norm"):
         overlattice(l, [[Fraction(1, 2), Fraction(1, 2)]])
 
 
 def test_overlattice_refuses_non_rational_glue():
-    l = direct_sum(named_lattice("A1"), named_lattice("A1"))
+    l = direct_sum(A1, A1)
     for glue in ([0.5, 0.5], ["1/2", "1/2"]):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             overlattice(l, [glue])
 
 
 def test_overlattice_valid_rank7():
-    l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
+    l = direct_sum(diagonal_lattice(4), *[A1] * 6)
     glue = [Fraction(1, 2)] * 7
     res = overlattice(l, [glue])
     assert res.lattice.rank == 7
@@ -179,7 +189,7 @@ def test_overlattice_valid_rank7():
 def test_overlattice_index_det_relation_random():
     rng = random.Random(4)
     for _ in range(5):
-        l = direct_sum(*[named_lattice("A1")] * 4, named_lattice("diag(4)"))
+        l = direct_sum(*[A1] * 4, diagonal_lattice(4))
         # glue: half sum of an even-norm subset
         glue = [Fraction(1, 2)] * 4 + [Fraction(0)]
         res = overlattice(l, [glue])
@@ -187,7 +197,7 @@ def test_overlattice_index_det_relation_random():
 
 
 def test_orthogonal_complement():
-    u = named_lattice("U")
+    u = U
     comp, basis = orthogonal_complement(u, [[1, 0]])
     assert comp.rank == 1
     assert comp.gram == ((0,),)  # (0,1)·(0,1) = 0... complement of isotropic e is Z e
@@ -202,7 +212,7 @@ def test_orthogonal_complement():
 
 def test_orthogonal_complement_primitive():
     # complement inside diag(2,2) of (1,1) is generated by (1,-1), not (2,-2)
-    l = named_lattice("diag(2,2)")
+    l = diagonal_lattice(2, 2)
     comp, basis = orthogonal_complement(l, [[1, 1]])
     assert comp.rank == 1
     assert abs(basis[0][0]) == 1 and basis[0][0] == -basis[0][1]
@@ -210,7 +220,7 @@ def test_orthogonal_complement_primitive():
 
 
 def test_reflection_a1():
-    a1 = named_lattice("A1")
+    a1 = A1
     iso = reflection_rows(a1, [1], "s")
     assert iso == Isometry("s", (((0, -1),),))
     assert preserves_gram(dense(iso), a1.gram) and is_involution(dense(iso))
@@ -218,7 +228,7 @@ def test_reflection_a1():
 
 
 def test_reflection_fixes_mirror_and_involutive():
-    l = direct_sum(named_lattice("A1"), named_lattice("A1"))
+    l = direct_sum(A1, A1)
     iso = reflection_rows(l, [1, 0], "s")
     assert iso.rows[1] == ((1, 1),)  # orthogonal vector fixed
     assert preserves_gram(dense(iso), l.gram) and is_involution(dense(iso))
@@ -226,7 +236,7 @@ def test_reflection_fixes_mirror_and_involutive():
 
 def test_reflection_norm4_parity_guard():
     with pytest.raises(ValueError, match="norm -2 or -4"):
-        reflection_rows(named_lattice("diag(-4,-2)"), [1, 1], "s")  # norm -6
+        reflection_rows(diagonal_lattice(-4, -2), [1, 1], "s")  # norm -6
     # norm -4 vector pairing oddly with a basis vector is rejected by name
     l = IntegerLattice(((-4, 1), (1, -2)))
     with pytest.raises(ValueError, match="basis vector 1"):
@@ -241,18 +251,18 @@ def test_reflection_refuses_a_non_integral_root():
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
         reflection_rows(lat, [Fraction(1, 2), Fraction(1, 2)], "s")
     # an integral Fraction is an integer entry
-    lat = named_lattice("diag(-1)")
+    lat = diagonal_lattice(-1)
     assert reflection_rows(lat, [Fraction(2)], "s").rows == (((0, -1),),)
     assert reflection_rows(lat, [2], "s").rows == (((0, -1),),)
     with pytest.raises(ValueError, match="1 entries, expected 2"):
-        reflection_rows(named_lattice("diag(-2,-2)"), [1], "s")
+        reflection_rows(diagonal_lattice(-2, -2), [1], "s")
 
 
 def test_reflection_rows_drop_a_cancelled_diagonal_entry():
     # r = (1, 1) in diag(-2, -2) has norm -4 and e_0 -> e_0 − (1, 1) = (0, −1):
     # the sparse row stores no zero at its own diagonal, and the dense form
     # is the signed swap
-    lat = named_lattice("diag(-2,-2)")
+    lat = diagonal_lattice(-2, -2)
     iso = reflection_rows(lat, [1, 1], "s")
     assert iso.rows == (((1, -1),), ((0, -1),))
     assert dense(iso) == [[0, -1], [-1, 0]]
@@ -260,20 +270,20 @@ def test_reflection_rows_drop_a_cancelled_diagonal_entry():
 
 
 def test_involutive_isometry_cases():
-    square = named_lattice("diag(-2,-2)")
+    square = diagonal_lattice(-2, -2)
     rotation = Isometry("rot", sparse(((0, 1), (-1, 0))))
     assert rotation.involutive_isometry(square) == (False, True)  # order 4
     swap = Isometry("swap", sparse(((0, 1), (1, 0))))
     assert swap.involutive_isometry(square) == (True, True)
-    assert swap.involutive_isometry(named_lattice("diag(-2,-4)")) == (True, False)
+    assert swap.involutive_isometry(diagonal_lattice(-2, -4)) == (True, False)
     shear = Isometry("shear", sparse(((1, 1), (0, 1))))
-    assert shear.involutive_isometry(named_lattice("U")) == (False, False)
+    assert shear.involutive_isometry(U) == (False, False)
     with pytest.raises(ValueError, match="isometry matrix"):
-        swap.involutive_isometry(named_lattice("A1"))
+        swap.involutive_isometry(A1)
 
 
 def test_reflections_in_orthogonal_vectors_commute():
-    l = direct_sum(*[named_lattice("A1")] * 3)
+    l = direct_sum(*[A1] * 3)
     m1 = reflection_rows(l, [1, 0, 0], "s1")
     m2 = reflection_rows(l, [0, 1, 0], "s2")
     assert m1.compose(m2).rows == m2.compose(m1).rows
@@ -281,13 +291,13 @@ def test_reflections_in_orthogonal_vectors_commute():
 
 
 def test_isometry_reports_higher_order():
-    u = named_lattice("U")
+    u = U
     swap = Isometry("swap", sparse(((0, 1), (1, 0))))
     assert swap.involutive_isometry(u) == (True, True)
     not_iso = Isometry("shear", sparse(((1, 1), (0, 1))))
     assert not_iso.involutive_isometry(u) == (False, False)
     rotation = Isometry("rot", sparse(((0, 1), (-1, 0))))
-    square = named_lattice("diag(-2,-2)")
+    square = diagonal_lattice(-2, -2)
     # order 4: not an involution, but its square is
     assert rotation.involutive_isometry(square) == (False, True)
     assert rotation.compose(rotation).involutive_isometry(square) == (True, True)
@@ -315,7 +325,7 @@ def test_from_matrix_freezes_the_canonical_sparse_rows():
 
 
 def test_row_basis_coordinates():
-    l = direct_sum(named_lattice("diag(4)"), *[named_lattice("A1")] * 6)
+    l = direct_sum(diagonal_lattice(4), *[A1] * 6)
     res = overlattice(l, [[1] * 7], 2)
     coords = res.basis
     assert coords.den == 2 and coords.transform is None  # the HNF rows, used as they are
@@ -338,7 +348,7 @@ def test_reflection_laws_in_diagonal_lattice(diag, head):
     head = head[: len(diag)]
     last = -2 - sum(d * x * x for d, x in zip(diag, head))
     assume(last != 0)
-    lat = named_lattice("diag(" + ",".join(map(str, diag + [last])) + ")")
+    lat = diagonal_lattice(*diag, last)
     r = head + [1]
     iso = reflection_rows(lat, r, "s")
     assert preserves_gram(dense(iso), lat.gram)
@@ -529,11 +539,11 @@ def test_discriminant_group_rejects_non_dual_generator(monkeypatch):
     wrong = ([[4, 0], [0, 2]], mat_identity(2), mat_identity(2))
     monkeypatch.setattr(quartic15.lattice, "smith_normal_form", lambda m: wrong)
     with pytest.raises(AssertionError, match="dual generator"):
-        discriminant_group(named_lattice("diag(2,4)"))
+        discriminant_group(diagonal_lattice(2, 4))
 
 
 def test_orthogonal_complement_gram_is_the_induced_form():
-    lat = direct_sum(named_lattice("U(2)"), named_lattice("A1"), named_lattice("diag(6)"))
+    lat = direct_sum(U2, A1, diagonal_lattice(6))
     comp, basis = orthogonal_complement(lat, [[1, 1, 1, 0]])
     assert comp.gram == tuple(tuple(lat.pair(b1, b2) for b2 in basis) for b1 in basis)
     # a half-integral Gram is refused where the lattice is built
@@ -607,7 +617,7 @@ def test_integer_lattice_refuses_a_rational_gram_entry():
 
 
 def test_pair_rejects_vectors_of_the_wrong_length():
-    lat = named_lattice("diag(1,1)")
+    lat = diagonal_lattice(1, 1)
     with pytest.raises(ValueError, match="expected 2"):
         lat.pair([1, 1, 9], [1, 1])
     with pytest.raises(ValueError, match="expected 2"):
@@ -863,7 +873,7 @@ def _model_lattice(name):
     from quartic15 import nodal_surface as ns
 
     return {
-        "A1": lambda: named_lattice("A1"),
+        "A1": lambda: A1,
         "pic": lambda: ns.picard_lattice().lattice,
         "reference": ns.transcendental_reference_lattice,
         "kummer": lambda: ns.kummer_model().lattice,

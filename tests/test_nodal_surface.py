@@ -18,7 +18,6 @@ from quartic15.nodal_surface import (
     L_SET,
     DivisorClass,
     b_tilde,
-    class_invariants,
     discriminant_comparison,
     even_set_code,
     eta_star,
@@ -154,16 +153,16 @@ def test_degree_even_on_pic():
 
 
 def test_class_invariants_examples():
-    norm, degree, member = class_invariants(b_tilde())
-    assert (norm, degree, member) == (10, 10, True)
-    norm, degree, member = class_invariants(standard_classes()["deg20"])
+    # (self-intersection, degree, Picard membership) of the paper's classes
+    def invariants(cls):
+        return cls.norm(), cls.degree(), is_pic_integral(cls)
+
+    assert invariants(b_tilde()) == (10, 10, True)
+    norm, degree, member = invariants(standard_classes()["deg20"])
     assert norm == 20 and member
-    norm, degree, member = class_invariants(sigma_class((1, 2)))
-    assert (norm, degree, member) == (-2, 2, True)
-    norm, degree, member = class_invariants(E[(1, 2)])
-    assert (norm, degree, member) == (-2, 0, True)
-    norm, degree, member = class_invariants(sigma_class((1, 6)))
-    assert (norm, degree, member) == (-2, 4, True)
+    assert invariants(sigma_class((1, 2))) == (-2, 2, True)
+    assert invariants(E[(1, 2)]) == (-2, 0, True)
+    assert invariants(sigma_class((1, 6))) == (-2, 4, True)
 
 
 def test_class_identities():

@@ -244,6 +244,24 @@ def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
     assert graph_criterion_crosscheck() == expected
 
 
+def test_the_classes_list_66_trope_triples_per_rule_triple():
+    # a triple lies in C(12,2) = 66 pentads
+    assert len(triple_rule()) == 200
+    assert sum(c.trope_triple_count for c in classify_all().values()) == 66 * 200 == 13_200
+
+
+def test_a_class_that_drops_a_trope_triple_fails_the_triple_half(monkeypatch):
+    # the rule still equals the trope triples of the tables; only the count
+    # of the triples the classes list sees the dropped one
+    from quartic15 import pentads as pt
+
+    classes = dict(classify_all())
+    p, cls = next((p, c) for p, c in classes.items() if c.trope_triples)
+    classes[p] = cls._replace(trope_triples=cls.trope_triples[1:])
+    monkeypatch.setattr(pt, "classify_all", lambda: classes)
+    assert not graph_criterion_crosscheck().triple_rule_agrees
+
+
 def test_triple_criterion_examples():
     # triangle: {34,35,45} within the type-II pentad is on a trope
     assert triple_criterion(((3, 4), (3, 5), (4, 5)))

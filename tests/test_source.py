@@ -118,12 +118,9 @@ REACHED_ONLY_BY_TESTS = {
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
     "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
-    "lattice.IntegerLattice.is_even": "the Picard lattice and the glued overlattices are even",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
-    "nodal_surface.class_invariants": "norm, degree and Pic-membership of the named classes",
     "nodal_surface.nodes_of_word": "code words and node sets correspond (S6-equivariance of the code)",
     "nodal_surface.word_of_nodes": "the trope and L-set words lie in the even-set code",
-    "pentads.goepel_pentads": "the Goepel orbit is the six five-stars",
 }
 
 
