@@ -25,19 +25,12 @@ from collections import Counter
 from functools import lru_cache
 
 from . import __version__
+from . import configs as cf
 from . import congruence as cg
 from . import involutions as inv
 from . import nodal_surface as ns
 from . import pentads as pt
 from . import varieties as va
-from .configs import (
-    POINTS,
-    duads,
-    IncidenceStructure,
-    synthemes,
-    three_subsets,
-    trope_incidence_model,
-)
 from .exact import perfect_square_factor
 from .lattice import smith_normal_form
 
@@ -106,7 +99,7 @@ def checks_segre(r: Runner):
     def nodes():
         variety = va.build_variety("segre")
         certs = {}
-        for label in three_subsets():
+        for label in cf.three_subsets():
             cert = va.certify_ordinary_node(variety, va.node_point(label))
             if isinstance(cert, va.SmoothPointFailure) or not cert.is_ordinary:
                 return False, f"node {label} failed certification"
@@ -134,22 +127,32 @@ def checks_cr(r: Runner):
 
     def lines():
         variety = va.build_variety("cr")
-        bad = [s for s in synthemes() if not va.verify_double_line(variety, va.syntheme_line(s))]
+        bad = [s for s in cf.synthemes() if not va.verify_double_line(variety, va.syntheme_line(s))]
         return not bad, f"15 double lines verified identically singular; failures: {bad}"
 
     r.run("cr-double-lines", "all 15 syntheme lines are double lines", lines)
 
     def duad_points():
-        for d in duads():
+        for d in cf.duads():
             if va.derive_duad_point(d) != va.duad_point(d):
                 return False, f"derived intersection point differs for duad {d}"
+        # rows in duad order, columns in syntheme order: the model's labels
+        points = [va.duad_point(d).coords for d in cf.duads()]
+        lines = [va.syntheme_line(s) for s in cf.synthemes()]
+        matrix = tuple(tuple(line.contains(p) for line in lines) for p in points)
+        model = cf.cremona_richmond_model()
+        if matrix != model.matrix or not model.is_configuration(3, 3):
+            differ = sum(a != b for row, expected in zip(matrix, model.matrix) for a, b in zip(row, expected))
+            return False, f"{differ} of the 225 point-line incidences differ from the Cremona-Richmond model"
         return True, (
             "line-intersection points solved from the three line systems; "
             "representative (-2,-2,1,1,1,1) for duad (1,2); the often-quoted "
-            "coordinates (-2,2,1,1,1,1) violate the coordinate-sum constraint"
+            "coordinates (-2,2,1,1,1,1) violate the coordinate-sum constraint; "
+            "each point lies on the 3 double lines of the synthemes through its duad "
+            "and on none of the other 12: the Cremona-Richmond configuration (15_3)"
         )
 
-    r.run("cr-duad-points", "the 15 line-intersection points match the derived orbit", duad_points)
+    r.run("cr-duad-points", "the line-intersection points and double lines form a (15_3) configuration", duad_points)
 
     def scan():
         pts = va.singular_scan_fp(va.build_variety("cr"), 7)
@@ -162,7 +165,7 @@ def checks_cr(r: Runner):
     r.run("cr-scan-f7", "the F7 singular locus is the union of the 15 lines", scan)
 
     def cardinals():
-        for subset in three_subsets():
+        for subset in cf.three_subsets():
             res = va.cardinal_restriction(subset)
             if res.square_root.total_degree() != 2:
                 return False, f"cardinal {subset} square root is not a conic"
@@ -174,11 +177,14 @@ def checks_cr(r: Runner):
     r.run("cr-cardinal-tangency", "cardinal hyperplanes touch the quartic along doubled quadrics", cardinals)
 
     def noncardinal(seed):
+        # a draw is skipped when it is a multiple of ONES or, reduced modulo
+        # ONES, a cardinal row, as `hyperplane_section` refuses it
+        cardinal = {va.cardinal_coefficients(subset) for subset in cf.three_subsets()}
         rng = random.Random(seed)
         tried = 0
         while tried < 3:
             h = [rng.randint(-9, 9) for _ in range(6)]
-            if all(x == h[0] for x in h):
+            if all(x == h[0] for x in h) or va._normalize_hyperplane(h) in cardinal:
                 continue
             plane = va.LinearSubspace.from_equations([va.ONES, h], 6)
             tried += 1
@@ -203,13 +209,13 @@ def checks_duality(r: Runner, samples: int):
     r.run("duality-samples", "the traceless-square map lands on the quartic", sample_check)
 
     def planes():
-        bad = [s for s in synthemes() if not va.duality_plane_to_line(s)]
+        bad = [s for s in cf.synthemes() if not va.duality_plane_to_line(s)]
         return not bad, f"15 planes map into the matching double lines; failures: {bad}"
 
     r.run("duality-planes-to-lines", "cubic planes map onto the quartic's double lines", planes)
 
     def nodes_to_cardinals():
-        for subset in three_subsets():
+        for subset in cf.three_subsets():
             node = va.node_point(subset)
             if va.derive_node_point(subset) != node:
                 return False, f"node {subset} is not the meet of its six syntheme planes"
@@ -258,11 +264,11 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
             for n in model.nodes
             if n.syntheme is not None
         )
-        geometric = IncidenceStructure(pts, blocks, matrix)
+        geometric = cf.IncidenceStructure(pts, blocks, matrix)
         if not geometric.is_configuration(4, 6):
             return False, "node-trope incidence is not of type (15_4, 10_6)"
         # the labels are the witness: the identity labelling is the isomorphism
-        expected = trope_incidence_model()
+        expected = cf.trope_incidence_model()
         if geometric == expected:
             return True, "geometric incidence isomorphic to the matching-rule model"
 
@@ -407,12 +413,21 @@ def checks_code(r: Runner):
     def code():
         c = ns.even_set_code()
         enum = c.node_weight_enumerator()
-        return (
-            c.dimension == 5 and enum == {0: 1, 6: 10, 8: 15, 10: 6},
-            f"dimension {c.dimension}, node weights {enum}",
+        tropes = {ns.word_of_nodes(t, eta_bit=True) for t in cf.trope_node_sets().values()}
+        weight6 = {w for w in c.words if len(ns.nodes_of_word(w)) == 6}
+
+        def relabel(g, w):
+            return ns.word_of_nodes([cf.apply_perm_duad(g, d) for d in ns.nodes_of_word(w)], eta_bit=bool(w & 1))
+
+        kept = sum({relabel(g, w) for w in c.words} == c.words for g in cf.S6_GENERATORS)
+        ok = c.dimension == 5 and enum == {0: 1, 6: 10, 8: 15, 10: 6} and weight6 == tropes and kept == 5
+        return ok, (
+            f"dimension {c.dimension}, node weights {enum}; {len(weight6 & tropes)} of the {len(weight6)} "
+            "weight-6 words are trope words (a trope-conic's 6 nodes with the eta bit); "
+            f"{kept} of the 5 generators of S6 map the {len(c.words)} words onto themselves"
         )
 
-    r.run("even-set-code", "the even-set code has dimension 5 and weights 6^10 8^15 10^6", code)
+    r.run("even-set-code", "even-set code: dimension 5, weights 6^10 8^15 10^6, the tropes in weight 6, S6-stable", code)
 
 
 def checks_involutions(r: Runner):
@@ -471,7 +486,7 @@ def checks_pentads(r: Runner, section=None):
         table = pt.orbit_table()
         total = sum(o.size for o in table)
         goepel = [o for o in table if o.goepel]
-        five_stars = {tuple(d for d in ns.NODES if k in d) for k in POINTS}
+        five_stars = {tuple(d for d in ns.NODES if k in d) for k in cf.POINTS}
         ok = total == 3003 and len(goepel) == 1 and goepel[0].size == 6 and set(pt.goepel_pentads()) == five_stars
         return ok, (
             f"3003 pentads in {len(table)} orbits; one Goepel orbit of size 6, "
@@ -542,6 +557,15 @@ def checks_two_n_profile(r: Runner):
     def run():
         prof = cg.two_n_profile(3)
         i = prof.invariants
+        g = cf.conjugacy_graph()
+        ones = {v for v in g.vertices if g.marks[v] == 1}
+        twos = set(g.vertices) - ones
+        petersen = cf.MarkedGraph(tuple(sorted(ones)), g.marks, {e: m for e, m in g.edges.items() if e <= ones})
+        degrees = sorted({len(petersen.neighbors(v)) for v in ones})
+        girth = petersen.girth()
+        k5 = sum(len(g.neighbors(v) & twos) for v in twos) // 2
+        cross = sorted({len(g.neighbors(v) & twos) for v in ones})
+        off_rule = sum(m != max(sum(g.marks[x] for x in e) - 3, 0) for e, m in g.edges.items())
         ok = (
             i.g == 1
             and i.deg_focal == 4
@@ -549,10 +573,23 @@ def checks_two_n_profile(r: Runner):
             and i.deg_p_surface == 2
             and i.deg_branch_locus == 10
             and prof.expected_nodes == 15
+            and len(g.vertices) == prof.expected_nodes
+            and Counter(g.marks.values()) == cf.TABLE1_COLUMNS["(2,3)"]
+            and degrees == [3]
+            and girth == 5
+            and k5 == 10
+            and cross == [2]
+            and off_rule == 0
         )
-        return ok, "class-3 profile: genus 1, focal degree 4, deg|l| 4, deg(P) 2, branch 10, 15 nodes"
+        return ok, (
+            "class-3 profile: genus 1, focal degree 4, deg|l| 4, deg(P) 2, branch 10, 15 nodes; "
+            f"conjugacy graph: {len(g.vertices)} vertices marked {_factor_text(sorted(g.marks.values()))}, "
+            f"{len(g.edges)} edges; the mark-1 part has degrees {degrees} and girth {girth} (the Petersen graph); "
+            f"{k5} of the 10 mark-2 pairs adjacent (K5); mark-2 neighbours of each mark-1 vertex: {cross}; "
+            f"{off_rule} edge multiplicities off max(h+h'-3, 0)"
+        )
 
-    r.run("congruence-2-3", "the bidegree (2,3) profile matches the quartic model", run)
+    r.run("congruence-2-3", "the bidegree (2,3) profile and conjugacy graph match the quartic model", run)
 
 
 # -- argument parsing ------------------------------------------------------------

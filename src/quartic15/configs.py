@@ -1,7 +1,8 @@
 """Finite combinatorics of the set {1,...,6}.
 
-Duads, synthemes and totals, the marked conjugacy graph of an order-2
-congruence, trope incidence and orbits of the symmetric group S6.
+Duads, synthemes and totals, the marked conjugacy graph of the bidegree
+(2,3) congruence with the singular-point columns of Table 1, the trope
+incidence and Cremona-Richmond models, and orbits of the symmetric group S6.
 
 Canonical labels: duads are sorted pairs, synthemes sorted triples of
 sorted pairs, 3-subsets up to complement by the one that contains 1.
@@ -82,12 +83,6 @@ def apply_perm_duad_set(g: Perm, ds: Iterable[Duad]) -> tuple[Duad, ...]:
     return tuple(sorted(apply_perm_duad(g, d) for d in ds))
 
 
-def apply_perm_syntheme(g: Perm, s: Syntheme) -> Syntheme:
-    """S6 on synthemes; certifies that S6 permutes the 15 double lines of the
-    quartic (the 15 nodes of a section) in one orbit with stabilizer 48."""
-    return apply_perm_duad_set(g, s)
-
-
 def s6_elements() -> list[Perm]:
     return list(itertools.permutations(POINTS))
 
@@ -127,34 +122,25 @@ class MarkedGraph(NamedTuple):
     marks: dict[Hashable, int]
     edges: dict[frozenset, int]
 
-    def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def neighbors(self, v) -> set:
         return {w for e in self.edges for w in e if v in e} - {v}
 
     def girth(self) -> Optional[int]:
-        """Shortest cycle length; certifies that the mark-1 part of the (2,3)
-        conjugacy graph is the Petersen graph (cubic, girth 5)."""
+        """Shortest cycle length: the mark-1 part of the (2,3) conjugacy graph,
+        cubic of girth 5, is the Petersen graph."""
         best = None
-        verts = list(self.vertices)
-        adj = {v: self.neighbors(v) for v in verts}
-        for start in verts:
-            # BFS shortest cycle through start
-            dist = {start: 0}
-            parent = {start: None}
-            queue = [start]
-            while queue:
-                u = queue.pop(0)
+        adj = {v: self.neighbors(v) for v in self.vertices}
+        for start in self.vertices:
+            # BFS from start; a non-tree edge closes a cycle through it
+            dist, parent, queue = {start: 0}, {start: None}, [start]
+            for u in queue:  # the queue grows while it is read
                 for w in adj[u]:
                     if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
+                        dist[w], parent[w] = dist[u] + 1, u
                         queue.append(w)
                     elif parent[u] != w:
                         cycle = dist[u] + dist[w] + 1
-                        if best is None or cycle < best:
-                            best = cycle
+                        best = cycle if best is None else min(best, cycle)
         return best
 
 
@@ -169,52 +155,28 @@ TABLE1_COLUMNS: dict[str, dict[int, int]] = {
 }
 
 
-def conjugacy_graph(n: int, variant: str | None = None) -> MarkedGraph:
-    """Marked conjugacy graph of a bidegree-(2,n) congruence; certifies the
-    paper's graph of the bidegree (2,3) congruence of a 15-nodal quartic.
+def conjugacy_graph() -> MarkedGraph:
+    """Marked conjugacy graph of the bidegree (2,3) congruence of a 15-nodal
+    quartic, certified by `congruence-2-3`.
 
-    n=3 is fully determined: Petersen graph on the 10 duads of [1,5] with
-    mark 1, K(5) on the vertices (a6) with mark 2, and cross edges
-    (ab)-(a6), (ab)-(b6).  Stored edge multiplicity is max(h+h'-n, 0).
-    For other n only the vertex marks (from the singular-point table) and
-    the forced edges with h+h' > n are known.
+    The Petersen graph on the 10 duads of [1,5] with mark 1, K(5) on the
+    vertices (a6) with mark 2, and cross edges (ab)-(a6), (ab)-(b6).  Stored
+    edge multiplicity is max(h+h'-3, 0).
     """
-    if n == 3:
-        l_vertices = [tuple(sorted(d)) for d in itertools.combinations(range(1, 6), 2)]
-        c_vertices = [(a, 6) for a in range(1, 6)]
-        marks = {v: 1 for v in l_vertices}
-        marks.update({v: 2 for v in c_vertices})
-        edges: dict[frozenset, int] = {}
-        for u, v in itertools.combinations(l_vertices, 2):
-            if not set(u) & set(v):  # Petersen adjacency: disjoint duads
-                edges[frozenset((u, v))] = 0
-        for u, v in itertools.combinations(c_vertices, 2):  # K(5)
-            edges[frozenset((u, v))] = 1
-        for a, b in l_vertices:
-            edges[frozenset(((a, b), (a, 6)))] = 0
-            edges[frozenset(((a, b), (b, 6)))] = 0
-        return MarkedGraph(tuple(l_vertices + c_vertices), marks, edges)
-    key = f"(2,{n})"
-    if n == 6:
-        if variant not in ("I", "II"):
-            raise ValueError("n=6 has two singular-point columns; pass variant='I' or 'II'")
-        key = f"(2,6)_{variant}"
-    if key not in TABLE1_COLUMNS:
-        raise ValueError(f"unsupported class n={n}")
-    col = TABLE1_COLUMNS[key]
-    vertices = []
-    marks = {}
-    for h in sorted(col):
-        for i in range(col[h]):
-            v = (h, i)
-            vertices.append(v)
-            marks[v] = h
-    edges = {}
-    for u, v in itertools.combinations(vertices, 2):
-        mult = marks[u] + marks[v] - n
-        if mult > 0:  # forced conjugate pairs only
-            edges[frozenset((u, v))] = mult
-    return MarkedGraph(tuple(vertices), marks, edges)
+    l_vertices = [tuple(sorted(d)) for d in itertools.combinations(range(1, 6), 2)]
+    c_vertices = [(a, 6) for a in range(1, 6)]
+    marks = {v: 1 for v in l_vertices}
+    marks.update({v: 2 for v in c_vertices})
+    edges: dict[frozenset, int] = {}
+    for u, v in itertools.combinations(l_vertices, 2):
+        if not set(u) & set(v):  # Petersen adjacency: disjoint duads
+            edges[frozenset((u, v))] = 0
+    for u, v in itertools.combinations(c_vertices, 2):  # K(5)
+        edges[frozenset((u, v))] = 1
+    for a, b in l_vertices:
+        edges[frozenset(((a, b), (a, 6)))] = 0
+        edges[frozenset(((a, b), (b, 6)))] = 0
+    return MarkedGraph(tuple(l_vertices + c_vertices), marks, edges)
 
 
 # -- incidence structures ----------------------------------------------------
@@ -262,15 +224,13 @@ def trope_incidence_model() -> IncidenceStructure:
 
 
 def cremona_richmond_model() -> IncidenceStructure:
-    """Intersection points (duads) vs double lines (synthemes); certifies that
-    the quartic's 15 double lines and 15 points form the Cremona-Richmond
-    configuration (15_3), which is not the trope incidence (15_4, 10_6)."""
-    pts = duads()
-    blocks = synthemes()
-    matrix = tuple(
-        tuple(d in s for s in blocks) for d in pts
-    )
-    return IncidenceStructure(tuple(pts), tuple(blocks), matrix)
+    """Intersection points (duads) vs double lines (synthemes): a duad lies on
+    the three synthemes that contain it, the Cremona-Richmond configuration
+    (15_3), which is not the trope incidence (15_4, 10_6).  `cr-duad-points`
+    certifies the quartic's 15 points and 15 double lines by equality with
+    it, the labels being the isomorphism."""
+    pts, blocks = tuple(duads()), tuple(synthemes())
+    return IncidenceStructure(pts, blocks, tuple(tuple(d in s for s in blocks) for d in pts))
 
 
 # -- S6 orbits ---------------------------------------------------------------

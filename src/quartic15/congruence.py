@@ -4,7 +4,10 @@ Implements the classical counting formulas for order-m class-n congruences
 with smooth focal data: rank and sectional genus, focal-surface degree, the
 degrees of the associated curve |l| and surface (P) and the branch-locus
 degree.  The (2, n) family is specialized separately, and the Diophantine
-singular-point table is solved by exhaustive enumeration.
+singular-point table is solved by exhaustive enumeration: a published column
+is found only if it solves the cube-sum equation.  The class-3 profile is
+certified by `congruence-2-3` together with the conjugacy graph of
+`configs.conjugacy_graph`, whose marks tally the (2,3) column.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class AlphaVector(NamedTuple):
     """Counts alpha_i of focal singular points with cone degree i."""
 
     counts: tuple[int, int, int, int, int, int]  # alpha_1 ... alpha_6
-
-    def cubic_sum(self) -> int:
-        """Σ i³·α_i; certifies Table 1's defining sum (n+2)³ − 3(n+2)² on
-        every published column."""
-        return sum((i + 1) ** 3 * a for i, a in enumerate(self.counts))
 
 
 def _cube_sum_solutions(n: int) -> list[AlphaVector]:

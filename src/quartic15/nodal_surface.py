@@ -243,8 +243,8 @@ def even_set_code() -> EvenSetCode:
 
 
 def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
-    """Code word of a node set; certifies that the 10 trope node sets, with
-    the eta bit, are words of the 15-nodal quartic's even-set code."""
+    """Code word of a node set; `even-set-code` requires the 10 trope node
+    sets, with the eta bit, to be exactly the code's weight-6 words."""
     w = 1 if eta_bit else 0
     for d in nodes:
         w |= 1 << (1 + NODE_INDEX[d])
@@ -252,7 +252,8 @@ def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
 
 
 def nodes_of_word(word: int) -> tuple[Duad, ...]:
-    """Node set of a code word; certifies that S6 maps the even-set code to itself."""
+    """Node set of a code word; `even-set-code` relabels the nodes of each
+    word to certify that S6 maps the even-set code to itself."""
     return tuple(d for d in NODES if word & (1 << (1 + NODE_INDEX[d])))
 
 

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -528,6 +529,60 @@ def test_a_moved_double_line_turns_the_line_check_red(monkeypatch):
     assert check["details"].endswith(f"failures: {[moved]}")
 
 
+def test_a_draw_that_reduces_to_a_cardinal_row_is_skipped():
+    # seed 7464's third draw, (3,3,3,-9,-9,-9), is the cardinal row of
+    # {1,2,3} modulo the all-ones vector, so its restriction is a square
+    rng = random.Random(7464)
+    assert [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)][2] == [3, 3, 3, -9, -9, -9]
+    code, report, _ = run_quiet(["--seed", "7464", "cr"])
+    check = next(c for c in report.checks if c["id"] == "cr-noncardinal-not-square")
+    assert code == 0 and check["status"] == "pass", check["details"]
+
+
+def test_swapped_syntheme_columns_turn_only_cr_duad_points_red(monkeypatch):
+    # the first two synthemes share the duad (1,2): swapping their columns
+    # moves the incidences of the other four duads on them
+    from quartic15 import configs
+
+    model = configs.cremona_richmond_model()
+    swapped = tuple(row[1::-1] + row[2:] for row in model.matrix)
+    monkeypatch.setattr(configs, "cremona_richmond_model", lambda: model._replace(matrix=swapped))
+    code, report, _ = run_quiet(["cr"])
+    failed = [c for c in report.checks if c["status"] == "fail"]
+    assert code == 1 and [c["id"] for c in failed] == ["cr-duad-points"]
+    assert failed[0]["details"] == "8 of the 225 point-line incidences differ from the Cremona-Richmond model"
+
+
+def test_a_node_moved_between_trope_sets_turns_even_set_code_red(monkeypatch):
+    # the node (3,4) moved from the trope set of (1,2) to that of (1,3): the
+    # two sets have 5 and 7 nodes, so neither is a weight-6 code word.  The
+    # code itself is built from `nodal_surface`'s own reference to the sets,
+    # which the patch leaves alone.
+    from quartic15 import configs
+
+    sets = configs.trope_node_sets()
+    sets[(1, 2)] = sets[(1, 2)] - {(3, 4)}
+    sets[(1, 3)] = sets[(1, 3)] | {(3, 4)}
+    monkeypatch.setattr(configs, "trope_node_sets", lambda: sets)
+    code, report, _ = run_quiet(["code"])
+    (check,) = report.checks
+    assert code == 1 and check["id"] == "even-set-code" and check["status"] == "fail"
+    assert "; 8 of the 10 weight-6 words are trope words" in check["details"]
+    assert check["details"].endswith("5 of the 5 generators of S6 map the 32 words onto themselves")
+
+
+def test_a_dropped_petersen_edge_turns_only_congruence_2_3_red(monkeypatch):
+    from quartic15 import configs
+
+    graph = configs.conjugacy_graph()
+    edges = {e: m for e, m in graph.edges.items() if e != frozenset(((1, 2), (3, 4)))}
+    monkeypatch.setattr(configs, "conjugacy_graph", lambda: graph._replace(edges=edges))
+    code, report, _ = run_quiet(["verify", "--all"])
+    failed = [c for c in report.checks if c["status"] == "fail"]
+    assert code == 1 and [c["id"] for c in failed] == ["section-scan-f11[1,2,3,5,7,11]", "congruence-2-3"]
+    assert "44 edges; the mark-1 part has degrees [2, 3]" in failed[1]["details"]
+
+
 def test_coplanarity_check_reuses_the_given_section(monkeypatch):
     from quartic15 import cli
     from quartic15 import varieties as va
@@ -752,7 +807,7 @@ def test_runner_run_is_the_hook_of_the_benchmark(monkeypatch):
 # purpose must update these pins and say why
 PINNED_REPORTS = [
     ("--seed 1 --no-timing --json r.json verify --all", 1,
-     "2a8bd9acd70e96701b4e24f91c481afa32115d7352b6fcc8a48d0ac4a770042a"),
+     "7c547e2da41909b921d823621bcf5853049c2728ba171de3173f6b5fe999000e"),
     ("--seed 1 --no-timing --json r.json duality --samples 200", 0,
      "aafdf5aa562735f699e5728178b6333479c1f26a16d0550b55f122f98aabe829"),
     ("--no-timing --json r.json section --coeffs=0,1,3,14,15,17 --scan-prime 23", 1,

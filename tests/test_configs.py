@@ -6,7 +6,7 @@ from quartic15 import configs
 from quartic15.configs import (
     MarkedGraph,
     apply_perm_duad,
-    apply_perm_syntheme,
+    apply_perm_duad_set,
     conjugacy_graph,
     cremona_richmond_model,
     duads,
@@ -64,30 +64,30 @@ def test_two_synthemes_share_at_most_one_duad():
 
 
 def test_conjugacy_graph_degrees():
-    g = conjugacy_graph(3)
+    g = conjugacy_graph()
     assert len(g.vertices) == 15
     for v in g.vertices:
         if 6 in v:
             assert g.marks[v] == 2
-            assert g.degree(v) == 8  # 4 within K(5) + 4 cross
+            assert len(g.neighbors(v)) == 8  # 4 within K(5) + 4 cross
         else:
             assert g.marks[v] == 1
-            assert g.degree(v) == 5  # 3 Petersen + 2 cross
+            assert len(g.neighbors(v)) == 5  # 3 Petersen + 2 cross
 
 
 def test_conjugacy_graph_multiplicity_rule():
-    g = conjugacy_graph(3)
+    g = conjugacy_graph()
     for e, mult in g.edges.items():
         u, v = tuple(e)
         assert mult == max(g.marks[u] + g.marks[v] - 3, 0)
 
 
 def test_petersen_subgraph_properties():
-    g = conjugacy_graph(3)
+    g = conjugacy_graph()
     l_vertices = [v for v in g.vertices if 6 not in v]
     sub_edges = {e: m for e, m in g.edges.items() if all(6 not in v for v in e)}
     sub = MarkedGraph(tuple(l_vertices), {v: 1 for v in l_vertices}, sub_edges)
-    assert all(sub.degree(v) == 3 for v in l_vertices)
+    assert all(len(sub.neighbors(v)) == 3 for v in l_vertices)
     assert sub.girth() == 5
     # vertex transitivity under the induced S5 action
     for v in l_vertices:
@@ -97,24 +97,6 @@ def test_petersen_subgraph_properties():
         )
     # adjacency from the figure: (12) adjacent to (34),(35),(45)
     assert sub.neighbors((1, 2)) == {(3, 4), (3, 5), (4, 5)}
-
-
-def test_conjugacy_graph_other_n():
-    g = conjugacy_graph(2)
-    assert len(g.vertices) == 16 and not g.edges
-    g7 = conjugacy_graph(7)
-    assert len(g7.vertices) == 11
-    v6 = next(v for v in g7.vertices if g7.marks[v] == 6)
-    assert g7.degree(v6) == 10  # 3+6-7 > 0 against every h=3 vertex
-    for e, m in g7.edges.items():
-        u, v = tuple(e)
-        assert m == g7.marks[u] + g7.marks[v] - 7 > 0
-    with pytest.raises(ValueError):
-        conjugacy_graph(6)
-    assert len(conjugacy_graph(6, "I").vertices) == 12
-    assert len(conjugacy_graph(6, "II").vertices) == 12
-    with pytest.raises(ValueError):
-        conjugacy_graph(9)
 
 
 def test_trope_incidence_model():
@@ -173,11 +155,11 @@ def test_s6_orbits_duads():
 
 
 def test_s6_orbits_synthemes_and_totals():
-    orbits = s6_orbits(images_under(apply_perm_syntheme), synthemes())
+    orbits = s6_orbits(images_under(apply_perm_duad_set), synthemes())
     assert len(orbits) == 1 and len(orbits[0].elements) == 15 and orbits[0].stabilizer_order == 48
 
     def act_total(g, t):
-        return tuple(sorted(apply_perm_syntheme(g, s) for s in t))
+        return tuple(sorted(apply_perm_duad_set(g, s) for s in t))
 
     orbits = s6_orbits(images_under(act_total), [tuple(sorted(t)) for t in totals()])
     assert len(orbits) == 1 and len(orbits[0].elements) == 6 and orbits[0].stabilizer_order == 120
@@ -235,7 +217,7 @@ def _orbit_cases():
     from quartic15.nodal_surface import even_set_code, nodes_of_word, word_of_nodes
 
     def act_total(g, t):
-        return tuple(sorted(apply_perm_syntheme(g, s) for s in t))
+        return tuple(sorted(apply_perm_duad_set(g, s) for s in t))
 
     def act_trope(g, s):
         return frozenset(apply_perm_duad(g, d) for d in s)
@@ -249,7 +231,7 @@ def _orbit_cases():
 
     return {
         "duads": (images_under(apply_perm_duad), apply_perm_duad, duads()),
-        "synthemes": (images_under(apply_perm_syntheme), apply_perm_syntheme, synthemes()),
+        "synthemes": (images_under(apply_perm_duad_set), apply_perm_duad_set, synthemes()),
         "totals": (images_under(act_total), act_total, [tuple(sorted(t)) for t in totals()]),
         "tropes": (images_under(act_trope), act_trope, sorted(trope_node_sets().values(), key=sorted)),
         "code words": (images_under(act_word), act_word, sorted(even_set_code().words)),

@@ -93,7 +93,7 @@ def test_table1_columns_verified_against_constraints():
     # every published column satisfies both defining sums
     for n in range(2, 8):
         for col in published_columns(n):
-            assert col.cubic_sum() == (n + 2) ** 3 - 3 * (n + 2) ** 2
+            assert sum(i**3 * a for i, a in enumerate(col.counts, 1)) == (n + 2) ** 3 - 3 * (n + 2) ** 2
             assert sum(col.counts) == 18 - n
 
 

@@ -105,22 +105,13 @@ def test_lattice_layer_builds_fractions_only_at_its_edges():
 # may reference it by name; a function the commands call again leaves the
 # table.
 REACHED_ONLY_BY_TESTS = {
-    "configs.MarkedGraph.degree": "the vertex degrees of the marked conjugacy graphs (K(5) plus cross edges, the forced (2,7) edges)",
-    "configs.MarkedGraph.girth": "the mark-1 part of the (2,3) conjugacy graph is the Petersen graph",
-    "configs.MarkedGraph.neighbors": "the Petersen adjacency of the mark-1 vertices (and girth's search)",
-    "configs.apply_perm_syntheme": "S6 permutes the 15 synthemes and the double lines in one orbit",
-    "configs.conjugacy_graph": "the marked conjugacy graphs: degrees and the multiplicity rule",
-    "configs.cremona_richmond_model": "the Cremona-Richmond configuration is not the trope incidence",
     "configs.totals": "S6 permutes the 6 totals in one orbit with stabilizer 120",
-    "congruence.AlphaVector.cubic_sum": "Table 1's defining sum holds on every published column",
     "exact.LinearMap.__init__": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.nullspace": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
     "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
-    "nodal_surface.nodes_of_word": "code words and node sets correspond (S6-equivariance of the code)",
-    "nodal_surface.word_of_nodes": "the trope and L-set words lie in the even-set code",
 }
 
 
@@ -174,13 +165,6 @@ def test_call_census_finds_exactly_the_listed_defs():
     assert never == listed, f"unlisted: {sorted(never - listed)}, called or gone: {sorted(listed - never)}"
 
 
-# Listed entries whose name a live method of another class also carries, so
-# that a by-name check cannot tell them apart: each maps to that method.
-LISTED_HOMONYMS = {
-    "configs.MarkedGraph.degree": "nodal_surface.DivisorClass.degree",
-}
-
-
 def _resolve(key: str):
     """The object that "module.qualname" names in the package, or None."""
     module, *path = key.split(".")
@@ -220,12 +204,8 @@ def test_functions_reached_only_by_tests_are_listed_with_their_claim():
     referenced = _referenced_names(set(REACHED_ONLY_BY_TESTS))
     # an operator method is reached through syntax, not by its name
     named = [key for key in REACHED_ONLY_BY_TESTS if not key.rsplit(".", 1)[1].startswith("__")]
-    used = [key for key in named if key.rsplit(".", 1)[1] in referenced and key not in LISTED_HOMONYMS]
+    used = [key for key in named if key.rsplit(".", 1)[1] in referenced]
     assert not used, f"the library references these by name: {used}"
-    for key, live in LISTED_HOMONYMS.items():
-        name = key.rsplit(".", 1)[1]
-        assert key in REACHED_ONLY_BY_TESTS and live.rsplit(".", 1)[1] == name, key
-        assert _resolve(live) is not None and name in referenced, f"{key}: {live} is no live homonym"
 
 
 def _class_names() -> dict[str, set[str]]:
@@ -295,7 +275,6 @@ def _loaded_attributes() -> set[str]:
 # attribute somewhere in the library (or, for a report read whole, through
 # `_fields`); a field nothing reads is deleted, not listed.
 FIELDS_READ_ONLY_BY_TESTS = {
-    "configs.MarkedGraph.marks": "the vertex marks h(x) of the conjugacy graphs and the multiplicity rule max(h+h'-n, 0)",
     "configs.Orbit.stabilizer_order": "the stabilizers 48, 120 and 72 of the nodes, totals and tropes, and of the code words",
     "lattice.FiniteAbelianInvariants.q_values": "the discriminant quadratic form on the SNF generators (A1 gives 3/2, <4> gives 1/4)",
     "varieties.DualityImage.source": "read by the bench digest, which recomputes each duality image from its source",

@@ -204,11 +204,11 @@ def test_special_loci_s6_equivariant():
         assert {permute_point(p) for p in point_set} == point_set
         assert {permute_point(p) for p in card_set} == card_set
     # double lines: the syntheme relabeling permutes the subspaces
-    from quartic15.configs import apply_perm_syntheme
+    from quartic15.configs import apply_perm_duad_set
 
     for g in s6_elements()[::97]:
         for s in synthemes():
-            img = syntheme_line(apply_perm_syntheme(g, s))
+            img = syntheme_line(apply_perm_duad_set(g, s))
             assert reduced_rows(img) in line_eqs
 
 
