@@ -5,10 +5,14 @@ tuples, over one positive denominator `den` coprime to them: the lcm of the
 reduced coefficient denominators, 1 for the zero polynomial.  The form is
 canonical, and every operation runs on these integers.  Coefficients enter
 as `int` or `Fraction` (nothing here touches floating point) and leave as a
-`Fraction` only through `leading_coefficient`.  Values are read in integers,
-den·f(xs) at an integer point xs, by the one sparse evaluation loop: `ModPoly`
-reads it mod p, and the node readings of `varieties.Hypersurface` read the
-chart's second partials with it.  The rational linear algebra (`rref`,
+`Fraction` only through `leading_coefficient`.  Products of polynomials, in
+`*` and `substitute_linear`, run in the one monomial-product loop on
+exponents packed into one int each.  Values are read in integers, den·f(xs)
+at an integer point xs, by the one sparse evaluation loop, which `ModPoly`
+reads mod p, or for a family of forms at once off one `monomial_table`, each
+shared monomial valued once: the node readings of `varieties.Hypersurface`
+read the chart's second partials so, and the F_p scan the gradient of each
+candidate.  The rational linear algebra (`rref`,
 `nullspace` and `LinearMap`) is a front end to the fraction-free integer
 kernels of `lattice`.  No library module calls it: the benchmark builds its
 section chart with it, and besides its own tests only the ragged-row
@@ -19,13 +23,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index
+from operator import add, index, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import bareiss, clear_denominators
 
 Exponent = tuple[int, ...]
+# (monomials, rows) of `monomial_table`
+MonomialTable = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
@@ -130,7 +136,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_compatible(other)
-        return MultiPoly._from_nums(self.nvars, _mul_integer_terms(self.nums, other.nums), self.den * other.den)
+        n, base = self.nvars, self.total_degree() + other.total_degree() + 1
+        product = _mul_integer_terms(_pack(self.nums, n, base), _pack(other.nums, n, base))
+        return MultiPoly._from_nums(n, _unpack(product, n, base), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -241,7 +249,10 @@ class MultiPoly:
         Row i is cleared once to an integer form F_i over d_i, so x_i becomes
         F_i/(d_i·den) and a term num·x^e becomes num·Π F_i^(e_i) over
         Π (d_i·den)^(e_i) (for a form of degree k, den^k enters the result's
-        den); every term is summed in integers over the lcm of those.
+        den); every term is summed in integers over the lcm of those.  The
+        products run on packed exponents (`_pack`) in base D+1, D the total
+        degree: no exponent of the result exceeds D, so no digit carries, and
+        the sum is unpacked once.
         """
         if index(den) < 1:
             raise ValueError(f"den must be positive, not {den}")
@@ -253,18 +264,18 @@ class MultiPoly:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged substitution matrix")
-        units = [tuple(int(k == j) for k in range(ncols)) for j in range(ncols)]
+        base = self.total_degree() + 1
         forms, dens = [], []
         for row in rows:
             ints, d = clear_denominators(row)
-            forms.append({units[j]: a for j, a in enumerate(ints) if a})
+            forms.append({base**j: a for j, a in enumerate(ints) if a})
             dens.append(d * den)
-        one = {(0,) * ncols: 1}
-        powers = [[one] for _ in rows]  # powers[i][e] = F_i^e
+        one = {0: 1}
+        powers = [[one, f] for f in forms]  # powers[i][e] = F_i^e
         terms = self._monomials()
         scales = [prod(dens[i] ** e for i, e in mono) for _, mono in terms]
         common = lcm(*scales)
-        acc: dict[Exponent, int] = {}
+        acc: dict[int, int] = {}
         for (c, mono), q in zip(terms, scales):
             product = one
             for i, e in mono:
@@ -275,7 +286,7 @@ class MultiPoly:
             c *= common // q
             for e, v in product.items():
                 acc[e] = acc.get(e, 0) + c * v
-        return MultiPoly._from_nums(ncols, acc, self.den * common)
+        return MultiPoly._from_nums(ncols, _unpack(acc, ncols, base), self.den * common)
 
     def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
         """Relabel variables: new variable perm[i] receives old variable i."""
@@ -305,14 +316,60 @@ class MultiPoly:
         return ModPoly(self.nvars, p, {e: c * inv for e, c in self.nums.items()})
 
 
-def _mul_integer_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict[Exponent, int]:
-    """Product of two polynomials given as {exponent: integer coefficient}."""
-    out: dict[Exponent, int] = {}
+def _pack(terms: Mapping[Exponent, int], nvars: int, base: int) -> dict[int, int]:
+    """{exponent: c} with each exponent of `nvars` entries read as the
+    base-`base` digits of one int, its first entry lowest; a product of
+    monomials whose exponents all stay below `base` is then the sum of their
+    keys."""
+    weights = [base**i for i in range(nvars)]
+    return {sum(map(mul, e, weights)): c for e, c in terms.items()}
+
+
+def _unpack(terms: Mapping[int, int], nvars: int, base: int) -> dict[Exponent, int]:
+    """The inverse of `_pack` for exponents of `nvars` entries."""
+    out = {}
+    for key, c in terms.items():
+        e = []
+        for _ in range(nvars):
+            key, d = divmod(key, base)
+            e.append(d)
+        out[tuple(e)] = c
+    return out
+
+
+def _mul_integer_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of two polynomials given as {packed exponent: integer
+    coefficient} (`_pack`), in a base no exponent of the product reaches;
+    the one monomial-product loop."""
+    out: dict[int, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+def monomial_table(forms: Sequence[MultiPoly]) -> MonomialTable:
+    """(monomials, rows) for forms in one set of variables: the monomials of
+    any of them, in decreasing lex order of exponents, each as the tuple of
+    its variable indices with multiplicity (x0²·x2 is (0, 0, 2)), and for
+    each form the row of its numerators `nums` at those monomials.
+    `table_values` reads all the forms at a point from it."""
+    if len({f.nvars for f in forms}) > 1:
+        raise ValueError("the forms of a table must have one variable count")
+    exps = sorted({e for f in forms for e in f.nums}, reverse=True)
+    monomials = tuple(tuple(i for i, k in enumerate(e) for _ in range(k)) for e in exps)
+    rows = tuple(tuple(f.nums.get(e, 0) for e in exps) for f in forms)
+    return monomials, rows
+
+
+def table_values(table: MonomialTable, xs: Sequence[int]) -> list[int]:
+    """den·f(xs) of each form of a `monomial_table`, as `_integer_value`
+    reads it: each monomial is valued once, and each form is one integer
+    dot product of its row with those values."""
+    monomials, rows = table
+    values = [prod(map(xs.__getitem__, m)) for m in monomials]
+    return [sum(map(mul, row, values)) for row in rows]
 
 
 class LinearMap:

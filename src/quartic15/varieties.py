@@ -32,7 +32,15 @@ from .configs import (
     three_subsets,
     trope_incidence_model,
 )
-from .exact import ModPoly, MultiPoly, perfect_square_factor, primitive_integer_vector
+from .exact import (
+    ModPoly,
+    MonomialTable,
+    MultiPoly,
+    monomial_table,
+    perfect_square_factor,
+    primitive_integer_vector,
+    table_values,
+)
 from .lattice import _check_length, bareiss, clear_denominators, minor_rank
 
 NVARS = 6
@@ -209,9 +217,9 @@ class Hypersurface:
     which by the chain rule are the six partials `gradient` (built on first
     use, also for the sampler) paired with the kernel columns.  For the node
     certificates only the n(n+1)/2 second partials d_i d_j g, i <= j, of
-    the cleared g are held, once built: `node_reading` reads the Hessian H
-    at a point and, by Euler's identity, the value and the gradient of g
-    from it, as x·H·x and H·x.
+    the cleared g are held, once built, as one `monomial_table`:
+    `node_reading` reads the Hessian H at a point off it and, by Euler's
+    identity, the value and the gradient of g from H, as x·H·x and H·x.
     """
 
     form: MultiPoly
@@ -244,17 +252,19 @@ class Hypersurface:
         return self.form.substitute_linear(self.ambient.parametrization, self.ambient.den)
 
     @cached_property
-    def _second_partials(self) -> tuple[MultiPoly, ...]:
-        """d_i d_j g of the cleared chart g, i <= j, row by row; formed once."""
+    def _second_partials(self) -> MonomialTable:
+        """The `monomial_table` of d_i d_j g of the cleared chart g, i <= j,
+        row by row; formed once."""
         gradient = self.chart.scale(self.chart.den).gradient()
         n = len(gradient)
-        return tuple(gradient[i].partial(j) for i in range(n) for j in range(i, n))
+        return monomial_table([gradient[i].partial(j) for i in range(n) for j in range(i, n)])
 
     def hessian_at(self, xs: Sequence[int]) -> list[list[int]]:
         """The Hessian of the cleared chart at the integer chart point xs,
-        each entry its second partial's `_integer_value`, in any degree."""
+        in any degree: the `table_values` of the second partials, each
+        monomial of their common table valued once."""
         n = len(xs)
-        entries = iter([h._integer_value(xs) for h in self._second_partials])
+        entries = iter(table_values(self._second_partials, xs))
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -271,7 +281,8 @@ class Hypersurface:
         d >= 2 the point is on the form exactly when x·H·x = 0; a nonzero
         chart of lower degree, the one kind whose second partials all
         vanish, is refused."""
-        if self.chart and not any(self._second_partials):
+        _, rows = self._second_partials
+        if self.chart and not any(map(any, rows)):
             raise ValueError("a node reading needs a form of degree at least 2")
         _check_length(point, self.form.nvars, "point")
         xs = clear_denominators(point)[0]
@@ -322,7 +333,8 @@ def node_point(subset: Sequence[int]) -> ProjectivePoint:
     return ProjectivePoint([1 if i + 1 in subset else -1 for i in range(NVARS)])
 
 
-def cardinal_coefficients(subset: Sequence[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def cardinal_coefficients(subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if i + 1 in subset else -1 for i in range(NVARS))
 
 
@@ -348,6 +360,7 @@ def syntheme_plane(s: Syntheme) -> LinearSubspace:
     return LinearSubspace.from_equations(rows, NVARS)
 
 
+@lru_cache(maxsize=None)
 def duad_point(d: Duad) -> ProjectivePoint:
     """Common point of the three double lines through a duad: −2 on it, 1 off."""
     return ProjectivePoint([-2 if i + 1 in d else 1 for i in range(NVARS)])
@@ -389,8 +402,8 @@ class NodeCertificate(NamedTuple):
 def certify_ordinary_node(v: Hypersurface, p: ProjectivePoint) -> NodeCertificate | SmoothPointFailure:
     """Exact ordinary-node certificate at p, or a typed smooth-point failure.
 
-    The chart Hessian H is read at p's chart point x, each entry the integer
-    value of one second partial of the cleared chart g that `v` builds once.
+    The chart Hessian H is read at p's chart point x off the table of the
+    second partials of the cleared chart g that `v` builds once.
     For g of degree d, Euler's identity gives H·x = (d−1)·∇g(x) and
     x·H·x = d(d−1)·g(x), both exact in integers: the reading refuses p off
     the form when x·H·x ≠ 0, and p is singular exactly when H·x = 0.  By
@@ -720,9 +733,11 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     A point is a candidate exactly where its three slots are multiples of p;
     with 16-bit slots (p < 256) these are found as the zero bytes of one
     integer made by two byte tables of residues, and with wider slots by a set
-    of the multiples.  Each candidate is confirmed by evaluating the form and
-    every partial.  A prime whose slot bound does not fit 64 bits, or whose
-    plane would hold 2^32 slots or more, is refused before any table is built.
+    of the multiples.  Each candidate is confirmed by the value of the form
+    (`ModPoly.evaluate`) and of every partial, the partials read together off
+    one `monomial_table` of the `ModPoly.partial`s.  A prime whose slot bound
+    does not fit 64 bits, or whose plane would hold 2^32 slots or more, is
+    refused before any table is built.
     """
     p, n = fp.p, fp.nvars
     # each term as (t exponent, y exponent, c, its monomial in the prefix)
@@ -735,10 +750,10 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
     if width is None or p * p >= 1 << 32:
         raise ValueError(f"bad prime: {p} is too large for planes of 64-bit slots in a degree-{deg} scan")
-    partials = [fp.partial(i) for i in range(n)]
+    gradient = monomial_table([fp.partial(i).poly for i in range(n)])
 
     def singular(v):
-        return fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
+        return fp.evaluate(v) == 0 and not any(g % p for g in table_values(gradient, v))
 
     found = []
     if n > 1:

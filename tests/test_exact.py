@@ -11,10 +11,12 @@ from quartic15.exact import (
     LinearMap,
     ModPoly,
     MultiPoly,
+    monomial_table,
     nullspace,
     perfect_square_factor,
     primitive_integer_vector,
     rref,
+    table_values,
 )
 from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_identity, mat_mul
 from quartic15.varieties import Hypersurface, LinearSubspace, ProjectivePoint, certify_ordinary_node
@@ -610,6 +612,53 @@ def test_substitute_linear_matches_reference(case, den):
     ncols = len(m[0])
     int_rows = [ints[k : k + ncols] for k in range(0, len(ints), ncols)]
     assert_matches(f.substitute_linear(int_rows, d), expected)
+
+
+@pytest.mark.parametrize("deg", [2, 3, 4, 5])
+def test_substitute_linear_reaches_the_total_degree_in_every_variable(deg):
+    # the products run on exponents packed in base D+1, D the total degree:
+    # here every variable of the result carries y_j^D, the largest digit, so
+    # a base of D would carry it into the next variable's digit
+    ref = RefPoly(2, {(deg, 0): 1, (1, deg - 1): Fraction(2, 3), (0, deg): -5})
+    m = [[1, -2, 3], [Fraction(1, 2), 1, -1]]
+    got = ref.poly().substitute_linear(m)
+    assert_matches(got, ref.substitute_linear(m))
+    assert all(tuple(deg if i == j else 0 for i in range(3)) in got.nums for j in range(3))
+    assert_matches(ref.poly().substitute_linear(m, 7), ref.substitute_linear(m, 7))
+    assert_matches(ref.poly() * ref.poly(), ref * ref)  # base 2D+1 for the product
+
+
+@st.composite
+def form_families(draw):
+    """(forms, xs): up to six reference forms of one degree in 1 to 6
+    variables, zero forms included, and an integer point."""
+    nvars, deg = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    forms = draw(st.lists(polynomials(nvars, homogeneous_degree=deg), max_size=6))
+    xs = draw(st.lists(st.integers(-30, 30), min_size=nvars, max_size=nvars))
+    return forms, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_families())
+def test_table_values_match_each_forms_integer_value(case):
+    refs, xs = case
+    forms = [ref.poly() for ref in refs]
+    nvars = len(xs)
+    # the same forms, a zero form, and each term as a form of its own: a
+    # family of pairwise disjoint supports
+    singles = [MultiPoly._from_nums(nvars, {e: c}, f.den) for f in forms for e, c in f.nums.items()]
+    for family in (forms, forms + [MultiPoly.zero(nvars)], singles):
+        table = monomial_table(family)
+        assert table_values(table, xs) == [f._integer_value(xs) for f in family]
+        monomials, rows = table
+        assert len(set(monomials)) == len(monomials) == len({e for f in family for e in f.nums})
+        assert len(rows) == len(family) and all(len(row) == len(monomials) for row in rows)
+    assert monomial_table([]) == ((), ()) and table_values(((), ()), xs) == []
+
+
+def test_monomial_table_refuses_forms_in_different_variables():
+    with pytest.raises(ValueError, match="one variable count"):
+        monomial_table([MultiPoly.variable(2, 0), MultiPoly.variable(3, 0)])
 
 
 @settings(max_examples=300, deadline=None)

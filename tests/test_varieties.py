@@ -13,7 +13,7 @@ from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationa
 from dense_oracle import mat_mul as dense_mat_mul
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import ModPoly, MultiPoly, perfect_square_factor
+from quartic15.exact import ModPoly, MultiPoly, monomial_table, perfect_square_factor
 from quartic15.lattice import clear_denominators, mat_mul
 from quartic15 import varieties
 from quartic15.varieties import (
@@ -1000,12 +1000,13 @@ def test_cr_scan_matches_reference(cr, p):
 
 
 def test_scan_evaluates_only_candidates(monkeypatch):
-    # the kernel confirms candidates with ModPoly.evaluate; a per-point scan
-    # would evaluate at every one of the p^3 + p^2 + p + 1 points, a filter
-    # by the form alone at about one point per line (~p^2), and one by the
-    # form and its t-partial, without the y-partial, at 189 calls here; with
-    # all three it makes 68: five at each of the 13 singular points, two at
-    # the one other candidate and one at (0, 0, 0, 1)
+    # the kernel confirms each candidate with one ModPoly.evaluate of the
+    # form (the partials are read off their table), so the calls count the
+    # candidates: a per-point scan would evaluate at every one of the
+    # p^3 + p^2 + p + 1 points and a filter by the form alone at about one
+    # point per line (~p^2); the filter by the form and both partials makes
+    # 15 calls, one at each of the 13 singular points, one at the one other
+    # candidate and one at (0, 0, 0, 1)
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     calls = []
     evaluate = ModPoly.evaluate
@@ -1018,8 +1019,28 @@ def test_scan_evaluates_only_candidates(monkeypatch):
     p = 37
     pts = singular_scan_fp(model, p)
     assert len(pts) == 13  # 37 is a bad prime for this hyperplane
-    assert 0 < len(calls) < p**3 / 10
-    assert len(calls) < 3 * p
+    assert len(calls) == 15 and set(pts) <= set(calls)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_scan_confirms_every_candidate(monkeypatch, p):
+    # with every packed table zero, every slot of every plane sums to 0, so
+    # every point is a candidate: the scan must still list exactly the
+    # points of the per-point reference scan, each candidate confirmed by
+    # one value of the form and one read of the gradient table
+    model = hyperplane_section(REFERENCE_COEFFS)
+    segre = build_variety("segre")
+    expected = [reference_scan(model, p), sorted(reference_scan(segre, p))]
+    assert all(expected)
+    calls = []
+    evaluate = ModPoly.evaluate
+    monkeypatch.setattr(ModPoly, "evaluate", lambda self, point: calls.append(point) or evaluate(self, point))
+    monkeypatch.setattr(
+        varieties, "_plane_packs", lambda p, deg, width: tuple((0,) * (deg - j + 1) for j in range(deg + 1))
+    )
+    assert singular_scan_fp(model, p) == expected[0]
+    assert len(calls) == len(set(calls)) == (p**4 - 1) // (p - 1)  # every point of P^3(F_p)
+    assert sorted(singular_scan_fp(segre, p)) == expected[1]
 
 
 @pytest.mark.parametrize("p", [127, 131, 251])
@@ -1395,6 +1416,10 @@ def test_cached_constants_do_not_go_stale(tmp_path):
     for kind in ("segre", "cr"):
         assert build_variety(kind) is build_variety(kind)
         assert build_variety(kind) == build_variety.__wrapped__(kind)
+    for d in duads():
+        assert duad_point(d) is duad_point(d) and duad_point(d) == duad_point.__wrapped__(d)
+    for subset in three_subsets():
+        assert cardinal_coefficients(subset) == cardinal_coefficients.__wrapped__(subset)
 
 
 @pytest.mark.parametrize("kind", ["segre", "cr"])
@@ -1404,21 +1429,27 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
     assert v.gradient is v.gradient and v._second_partials is v._second_partials and v.chart is v.chart
     assert v.gradient == tuple(form.gradient())
     # the chart form g is the form on the sum-zero chart in its 5 free
-    # coordinates; the node readings hold each d_i d_j g, i <= j, and no
-    # other derivative of it
+    # coordinates; the node readings hold each d_i d_j g, i <= j, as one
+    # monomial table, and no other derivative of it
     chart = form.substitute_linear(v.ambient.parametrization, v.ambient.den)
     assert v.chart == chart
     n = chart.nvars
     assert n == 5 and chart.den == 1
     partials = v._second_partials
-    assert partials == tuple(chart.partial(i).partial(j) for i in range(n) for j in range(i, n))
+    assert partials == monomial_table([chart.partial(i).partial(j) for i in range(n) for j in range(i, n)])
+    monomials, rows = partials
+    assert len(rows) == n * (n + 1) // 2 and all(len(m) == chart.total_degree() - 2 for m in monomials)
     fresh = Hypersurface(form, v.ambient)
     certify_ordinary_node(fresh, node_point((1, 2, 3)) if kind == "segre" else duad_point((1, 2)))
     assert set(vars(fresh)) == {"form", "ambient", "chart", "_second_partials"}
     with pytest.raises(TypeError):
         v.gradient[0] = MultiPoly.zero(form.nvars)
     with pytest.raises(TypeError):
-        partials[0] = MultiPoly.zero(n)
+        rows[0] = ()
+    with pytest.raises(TypeError):
+        rows[0][0] = 0
+    with pytest.raises(TypeError):
+        monomials[0] = ()
     with pytest.raises(AttributeError):
         v.gradient = ()
     with pytest.raises(AttributeError):
@@ -1427,8 +1458,6 @@ def test_hypersurface_derivatives_are_built_once_and_read_only(kind):
         v.chart = form
     with pytest.raises(AttributeError):
         v.gradient[0].nums.clear()
-    with pytest.raises(AttributeError):
-        partials[0].nums.clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1477,25 +1506,26 @@ def test_node_reading_refuses_a_form_of_degree_below_two():
 
 
 def test_node_certificate_reads_the_hessian_from_the_second_partials(monkeypatch):
-    # the chart Hessian H of the certificate is read off the cached second
-    # partials of the cleared chart, so a changed coefficient there reaches
-    # both the Euler value x·H·x and the matrix that is ranked
+    # the chart Hessian H of the certificate is read off the cached table of
+    # the second partials of the cleared chart, so a changed coefficient
+    # there reaches both the Euler value x·H·x and the matrix that is ranked
     model = hyperplane_section(REFERENCE_COEFFS)
     surface = Hypersurface(model.quartic3, LinearSubspace((), 1, 4))
     node = model.nodes[0].chart_point
     x = list(node.coords)
     assert x == [3, 3, -1, -1]
-    partials = surface._second_partials  # d_0 d_0, d_0 d_1, ..., d_1 d_1 at index 4
-    e = next(e for e in partials[1].nums if math.prod(a**b for a, b in zip(x, e)))
-    m = math.prod(a**b for a, b in zip(x, e))
+    partials = surface._second_partials
+    monomials, rows = partials  # rows d_0 d_0, d_0 d_1, ..., d_1 d_1 at index 4
+    k = next(k for k, mono in enumerate(monomials) if rows[1][k] and math.prod(x[i] for i in mono))
+    m = math.prod(x[i] for i in monomials[k])
 
     def shifted(changes):
-        """The partials with `amount` added to the coefficient of e in each
-        (index, amount) of changes."""
-        rows = list(partials)
+        """The table with `amount` added to the coefficient of monomial k in
+        each (row, amount) of changes."""
+        new = [list(row) for row in rows]
         for r, amount in changes:
-            rows[r] = rows[r] + MultiPoly(4, {e: amount})
-        surface.__dict__["_second_partials"] = tuple(rows)
+            new[r][k] += amount
+        surface.__dict__["_second_partials"] = (monomials, tuple(map(tuple, new)))
 
     # d_0 d_1 g changed by one: H[0][1] and H[1][0] move by m, x·H·x by
     # 2·m·x_0·x_1, and the point is refused as off the form
@@ -1526,6 +1556,15 @@ def test_node_certificate_reads_the_hessian_from_the_second_partials(monkeypatch
 
 
 def test_cached_constants_are_immutable():
+    assert duad_point((1, 2)) is duad_point((1, 2))
+    with pytest.raises(AttributeError):
+        duad_point((1, 2)).coords = (1,) * 6
+    with pytest.raises(TypeError):
+        duad_point((1, 2)).coords[0] = 1
+    assert cardinal_coefficients((1, 2, 3)) is cardinal_coefficients((1, 2, 3))
+    with pytest.raises(TypeError):
+        cardinal_coefficients((1, 2, 3))[0] = -1
+    assert cardinal_coefficients((1, 2, 3)) == (1, 1, 1, -1, -1, -1)
     plane = syntheme_plane(synthemes()[0])
     with pytest.raises(AttributeError):
         plane.rows = ()
