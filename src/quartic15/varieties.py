@@ -135,14 +135,14 @@ class LinearSubspace:
     def __setattr__(self, name, value):
         raise AttributeError("LinearSubspace is immutable")
 
-    def _key(self) -> tuple:
-        return self.rows, self.den, self.nvars
-
     def __eq__(self, other):
-        return isinstance(other, LinearSubspace) and self._key() == other._key()
+        return (
+            isinstance(other, LinearSubspace)
+            and (self.rows, self.den, self.nvars) == (other.rows, other.den, other.nvars)
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.rows, self.den, self.nvars))
 
     @classmethod
     def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
@@ -213,13 +213,14 @@ class Hypersurface:
     itself without equations): at a point xs of the ambient, x = xs at the
     free columns and g(x) = f(xs).  It is the one chart the module reads a
     hypersurface in: node certificates, the section quartic, the tangent
-    hyperplane and the F_p scans read g, and the double lines its partials,
-    which by the chain rule are the six partials `gradient` (built on first
-    use, also for the sampler) paired with the kernel columns.  For the node
-    certificates only the n(n+1)/2 second partials d_i d_j g, i <= j, of
-    the cleared g are held, once built, as one `monomial_table`:
-    `node_reading` reads the Hessian H at a point off it and, by Euler's
-    identity, the value and the gradient of g from H, as x·H·x and H·x.
+    hyperplane and the F_p scans (which list chart points) read g, and the
+    double lines its partials, which by the chain rule are the six partials
+    `gradient` (built on first use, also for the sampler) paired with the
+    kernel columns.  For the node certificates only the n(n+1)/2 second
+    partials d_i d_j g, i <= j, of the cleared g are held, once built, as
+    one `monomial_table`: `node_reading` reads the Hessian H at a point off
+    it and, by Euler's identity, the value and the gradient of g from H, as
+    x·H·x and H·x.
     """
 
     form: MultiPoly
@@ -535,10 +536,12 @@ class SectionNode(NamedTuple):
 
 
 class SectionModel(NamedTuple):
-    """A hyperplane section of the quartic as a nodal surface in P^3."""
+    """A hyperplane section of the quartic as a nodal surface in P^3: its
+    `chart` is the `Hypersurface.chart` of the quartic on the section, so
+    `singular_scan_fp` reads it as it reads a hypersurface's."""
 
     hyperplane: tuple[int, ...]  # primitive integer coefficients, sum zero
-    quartic3: MultiPoly  # the restricted quartic in the 4 chart variables
+    chart: MultiPoly  # the restricted quartic in the 4 chart variables
     nodes: tuple[SectionNode, ...]
     tropes: tuple[TropeRecord, ...]
 
@@ -564,11 +567,11 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     `tangent_at`, that point is certified as a sixteenth node.  The nodes are
     certified on the quartic with the section as its ambient, from their
     6-coordinate points; a node's chart point is its entries at the free
-    columns, and `quartic3` is that hypersurface's `chart`.  Each trope
-    is read off the cached `cardinal_restriction` (quartic = scale·q² there):
-    the plane hp = 0 in its 4 parameters, with q cut on it.  Every node lies
-    on hp and on u1+...+u6 = 0 by construction, so it is incident iff it
-    pairs to 0 with the cardinal row.
+    columns, and the model's `chart` is that hypersurface's `chart`.  Each
+    trope is read off the cached `cardinal_restriction` (quartic = scale·q²
+    there): the plane hp = 0 in its 4 parameters, with q cut on it.  Every
+    node lies on hp and on u1+...+u6 = 0 by construction, so it is incident
+    iff it pairs to 0 with the cardinal row.
 
     A cardinal row is compared with hp as it stands: it has coordinate sum
     0, and each `three_subsets()` representative contains 1, so its ±1 row
@@ -841,34 +844,20 @@ def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
 
 
 def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
-    """Exhaustive list of F_p singular points, deduplicated canonically.
-
-    A threefold in u1+...+u6 = 0 is scanned on its `chart`, whose gradient
-    vanishes exactly where the six partials are parallel to (1,...,1); each
-    singular F_p point is mapped back through the ambient's parametrization
-    to its canonical 6-coordinate representative (first nonzero entry 1),
-    so the list is in the chart's scan order.  A section is scanned on its
-    quartic in the 4 chart variables, where the gradient must vanish
-    outright.  Moduli that are not prime, primes below 5 and primes
-    dividing a coefficient denominator of the scanned form are rejected as
-    bad.
+    """Exhaustive list of the F_p singular points of `target.chart`, in
+    chart coordinates, deduplicated canonically (first nonzero entry 1) and
+    in `_projective_reps` order.  Any `Hypersurface` is scanned on its
+    chart, whose gradient vanishes exactly where the form's partials lie in
+    the span of the ambient's equations (parallel to (1,...,1) on
+    u1+...+u6 = 0); a `SectionModel` on its quartic in P^3.  Moduli that are
+    not prime, primes below 5 and primes dividing a coefficient denominator
+    of the chart are rejected as bad.
     """
     if not _is_prime(p):
         raise ValueError(f"bad prime: {p} is not prime")
     if p < 5:
         raise ValueError("bad prime: need p >= 5")
-    if isinstance(target, Hypersurface):
-        if target.ambient != SUM_ZERO:
-            raise ValueError("scan supports the sum-zero ambient constraint")
-        points = []
-        for x in _singular_points_fp(_reduce_mod(target.chart, p)):
-            u = [sum(map(mul, row, x)) % p for row in target.ambient.parametrization]
-            inverse = pow(next(a for a in u if a), -1, p)
-            points.append(tuple(a * inverse % p for a in u))
-        return points
-    if isinstance(target, SectionModel):
-        return _singular_points_fp(_reduce_mod(target.quartic3, p))
-    raise TypeError("scan target must be a Hypersurface or SectionModel")
+    return _singular_points_fp(_reduce_mod(target.chart, p))
 
 
 # -- rational point sampling ------------------------------------------------------

@@ -803,6 +803,35 @@ def test_runner_run_is_the_hook_of_the_benchmark(monkeypatch):
     assert [c["id"] for c in runner.checks] == seen
 
 
+def test_scan_targets_are_what_the_benchmark_reads(monkeypatch):
+    # bench/worker.py wraps `va.singular_scan_fp` by name, calls a
+    # `SectionModel` target a section and any other a threefold, and reads a
+    # section's points as chart points holding the reduction of every node
+    from quartic15 import varieties as va
+
+    real, scans = va.singular_scan_fp, []
+
+    def wrapped(target, p):
+        pts = real(target, p)
+        scans.append((target, p, pts))
+        return pts
+
+    def reduced(coords, p):
+        lead = pow(next(x for x in coords if x % p), -1, p)
+        return tuple(x * lead % p for x in coords)
+
+    monkeypatch.setattr(va, "singular_scan_fp", wrapped)
+    run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", "23"])
+    run_quiet(["--seed", "7", "verify", "--all"])
+    sections = [(t, p, pts) for t, p, pts in scans if isinstance(t, va.SectionModel)]
+    threefolds = [t for t, _, _ in scans if not isinstance(t, va.SectionModel)]
+    assert sections and all(len(x) == 4 for _, _, pts in sections for x in pts)
+    for target, p, pts in sections:
+        assert all(reduced(node.chart_point.coords, p) in pts for node in target.nodes)
+    assert len(threefolds) == 2 and all(isinstance(t, va.Hypersurface) for t in threefolds)
+    assert [len(pts) for _, p, pts in sections if p == 11] == [13]
+
+
 # sha256 of the --no-timing reports; a change that alters report bytes on
 # purpose must update these pins and say why
 PINNED_REPORTS = [

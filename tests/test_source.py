@@ -137,6 +137,7 @@ CENSUS_EXEMPT = {
     "varieties.GenericityError.__init__": "error path: a named genericity failure",
     "varieties.Hypersurface.__eq__": "operator method: surfaces compare by form and ambient",
     "varieties.Hypersurface.__setattr__": "immutability guard",
+    "varieties.LinearSubspace.__eq__": "operator method: subspaces compare by rows, den and nvars",
     "varieties.LinearSubspace.__hash__": "operator method: equal subspaces hash equal",
     "varieties.LinearSubspace.__setattr__": "immutability guard",
     "varieties.ProjectivePoint.__hash__": "operator method: equal points hash equal",
@@ -300,6 +301,7 @@ FIELD_HOMONYMS = {
     "varieties.Hypersurface.form": "varieties.Hypersurface.is_s6_invariant",
     "varieties.LinearSubspace.den": "varieties.cardinal_restriction",
     "varieties.LinearSubspace.rows": "varieties.LinearSubspace.contains",
+    "varieties.SectionModel.chart": "varieties.singular_scan_fp",
     "varieties.SectionNode.ambient": "varieties.hyperplane_section",
 }
 

@@ -20,7 +20,6 @@ from quartic15.varieties import (
     ONES,
     Hypersurface,
     LinearSubspace,
-    SectionModel,
     _projective_reps,
     GenericityError,
     NotOnVarietyError,
@@ -440,7 +439,7 @@ def test_chart_matches_greedy_basis_on_section_nodes(reference_section):
     # the section quartic in its 4 chart variables has no constraints
     for node in reference_section.nodes:
         point = node.chart_point.coords
-        assert_rank_matches_greedy_chart(node.certificate, reference_section.quartic3, point, ())
+        assert_rank_matches_greedy_chart(node.certificate, reference_section.chart, point, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,12 +524,12 @@ def test_bench_chart_gives_the_section_quartic():
             continue
     for model in models:
         chart = LinearMap(zip(*nullspace([list(ONES), model.hyperplane], 6)))
-        assert cr_quartic_form().substitute_linear(chart) == model.quartic3
+        assert cr_quartic_form().substitute_linear(chart) == model.chart
 
 
 def test_section_quartic_takes_the_ambient_values():
-    # the scale of quartic3 pinned without `substitute_linear`: its value at
-    # integer parameters x is the quartic's value at Σ x_k·kernel_k / den
+    # the scale of the section chart pinned without `substitute_linear`: its
+    # value at integer parameters x is the quartic's value at Σ x_k·kernel_k / den
     # (the reference charts normalise to den 1; this hyperplane's is den 14)
     rng = random.Random(7)
     form = cr_quartic_form()
@@ -540,7 +539,7 @@ def test_section_quartic_takes_the_ambient_values():
     for _ in range(8):
         x = [rng.randint(-5, 5) for _ in range(4)]
         point = [Fraction(sum(c * col[i] for c, col in zip(x, chart.kernel)), chart.den) for i in range(6)]
-        assert value(model.quartic3, x) == value(form, point), x
+        assert value(model.chart, x) == value(form, point), x
 
 
 def test_non_cardinal_restriction_not_square():
@@ -779,10 +778,14 @@ def test_scan_cr_f7(cr):
     # union of 15 lines with 15 triple points: by inclusion-exclusion
     # 15*(7+1) - (3-1)*15 = 90
     assert len(pts) == 15 * 8 - 2 * 15 == 90
-    # the scanned set is exactly the union of the reduced double lines
-    from quartic15.exact import primitive_integer_vector
-
-    int_eqs = {s: [primitive_integer_vector(eq) for eq in syntheme_line(s).rows] for s in synthemes()}
+    # the scanned set is exactly the union of the reduced double lines, each
+    # line read in chart coordinates: its equations paired with the chart's
+    # kernel columns (den 1)
+    assert cr.ambient.den == 1
+    int_eqs = {
+        s: [[sum(a * b for a, b in zip(eq, col)) for col in cr.ambient.kernel] for eq in syntheme_line(s).rows]
+        for s in synthemes()
+    }
 
     def lines_through(v):
         return [
@@ -796,6 +799,24 @@ def test_scan_cr_f7(cr):
     # 15 triple points, the rest simple: total incidences 15*(7+1)
     assert sum(memberships) == 15 * 8
     assert sorted(memberships).count(3) == 15
+
+
+def test_segre_scan_at_11_is_the_set_of_reduced_nodes(segre):
+    nodes = chart_points(segre.ambient, [node_point(t).coords for t in three_subsets()], 11)
+    pts = singular_scan_fp(segre, 11)
+    assert len(pts) == len(set(nodes)) == 10
+    assert set(pts) == set(nodes)
+
+
+def test_cr_scan_at_7_is_the_union_of_the_reduced_lines(cr):
+    line_points = set()
+    for s in synthemes():
+        c0, c1 = syntheme_line(s).kernel
+        points = [[a * x + b * y for x, y in zip(c0, c1)] for a, b in _projective_reps(7, 2)]
+        line_points.update(chart_points(cr.ambient, points, 7))
+    pts = singular_scan_fp(cr, 7)
+    assert len(pts) == len(line_points) == 90
+    assert set(pts) == line_points
 
 
 def test_scan_reference_section_bad_prime_11(reference_section):
@@ -883,26 +904,63 @@ def test_cli_composite_scan_prime_check_is_red():
 # -- the plane-by-plane scan against the per-point scan ----------------------------
 
 
+def rank_mod(rows, p):
+    """The rank of integer rows over F_p, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inverse
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def chart_points(ambient, points, p):
+    """F_p points of the ambient in its chart coordinates: each point's
+    entries at the free columns, scaled so the first nonzero entry is 1."""
+    found = []
+    for v in points:
+        x = [v[f] % p for f in ambient.free]
+        inverse = pow(next(a for a in x if a), -1, p)
+        found.append(tuple(a * inverse % p for a in x))
+    return found
+
+
 def reference_scan(target, p):
     """The per-point scan that the packed plane-by-plane kernel must agree
     with: every point of projective space is evaluated, the form first and
-    then its gradient.  A threefold is read on its own chart u6 = −Σu, not
-    the library's, so its points come in another order: the lists compare
-    sorted, and since these points are canonical and listed once, sorted
-    equality is equality of sets with no duplicates."""
-    if isinstance(target, Hypersurface):
-        fp = target.form.mod_p(p)
-        partials = [fp.partial(i) for i in range(6)]
-        found = []
-        for v in _projective_reps(p, 5):
-            v += ((-sum(v)) % p,)
-            if fp.evaluate(v):
-                continue
-            g = [gi.evaluate(v) for gi in partials]
-            if all(x == g[0] for x in g):  # gradient parallel to (1,...,1)
-                found.append(v)
-        return found
-    return _brute_force_singular_points(target.quartic3.mod_p(p))
+    then its gradient.  A form with no ambient equations, or a section, is
+    read on its chart.  A threefold is read in its six coordinates, on its
+    own chart u6 = −Σu of the sum-zero hyperplane, which must hold its
+    ambient: a point is singular where it meets the ambient's equations, the
+    form vanishes and the six partials lie in the span of the equations mod
+    p (for the sum-zero hyperplane alone: are parallel to (1,...,1)).  Its
+    points are then read in the library's chart coordinates, in another
+    order: the lists compare sorted, and since these points are canonical
+    and listed once, sorted equality is equality of sets with no
+    duplicates."""
+    if not isinstance(target, Hypersurface) or not target.ambient.rows:
+        return _brute_force_singular_points(target.chart.mod_p(p))
+    equations = target.ambient.rows
+    rank = rank_mod(equations, p)
+    assert rank == len(equations) == rank_mod([*equations, ONES], p)
+    fp = target.form.mod_p(p)
+    partials = [fp.partial(i) for i in range(6)]
+    found = []
+    for v in _projective_reps(p, 5):
+        v += ((-sum(v)) % p,)
+        if any(sum(a * b for a, b in zip(eq, v)) % p for eq in equations) or fp.evaluate(v):
+            continue
+        if rank_mod([*equations, [g.evaluate(v) for g in partials]], p) == rank:
+            found.append(v)
+    return chart_points(target.ambient, found, p)
 
 
 def _brute_force_singular_points(fp):
@@ -913,11 +971,6 @@ def _brute_force_singular_points(fp):
         for v in _projective_reps(fp.p, fp.nvars)
         if fp.evaluate(v) == 0 and all(g.evaluate(v) == 0 for g in partials)
     ]
-
-
-def _section_of(form):
-    """A SectionModel carrying only the quartic: all the scan reads."""
-    return SectionModel((), form, (), ())
 
 
 def forms(nvars, degree):
@@ -931,7 +984,7 @@ def forms(nvars, degree):
 @settings(max_examples=60, deadline=None)
 @given(forms(4, 4), st.sampled_from([5, 7, 11, 13]))
 def test_section_scan_matches_reference(form, p):
-    model = _section_of(form)
+    model = Hypersurface(form, LinearSubspace((), 1, 4))
     assert singular_scan_fp(model, p) == reference_scan(model, p)
 
 
@@ -981,7 +1034,7 @@ def test_scan_line_inside_the_surface():
     a = x[2] * x[2] + x[3] * x[3]
     b = x[2] * x[3]
     c = x[2] * x[2] - x[3] * x[3] * 2 + x[0] * x[1]
-    model = _section_of(x[0] * x[0] * a + x[0] * x[1] * b + x[1] * x[1] * c)
+    model = Hypersurface(x[0] * x[0] * a + x[0] * x[1] * b + x[1] * x[1] * c, LinearSubspace((), 1, 4))
     for p in (5, 7, 11, 13):
         pts = singular_scan_fp(model, p)
         assert pts == reference_scan(model, p)
@@ -1091,9 +1144,14 @@ def test_scan_accepts_sum_zero_in_any_representation(segre):
     doubled = Hypersurface(segre_form(), LinearSubspace(((2,) * 6,), 2, 6))
     assert singular_scan_fp(doubled, 5) == singular_scan_fp(segre, 5)
     assert len(singular_scan_fp(doubled, 5)) == 10
-    plane = LinearSubspace.from_equations([ONES, (1, -1, 0, 0, 0, 0)], 6)
-    with pytest.raises(ValueError, match="sum-zero ambient"):
-        singular_scan_fp(Hypersurface(segre_form(), plane), 5)
+    # any linear ambient is scanned on its chart: on the plane u1 = u2 of
+    # the sum-zero hyperplane the cubic surface is singular at the 4 nodes
+    # with u1 = u2, node_point({1, 2, k}) for k = 3..6
+    plane = Hypersurface(segre_form(), LinearSubspace.from_equations([ONES, (1, -1, 0, 0, 0, 0)], 6))
+    pts = singular_scan_fp(plane, 5)
+    assert sorted(pts) == sorted(reference_scan(plane, 5))
+    nodes = [node_point((1, 2, k)).coords for k in range(3, 7)]
+    assert sorted(pts) == sorted(chart_points(plane.ambient, nodes, 5))
 
 
 def test_sampler_height_grows_every_forty_attempts(monkeypatch):
@@ -1510,7 +1568,7 @@ def test_node_certificate_reads_the_hessian_from_the_second_partials(monkeypatch
     # the second partials of the cleared chart, so a changed coefficient
     # there reaches both the Euler value x·H·x and the matrix that is ranked
     model = hyperplane_section(REFERENCE_COEFFS)
-    surface = Hypersurface(model.quartic3, LinearSubspace((), 1, 4))
+    surface = Hypersurface(model.chart, LinearSubspace((), 1, 4))
     node = model.nodes[0].chart_point
     x = list(node.coords)
     assert x == [3, 3, -1, -1]
