@@ -249,7 +249,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
         return None
 
     def tropes():
-        good = sum(len(t.incident_nodes) == 6 and t.conic.total_degree() == 2 for t in model.tropes)
+        good = sum(len(t.incident_nodes) == 6 and t.conic_rank > 0 for t in model.tropes)
         if len(model.tropes) == good == 10:
             return True, "10 trope-conics, each through exactly 6 nodes"
         return False, f"{good} of {len(model.tropes)} tropes are conics through exactly 6 nodes (expected 10 of 10)"

@@ -496,6 +496,7 @@ class CardinalRestriction(NamedTuple):
     scale: Fraction
     square_root: MultiPoly  # conic q with restriction = scale * q^2
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
+    hessian: tuple[tuple[int, ...], ...]  # H of q: q on r·t = 0 (r ≠ 0) has rank rank [[H, r], [rᵀ, 0]] − 2
 
 
 def cardinal_tangency_quadric() -> MultiPoly:
@@ -516,7 +517,8 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
             f"cardinal restriction for {subset} is not a perfect square; model falsified"
         )
     c, q = result
-    return CardinalRestriction(c, q, plane)
+    hessian = Hypersurface(q, LinearSubspace((), 1, 4)).hessian_at([0] * 4)
+    return CardinalRestriction(c, q, plane, tuple(map(tuple, hessian)))
 
 
 # -- hyperplane sections -----------------------------------------------------------
@@ -524,7 +526,7 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
 
 class TropeRecord(NamedTuple):
     subset: tuple[int, int, int]
-    conic: MultiPoly  # in the 3 plane parameters
+    conic_rank: int  # of q on the trope plane {r·t = 0}: the rank of the bordered Hessian, minus 2
     incident_nodes: tuple[Syntheme, ...]
 
 
@@ -569,9 +571,11 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     6-coordinate points; a node's chart point is its entries at the free
     columns, and the model's `chart` is that hypersurface's `chart`.  Each
     trope is read off the cached `cardinal_restriction` (quartic = scale·q²
-    there): the plane hp = 0 in its 4 parameters, with q cut on it.  Every
-    node lies on hp and on u1+...+u6 = 0 by construction, so it is incident
-    iff it pairs to 0 with the cardinal row.
+    there): its plane is {r·t = 0}, r the pairings of hp with the kernel
+    columns, and q cut on it has rank rank [[H, r], [rᵀ, 0]] − 2, H the
+    Hessian of q, since r ≠ 0 (r = 0 makes hp, of sum 0, a multiple of the
+    cardinal row, which is refused).  Every node lies on hp and on
+    u1+...+u6 = 0, so it is incident iff it pairs to 0 with the cardinal row.
 
     A cardinal row is compared with hp as it stands: it has coordinate sum
     0, and each `three_subsets()` representative contains 1, so its ±1 row
@@ -637,9 +641,8 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     tropes: list[TropeRecord] = []
     for subset in trope_incidence_model().blocks:
         card = cardinal_restriction(subset)
-        # the trope plane: hp = 0 in the cardinal 3-space's 4 parameters
-        plane = LinearSubspace.from_equations([[sum(map(mul, hp, col)) for col in card.plane.kernel]], 4)
-        conic = card.square_root.substitute_linear(plane.parametrization, plane.den)
+        r = [sum(map(mul, hp, col)) for col in card.plane.kernel]  # the trope plane is r·t = 0
+        conic_rank = len(bareiss([[*row, x] for row, x in zip(card.hessian, r)] + [[*r, 0]])[1]) - 2
         cardinal = cardinal_coefficients(subset)
         incident = []
         for node in nodes:
@@ -653,7 +656,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
             # are its entries at the free columns
             if card.square_root._integer_value([xs[f] for f in card.plane.free]) != 0:
                 raise AssertionError("incident node must lie on the trope conic")
-        tropes.append(TropeRecord(subset, conic, tuple(sorted(incident))))
+        tropes.append(TropeRecord(subset, conic_rank, tuple(sorted(incident))))
 
     return SectionModel(hp, surface.chart, tuple(nodes), tuple(tropes))
 

@@ -97,11 +97,9 @@ def test_swapped_trope_labels_turn_section_incidence_red(monkeypatch):
 
 def test_a_zeroed_trope_conic_turns_only_section_tropes_red(monkeypatch):
     # the claim is that the cardinal planes cut doubled conics: a trope whose
-    # conic is not a conic fails it, while its incidence stays right
-    from quartic15.exact import MultiPoly
-
+    # conic has rank 0 is not a conic and fails it, while its incidence stays right
     def zero_conic(tropes):
-        return (tropes[0]._replace(conic=MultiPoly.zero(3)),) + tropes[1:]
+        return (tropes[0]._replace(conic_rank=0),) + tropes[1:]
 
     checks = _section_with_tropes(monkeypatch, zero_conic)
     assert [key for key, c in checks.items() if c["status"] != "pass"] == ["section-tropes"]

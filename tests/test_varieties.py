@@ -563,7 +563,7 @@ def test_reference_section(reference_section):
     assert len(model.tropes) == 10
     for t in model.tropes:
         assert len(t.incident_nodes) == 6
-        assert t.conic.total_degree() == 2
+        assert t.conic_rank == 3
     # every node on exactly 4 tropes
     for n in model.nodes:
         count = sum(1 for t in model.tropes if n.syntheme in t.incident_nodes)
@@ -689,20 +689,24 @@ def test_double_line_lemmas_behind_the_section_refusals():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, split",
     [
-        lambda: hyperplane_section(REFERENCE_COEFFS),
-        lambda: hyperplane_section((0, 1, 3, 14, 15, 17)),
-        lambda: sample_tangent_section(random.Random(11)),
+        (lambda: hyperplane_section(REFERENCE_COEFFS), ()),
+        (lambda: hyperplane_section((0, 1, 3, 14, 15, 17)), ((1, 2, 3),)),
+        (lambda: hyperplane_section((3, 21, 23, 1, -5, -25)), ((1, 4, 6),)),  # a draw of the sections benchmark
+        (lambda: sample_tangent_section(random.Random(11)), ()),
     ],
-    ids=["reference", "second-reference", "tangent"],
+    ids=["reference", "second-reference", "bench-draw", "tangent"],
 )
-def test_tropes_match_the_three_equation_oracle(make):
+def test_tropes_match_the_three_equation_oracle(make, split):
     # the trope plane as {sum u = 0, hp = 0, cardinal = 0} in six variables:
     # the quartic restricted to it is a perfect square, its members are the
-    # incident nodes, and it is spanned by the plane the conic lives on
+    # incident nodes, and it is spanned by the plane the conic lives on; the
+    # conic, built here, has the rank the section read off the bordered
+    # Hessian, pinned: 3 is a smooth conic, 2 (at the `split` tropes) a line pair
     model = make()
     form = cr_quartic_form()
+    conics = []
     for t in model.tropes:
         plane = LinearSubspace.from_equations([ONES, model.hyperplane, cardinal_coefficients(t.subset)], 6)
         assert len(plane.rows) == 3
@@ -714,30 +718,63 @@ def test_tropes_match_the_three_equation_oracle(make):
         card = cardinal_restriction(t.subset)
         row = [sum(h * x for h, x in zip(model.hyperplane, col)) for col in card.plane.kernel]
         trope = LinearSubspace.from_equations([row], 4)
+        conic = card.square_root.substitute_linear(trope.parametrization, trope.den)
         chart = mat_mul(card.plane.parametrization, trope.parametrization)
         assert all(plane.contains(col) for col in zip(*chart))
-        assert card.scale * t.conic * t.conic == form.substitute_linear(chart, card.plane.den * trope.den)
+        assert card.scale * conic * conic == form.substitute_linear(chart, card.plane.den * trope.den)
+        assert t.conic_rank == (2 if t.subset in split else 3)
+        conics.append((conic, t.conic_rank))
+    # over Q each rank-2 conic here splits into two rational lines, and each
+    # rank-3 conic is irreducible
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:3")
+    for conic, rank in conics:
+        assert sympy.Matrix(_quadric_matrix(conic)).rank() == rank
+        expr = sum(c * sympy.prod(x**e for x, e in zip(xs, exp)) for exp, c in conic.nums.items())
+        factors = sympy.factor_list(expr)[1]
+        degrees = sorted(sympy.Poly(f, *xs).total_degree() for f, k in factors for _ in range(k))
+        assert degrees == ([1, 1] if rank == 2 else [2]), (conic, degrees)
+
+
+def _quadric_matrix(f):
+    """The symmetric matrix of the quadratic form f cleared of its den:
+    2c on the diagonal for c·x_i², c off it for c·x_i·x_j."""
+    m = [[0] * f.nvars for _ in range(f.nvars)]
+    for exp, c in f.nums.items():
+        i, j = [k for k, e in enumerate(exp) for _ in range(e)]
+        m[i][j] += c
+        m[j][i] += c
+    return m
 
 
 def test_sections_read_the_cached_cardinal_records(monkeypatch):
     hyperplane_section(REFERENCE_COEFFS)  # warm the cache
     form = cr_quartic_form()
-    calls = {"square": 0, "quartic": 0}
+    calls = {"square": 0, "quartic": 0, "substitute": 0, "eliminate": 0}
     substitute = MultiPoly.substitute_linear
+    from_equations = LinearSubspace.from_equations.__func__
 
     def counted_substitute(self, *args, **kwargs):
         calls["quartic"] += self == form  # the section's Hypersurface holds a copy
+        calls["substitute"] += 1
         return substitute(self, *args, **kwargs)
+
+    def counted_from_equations(cls, *args, **kwargs):
+        calls["eliminate"] += 1
+        return from_equations(cls, *args, **kwargs)
 
     def counted_square(f):
         calls["square"] += 1
         return perfect_square_factor(f)
 
     monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
+    monkeypatch.setattr(LinearSubspace, "from_equations", classmethod(counted_from_equations))
     monkeypatch.setattr(varieties, "perfect_square_factor", counted_square)
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     assert len(model.tropes) == 10
-    assert calls == {"square": 0, "quartic": 1}  # the section chart only
+    # the section chart only: the tropes neither solve for their planes nor
+    # substitute into the cardinal conics
+    assert calls == {"square": 0, "quartic": 1, "substitute": 1, "eliminate": 1}
     assert cardinal_restriction.cache_info().currsize == 10
 
 
@@ -749,6 +786,10 @@ def test_cardinal_restriction_is_one_shared_frozen_record():
         with pytest.raises(AttributeError):
             res.scale = Fraction(1)
         assert res.scale == scale
+        # the Hessian of the conic, frozen, is the matrix read off its coefficients
+        assert type(res.hessian) is tuple and all(type(row) is tuple for row in res.hessian)
+        assert all(type(x) is int for row in res.hessian for x in row)
+        assert [list(row) for row in res.hessian] == _quadric_matrix(res.square_root)
 
 
 def test_value_classes_refuse_assignment():
