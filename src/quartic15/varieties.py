@@ -719,40 +719,91 @@ def _plane_packs(p: int, deg: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(packs)
 
 
+def _slot_reducer(p: int, width: int, count: int):
+    """The map that reduces every w-bit slot of an integer of `count` slots
+    mod p, each slot to its residue in [0, p).  With 16-bit slots and
+    p < 128 a slot lo + 256·hi is read off two byte tables: the residues of
+    lo and of 256·hi sum below 2p <= 255, so the two byte strings add with
+    no carry and one more table gives the residue.  Any other width or prime
+    unpacks the slots, reduces them and packs them again."""
+    nbytes = count * width // 8
+    if width == 16 and p < 128:
+        low = bytes([v % p for v in range(256)])
+        high = bytes([v * 256 % p for v in range(256)])
+
+        def byte_residues(x):
+            raw = x.to_bytes(nbytes, "little")
+            total = int.from_bytes(raw[0::2].translate(low), "little") + int.from_bytes(
+                raw[1::2].translate(high), "little"
+            )
+            slots = bytearray(nbytes)
+            slots[0::2] = total.to_bytes(count, "little").translate(low)
+            return int.from_bytes(slots, "little")
+
+        return byte_residues
+    layout = f"<{count}{_SLOT_FORMATS[width]}"
+
+    def slot_residues(x):
+        residues = [v % p for v in struct.unpack(layout, x.to_bytes(nbytes, "little"))]
+        return int.from_bytes(struct.pack(layout, *residues), "little")
+
+    return slot_residues
+
+
 def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     """F_p points of P^{n-1} where the form and all its partials vanish, in
     `_projective_reps` order.
 
-    P^{n-1}(F_p) is walked one plane at a time: each representative b of
-    P^{n-3} with the last two coordinates (y, t) running over F_p², then the
-    line (0,...,0,1,t) and the point (0,...,0,1).  On a plane the form is
-    sum_{j,k} c_jk(b)·y^k·t^j, its coefficients tabled once per prefix and
-    reduced mod p.  Its values at every (y, t) are then one integer, H = sum
-    c_jk·Q_jk, where Q_jk holds y^k·t^j mod p in its w-bit slot y·p + t, and
-    the partials in t and y are packed from the same tables as sum (j·c_jk mod
-    p)·Q_{j−1,k} and sum (k·c_jk mod p)·Q_{j,k−1}.  Each slot of the three is
-    a sum of at most T terms in [0, (p−1)²], T the number of distinct (j, k)
-    among the terms (at least 1), and the slot width w (16, 32 or 64 bits)
-    exceeds T·(p−1)², so no slot carries into the next.  The tables, j + k up
-    to the form's degree D in (y, t), are built once per (p, D, w) and kept in
-    a small cache (`_plane_packs`), (D+1)(D+2)/2 integers of p²·w bits each.
-    A point is a candidate exactly where its three slots are multiples of p;
-    with 16-bit slots (p < 256) these are found as the zero bytes of one
-    integer made by two byte tables of residues, and with wider slots by a set
-    of the multiples.  Each candidate is confirmed by the value of the form
-    (`ModPoly.evaluate`) and of every partial, the partials read together off
-    one `monomial_table` of the `ModPoly.partial`s.  A prime whose slot bound
+    P^{n-1}(F_p) is walked one plane at a time, the planes one line at a
+    time.  A plane fixes the prefix b of the first n−2 coordinates and runs
+    the last two (y, t) over F_p²; a line fixes the head h of b (all but its
+    last coordinate x) and runs x over F_p.  The lines are each
+    representative h of P^{n-4} with every x, then the zero head with its
+    plane x = 1 and the line (0,...,0,1,t) of its plane x = 0, then the
+    point (0,...,0,1).  On a line the form is
+    sum_{e,j,k} c_ejk(h)·x^e·y^k·t^j, its coefficients tabled once per line
+    and reduced mod p.  For each power e of x three integers are packed
+    from the same tables: P_e = sum_jk c_ejk·Q_jk, where Q_jk holds
+    y^k·t^j mod p in its w-bit slot y·p + t, and the partials in t and y,
+    sum (j·c_ejk mod p)·Q_{j−1,k} and sum (k·c_ejk mod p)·Q_{j,k−1}, each
+    then reduced mod p slot by slot (`_slot_reducer`).  A plane's values at
+    every (y, t) are sum_e (x^e mod p)·P_e, and its partials the same sums
+    of the other two, at most N products each, N the number of distinct e.
+    A slot of a packed table is a sum of at most T terms in [0, (p−1)²], T
+    the number of distinct (j, k) among the terms, and a slot of a plane a
+    sum of at most N such terms, so a slot width w (16, 32 or 64 bits) above
+    max(T, N)·(p−1)² (T and N at least 1) carries into no other slot.  On
+    the zero head only terms free of the head survive, so each (j, k) has
+    the one power e = D − j − k of a form of degree D, and x is 0 or 1: a
+    plane there is a sum of at most T terms with no reduction.  So the scan
+    takes forms only and refuses any other polynomial.  The tables Q_jk,
+    j + k up to the form's degree D' in (y, t), are built once per
+    (p, D', w) and kept in a small cache (`_plane_packs`), (D'+1)(D'+2)/2
+    integers of p²·w bits each; a line's tables are 3N such integers,
+    dropped after the line.  A point is a candidate exactly where its three
+    slots are multiples of p; with 16-bit slots (p < 256) these are found as
+    the zero bytes of one integer made by two byte tables of residues, and
+    with wider slots by a set of the multiples.
+    Each candidate is confirmed by the value of the form (`ModPoly.evaluate`)
+    and of every partial, the partials read together off one
+    `monomial_table` of the `ModPoly.partial`s.  A prime whose slot bound
     does not fit 64 bits, or whose plane would hold 2^32 slots or more, is
     refused before any table is built.
     """
     p, n = fp.p, fp.nvars
-    # each term as (t exponent, y exponent, c, its monomial in the prefix)
+    if len({sum(e) for e in fp.terms}) > 1:
+        raise ValueError("not a form: its terms have different degrees")
+    # each term as (x exponent, t exponent, y exponent, c, its monomial in the head)
     split = []
     if n > 1:
-        split = [(e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-2]) if x]) for e, c in fp.terms.items()]
-    pairs = sorted({(j, k) for j, k, _, _ in split})
+        split = [
+            (e[-3] if n > 2 else 0, e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-3]) if x])
+            for e, c in fp.terms.items()
+        ]
+    pairs = {(j, k) for _, j, k, _, _ in split}
+    powers = sorted({e for e, _, _, _, _ in split})
     deg = max((j + k for j, k in pairs), default=0)
-    bound = max(len(pairs), 1) * (p - 1) ** 2
+    bound = max(len(pairs), len(powers), 1) * (p - 1) ** 2
     width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
     if width is None or p * p >= 1 << 32:
         raise ValueError(f"bad prime: {p} is too large for planes of 64-bit slots in a degree-{deg} scan")
@@ -765,11 +816,16 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     if n > 1:
         nbytes = p * p * width // 8
         packs = _plane_packs(p, deg, width)
-        pair_index = {jk: s for s, jk in enumerate(pairs)}
-        terms = [(pair_index[j, k], c, mono) for j, k, c, mono in split]
-        value = [packs[j][k] for j, k in pairs]
-        dt = [(s, j, packs[j - 1][k]) for s, (j, k) in enumerate(pairs) if j]
-        dy = [(s, k, packs[j][k - 1]) for s, (j, k) in enumerate(pairs) if k]
+        reduce = _slot_reducer(p, width, p * p)
+        keys = sorted({(e, j, k) for e, j, k, _, _ in split})
+        key_index = {key: s for s, key in enumerate(keys)}
+        terms = [(key_index[e, j, k], c, mono) for e, j, k, c, mono in split]
+        # per power of x, the slots of its coefficients with their tables
+        rows = [list(row) for _, row in itertools.groupby(enumerate(keys), lambda key: key[1][0])]
+        value = [[(s, packs[j][k]) for s, (_, j, k) in row] for row in rows]
+        dt = [[(s, j, packs[j - 1][k]) for s, (_, j, k) in row if j] for row in rows]
+        dy = [[(s, k, packs[j][k - 1]) for s, (_, j, k) in row if k] for row in rows]
+        weights = [[pow(x, e, p) for e in powers] for x in range(p)]
 
         if width == 16:
             # a 16-bit slot bounds (p−1)², so p < 256 and a byte's residue is a
@@ -802,24 +858,33 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
                         yield s
 
         candidates = byte_candidates if width == 16 else slot_candidates
-        # P^{n-3} in `_projective_reps` order with every (y, t), then the line
-        # y = 1 over the zero prefix: slots p..2p−1 of its plane
-        planes = [(b, 0, p * p) for b in _projective_reps(p, n - 2)] + [((0,) * (n - 2), p, 2 * p)]
-        for b, lo, hi in planes:
-            c = [0] * len(pairs)
+        # each head h of P^{n-4} with every x, then the zero head with its
+        # plane x = 1 (for n > 2) and its line y = 1 at x = 0, slots p..2p−1;
+        # a plane as (x, its prefix, its slots lo..hi−1)
+        lines = [(h, [(x, (*h, x), 0, p * p) for x in range(p)]) for h in _projective_reps(p, n - 3)]
+        zero = (0,) * (n - 3)
+        zero_planes = [(1, (*zero, 1), 0, p * p)] if n > 2 else []
+        lines.append((zero, zero_planes + [(0, (0,) * (n - 2), p, 2 * p)]))
+        for h, planes in lines:
+            c = [0] * len(keys)
             for s, a, mono in terms:
                 for i, x in mono:
-                    a *= b[i] ** x
+                    a *= h[i] ** x
                 c[s] += a
             c = [a % p for a in c]
-            sums = (
-                sum(map(mul, c, value)),
-                sum([j * c[s] % p * q for s, j, q in dt]),
-                sum([k * c[s] % p * q for s, k, q in dy]),
+            packed = (
+                [sum([c[s] * q for s, q in row]) for row in value],
+                [sum([j * c[s] % p * q for s, j, q in row]) for row in dt],
+                [sum([k * c[s] % p * q for s, k, q in row]) for row in dy],
             )
-            for s in candidates(sums, lo, hi):
-                if singular(point := b + divmod(s, p)):
-                    found.append(point)
+            # on the zero head each (j, k) has one power of x and x is 0 or 1
+            tables = [[reduce(t) if t else 0 for t in row] for row in packed] if any(h) else packed
+            for x, b, lo, hi in planes:
+                w = weights[x]
+                sums = [sum(map(mul, w, table)) for table in tables]
+                for s in candidates(sums, lo, hi):
+                    if singular(point := b + divmod(s, p)):
+                        found.append(point)
     last = (0,) * (n - 1) + (1,)
     if singular(last):
         found.append(last)

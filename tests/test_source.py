@@ -118,7 +118,8 @@ REACHED_ONLY_BY_TESTS = {
 # The other defs no README command calls, each with the reason it is not
 # listed above: operator methods, immutability guards, error and failure
 # paths, the F_p scan's candidate filter for slots wider than 16 bits (primes
-# of 256 and more) and the `cli.main` entry point.
+# of 256 and more), its slot reduction off the byte path (wider slots, or
+# primes of 128 and more) and the `cli.main` entry point.
 CENSUS_EXEMPT = {
     "cli._error_record": "error path: records a check that raised",
     "cli.checks_section.<locals>.incidence.<locals>.nodes_on": "failure path: names a mislabelled trope",
@@ -144,6 +145,7 @@ CENSUS_EXEMPT = {
     "varieties.ProjectivePoint.__repr__": "operator method: the text of a point",
     "varieties.ProjectivePoint.__setattr__": "immutability guard",
     "varieties._singular_points_fp.<locals>.slot_candidates": "the candidate filter for slots of 32 and 64 bits",
+    "varieties._slot_reducer.<locals>.slot_residues": "the slot reduction for slots of 32 and 64 bits or p >= 128",
 }
 
 

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -1178,6 +1179,67 @@ def test_scan_refuses_a_prime_too_large_for_64_bit_slots(monkeypatch):
     monkeypatch.setattr(varieties, "range", no_table, raising=False)
     with pytest.raises(ValueError, match="64-bit slots"):
         varieties._singular_points_fp(fp)
+
+
+def test_scan_refuses_a_polynomial_that_is_not_a_form():
+    # the zero head's planes are summed unreduced, bounded only because each
+    # (j, k) carries one power of x in a form; a point of P^3 is also no
+    # zero of a polynomial whose value depends on its representative
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    fp = (x[3] ** 4 + x[0] * x[1]).mod_p(7)
+    with pytest.raises(ValueError, match="^not a form"):
+        varieties._singular_points_fp(fp)
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+@pytest.mark.parametrize("p", [5, 23, 37, 127, 131, 251])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_slot_reducer_matches_struct_residues(width, p, data):
+    # every slot value of the width, so with 16-bit slots and p >= 128 the
+    # residues of a slot's two bytes could sum past a byte: those primes
+    # must take the struct path, and every p < 128 the byte path
+    slots = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+    layout = f"<{len(slots)}{varieties._SLOT_FORMATS[width]}"
+    packed = int.from_bytes(struct.pack(layout, *slots), "little")
+    reduce = varieties._slot_reducer(p, width, len(slots))
+    assert (reduce.__name__ == "byte_residues") == (width == 16 and p < 128)
+    reduced = reduce(packed).to_bytes(len(slots) * width // 8, "little")
+    assert list(struct.unpack(layout, reduced)) == [v % p for v in slots]
+
+
+def test_packed_kernel_bounds_plane_slots_by_the_powers_of_x():
+    # t^8 − (r·x0 − x1)^8 has T = 2 pairs (j, k), (0, 0) and (8, 0), and
+    # N = 9 powers of x = x1, so at p = 151 only N·(p−1)² needs 32-bit slots.
+    # It is singular exactly on the line r·x0 = x1, t = 0, whose points other
+    # than (0, 0, 1, 0) lie on the plane x = r, and there every slot on the
+    # line holds sum_e (r^e mod p)·(c_e mod p), past 2^16
+    p, r = 151, 12
+    assert 2 * (p - 1) ** 2 < 1 << 16 <= 9 * (p - 1) ** 2
+    x0, x1, _, t = (MultiPoly.variable(4, i) for i in range(4))
+    fp = (t**8 - (x0 * r - x1) ** 8).mod_p(p)
+    assert sum(pow(r, e, p) * fp.terms[8 - e, e, 0, 0] for e in range(9)) >= 1 << 16
+    assert varieties._singular_points_fp(fp) == [(1, r, y, 0) for y in range(p)] + [(0, 0, 1, 0)]
+
+
+def _bench_draw(rng, p):
+    """A hyperplane section as the sections benchmark draws them (six
+    coefficients in [−30, 30]) whose chart reduces mod p."""
+    while True:
+        try:
+            model = hyperplane_section([rng.randint(-30, 30) for _ in range(6)])
+            model.chart.mod_p(p)
+        except ValueError:  # a GenericityError, or p divides a denominator
+            continue
+        return model
+
+
+@pytest.mark.parametrize("p", [29, 31, 37])
+def test_seeded_sections_scan_as_the_reference_at_bench_primes(p):
+    # the slot width and the reduction path depend on p: at the benchmark's
+    # other primes every line's tables are reduced by the byte path
+    model = _bench_draw(random.Random(p), p)
+    assert singular_scan_fp(model, p) == reference_scan(model, p)
 
 
 def test_scan_accepts_sum_zero_in_any_representation(segre):
