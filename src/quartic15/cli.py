@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("involutions", "involution certification", lambda r, args: checks_involutions(r))
     command("pentads", "pentad classification", lambda r, args: checks_pentads(r))
     table1 = command("table1", "singular-point table solver", lambda r, args: checks_table1(r, args.n))
-    table1.add_argument("--n", type=int, required=True)
+    table1.add_argument("--n", type=int, choices=range(2, 8), required=True)  # the order-2 family
     return parser
 
 
@@ -692,6 +692,11 @@ def run(argv, out=None) -> tuple[int, Runner]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.json:
+            try:  # refuse an unwritable report path before any check runs
+                open(args.json, "a").close()
+            except OSError as exc:
+                parser.error(f"argument --json: cannot write {args.json}: {exc.strerror}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return (code if code else 0), Runner(0, list(argv), out)

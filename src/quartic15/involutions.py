@@ -36,6 +36,7 @@ from .nodal_surface import (
     E,
     ETA,
     L_SET,
+    NODE_INDEX,
     NODES,
     DivisorClass,
     eta_star,
@@ -101,7 +102,7 @@ def tau_rey_star() -> Isometry:
 def tau_pentad_star(pentad: Sequence[Duad]) -> Isometry:
     """Reflection attached to a pentad of nodes (admissibility not required)."""
     p = tuple(sorted(pentad))
-    if len(p) != 5 or len(set(p)) != 5:
+    if len(p) != 5 or len(set(p)) != 5 or not set(p) <= NODE_INDEX.keys():
         raise ValueError("a pentad consists of five distinct node labels")
     return _root_reflection(_pentad_name(p), pentad_root(p))
 

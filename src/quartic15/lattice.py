@@ -571,30 +571,22 @@ def _isqrt_exact(x: int) -> int:
 class RowBasis:
     """Integer coordinates over a fixed row basis B = rows/den of integer rows.
 
-    Rows already in echelon form (such as the HNF basis of `overlattice`)
-    are used as they are; other rows are brought to Hermite normal form
-    H = U·rows once.  Each x·B = v/d is then solved by forward substitution
-    along the pivots with a divisibility test at every pivot, so membership
-    is an exact integer decision.
+    The rows are brought to Hermite normal form H = U·rows once, and U is
+    kept as its sparse rows.  Each x·B = v/d is then solved as y·H = v·den/d
+    by forward substitution along the pivots, with a divisibility test at
+    every pivot, so membership is an exact integer decision; x = y·U.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
         self.rows = [[index(x) for x in row] for row in rows]  # integers only, no truncation
         self.den = den
         self.ncols = len(self.rows[0])
-        self.hnf, self.transform = self.rows, None
-        self.pivots = self._pivots()
-        # echelon form: strictly increasing pivots, a zero row would come last
-        if any(a >= b for a, b in zip(self.pivots, self.pivots[1:])) or self.pivots[-1] == self.ncols:
-            self.hnf, u = hermite_normal_form(self.rows)
-            self.transform = _sparse_rows(u)  # U as its sparse rows
-            self.pivots = self._pivots()
-            if self.pivots[-1] == self.ncols:
-                raise ValueError("basis rows must be linearly independent")
-
-    def _pivots(self) -> list[int]:
-        """The column of the first nonzero entry of each row of hnf (ncols for a zero row)."""
-        return [next((j for j, x in enumerate(row) if x), self.ncols) for row in self.hnf]
+        self.hnf, u = hermite_normal_form(self.rows)
+        self.transform = _sparse_rows(u)  # U as its sparse rows
+        # the column of the first nonzero entry of each row of H (ncols for a zero row)
+        self.pivots = [next((j for j, x in enumerate(row) if x), self.ncols) for row in self.hnf]
+        if self.pivots[-1] == self.ncols:
+            raise ValueError("basis rows must be linearly independent")
 
     def coordinates(self, v: Sequence[int], den: int = 1) -> Optional[list[int]]:
         """The integer x with x·B = v/den, or None if v/den is not in the lattice."""
@@ -614,8 +606,6 @@ class RowBasis:
                 w = [a - q * b for a, b in zip(w, row)]
         if any(w):
             return None
-        if self.transform is None:
-            return y
         x = [0] * len(self.rows)  # y·U, over the nonzero entries of y and U
         for c, urow in zip(y, self.transform):
             if c:

@@ -297,11 +297,12 @@ def picard_lattice() -> Overlattice:
     glued generators; every class of `standard_classes()` must lie in it.
     The named basis is then certified to span the same lattice: each named
     class has integer coordinates on the HNF basis (the rows of an integer
-    matrix T), and each HNF row has integer coordinates on the named basis.
-    The named Gram is T·G·T^T, with G the Gram matrix of the glued lattice,
-    so it is integral by construction.  The basis holds integer rows over
-    `basis.den` in the coordinates (eta, E_x), so a class reaches the
-    lattice through `pic_coordinates`.
+    matrix T), so the named classes span a sublattice of index |det T|,
+    which is the whole lattice exactly when |det T| = 1.  The named Gram is
+    T·G·T^T, with G the Gram matrix of the glued lattice, so it is integral
+    by construction.  The basis holds integer rows over `basis.den` in the
+    coordinates (eta, E_x), so a class reaches the lattice through
+    `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
@@ -317,12 +318,10 @@ def picard_lattice() -> Overlattice:
         if c is None:
             raise AssertionError(f"named basis class {i} must lie in the Picard lattice")
         coords.append(c)
-    named = RowBasis([hnf.vector(c) for c in coords], den)
-    for i, row in enumerate(hnf.rows):
-        if named.coordinates(row, den) is None:
-            raise AssertionError(f"HNF basis row {i} must lie in the span of the named basis")
+    if (index := abs(det_bareiss(coords))) != 1:
+        raise AssertionError(f"the named classes do not span the Picard lattice: |det T| = {index}")
     gram = mat_mul(mat_mul(coords, over.lattice.gram), mat_transpose(coords))
-    return Overlattice(IntegerLattice(gram), named, over.index)
+    return Overlattice(IntegerLattice(gram), RowBasis([hnf.vector(c) for c in coords], den), over.index)
 
 
 def pic_coordinates(cls: DivisorClass, what: str, *, name_class: bool = False) -> list[int]:
@@ -610,7 +609,10 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
 
     eta -> eta, E_x -> N_x, sigma(E_x) -> T_x for conic-type x, and
     sigma(E_y) -> T_y + T_0 + N_0 for quartic-type y; the image must be the
-    orthogonal complement of N_0 with the same Gram matrix.
+    orthogonal complement of N_0 with the same Gram matrix.  With C the
+    image rows' Kummer coordinates and G the Kummer Gram, an image inside
+    the complement and of its rank has index sqrt(det C·G·C^T / det comp),
+    so it is the whole complement exactly when the two determinants agree.
     """
     pic = picard_lattice()
     kum = kummer_model()
@@ -628,31 +630,23 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     # pairing exactly when the Kummer ambient Gram matrix without N_0's row
     # and column is the ambient one
     kummer_gram = KUMMER_AMBIENT.gram
-    if tuple(r[:1] + r[2:] for r in kummer_gram[:1] + kummer_gram[2:]) != AMBIENT.gram:
-        pairings = False
-    den = pic.basis.den
+    pairings = pairings and tuple(r[:1] + r[2:] for r in kummer_gram[:1] + kummer_gram[2:]) == AMBIENT.gram
     image_rows = [_specialize(row) for row in pic.basis.rows]
     # image vectors lie in the Kummer lattice and are orthogonal to N_0
-    image_in_kummer = [kum.basis.coordinates(v, den) for v in image_rows]
+    image_in_kummer = [kum.basis.coordinates(v, pic.basis.den) for v in image_rows]
     in_lattice = all(c is not None for c in image_in_kummer)
     orthogonal = all(KUMMER_AMBIENT.form(v, n0) == 0 for v in image_rows)
     # the orthogonal complement of N_0 inside the Kummer lattice
     n0_coords = kum.basis.coordinates(n0)
     if n0_coords is None:
         raise AssertionError("the node N_0 must lie in the Kummer lattice")
-    comp, comp_basis = orthogonal_complement(kum.lattice, [n0_coords])
-    # image coordinates in the Kummer basis, then in the complement basis
-    equals_complement = comp.rank == RANK
-    gram_match = False
-    if equals_complement and in_lattice:
-        comp_coords = RowBasis(comp_basis)
-        trans = [comp_coords.coordinates(vec) for vec in image_in_kummer]
-        equals_complement = all(t is not None for t in trans)
-        if equals_complement:
-            equals_complement = abs(det_bareiss(trans)) == 1
-            # induced Gram on the image equals the Picard Gram
-            got = mat_mul(mat_mul(trans, comp.gram), mat_transpose(trans))
-            gram_match = got == [list(r) for r in pic.lattice.gram]
+    comp, _ = orthogonal_complement(kum.lattice, [n0_coords])
+    equals_complement = gram_match = False
+    if in_lattice:
+        got = mat_mul(mat_mul(image_in_kummer, kum.lattice.gram), mat_transpose(image_in_kummer))
+        equals_complement = orthogonal and comp.rank == RANK and det_bareiss(got) == comp.det()
+        # induced Gram on the image equals the Picard Gram
+        gram_match = got == [list(r) for r in pic.lattice.gram]
     return KummerEmbeddingCertificate(
         pairings_preserved=pairings,
         image_in_lattice=in_lattice,

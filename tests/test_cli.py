@@ -144,6 +144,29 @@ def test_vacuous_sampling_is_a_usage_error(capsys):
     assert code == 0 and report.checks[0]["details"].startswith("1 seeded")
 
 
+@pytest.mark.parametrize("n", [1, 8])
+def test_table1_outside_the_order_two_family_is_a_usage_error(capsys, n):
+    # the order-2 family has 2 <= n <= 7: any other n is refused at parse time
+    code, report, _ = run_quiet(["table1", "--n", str(n)])
+    assert code == 2 and report.checks == []
+    assert f"argument --n: invalid choice: {n}" in capsys.readouterr().err
+
+
+def test_an_unwritable_json_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    from quartic15 import cli
+
+    ran = []
+    monkeypatch.setattr(cli.Runner, "run", lambda self, *args: ran.append(args))
+    path = tmp_path / "no-such-dir" / "r.json"
+    for argv in (["--json", str(path), "code"], ["code", "--json", str(tmp_path)]):
+        code, report, _ = run_quiet(argv)
+        assert code == 2 and report.checks == [] and ran == [], argv
+        err = capsys.readouterr().err
+        assert f"argument --json: cannot write {argv[argv.index('--json') + 1]}: " in err
+        assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_json_report_determinism(tmp_path):
     path = tmp_path / "report.json"
     argv = ["--seed", "3", "--no-timing", "--json", str(path), "duality", "--samples", "5"]

@@ -83,6 +83,18 @@ def test_tau_pentad_examples(model):
         assert _apply_to_class(tau, E[x]) == E[x]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((2, 1), (1, 3), (1, 4), (1, 5), (1, 6)),  # a reversed duad is no node label
+        ((1, 2), (1, 3), (1, 4), (1, 5), (1, 7)),  # 7 is no point of [1, 6]
+    ],
+)
+def test_tau_pentad_star_refuses_labels_that_are_no_nodes(bad):
+    with pytest.raises(ValueError, match="^a pentad consists of five distinct node labels$"):
+        tau_pentad_star(bad)
+
+
 def test_verify_relations():
     rep = verify_relations()
     assert rep.goepel_conjugation

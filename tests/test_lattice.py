@@ -328,7 +328,7 @@ def test_row_basis_coordinates():
     l = direct_sum(diagonal_lattice(4), *[A1] * 6)
     res = overlattice(l, [[1] * 7], 2)
     coords = res.basis
-    assert coords.den == 2 and coords.transform is None  # the HNF rows, used as they are
+    assert coords.den == 2
     v = [1] * 6 + [-1]  # numerators over 2
     x = coords.coordinates(v, 2)
     assert [Fraction(a, coords.den) for a in coords.vector(x)] == [Fraction(a, 2) for a in v]

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -277,6 +278,25 @@ def test_an_altered_kummer_ambient_entry_turns_the_kummer_embedding_red(monkeypa
     assert cert.image_equals_complement and cert.gram_match
 
 
+def test_an_index_two_complement_turns_only_image_equals_complement_red(monkeypatch):
+    # the complement's first basis row doubled: a sublattice of the same rank
+    # and index 2, so its det is 4 times that of the image of Pic
+    real = ns.orthogonal_complement
+
+    def index_two(lat, vectors):
+        comp, basis = real(lat, vectors)
+        basis = [[2 * x for x in basis[0]], *basis[1:]]
+        sub = IntegerLattice([[lat.form(a, b) for b in basis] for a in basis])
+        assert sub.rank == comp.rank and sub.det() == 4 * comp.det()
+        return sub, basis
+
+    monkeypatch.setattr(ns, "orthogonal_complement", index_two)
+    cert = kummer_embedding_check()
+    assert not cert.image_equals_complement
+    assert cert.pairings_preserved and cert.image_in_lattice
+    assert cert.image_orthogonal_to_n0 and cert.gram_match
+
+
 def test_pic_coordinates_names_a_class_off_the_lattice():
     assert pic_coordinates(E[(1, 2)], "E_12") == picard_lattice().basis.coordinates(E[(1, 2)].nums)
     with pytest.raises(ValueError, match="^half of E_12 is not in the Picard lattice$"):
@@ -445,7 +465,7 @@ def test_named_basis_is_a_unimodular_change_of_the_hnf_basis():
     "swap, message",
     [
         # sigma(E_12) for its pivot E_35: the 16 classes span an index-2 sublattice
-        (E[(3, 5)], "HNF basis row 0 must lie in the span of the named basis"),
+        (E[(3, 5)], "the named classes do not span the Picard lattice: |det T| = 2"),
         # sigma(E_12) for half of E_12, which is off the lattice
         (E[(1, 2)] / 2, "named basis class 1 must lie in the Picard lattice"),
     ],
@@ -456,7 +476,7 @@ def test_a_wrong_named_basis_makes_picard_lattice_raise(monkeypatch, swap, messa
     monkeypatch.setattr(ns, "_named_basis_classes", lambda: classes)
     ns.picard_lattice.cache_clear()
     try:
-        with pytest.raises(AssertionError, match=f"^{message}$"):
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             ns.picard_lattice()
     finally:
         ns.picard_lattice.cache_clear()
@@ -486,7 +506,7 @@ def test_the_named_basis_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
-    assert "raised HNF basis row 0 must lie in the span of the named basis" in proc.stdout
+    assert "raised the named classes do not span the Picard lattice: |det T| = 2" in proc.stdout
 
 
 def test_the_named_gram_is_the_ambient_gram_of_the_named_rows():
