@@ -615,6 +615,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _scan_prime(text: str) -> int:
+    try:
+        return va.check_scan_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _global_flags(**defaults) -> argparse.ArgumentParser:
     """The flags accepted both before and after the subcommand.
 
@@ -676,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         "section", "hyperplane section checks", lambda r, args: checks_section(r, args.coeffs, args.scan_prime)
     )
     section.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    section.add_argument("--scan-prime", type=int, default=None)
+    section.add_argument("--scan-prime", type=_scan_prime, default=None)
     command("tangent-section", "tangent hyperplane section checks", lambda r, args: checks_tangent_section(r))
     command("lattice", "Picard and Kummer lattice checks", lambda r, args: checks_lattice(r))
     command("code", "even-set code checks", lambda r, args: checks_code(r))

@@ -239,11 +239,10 @@ def cremona_richmond_model() -> IncidenceStructure:
 class Orbit(NamedTuple):
     representative: Hashable
     elements: tuple
-    stabilizer_order: int
 
 
 def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterable) -> list[Orbit]:
-    """Orbit partition with stabilizer orders; checks the action axioms.
+    """Orbit partition; checks the action axioms.
 
     `images(x)` must list the images of x under the permutations of S6, in
     the order of `s6_elements()`, for a left action of S6 on the elements.
@@ -251,16 +250,17 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
     (for the first three elements).  Each new orbit takes one call of
     `images`, which gives the orbit and the stabilizer of its first element
     together; the images must stay in the element set, and |orbit|*|stab| =
-    720 is verified for every orbit.  Orbits come in the order of their
+    720 is verified for every orbit, so a returned orbit's size fixes its
+    stabilizer order as 720/|orbit|.  Orbits come in the order of their
     first elements, and each lists its elements in the given order, so the
     representative is its first element (the least one when the elements
     are given sorted).
 
     In the library, only `pentads.orbit_partition` calls it, on the 3003
     pentad masks.  The tests certify through it that S6 permutes each of
-    these in one orbit: the 15 nodes and the 15 double lines (stabilizer
-    48), the 6 totals (120), the 10 tropes (72) and the even-set code words
-    of weight 6, 8 and 10.
+    these in one orbit: the 15 nodes and the 15 double lines (orbit 15,
+    stabilizer 48), the 6 totals (stabilizer 120), the 10 tropes (72) and
+    the even-set code words of weight 6, 8 and 10.
     """
     elements = list(elements)
     group = s6_elements()
@@ -295,6 +295,6 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
         stab = xs.count(x)
         if stab * len(orbit) != 720:
             raise AssertionError("orbit-stabilizer identity failed")
-        orbits.append(Orbit(x, tuple(sorted(orbit, key=position.__getitem__)), stab))
+        orbits.append(Orbit(x, tuple(sorted(orbit, key=position.__getitem__))))
         seen |= orbit
     return orbits

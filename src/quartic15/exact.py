@@ -392,8 +392,7 @@ class ModPoly:
     """Polynomial with coefficients reduced mod p, used by the F_p singular
     scans.  It holds `poly`, the `MultiPoly` of the reduced coefficients in
     [1, p) over den 1, and reads through its integer kernel: `terms` is its
-    read-only `nums`, `evaluate` its integer value reduced mod p, and
-    `partial` its partial reduced."""
+    read-only `nums` and `evaluate` its integer value reduced mod p."""
 
     __slots__ = ("nvars", "p", "poly", "terms")
 
@@ -407,9 +406,6 @@ class ModPoly:
 
     def evaluate(self, point: Sequence[int]) -> int:
         return self.poly._integer_value(point) % self.p
-
-    def partial(self, i: int) -> "ModPoly":
-        return ModPoly(self.nvars, self.p, self.poly.partial(i).nums)
 
     def __eq__(self, other):
         return isinstance(other, ModPoly) and (self.p, self.poly) == (other.p, other.poly)

@@ -6,9 +6,10 @@ vector 2*eta - sum_L E, one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes, and the S6 relabelings of the nodes.  Every one is a
 `lattice.Isometry`, held by its sparse rows, on the named Z-basis of the
 one Picard lattice (eta, the five glue classes sigma(E_d) and the ten E_x
-off the code's pivots; `nodal_surface.picard_basis_classes`), which each
-function reads from the cached `picard_lattice()`; a class reaches that
-basis through its integer coordinates `nodal_surface.pic_coordinates`.  On
+off the code's pivots), read as classes from
+`nodal_surface.picard_basis_classes()` and as a lattice from the cached
+`picard_lattice()`; a class reaches that basis through its integer
+coordinates `nodal_surface.pic_coordinates`.  On
 that basis the Gram matrix has 76 nonzero entries and the median pentad
 root 9 nonzero coordinates, against 112 and 13 on the Hermite normal form
 basis the lattice is certified on, so the 6,006 full products below take

@@ -448,17 +448,15 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
 
 
 class FiniteAbelianInvariants(NamedTuple):
-    """Discriminant group data: invariant factors, generators, and q-values.
+    """Discriminant group data: invariant factors and generators.
 
     Generator i is the dual vector generators[i]/invariant_factors[i]: an
-    integer row in the lattice basis over its order d_i.  q_values are the
-    Q/2Z values of the quadratic form on the generators, represented exactly
-    in [0, 2).
+    integer row in the lattice basis over its order d_i.  The discriminant
+    form is read over the whole group by `discriminant_q_multiset`.
     """
 
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    q_values: tuple[Fraction, ...]
 
     @property
     def order(self) -> int:
@@ -471,7 +469,6 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
         raise ValueError("degenerate lattice")
     d, u, v = smith_normal_form([list(r) for r in lat.gram])
     gens = []
-    qs = []
     factors = []
     for i in range(lat.rank):
         di = d[i][i]
@@ -483,11 +480,10 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
             raise AssertionError("dual generator check failed")
         factors.append(di)
         gens.append(tuple(u[i]))
-        qs.append(Fraction(lat.form(u[i], u[i]) % (2 * di * di), di * di))
     order = reduce(lambda a, b: a * b, factors, 1)
     if order != abs(lat.det()):
         raise AssertionError("group order must equal |det|")
-    return FiniteAbelianInvariants(tuple(factors), tuple(gens), tuple(qs))
+    return FiniteAbelianInvariants(tuple(factors), tuple(gens))
 
 
 def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
@@ -630,7 +626,8 @@ def orthogonal_complement(
     Returns (lattice, basis rows in L's coordinates).  A = G·S^T has one
     column per vector s, and one HNF gives U·A = H: the rows of U at the zero
     rows of H span the integer kernel of A, and since U is unimodular that
-    kernel is saturated, so the result is primitive.
+    kernel is saturated, so the result is primitive.  The basis, formed by
+    the HNF anyway, is the one witness of the rows the Gram is taken on.
     """
     n = lat.rank
     if not vectors:

@@ -294,30 +294,29 @@ def picard_lattice() -> Overlattice:
     the named basis `picard_basis_classes()`, built once.
 
     The lattice is built and certified on the Hermite normal form of the
-    glued generators; every class of `standard_classes()` must lie in it.
-    The named basis is then certified to span the same lattice: each named
-    class has integer coordinates on the HNF basis (the rows of an integer
-    matrix T), so the named classes span a sublattice of index |det T|,
-    which is the whole lattice exactly when |det T| = 1.  The named Gram is
-    T·G·T^T, with G the Gram matrix of the glued lattice, so it is integral
-    by construction.  The basis holds integer rows over `basis.den` in the
-    coordinates (eta, E_x), so a class reaches the lattice through
-    `pic_coordinates`.
+    glued generators; every class of `standard_classes()` must lie in it,
+    and its coordinates on the HNF basis are solved once, in that check.
+    The named basis classes are among these classes, and their coordinates
+    are the rows of an integer matrix T, so the named classes span a
+    sublattice of index |det T|, which is the whole lattice exactly when
+    |det T| = 1.  The named Gram is T·G·T^T, with G the Gram matrix of the
+    glued lattice, so it is integral by construction.  The basis holds
+    integer rows over `basis.den` in the coordinates (eta, E_x), so a class
+    reaches the lattice through `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
     hnf, den = over.basis, over.basis.den
+    solved: dict[DivisorClass, list[int]] = {}
     for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
-        if hnf.coordinates(cls.nums, cls.den) is None:
+        if (c := hnf.coordinates(cls.nums, cls.den)) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
-    coords = []
-    for i, cls in enumerate(_named_basis_classes()):
-        c = hnf.coordinates(cls.nums, cls.den)
-        if c is None:
-            raise AssertionError(f"named basis class {i} must lie in the Picard lattice")
-        coords.append(c)
+        solved[cls] = c
+    coords = [solved.get(cls) for cls in picard_basis_classes()]
+    if None in coords:
+        raise AssertionError(f"named basis class {coords.index(None)} must lie in the Picard lattice")
     if (index := abs(det_bareiss(coords))) != 1:
         raise AssertionError(f"the named classes do not span the Picard lattice: |det T| = {index}")
     gram = mat_mul(mat_mul(coords, over.lattice.gram), mat_transpose(coords))
@@ -336,8 +335,9 @@ def pic_coordinates(cls: DivisorClass, what: str, *, name_class: bool = False) -
     return coords
 
 
-def _named_basis_classes() -> list[DivisorClass]:
-    """eta, the glue classes sigma(E_d) = (eta − sum_{x in T_d} E_x)/2 for d in
+def picard_basis_classes() -> list[DivisorClass]:
+    """The named basis of the Picard lattice, in the order of its rows: eta,
+    the glue classes sigma(E_d) = (eta − sum_{x in T_d} E_x)/2 for d in
     CODE_BASIS_DUADS, and the ten E_x with x off CODE_PIVOTS.  Each pivot's
     E_x is eta − 2 sigma(E_d) minus the other five E of T_d, which are all
     named, so these classes span the glued lattice; `picard_lattice`
@@ -347,14 +347,6 @@ def _named_basis_classes() -> list[DivisorClass]:
         + [sigma_class(d) for d in CODE_BASIS_DUADS]
         + [E[x] for x in NODES if x not in CODE_PIVOTS]
     )
-
-
-def picard_basis_classes() -> list[DivisorClass]:
-    """The named basis of the Picard lattice as divisor classes, read off the
-    cached lattice: eta, the five sigma(E_d) for d in CODE_BASIS_DUADS and the
-    ten E_x with x off CODE_PIVOTS."""
-    basis = picard_lattice().basis
-    return [DivisorClass(tuple(row), basis.den) for row in basis.rows]
 
 
 def verify_class_identities() -> dict[str, bool]:

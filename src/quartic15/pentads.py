@@ -136,11 +136,8 @@ def classify_all() -> Mapping[Pentad, PentadClass]:
 
 
 class PentadOrbit(NamedTuple):
-    representative: Pentad
     size: int
-    admissible: bool
     goepel: bool
-    trope_triple_count: int
 
 
 @lru_cache(maxsize=None)
@@ -177,30 +174,17 @@ def orbit_partition() -> tuple[tuple[tuple[Pentad, tuple[Pentad, ...]], ...], Ma
 
 
 def orbit_table() -> list[PentadOrbit]:
-    """S6 orbits of all pentads with their classification data."""
+    """S6 orbits of all pentads, in the order of `orbit_partition`, each with
+    its size and whether it is Goepel.  Raises unless the classification
+    (admissible, Goepel, trope-triple count) is constant on each orbit."""
     classes = classify_all()
     orbits, _ = orbit_partition()
-    table: list[PentadOrbit] = []
+    table = []
     for rep, orbit in orbits:
-        cls = classes[rep]
-        # classification must be constant on the orbit
-        for q in orbit:
-            cq = classes[q]
-            if (cq.admissible, cq.goepel, cq.trope_triple_count) != (
-                cls.admissible,
-                cls.goepel,
-                cls.trope_triple_count,
-            ):
-                raise AssertionError("pentad classification must be an orbit invariant")
-        table.append(
-            PentadOrbit(
-                representative=rep,
-                size=len(orbit),
-                admissible=cls.admissible,
-                goepel=cls.goepel,
-                trope_triple_count=cls.trope_triple_count,
-            )
-        )
+        kinds = {(c.admissible, c.goepel, c.trope_triple_count) for c in map(classes.__getitem__, orbit)}
+        if len(kinds) != 1:
+            raise AssertionError("pentad classification must be an orbit invariant")
+        table.append(PentadOrbit(len(orbit), classes[rep].goepel))
     return table
 
 

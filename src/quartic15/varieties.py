@@ -493,8 +493,7 @@ def duality_plane_to_line(s: Syntheme) -> bool:
 
 
 class CardinalRestriction(NamedTuple):
-    scale: Fraction
-    square_root: MultiPoly  # conic q with restriction = scale * q^2
+    square_root: MultiPoly  # conic q with restriction = c·q² for a constant c
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
     hessian: tuple[tuple[int, ...], ...]  # H of q: q on r·t = 0 (r ≠ 0) has rank rank [[H, r], [rᵀ, 0]] − 2
 
@@ -516,9 +515,9 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
         raise AssertionError(
             f"cardinal restriction for {subset} is not a perfect square; model falsified"
         )
-    c, q = result
+    q = result[1]
     hessian = Hypersurface(q, LinearSubspace((), 1, 4)).hessian_at([0] * 4)
-    return CardinalRestriction(c, q, plane, tuple(map(tuple, hessian)))
+    return CardinalRestriction(q, plane, tuple(map(tuple, hessian)))
 
 
 # -- hyperplane sections -----------------------------------------------------------
@@ -570,7 +569,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     certified on the quartic with the section as its ambient, from their
     6-coordinate points; a node's chart point is its entries at the free
     columns, and the model's `chart` is that hypersurface's `chart`.  Each
-    trope is read off the cached `cardinal_restriction` (quartic = scale·q²
+    trope is read off the cached `cardinal_restriction` (quartic = c·q²
     there): its plane is {r·t = 0}, r the pairings of hp with the kernel
     columns, and q cut on it has rank rank [[H, r], [rᵀ, 0]] − 2, H the
     Hessian of q, since r ≠ 0 (r = 0 makes hp, of sum 0, a multiple of the
@@ -785,8 +784,8 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     the zero bytes of one integer made by two byte tables of residues, and
     with wider slots by a set of the multiples.
     Each candidate is confirmed by the value of the form (`ModPoly.evaluate`)
-    and of every partial, the partials read together off one
-    `monomial_table` of the `ModPoly.partial`s.  A prime whose slot bound
+    and of every partial, the partials read together mod p off one
+    `monomial_table` of the gradient of `fp.poly`.  A prime whose slot bound
     does not fit 64 bits, or whose plane would hold 2^32 slots or more, is
     refused before any table is built.
     """
@@ -807,7 +806,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
     if width is None or p * p >= 1 << 32:
         raise ValueError(f"bad prime: {p} is too large for planes of 64-bit slots in a degree-{deg} scan")
-    gradient = monomial_table([fp.partial(i).poly for i in range(n)])
+    gradient = monomial_table(fp.poly.gradient())
 
     def singular(v):
         return fp.evaluate(v) == 0 and not any(g % p for g in table_values(gradient, v))
@@ -911,21 +910,27 @@ def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
         raise ValueError(f"bad prime: {exc}") from exc
 
 
+def check_scan_prime(p: int) -> int:
+    """p, if the F_p scans take it whatever they scan: a prime of at least
+    5.  Otherwise raises ValueError naming the reason."""
+    if not _is_prime(p):
+        raise ValueError(f"bad prime: {p} is not prime")
+    if p < 5:
+        raise ValueError("bad prime: need p >= 5")
+    return p
+
+
 def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     """Exhaustive list of the F_p singular points of `target.chart`, in
     chart coordinates, deduplicated canonically (first nonzero entry 1) and
     in `_projective_reps` order.  Any `Hypersurface` is scanned on its
     chart, whose gradient vanishes exactly where the form's partials lie in
     the span of the ambient's equations (parallel to (1,...,1) on
-    u1+...+u6 = 0); a `SectionModel` on its quartic in P^3.  Moduli that are
-    not prime, primes below 5 and primes dividing a coefficient denominator
-    of the chart are rejected as bad.
+    u1+...+u6 = 0); a `SectionModel` on its quartic in P^3.  Moduli that
+    `check_scan_prime` refuses, and primes dividing a coefficient
+    denominator of the chart, are rejected as bad.
     """
-    if not _is_prime(p):
-        raise ValueError(f"bad prime: {p} is not prime")
-    if p < 5:
-        raise ValueError("bad prime: need p >= 5")
-    return _singular_points_fp(_reduce_mod(target.chart, p))
+    return _singular_points_fp(_reduce_mod(target.chart, check_scan_prime(p)))
 
 
 # -- rational point sampling ------------------------------------------------------

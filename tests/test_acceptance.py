@@ -25,6 +25,7 @@ from quartic15.configs import (
     trope_incidence_model,
 )
 from quartic15.congruence import published_columns, table1_report, two_n_profile
+from quartic15.exact import perfect_square_factor
 
 REFERENCE_COEFFS = (1, 2, 3, 5, 7, 11)
 
@@ -104,7 +105,8 @@ def test_criterion_04_cardinal_tangency():
             res = va.cardinal_restriction(subset)
             plane = res.plane
             restricted = va.cr_quartic_form().substitute_linear(plane.parametrization, plane.den)
-            assert res.scale * res.square_root * res.square_root == restricted
+            scale, root = perfect_square_factor(restricted)
+            assert root == res.square_root and scale * root * root == restricted
         res = va.cardinal_restriction((1, 2, 3))
         stated = va.cardinal_tangency_quadric().substitute_linear(res.plane.parametrization, res.plane.den)
         assert stated * res.square_root.leading_coefficient() == res.square_root * stated.leading_coefficient()

@@ -144,6 +144,24 @@ def test_vacuous_sampling_is_a_usage_error(capsys):
     assert code == 0 and report.checks[0]["details"].startswith("1 seeded")
 
 
+def test_a_scan_prime_outside_the_scan_range_is_a_usage_error(capsys, monkeypatch):
+    # primes below 5 and moduli that are not prime are refused by the one
+    # rule `singular_scan_fp` applies, at parse time, before any check runs
+    from quartic15 import cli
+
+    ran = []
+    monkeypatch.setattr(cli.Runner, "run", lambda self, *args: ran.append(args))
+    for prime, reason in (("4", "4 is not prime"), ("1", "1 is not prime"), ("3", "need p >= 5"),
+                          ("-7", "-7 is not prime"), ("25", "25 is not prime")):
+        code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", f"--scan-prime={prime}"])
+        assert code == 2 and report.checks == [] and ran == [], prime
+        assert f"argument --scan-prime: bad prime: {reason}" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", "5"])
+    assert code == 0 and [c["id"] for c in report.checks][-1] == "section-scan-f5[1,2,3,5,7,11]"
+    assert len(report.checks) == 4
+
+
 @pytest.mark.parametrize("n", [1, 8])
 def test_table1_outside_the_order_two_family_is_a_usage_error(capsys, n):
     # the order-2 family has 2 <= n <= 7: any other n is refused at parse time

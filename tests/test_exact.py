@@ -269,11 +269,10 @@ def test_floats_are_refused():
 def test_partial_refuses_an_index_out_of_range():
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     f = z0 * z0 * z1
-    assert f.partial(1) == z0 * z0 and f.mod_p(7).partial(1) == (z0 * z0).mod_p(7)
-    for poly in (f, f.mod_p(7)):
-        for i in (-1, 2):
-            with pytest.raises(ValueError, match=f"variable index {i} out of range for 2 variables"):
-                poly.partial(i)
+    assert f.partial(1) == z0 * z0
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"variable index {i} out of range for 2 variables"):
+            f.partial(i)
 
 
 def test_substitute_linear_refuses_a_den_below_one():
@@ -773,8 +772,9 @@ def test_mod_p_reads_values_and_partials_through_the_integer_kernel(case, p):
     while f.den % p == 0:
         f = f.scale(p)
     fp = f.mod_p(p)
+    # the F_p scan reads the partials of `fp.poly`: reduction commutes with them
     for i in range(f.nvars):
-        assert fp.partial(i) == f.partial(i).mod_p(p)
+        assert fp.poly.partial(i).mod_p(p) == f.partial(i).mod_p(p)
     exact = RefPoly.of(f).evaluate(pt)
     assert fp.evaluate(pt) == exact.numerator * pow(exact.denominator, -1, p) % p
 

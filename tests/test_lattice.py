@@ -130,12 +130,11 @@ def test_hermite_normal_form_random():
 
 def test_discriminant_group_small():
     assert discriminant_group(U).invariant_factors == ()
-    a1 = discriminant_group(A1)
-    assert a1.invariant_factors == (2,)
-    assert a1.q_values == (Fraction(3, 2),)  # -1/2 mod 2Z
-    four = discriminant_group(diagonal_lattice(4))
-    assert four.invariant_factors == (4,)
-    assert four.q_values == (Fraction(1, 4),)
+    assert discriminant_group(A1).invariant_factors == (2,)
+    assert discriminant_q_multiset(A1) == {0: 1, Fraction(3, 2): 1}  # -1/2 mod 2Z
+    four = diagonal_lattice(4)
+    assert discriminant_group(four).invariant_factors == (4,)
+    assert discriminant_q_multiset(four) == {0: 1, Fraction(1, 4): 2, 1: 1}  # k²/4 mod 2Z
 
 
 def test_discriminant_group_item47_lattice():

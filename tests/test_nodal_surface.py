@@ -96,7 +96,8 @@ def test_code_words_orbit_structure():
         words = sorted(w for w in code.words if bin(w >> 1).count("1") == weight)
         orbits = s6_orbits(lambda w: [act(g, w) for g in s6_elements()], words)
         assert len(orbits) == 1
-        assert len(orbits[0].elements) == orbit_size and orbits[0].stabilizer_order == stab
+        # s6_orbits certifies |orbit|·|stab| = 720
+        assert len(orbits[0].elements) == orbit_size == 720 // stab
 
 
 def test_pic_membership_words_and_nonwords():
@@ -471,15 +472,36 @@ def test_named_basis_is_a_unimodular_change_of_the_hnf_basis():
     ],
 )
 def test_a_wrong_named_basis_makes_picard_lattice_raise(monkeypatch, swap, message):
-    real = ns._named_basis_classes()
+    real = ns.picard_basis_classes()
     classes = real[:1] + [swap] + real[2:]
-    monkeypatch.setattr(ns, "_named_basis_classes", lambda: classes)
+    monkeypatch.setattr(ns, "picard_basis_classes", lambda: classes)
     ns.picard_lattice.cache_clear()
     try:
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             ns.picard_lattice()
     finally:
         ns.picard_lattice.cache_clear()
+
+
+def test_a_cold_picard_lattice_solves_each_standard_class_once(monkeypatch):
+    # the named basis reuses the coordinates its 16 classes got in the
+    # membership check over the 53 standard classes
+    calls = []
+    coordinates = RowBasis.coordinates
+
+    def counted(self, *args):
+        calls.append(args)
+        return coordinates(self, *args)
+
+    monkeypatch.setattr(RowBasis, "coordinates", counted)
+    assert len(standard_classes()) == 53
+    ns.picard_lattice.cache_clear()
+    try:
+        model = ns.picard_lattice()
+    finally:
+        ns.picard_lattice.cache_clear()
+    assert len(calls) == 53
+    assert [DivisorClass(tuple(row), model.basis.den) for row in model.basis.rows] == picard_basis_classes()
 
 
 def test_the_pivot_swap_spans_an_index_two_sublattice():
@@ -494,8 +516,8 @@ def test_the_named_basis_check_survives_optimize_flag():
     # the same pivot swap under -O, where a bare assert would vanish
     code = (
         "import quartic15.nodal_surface as ns\n"
-        "real = ns._named_basis_classes()\n"
-        "ns._named_basis_classes = lambda: real[:1] + [ns.E[(3, 5)]] + real[2:]\n"
+        "real = ns.picard_basis_classes()\n"
+        "ns.picard_basis_classes = lambda: real[:1] + [ns.E[(3, 5)]] + real[2:]\n"
         "print('debug', __debug__)\n"
         "try:\n"
         "    ns.picard_lattice()\n"

@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import networkx as nx
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import random
 
+from quartic15 import cli, pentads
 from quartic15.configs import POINTS, apply_perm_duad_set, s6_elements, trope_node_sets
 from quartic15.lattice import det_bareiss
 from quartic15.nodal_surface import C_SET, NODES
@@ -149,13 +151,29 @@ def test_pentad_masks_are_the_pentads_in_order():
 
 
 def test_orbit_table_counts():
-    table = orbit_table()
-    admissible_total = sum(o.size for o in table if o.admissible)
-    assert admissible_total == sum(1 for c in classify_all().values() if c.admissible)
-    # the type-II pentad's orbit carries 3 trope-triples
-    rep_counts = {o.representative: o.trope_triple_count for o in table}
+    classes = classify_all()
+    orbits, _ = orbit_partition()
+    assert [o.size for o in orbit_table()] == [len(orbit) for _, orbit in orbits]
+    admissible_total = sum(len(orbit) for rep, orbit in orbits if classes[rep].admissible)
+    assert admissible_total == sum(1 for c in classes.values() if c.admissible)
+    # the type-II pentad's orbit, keyed by its least pentad, carries 3 trope-triples
+    rep_counts = {rep: classes[rep].trope_triple_count for rep, _ in orbits}
     rep = min(apply_perm_duad_set(g, TYPE_II) for g in s6_elements())
     assert rep_counts[rep] == 3
+
+
+def test_a_classification_that_varies_on_an_orbit_turns_pentads_classified_red(monkeypatch):
+    orbits, _ = orbit_partition()
+    rep, orbit = next((rep, orbit) for rep, orbit in orbits if len(orbit) > 1)
+    flipped = dict(classify_all())
+    flipped[orbit[1]] = flipped[orbit[1]]._replace(admissible=not flipped[rep].admissible)
+    monkeypatch.setattr(pentads, "classify_all", lambda: flipped)
+    with pytest.raises(AssertionError, match="^pentad classification must be an orbit invariant$"):
+        orbit_table()
+    code, report = cli.run(["pentads"], out=io.StringIO())
+    assert code == 1
+    (check,) = [c for c in report.checks if c["id"] == "pentads-classified"]
+    assert check["status"] == "fail" and check["error"]["type"] == "AssertionError"
 
 
 def test_graph_criterion_readings_disagree_on_goepel():
@@ -342,11 +360,12 @@ def test_cofactor_determinants_match_bareiss_on_random_points():
 
 def test_pencil_classes_every_admissible_orbit():
     # the exact pencil identities hold for one representative per orbit
-    for o in orbit_table():
-        if o.admissible:
-            data = pencil_classes(o.representative)
+    classes = classify_all()
+    for rep, _ in orbit_partition()[0]:
+        if classes[rep].admissible:
+            data = pencil_classes(rep)
             assert data.half_sum.norm() == 10
-            assert len(classify(o.representative).trope_triples) == o.trope_triple_count
+            assert len(classify(rep).trope_triples) == classes[rep].trope_triple_count
 
 
 def test_pencil_classes_reject_inadmissible():

@@ -50,7 +50,6 @@ FRACTION_SITES = {
     "varieties.py": set(),
     "lattice.py": {
         "IntegerLattice.pair",  # output: the value of the pairing
-        "discriminant_group",  # output: the q-values of the generators
         "discriminant_q_multiset",  # output: one key per q-value
     },
     "nodal_surface.py": {
@@ -132,7 +131,6 @@ CENSUS_EXEMPT = {
     "lattice.IntegerLattice.__eq__": "operator method: lattices compare by Gram matrix",
     "lattice.IntegerLattice.__setattr__": "immutability guard",
     "lattice._as_int": "error path: refuses a non-integral matrix entry",
-    "nodal_surface.DivisorClass.__hash__": "operator method: equal classes hash equal",
     "nodal_surface.DivisorClass.__repr__": "operator method: the text of a class",
     "nodal_surface.DivisorClass.__setattr__": "immutability guard",
     "varieties.GenericityError.__init__": "error path: a named genericity failure",
@@ -278,14 +276,8 @@ def _loaded_attributes() -> set[str]:
 # attribute somewhere in the library (or, for a report read whole, through
 # `_fields`); a field nothing reads is deleted, not listed.
 FIELDS_READ_ONLY_BY_TESTS = {
-    "configs.Orbit.stabilizer_order": "the stabilizers 48, 120 and 72 of the nodes, totals and tropes, and of the code words",
-    "lattice.FiniteAbelianInvariants.q_values": "the discriminant quadratic form on the SNF generators (A1 gives 3/2, <4> gives 1/4)",
     "varieties.DualityImage.source": "read by the bench digest, which recomputes each duality image from its source",
     "varieties.DualityImage.quartic_value": "read by the bench digest; always 0, since `duality_image` raises off the quartic",
-    "varieties.CardinalRestriction.scale": "the quartic on a cardinal 3-space is scale·q² (the three-equation trope oracle)",
-    "pentads.PentadOrbit.representative": "the type-II orbit is keyed by its least pentad; the pencil identities hold on each representative",
-    "pentads.PentadOrbit.admissible": "the sizes of the admissible orbits sum to the number of admissible pentads",
-    "pentads.PentadOrbit.trope_triple_count": "the type-II orbit carries 3 trope-triples, each orbit its representative's count",
 }
 
 # Record fields whose name another library class also declares, so that a
@@ -293,10 +285,8 @@ FIELDS_READ_ONLY_BY_TESTS = {
 # maps to a library function that reads it.  A field of this kind that is in
 # neither table fails the census below.
 FIELD_HOMONYMS = {
-    "configs.Orbit.representative": "pentads.orbit_partition",
     "lattice.Isometry.rows": "lattice.Isometry.apply",
     "nodal_surface.DivisorClass.den": "nodal_surface.DivisorClass.degree",
-    "pentads.PentadClass.admissible": "pentads.orbit_table",
     "pentads.PentadClass.goepel": "pentads.orbit_table",
     "pentads.PentadOrbit.goepel": "cli.checks_pentads",
     "varieties.Hypersurface.ambient": "varieties.Hypersurface.node_reading",

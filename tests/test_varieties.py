@@ -499,9 +499,9 @@ def test_cardinal_restriction_123():
     stated = cardinal_tangency_quadric().substitute_linear(plane.parametrization, plane.den)
     # q equals the stated quadric's restriction up to scale
     assert stated * res.square_root.leading_coefficient() == res.square_root * stated.leading_coefficient()
-    assert res.scale * res.square_root * res.square_root == cr_quartic_form().substitute_linear(
-        fraction_parametrization(plane)
-    )
+    restricted = cr_quartic_form().substitute_linear(fraction_parametrization(plane))
+    scale, root = perfect_square_factor(restricted)
+    assert root == res.square_root and scale * root * root == restricted
 
 
 def test_cardinal_restriction_all_squares():
@@ -722,7 +722,9 @@ def test_tropes_match_the_three_equation_oracle(make, split):
         conic = card.square_root.substitute_linear(trope.parametrization, trope.den)
         chart = mat_mul(card.plane.parametrization, trope.parametrization)
         assert all(plane.contains(col) for col in zip(*chart))
-        assert card.scale * conic * conic == form.substitute_linear(chart, card.plane.den * trope.den)
+        scale, root = perfect_square_factor(form.substitute_linear(card.plane.parametrization, card.plane.den))
+        assert root == card.square_root
+        assert scale * conic * conic == form.substitute_linear(chart, card.plane.den * trope.den)
         assert t.conic_rank == (2 if t.subset in split else 3)
         conics.append((conic, t.conic_rank))
     # over Q each rank-2 conic here splits into two rational lines, and each
@@ -783,10 +785,10 @@ def test_cardinal_restriction_is_one_shared_frozen_record():
     for subset in three_subsets():
         res = cardinal_restriction(subset)
         assert cardinal_restriction(subset) is res
-        scale = res.scale
+        root = res.square_root
         with pytest.raises(AttributeError):
-            res.scale = Fraction(1)
-        assert res.scale == scale
+            res.square_root = MultiPoly.zero(4)
+        assert res.square_root is root
         # the Hessian of the conic, frozen, is the matrix read off its coefficients
         assert type(res.hessian) is tuple and all(type(row) is tuple for row in res.hessian)
         assert all(type(x) is int for row in res.hessian for x in row)
@@ -931,18 +933,6 @@ def test_scan_rejects_composite_modulus(segre, reference_section, m):
             singular_scan_fp(target, m)
 
 
-def test_cli_composite_scan_prime_check_is_red():
-    code, report = cli.run(
-        ["section", "--coeffs=0,1,3,14,15,17", "--scan-prime", "25"], out=io.StringIO()
-    )
-    assert code == 1
-    (check,) = [c for c in report.checks if c["id"].startswith("section-scan-f25")]
-    assert check["status"] == "fail"
-    assert check["details"] == "unexpected error: bad prime: 25 is not prime"
-    assert check["error"]["type"] == "ValueError"
-    assert check["error"]["where"].startswith("varieties.py:")
-
-
 # -- the plane-by-plane scan against the per-point scan ----------------------------
 
 
@@ -994,7 +984,7 @@ def reference_scan(target, p):
     rank = rank_mod(equations, p)
     assert rank == len(equations) == rank_mod([*equations, ONES], p)
     fp = target.form.mod_p(p)
-    partials = [fp.partial(i) for i in range(6)]
+    partials = [fp.poly.partial(i).mod_p(p) for i in range(6)]
     found = []
     for v in _projective_reps(p, 5):
         v += ((-sum(v)) % p,)
@@ -1007,7 +997,7 @@ def reference_scan(target, p):
 
 def _brute_force_singular_points(fp):
     """Every point of P^{n-1}(F_p) where the form and all its partials vanish."""
-    partials = [fp.partial(i) for i in range(fp.nvars)]
+    partials = [fp.poly.partial(i).mod_p(fp.p) for i in range(fp.nvars)]
     return [
         v
         for v in _projective_reps(fp.p, fp.nvars)
