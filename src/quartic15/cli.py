@@ -23,6 +23,7 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 from . import __version__
 from . import configs as cf
@@ -226,6 +227,13 @@ def checks_duality(r: Runner, samples: int):
     r.run("duality-nodes-to-cardinals", "cubic nodes are dual to cardinal hyperplanes", nodes_to_cardinals)
 
 
+def _reduce_point(coords: Sequence[int], p: int) -> tuple[int, ...]:
+    """The F_p point of a primitive integer vector, its first nonzero entry
+    scaled to 1, as the F_p scans list their points."""
+    lead = pow(next(x for x in coords if x % p), -1, p)
+    return tuple(x * lead % p for x in coords)
+
+
 def checks_section(r: Runner, coeffs, scan_prime: int | None):
     """The section checks; returns the built model, or None if building it failed."""
     tag = ",".join(str(c) for c in coeffs)
@@ -300,7 +308,15 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
                     "; the asserted count 15 is therefore unattainable here — the true "
                     "count is 13, and scans at the good primes 23 and 29 give 15"
                 )
-            return len(pts) == 15, detail
+            # the count alone passes a scan whose 15 points are not the nodes'
+            found = set(pts)
+            reductions = {_reduce_point(n.chart_point.coords, scan_prime) for n in model.nodes}
+            if found != reductions:
+                detail += (
+                    f"; the nodes reduce to {len(reductions)} distinct F{scan_prime} points, "
+                    f"and {len(found - reductions)} scanned points are no node's reduction"
+                )
+            return len(pts) == 15 and found == reductions, detail
 
         r.run(
             f"section-scan-f{scan_prime}[{tag}]",

@@ -237,8 +237,7 @@ def cremona_richmond_model() -> IncidenceStructure:
 
 
 class Orbit(NamedTuple):
-    representative: Hashable
-    elements: tuple
+    elements: tuple  # in the given order; the first is the representative
 
 
 def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterable) -> list[Orbit]:
@@ -249,12 +248,14 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
     The identity and compatibility axioms are checked on the generators
     (for the first three elements).  Each new orbit takes one call of
     `images`, which gives the orbit and the stabilizer of its first element
-    together; the images must stay in the element set, and |orbit|*|stab| =
-    720 is verified for every orbit, so a returned orbit's size fixes its
-    stabilizer order as 720/|orbit|.  Orbits come in the order of their
-    first elements, and each lists its elements in the given order, so the
-    representative is its first element (the least one when the elements
-    are given sorted).
+    together; the images must stay among the elements not yet in an orbit,
+    and |orbit|*|stab| = 720 is verified for every orbit, so a returned
+    orbit's size fixes its stabilizer order as 720/|orbit|.  The walk keeps
+    one insertion-ordered dict, of the elements not yet in an orbit: each
+    orbit starts at its first element, takes its elements in the given
+    order and removes them.  So orbits come in the order of their first
+    elements, and each one's first element is its representative (the least
+    one when the elements are given sorted).
 
     In the library, only `pentads.orbit_partition` calls it, on the 3003
     pentad masks.  The tests certify through it that S6 permutes each of
@@ -262,7 +263,7 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
     stabilizer 48), the 6 totals (stabilizer 120), the 10 tropes (72) and
     the even-set code words of weight 6, 8 and 10.
     """
-    elements = list(elements)
+    pending = dict.fromkeys(elements)
     group = s6_elements()
     index = {g: i for i, g in enumerate(group)}
 
@@ -272,7 +273,7 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
             raise ValueError("images must list one image per element of S6")
         return xs
 
-    for x in elements[: min(3, len(elements))]:
+    for x in itertools.islice(pending, 3):
         xs = row(x)
         if xs[index[POINTS]] != x:
             raise ValueError("identity permutation does not act trivially")
@@ -282,19 +283,18 @@ def s6_orbits(images: Callable[[Hashable], Sequence[Hashable]], elements: Iterab
                 gh = tuple(g[h[i] - 1] for i in range(6))
                 if xs[index[gh]] != hxs[index[g]]:
                     raise ValueError("not a group action (compatibility fails)")
-    position = {x: i for i, x in enumerate(elements)}
-    seen: set = set()
     orbits = []
-    for x in elements:
-        if x in seen:
-            continue
+    while pending:
+        x = next(iter(pending))
         xs = row(x)
         orbit = set(xs)
-        if not orbit <= position.keys():
+        if not orbit <= pending.keys():
             raise ValueError("element set is not closed under the action")
         stab = xs.count(x)
         if stab * len(orbit) != 720:
             raise AssertionError("orbit-stabilizer identity failed")
-        orbits.append(Orbit(x, tuple(sorted(orbit, key=position.__getitem__))))
-        seen |= orbit
+        members = tuple(filter(orbit.__contains__, pending))
+        for y in members:
+            del pending[y]
+        orbits.append(Orbit(members))
     return orbits

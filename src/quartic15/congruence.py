@@ -4,10 +4,12 @@ Implements the classical counting formulas for order-m class-n congruences
 with smooth focal data: rank and sectional genus, focal-surface degree, the
 degrees of the associated curve |l| and surface (P) and the branch-locus
 degree.  The (2, n) family is specialized separately, and the Diophantine
-singular-point table is solved by exhaustive enumeration: a published column
-is found only if it solves the cube-sum equation.  The class-3 profile is
-certified by `congruence-2-3` together with the conjugacy graph of
-`configs.conjugacy_graph`, whose marks tally the (2,3) column.
+singular-point table is solved by exhaustive enumeration, in one pass that
+counts every solution of the cube-sum equation and keeps only those that
+meet the node count: a published column is found only if it solves both.
+The class-3 profile is certified by `congruence-2-3` together with the
+conjugacy graph of `configs.conjugacy_graph`, whose marks tally the (2,3)
+column.
 """
 
 from __future__ import annotations
@@ -65,29 +67,6 @@ class AlphaVector(NamedTuple):
     counts: tuple[int, int, int, int, int, int]  # alpha_1 ... alpha_6
 
 
-def _cube_sum_solutions(n: int) -> list[AlphaVector]:
-    """All non-negative solutions of the singular-point count equation
-    sum_i i^3 alpha_i = (n+2)^3 − 3(n+2)^2, in decreasing order."""
-    if not 2 <= n <= 7:
-        raise ValueError("the order-2 family requires 2 <= n <= 7")
-    target = (n + 2) ** 3 - 3 * (n + 2) ** 2
-    solutions = []
-    bounds = [target // ((i + 1) ** 3) for i in range(6)]
-    for a6 in range(bounds[5] + 1):
-        for a5 in range(bounds[4] + 1):
-            for a4 in range(bounds[3] + 1):
-                for a3 in range(bounds[2] + 1):
-                    for a2 in range(bounds[1] + 1):
-                        partial = (
-                            216 * a6 + 125 * a5 + 64 * a4 + 27 * a3 + 8 * a2
-                        )
-                        if partial > target:
-                            break
-                        a1 = target - partial
-                        solutions.append(AlphaVector((a1, a2, a3, a4, a5, a6)))
-    return sorted(solutions, key=lambda v: v.counts, reverse=True)
-
-
 def published_columns(n: int) -> list[AlphaVector]:
     """The table columns for class n, as alpha-vectors."""
     cols = []
@@ -107,16 +86,39 @@ class Table1Report(NamedTuple):
 
 def table1_report(n: int) -> Table1Report:
     """Solver output with and without the node count sum_i alpha_i = 18 − n,
-    from one enumeration, with the published columns flagged; extra
-    solutions are reported, never suppressed."""
-    loose = _cube_sum_solutions(n)
-    strict = [v for v in loose if sum(v.counts) == 18 - n]
+    with the published columns flagged; extra solutions are reported, never
+    suppressed.
+
+    One enumeration of the non-negative solutions of the singular-point
+    count equation sum_i i^3 alpha_i = (n+2)^3 − 3(n+2)^2 counts every
+    solution and keeps, in decreasing order, only those that also meet the
+    node count."""
+    if not 2 <= n <= 7:
+        raise ValueError("the order-2 family requires 2 <= n <= 7")
+    target = (n + 2) ** 3 - 3 * (n + 2) ** 2
+    total, strict = 0, []
+    bounds = [target // ((i + 1) ** 3) for i in range(6)]
+    for a6 in range(bounds[5] + 1):
+        for a5 in range(bounds[4] + 1):
+            for a4 in range(bounds[3] + 1):
+                for a3 in range(bounds[2] + 1):
+                    for a2 in range(bounds[1] + 1):
+                        partial = (
+                            216 * a6 + 125 * a5 + 64 * a4 + 27 * a3 + 8 * a2
+                        )
+                        if partial > target:
+                            break
+                        total += 1
+                        a1 = target - partial
+                        if a1 + a2 + a3 + a4 + a5 + a6 == 18 - n:
+                            strict.append(AlphaVector((a1, a2, a3, a4, a5, a6)))
+    strict.sort(reverse=True)
     published = published_columns(n)
     found = all(col in strict for col in published)
     extras = tuple(v for v in strict if v not in published)
     return Table1Report(
         with_node_count=tuple(strict),
-        without_node_count_total=len(loose),
+        without_node_count_total=total,
         published_found=found,
         extra_solutions=extras,
     )

@@ -11,8 +11,12 @@ The sweeps over all pentads read node masks: a set of nodes is the 15-bit
 mask whose bit i stands for NODES[i], so a pentad is a mask of five bits, a
 trope meet is `&`, and dropping a node is `^`.  A pentad's images under S6
 are the OR of the image columns of its nodes (`mask_images`), which is the
-`images` contract of `configs.s6_orbits`.  The pentads handed out are
-sorted tuples of duads; `pentad_masks()` maps each mask to its tuple.
+`images` contract of `configs.s6_orbits`.  The caches hold masks and small
+integers only: `pentad_table()` maps each pentad mask to its (admissible,
+Goepel, trope-triple count), and `orbit_partition()` holds each orbit as a
+tuple of masks with a byte table from mask to orbit index.  A pentad is
+formed as a sorted tuple of duads (`mask_pentad`) only where a sweep returns
+one.
 """
 
 from __future__ import annotations
@@ -116,20 +120,26 @@ def all_pentads() -> list[Pentad]:
     return list(itertools.combinations(NODES, 5))
 
 
-@lru_cache(maxsize=None)
-def pentad_masks() -> Mapping[int, Pentad]:
-    """The mask of each pentad mapped to the pentad, in the order of
-    `all_pentads()`; read as plain masks, the keys are every choice of five
-    of fifteen bits.  Built once, on first use, and read-only."""
-    masks = map(sum, itertools.combinations(map(NODE_BIT.__getitem__, NODES), 5))
-    return MappingProxyType(dict(zip(masks, all_pentads())))
+def mask_pentad(mask: int) -> Pentad:
+    """The sorted pentad of a node mask."""
+    return tuple(NODES[bit.bit_length() - 1] for bit in _bits(mask))
 
 
 @lru_cache(maxsize=None)
-def classify_all() -> Mapping[Pentad, PentadClass]:
-    """The class of every pentad, in the order of `all_pentads()`, built
-    once and read-only so the cached copy cannot go stale."""
-    return MappingProxyType({p: _classify(p, mask) for mask, p in pentad_masks().items()})
+def pentad_table() -> Mapping[int, tuple[bool, bool, int]]:
+    """The mask of each pentad, in the order of `all_pentads()`, mapped to
+    its (admissible, Goepel, trope-triple count), read off `_classify`; read
+    as plain masks, the keys are every choice of five of fifteen bits.  Each
+    class record is dropped once read, and equal entries are one tuple.
+    Built once, on first use, and read-only so the cached copy cannot go
+    stale."""
+    table, kinds = {}, {}
+    for p in itertools.combinations(NODES, 5):
+        mask = node_mask(p)
+        cls = _classify(p, mask)
+        kind = (cls.admissible, cls.goepel, cls.trope_triple_count)
+        table[mask] = kinds.setdefault(kind, kind)
+    return MappingProxyType(table)
 
 
 # -- orbits --------------------------------------------------------------------
@@ -159,38 +169,40 @@ def mask_images(mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def orbit_partition() -> tuple[tuple[tuple[Pentad, tuple[Pentad, ...]], ...], Mapping[Pentad, Pentad]]:
-    """Orbits under node relabeling, each sorted with its least pentad
-    first, and the read-only pentad -> representative map; the orbits are
-    found on the pentad masks.  Built once, and immutable so the cached copy
-    cannot go stale."""
-    pentad_of = pentad_masks()
-    orbits = tuple(
-        (pentad_of[o.representative], tuple(map(pentad_of.__getitem__, o.elements)))
-        for o in s6_orbits(mask_images, pentad_of)
-    )
-    rep_of = {q: rep for rep, orbit in orbits for q in orbit}
-    return orbits, MappingProxyType(rep_of)
+def orbit_partition() -> tuple[tuple[tuple[int, ...], ...], bytes]:
+    """Orbits of the pentad masks under node relabeling, each a tuple of
+    masks in the order of `all_pentads()` with its least pentad's mask
+    first, the representative, and the table of 2^15 bytes whose entry at
+    each pentad mask is the index of its orbit.  Found by
+    `configs.s6_orbits(mask_images, …)`; built once, and immutable so the
+    cached copy cannot go stale."""
+    orbits = tuple(o.elements for o in s6_orbits(mask_images, pentad_table()))
+    orbit_of = bytearray(1 << len(NODES))
+    for i, orbit in enumerate(orbits):
+        for mask in orbit:
+            orbit_of[mask] = i
+    return orbits, bytes(orbit_of)
 
 
 def orbit_table() -> list[PentadOrbit]:
     """S6 orbits of all pentads, in the order of `orbit_partition`, each with
     its size and whether it is Goepel.  Raises unless the classification
     (admissible, Goepel, trope-triple count) is constant on each orbit."""
-    classes = classify_all()
+    table = pentad_table()
     orbits, _ = orbit_partition()
-    table = []
-    for rep, orbit in orbits:
-        kinds = {(c.admissible, c.goepel, c.trope_triple_count) for c in map(classes.__getitem__, orbit)}
+    result = []
+    for orbit in orbits:
+        kinds = set(map(table.__getitem__, orbit))
         if len(kinds) != 1:
             raise AssertionError("pentad classification must be an orbit invariant")
-        table.append(PentadOrbit(len(orbit), classes[rep].goepel))
-    return table
+        ((_, goepel, _),) = kinds
+        result.append(PentadOrbit(len(orbit), goepel))
+    return result
 
 
 def goepel_pentads() -> list[Pentad]:
     """Certifies that exactly 6 of the 3003 pentads are Goepel, each a five-star."""
-    return [p for p, c in classify_all().items() if c.goepel]
+    return [mask_pentad(mask) for mask, (_, goepel, _) in pentad_table().items() if goepel]
 
 
 # -- the graph criterion -----------------------------------------------------------
@@ -263,39 +275,42 @@ def graph_criterion_crosscheck() -> CriterionReport:
     graph never leaves a triangle after one deletion), so mismatches are
     tallied per orbit rather than asserted away.  The two-edge-deletion rule
     for triples does agree exactly: it picks the 200 trope triples, the
-    triples of `trope_triple_tables()`, and the classes list each of them
-    once in every one of the 66 pentads through it.
+    triples of `trope_triple_tables()`, and the trope-triple counts of
+    `pentad_table()` add up to each of them once in every one of the 66
+    pentads through it.
     """
-    classes = classify_all()
-    _, rep_of = orbit_partition()
+    table = pentad_table()
+    orbits, orbit_of = orbit_partition()
     quadruples, triples = quadruple_rule(), triple_rule()
-    agree_e = agree_f = 0
-    mism_e: dict[Pentad, tuple[Pentad, bool, bool]] = {}
-    mism_f: dict[Pentad, tuple[Pentad, bool, bool]] = {}
-    # classify_all is built in the order of pentad_masks()
-    for mask, cls in zip(pentad_masks(), classes.values()):
-        bits = _bits(mask)
+    agree_e = agree_f = listed = 0
+    # per orbit index, the first mismatch of each reading
+    mism_e: dict[int, tuple[bool, bool]] = {}
+    mism_f: dict[int, tuple[bool, bool]] = {}
+    for mask, (admissible, _, count) in table.items():
         # both readings from one count: the edges whose deletion leaves a rule quadruple
-        deletions = len(quadruples.intersection(map(mask.__xor__, bits)))
-        ge, gf, admissible = deletions > 0, deletions == 5, cls.admissible
+        deletions = len(quadruples.intersection(map(mask.__xor__, _bits(mask))))
+        ge, gf = deletions > 0, deletions == 5
         agree_e += ge == admissible
         agree_f += gf == admissible
         if ge != admissible:
-            rep = rep_of[cls.pentad]
-            mism_e.setdefault(rep, (rep, admissible, ge))
+            mism_e.setdefault(orbit_of[mask], (admissible, ge))
         if gf != admissible:
-            rep = rep_of[cls.pentad]
-            mism_f.setdefault(rep, (rep, admissible, gf))
-    # a triple lies in C(12,2) = 66 pentads, so classes listing every trope
-    # triple of their pentad list 66 per trope triple; one dropped falls short
-    trope_triples = {meet for _, table in trope_triple_tables() for meet in table if meet.bit_count() == 3}
-    listed = sum(cls.trope_triple_count for cls in classes.values())
+            mism_f.setdefault(orbit_of[mask], (admissible, gf))
+        listed += count
+    # a triple lies in C(12,2) = 66 pentads, so counts that take in every
+    # trope triple of their pentad add up to 66 per trope triple; one
+    # dropped falls short
+    trope_triples = {meet for _, meets in trope_triple_tables() for meet in meets if meet.bit_count() == 3}
+
+    def by_representative(mismatches: dict[int, tuple[bool, bool]]) -> tuple[tuple[Pentad, bool, bool], ...]:
+        return tuple(sorted((mask_pentad(orbits[i][0]), *m) for i, m in mismatches.items()))
+
     return CriterionReport(
-        total=len(classes),
+        total=len(table),
         agree_exists=agree_e,
         agree_forall=agree_f,
-        mismatch_orbits_exists=tuple(sorted(mism_e.values())),
-        mismatch_orbits_forall=tuple(sorted(mism_f.values())),
+        mismatch_orbits_exists=by_representative(mism_e),
+        mismatch_orbits_forall=by_representative(mism_f),
         triple_rule_agrees=triples == trope_triples and listed == 66 * len(triples),
     )
 
@@ -366,9 +381,10 @@ def geometric_admissibility_crosscheck(section) -> CoplanarityReport:
     coplanar = {sum(map(bit.__getitem__, quad)) for quad, det in quadruple_determinants(pts).items() if det == 0}
     if not on_trope <= coplanar:
         raise AssertionError("a quadruple on a trope-conic must be coplanar")
-    # the keys of pentad_masks() are every five of the fifteen bits
-    geometric = sum(1 for mask in pentad_masks() if coplanar.isdisjoint(map(mask.__xor__, _bits(mask))))
-    combinatorial = sum(1 for c in classify_all().values() if c.admissible)
+    # the keys of pentad_table() are every five of the fifteen bits
+    table = pentad_table()
+    geometric = sum(1 for mask in table if coplanar.isdisjoint(map(mask.__xor__, _bits(mask))))
+    combinatorial = sum(admissible for admissible, _, _ in table.values())
     return CoplanarityReport(
         coplanar_quadruples=len(coplanar),
         accidental_quadruples=len(coplanar - on_trope),

@@ -157,9 +157,49 @@ def test_a_scan_prime_outside_the_scan_range_is_a_usage_error(capsys, monkeypatc
         assert code == 2 and report.checks == [] and ran == [], prime
         assert f"argument --scan-prime: bad prime: {reason}" in capsys.readouterr().err
     monkeypatch.undo()
+    # 5, the least prime taken, is scanned; on this section it is a bad
+    # prime, so the scan check runs and fails
     code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", "5"])
-    assert code == 0 and [c["id"] for c in report.checks][-1] == "section-scan-f5[1,2,3,5,7,11]"
+    assert [c["id"] for c in report.checks][-1] == "section-scan-f5[1,2,3,5,7,11]"
     assert len(report.checks) == 4
+    assert code == 1 and [c["status"] for c in report.checks] == ["pass"] * 3 + ["fail"]
+
+
+@pytest.mark.parametrize("prime, found, distinct, others", [(5, 15, 10, 5), (7, 16, 12, 4)])
+def test_a_scan_that_is_not_the_nodes_reductions_turns_section_scan_red(prime, found, distinct, others):
+    # at 5 the scan finds 15 points, but the 15 nodes reduce to only 10 and
+    # the other 5 are no node's reduction: the count alone would pass it
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", str(prime)])
+    check = report.checks[-1]
+    assert code == 1 and check["id"] == f"section-scan-f{prime}[1,2,3,5,7,11]" and check["status"] == "fail"
+    assert check["details"].startswith(f"F{prime} scan found {found} singular points (expected 15); ")
+    assert check["details"].endswith(
+        f"; the nodes reduce to {distinct} distinct F{prime} points, "
+        f"and {others} scanned points are no node's reduction"
+    )
+
+
+def test_a_scan_with_one_node_moved_turns_section_scan_red(monkeypatch):
+    # at the good prime 23 the scan finds the 15 reductions; one of them
+    # moved to another F23 point keeps the count at 15, and the set turns
+    # the check red
+    from quartic15 import varieties as va
+
+    real = va.singular_scan_fp
+
+    def moved(target, p):
+        pts = real(target, p)
+        x = pts[0]
+        return [x[:-1] + ((x[-1] + 1) % p,)] + pts[1:]
+
+    monkeypatch.setattr(va, "singular_scan_fp", moved)
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", "23"])
+    check = report.checks[-1]
+    assert code == 1 and check["status"] == "fail"
+    assert check["details"] == (
+        "F23 scan found 15 singular points (expected 15); the nodes reduce to 15 distinct "
+        "F23 points, and 1 scanned points are no node's reduction"
+    )
 
 
 @pytest.mark.parametrize("n", [1, 8])

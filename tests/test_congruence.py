@@ -112,3 +112,42 @@ def test_table1_report_all_n():
         assert rep.without_node_count_total >= len(rep.with_node_count)
     rep6 = table1_report(6)
     assert (len(rep6.with_node_count), rep6.without_node_count_total) == (3, 841)
+
+
+def test_table1_report_matches_a_brute_force_enumeration():
+    # every (alpha_2, ..., alpha_6) in range, alpha_1 whatever the cube sum
+    # leaves: the total counts every solution, the report keeps those that
+    # also meet the node count, in decreasing order
+    import itertools
+
+    for n in range(2, 8):
+        target = (n + 2) ** 3 - 3 * (n + 2) ** 2
+        ranges = [range(target // i**3 + 1) for i in range(2, 7)]
+        solutions = [
+            (target - sum(i**3 * a for i, a in enumerate(rest, 2)),) + rest
+            for rest in itertools.product(*ranges)
+            if sum(i**3 * a for i, a in enumerate(rest, 2)) <= target
+        ]
+        rep = table1_report(n)
+        assert rep.without_node_count_total == len(solutions), n
+        strict = sorted((s for s in solutions if sum(s) == 18 - n), reverse=True)
+        assert [v.counts for v in rep.with_node_count] == strict, n
+
+
+def test_table1_report_builds_only_the_vectors_it_keeps(monkeypatch):
+    # the enumeration counts the 3,500 solutions for n = 7 without building
+    # a vector for each: only the 4 that meet the node count and the
+    # published columns are built
+    from quartic15 import congruence
+
+    built = []
+
+    class Counted(AlphaVector):
+        def __new__(cls, counts):
+            built.append(counts)
+            return super().__new__(cls, counts)
+
+    monkeypatch.setattr(congruence, "AlphaVector", Counted)
+    rep = table1_report(7)
+    assert (rep.without_node_count_total, len(rep.with_node_count)) == (3500, 4)
+    assert len(built) == 4 + 1  # the kept vectors and the one published column for n = 7

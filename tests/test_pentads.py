@@ -1,5 +1,9 @@
 import io
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 import random
 
+import quartic15
 from quartic15 import cli, pentads
 from quartic15.configs import POINTS, apply_perm_duad_set, s6_elements, trope_node_sets
 from quartic15.lattice import det_bareiss
@@ -18,15 +23,15 @@ from quartic15.pentads import (
     _vertex_mask,
     all_pentads,
     classify,
-    classify_all,
     goepel_pentads,
     graph_criterion_crosscheck,
     mask_images,
+    mask_pentad,
     node_mask,
     orbit_partition,
     orbit_table,
     pencil_classes,
-    pentad_masks,
+    pentad_table,
     quadruple_determinants,
     quadruple_rule,
     triple_criterion,
@@ -107,15 +112,37 @@ def test_admissibility_is_orbit_invariant():
 
 
 def test_orbit_partition_built_once_and_read_only():
-    orbits, rep_of = orbit_partition()
+    orbits, orbit_of = orbit_partition()
     assert orbit_partition() is orbit_partition()
-    assert isinstance(orbits, tuple) and sum(len(o) for _, o in orbits) == 3003
+    assert isinstance(orbits, tuple) and all(isinstance(o, tuple) for o in orbits)
+    assert sorted(mask for o in orbits for mask in o) == sorted(pentad_table())
+    # the orbit index of every pentad mask, in 2^15 immutable bytes
+    assert isinstance(orbit_of, bytes) and len(orbit_of) == 1 << 15
+    assert all(orbit_of[mask] == i for i, o in enumerate(orbits) for mask in o)
+    table = pentad_table()
+    assert pentad_table() is table and len(table) == 3003
     with pytest.raises(TypeError):
-        rep_of[all_pentads()[0]] = all_pentads()[1]
-    classes = classify_all()
-    assert classify_all() is classes and len(classes) == 3003
-    with pytest.raises(TypeError):
-        classes[all_pentads()[0]] = classify(TYPE_II)
+        table[next(iter(table))] = (True, True, 0)
+
+
+def test_the_pentad_sweeps_retain_mask_tables_only():
+    # run cold in a fresh interpreter under tracemalloc: the caches the three
+    # sweeps leave behind (pentad table, orbit partition, image columns,
+    # trope tables, rules) retain 758,721 bytes on Python 3.11.7; tuple-keyed
+    # class records, a mask -> pentad map and a pentad -> representative
+    # dict retained 1,669,096.  The bound lies halfway between the two.
+    code = (
+        "import tracemalloc\n"
+        "tracemalloc.start()\n"
+        "from quartic15 import pentads as pt\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "pt.orbit_table(); pt.goepel_pentads(); pt.graph_criterion_crosscheck()\n"
+        "print(tracemalloc.get_traced_memory()[0] - base)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < (1_669_096 + 758_721) // 2
 
 
 S6_INDEX = {g: i for i, g in enumerate(s6_elements())}
@@ -144,30 +171,38 @@ def test_mask_images_are_an_action_of_s6(g, h, positions):
 
 
 def test_pentad_masks_are_the_pentads_in_order():
-    masks = pentad_masks()
-    assert list(masks.values()) == all_pentads()
-    assert all(mask == node_mask(p) and mask.bit_count() == 5 for mask, p in masks.items())
-    assert list(classify_all()) == all_pentads()
+    # the keys of the table are the masks of the pentads in order, and
+    # `mask_pentad` reads each back as its sorted pentad
+    masks = list(pentad_table())
+    assert masks == [node_mask(p) for p in all_pentads()]
+    assert [mask_pentad(mask) for mask in masks] == all_pentads()
+
+
+def test_pentad_table_is_classify_on_every_pentad():
+    table = pentad_table()
+    for p in all_pentads():
+        cls = classify(p)
+        assert table[node_mask(p)] == (cls.admissible, cls.goepel, cls.trope_triple_count), p
 
 
 def test_orbit_table_counts():
-    classes = classify_all()
     orbits, _ = orbit_partition()
-    assert [o.size for o in orbit_table()] == [len(orbit) for _, orbit in orbits]
-    admissible_total = sum(len(orbit) for rep, orbit in orbits if classes[rep].admissible)
-    assert admissible_total == sum(1 for c in classes.values() if c.admissible)
-    # the type-II pentad's orbit, keyed by its least pentad, carries 3 trope-triples
-    rep_counts = {rep: classes[rep].trope_triple_count for rep, _ in orbits}
+    assert [o.size for o in orbit_table()] == list(map(len, orbits))
+    admissible_total = sum(len(orbit) for orbit in orbits if classify(mask_pentad(orbit[0])).admissible)
+    assert admissible_total == sum(1 for p in all_pentads() if classify(p).admissible)
+    # the type-II pentad's orbit, led by its least pentad, carries 3 trope-triples
+    rep_counts = {mask_pentad(orbit[0]): classify(mask_pentad(orbit[0])).trope_triple_count for orbit in orbits}
     rep = min(apply_perm_duad_set(g, TYPE_II) for g in s6_elements())
     assert rep_counts[rep] == 3
 
 
 def test_a_classification_that_varies_on_an_orbit_turns_pentads_classified_red(monkeypatch):
     orbits, _ = orbit_partition()
-    rep, orbit = next((rep, orbit) for rep, orbit in orbits if len(orbit) > 1)
-    flipped = dict(classify_all())
-    flipped[orbit[1]] = flipped[orbit[1]]._replace(admissible=not flipped[rep].admissible)
-    monkeypatch.setattr(pentads, "classify_all", lambda: flipped)
+    orbit = next(orbit for orbit in orbits if len(orbit) > 1)
+    flipped = dict(pentad_table())
+    admissible, goepel, count = flipped[orbit[1]]
+    flipped[orbit[1]] = (not admissible, goepel, count)
+    monkeypatch.setattr(pentads, "pentad_table", lambda: flipped)
     with pytest.raises(AssertionError, match="^pentad classification must be an orbit invariant$"):
         orbit_table()
     code, report = cli.run(["pentads"], out=io.StringIO())
@@ -240,11 +275,12 @@ def test_quadruple_rule_is_the_triangle_plus_segment_table():
 def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
     # the report against the loop that tests every 4-edge subset of every
     # pentad on its own, with the same tallies and first mismatch per orbit
-    classes = classify_all()
-    _, rep_of = orbit_partition()
+    orbits, _ = orbit_partition()
+    rep_of = {mask_pentad(mask): mask_pentad(orbit[0]) for orbit in orbits for mask in orbit}
     agree = [0, 0]
     mismatches = [{}, {}]
-    for p, cls in classes.items():
+    for p in all_pentads():
+        cls = classify(p)
         masks = [_vertex_mask(e) for e in p]
         deletions = [_triangle_plus_segment(masks[:i] + masks[i + 1 :]) for i in range(5)]
         for k, reading in enumerate((any(deletions), all(deletions))):
@@ -265,7 +301,7 @@ def test_graph_criterion_crosscheck_matches_the_per_pentad_loop():
 def test_the_classes_list_66_trope_triples_per_rule_triple():
     # a triple lies in C(12,2) = 66 pentads
     assert len(triple_rule()) == 200
-    assert sum(c.trope_triple_count for c in classify_all().values()) == 66 * 200 == 13_200
+    assert sum(count for _, _, count in pentad_table().values()) == 66 * 200 == 13_200
 
 
 def test_a_class_that_drops_a_trope_triple_fails_the_triple_half(monkeypatch):
@@ -273,10 +309,10 @@ def test_a_class_that_drops_a_trope_triple_fails_the_triple_half(monkeypatch):
     # of the triples the classes list sees the dropped one
     from quartic15 import pentads as pt
 
-    classes = dict(classify_all())
-    p, cls = next((p, c) for p, c in classes.items() if c.trope_triples)
-    classes[p] = cls._replace(trope_triples=cls.trope_triples[1:])
-    monkeypatch.setattr(pt, "classify_all", lambda: classes)
+    table = dict(pt.pentad_table())
+    mask, (admissible, goepel, count) = next((m, k) for m, k in table.items() if k[2])
+    table[mask] = (admissible, goepel, count - 1)
+    monkeypatch.setattr(pt, "pentad_table", lambda: table)
     assert not graph_criterion_crosscheck().triple_rule_agrees
 
 
@@ -360,12 +396,13 @@ def test_cofactor_determinants_match_bareiss_on_random_points():
 
 def test_pencil_classes_every_admissible_orbit():
     # the exact pencil identities hold for one representative per orbit
-    classes = classify_all()
-    for rep, _ in orbit_partition()[0]:
-        if classes[rep].admissible:
-            data = pencil_classes(rep)
+    table = pentad_table()
+    for orbit in orbit_partition()[0]:
+        admissible, _, count = table[orbit[0]]
+        if admissible:
+            data = pencil_classes(mask_pentad(orbit[0]))
             assert data.half_sum.norm() == 10
-            assert len(classify(rep).trope_triples) == classes[rep].trope_triple_count
+            assert len(classify(mask_pentad(orbit[0])).trope_triples) == count
 
 
 def test_pencil_classes_reject_inadmissible():

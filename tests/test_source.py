@@ -287,7 +287,7 @@ FIELDS_READ_ONLY_BY_TESTS = {
 FIELD_HOMONYMS = {
     "lattice.Isometry.rows": "lattice.Isometry.apply",
     "nodal_surface.DivisorClass.den": "nodal_surface.DivisorClass.degree",
-    "pentads.PentadClass.goepel": "pentads.orbit_table",
+    "pentads.PentadClass.goepel": "pentads.pentad_table",
     "pentads.PentadOrbit.goepel": "cli.checks_pentads",
     "varieties.Hypersurface.ambient": "varieties.Hypersurface.node_reading",
     "varieties.Hypersurface.form": "varieties.Hypersurface.is_s6_invariant",
@@ -364,7 +364,7 @@ def test_bench_tracer_keys_name_library_functions():
 
 
 def test_importing_every_module_fills_no_cache():
-    # the tables built on first use (the pentad masks, the S6 image columns,
+    # the tables built on first use (the pentad table, the S6 image columns,
     # the per-trope triple tables and the triple and quadruple rules of
     # `pentads` among them) stay unbuilt when a fresh interpreter imports
     # every module, so the import time does not grow with them
@@ -381,7 +381,7 @@ def test_importing_every_module_fills_no_cache():
     assert proc.returncode == 0, proc.stderr
     sizes = dict(line.split() for line in proc.stdout.splitlines())
     assert {
-        "pentads.pentad_masks",
+        "pentads.pentad_table",
         "pentads.image_columns",
         "pentads.trope_triple_tables",
         "pentads.triple_rule",
