@@ -23,7 +23,6 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache
-from typing import Sequence
 
 from . import __version__
 from . import configs as cf
@@ -115,7 +114,14 @@ def checks_segre(r: Runner):
 
     def scan():
         pts = va.singular_scan_fp(va.build_variety("segre"), 11)
-        return len(pts) == 10, f"F11 exhaustive scan found {len(pts)} singular points (expected 10)"
+        detail = f"F11 exhaustive scan found {len(pts)} singular points (expected 10)"
+        # the count alone passes a scan whose 10 points are not the nodes'
+        free = va.SUM_ZERO.free
+        nodes = {va.reduce_point([va.node_point(s).coords[f] for f in free], 11) for s in cf.three_subsets()}
+        found = set(pts)
+        if found != nodes:
+            detail += f"; {len(found - nodes)} scanned points are no node's reduction"
+        return len(pts) == 10 and found == nodes, detail
 
     r.run("segre-scan-f11", "brute force over F11 sees exactly the 10 nodes", scan)
 
@@ -158,10 +164,18 @@ def checks_cr(r: Runner):
     def scan():
         pts = va.singular_scan_fp(va.build_variety("cr"), 7)
         expected = 15 * 8 - 2 * 15
-        return (
-            len(pts) == expected,
-            f"F7 scan found {len(pts)} singular points; lines give 15*(7+1) - 2*15 = {expected}",
-        )
+        detail = f"F7 scan found {len(pts)} singular points; lines give 15*(7+1) - 2*15 = {expected}"
+        # the F7 points of each line: its two kernel columns combined over P^1(F7)
+        free = va.SUM_ZERO.free
+        on_lines = {
+            va.reduce_point([a * c0[f] + b * c1[f] for f in free], 7)
+            for c0, c1 in (va.syntheme_line(s).kernel for s in cf.synthemes())
+            for a, b in va._projective_reps(7, 2)
+        }
+        found = set(pts)
+        if found != on_lines:
+            detail += f"; {len(found - on_lines)} scanned points lie on no line"
+        return len(pts) == expected and found == on_lines, detail
 
     r.run("cr-scan-f7", "the F7 singular locus is the union of the 15 lines", scan)
 
@@ -225,13 +239,6 @@ def checks_duality(r: Runner, samples: int):
         return True, "each node's coordinate vector equals the cardinal hyperplane of its 3-subset"
 
     r.run("duality-nodes-to-cardinals", "cubic nodes are dual to cardinal hyperplanes", nodes_to_cardinals)
-
-
-def _reduce_point(coords: Sequence[int], p: int) -> tuple[int, ...]:
-    """The F_p point of a primitive integer vector, its first nonzero entry
-    scaled to 1, as the F_p scans list their points."""
-    lead = pow(next(x for x in coords if x % p), -1, p)
-    return tuple(x * lead % p for x in coords)
 
 
 def checks_section(r: Runner, coeffs, scan_prime: int | None):
@@ -310,7 +317,7 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
                 )
             # the count alone passes a scan whose 15 points are not the nodes'
             found = set(pts)
-            reductions = {_reduce_point(n.chart_point.coords, scan_prime) for n in model.nodes}
+            reductions = {va.reduce_point(n.chart_point.coords, scan_prime) for n in model.nodes}
             if found != reductions:
                 detail += (
                     f"; the nodes reduce to {len(reductions)} distinct F{scan_prime} points, "
@@ -514,7 +521,7 @@ def checks_pentads(r: Runner, section=None):
     def type_ii():
         cls = pt.classify(((1, 5), (2, 3), (3, 4), (3, 5), (4, 5)))
         labels = sorted(t[0] for t in cls.trope_triples)
-        ok = cls.admissible and cls.trope_triple_count == 3 and labels == [(1, 2), (1, 5), (2, 3)]
+        ok = cls.admissible and len(cls.trope_triples) == 3 and labels == [(1, 2), (1, 5), (2, 3)]
         return ok, f"the worked pentad has exactly 3 trope-triples, on the conics for {labels}"
 
     r.run("pentads-type-ii", "the worked example pentad has its three known trope-triples", type_ii)

@@ -11,18 +11,20 @@ The sweeps over all pentads read node masks: a set of nodes is the 15-bit
 mask whose bit i stands for NODES[i], so a pentad is a mask of five bits, a
 trope meet is `&`, and dropping a node is `^`.  A pentad's images under S6
 are the OR of the image columns of its nodes (`mask_images`), which is the
-`images` contract of `configs.s6_orbits`.  The caches hold masks and small
-integers only: `pentad_table()` maps each pentad mask to its (admissible,
-Goepel, trope-triple count), and `orbit_partition()` holds each orbit as a
-tuple of masks with a byte table from mask to orbit index.  A pentad is
-formed as a sorted tuple of duads (`mask_pentad`) only where a sweep returns
-one.
+`images` contract of `configs.s6_orbits`.  A pentad is classified by the
+bit counts of its ten trope meets (`mask & trope`), and only `classify`
+forms the triples of a meet.  The caches hold masks and small integers
+only: `pentad_table()` maps each pentad mask to its (admissible, Goepel,
+trope-triple count), and `orbit_partition()` holds each orbit as a tuple of
+masks with a byte table from mask to orbit index.  A pentad is formed as a
+sorted tuple of duads (`mask_pentad`) only where a sweep returns one.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial, reduce
+from math import comb
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -67,52 +69,32 @@ def _bits(mask: int) -> list[int]:
 class PentadClass(NamedTuple):
     pentad: Pentad
     admissible: bool
-    goepel: bool
     trope_triples: tuple[tuple[Duad, tuple[Duad, Duad, Duad]], ...]
 
-    @property
-    def trope_triple_count(self) -> int:
-        return len(self.trope_triples)
 
-
-@lru_cache(maxsize=None)
-def trope_triple_tables() -> tuple[tuple[int, Mapping[int, tuple]], ...]:
-    """Each trope mask, in label order, with the map from every meet of three
-    to five of its nodes (as a mask) to the meet's `(label, triple)` pairs,
-    triples sorted.  Built once, on first use, and read-only so the cached
-    copy cannot go stale."""
-    return tuple(
-        (
-            trope,
-            MappingProxyType({
-                node_mask(meet): tuple((label, t) for t in itertools.combinations(meet, 3))
-                for size in (3, 4, 5)
-                for meet in itertools.combinations(sorted(TROPES[label]), size)
-            }),
-        )
-        for label, trope in TROPE_MASKS
-    )
-
-
-def _classify(p: Pentad, mask: int) -> PentadClass:
-    """The class of the sorted pentad p with node mask `mask`: every trope
-    meet of three or more nodes gives its triples, and one of four or more
-    makes the pentad inadmissible."""
-    triples: tuple = ()
-    admissible = True
-    for trope, table in trope_triple_tables():
-        meet = mask & trope
-        if meet in table:
-            triples += table[meet]
-            admissible = admissible and meet.bit_count() == 3
-    return PentadClass(p, admissible, admissible and not triples, triples)
+def _meet_kind(mask: int) -> tuple[bool, bool, int]:
+    """(admissible, Goepel, trope-triple count) of a pentad mask, read off
+    the bit counts of its ten trope meets: a meet of four or more nodes
+    makes the pentad inadmissible, and a meet of k nodes holds C(k, 3)
+    triples."""
+    sizes = [(mask & trope).bit_count() for _, trope in TROPE_MASKS]
+    admissible = max(sizes) < 4
+    count = sum(comb(k, 3) for k in sizes)
+    return admissible, admissible and not count, count
 
 
 def classify(pentad: Sequence[Duad]) -> PentadClass:
+    """The class of a pentad: its sorted labels, whether it is admissible,
+    and the triples of each trope meet, tropes in label order and triples
+    sorted."""
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5 or not set(p) <= NODE_BIT.keys():
         raise ValueError("a pentad consists of five distinct node labels")
-    return _classify(p, node_mask(p))
+    mask = node_mask(p)
+    triples = tuple(
+        (label, t) for label, trope in TROPE_MASKS for t in itertools.combinations(mask_pentad(mask & trope), 3)
+    )
+    return PentadClass(p, _meet_kind(mask)[0], triples)
 
 
 def all_pentads() -> list[Pentad]:
@@ -128,16 +110,14 @@ def mask_pentad(mask: int) -> Pentad:
 @lru_cache(maxsize=None)
 def pentad_table() -> Mapping[int, tuple[bool, bool, int]]:
     """The mask of each pentad, in the order of `all_pentads()`, mapped to
-    its (admissible, Goepel, trope-triple count), read off `_classify`; read
-    as plain masks, the keys are every choice of five of fifteen bits.  Each
-    class record is dropped once read, and equal entries are one tuple.
-    Built once, on first use, and read-only so the cached copy cannot go
-    stale."""
+    its (admissible, Goepel, trope-triple count), read off the sizes of its
+    trope meets (`_meet_kind`); read as plain masks, the keys are every
+    choice of five of fifteen bits.  Equal entries are one tuple.  Built
+    once, on first use, and read-only so the cached copy cannot go stale."""
     table, kinds = {}, {}
     for p in itertools.combinations(NODES, 5):
         mask = node_mask(p)
-        cls = _classify(p, mask)
-        kind = (cls.admissible, cls.goepel, cls.trope_triple_count)
+        kind = _meet_kind(mask)
         table[mask] = kinds.setdefault(kind, kind)
     return MappingProxyType(table)
 
@@ -275,7 +255,7 @@ def graph_criterion_crosscheck() -> CriterionReport:
     graph never leaves a triangle after one deletion), so mismatches are
     tallied per orbit rather than asserted away.  The two-edge-deletion rule
     for triples does agree exactly: it picks the 200 trope triples, the
-    triples of `trope_triple_tables()`, and the trope-triple counts of
+    three-bit subsets of `TROPE_MASKS`, and the trope-triple counts of
     `pentad_table()` add up to each of them once in every one of the 66
     pentads through it.
     """
@@ -300,7 +280,7 @@ def graph_criterion_crosscheck() -> CriterionReport:
     # a triple lies in C(12,2) = 66 pentads, so counts that take in every
     # trope triple of their pentad add up to 66 per trope triple; one
     # dropped falls short
-    trope_triples = {meet for _, meets in trope_triple_tables() for meet in meets if meet.bit_count() == 3}
+    trope_triples = {sum(t) for _, trope in TROPE_MASKS for t in itertools.combinations(_bits(trope), 3)}
 
     def by_representative(mismatches: dict[int, tuple[bool, bool]]) -> tuple[tuple[Pentad, bool, bool], ...]:
         return tuple(sorted((mask_pentad(orbits[i][0]), *m) for i, m in mismatches.items()))

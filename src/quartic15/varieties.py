@@ -692,6 +692,13 @@ def _projective_reps(p: int, n: int):
             yield tuple(v)
 
 
+def reduce_point(coords: Sequence[int], p: int) -> tuple[int, ...]:
+    """The F_p point of a primitive integer vector, its first nonzero entry
+    scaled to 1, the form in which `_projective_reps` lists it."""
+    lead = pow(next(x for x in coords if x % p), -1, p)
+    return tuple(x * lead % p for x in coords)
+
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 

@@ -269,10 +269,12 @@ def test_report_schema_fields():
 
 
 def test_console_script_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; sys.argv = ['quartic15', 'table1', '--n', '3']; from quartic15.cli import main; main()"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "table1[3]" in proc.stdout
@@ -549,8 +551,39 @@ def test_a_moved_node_turns_the_node_checks_red(monkeypatch):
     monkeypatch.setattr(
         va, "node_point", lambda s: va.ProjectivePoint([1, -1, 0, 0, 0, 0]) if tuple(s) == (1, 2, 3) else real(s)
     )
-    assert _failed(["segre"]) == (1, {"segre-nodes"})
+    # the F11 scan still finds the true node, which is no longer the claimed one's reduction
+    assert _failed(["segre"]) == (1, {"segre-nodes", "segre-scan-f11"})
     assert _failed(["duality", "--samples", "1"]) == (1, {"duality-nodes-to-cardinals"})
+
+
+@pytest.mark.parametrize(
+    "command, check_id, details",
+    [
+        ("segre", "segre-scan-f11", "F11 exhaustive scan found 10 singular points (expected 10); "
+         "1 scanned points are no node's reduction"),
+        ("cr", "cr-scan-f7", "F7 scan found 90 singular points; lines give 15*(7+1) - 2*15 = 90; "
+         "1 scanned points lie on no line"),
+    ],
+    ids=["segre", "cr"],
+)
+def test_a_scan_with_one_point_moved_turns_the_threefold_scan_red(monkeypatch, command, check_id, details):
+    # one scanned point moved to another F_p point, in the canonical form,
+    # keeps the count: only the set turns the check red
+    from quartic15 import varieties as va
+
+    real = va.singular_scan_fp
+
+    def moved(target, p):
+        pts = real(target, p)
+        x = pts[0]
+        y = next(y for y in (x[:-1] + ((x[-1] + k) % p,) for k in range(1, p)) if y not in pts)
+        return [y] + pts[1:]
+
+    monkeypatch.setattr(va, "singular_scan_fp", moved)
+    code, report, _ = run_quiet([command])
+    assert code == 1 and [c["id"] for c in report.checks if c["status"] == "fail"] == [check_id]
+    (check,) = [c for c in report.checks if c["id"] == check_id]
+    assert check["details"] == details
 
 
 def _tangent_check(monkeypatch, mutate):

@@ -67,9 +67,10 @@ def test_goepel_independent_oracle():
 
 
 def test_type_ii_example():
+    # admissible, and not Goepel: three of its triples lie on tropes
     cls = classify(TYPE_II)
-    assert cls.admissible and not cls.goepel
-    assert cls.trope_triple_count == 3
+    assert cls.admissible and cls.trope_triples
+    assert len(cls.trope_triples) == 3
     labels = sorted(t[0] for t in cls.trope_triples)
     assert labels == [(1, 2), (1, 5), (2, 3)]
 
@@ -79,14 +80,15 @@ def test_inadmissible_four_on_trope():
     trope = sorted(trope_node_sets()[(1, 2)])
     pentad = tuple(sorted(trope[:4] + [(1, 3)]))
     cls = classify(pentad)
-    assert not cls.admissible and not cls.goepel
+    assert not cls.admissible  # so not Goepel either
     assert cls.trope_triples  # the contained triples are recorded
 
 
 def test_classify_matches_the_set_definition_on_every_pentad():
     # the definition on node sets: admissible when no trope holds four of the
-    # five nodes, Goepel when none holds three; every triple the meet of a
-    # trope holds is recorded, tropes in label order, triples sorted
+    # five nodes, Goepel when none holds three, that is, admissible with no
+    # trope triple; every triple the meet of a trope holds is recorded,
+    # tropes in label order, triples sorted
     tropes = sorted(trope_node_sets().items())
     for p in all_pentads():
         meets = [(label, sorted(set(p) & nodes)) for label, nodes in tropes]
@@ -94,7 +96,8 @@ def test_classify_matches_the_set_definition_on_every_pentad():
         admissible = all(len(meet) <= 3 for _, meet in meets)
         cls = classify(tuple(reversed(p)))
         assert cls.pentad == p
-        assert (cls.admissible, cls.goepel, cls.trope_triples) == (admissible, admissible and not triples, triples)
+        assert (cls.admissible, cls.trope_triples) == (admissible, triples)
+        assert (cls.admissible and not cls.trope_triples) == all(len(meet) <= 2 for _, meet in meets)
 
 
 def test_classify_refuses_labels_that_are_no_nodes():
@@ -128,9 +131,9 @@ def test_orbit_partition_built_once_and_read_only():
 def test_the_pentad_sweeps_retain_mask_tables_only():
     # run cold in a fresh interpreter under tracemalloc: the caches the three
     # sweeps leave behind (pentad table, orbit partition, image columns,
-    # trope tables, rules) retain 758,721 bytes on Python 3.11.7; tuple-keyed
-    # class records, a mask -> pentad map and a pentad -> representative
-    # dict retained 1,669,096.  The bound lies halfway between the two.
+    # rules) retain 538,713 bytes on Python 3.11.7; with per-trope maps
+    # from each meet of three to five nodes to its triples they retained
+    # 759,057.  The bound lies halfway between the two.
     code = (
         "import tracemalloc\n"
         "tracemalloc.start()\n"
@@ -142,7 +145,7 @@ def test_the_pentad_sweeps_retain_mask_tables_only():
     env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < (1_669_096 + 758_721) // 2
+    assert int(proc.stdout) < (759_057 + 538_713) // 2
 
 
 S6_INDEX = {g: i for i, g in enumerate(s6_elements())}
@@ -179,10 +182,12 @@ def test_pentad_masks_are_the_pentads_in_order():
 
 
 def test_pentad_table_is_classify_on_every_pentad():
+    # the table counts the triples of each meet; `classify` forms them
     table = pentad_table()
     for p in all_pentads():
         cls = classify(p)
-        assert table[node_mask(p)] == (cls.admissible, cls.goepel, cls.trope_triple_count), p
+        goepel = cls.admissible and not cls.trope_triples
+        assert table[node_mask(p)] == (cls.admissible, goepel, len(cls.trope_triples)), p
 
 
 def test_orbit_table_counts():
@@ -191,7 +196,7 @@ def test_orbit_table_counts():
     admissible_total = sum(len(orbit) for orbit in orbits if classify(mask_pentad(orbit[0])).admissible)
     assert admissible_total == sum(1 for p in all_pentads() if classify(p).admissible)
     # the type-II pentad's orbit, led by its least pentad, carries 3 trope-triples
-    rep_counts = {mask_pentad(orbit[0]): classify(mask_pentad(orbit[0])).trope_triple_count for orbit in orbits}
+    rep_counts = {mask_pentad(orbit[0]): len(classify(mask_pentad(orbit[0])).trope_triples) for orbit in orbits}
     rep = min(apply_perm_duad_set(g, TYPE_II) for g in s6_elements())
     assert rep_counts[rep] == 3
 

@@ -287,8 +287,6 @@ FIELDS_READ_ONLY_BY_TESTS = {
 FIELD_HOMONYMS = {
     "lattice.Isometry.rows": "lattice.Isometry.apply",
     "nodal_surface.DivisorClass.den": "nodal_surface.DivisorClass.degree",
-    "pentads.PentadClass.goepel": "pentads.pentad_table",
-    "pentads.PentadOrbit.goepel": "cli.checks_pentads",
     "varieties.Hypersurface.ambient": "varieties.Hypersurface.node_reading",
     "varieties.Hypersurface.form": "varieties.Hypersurface.is_s6_invariant",
     "varieties.LinearSubspace.den": "varieties.cardinal_restriction",
@@ -364,10 +362,10 @@ def test_bench_tracer_keys_name_library_functions():
 
 
 def test_importing_every_module_fills_no_cache():
-    # the tables built on first use (the pentad table, the S6 image columns,
-    # the per-trope triple tables and the triple and quadruple rules of
-    # `pentads` among them) stay unbuilt when a fresh interpreter imports
-    # every module, so the import time does not grow with them
+    # the tables built on first use (the pentad table, the S6 image columns
+    # and the triple and quadruple rules of `pentads` among them) stay
+    # unbuilt when a fresh interpreter imports every module, so the import
+    # time does not grow with them
     code = (
         "import importlib, pkgutil, quartic15\n"
         "for m in pkgutil.iter_modules(quartic15.__path__):\n"
@@ -383,7 +381,6 @@ def test_importing_every_module_fills_no_cache():
     assert {
         "pentads.pentad_table",
         "pentads.image_columns",
-        "pentads.trope_triple_tables",
         "pentads.triple_rule",
         "pentads.quadruple_rule",
         "pentads.orbit_partition",
