@@ -16,6 +16,7 @@ report from it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -90,6 +91,23 @@ def _error_record(exc: Exception) -> dict:
 # -- check groups ---------------------------------------------------------------
 
 
+def _scan_check(r: Runner, check_id: str, claim: str, p: int, count: int, expect, head: str, stray: str):
+    """One F_p scan check, run whole in the check.  `expect()` gives the target, the set of F_p
+    points its scan at p must find (`count` in all) and a note; the details are `head`, the note
+    and, if the sets differ, `stray`, formatted with p, {n} found, {strays} off the set and its size {distinct}."""
+
+    def scan():
+        target, expected, note = expect()
+        pts = va.singular_scan_fp(target, p)
+        found = set(pts)
+        detail = head.format(p=p, n=len(pts)) + note
+        if found != expected:  # a count alone passes a scan at the wrong points
+            detail += stray.format(p=p, strays=len(found - expected), distinct=len(expected))
+        return len(pts) == count and found == expected, detail
+
+    r.run(check_id, claim, scan)
+
+
 def checks_segre(r: Runner):
     def invariance():
         return va.build_variety("segre").is_s6_invariant(), "cubic form fixed by all 720 coordinate permutations"
@@ -112,18 +130,14 @@ def checks_segre(r: Runner):
 
     r.run("segre-nodes", "the cubic has exactly 10 ordinary nodes", nodes)
 
-    def scan():
-        pts = va.singular_scan_fp(va.build_variety("segre"), 11)
-        detail = f"F11 exhaustive scan found {len(pts)} singular points (expected 10)"
-        # the count alone passes a scan whose 10 points are not the nodes'
-        free = va.SUM_ZERO.free
-        nodes = {va.reduce_point([va.node_point(s).coords[f] for f in free], 11) for s in cf.three_subsets()}
-        found = set(pts)
-        if found != nodes:
-            detail += f"; {len(found - nodes)} scanned points are no node's reduction"
-        return len(pts) == 10 and found == nodes, detail
-
-    r.run("segre-scan-f11", "brute force over F11 sees exactly the 10 nodes", scan)
+    _scan_check(
+        r, "segre-scan-f11", "brute force over F11 sees exactly the 10 nodes", 11, 10,
+        lambda: (va.build_variety("segre"), {
+            va.reduce_point([va.node_point(s).coords[f] for f in va.SUM_ZERO.free], 11) for s in cf.three_subsets()
+        }, ""),
+        "F{p} exhaustive scan found {n} singular points (expected 10)",
+        "; {strays} scanned points are no node's reduction",
+    )
 
 
 def checks_cr(r: Runner):
@@ -161,23 +175,17 @@ def checks_cr(r: Runner):
 
     r.run("cr-duad-points", "the line-intersection points and double lines form a (15_3) configuration", duad_points)
 
-    def scan():
-        pts = va.singular_scan_fp(va.build_variety("cr"), 7)
-        expected = 15 * 8 - 2 * 15
-        detail = f"F7 scan found {len(pts)} singular points; lines give 15*(7+1) - 2*15 = {expected}"
-        # the F7 points of each line: its two kernel columns combined over P^1(F7)
-        free = va.SUM_ZERO.free
-        on_lines = {
-            va.reduce_point([a * c0[f] + b * c1[f] for f in free], 7)
+    # the F7 points of each line: its two kernel columns combined over P^1(F7)
+    _scan_check(
+        r, "cr-scan-f7", "the F7 singular locus is the union of the 15 lines", 7, 90,
+        lambda: (va.build_variety("cr"), {
+            va.reduce_point([a * c0[f] + b * c1[f] for f in va.SUM_ZERO.free], 7)
             for c0, c1 in (va.syntheme_line(s).kernel for s in cf.synthemes())
             for a, b in va._projective_reps(7, 2)
-        }
-        found = set(pts)
-        if found != on_lines:
-            detail += f"; {len(found - on_lines)} scanned points lie on no line"
-        return len(pts) == expected and found == on_lines, detail
-
-    r.run("cr-scan-f7", "the F7 singular locus is the union of the 15 lines", scan)
+        }, ""),
+        "F{p} scan found {n} singular points; lines give 15*({p}+1) - 2*15 = 90",
+        "; {strays} scanned points lie on no line",
+    )
 
     def cardinals():
         for subset in cf.three_subsets():
@@ -300,35 +308,23 @@ def checks_section(r: Runner, coeffs, scan_prime: int | None):
 
     if scan_prime is not None:
 
-        def scan():
-            pts = va.singular_scan_fp(model, scan_prime)
-            detail = f"F{scan_prime} scan found {len(pts)} singular points (expected 15)"
-            bad = va.bad_prime_duads(model, scan_prime)
-            if bad:
-                detail += (
-                    f"; {scan_prime} is a bad prime for this hyperplane: it divides the "
-                    f"pairing with the line-intersection point(s) {list(bad)}, so the three "
-                    "nodes on each such duad's lines collide in reduction"
-                )
-            if tuple(coeffs) == REFERENCE_COEFFS and scan_prime == 11:
-                detail += (
-                    "; the asserted count 15 is therefore unattainable here — the true "
-                    "count is 13, and scans at the good primes 23 and 29 give 15"
-                )
-            # the count alone passes a scan whose 15 points are not the nodes'
-            found = set(pts)
-            reductions = {va.reduce_point(n.chart_point.coords, scan_prime) for n in model.nodes}
-            if found != reductions:
-                detail += (
-                    f"; the nodes reduce to {len(reductions)} distinct F{scan_prime} points, "
-                    f"and {len(found - reductions)} scanned points are no node's reduction"
-                )
-            return len(pts) == 15 and found == reductions, detail
+        def reductions():
+            nodes = {va.reduce_point(n.chart_point.coords, scan_prime) for n in model.nodes}
+            if not (bad := va.bad_prime_duads(model, scan_prime)):
+                return model, nodes, ""
+            q1, q2 = itertools.islice(va.good_primes(model), 2)
+            n1, n2 = (len(va.singular_scan_fp(model, q)) for q in (q1, q2))
+            return model, nodes, (
+                f"; {scan_prime} is a bad prime for this hyperplane: it divides the pairing with the line-"
+                f"intersection point(s) {list(bad)}, so the three nodes on each such duad's lines collide in "
+                f"reduction; the asserted count 15 is therefore unattainable here — the true count is {len(nodes)}, "
+                f"and scans at the good primes {q1} and {q2} give {15 if n1 == n2 == 15 else f'{n1} and {n2}'}"
+            )
 
-        r.run(
-            f"section-scan-f{scan_prime}[{tag}]",
-            "the finite-field singular scan sees exactly the reduced nodes",
-            scan,
+        _scan_check(
+            r, f"section-scan-f{scan_prime}[{tag}]", "the finite-field singular scan sees exactly the reduced nodes",
+            scan_prime, 15, reductions, "F{p} scan found {n} singular points (expected 15)",
+            "; the nodes reduce to {distinct} distinct F{p} points, and {strays} scanned points are no node's reduction",
         )
     return model
 

@@ -725,6 +725,12 @@ def _plane_packs(p: int, deg: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(packs)
 
 
+@lru_cache(maxsize=8)
+def _byte_residues(p: int) -> tuple[bytes, ...]:
+    """Byte tables v → v, 256·v and −256·v mod p (p < 256) for the 16-bit slots."""
+    return tuple(bytes([v * m % p for v in range(256)]) for m in (1, 256, -256))
+
+
 def _slot_reducer(p: int, width: int, count: int):
     """The map that reduces every w-bit slot of an integer of `count` slots
     mod p, each slot to its residue in [0, p).  With 16-bit slots and
@@ -734,8 +740,7 @@ def _slot_reducer(p: int, width: int, count: int):
     unpacks the slots, reduces them and packs them again."""
     nbytes = count * width // 8
     if width == 16 and p < 128:
-        low = bytes([v % p for v in range(256)])
-        high = bytes([v * 256 % p for v in range(256)])
+        low, high, _ = _byte_residues(p)
 
         def byte_residues(x):
             raw = x.to_bytes(nbytes, "little")
@@ -838,8 +843,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
             # byte: the slot lo + 256·hi is a multiple of p exactly where
             # lo mod p = −256·hi mod p, and `flags` has a zero byte exactly at
             # the slots where all three sums are multiples of p
-            lo_res = bytes(v % p for v in range(256))
-            hi_res = bytes(-v * 256 % p for v in range(256))
+            lo_res, _, hi_res = _byte_residues(p)
 
             def misses(total):
                 raw = total.to_bytes(nbytes, "little")
@@ -899,27 +903,21 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
 
 def bad_prime_duads(model: SectionModel, p: int) -> tuple[Duad, ...]:
     """Duads whose line-intersection point pairs with the section's hyperplane
-    to a multiple of p.  The three nodes on the double lines through such a
-    duad collide in reduction mod p, so an F_p scan of the section finds
-    fewer than 15 singular points."""
-    hp = model.hyperplane
-    return tuple(
-        d
-        for d in duads()
-        if sum(a * b for a, b in zip(hp, duad_point(d).coords)) % p == 0
-    )
+    to a multiple of p: the three nodes on such a duad's double lines collide
+    mod p, so the 15 nodes reduce to fewer than 15 F_p points."""
+    return tuple(d for d in duads() if sum(map(mul, model.hyperplane, duad_point(d).coords)) % p == 0)
 
 
-def _reduce_mod(form: MultiPoly, p: int) -> ModPoly:
-    try:
-        return form.mod_p(p)
-    except ValueError as exc:
-        raise ValueError(f"bad prime: {exc}") from exc
+def good_primes(model: SectionModel):
+    """The primes p >= 5 in increasing order at which the section has no bad duad and its chart reduces."""
+    return (p for p in itertools.count(5) if _is_prime(p) and model.chart.den % p and not bad_prime_duads(model, p))
 
 
 def check_scan_prime(p: int) -> int:
-    """p, if the F_p scans take it whatever they scan: a prime of at least
-    5.  Otherwise raises ValueError naming the reason."""
+    """p, if the F_p scans take it whatever they scan: a prime from 5 to 1021
+    (a scan's cost grows like p³).  Otherwise raises ValueError naming the reason."""
+    if p >= 1 << 10:
+        raise ValueError("bad prime: need p < 1024")
     if not _is_prime(p):
         raise ValueError(f"bad prime: {p} is not prime")
     if p < 5:
@@ -937,7 +935,12 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     `check_scan_prime` refuses, and primes dividing a coefficient
     denominator of the chart, are rejected as bad.
     """
-    return _singular_points_fp(_reduce_mod(target.chart, check_scan_prime(p)))
+    p = check_scan_prime(p)
+    try:
+        fp = target.chart.mod_p(p)
+    except ValueError as exc:  # p divides the chart's denominator
+        raise ValueError(f"bad prime: {exc}") from exc
+    return _singular_points_fp(fp)
 
 
 # -- rational point sampling ------------------------------------------------------

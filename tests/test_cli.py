@@ -119,9 +119,31 @@ def test_a_dropped_node_turns_section_nodes_red(monkeypatch):
     assert check["details"] == "14 ordinary nodes certified (Hessian rank 3) for hyperplane (1,2,3,5,7,11)"
 
 
-def test_section_scan_good_prime():
+def test_section_scan_good_prime(monkeypatch):
+    # a good prime adds no bad-prime clause, and no other prime is scanned
+    from quartic15 import varieties as va
+
+    real, primes = va.singular_scan_fp, []
+    monkeypatch.setattr(va, "singular_scan_fp", lambda target, p: primes.append(p) or real(target, p))
     code, report, _ = run_quiet(["section", "--coeffs", "0,1,3,14,15,17", "--scan-prime", "11"])
-    assert code == 0
+    assert code == 0 and primes == [11]
+    assert report.checks[-1]["details"] == "F11 scan found 15 singular points (expected 15)"
+
+
+def test_the_bad_prime_explanation_reads_the_good_prime_scans(monkeypatch):
+    # the reference section is bad at 11; the explanation reports the scans
+    # at the two smallest good primes, 23 and 29, as they come out
+    from quartic15 import varieties as va
+
+    real = va.singular_scan_fp
+    monkeypatch.setattr(va, "singular_scan_fp", lambda target, p: real(target, p)[: 14 if p == 23 else None])
+    code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", "--scan-prime", "11"])
+    check = report.checks[-1]
+    assert code == 1 and check["id"] == "section-scan-f11[1,2,3,5,7,11]" and check["status"] == "fail"
+    assert check["details"].endswith(
+        "the asserted count 15 is therefore unattainable here — the true count is 13, "
+        "and scans at the good primes 23 and 29 give 14 and 15"
+    )
 
 
 def test_usage_error_exit_code():
@@ -163,6 +185,26 @@ def test_a_scan_prime_outside_the_scan_range_is_a_usage_error(capsys, monkeypatc
     assert [c["id"] for c in report.checks][-1] == "section-scan-f5[1,2,3,5,7,11]"
     assert len(report.checks) == 4
     assert code == 1 and [c["status"] for c in report.checks] == ["pass"] * 3 + ["fail"]
+
+
+def test_a_scan_prime_of_2_to_the_10_or_more_is_refused_before_the_primality_test(capsys, monkeypatch):
+    # a scan's cost grows like p³ and trial division like √p: these primes
+    # are refused at parse time without a primality test, and none is scanned
+    from quartic15 import cli
+    from quartic15 import varieties as va
+
+    assert va.check_scan_prime(1021) == 1021
+
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    ran = []
+    monkeypatch.setattr(va, "_is_prime", no_trial_division)
+    monkeypatch.setattr(cli.Runner, "run", lambda self, *args: ran.append(args))
+    for prime in ("1024", "65521", "18446744073709551557"):  # the last is 2^64 - 59, a prime
+        code, report, _ = run_quiet(["section", "--coeffs", "1,2,3,5,7,11", f"--scan-prime={prime}"])
+        assert code == 2 and report.checks == [] and ran == [], prime
+        assert "argument --scan-prime: bad prime: need p < 1024" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prime, found, distinct, others", [(5, 15, 10, 5), (7, 16, 12, 4)])
@@ -952,7 +994,7 @@ PINNED_REPORTS = [
     ("--seed 1 --no-timing --json r.json duality --samples 200", 0,
      "aafdf5aa562735f699e5728178b6333479c1f26a16d0550b55f122f98aabe829"),
     ("--no-timing --json r.json section --coeffs=0,1,3,14,15,17 --scan-prime 23", 1,
-     "a32a27e351e1035891a13c146b7076990fd69af2dfd0fa4421966c414d6e22f8"),
+     "29cc0e59d3cf8acdc3c67d16acb3a4777ba206e1f29a108b842c82e0a4b5f887"),
     ("--no-timing --json r.json section --coeffs=1,2,3,5,7,11 --scan-prime 11", 1,
      "43caf323397fc83bb6bbee0998e49fddc0db84eecea9798ec51ea773a73855a2"),
 ]

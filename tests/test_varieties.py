@@ -41,6 +41,7 @@ from quartic15.varieties import (
     sample_smooth_cubic_point,
     sample_tangent_section,
     segre_form,
+    good_primes,
     singular_scan_fp,
     cardinal_tangency_quadric,
     syntheme_line,
@@ -890,7 +891,8 @@ def test_bad_prime_duads_name_the_collision_in_the_cli_detail():
     assert check["details"] == (
         "F23 scan found 13 singular points (expected 15); 23 is a bad prime for this "
         "hyperplane: it divides the pairing with the line-intersection point(s) [(5, 6)], "
-        "so the three nodes on each such duad's lines collide in reduction"
+        "so the three nodes on each such duad's lines collide in reduction; the asserted count 15 is "
+        "therefore unattainable here — the true count is 13, and scans at the good primes 7 and 11 give 15"
     )
 
 
@@ -931,6 +933,31 @@ def test_scan_rejects_composite_modulus(segre, reference_section, m):
     for target in (segre, reference_section):
         with pytest.raises(ValueError, match=f"^bad prime: {m} is not prime$"):
             singular_scan_fp(target, m)
+
+
+def test_scan_refuses_a_prime_of_2_to_the_10_or_more_before_the_primality_test(segre, reference_section, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(varieties, "_is_prime", no_trial_division)
+    for target in (segre, reference_section):
+        for p in (1 << 10, 65521, 2**64 - 59):
+            with pytest.raises(ValueError, match="^bad prime: need p < 1024$"):
+                singular_scan_fp(target, p)
+
+
+def test_good_primes_skip_bad_duads_and_the_primes_of_the_chart_denominator(reference_section):
+    # (1,2,3,5,7,11) has a bad duad at every prime from 5 to 19; on
+    # (12,-10,2,8,-9,-3) no duad is bad at 11, but 11 divides the chart's
+    # denominator 4·11^4, so no scan can run there
+    assert all(bad_prime_duads(reference_section, p) for p in (5, 7, 11, 13, 17, 19))
+    other = hyperplane_section((12, -10, 2, 8, -9, -3))
+    assert bad_prime_duads(other, 11) == () and other.chart.den == 4 * 11**4
+    with pytest.raises(ValueError, match="^bad prime: denominator"):
+        singular_scan_fp(other, 11)
+    for model, first in ((reference_section, [23, 29]), (other, [17, 23])):
+        good = good_primes(model)
+        assert [next(good), next(good)] == first
 
 
 # -- the plane-by-plane scan against the per-point scan ----------------------------
