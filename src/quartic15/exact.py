@@ -10,13 +10,14 @@ as `int` or `Fraction` (nothing here touches floating point) and leave as a
 exponents packed into one int each.  Values are read in integers, den·f(xs)
 at an integer point xs, by the one sparse evaluation loop, which `ModPoly`
 reads mod p, or for a family of forms at once off one `monomial_table`, each
-shared monomial valued once: the node readings of `varieties.Hypersurface`
-read the chart's second partials so, and the F_p scan the gradient of each
-candidate.  The rational linear algebra (`rref`,
-`nullspace` and `LinearMap`) is a front end to the fraction-free integer
-kernels of `lattice`.  No library module calls it: the benchmark builds its
-section chart with it, and besides its own tests only the ragged-row
-refusal and the pin of that chart reach it.
+shared monomial valued once.  `partials_table` builds that table for the
+first or second partials of a form straight off its numerators: the node
+readings of `varieties.Hypersurface` read the chart's second partials so,
+and the F_p scan the gradient of each candidate.  The rational linear
+algebra (`rref`, `nullspace` and `LinearMap`) is a front end to the
+fraction-free integer kernels of `lattice`.  No library module calls it:
+the benchmark builds its section chart with it, and besides its own tests
+only the ragged-row refusal and the pin of that chart reach it.
 """
 
 from __future__ import annotations
@@ -357,10 +358,42 @@ def monomial_table(forms: Sequence[MultiPoly]) -> MonomialTable:
     `table_values` reads all the forms at a point from it."""
     if len({f.nvars for f in forms}) > 1:
         raise ValueError("the forms of a table must have one variable count")
-    exps = sorted({e for f in forms for e in f.nums}, reverse=True)
+    return _table([f.nums for f in forms])
+
+
+def partials_table(f: MultiPoly, order: int) -> MonomialTable:
+    """The `monomial_table` of the partials of den·f, read straight off its
+    numerators `nums`: the n first partials d_i (order 1) or the n(n+1)/2
+    second partials d_i d_j, i <= j, row by row (order 2).  A term c·x^e
+    gives c·e_i at e − u_i, and c·e_i·(e_j − δ_ij) at e − u_i − u_j: two
+    terms never meet in one partial, so the rows are the numerators of
+    `MultiPoly.partial` taken once or twice, with no polynomial formed."""
+    n = f.nvars
+    if order == 1:
+        derivatives = [(i,) for i in range(n)]
+    elif order == 2:
+        derivatives = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        raise ValueError(f"a partials table has order 1 or 2, not {order}")
+    rows = []
+    for ij in derivatives:
+        row = {}
+        for exp, c in f.nums.items():
+            e = list(exp)
+            for i in ij:
+                c *= e[i]
+                e[i] -= 1
+            if c:
+                row[tuple(e)] = c
+        rows.append(row)
+    return _table(rows)
+
+
+def _table(rows: Sequence[Mapping[Exponent, int]]) -> MonomialTable:
+    """The (monomials, rows) of `monomial_table` for rows of {exponent: c}."""
+    exps = sorted({e for row in rows for e in row}, reverse=True)
     monomials = tuple(tuple(i for i, k in enumerate(e) for _ in range(k)) for e in exps)
-    rows = tuple(tuple(f.nums.get(e, 0) for e in exps) for f in forms)
-    return monomials, rows
+    return monomials, tuple(tuple(row.get(e, 0) for e in exps) for row in rows)
 
 
 def table_values(table: MonomialTable, xs: Sequence[int]) -> list[int]:
@@ -392,7 +425,8 @@ class ModPoly:
     """Polynomial with coefficients reduced mod p, used by the F_p singular
     scans.  It holds `poly`, the `MultiPoly` of the reduced coefficients in
     [1, p) over den 1, and reads through its integer kernel: `terms` is its
-    read-only `nums` and `evaluate` its integer value reduced mod p."""
+    read-only `nums` and `evaluate` its integer value reduced mod p (the
+    scans read only the partials of `poly`, so no library code evaluates)."""
 
     __slots__ = ("nvars", "p", "poly", "terms")
 

@@ -36,12 +36,12 @@ from .exact import (
     ModPoly,
     MonomialTable,
     MultiPoly,
-    monomial_table,
+    partials_table,
     perfect_square_factor,
     primitive_integer_vector,
     table_values,
 )
-from .lattice import _check_length, bareiss, clear_denominators, minor_rank
+from .lattice import _check_length, _laplace_det, bareiss, clear_denominators, minor_rank
 
 NVARS = 6
 ONES = (1,) * NVARS
@@ -218,9 +218,10 @@ class Hypersurface:
     `gradient` (built on first use, also for the sampler) paired with the
     kernel columns.  For the node certificates only the n(n+1)/2 second
     partials d_i d_j g, i <= j, of the cleared g are held, once built, as
-    one `monomial_table`: `node_reading` reads the Hessian H at a point off
-    it and, by Euler's identity, the value and the gradient of g from H, as
-    x·H·x and H·x.
+    one `monomial_table` read straight off the chart's numerators
+    (`partials_table`, no partial formed as a polynomial): `node_reading`
+    reads the Hessian H at a point off it and, by Euler's identity, the
+    value and the gradient of g from H, as x·H·x and H·x.
     """
 
     form: MultiPoly
@@ -256,9 +257,7 @@ class Hypersurface:
     def _second_partials(self) -> MonomialTable:
         """The `monomial_table` of d_i d_j g of the cleared chart g, i <= j,
         row by row; formed once."""
-        gradient = self.chart.scale(self.chart.den).gradient()
-        n = len(gradient)
-        return monomial_table([gradient[i].partial(j) for i in range(n) for j in range(i, n)])
+        return partials_table(self.chart, 2)
 
     def hessian_at(self, xs: Sequence[int]) -> list[list[int]]:
         """The Hessian of the cleared chart at the integer chart point xs,
@@ -493,9 +492,16 @@ def duality_plane_to_line(s: Syntheme) -> bool:
 
 
 class CardinalRestriction(NamedTuple):
+    """The quartic on a cardinal 3-plane, c·q², with what a section reads of
+    q: its constant Hessian H and the adjugate adj(H), both symmetric.  The
+    conic q on a trope plane r·t = 0 (r ≠ 0) has rank rank [[H, r], [rᵀ, 0]] − 2,
+    and det [[H, r], [rᵀ, 0]] = −rᵀ·adj(H)·r, so the rank is 3 wherever
+    rᵀ·adj(H)·r ≠ 0."""
+
     square_root: MultiPoly  # conic q with restriction = c·q² for a constant c
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
-    hessian: tuple[tuple[int, ...], ...]  # H of q: q on r·t = 0 (r ≠ 0) has rank rank [[H, r], [rᵀ, 0]] − 2
+    hessian: tuple[tuple[int, ...], ...]  # H of q
+    adjugate: tuple[tuple[int, ...], ...]  # adj(H), its cofactors by Laplace expansion
 
 
 def cardinal_tangency_quadric() -> MultiPoly:
@@ -517,7 +523,13 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
         )
     q = result[1]
     hessian = Hypersurface(q, LinearSubspace((), 1, 4)).hessian_at([0] * 4)
-    return CardinalRestriction(q, plane, tuple(map(tuple, hessian)))
+    # adj(H)[i][j] is (−1)^(i+j) times the minor of H without row j and column i
+    rest = [[c for c in range(4) if c != k] for k in range(4)]
+    adjugate = tuple(
+        tuple((-1) ** (i + j) * _laplace_det([hessian[k] for k in rest[j]], rest[i]) for j in range(4))
+        for i in range(4)
+    )
+    return CardinalRestriction(q, plane, tuple(map(tuple, hessian)), adjugate)
 
 
 # -- hyperplane sections -----------------------------------------------------------
@@ -525,7 +537,7 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
 
 class TropeRecord(NamedTuple):
     subset: tuple[int, int, int]
-    conic_rank: int  # of q on the trope plane {r·t = 0}: the rank of the bordered Hessian, minus 2
+    conic_rank: int  # of q on the trope plane {r·t = 0}: 3, or the rank of the bordered Hessian minus 2
     incident_nodes: tuple[Syntheme, ...]
 
 
@@ -573,7 +585,10 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     there): its plane is {r·t = 0}, r the pairings of hp with the kernel
     columns, and q cut on it has rank rank [[H, r], [rᵀ, 0]] − 2, H the
     Hessian of q, since r ≠ 0 (r = 0 makes hp, of sum 0, a multiple of the
-    cardinal row, which is refused).  Every node lies on hp and on
+    cardinal row, which is refused).  That rank is 3 when the bordered
+    determinant −rᵀ·adj(H)·r is nonzero, read off the record's adjugate;
+    only a split conic, where it is 0, runs the Bareiss rank of the bordered
+    5 × 5 matrix.  Every node lies on hp and on
     u1+...+u6 = 0, so it is incident iff it pairs to 0 with the cardinal row.
 
     A cardinal row is compared with hp as it stands: it has coordinate sum
@@ -641,7 +656,10 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
     for subset in trope_incidence_model().blocks:
         card = cardinal_restriction(subset)
         r = [sum(map(mul, hp, col)) for col in card.plane.kernel]  # the trope plane is r·t = 0
-        conic_rank = len(bareiss([[*row, x] for row, x in zip(card.hessian, r)] + [[*r, 0]])[1]) - 2
+        if sum(map(mul, r, (sum(map(mul, row, r)) for row in card.adjugate))):  # −det [[H, r], [rᵀ, 0]]
+            conic_rank = 3
+        else:
+            conic_rank = len(bareiss([[*row, x] for row, x in zip(card.hessian, r)] + [[*r, 0]])[1]) - 2
         cardinal = cardinal_coefficients(subset)
         incident = []
         for node in nodes:
@@ -703,7 +721,7 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-_SLOT_FORMATS = {16: "H", 32: "I", 64: "Q"}
+_SLOT_FORMATS = {16: "H", 32: "I"}
 
 
 @lru_cache(maxsize=8)
@@ -782,7 +800,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     of the other two, at most N products each, N the number of distinct e.
     A slot of a packed table is a sum of at most T terms in [0, (p−1)²], T
     the number of distinct (j, k) among the terms, and a slot of a plane a
-    sum of at most N such terms, so a slot width w (16, 32 or 64 bits) above
+    sum of at most N such terms, so a slot width w (16 or 32 bits) above
     max(T, N)·(p−1)² (T and N at least 1) carries into no other slot.  On
     the zero head only terms free of the head survive, so each (j, k) has
     the one power e = D − j − k of a form of degree D, and x is 0 or 1: a
@@ -794,16 +812,21 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     dropped after the line.  A point is a candidate exactly where its three
     slots are multiples of p; with 16-bit slots (p < 256) these are found as
     the zero bytes of one integer made by two byte tables of residues, and
-    with wider slots by a set of the multiples.
-    Each candidate is confirmed by the value of the form (`ModPoly.evaluate`)
-    and of every partial, the partials read together mod p off one
-    `monomial_table` of the gradient of `fp.poly`.  A prime whose slot bound
-    does not fit 64 bits, or whose plane would hold 2^32 slots or more, is
-    refused before any table is built.
+    with 32-bit slots by a set of the multiples.
+    Each candidate is confirmed by every partial, read together mod p off
+    the `partials_table` of `fp.poly`: a form f of degree d has
+    d·f = sum x_i·d_i f (Euler), so f vanishes where its partials do when p
+    does not divide d, and a form of a degree p divides is refused.  These
+    refusals, and that of a prime whose slot bound does not fit 32 bits
+    (that bound is at least (p−1)², so a plane's p² slots number fewer than
+    2^32), come before any table is built.
     """
     p, n = fp.p, fp.nvars
-    if len({sum(e) for e in fp.terms}) > 1:
+    degrees = {sum(e) for e in fp.terms}
+    if len(degrees) > 1:
         raise ValueError("not a form: its terms have different degrees")
+    if any(d % p == 0 for d in degrees):
+        raise ValueError(f"bad prime: {p} divides the degree of the form")
     # each term as (x exponent, t exponent, y exponent, c, its monomial in the head)
     split = []
     if n > 1:
@@ -815,13 +838,13 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     powers = sorted({e for e, _, _, _, _ in split})
     deg = max((j + k for j, k in pairs), default=0)
     bound = max(len(pairs), len(powers), 1) * (p - 1) ** 2
-    width = next((w for w in (16, 32, 64) if bound < 1 << w), None)
-    if width is None or p * p >= 1 << 32:
-        raise ValueError(f"bad prime: {p} is too large for planes of 64-bit slots in a degree-{deg} scan")
-    gradient = monomial_table(fp.poly.gradient())
+    if bound >= 1 << 32:
+        raise ValueError(f"bad prime: {p} is too large for planes of 32-bit slots in a degree-{deg} scan")
+    width = 16 if bound < 1 << 16 else 32
+    gradient = partials_table(fp.poly, 1)
 
     def singular(v):
-        return fp.evaluate(v) == 0 and not any(g % p for g in table_values(gradient, v))
+        return not any(g % p for g in table_values(gradient, v))
 
     found = []
     if n > 1:

@@ -13,6 +13,7 @@ from quartic15.exact import (
     MultiPoly,
     monomial_table,
     nullspace,
+    partials_table,
     perfect_square_factor,
     primitive_integer_vector,
     rref,
@@ -658,6 +659,33 @@ def test_table_values_match_each_forms_integer_value(case):
 def test_monomial_table_refuses_forms_in_different_variables():
     with pytest.raises(ValueError, match="one variable count"):
         monomial_table([MultiPoly.variable(2, 0), MultiPoly.variable(3, 0)])
+
+
+@st.composite
+def forms_and_polynomials(draw):
+    """A reference form of degree 0 to 5 in 1 to 6 variables, the zero form
+    included, or now and then a polynomial that is no form."""
+    nvars = draw(st.integers(1, 6))
+    degree = draw(st.one_of(st.none(), st.integers(0, 5), st.integers(0, 5)))
+    return draw(polynomials(nvars, homogeneous_degree=degree)).poly()
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_and_polynomials())
+def test_partials_table_matches_the_table_of_the_partials(f):
+    # read off the numerators, the table is the `monomial_table` of the
+    # partials of den·f formed as polynomials: the gradient for order 1,
+    # each d_i d_j, i <= j, row by row for order 2
+    gradient = f.scale(f.den).gradient()
+    n = f.nvars
+    assert partials_table(f, 1) == monomial_table(gradient)
+    assert partials_table(f, 2) == monomial_table([gradient[i].partial(j) for i in range(n) for j in range(i, n)])
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_partials_table_refuses_an_order_other_than_1_or_2(order):
+    with pytest.raises(ValueError, match="order 1 or 2"):
+        partials_table(cr_form(), order)
 
 
 @settings(max_examples=300, deadline=None)

@@ -108,6 +108,8 @@ REACHED_ONLY_BY_TESTS = {
     "exact.LinearMap.__init__": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.nullspace": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
+    "exact.ModPoly.evaluate": "held by the benchmark: traced as exact.fp_evals; the scans read only the partials",
+    "exact.monomial_table": "the table of any family of forms, the reference for exact.partials_table",
     "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
@@ -116,9 +118,9 @@ REACHED_ONLY_BY_TESTS = {
 
 # The other defs no README command calls, each with the reason it is not
 # listed above: operator methods, immutability guards, error and failure
-# paths, the F_p scan's candidate filter for slots wider than 16 bits (primes
-# of 256 and more), its slot reduction off the byte path (wider slots, or
-# primes of 128 and more) and the `cli.main` entry point.
+# paths, the F_p scan's candidate filter for 32-bit slots (primes of 256 and
+# more), its slot reduction off the byte path (32-bit slots, or primes of 128
+# and more) and the `cli.main` entry point.
 CENSUS_EXEMPT = {
     "cli._error_record": "error path: records a check that raised",
     "cli.checks_section.<locals>.incidence.<locals>.nodes_on": "failure path: names a mislabelled trope",
@@ -142,8 +144,8 @@ CENSUS_EXEMPT = {
     "varieties.ProjectivePoint.__hash__": "operator method: equal points hash equal",
     "varieties.ProjectivePoint.__repr__": "operator method: the text of a point",
     "varieties.ProjectivePoint.__setattr__": "immutability guard",
-    "varieties._singular_points_fp.<locals>.slot_candidates": "the candidate filter for slots of 32 and 64 bits",
-    "varieties._slot_reducer.<locals>.slot_residues": "the slot reduction for slots of 32 and 64 bits or p >= 128",
+    "varieties._singular_points_fp.<locals>.slot_candidates": "the candidate filter for 32-bit slots",
+    "varieties._slot_reducer.<locals>.slot_residues": "the slot reduction for 32-bit slots or p >= 128",
 }
 
 

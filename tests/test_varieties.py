@@ -14,8 +14,8 @@ from dense_oracle import fraction_kernel, fraction_rref, fraction_solve, rationa
 from dense_oracle import mat_mul as dense_mat_mul
 from quartic15 import cli
 from quartic15.configs import duads, synthemes, three_subsets
-from quartic15.exact import ModPoly, MultiPoly, monomial_table, perfect_square_factor
-from quartic15.lattice import clear_denominators, mat_mul
+from quartic15.exact import MultiPoly, monomial_table, partials_table, perfect_square_factor
+from quartic15.lattice import bareiss, clear_denominators, det_bareiss, mat_mul
 from quartic15 import varieties
 from quartic15.varieties import (
     ONES,
@@ -794,6 +794,49 @@ def test_cardinal_restriction_is_one_shared_frozen_record():
         assert type(res.hessian) is tuple and all(type(row) is tuple for row in res.hessian)
         assert all(type(x) is int for row in res.hessian for x in row)
         assert [list(row) for row in res.hessian] == _quadric_matrix(res.square_root)
+        # and its adjugate, frozen: H·adj(H) = det(H)·I with det(H) = 9 ≠ 0,
+        # which fixes adj(H)
+        assert type(res.adjugate) is tuple and all(type(row) is tuple for row in res.adjugate)
+        assert det_bareiss(res.hessian) == 9
+        assert mat_mul(res.hessian, res.adjugate) == [[9 * (i == j) for j in range(4)] for i in range(4)]
+
+
+def test_trope_ranks_match_the_bordered_bareiss_rank():
+    # a section reads the conic's rank as 3 where rᵀ·adj(H)·r ≠ 0 and runs
+    # the Bareiss rank of [[H, r], [rᵀ, 0]] only where it is 0: every rank
+    # must be that Bareiss rank minus 2, on the two reference sections, the
+    # benchmark draw with a split trope and 200 seeded draws made as the
+    # sections benchmark makes them (six coefficients in [−30, 30])
+    coeffs = [REFERENCE_COEFFS, (0, 1, 3, 14, 15, 17), (3, 21, 23, 1, -5, -25)]
+    models = [hyperplane_section(c) for c in coeffs]
+    rng = random.Random(2019)
+    while len(models) < len(coeffs) + 200:
+        try:
+            models.append(hyperplane_section([rng.randint(-30, 30) for _ in range(6)]))
+        except GenericityError:
+            continue
+    ranks = []
+    for model in models:
+        for t in model.tropes:
+            card = cardinal_restriction(t.subset)
+            r = [sum(h * x for h, x in zip(model.hyperplane, col)) for col in card.plane.kernel]
+            bordered = [[*row, x] for row, x in zip(card.hessian, r)] + [[*r, 0]]
+            assert t.conic_rank == len(bareiss(bordered)[1]) - 2, (model.hyperplane, t.subset)
+            ranks.append(t.conic_rank)
+    assert set(ranks) == {2, 3}
+
+
+def test_bordered_determinant_is_minus_the_adjugate_form():
+    # det [[H, r], [rᵀ, 0]] = −rᵀ·adj(H)·r as polynomials in r, for each
+    # cardinal record, with the record's adjugate equal to sympy's
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Matrix(sympy.symbols("r0:4"))
+    for subset in three_subsets():
+        card = cardinal_restriction(subset)
+        hessian, adjugate = sympy.Matrix(card.hessian), sympy.Matrix(card.adjugate)
+        assert adjugate == hessian.adjugate()
+        bordered = hessian.row_join(r).col_join(r.T.row_join(sympy.zeros(1, 1)))
+        assert sympy.expand(bordered.det() + (r.T * adjugate * r)[0]) == 0
 
 
 def test_value_classes_refuse_assignment():
@@ -1061,22 +1104,22 @@ def test_scan_matches_brute_force_in_2_3_and_5_variables(form, p):
 def test_scan_of_a_form_vanishing_on_a_scanned_plane(g, p):
     # x0·g vanishes with both its partials in the plane's coordinates on the
     # scanned plane x0 = 0, x1 = 1, so every slot of that plane is a
-    # candidate and is confirmed by evaluating the form at its point
+    # candidate and is confirmed by reading the gradient table at its point
     fp = (MultiPoly.variable(4, 0) * g).mod_p(p)
-    evaluated = set()
-    evaluate = ModPoly.evaluate
+    read = set()
+    table_values = varieties.table_values
 
-    def recorded(self, point):
-        evaluated.add(point)
-        return evaluate(self, point)
+    def recorded(table, point):
+        read.add(point)
+        return table_values(table, point)
 
     try:
-        ModPoly.evaluate = recorded
+        varieties.table_values = recorded
         found = varieties._singular_points_fp(fp)
     finally:
-        ModPoly.evaluate = evaluate
+        varieties.table_values = table_values
     assert found == _brute_force_singular_points(fp)
-    assert {(0, 1, y, t) for y in range(p) for t in range(p)} <= evaluated
+    assert {(0, 1, y, t) for y in range(p) for t in range(p)} <= read
 
 
 @settings(max_examples=15, deadline=None)
@@ -1112,22 +1155,22 @@ def test_cr_scan_matches_reference(cr, p):
 
 
 def test_scan_evaluates_only_candidates(monkeypatch):
-    # the kernel confirms each candidate with one ModPoly.evaluate of the
-    # form (the partials are read off their table), so the calls count the
-    # candidates: a per-point scan would evaluate at every one of the
+    # the kernel confirms each candidate with one read of the gradient
+    # table (the form's value follows by Euler's identity), so the reads
+    # count the candidates: a per-point scan would read at every one of the
     # p^3 + p^2 + p + 1 points and a filter by the form alone at about one
     # point per line (~p^2); the filter by the form and both partials makes
-    # 15 calls, one at each of the 13 singular points, one at the one other
+    # 15 reads, one at each of the 13 singular points, one at the one other
     # candidate and one at (0, 0, 0, 1)
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     calls = []
-    evaluate = ModPoly.evaluate
+    table_values = varieties.table_values
 
-    def counted(self, point):
+    def counted(table, point):
         calls.append(point)
-        return evaluate(self, point)
+        return table_values(table, point)
 
-    monkeypatch.setattr(ModPoly, "evaluate", counted)
+    monkeypatch.setattr(varieties, "table_values", counted)
     p = 37
     pts = singular_scan_fp(model, p)
     assert len(pts) == 13  # 37 is a bad prime for this hyperplane
@@ -1139,14 +1182,14 @@ def test_scan_confirms_every_candidate(monkeypatch, p):
     # with every packed table zero, every slot of every plane sums to 0, so
     # every point is a candidate: the scan must still list exactly the
     # points of the per-point reference scan, each candidate confirmed by
-    # one value of the form and one read of the gradient table
+    # one read of the gradient table
     model = hyperplane_section(REFERENCE_COEFFS)
     segre = build_variety("segre")
     expected = [reference_scan(model, p), sorted(reference_scan(segre, p))]
     assert all(expected)
     calls = []
-    evaluate = ModPoly.evaluate
-    monkeypatch.setattr(ModPoly, "evaluate", lambda self, point: calls.append(point) or evaluate(self, point))
+    table_values = varieties.table_values
+    monkeypatch.setattr(varieties, "table_values", lambda table, xs: calls.append(xs) or table_values(table, xs))
     monkeypatch.setattr(
         varieties, "_plane_packs", lambda p, deg, width: tuple((0,) * (deg - j + 1) for j in range(deg + 1))
     )
@@ -1184,17 +1227,21 @@ def test_reference_section_scans_match_reference_at_23(coeffs):
     assert singular_scan_fp(model, 23) == reference_scan(model, 23)
 
 
-def test_scan_refuses_a_prime_too_large_for_64_bit_slots(monkeypatch):
-    # 5(p-1)^2 >= 2^64 for p = 2^31 - 1; the kernel refuses it before
-    # building any table, here before any call to range
+def test_scan_refuses_a_prime_too_large_for_32_bit_slots(monkeypatch):
+    # the form has T = 2 pairs (j, k) and N = 2 powers of x, so its slot
+    # bound is 2(p-1)^2, at least 2^32 from p = 46349 on, the first prime
+    # where it is; the kernel refuses it before building any table, here
+    # before any call to range
+    p = 46349
+    assert 2 * (p - 1) ** 2 >= 1 << 32 and varieties._is_prime(p)
     x = [MultiPoly.variable(4, i) for i in range(4)]
-    fp = (x[3] ** 4 + x[0] * x[1] * x[2] * x[3]).mod_p(2**31 - 1)
+    fp = (x[3] ** 4 + x[0] * x[1] * x[2] * x[3]).mod_p(p)
 
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(varieties, "range", no_table, raising=False)
-    with pytest.raises(ValueError, match="64-bit slots"):
+    with pytest.raises(ValueError, match="32-bit slots"):
         varieties._singular_points_fp(fp)
 
 
@@ -1208,7 +1255,28 @@ def test_scan_refuses_a_polynomial_that_is_not_a_form():
         varieties._singular_points_fp(fp)
 
 
-@pytest.mark.parametrize("width", [16, 32, 64])
+def test_scan_refuses_a_form_whose_degree_the_prime_divides(monkeypatch):
+    # a candidate is confirmed by its partials alone, since d·f = sum x_i·d_i f
+    # gives f = 0 where they vanish when p does not divide d; at p = 5 every
+    # partial of x0^5 + x1^5 + x2^5 + x3^5 is 0 mod 5 but the form is 1 at
+    # (0, 0, 0, 1), and a nonzero constant (degree 0) has no partial at all.
+    # Both are refused before any table is built
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    quintic = sum((xi**5 for xi in x), MultiPoly.zero(4)).mod_p(5)
+    _, rows = partials_table(quintic.poly, 1)
+    assert all(c % 5 == 0 for row in rows for c in row) and quintic.evaluate((0, 0, 0, 1)) == 1
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(varieties, "range", no_table, raising=False)
+    monkeypatch.setattr(varieties, "partials_table", no_table)
+    for fp in (quintic, MultiPoly.constant(4, 3).mod_p(7)):
+        with pytest.raises(ValueError, match=f"^bad prime: {fp.p} divides the degree of the form$"):
+            varieties._singular_points_fp(fp)
+
+
+@pytest.mark.parametrize("width", [16, 32])
 @pytest.mark.parametrize("p", [5, 23, 37, 127, 131, 251])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
