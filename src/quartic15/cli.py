@@ -209,7 +209,7 @@ def checks_cr(r: Runner):
             h = [rng.randint(-9, 9) for _ in range(6)]
             if all(x == h[0] for x in h) or va._normalize_hyperplane(h) in cardinal:
                 continue
-            plane = va.LinearSubspace.from_equations([va.ONES, h], 6)
+            plane = va.LinearSubspace([va.ONES, h], 6)
             tried += 1
             if perfect_square_factor(va.cr_quartic_form().substitute_linear(plane.parametrization, plane.den)):
                 return False, f"sampled hyperplane {h} restricted to a perfect square"

@@ -85,6 +85,13 @@ def _sparse_product(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) ->
     return out
 
 
+def _against_rows(b: Sequence[Sequence], a: Sequence[Sequence[int]]) -> list[list]:
+    """B·A^T for B by its sparse rows and A = B·G with G symmetric, that is
+    B·G·B^T: (B·G)^T = G·B^T, so entry (i, j) is row i of B against row j
+    of A, formed by `_sparse_product` over the sparse rows of A^T."""
+    return _sparse_product(b, _sparse_rows(zip(*a)), len(a))
+
+
 def mat_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -315,7 +322,8 @@ class IntegerLattice:
     The Gram entries are stored as ints; an entry that is not an integer is
     refused, never truncated.  `sparse_gram` holds each Gram row's nonzero
     (column, entry) pairs, built once here: the lattice is immutable, so the
-    rows cannot go stale.
+    rows cannot go stale.  The pairing (`form`) and every induced Gram
+    B·G·B^T (`gram_of`) multiply over these rows by `_sparse_product`.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -346,15 +354,19 @@ class IntegerLattice:
         return _det_cached(self.gram)
 
     def form(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """v·G·w^T for integer rows, as one sum over the nonzero entries."""
+        """v·G·w^T for integer rows: v·G over `sparse_gram`, then against w."""
         _check_length(v, self.rank, "vector")
         _check_length(w, self.rank, "vector")
-        nz = [(j, y) for j, y in enumerate(w) if y]
-        total = 0
-        for x, row in zip(v, self.gram):
-            if x:
-                total += x * sum(row[j] * y for j, y in nz)
-        return total
+        vg = _sparse_product(_sparse_rows([v]), self.sparse_gram, self.rank)[0]
+        return sum(x * y for x, y in zip(vg, w) if y)
+
+    def gram_of(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """B·G·B^T for the integer rows B: B·G over `sparse_gram`, then
+        against the rows of B (`_against_rows`)."""
+        for row in rows:
+            _check_length(row, self.rank, "row")
+        b = _sparse_rows(rows)
+        return _against_rows(b, _sparse_product(b, self.sparse_gram, self.rank))
 
     def pair(self, v: Sequence[int], w: Sequence[int], den: int = 1) -> Fraction:
         """v·G·w^T/den for integer rows v and w, divided once; the pairing
@@ -548,7 +560,7 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence], den: int = 1) ->
     stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
     h, _ = hermite_normal_form(stacked)
     basis = RowBasis(h[:n], den)
-    gram = mat_mul(mat_mul(basis.rows, lat.gram), mat_transpose(basis.rows))
+    gram = lat.gram_of(basis.rows)
     if any(x % (den * den) for row in gram for x in row):
         raise AssertionError("overlattice Gram must be integral")
     new = IntegerLattice([[x // (den * den) for x in row] for row in gram])
@@ -570,7 +582,8 @@ class RowBasis:
     The rows are brought to Hermite normal form H = U·rows once, and U is
     kept as its sparse rows.  Each x·B = v/d is then solved as y·H = v·den/d
     by forward substitution along the pivots, with a divisibility test at
-    every pivot, so membership is an exact integer decision; x = y·U.
+    every pivot, so membership is an exact integer decision; x = y·U, and
+    the numerators x·rows of `vector`, are products by `_sparse_product`.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
@@ -602,17 +615,12 @@ class RowBasis:
                 w = [a - q * b for a, b in zip(w, row)]
         if any(w):
             return None
-        x = [0] * len(self.rows)  # y·U, over the nonzero entries of y and U
-        for c, urow in zip(y, self.transform):
-            if c:
-                for j, u in urow:
-                    x[j] += c * u
-        return x
+        return _sparse_product(_sparse_rows([y]), self.transform, len(self.rows))[0]  # x = y·U
 
     def vector(self, x: Sequence[int]) -> list[int]:
         """The numerators of x·B over den."""
         _check_length(x, len(self.rows), "coordinate vector")
-        return [sum(c * row[j] for c, row in zip(x, self.rows) if c) for j in range(self.ncols)]
+        return _sparse_product(_sparse_rows([x]), _sparse_rows(self.rows), self.ncols)[0]
 
 
 # -- orthogonal complements --------------------------------------------------
@@ -636,8 +644,7 @@ def orthogonal_complement(
         _check_length(s, n, "vector")
     h, u = hermite_normal_form(mat_mul(lat.gram, mat_transpose(vectors)))
     basis = [row for row, hrow in zip(u, h) if not any(hrow)]
-    gram = mat_mul(mat_mul(basis, lat.gram), mat_transpose(basis))
-    return IntegerLattice(gram), basis
+    return IntegerLattice(lat.gram_of(basis)), basis
 
 
 # -- isometries --------------------------------------------------------------
@@ -646,7 +653,9 @@ def orthogonal_complement(
 class Isometry(NamedTuple):
     """A named integer isometry M by its sparse rows: row i is the image of
     basis vector i as its nonzero (column, entry) pairs in column order, a
-    canonical form, so two isometries are one matrix iff their rows are equal."""
+    canonical form, so two isometries are one matrix iff their rows are equal.
+    Every product with M (`apply`, `compose`, `involutive_isometry`) is a
+    `_sparse_product` over these rows."""
 
     name: str
     rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -663,12 +672,7 @@ class Isometry(NamedTuple):
     def apply(self, v: Sequence[int]) -> list[int]:
         """v·M, over the nonzero entries of v and M."""
         _check_length(v, self.rank, "vector")
-        out = [0] * self.rank
-        for x, row in zip(v, self.rows):
-            if x:
-                for j, y in row:
-                    out[j] += x * y
-        return out
+        return _sparse_product(_sparse_rows([v]), self.rows, self.rank)[0]
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self·other, re-sparsified."""
@@ -683,8 +687,8 @@ class Isometry(NamedTuple):
         over the lattice's cached sparse Gram rows (`sparse_gram`).
         If M² = 1 then M^T is its own inverse, so M·G·M^T = G iff
         M·G = G·M^T = (M·G)^T (G is symmetric): the Gram test is the symmetry
-        of A.  Otherwise A·M^T is formed in full, entry (i, j) as row i of A
-        against row j of M.
+        of A.  Otherwise M·G·M^T is formed in full from the same A by the
+        step `IntegerLattice.gram_of` takes (`_against_rows`).
         """
         n = lat.rank
         rows = self.rows
@@ -693,8 +697,7 @@ class Isometry(NamedTuple):
         a = _sparse_product(rows, lat.sparse_gram, n)
         if involutive:
             return True, a == mat_transpose(a)
-        image = tuple(tuple(sum(arow[k] * x for k, x in row) for row in rows) for arow in a)
-        return False, image == lat.gram
+        return False, _against_rows(rows, a) == [list(row) for row in lat.gram]
 
     def trace(self) -> int:
         return sum(x for i, row in enumerate(self.rows) for j, x in row if i == j)
@@ -724,10 +727,7 @@ def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometr
     n = lat.rank
     _check_length(r, n, "reflection vector")
     support = [(j, x if type(x) is int else _as_int(x, 0, j)) for j, x in enumerate(r) if x]
-    gr = [0] * n  # e_i·r
-    for j, x in support:
-        for i, g in lat.sparse_gram[j]:
-            gr[i] += x * g
+    gr = _sparse_product([support], lat.sparse_gram, n)[0]  # e_i·r = (r·G)_i, G symmetric
     rr = sum(x * gr[j] for j, x in support)
     if rr not in (-2, -4):
         raise ValueError(f"{name}: reflection vector must have norm -2 or -4, got {rr}")

@@ -41,8 +41,6 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     discriminant_q_multiset,
-    mat_mul,
-    mat_transpose,
     orthogonal_complement,
     overlattice,
 )
@@ -319,7 +317,7 @@ def picard_lattice() -> Overlattice:
         raise AssertionError(f"named basis class {coords.index(None)} must lie in the Picard lattice")
     if (index := abs(det_bareiss(coords))) != 1:
         raise AssertionError(f"the named classes do not span the Picard lattice: |det T| = {index}")
-    gram = mat_mul(mat_mul(coords, over.lattice.gram), mat_transpose(coords))
+    gram = over.lattice.gram_of(coords)
     return Overlattice(IntegerLattice(gram), RowBasis([hnf.vector(c) for c in coords], den), over.index)
 
 
@@ -635,7 +633,7 @@ def kummer_embedding_check() -> KummerEmbeddingCertificate:
     comp, _ = orthogonal_complement(kum.lattice, [n0_coords])
     equals_complement = gram_match = False
     if in_lattice:
-        got = mat_mul(mat_mul(image_in_kummer, kum.lattice.gram), mat_transpose(image_in_kummer))
+        got = kum.lattice.gram_of(image_in_kummer)
         equals_complement = orthogonal and comp.rank == RANK and det_bareiss(got) == comp.det()
         # induced Gram on the image equals the Picard Gram
         gram_match = got == [list(r) for r in pic.lattice.gram]

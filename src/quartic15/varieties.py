@@ -20,7 +20,7 @@ import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
-from operator import index, mul
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .configs import (
@@ -90,44 +90,37 @@ class ProjectivePoint:
 
 
 class LinearSubspace:
-    """Linear subspace as integer reduced row echelon rows over one denominator.
+    """Linear subspace {x : rows·x = 0}, built only from its equations.
 
-    `rows`/`den` is the reduced row echelon form of the defining equations:
-    every row leads with `den`, which is positive, and each leading column
-    is zero in the other rows, so the rows are independent.  The same
-    integers give the parametrization: for each free (non-leading) column
-    fc, the integer column `kernel` holds den at fc and −rows[r][fc] at the
-    leading column of row r; over den it is 1 at fc and 0 at the other free
-    columns.  The parameters of a point of the subspace are therefore its
-    entries at the free columns.  Membership and annihilation are integer
-    dot products against these rows and columns, each point or covector
-    cleared once per call, and a form is restricted to the subspace by
-    substituting `parametrization` over `den` (`Hypersurface.chart`).  The
-    rows and den are divided by their common gcd, so each subspace has one
-    representation and equality of records is equality of subspaces.
+    The equations may be ints or Fractions, scaled, reordered, dependent or
+    zero; each is cleared of denominators and one fraction-free
+    Gauss-Jordan elimination (`bareiss` with `reduce_above`) brings them to
+    integer reduced row echelon rows over one denominator: every row leads
+    with `den`, which is positive, and each leading column is zero in the
+    other rows, so the rows are independent.  The rows and den are divided
+    by their signed gcd, so each subspace has one record and equality of
+    records is equality of subspaces.  The same integers give the
+    parametrization: for each free (non-leading) column fc, the integer
+    column `kernel` holds den at fc and −rows[r][fc] at the leading column
+    of row r; over den it is 1 at fc and 0 at the other free columns.  The
+    parameters of a point of the subspace are therefore its entries at the
+    free columns.  Membership and annihilation are integer dot products
+    against these rows and columns, each point or covector cleared once per
+    call, and a form is restricted to the subspace by substituting
+    `parametrization` over `den` (`Hypersurface.chart`).
     """
 
     rows: tuple[tuple[int, ...], ...]
     den: int
     nvars: int
 
-    def __init__(self, rows: Sequence[Sequence[int]], den: int, nvars: int):
-        for row in rows:
+    def __init__(self, equations: Sequence[Sequence], nvars: int):
+        for row in equations:
             _check_length(row, nvars, "equation row")
-        rows = tuple(tuple(map(index, row)) for row in rows)
-        lead = [next((i for i, x in enumerate(row) if x), nvars) for row in rows]
-        if (
-            den < 1
-            or lead[-1:] == [nvars]
-            or any(a >= b for a, b in zip(lead, lead[1:]))
-            or any(
-                row[c] != (den if r == k else 0)
-                for r, row in enumerate(rows)
-                for k, c in enumerate(lead)
-            )
-        ):
-            raise ValueError("equation rows must be in reduced row echelon form over a positive den")
-        g = gcd(den, *(x for row in rows for x in row))
+        a, pivots, _ = bareiss([clear_denominators(row)[0] for row in equations], reduce_above=True)
+        rows = a[: len(pivots)]
+        den = rows[-1][pivots[-1]] if pivots else 1
+        g = gcd(den, *(x for row in rows for x in row)) * (1 if den > 0 else -1)
         object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "nvars", nvars)
@@ -143,15 +136,6 @@ class LinearSubspace:
 
     def __hash__(self):
         return hash((self.rows, self.den, self.nvars))
-
-    @classmethod
-    def from_equations(cls, rows: Sequence[Sequence], nvars: int) -> "LinearSubspace":
-        for r in rows:
-            _check_length(r, nvars, "equation row")
-        a, pivots, _ = bareiss([clear_denominators(r)[0] for r in rows], reduce_above=True)
-        d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-        sign = 1 if d > 0 else -1
-        return cls(tuple(tuple(sign * x for x in row) for row in a[: len(pivots)]), sign * d, nvars)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -198,7 +182,7 @@ class LinearSubspace:
 
 
 # the hyperplane u1+...+u6 = 0 that holds both varieties
-SUM_ZERO = LinearSubspace.from_equations([ONES], NVARS)
+SUM_ZERO = LinearSubspace([ONES], NVARS)
 
 
 class Hypersurface:
@@ -346,7 +330,7 @@ def syntheme_line(s: Syntheme) -> LinearSubspace:
         row = [0] * NVARS
         row[a - 1], row[b - 1] = 1, -1
         rows.append(row)
-    return LinearSubspace.from_equations(rows, NVARS)
+    return LinearSubspace(rows, NVARS)
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +341,7 @@ def syntheme_plane(s: Syntheme) -> LinearSubspace:
         row = [0] * NVARS
         row[a - 1], row[b - 1] = 1, 1
         rows.append(row)
-    return LinearSubspace.from_equations(rows, NVARS)
+    return LinearSubspace(rows, NVARS)
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +353,7 @@ def duad_point(d: Duad) -> ProjectivePoint:
 def derive_duad_point(d: Duad) -> ProjectivePoint:
     """Independent derivation: intersect the three syntheme lines containing d."""
     rows = [eq for s in synthemes() if d in s for eq in syntheme_line(s).rows]
-    meet = LinearSubspace.from_equations(rows, NVARS)
+    meet = LinearSubspace(rows, NVARS)
     if len(meet.kernel) != 1:
         raise AssertionError("three lines through a duad must meet in one point")
     return ProjectivePoint(meet.kernel[0])
@@ -381,7 +365,7 @@ def derive_node_point(subset: Sequence[int]) -> ProjectivePoint:
     model = trope_incidence_model()
     j = model.blocks.index(tuple(subset))
     rows = [eq for s, row in zip(model.points, model.matrix) if row[j] for eq in syntheme_plane(s).rows]
-    meet = LinearSubspace.from_equations(rows, NVARS)
+    meet = LinearSubspace(rows, NVARS)
     if len(meet.kernel) != 1:
         raise AssertionError("six planes through a node must meet in one point")
     return ProjectivePoint(meet.kernel[0])
@@ -514,7 +498,7 @@ def cardinal_tangency_quadric() -> MultiPoly:
 def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
     """Restrict the quartic to a cardinal 3-plane; must be a perfect square.
     Cached: the cardinal checks and every hyperplane section share one record."""
-    plane = LinearSubspace.from_equations([ONES, cardinal_coefficients(subset)], NVARS)
+    plane = LinearSubspace([ONES, cardinal_coefficients(subset)], NVARS)
     restricted = cr_quartic_form().substitute_linear(plane.parametrization, plane.den)
     result = perfect_square_factor(restricted)
     if result is None:
@@ -522,7 +506,7 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
             f"cardinal restriction for {subset} is not a perfect square; model falsified"
         )
     q = result[1]
-    hessian = Hypersurface(q, LinearSubspace((), 1, 4)).hessian_at([0] * 4)
+    hessian = Hypersurface(q, LinearSubspace((), 4)).hessian_at([0] * 4)
     # adj(H)[i][j] is (−1)^(i+j) times the minor of H without row j and column i
     rest = [[c for c in range(4) if c != k] for k in range(4)]
     adjugate = tuple(
@@ -615,7 +599,7 @@ def hyperplane_section(coeffs: Sequence, tangent_at: ProjectivePoint | None = No
         pt = duad_point(d)
         if sum(a * b for a, b in zip(hp, pt.coords)) == 0:
             raise GenericityError("hyperplane passes through a line-intersection point", d)
-    section = LinearSubspace.from_equations([ONES, hp], NVARS)
+    section = LinearSubspace([ONES, hp], NVARS)
     surface = Hypersurface(cr_quartic_form(), section)
 
     def section_node(s: Syntheme | None, ambient: ProjectivePoint, smooth: str, degenerate: str) -> SectionNode:

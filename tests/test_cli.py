@@ -673,7 +673,7 @@ def test_a_moved_double_line_turns_the_line_check_red(monkeypatch):
     moved = synthemes()[0]
     # the line through (1,-1,0,0,0,0) and (0,0,1,-1,0,0), which meets the
     # quartic only where 4(a² − b²)² vanishes
-    chord = va.LinearSubspace.from_equations(
+    chord = va.LinearSubspace(
         [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], 6
     )
     monkeypatch.setattr(va, "syntheme_line", lambda s: chord if s == moved else real(s))
@@ -1009,6 +1009,17 @@ def test_reports_are_pinned(monkeypatch, tmp_path):
 
 
 VERIFY_ALL, VERIFY_ALL_EXIT, VERIFY_ALL_DIGEST = PINNED_REPORTS[0]
+
+
+def test_pins_script_runs_every_pin_under_one_interpreter():
+    # tests/pins_across_pythons.py reads PINNED_REPORTS out of this file and
+    # checks them under each interpreter it is given; here, this one
+    script = Path(__file__).with_name("pins_across_pythons.py")
+    proc = subprocess.run([sys.executable, str(script), sys.executable], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["ok"] * len(PINNED_REPORTS)
+    assert lines[-1] == "0 mismatch(es)"
 
 
 def test_pinned_report_under_python_dash_O(tmp_path):

@@ -74,7 +74,7 @@ def test_gradient():
 
 def unconstrained(f: MultiPoly) -> Hypersurface:
     """The form with no ambient equations."""
-    return Hypersurface(f, LinearSubspace((), 1, f.nvars))
+    return Hypersurface(f, LinearSubspace((), f.nvars))
 
 
 def test_hessian_at():
@@ -90,7 +90,7 @@ def test_hessian_at():
     with pytest.raises(ValueError):
         certify_ordinary_node(unconstrained(g), ProjectivePoint([5, -7, 1]))
     with pytest.raises(ValueError, match="ambient subspace has 3 variables, the form 2"):
-        Hypersurface(g, LinearSubspace((), 1, 3))
+        Hypersurface(g, LinearSubspace((), 3))
 
 
 def test_substitute_identity_and_degree():

@@ -34,6 +34,7 @@ from quartic15.lattice import (
 )
 
 from dense_oracle import dense, is_involution, preserves_gram, sparse
+from dense_oracle import det as reference_det
 from dense_oracle import mat_mul as reference_mat_mul
 
 
@@ -498,12 +499,24 @@ def test_involutive_isometry_matches_the_dense_definition(case):
     iso = Isometry("m", sparse(m))
     assert dense(iso) == m
     expected = (is_involution(m), preserves_gram(m, g))
-    assert iso.involutive_isometry(IntegerLattice(tuple(map(tuple, g)))) == expected
+    lat = IntegerLattice(tuple(map(tuple, g)))
+    assert iso.involutive_isometry(lat) == expected
     # the other sparse-row methods against the same dense matrix
     assert iso.compose(iso).rows == sparse(reference_mat_mul(m, m))
     assert iso.trace() == sum(m[i][i] for i in range(n))
-    v = list(range(1, n + 1))
-    assert iso.apply(v) == reference_mat_mul([v], m)[0]
+    vectors = m + [list(range(1, n + 1))]  # a zero row of M now and then
+    for v in vectors:
+        assert iso.apply(v) == reference_mat_mul([v], m)[0]
+    # B·G·B^T on the first k rows of M, none to all of them
+    for k in range(n + 1):
+        rows = m[:k]
+        assert lat.gram_of(rows) == reference_mat_mul(reference_mat_mul(rows, g), [list(c) for c in zip(*rows)])
+    # the rows of an invertible M as a row basis: x·M, and back
+    if reference_det(m):
+        basis = RowBasis(m)
+        for v in vectors:
+            assert basis.vector(v) == reference_mat_mul([v], m)[0]
+            assert basis.coordinates(basis.vector(v)) == v
 
 
 def test_involutive_isometry_reads_each_lattices_own_gram():
@@ -545,6 +558,8 @@ def test_orthogonal_complement_gram_is_the_induced_form():
     lat = direct_sum(U2, A1, diagonal_lattice(6))
     comp, basis = orthogonal_complement(lat, [[1, 1, 1, 0]])
     assert comp.gram == tuple(tuple(lat.pair(b1, b2) for b2 in basis) for b1 in basis)
+    with pytest.raises(ValueError, match="row has 3 entries, expected 4"):
+        lat.gram_of([[1, 0, 0, 0], [1, 1, 1]])
     # a half-integral Gram is refused where the lattice is built
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
         IntegerLattice(((Fraction(1, 2), 0), (0, 2)))

@@ -129,7 +129,7 @@ def test_projective_point_refusals():
             ProjectivePoint(bad)
     for bad in ([0.1, 1, 1], [1, "1", 0]):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
-            LinearSubspace.from_equations([bad], 3)
+            LinearSubspace([bad], 3)
 
 
 def test_forms_s6_invariant(segre, cr):
@@ -178,7 +178,7 @@ def test_line_points_meet_rule():
             if s1 >= s2:
                 continue
             shared = set(s1) & set(s2)
-            meet = LinearSubspace.from_equations(lines[s1].rows + lines[s2].rows, 6).kernel
+            meet = LinearSubspace(lines[s1].rows + lines[s2].rows, 6).kernel
             assert bool(shared) == bool(meet)
             if shared:
                 (d,) = shared
@@ -263,7 +263,7 @@ def test_line_in_a_syntheme_plane_is_on_the_cubic_but_not_double(segre):
     # the chart gradient, which is nonzero along the line, refuses it
     for s in synthemes():
         plane = syntheme_plane(s)
-        line = LinearSubspace.from_equations(plane.rows + ((1, 2, 3, 0, 0, 0),), 6)
+        line = LinearSubspace(plane.rows + ((1, 2, 3, 0, 0, 0),), 6)
         assert len(line.kernel) == 2
         assert not segre_form().substitute_linear(line.parametrization, line.den)
         assert verify_double_line(segre, line) is False
@@ -273,7 +273,7 @@ def test_double_line_on_a_two_equation_ambient():
     # {sum u = 0, u1 = u2} holds the three syntheme lines through the duad
     # (1,2); each is a double line of the quartic read on that ambient, and
     # a syntheme line off the ambient is refused
-    ambient = LinearSubspace.from_equations([ONES, (1, -1, 0, 0, 0, 0)], 6)
+    ambient = LinearSubspace([ONES, (1, -1, 0, 0, 0, 0)], 6)
     assert len(ambient.rows) == 2
     v = Hypersurface(cr_quartic_form(), ambient)
     through = [s for s in synthemes() if (1, 2) in s]
@@ -289,7 +289,7 @@ def test_generic_chord_is_not_double_line(cr):
     # a line through two points of the quartic is not in the singular locus
     p1 = param_point(syntheme_line(synthemes()[0]), [1, 2])
     p2 = param_point(syntheme_line(synthemes()[5]), [3, 1])
-    chord = LinearSubspace.from_equations(LinearSubspace.from_equations([p1, p2], 6).kernel, 6)
+    chord = LinearSubspace(LinearSubspace([p1, p2], 6).kernel, 6)
     assert verify_double_line(cr, chord) is False
 
 
@@ -336,7 +336,7 @@ def subspaces(draw):
     rows = draw(st.lists(row, max_size=nvars + 1))
     if rows and draw(st.booleans()):
         rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
-    return nvars, rows, LinearSubspace.from_equations(rows, nvars)
+    return nvars, rows, LinearSubspace(rows, nvars)
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,7 +369,7 @@ def test_annihilates_matches_rank_test(sub, data):
 
 @settings(max_examples=200, deadline=None)
 @given(subspaces(), st.data())
-def test_from_equations_matches_fraction_rref(sub, data):
+def test_linear_subspace_matches_fraction_rref(sub, data):
     nvars, rows, space = sub
     red, pivots = fraction_rref(rows)
     assert [[Fraction(a, space.den) for a in row] for row in space.rows] == red[: len(pivots)]
@@ -378,28 +378,34 @@ def test_from_equations_matches_fraction_rref(sub, data):
     assert [[Fraction(a, space.den) for a in col] for col in space.kernel] == fraction_kernel(rows, nvars)
     assert all(type(a) is int for row in space.parametrization for a in row)
     assert space.parametrization == tuple(tuple(col[i] for col in space.kernel) for i in range(nvars))
-    assert LinearSubspace(space.rows, space.den, nvars) == space
-    # refusals: a row scaled off den, two rows swapped, a wrong length
-    if space.rows:
-        k = data.draw(st.integers(0, len(space.rows) - 1))
-        scaled = list(space.rows)
-        scaled[k] = tuple(2 * a for a in scaled[k])
-        with pytest.raises(ValueError, match="reduced row echelon form"):
-            LinearSubspace(tuple(scaled), space.den, nvars)
-        if len(space.rows) > 1:
-            with pytest.raises(ValueError, match="reduced row echelon form"):
-                LinearSubspace(space.rows[::-1], space.den, nvars)
-        with pytest.raises(ValueError, match=f"has {nvars + 1} entries, expected {nvars}"):
-            LinearSubspace(space.rows[:k] + (space.rows[k] + (0,),) + space.rows[k + 1 :], space.den, nvars)
-    with pytest.raises(ValueError, match="reduced row echelon form"):
-        LinearSubspace(space.rows, -space.den, nvars)
+    # one canonical record per subspace: its own rows, as integers or as
+    # Fractions over den, give it back
+    assert LinearSubspace(space.rows, nvars) == space
+    assert LinearSubspace([[Fraction(a, space.den) for a in row] for row in space.rows], nvars) == space
+    if not rows:
+        return
+    # and so do the equations with a row scaled or negated, the rows
+    # swapped, a dependent row or a zero row added
+    k = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(small_rationals.filter(bool))
+    scaled, negated = list(rows), list(rows)
+    scaled[k] = [c * a for a in rows[k]]
+    negated[k] = [-a for a in rows[k]]
+    dependent = [c * a + b for a, b in zip(rows[k], rows[0])]
+    for same in (scaled, negated, rows[::-1], rows + [dependent], rows + [[0] * nvars]):
+        assert LinearSubspace(same, nvars) == space
+    # refused: a row of the wrong length, a float entry
+    with pytest.raises(ValueError, match=f"has {nvars + 1} entries, expected {nvars}"):
+        LinearSubspace(rows[:k] + [rows[k] + [0]] + rows[k + 1 :], nvars)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        LinearSubspace(rows[:k] + [[float(a) for a in rows[k]]] + rows[k + 1 :], nvars)
 
 
 def test_linear_subspace_refuses_wrong_lengths(cr):
     with pytest.raises(ValueError, match="has 3 entries, expected 2"):
-        LinearSubspace.from_equations([[1, 1, 1]], 2)
-    with pytest.raises(ValueError, match="has 3 entries, expected 2"):
-        LinearSubspace(((1, 1, 1),), 1, 2)
+        LinearSubspace([[1, 1, 1]], 2)
+    with pytest.raises(ValueError, match="has 1 entries, expected 2"):
+        LinearSubspace([[1, 1], [1]], 2)
     with pytest.raises(ValueError, match="has 3 entries, expected 6"):
         cr.ambient.contains([1, -1, 0])
     with pytest.raises(ValueError, match="has 7 entries, expected 6"):
@@ -407,27 +413,28 @@ def test_linear_subspace_refuses_wrong_lengths(cr):
 
 
 def test_linear_subspace_checks_the_unit_pattern():
-    # x0 + x1 = 0 over den 1, and the same row over den 2: both accepted, and
-    # both normalise to den 1, so the parametrization is the unit vector (1 at
-    # the free column x1) and the two records are equal
-    for rows, den in ((((1, 1),), 1), (((2, 2),), 2)):
-        space = LinearSubspace(rows, den, 2)
+    # x0 + x1 = 0 from any of its equations is one record over den 1, so the
+    # parametrization is the unit vector (1 at the free column x1)
+    for rows in ([[1, 1]], [[2, 2]], [[-1, -1]], [[Fraction(1, 2)] * 2], [[1, 1], [3, 3]], [[0, 0], [1, 1]]):
+        space = LinearSubspace(rows, 2)
         assert space.rows == ((1, 1),) and space.den == 1
         assert space.free == (1,) and space.parametrization == ((-1,), (1,))
-    assert LinearSubspace(((2,) * 6,), 2, 6) == varieties.SUM_ZERO
-    # each leading entry must be den, and each leading column zero in the
-    # other rows: otherwise coordinates read off the free columns are wrong
-    for rows, den in (
-        (((2, 2),), 1),  # leads with 2, not den
-        (((1, 1), (0, 1)), 1),  # the second leading column is 1 in row 0
-        (((0, 1), (1, 0)), 1),  # leading columns not increasing
-        (((1, 0), (0, 0)), 1),  # a zero row
-        (((-1, -1),), -1),  # den must be positive
+    assert LinearSubspace([(2,) * 6], 6) == varieties.SUM_ZERO
+    # each row leads with den, and each leading column is zero in the other
+    # rows, whatever the equations: coordinates are read off the free columns
+    for rows, nvars, expected, den in (
+        ([[1, 1], [0, 1]], 2, ((1, 0), (0, 1)), 1),  # 1 above the second lead
+        ([[0, 1], [1, 0]], 2, ((1, 0), (0, 1)), 1),  # leading columns not increasing
+        ([[1, 0], [0, 0]], 2, ((1, 0),), 1),  # a zero row
+        ([[2, 1, 0], [0, 1, 1]], 3, ((2, 0, -1), (0, 2, 2)), 2),  # leads over den 2
     ):
-        with pytest.raises(ValueError, match="reduced row echelon form over a positive den"):
-            LinearSubspace(rows, den, 2)
+        space = LinearSubspace(rows, nvars)
+        assert (space.rows, space.den) == (expected, den)
+        assert all(
+            row[c] == (den if r == k else 0) for r, row in enumerate(space.rows) for k, c in enumerate(space.pivots)
+        )
     with pytest.raises(TypeError):
-        LinearSubspace(((1, Fraction(1, 2)),), 1, 2)  # rows are integers
+        LinearSubspace(((1, 0.5),), 2)  # only ints and Fractions
 
 
 def test_chart_matches_greedy_basis_on_segre_nodes(segre):
@@ -514,7 +521,8 @@ def test_cardinal_restriction_all_squares():
 def test_bench_chart_gives_the_section_quartic():
     # the benchmark picks scan primes from the quartic restricted through a
     # LinearMap of the `nullspace` columns; it must be the quartic the
-    # section certifies and scans
+    # section certifies and scans, which the chart of the `LinearSubspace`
+    # of the same two equations gives too
     from quartic15.exact import LinearMap, nullspace
 
     rng = random.Random(5)
@@ -527,6 +535,8 @@ def test_bench_chart_gives_the_section_quartic():
     for model in models:
         chart = LinearMap(zip(*nullspace([list(ONES), model.hyperplane], 6)))
         assert cr_quartic_form().substitute_linear(chart) == model.chart
+        space = LinearSubspace([list(ONES), model.hyperplane], 6)
+        assert cr_quartic_form().substitute_linear(space.parametrization, space.den) == model.chart
 
 
 def test_section_quartic_takes_the_ambient_values():
@@ -536,7 +546,7 @@ def test_section_quartic_takes_the_ambient_values():
     rng = random.Random(7)
     form = cr_quartic_form()
     model = hyperplane_section((-5, 9, -7, -1, -6, 6))
-    chart = LinearSubspace.from_equations([ONES, model.hyperplane], 6)
+    chart = LinearSubspace([ONES, model.hyperplane], 6)
     assert chart.den > 1
     for _ in range(8):
         x = [rng.randint(-5, 5) for _ in range(4)]
@@ -551,7 +561,7 @@ def test_non_cardinal_restriction_not_square():
         h = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
         if h in ([0] * 6,) or all(x == h[0] for x in h):
             continue
-        chart = LinearSubspace.from_equations([ones, h], 6)
+        chart = LinearSubspace([ones, h], 6)
         if len(chart.free) != 4:
             continue
         restricted = cr_quartic_form().substitute_linear(chart.parametrization, chart.den)
@@ -612,8 +622,8 @@ def test_every_cardinal_row_and_its_negative_is_refused_with_its_subset():
 def _reference_node_surface(model):
     """The reference section's surface and one of its nodes, certified once.
     The surface is built before a test patches `varieties.bareiss`, which
-    `LinearSubspace.from_equations` reads too."""
-    surface = Hypersurface(cr_quartic_form(), LinearSubspace.from_equations([ONES, model.hyperplane], 6))
+    the `LinearSubspace` constructor reads too."""
+    surface = Hypersurface(cr_quartic_form(), LinearSubspace([ONES, model.hyperplane], 6))
     node = model.nodes[0].ambient
     assert certify_ordinary_node(surface, node).is_ordinary
     return surface, node
@@ -653,7 +663,7 @@ def test_every_section_chart_has_four_free_columns():
         except GenericityError:
             continue  # all six equal: no hyperplane inside {sum u = 0}
         assert sum(hp) == 0 and any(hp)
-        assert len(LinearSubspace.from_equations([ONES, hp], 6).free) == 4, coeffs
+        assert len(LinearSubspace([ONES, hp], 6).free) == 4, coeffs
         tried += 1
     assert tried > 500
 
@@ -672,14 +682,14 @@ def test_double_line_lemmas_behind_the_section_refusals():
     pairs = list(itertools.combinations(lines, 2))
     assert len(pairs) == 105
     for s, t in pairs:
-        meet = LinearSubspace.from_equations(lines[s].rows + lines[t].rows, 6)
+        meet = LinearSubspace(lines[s].rows + lines[t].rows, 6)
         assert {ProjectivePoint(c) for c in meet.kernel} == {duad_point(d) for d in set(s) & set(t)}
     # a line meets a cardinal hyperplane that does not contain it only at one
     # of its duad points (150 pairs); the lines a cardinal hyperplane
     # contains are the matching rule's incidences
     contained = set()
     for s, subset in itertools.product(lines, three_subsets()):
-        meet = LinearSubspace.from_equations(lines[s].rows + (cardinal_coefficients(subset),), 6)
+        meet = LinearSubspace(lines[s].rows + (cardinal_coefficients(subset),), 6)
         if len(meet.kernel) == 2:
             contained.add((s, subset))
         else:
@@ -710,7 +720,7 @@ def test_tropes_match_the_three_equation_oracle(make, split):
     form = cr_quartic_form()
     conics = []
     for t in model.tropes:
-        plane = LinearSubspace.from_equations([ONES, model.hyperplane, cardinal_coefficients(t.subset)], 6)
+        plane = LinearSubspace([ONES, model.hyperplane, cardinal_coefficients(t.subset)], 6)
         assert len(plane.rows) == 3
         assert perfect_square_factor(form.substitute_linear(plane.parametrization, plane.den)) is not None
         on_plane = [n.syntheme for n in model.nodes if plane.contains(n.ambient.coords)]
@@ -719,7 +729,7 @@ def test_tropes_match_the_three_equation_oracle(make, split):
         # six variables, span the oracle plane, and there scale·conic² is the quartic
         card = cardinal_restriction(t.subset)
         row = [sum(h * x for h, x in zip(model.hyperplane, col)) for col in card.plane.kernel]
-        trope = LinearSubspace.from_equations([row], 4)
+        trope = LinearSubspace([row], 4)
         conic = card.square_root.substitute_linear(trope.parametrization, trope.den)
         chart = mat_mul(card.plane.parametrization, trope.parametrization)
         assert all(plane.contains(col) for col in zip(*chart))
@@ -756,23 +766,23 @@ def test_sections_read_the_cached_cardinal_records(monkeypatch):
     form = cr_quartic_form()
     calls = {"square": 0, "quartic": 0, "substitute": 0, "eliminate": 0}
     substitute = MultiPoly.substitute_linear
-    from_equations = LinearSubspace.from_equations.__func__
+    init = LinearSubspace.__init__
 
     def counted_substitute(self, *args, **kwargs):
         calls["quartic"] += self == form  # the section's Hypersurface holds a copy
         calls["substitute"] += 1
         return substitute(self, *args, **kwargs)
 
-    def counted_from_equations(cls, *args, **kwargs):
+    def counted_init(self, *args, **kwargs):
         calls["eliminate"] += 1
-        return from_equations(cls, *args, **kwargs)
+        init(self, *args, **kwargs)
 
     def counted_square(f):
         calls["square"] += 1
         return perfect_square_factor(f)
 
     monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
-    monkeypatch.setattr(LinearSubspace, "from_equations", classmethod(counted_from_equations))
+    monkeypatch.setattr(LinearSubspace, "__init__", counted_init)
     monkeypatch.setattr(varieties, "perfect_square_factor", counted_square)
     model = hyperplane_section((0, 1, 3, 14, 15, 17))
     assert len(model.tropes) == 10
@@ -1086,7 +1096,7 @@ def forms(nvars, degree):
 @settings(max_examples=60, deadline=None)
 @given(forms(4, 4), st.sampled_from([5, 7, 11, 13]))
 def test_section_scan_matches_reference(form, p):
-    model = Hypersurface(form, LinearSubspace((), 1, 4))
+    model = Hypersurface(form, LinearSubspace((), 4))
     assert singular_scan_fp(model, p) == reference_scan(model, p)
 
 
@@ -1125,7 +1135,7 @@ def test_scan_of_a_form_vanishing_on_a_scanned_plane(g, p):
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(forms(6, 3), forms(6, 4)), st.sampled_from([5, 7]))
 def test_threefold_scan_matches_reference(form, p):
-    target = Hypersurface(form, LinearSubspace.from_equations([[Fraction(1)] * 6], 6))
+    target = Hypersurface(form, LinearSubspace([[Fraction(1)] * 6], 6))
     assert sorted(singular_scan_fp(target, p)) == sorted(reference_scan(target, p))
 
 
@@ -1136,7 +1146,7 @@ def test_scan_line_inside_the_surface():
     a = x[2] * x[2] + x[3] * x[3]
     b = x[2] * x[3]
     c = x[2] * x[2] - x[3] * x[3] * 2 + x[0] * x[1]
-    model = Hypersurface(x[0] * x[0] * a + x[0] * x[1] * b + x[1] * x[1] * c, LinearSubspace((), 1, 4))
+    model = Hypersurface(x[0] * x[0] * a + x[0] * x[1] * b + x[1] * x[1] * c, LinearSubspace((), 4))
     for p in (5, 7, 11, 13):
         pts = singular_scan_fp(model, p)
         assert pts == reference_scan(model, p)
@@ -1328,14 +1338,16 @@ def test_seeded_sections_scan_as_the_reference_at_bench_primes(p):
 
 
 def test_scan_accepts_sum_zero_in_any_representation(segre):
-    # (2,...,2) over den 2 is the sum-zero hyperplane, normalised to SUM_ZERO
-    doubled = Hypersurface(segre_form(), LinearSubspace(((2,) * 6,), 2, 6))
-    assert singular_scan_fp(doubled, 5) == singular_scan_fp(segre, 5)
-    assert len(singular_scan_fp(doubled, 5)) == 10
+    # (2,...,2) and (-1/3,...,-1/3) are the sum-zero equation, normalised to SUM_ZERO
+    for equation in ((2,) * 6, (Fraction(-1, 3),) * 6):
+        scaled = Hypersurface(segre_form(), LinearSubspace([equation], 6))
+        assert scaled.ambient == varieties.SUM_ZERO
+        assert singular_scan_fp(scaled, 5) == singular_scan_fp(segre, 5)
+        assert len(singular_scan_fp(scaled, 5)) == 10
     # any linear ambient is scanned on its chart: on the plane u1 = u2 of
     # the sum-zero hyperplane the cubic surface is singular at the 4 nodes
     # with u1 = u2, node_point({1, 2, k}) for k = 3..6
-    plane = Hypersurface(segre_form(), LinearSubspace.from_equations([ONES, (1, -1, 0, 0, 0, 0)], 6))
+    plane = Hypersurface(segre_form(), LinearSubspace([ONES, (1, -1, 0, 0, 0, 0)], 6))
     pts = singular_scan_fp(plane, 5)
     assert sorted(pts) == sorted(reference_scan(plane, 5))
     nodes = [node_point((1, 2, k)).coords for k in range(3, 7)]
@@ -1719,7 +1731,7 @@ def test_node_reading_is_euler_on_the_chart_hessian(form, data):
     k = next(i for i, x in enumerate(xs) if x)
     # xs_k^D·f − f(xs)·x_k^D vanishes at xs
     on = form * xs[k] ** deg - MultiPoly.variable(n, k) ** deg * form._integer_value(xs)
-    free = LinearSubspace((), 1, n)
+    free = LinearSubspace((), n)
     for point in (xs, [Fraction(x, q) for x in xs]):
         ys = clear_denominators(point)[0]
         for v in (Hypersurface(form, free), Hypersurface(on, free)):
@@ -1739,7 +1751,7 @@ def test_node_reading_is_euler_on_the_chart_hessian(form, data):
 
 def test_node_reading_refuses_a_form_of_degree_below_two():
     # Euler's identity needs d − 1 >= 1; the zero chart reads as zeros
-    free = LinearSubspace((), 1, 3)
+    free = LinearSubspace((), 3)
     for form in (MultiPoly.linear_form([1, 2, 3]), MultiPoly.constant(3, 5)):
         v = Hypersurface(form, free)
         with pytest.raises(ValueError, match="degree at least 2"):
@@ -1756,7 +1768,7 @@ def test_node_certificate_reads_the_hessian_from_the_second_partials(monkeypatch
     # the second partials of the cleared chart, so a changed coefficient
     # there reaches both the Euler value x·H·x and the matrix that is ranked
     model = hyperplane_section(REFERENCE_COEFFS)
-    surface = Hypersurface(model.chart, LinearSubspace((), 1, 4))
+    surface = Hypersurface(model.chart, LinearSubspace((), 4))
     node = model.nodes[0].chart_point
     x = list(node.coords)
     assert x == [3, 3, -1, -1]
