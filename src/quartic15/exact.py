@@ -8,9 +8,10 @@ as `int` or `Fraction` (nothing here touches floating point) and leave as a
 `Fraction` only through `leading_coefficient`.  Products of polynomials, in
 `*` and `substitute_linear`, run in the one monomial-product loop on
 exponents packed into one int each.  Values are read in integers, den·f(xs)
-at an integer point xs, by the one sparse evaluation loop, which `ModPoly`
-reads mod p, or for a family of forms at once off one `monomial_table`, each
-shared monomial valued once.  `partials_table` builds that table for the
+at an integer point xs, by the one sparse evaluation loop, or for a family
+of forms at once off one `monomial_table`, each shared monomial valued once.
+`mod_p` reduces a polynomial to its numerators mod p in [1, p) over den 1,
+the form the F_p scan reads.  `partials_table` builds that table for the
 first or second partials of a form straight off its numerators: the node
 readings of `varieties.Hypersurface` read the chart's second partials so,
 and the F_p scan the gradient of each candidate.  The rational linear
@@ -218,8 +219,7 @@ class MultiPoly:
 
     def _integer_value(self, xs: Sequence[int]) -> int:
         """den·f(xs) for an integer vector xs of nvars entries, summed in
-        integers; with den 1 it is f(xs).  The one sparse evaluation loop:
-        `ModPoly.evaluate` reduces it mod p."""
+        integers; with den 1 it is f(xs).  The one sparse evaluation loop."""
         total = 0
         for c, mono in self._monomials():
             for i, e in mono:
@@ -303,9 +303,10 @@ class MultiPoly:
 
     # -- reduction mod p ----------------------------------------------------
 
-    def mod_p(self, p: int) -> "ModPoly":
+    def mod_p(self, p: int) -> "MultiPoly":
         """Coefficient-wise reduction mod a prime not dividing any denominator,
-        that is, not dividing den."""
+        that is, not dividing den: the numerators c·den⁻¹ mod p, in [1, p),
+        over den 1."""
         if p < 2:
             raise ValueError("modulus must be at least 2")
         if self.den % p == 0:  # name a coefficient whose denominator p divides
@@ -314,7 +315,7 @@ class MultiPoly:
                 if self.den // g % p == 0:
                     raise ValueError(f"denominator of {c // g}/{self.den // g} divisible by {p}")
         inv = pow(self.den, -1, p)
-        return ModPoly(self.nvars, p, {e: c * inv for e, c in self.nums.items()})
+        return MultiPoly._from_nums(self.nvars, {e: c * inv % p for e, c in self.nums.items()}, 1)
 
 
 def _pack(terms: Mapping[Exponent, int], nvars: int, base: int) -> dict[int, int]:
@@ -419,30 +420,6 @@ class LinearMap:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LinearMap is immutable")
-
-
-class ModPoly:
-    """Polynomial with coefficients reduced mod p, used by the F_p singular
-    scans.  It holds `poly`, the `MultiPoly` of the reduced coefficients in
-    [1, p) over den 1, and reads through its integer kernel: `terms` is its
-    read-only `nums` and `evaluate` its integer value reduced mod p (the
-    scans read only the partials of `poly`, so no library code evaluates)."""
-
-    __slots__ = ("nvars", "p", "poly", "terms")
-
-    def __init__(self, nvars: int, p: int, terms: Mapping[Exponent, int]):
-        poly = MultiPoly._from_nums(nvars, {e: c % p for e, c in terms.items()}, 1)
-        for name, value in (("nvars", nvars), ("p", p), ("poly", poly), ("terms", poly.nums)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ModPoly is immutable")
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        return self.poly._integer_value(point) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, ModPoly) and (self.p, self.poly) == (other.p, other.poly)
 
 
 def perfect_square_factor(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:

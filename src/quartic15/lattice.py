@@ -5,7 +5,10 @@ transformation matrix as the one unimodular eliminator, the Smith normal
 form and orthogonal complements derived from it (every transform
 re-verified on every call), discriminant groups with their Q/2Z-valued
 quadratic forms, even overlattices from glue vectors, integer coordinates
-over a row basis, and the one `Isometry` type with reflections.
+over a row basis, and the one `Isometry` type with reflections.  Every
+product of integer rows by a Gram is `IntegerLattice.times_gram`; `mat_mul`
+serves only the HNF and SNF self-checks, and `cofactors` is the one 4×4
+cofactor routine.
 
 Vector convention: lattice vectors are row coordinate lists; an isometry is
 a matrix whose i-th row is the image of the i-th basis vector, so it acts by
@@ -57,9 +60,10 @@ def _check_length(v: Sequence, n: int, what: str) -> None:
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """The full product a·b; both factors are sparsified here, on every call.
 
-    A caller that multiplies by one factor more than once keeps its
-    `_sparse_rows` and calls `_sparse_product` directly.  A row of a whose
-    length is not the row count of b is refused.
+    Only the self-checks of `hermite_normal_form` and `smith_normal_form`
+    call it: a product by a Gram matrix is `IntegerLattice.times_gram`, over
+    the cached `sparse_gram`.  A row of a whose length is not the row count
+    of b is refused.
     """
     for row in a:
         _check_length(row, len(b), "row of the left factor")
@@ -184,6 +188,21 @@ def _laplace_det(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
             term = first[c] * _laplace_det(rows[1:], cols[:i] + cols[i + 1 :])
             total += -term if i % 2 else term
     return total
+
+
+def cofactors(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple[int, int, int, int]:
+    """The cofactors of the last row of the 4×4 matrix with rows a, b, c, x,
+    so that its determinant is their dot product with x; each is ± a 3×3
+    minor of a, b, c, expanded along a."""
+
+    def minor(i: int, j: int, k: int) -> int:
+        return (
+            a[i] * (b[j] * c[k] - b[k] * c[j])
+            - a[j] * (b[i] * c[k] - b[k] * c[i])
+            + a[k] * (b[i] * c[j] - b[j] * c[i])
+        )
+
+    return -minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2)
 
 
 def det_bareiss(m: Iterable[Iterable[int]]) -> int:
@@ -322,8 +341,10 @@ class IntegerLattice:
     The Gram entries are stored as ints; an entry that is not an integer is
     refused, never truncated.  `sparse_gram` holds each Gram row's nonzero
     (column, entry) pairs, built once here: the lattice is immutable, so the
-    rows cannot go stale.  The pairing (`form`) and every induced Gram
-    B·G·B^T (`gram_of`) multiply over these rows by `_sparse_product`.
+    rows cannot go stale.  Every product B·G of integer rows by the Gram is
+    `times_gram`, over these rows: the pairing (`form`), every induced Gram
+    B·G·B^T (`gram_of`), and the pairings of glue vectors, dual generators
+    and complement equations with the basis.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -353,20 +374,23 @@ class IntegerLattice:
     def det(self) -> int:
         return _det_cached(self.gram)
 
+    def times_gram(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """B·G for the integer rows B, over `sparse_gram`; a row whose length
+        is not the rank is refused."""
+        for row in rows:
+            _check_length(row, self.rank, "row")
+        return _sparse_product(_sparse_rows(rows), self.sparse_gram, self.rank)
+
     def form(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """v·G·w^T for integer rows: v·G over `sparse_gram`, then against w."""
-        _check_length(v, self.rank, "vector")
+        """v·G·w^T for integer rows: v·G (`times_gram`), then against w."""
+        vg = self.times_gram([v])[0]
         _check_length(w, self.rank, "vector")
-        vg = _sparse_product(_sparse_rows([v]), self.sparse_gram, self.rank)[0]
         return sum(x * y for x, y in zip(vg, w) if y)
 
     def gram_of(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        """B·G·B^T for the integer rows B: B·G over `sparse_gram`, then
-        against the rows of B (`_against_rows`)."""
-        for row in rows:
-            _check_length(row, self.rank, "row")
-        b = _sparse_rows(rows)
-        return _against_rows(b, _sparse_product(b, self.sparse_gram, self.rank))
+        """B·G·B^T for the integer rows B: B·G (`times_gram`), then against
+        the rows of B (`_against_rows`)."""
+        return _against_rows(_sparse_rows(rows), self.times_gram(rows))
 
     def pair(self, v: Sequence[int], w: Sequence[int], den: int = 1) -> Fraction:
         """v·G·w^T/den for integer rows v and w, divided once; the pairing
@@ -488,7 +512,7 @@ def discriminant_group(lat: IntegerLattice) -> FiniteAbelianInvariants:
             continue
         # membership in the dual: u_i/d_i pairs integrally with every basis
         # vector, i.e. d_i divides every entry of u_i·G
-        if any(x % di for x in mat_mul([u[i]], lat.gram)[0]):
+        if any(x % di for x in lat.times_gram([u[i]])[0]):
             raise AssertionError("dual generator check failed")
         factors.append(di)
         gens.append(tuple(u[i]))
@@ -547,8 +571,8 @@ def overlattice(lat: IntegerLattice, glues: Sequence[Sequence], den: int = 1) ->
     flat, d = clear_denominators([x for g in glues for x in g])
     den *= d
     rows = [flat[k : k + n] for k in range(0, len(flat), n)]
-    for gi, g in enumerate(rows):
-        for j, x in enumerate(mat_mul([g], lat.gram)[0]):
+    for gi, (g, gg) in enumerate(zip(rows, lat.times_gram(rows))):
+        for j, x in enumerate(gg):
             if x % den:
                 raise ValueError(f"glue vector {gi} pairs non-integrally with basis vector {j}")
         nrm = lat.norm(g, den * den)
@@ -631,18 +655,19 @@ def orthogonal_complement(
 ) -> tuple[IntegerLattice, list[list[int]]]:
     """Primitive sublattice {v in L : v·s = 0 for all s} with induced Gram.
 
-    Returns (lattice, basis rows in L's coordinates).  A = G·S^T has one
-    column per vector s, and one HNF gives U·A = H: the rows of U at the zero
-    rows of H span the integer kernel of A, and since U is unimodular that
-    kernel is saturated, so the result is primitive.  The basis, formed by
-    the HNF anyway, is the one witness of the rows the Gram is taken on.
+    Returns (lattice, basis rows in L's coordinates).  A = G·S^T = (S·G)^T
+    (G is symmetric) has one column per vector s, and one HNF gives
+    U·A = H: the rows of U at the zero rows of H span the integer kernel of
+    A, and since U is unimodular that kernel is saturated, so the result is
+    primitive.  The basis, formed by the HNF anyway, is the one witness of
+    the rows the Gram is taken on.
     """
     n = lat.rank
     if not vectors:
         return lat, mat_identity(n)
     for s in vectors:
         _check_length(s, n, "vector")
-    h, u = hermite_normal_form(mat_mul(lat.gram, mat_transpose(vectors)))
+    h, u = hermite_normal_form(mat_transpose(lat.times_gram(vectors)))
     basis = [row for row, hrow in zip(u, h) if not any(hrow)]
     return IntegerLattice(lat.gram_of(basis)), basis
 

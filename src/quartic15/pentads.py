@@ -30,6 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .configs import Duad, POINTS, s6_elements, s6_orbits, trope_node_sets
+from .lattice import cofactors
 from .nodal_surface import (
     E,
     ETA,
@@ -312,29 +313,16 @@ class CoplanarityReport(NamedTuple):
         )
 
 
-def _cofactors(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple[int, int, int, int]:
-    """The cofactors of the last row of the 4x4 matrix with rows a, b, c, x,
-    so that its determinant is their dot product with x."""
-    def minor(i: int, j: int, k: int) -> int:
-        return (
-            a[i] * (b[j] * c[k] - b[k] * c[j])
-            - a[j] * (b[i] * c[k] - b[k] * c[i])
-            + a[k] * (b[i] * c[j] - b[j] * c[i])
-        )
-
-    return -minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2)
-
-
 def quadruple_determinants(points: Mapping) -> dict[tuple, int]:
     """det of the 4x4 integer matrix of every sorted quadruple of the keys of
     `points` (each a 4-vector), read as the dot product of its fourth row
-    with the cofactor vector of its first three: one cofactor vector per
-    triple, not one elimination per quadruple."""
+    with the cofactor vector of its first three (`lattice.cofactors`): one
+    cofactor vector per triple, not one elimination per quadruple."""
     keys = sorted(points)
     rows = [points[k] for k in keys]
     dets = {}
     for i, j, k in itertools.combinations(range(len(keys)), 3):
-        cof = _cofactors(rows[i], rows[j], rows[k])
+        cof = cofactors(rows[i], rows[j], rows[k])
         for m in range(k + 1, len(keys)):
             dets[keys[i], keys[j], keys[k], keys[m]] = sum(x * y for x, y in zip(cof, rows[m]))
     return dets

@@ -33,7 +33,6 @@ from .configs import (
     trope_incidence_model,
 )
 from .exact import (
-    ModPoly,
     MonomialTable,
     MultiPoly,
     partials_table,
@@ -41,7 +40,7 @@ from .exact import (
     primitive_integer_vector,
     table_values,
 )
-from .lattice import _check_length, _laplace_det, bareiss, clear_denominators, minor_rank
+from .lattice import _check_length, bareiss, clear_denominators, cofactors, minor_rank
 
 NVARS = 6
 ONES = (1,) * NVARS
@@ -485,7 +484,7 @@ class CardinalRestriction(NamedTuple):
     square_root: MultiPoly  # conic q with restriction = c·q² for a constant c
     plane: LinearSubspace  # the cardinal 3-plane, parametrized over its den
     hessian: tuple[tuple[int, ...], ...]  # H of q
-    adjugate: tuple[tuple[int, ...], ...]  # adj(H), its cofactors by Laplace expansion
+    adjugate: tuple[tuple[int, ...], ...]  # adj(H), row j the cofactors of row j of H
 
 
 def cardinal_tangency_quadric() -> MultiPoly:
@@ -507,11 +506,10 @@ def cardinal_restriction(subset: tuple[int, int, int]) -> CardinalRestriction:
         )
     q = result[1]
     hessian = Hypersurface(q, LinearSubspace((), 4)).hessian_at([0] * 4)
-    # adj(H)[i][j] is (−1)^(i+j) times the minor of H without row j and column i
-    rest = [[c for c in range(4) if c != k] for k in range(4)]
+    # H is symmetric, so row j of adj(H) is the cofactors of row j of H:
+    # (−1)^(j+1) times those of the last row below the other three rows
     adjugate = tuple(
-        tuple((-1) ** (i + j) * _laplace_det([hessian[k] for k in rest[j]], rest[i]) for j in range(4))
-        for i in range(4)
+        tuple((-1) ** (j + 1) * x for x in cofactors(*hessian[:j], *hessian[j + 1 :])) for j in range(4)
     )
     return CardinalRestriction(q, plane, tuple(map(tuple, hessian)), adjugate)
 
@@ -763,9 +761,10 @@ def _slot_reducer(p: int, width: int, count: int):
     return slot_residues
 
 
-def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
-    """F_p points of P^{n-1} where the form and all its partials vanish, in
-    `_projective_reps` order.
+def _singular_points_fp(f: MultiPoly, p: int) -> list[tuple[int, ...]]:
+    """F_p points of P^{n-1} where the form f and all its partials vanish,
+    in `_projective_reps` order; f is read in the reduced form of
+    `MultiPoly.mod_p`, its numerators in [1, p) over den 1.
 
     P^{n-1}(F_p) is walked one plane at a time, the planes one line at a
     time.  A plane fixes the prefix b of the first n−2 coordinates and runs
@@ -798,15 +797,15 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     the zero bytes of one integer made by two byte tables of residues, and
     with 32-bit slots by a set of the multiples.
     Each candidate is confirmed by every partial, read together mod p off
-    the `partials_table` of `fp.poly`: a form f of degree d has
+    the `partials_table` of f: a form f of degree d has
     d·f = sum x_i·d_i f (Euler), so f vanishes where its partials do when p
     does not divide d, and a form of a degree p divides is refused.  These
     refusals, and that of a prime whose slot bound does not fit 32 bits
     (that bound is at least (p−1)², so a plane's p² slots number fewer than
     2^32), come before any table is built.
     """
-    p, n = fp.p, fp.nvars
-    degrees = {sum(e) for e in fp.terms}
+    n = f.nvars
+    degrees = {sum(e) for e in f.nums}
     if len(degrees) > 1:
         raise ValueError("not a form: its terms have different degrees")
     if any(d % p == 0 for d in degrees):
@@ -816,7 +815,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     if n > 1:
         split = [
             (e[-3] if n > 2 else 0, e[-1], e[-2], c, [(i, x) for i, x in enumerate(e[:-3]) if x])
-            for e, c in fp.terms.items()
+            for e, c in f.nums.items()
         ]
     pairs = {(j, k) for _, j, k, _, _ in split}
     powers = sorted({e for e, _, _, _, _ in split})
@@ -825,7 +824,7 @@ def _singular_points_fp(fp: ModPoly) -> list[tuple[int, ...]]:
     if bound >= 1 << 32:
         raise ValueError(f"bad prime: {p} is too large for planes of 32-bit slots in a degree-{deg} scan")
     width = 16 if bound < 1 << 16 else 32
-    gradient = partials_table(fp.poly, 1)
+    gradient = partials_table(f, 1)
 
     def singular(v):
         return not any(g % p for g in table_values(gradient, v))
@@ -944,10 +943,10 @@ def singular_scan_fp(target, p: int) -> list[tuple[int, ...]]:
     """
     p = check_scan_prime(p)
     try:
-        fp = target.chart.mod_p(p)
+        reduced = target.chart.mod_p(p)
     except ValueError as exc:  # p divides the chart's denominator
         raise ValueError(f"bad prime: {exc}") from exc
-    return _singular_points_fp(fp)
+    return _singular_points_fp(reduced, p)
 
 
 # -- rational point sampling ------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dense_oracle import det, fraction_rref, poly_value, rationals, value
 from quartic15.exact import (
     LinearMap,
-    ModPoly,
     MultiPoly,
     monomial_table,
     nullspace,
@@ -163,8 +162,10 @@ def test_euler_identity():
 def test_mod_p():
     x = MultiPoly.variable(1, 0)
     f = x * x * Fraction(1, 2)
-    assert f.mod_p(3).terms == {(2,): 2}
-    assert x.mod_p(2).terms == {(1,): 1}
+    # the reduced form: numerators in [1, p) over den 1
+    assert (f.mod_p(3).nums, f.mod_p(3).den) == ({(2,): 2}, 1)
+    assert (x.mod_p(2).nums, x.mod_p(2).den) == ({(1,): 1}, 1)
+    assert (-x).mod_p(5).nums == {(1,): 4}
     with pytest.raises(ValueError):
         f.mod_p(2)
 
@@ -173,10 +174,11 @@ def test_mod_p_evaluate_matches_rational():
     rng = random.Random(11)
     f = random_poly(rng, nvars=3, nterms=6)
     fp = f.mod_p(13)
+    assert fp.den == 1
     for _ in range(10):
         pt = [rng.randint(0, 12) for _ in range(3)]
         exact = value(f, pt)
-        assert fp.evaluate(pt) == (exact.numerator * pow(exact.denominator, -1, 13)) % 13
+        assert fp._integer_value(pt) % 13 == (exact.numerator * pow(exact.denominator, -1, 13)) % 13
 
 
 def test_perfect_square_trivial_cases():
@@ -292,7 +294,7 @@ def test_mod_p_refusal_names_a_coefficient():
         f.mod_p(2)
     with pytest.raises(ValueError, match="^denominator of 5/6 divisible by 3$"):
         f.mod_p(3)
-    assert f.mod_p(5).terms == {(1, 0): 2}  # 3/4 = 2 and 5/6 = 0 mod 5
+    assert f.mod_p(5) == MultiPoly(2, {(1, 0): 2})  # 3/4 = 2 and 5/6 = 0 mod 5
 
 
 def test_permute_variables():
@@ -491,12 +493,15 @@ class RefPoly:
         return RefPoly(self.nvars, res)
 
     def mod_p(self, p):
+        """The reduced coefficients c mod p in [1, p), zeros dropped."""
         terms = {}
         for exp, c in self.terms.items():
             if c.denominator % p == 0:
                 raise ValueError(f"denominator of {c} divisible by {p}")
-            terms[exp] = c.numerator * pow(c.denominator, -1, p)
-        return ModPoly(self.nvars, p, terms)
+            r = c.numerator * pow(c.denominator, -1, p) % p
+            if r:
+                terms[exp] = r
+        return terms
 
     def evaluate(self, point):
         return poly_value(self.terms, point)
@@ -782,7 +787,7 @@ def test_mod_p_matches_reference(ref, p):
     if isinstance(expected, str):
         assert got == expected
     else:
-        assert isinstance(got, ModPoly) and got.terms == expected.terms
+        assert isinstance(got, MultiPoly) and got.den == 1 and got.nums == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -800,11 +805,12 @@ def test_mod_p_reads_values_and_partials_through_the_integer_kernel(case, p):
     while f.den % p == 0:
         f = f.scale(p)
     fp = f.mod_p(p)
-    # the F_p scan reads the partials of `fp.poly`: reduction commutes with them
+    # the F_p scan reads the partials of the reduced form: reduction commutes with them
     for i in range(f.nvars):
-        assert fp.poly.partial(i).mod_p(p) == f.partial(i).mod_p(p)
+        assert fp.partial(i).mod_p(p) == f.partial(i).mod_p(p)
     exact = RefPoly.of(f).evaluate(pt)
-    assert fp.evaluate(pt) == exact.numerator * pow(exact.denominator, -1, p) % p
+    assert fp.den == 1
+    assert fp._integer_value(pt) % p == exact.numerator * pow(exact.denominator, -1, p) % p
 
 
 def test_integer_kernel_reference_cases():

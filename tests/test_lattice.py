@@ -507,10 +507,15 @@ def test_involutive_isometry_matches_the_dense_definition(case):
     vectors = m + [list(range(1, n + 1))]  # a zero row of M now and then
     for v in vectors:
         assert iso.apply(v) == reference_mat_mul([v], m)[0]
-    # B·G·B^T on the first k rows of M, none to all of them
+    # B·G and B·G·B^T on the first k rows of M, none to all of them
     for k in range(n + 1):
         rows = m[:k]
+        assert lat.times_gram(rows) == reference_mat_mul(rows, g)
         assert lat.gram_of(rows) == reference_mat_mul(reference_mat_mul(rows, g), [list(c) for c in zip(*rows)])
+    assert lat.times_gram(vectors) == reference_mat_mul(vectors, g)
+    for bad in ([0] * (n + 1), list(range(n - 1))):
+        with pytest.raises(ValueError, match=f"^row has {len(bad)} entries, expected {n}$"):
+            lat.times_gram([*m, bad])
     # the rows of an invertible M as a row basis: x·M, and back
     if reference_det(m):
         basis = RowBasis(m)

@@ -64,8 +64,9 @@ FRACTION_SITES = {
 }
 
 
-def _fraction_call_sites(tree: ast.Module) -> set[str]:
-    """Qualified names of the functions (or module-level assignments) that call Fraction."""
+def _call_sites(tree: ast.Module, callee: str) -> set[str]:
+    """Qualified names of the functions (or module-level assignments) that
+    call `callee`, by its plain name or as an attribute."""
     sites: set[str] = set()
 
     def visit(node, scope):
@@ -76,8 +77,8 @@ def _fraction_call_sites(tree: ast.Module) -> set[str]:
             scope = [", ".join(ast.unparse(t) for t in targets)]
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Name) and f.id == "Fraction") or (
-                isinstance(f, ast.Attribute) and f.attr == "Fraction"
+            if (isinstance(f, ast.Name) and f.id == callee) or (
+                isinstance(f, ast.Attribute) and f.attr == callee
             ):
                 sites.add(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
@@ -91,9 +92,31 @@ def test_lattice_layer_builds_fractions_only_at_its_edges():
     root = Path(quartic15.__file__).parent
     for name, allowed in FRACTION_SITES.items():
         tree = ast.parse((root / name).read_text(), filename=name)
-        sites = _fraction_call_sites(tree)
+        sites = _call_sites(tree, "Fraction")
         assert not sites - allowed, f"{name} calls Fraction in {sorted(sites - allowed)}"
         assert not allowed - sites, f"stale allowlist entries for {name}: {sorted(allowed - sites)}"
+
+
+def test_mat_mul_serves_only_the_normal_form_self_checks():
+    # `mat_mul` sparsifies both factors on every call; a product by a Gram
+    # matrix is `IntegerLattice.times_gram`, over the cached sparse rows
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        sites = _call_sites(ast.parse(path.read_text(), filename=path.name), "mat_mul")
+        expected = {"hermite_normal_form", "smith_normal_form"} if path.name == "lattice.py" else set()
+        assert sites == expected, path.name
+
+
+def test_only_lattice_reads_laplace_det():
+    # cofactors are `lattice.cofactors`; the Laplace expansion stays the
+    # private minor of `lattice.minor_rank`
+    for path in sorted(Path(quartic15.__file__).parent.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "_laplace_det" not in names, path.name
 
 
 # Library functions that no README command reaches, each kept for the claim
@@ -108,9 +131,7 @@ REACHED_ONLY_BY_TESTS = {
     "exact.LinearMap.__init__": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.nullspace": "held by the benchmark: bench/worker.py builds its section chart with it",
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
-    "exact.ModPoly.evaluate": "held by the benchmark: traced as exact.fp_evals; the scans read only the partials",
     "exact.monomial_table": "the table of any family of forms, the reference for exact.partials_table",
-    "exact.ModPoly.__eq__": "operator completeness: reductions mod p compare by value",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
 }
@@ -127,7 +148,6 @@ CENSUS_EXEMPT = {
     "cli.main": "the console entry point; the commands run through cli.run",
     "configs.totals.<locals>.extend": "the search inside configs.totals, listed above",
     "exact.LinearMap.__setattr__": "immutability guard",
-    "exact.ModPoly.__setattr__": "immutability guard",
     "exact.MultiPoly.__repr__": "operator method: the text of a polynomial",
     "exact.MultiPoly.__setattr__": "immutability guard",
     "lattice.IntegerLattice.__eq__": "operator method: lattices compare by Gram matrix",
@@ -353,7 +373,9 @@ def test_only_the_listed_tests_load_the_rational_front_end():
 
 # Tracer keys of bench/worker.py that name no library function.  The
 # benchmark reads 0 for them; repointing them is a change to the benchmark.
-STALE_BENCH_KEYS = {"involutions._reflection_norm4", "involutions._Basis.to_pic"}
+# `exact.ModPoly.evaluate` (exact.fp_evals, exact.fp_eval_s) went with
+# `ModPoly`: the F_p scan reads the reduced `MultiPoly` of `mod_p`.
+STALE_BENCH_KEYS = {"involutions._reflection_norm4", "involutions._Basis.to_pic", "exact.ModPoly.evaluate"}
 
 
 def test_bench_tracer_keys_name_library_functions():
