@@ -9,18 +9,20 @@ one Picard lattice (eta, the five glue classes sigma(E_d) and the ten E_x
 off the code's pivots), read as classes from
 `nodal_surface.picard_basis_classes()` and as a lattice from the cached
 `picard_lattice()`; a class reaches that basis through its integer
-coordinates `nodal_surface.pic_coordinates`.  On
-that basis the Gram matrix has 76 nonzero entries and the median pentad
-root 9 nonzero coordinates, against 112 and 13 on the Hermite normal form
-basis the lattice is certified on, so the 6,006 full products below take
-2,260,736 multiply-adds instead of 4,504,124.  The 3003 pentad roots
-skip the class arithmetic: coordinates are linear, so each root's integer
-coordinates are 3·w_eta − 2·Σ_P w_x from those of eta and the fifteen E_x.
-A reflection is built from its root by `lattice.reflection_rows` (integral
-by exact division); sigma* and the relabelings sparsify the coordinates of
-their class images once.  One certificate, `Isometry.involutive_isometry`,
-decides involutive and Gram-preserving for all four families by full
-products over the rows: M·M and, once M² = 1, the symmetry of M·G.
+coordinates `nodal_surface.pic_coordinates`.  A reflection is built from
+its root by `lattice.reflection_rows` (integral by exact division); sigma*
+and the relabelings sparsify the coordinates of their class images once.
+One certificate, `Isometry.involutive_isometry`, decides involutive and
+Gram-preserving for all four families by full products over the rows: M·M
+and, once M² = 1, the symmetry of M·G.
+
+`verify_all_pentad_reflections` certifies the 3003 pentad reflections on
+`nodal_surface.AMBIENT` = <4> + A1^15 instead, which is not a Z-basis of
+Pic: each root 3*eta − 2*sum_P E pairs evenly with eta and every E_x, so
+its reflection is integral there, and `nodal_surface.maps_code_into_code`
+decides whether it maps Pic into itself.  With 46 nonzero entries per
+reflection and 16 in the Gram matrix (84 on average and 76 on the named
+basis), the 6,006 full products take 816,816 multiply-adds, not 2,260,736.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -28,11 +30,12 @@ the i-th basis vector and the isometry condition reads M·G·M^T = G.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
 from .lattice import Isometry, reflection_rows
 from .nodal_surface import (
+    AMBIENT,
     C_SET,
     E,
     ETA,
@@ -41,6 +44,7 @@ from .nodal_surface import (
     NODES,
     DivisorClass,
     eta_star,
+    maps_code_into_code,
     pentad_root,
     pic_coordinates,
     picard_basis_classes,
@@ -110,20 +114,6 @@ def tau_pentad_star(pentad: Sequence[Duad]) -> Isometry:
 
 def _pentad_name(p: Sequence[Duad]) -> str:
     return "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
-
-
-def pentad_root_coordinates() -> Iterator[tuple[Pentad, list[int]]]:
-    """Each of the 3003 pentads (sorted) with the integer lattice coordinates
-    of its root 3*eta − 2*sum_P E.
-
-    Coordinates on a Z-basis are linear, so w_P = 3·w_eta − 2·Σ_{x∈P} w_x
-    from the coordinates of eta and of each E_x; the root lies in the lattice
-    because eta and every E_x do.
-    """
-    eta3 = [3 * c for c in pic_coordinates(ETA, "eta")]
-    e2 = {x: [2 * c for c in pic_coordinates(E[x], f"E_{x}")] for x in NODES}
-    for p in all_pentads():
-        yield p, [t - a - b - c - d - e for t, a, b, c, d, e in zip(eta3, *(e2[x] for x in p))]
 
 
 def s6_isometry(g: Sequence[int]) -> Isometry:
@@ -234,23 +224,37 @@ def verify_relations() -> RelationReport:
 
 
 def verify_all_pentad_reflections():
-    """Certify every one of the 3003 pentad reflections.
+    """Certify every one of the 3003 pentad reflections, on AMBIENT.
 
-    Returns (count, all_integral, all_gram_preserving, all_involutive).  The
-    roots come from `pentad_root_coordinates`; each reflection is built by
-    `lattice.reflection_rows`, the isometry `tau_pentad_star` builds through
-    the divisor-class route, and certified by `Isometry.involutive_isometry`.
+    Returns (count, all_integral, all_gram_preserving, all_involutive).
+    Each reflection is built by `lattice.reflection_rows` from its root's
+    numerators on AMBIENT, `pentad_root(P).nums`, and counts as integral
+    when it was built and `nodal_surface.maps_code_into_code` finds that
+    its rows map the even-set code into itself mod 2, which for a matrix
+    integral on AMBIENT means it maps Pic into Pic.  Every built matrix is
+    certified by `Isometry.involutive_isometry(AMBIENT)`, full products
+    M·M and M·G.  An involution of AMBIENT that preserves its Gram form
+    and maps Pic into Pic lies in O(Pic) (the lemma is stated at
+    `maps_code_into_code`), so the three counts at 3003 certify each τ_P as
+    an isometry of Pic: the one `tau_pentad_star` gives on the named basis.
+    The lemma reads AMBIENT's form and Pic's Gram matrix as one rational
+    form; that is checked first, as B·G·B^T = den²·G_Pic for the named
+    basis rows B over den, and a lattice that fails it raises.
     """
-    lat = picard_lattice().lattice
+    pic = picard_lattice()
+    den2 = pic.basis.den ** 2
+    if AMBIENT.gram_of(pic.basis.rows) != [[den2 * x for x in row] for row in pic.lattice.gram]:
+        raise AssertionError("the Picard Gram matrix must be the form of AMBIENT on the named basis")
     count = integral = isometric = involutive = 0
-    for _, w in pentad_root_coordinates():
+    for p in all_pentads():
         count += 1
         try:
-            tau = reflection_rows(lat, w, "tau_P")  # the name is read only by the error, swallowed here
+            # the name is read only by the error, swallowed here
+            tau = reflection_rows(AMBIENT, pentad_root(p).nums, "tau_P")
         except ValueError:
             continue
-        integral += 1
-        squares_to_one, preserves = tau.involutive_isometry(lat)
+        integral += maps_code_into_code(tau.rows)
+        squares_to_one, preserves = tau.involutive_isometry(AMBIENT)
         isometric += preserves
         involutive += squares_to_one
     return count, integral, isometric, involutive

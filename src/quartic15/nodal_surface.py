@@ -197,9 +197,11 @@ def pentad_root(pentad: Iterable[Duad]) -> DivisorClass:
 
 
 class EvenSetCode(NamedTuple):
-    """Binary code of (weakly) even node sets; bit 0 marks the eta coefficient."""
+    """Binary code of (weakly) even node sets; bit 0 marks the eta coefficient.
+    `generator_words` are the five words it is spanned by."""
 
     words: frozenset[int]
+    generator_words: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
@@ -237,7 +239,7 @@ def even_set_code() -> EvenSetCode:
         words |= {w ^ g for w in words}
     if len(words) != 32:
         raise AssertionError("the even-set code must have 32 words")
-    return EvenSetCode(frozenset(words))
+    return EvenSetCode(frozenset(words), tuple(gens))
 
 
 def word_of_nodes(nodes: Iterable[Duad], eta_bit: bool = False) -> int:
@@ -258,6 +260,44 @@ def nodes_of_word(word: int) -> tuple[Duad, ...]:
 def is_pic_integral(cls: DivisorClass) -> bool:
     word = cls.mod2_word()
     return word is not None and word in even_set_code()
+
+
+def maps_code_into_code(rows: Iterable[Iterable[tuple[int, int]]]) -> bool:
+    """Whether the integer matrix M on AMBIENT, given by its sparse rows (row
+    i is the image of the i-th coordinate vector, as (column, entry) pairs),
+    maps every word of the even-set code to a code word mod 2.
+
+    For M integral on AMBIENT this is the test of M(Pic) ⊆ Pic.  The Picard
+    lattice is Pic = {v/2 : v in AMBIENT, v mod 2 in the code}, the
+    overlattice `picard_lattice` certifies, and (v/2)·M = (v·M)/2 with
+    v·M integral and v·M ≡ (v mod 2)·(M mod 2) mod 2; so M(Pic) ⊆ Pic
+    exactly when M mod 2 maps the code into itself, and, the map being
+    linear, exactly when it maps the five generator words into the code.
+    If M is moreover an involution that preserves AMBIENT's Gram form, then
+    M lies in O(Pic): that Gram matrix and Pic's are one rational form, and
+    M = M^{-1} maps Pic into Pic, so onto it.  Each row is read mod 2 as a
+    16-bit mask (bit j for column j, as in `DivisorClass.mod2_word`), and a
+    word's image is the XOR of the masks of its set bits.
+    """
+    masks = []
+    for row in rows:
+        mask = 0
+        for j, x in row:
+            if x & 1:
+                mask |= 1 << j
+        masks.append(mask)
+    if len(masks) != RANK:
+        raise ValueError(f"a matrix on AMBIENT has {RANK} rows, got {len(masks)}")
+    code = even_set_code()
+    for word in code.generator_words:
+        image = 0
+        while word:
+            low = word & -word
+            image ^= masks[low.bit_length() - 1]
+            word ^= low
+        if image not in code.words:
+            return False
+    return True
 
 
 # -- the Picard lattice ----------------------------------------------------------

@@ -437,14 +437,15 @@ def test_swapped_kummer_tropes_turn_the_kummer_embedding_red(monkeypatch):
     assert code == 1 and check["status"] == "fail"
 
 
-def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
-    # the loop multiplies the sparse rows of `reflection_rows`: one entry
-    # bumped there is seen by its two full products
-    from dense_oracle import dense, is_involution, preserves_gram, sparse
+def _pentad_reflections_with_one_mutant(monkeypatch, mutate):
+    """Run the `involutions` checks with the reflection of the pentad
+    (1,2),...,(1,6) on AMBIENT replaced by mutate(its dense matrix); return
+    the exit code, the pentad-reflections check and the mutant."""
+    from dense_oracle import dense, sparse
     from quartic15 import involutions
-    from quartic15.nodal_surface import picard_lattice
+    from quartic15.nodal_surface import pentad_root
 
-    target = dict(involutions.pentad_root_coordinates())[((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))]
+    target = list(pentad_root(((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))).nums)
     real = involutions.reflection_rows
     mutants = []
 
@@ -452,24 +453,75 @@ def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
         iso = real(lat, r, name)
         if list(r) != target:
             return iso
-        m = dense(iso)
-        m[0][0] += 1
+        m = mutate(dense(iso))
         mutants.append(m)
         return iso._replace(rows=sparse(m))
 
     monkeypatch.setattr(involutions, "reflection_rows", bumped)
     code, report, _ = run_quiet(["involutions"])
     check = next(c for c in report.checks if c["id"] == "pentad-reflections")
-    assert code == 1 and check["status"] == "fail"
     (bad,) = mutants
-    gram = picard_lattice().lattice.gram
-    isometric = 3003 - (not preserves_gram(bad, gram))
+    return code, check, bad
+
+
+def _bump(step):
+    def mutate(m):
+        m[0][0] += step
+        return m
+
+    return mutate
+
+
+def test_pentad_reflections_check_sees_one_broken_matrix(monkeypatch):
+    # the loop multiplies the sparse rows `reflection_rows` builds on
+    # AMBIENT: one entry bumped by 1 there breaks the parity, so the code
+    # test refuses it, and its two full products see it too
+    from dense_oracle import is_involution, preserves_gram
+    from quartic15.nodal_surface import AMBIENT
+
+    code, check, bad = _pentad_reflections_with_one_mutant(monkeypatch, _bump(1))
+    assert code == 1 and check["status"] == "fail"
+    isometric = 3003 - (not preserves_gram(bad, AMBIENT.gram))
+    involutive = 3003 - (not is_involution(bad))
+    assert 3002 in (isometric, involutive)
+    assert check["details"] == (
+        f"3003 pentad reflections: 3002 integral, {isometric} Gram-preserving, "
+        f"{involutive} involutive"
+    )
+
+
+def test_pentad_reflections_check_sees_an_even_bump_by_its_products(monkeypatch):
+    # a bump by 2 keeps every parity, so the code test passes the matrix:
+    # only the products can refuse it, and they do
+    from dense_oracle import is_involution, preserves_gram
+    from quartic15.nodal_surface import AMBIENT
+
+    code, check, bad = _pentad_reflections_with_one_mutant(monkeypatch, _bump(2))
+    assert code == 1 and check["status"] == "fail"
+    isometric = 3003 - (not preserves_gram(bad, AMBIENT.gram))
     involutive = 3003 - (not is_involution(bad))
     assert 3002 in (isometric, involutive)
     assert check["details"] == (
         f"3003 pentad reflections: 3003 integral, {isometric} Gram-preserving, "
         f"{involutive} involutive"
     )
+
+
+def test_pentad_reflections_check_refuses_an_isometry_that_leaves_pic(monkeypatch):
+    # E_(1,2) <-> E_(1,3) in place of one reflection: an involutive isometry
+    # of AMBIENT, so both products pass it, but it maps Pic off itself, and
+    # only the code test refuses it
+    from quartic15.nodal_surface import NODE_INDEX
+
+    def swap(_):
+        m = [[int(i == j) for j in range(16)] for i in range(16)]
+        i, j = 1 + NODE_INDEX[(1, 2)], 1 + NODE_INDEX[(1, 3)]
+        m[i], m[j] = m[j], m[i]
+        return m
+
+    code, check, _ = _pentad_reflections_with_one_mutant(monkeypatch, swap)
+    assert code == 1 and check["status"] == "fail"
+    assert check["details"] == "3003 pentad reflections: 3002 integral, 3003 Gram-preserving, 3003 involutive"
 
 
 def test_a_perturbed_node_class_turns_the_weight4_census_red(monkeypatch):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from dense_oracle import dense, is_involution, preserves_gram, reflection, sparse
+from dense_oracle import dense, is_involution, mat_mul, preserves_gram, reflection, sparse
 from quartic15 import involutions
 from quartic15.configs import apply_perm_duad, apply_perm_duad_set, s6_elements
 from quartic15.involutions import (
@@ -11,7 +11,6 @@ from quartic15.involutions import (
     _apply_to_class,
     pentad_naturality_spot_check,
     pentad_root,
-    pentad_root_coordinates,
     reye_image_report,
     reye_root,
     s6_isometry,
@@ -22,12 +21,16 @@ from quartic15.involutions import (
 )
 from quartic15.lattice import Isometry, reflection_rows
 from quartic15.nodal_surface import (
+    AMBIENT,
     C_SET,
     E,
     ETA,
+    L_SET,
+    NODE_INDEX,
     NODES,
     DivisorClass,
     b_tilde,
+    maps_code_into_code,
     picard_basis_classes,
     picard_lattice,
     sigma_class,
@@ -209,42 +212,143 @@ def test_sparse_products_see_every_entry_of_a_reflection(model):
             assert bad.involutive_isometry(model.lattice) == expected, (i, j, step)
 
 
-def test_pentad_root_coordinates_match_the_class_route(model):
-    # the integer roots by linearity are the coordinates of the divisor
-    # class 3*eta - 2*sum_P E for every one of the 3003 pentads
-    roots = list(pentad_root_coordinates())
-    assert len(roots) == 3003
-    for pentad, w in roots:
+def test_pentad_root_is_the_root_on_the_ambient_lattice():
+    # `verify_all_pentad_reflections` reflects in pentad_root(P).nums on
+    # AMBIENT: den 1, 3 at eta and -2 at the five nodes of P, norm -4, and
+    # even pairings with every coordinate vector (12 with eta, 4 with each
+    # E_x of P, 0 with the others), so the reflection is integral there
+    pentads = all_pentads()
+    assert len(pentads) == 3003
+    for pentad in pentads:
         root = pentad_root(pentad)
-        assert w == model.basis.coordinates(root.nums, root.den), pentad
-    pentad, w = roots[0]
-    iso = reflection_rows(model.lattice, w, "w")
-    assert iso.rows == tau_pentad_star(pentad).rows
+        assert root.den == 1, pentad
+        assert root.nums == tuple([3] + [-2 if x in pentad else 0 for x in NODES]), pentad
+        assert AMBIENT.form(root.nums, root.nums) == -4, pentad
+        assert AMBIENT.times_gram([root.nums])[0] == [12] + [4 if x in pentad else 0 for x in NODES], pentad
 
 
-def test_the_pentad_products_take_the_multiply_adds_of_the_named_basis(model):
+def test_the_pentad_products_take_the_multiply_adds_of_the_ambient_lattice():
     # the loop forms M·M and M·G over the sparse rows `reflection_rows` gives
     # it and the sparse rows of G: row i of a product costs, for each entry
-    # (k, x) of row i of M, the length of row k of the right factor.  On the
-    # named basis the 6,006 products of the 3003 pentad reflections cost
-    # 2,260,736 multiply-adds (4,504,124 on the HNF basis), over a Gram
-    # matrix with 76 nonzero entries
-    gram = [len(row) for row in model.lattice.sparse_gram]
-    assert sum(gram) == 76
-    total = 0
-    for pentad, w in pentad_root_coordinates():
-        m = reflection_rows(model.lattice, w, "r").rows
+    # (k, x) of row i of M, the length of row k of the right factor.  On
+    # AMBIENT every pentad reflection has 46 nonzero entries and the Gram
+    # matrix 16, so the 6,006 products of the 3003 reflections cost 816,816
+    # multiply-adds: 678,678 for M·M and 138,138 for M·G (2,260,736 on the
+    # named basis, 4,504,124 on the HNF basis)
+    gram = [len(row) for row in AMBIENT.sparse_gram]
+    assert sum(gram) == 16
+    squares = products = 0
+    for pentad in all_pentads():
+        m = reflection_rows(AMBIENT, pentad_root(pentad).nums, "r").rows
         own = [len(row) for row in m]
-        total += sum(own[k] + gram[k] for row in m for k, _ in row)
-    assert total == 2_260_736
+        assert sum(own) == 46, pentad
+        squares += sum(own[k] for row in m for k, _ in row)
+        products += sum(gram[k] for row in m for k, _ in row)
+    assert (squares, products) == (678_678, 138_138)
+    assert squares + products == 816_816
 
 
-def test_reflection_rows_are_the_sparse_rows_of_the_dense_reflection(model):
-    gram = model.lattice.gram
-    for pentad, w in pentad_root_coordinates():
-        rows = reflection_rows(model.lattice, w, "r").rows
-        assert rows == sparse(reflection(gram, w)), pentad
+def test_reflection_rows_are_the_sparse_rows_of_the_dense_reflection():
+    gram = AMBIENT.gram
+    for pentad in all_pentads():
+        r = pentad_root(pentad).nums
+        rows = reflection_rows(AMBIENT, r, "r").rows
+        assert rows == sparse(reflection(gram, r)), pentad
         assert all(x for row in rows for _, x in row), pentad
+
+
+def _times(a, b):
+    """a·b for dense a and b, summing row k of b once per nonzero a[i][k]."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
+
+
+def test_times_is_the_dense_product(model):
+    b = model.basis.rows
+    m = dense(tau_pentad_star(GOEPEL_PENTAD))
+    assert _times(b, m) == mat_mul(b, m) and _times(m, b) == mat_mul(m, b)
+
+
+def test_ambient_reflections_are_the_named_reflections_under_the_basis_change(model):
+    # B·M_amb = M_named·B, B the named basis rows (numerators over den 2):
+    # the reflection built on AMBIENT and `tau_pentad_star(P)` on the named
+    # basis are one map for every pentad, so the ambient certificate
+    # certifies the reflections the other checks use
+    b = model.basis.rows
+    assert model.basis.den == 2
+    for pentad in all_pentads():
+        amb = dense(reflection_rows(AMBIENT, pentad_root(pentad).nums, "a"))
+        named = dense(tau_pentad_star(pentad))
+        assert _times(b, amb) == _times(named, b), pentad
+
+
+def _maps_pic_into_pic(m, model):
+    """Whether M, integral on AMBIENT, maps every named basis row of Pic to a
+    vector of Pic, by its integer coordinates on the named basis."""
+    basis = model.basis
+    return all(basis.coordinates(row, basis.den) is not None for row in _times(basis.rows, m))
+
+
+def _swap_e12_e13():
+    # E_(1,2) <-> E_(1,3): an involutive isometry of AMBIENT (both have norm
+    # -2) that no relabeling of {1,...,6} induces
+    m = [[int(i == j) for j in range(16)] for i in range(16)]
+    i, j = 1 + NODE_INDEX[(1, 2)], 1 + NODE_INDEX[(1, 3)]
+    m[i], m[j] = m[j], m[i]
+    return m
+
+
+def _tau_rey_on_ambient():
+    return dense(reflection_rows(AMBIENT, reye_root().nums, "tau_rey"))
+
+
+def test_the_code_test_agrees_with_pic_membership(model):
+    # `maps_code_into_code` against the coordinates of the images of the
+    # named basis rows, on every pentad reflection, on tau_rey built on
+    # AMBIENT, on the E_(1,2) <-> E_(1,3) swap and on a pentad reflection
+    # with one entry bumped by 1 or by 2
+    matrices = [dense(reflection_rows(AMBIENT, pentad_root(p).nums, "a")) for p in all_pentads()]
+    first = matrices[0]
+    bumped = []
+    for step in (1, 2):
+        m = [list(row) for row in first]
+        m[0][0] += step
+        bumped.append(m)
+    verdicts = []
+    for m in matrices + [_tau_rey_on_ambient(), _swap_e12_e13()] + bumped:
+        verdict = maps_code_into_code(sparse(m))
+        assert verdict == _maps_pic_into_pic(m, model)
+        verdicts.append(verdict)
+    assert verdicts == [True] * 3003 + [True, False, False, True]
+
+
+def test_the_swap_of_two_nodes_is_refused_only_by_the_code_test(model):
+    m = _swap_e12_e13()
+    iso = Isometry.from_matrix("swap", m)
+    assert iso.involutive_isometry(AMBIENT) == (True, True)
+    assert is_involution(m) and preserves_gram(m, AMBIENT.gram)
+    assert not _maps_pic_into_pic(m, model)
+    assert not maps_code_into_code(iso.rows)
+    # no permutation of {1,...,6} moves (1,2) to (1,3) and fixes every other duad
+    swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
+    assert not any(all(apply_perm_duad(g, d) == swap.get(d, d) for d in NODES) for g in s6_elements())
+
+
+def test_the_code_test_is_not_a_test_of_the_identity_mod_2():
+    # tau_rey on AMBIENT adds c·r to e_i with c ≡ (0, 1 on L) mod 2 and
+    # r ≡ (0, 1 on L): it is not the identity mod 2, yet it maps Pic onto Pic
+    m = _tau_rey_on_ambient()
+    mod2 = [[x % 2 for x in row] for row in m]
+    assert mod2 != [[int(i == j) for j in range(16)] for i in range(16)]
+    assert all(mod2[1 + NODE_INDEX[x]][1 + NODE_INDEX[y]] == (x == y) ^ 1 for x in L_SET for y in L_SET)
+    assert is_involution(m) and preserves_gram(m, AMBIENT.gram)
+    assert maps_code_into_code(sparse(m))
 
 
 def test_tau_pentad_star_is_the_dense_form_of_the_rows(model):

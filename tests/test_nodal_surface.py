@@ -52,6 +52,28 @@ def test_code_generator_sigma12():
     assert word == expected
 
 
+def test_code_generator_words_span_the_code():
+    code = even_set_code()
+    assert code.generator_words == tuple(sigma_class(d).mod2_word() for d in ns.CODE_BASIS_DUADS)
+    span = {0}
+    for g in code.generator_words:
+        span |= {w ^ g for w in span}
+    assert span == code.words
+
+
+def test_maps_code_into_code_reads_each_row_mod_2():
+    identity = [((i, 1),) for i in range(16)]
+    assert ns.maps_code_into_code(identity)
+    # odd entries, negative ones too, read as 1: the identity mod 2
+    assert ns.maps_code_into_code([((i, 3 if i % 2 else -1),) for i in range(16)])
+    # twice the identity maps every word to 0, a code word
+    assert ns.maps_code_into_code([((i, 2),) for i in range(16)])
+    # eta's row even: each generator word loses its eta bit, off the code
+    assert not ns.maps_code_into_code([((0, 2),)] + identity[1:])
+    with pytest.raises(ValueError, match="has 16 rows, got 15"):
+        ns.maps_code_into_code(identity[1:])
+
+
 def test_weight6_words_are_trope_sets():
     from quartic15.configs import trope_node_sets
 
