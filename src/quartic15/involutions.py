@@ -4,25 +4,23 @@ Four families: the covering involution sigma* (determined by its images on
 the hyperplane and exceptional classes), the Reye reflection in the norm -4
 vector 2*eta - sum_L E, one pentad reflection in 3*eta - 2*sum_P E per
 5-subset P of nodes, and the S6 relabelings of the nodes.  Every one is a
-`lattice.Isometry`, held by its sparse rows, on the named Z-basis of the
-one Picard lattice (eta, the five glue classes sigma(E_d) and the ten E_x
-off the code's pivots), read as classes from
-`nodal_surface.picard_basis_classes()` and as a lattice from the cached
-`picard_lattice()`; a class reaches that basis through its integer
-coordinates `nodal_surface.pic_coordinates`.  A reflection is built from
-its root by `lattice.reflection_rows` (integral by exact division); sigma*
-and the relabelings sparsify the coordinates of their class images once.
-One certificate, `Isometry.involutive_isometry`, decides involutive and
-Gram-preserving for all four families by full products over the rows: M·M
-and, once M² = 1, the symmetry of M·G.
+`lattice.Isometry`, held by its sparse rows, on the Hermite normal form
+basis of the cached `nodal_surface.picard_lattice()`, read as classes from
+`nodal_surface.picard_basis_classes()`; a class reaches that basis through
+its integer coordinates `nodal_surface.pic_coordinates`.  A reflection is
+built from its root by `lattice.reflection_rows` (integral by exact
+division); sigma* and the relabelings sparsify the coordinates of their
+class images once.  One certificate, `Isometry.involutive_isometry`,
+decides involutive and Gram-preserving for all four families by full
+products over the rows: M·M and, once M² = 1, the symmetry of M·G.
 
 `verify_all_pentad_reflections` certifies the 3003 pentad reflections on
 `nodal_surface.AMBIENT` = <4> + A1^15 instead, which is not a Z-basis of
 Pic: each root 3*eta − 2*sum_P E pairs evenly with eta and every E_x, so
 its reflection is integral there, and `nodal_surface.maps_code_into_code`
 decides whether it maps Pic into itself.  With 46 nonzero entries per
-reflection and 16 in the Gram matrix (84 on average and 76 on the named
-basis), the 6,006 full products take 816,816 multiply-adds, not 2,260,736.
+reflection and 16 in the Gram matrix, the 6,006 full products take 816,816
+multiply-adds.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -142,7 +140,7 @@ class ReyeImageReport(NamedTuple):
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
     basis = picard_lattice().basis
-    pic = pic_coordinates(cls, f"{iso.name}: the class", name_class=True)
+    pic = pic_coordinates(cls, f"{iso.name}: the class")
     return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
 
 
@@ -236,15 +234,15 @@ def verify_all_pentad_reflections():
     M·M and M·G.  An involution of AMBIENT that preserves its Gram form
     and maps Pic into Pic lies in O(Pic) (the lemma is stated at
     `maps_code_into_code`), so the three counts at 3003 certify each τ_P as
-    an isometry of Pic: the one `tau_pentad_star` gives on the named basis.
+    an isometry of Pic: the one `tau_pentad_star` gives on Pic's basis.
     The lemma reads AMBIENT's form and Pic's Gram matrix as one rational
-    form; that is checked first, as B·G·B^T = den²·G_Pic for the named
-    basis rows B over den, and a lattice that fails it raises.
+    form; that is checked first, as B·G·B^T = den²·G_Pic for the given
+    lattice's basis rows B over den, and a lattice that fails it raises.
     """
     pic = picard_lattice()
     den2 = pic.basis.den ** 2
     if AMBIENT.gram_of(pic.basis.rows) != [[den2 * x for x in row] for row in pic.lattice.gram]:
-        raise AssertionError("the Picard Gram matrix must be the form of AMBIENT on the named basis")
+        raise AssertionError("the Picard Gram matrix must be the form of AMBIENT on its basis rows")
     count = integral = isometric = involutive = 0
     for p in all_pentads():
         count += 1

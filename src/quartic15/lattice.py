@@ -4,8 +4,9 @@ Diagonal lattices and direct sums, the Hermite normal form with its
 transformation matrix as the one unimodular eliminator, the Smith normal
 form and orthogonal complements derived from it (every transform
 re-verified on every call), discriminant groups with their Q/2Z-valued
-quadratic forms, even overlattices from glue vectors, integer coordinates
-over a row basis, and the one `Isometry` type with reflections.  Every
+quadratic forms, even overlattices from glue vectors on the HNF basis,
+integer coordinates over a row basis in echelon form (`RowBasis`, solved
+on its own rows), and the one `Isometry` type with reflections.  Every
 product of integer rows by a Gram is `IntegerLattice.times_gram`; `mat_mul`
 serves only the HNF and SNF self-checks, and `cofactors` is the one 4×4
 cofactor routine.
@@ -547,8 +548,7 @@ def discriminant_q_multiset(lat: IntegerLattice) -> dict[Fraction, int]:
 
 class Overlattice(NamedTuple):
     lattice: IntegerLattice
-    # the new basis in old coordinates, integer rows over basis.den: the HNF
-    # rows from `overlattice`, or any basis of the same lattice in their place
+    # the HNF rows from `overlattice`: integer rows over basis.den, old coordinates
     basis: RowBasis
     index: int
 
@@ -601,25 +601,27 @@ def _isqrt_exact(x: int) -> int:
 
 
 class RowBasis:
-    """Integer coordinates over a fixed row basis B = rows/den of integer rows.
+    """Integer coordinates over a fixed row basis B = rows/den of integer rows
+    in row echelon form (as `hermite_normal_form` leaves them; any other rows
+    are refused, naming the first row off that form).
 
-    The rows are brought to Hermite normal form H = U·rows once, and U is
-    kept as its sparse rows.  Each x·B = v/d is then solved as y·H = v·den/d
-    by forward substitution along the pivots, with a divisibility test at
-    every pivot, so membership is an exact integer decision; x = y·U, and
-    the numerators x·rows of `vector`, are products by `_sparse_product`.
+    Each x·B = v/d is solved as x·rows = v·den/d by forward substitution
+    along the pivots, with a divisibility test at every pivot, so membership
+    is an exact integer decision; `vector` is a `_sparse_product`.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
         self.rows = [[index(x) for x in row] for row in rows]  # integers only, no truncation
         self.den = den
         self.ncols = len(self.rows[0])
-        self.hnf, u = hermite_normal_form(self.rows)
-        self.transform = _sparse_rows(u)  # U as its sparse rows
-        # the column of the first nonzero entry of each row of H (ncols for a zero row)
-        self.pivots = [next((j for j, x in enumerate(row) if x), self.ncols) for row in self.hnf]
-        if self.pivots[-1] == self.ncols:
-            raise ValueError("basis rows must be linearly independent")
+        # the column of the first nonzero entry of each row, strictly increasing
+        self.pivots = []
+        for i, row in enumerate(self.rows):
+            _check_length(row, self.ncols, f"basis row {i}")
+            p = next((j for j, x in enumerate(row) if x), self.ncols)
+            if p == self.ncols or self.pivots and p <= self.pivots[-1]:
+                raise ValueError(f"basis row {i} breaks the row echelon form")
+            self.pivots.append(p)
 
     def coordinates(self, v: Sequence[int], den: int = 1) -> Optional[list[int]]:
         """The integer x with x·B = v/den, or None if v/den is not in the lattice."""
@@ -629,17 +631,17 @@ class RowBasis:
             if any(x % den for x in w):
                 return None
             w = [x // den for x in w]
-        y = []
-        for row, p in zip(self.hnf, self.pivots):
+        x = []
+        for row, p in zip(self.rows, self.pivots):
             q, rem = divmod(w[p], row[p])
             if rem:
                 return None
-            y.append(q)
+            x.append(q)
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
         if any(w):
             return None
-        return _sparse_product(_sparse_rows([y]), self.transform, len(self.rows))[0]  # x = y·U
+        return x
 
     def vector(self, x: Sequence[int]) -> list[int]:
         """The numerators of x·B over den."""

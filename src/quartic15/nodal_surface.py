@@ -3,12 +3,10 @@
 The Picard lattice is realized as an overlattice of <4> + A1^15 glued by the
 binary even-set code, in the coordinates eta (the hyperplane class,
 eta^2 = 4) and one exceptional class E_x of norm -2 per node x, nodes
-indexed by the duads of {1,...,6}.  It is certified on the Hermite normal
-form of the glued generators and handed out on a basis of 16 named classes:
-eta, the five glue classes sigma(E_d), d in CODE_BASIS_DUADS, and the ten
-E_x off the pivots CODE_PIVOTS (the systematic form of the code's generator
-matrix), whose sparse rows make the isometry products cheaper.  The
-splitting fixed once here is L = duads avoiding 6 (the ten
+indexed by the duads of {1,...,6}.  It is certified and handed out on one
+basis, the Hermite normal form of the glued generators that
+`lattice.overlattice` builds; `picard_basis_classes` reads its rows back as
+classes.  The splitting fixed once here is L = duads avoiding 6 (the ten
 conic-type nodes) and C = duads containing 6 (the five quartic-type nodes);
 every other splitting is an S6 translate.  Each named class (sigma(E_x),
 sigma(eta), eta_star, B̃, the Reye and pentad roots) is one coefficient map
@@ -35,7 +33,6 @@ from .lattice import (
     FiniteAbelianInvariants,
     IntegerLattice,
     Overlattice,
-    RowBasis,
     det_bareiss,
     diagonal_lattice,
     direct_sum,
@@ -220,9 +217,6 @@ class EvenSetCode(NamedTuple):
 
 
 CODE_BASIS_DUADS = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
-# for each d in CODE_BASIS_DUADS, the one node of its trope set T_d that lies
-# in none of the other four: the information set of the code's generators
-CODE_PIVOTS = ((3, 5), (1, 4), (2, 5), (1, 3), (2, 4))
 
 
 @lru_cache(maxsize=None)
@@ -329,62 +323,38 @@ def standard_classes() -> dict[str, DivisorClass]:
 @lru_cache(maxsize=None)
 def picard_lattice() -> Overlattice:
     """Rank-16 overlattice of AMBIENT glued by the five code generators, on
-    the named basis `picard_basis_classes()`, built once.
+    the Hermite normal form basis `overlattice` certifies, built once.
 
-    The lattice is built and certified on the Hermite normal form of the
-    glued generators; every class of `standard_classes()` must lie in it,
-    and its coordinates on the HNF basis are solved once, in that check.
-    The named basis classes are among these classes, and their coordinates
-    are the rows of an integer matrix T, so the named classes span a
-    sublattice of index |det T|, which is the whole lattice exactly when
-    |det T| = 1.  The named Gram is T·G·T^T, with G the Gram matrix of the
-    glued lattice, so it is integral by construction.  The basis holds
-    integer rows over `basis.den` in the coordinates (eta, E_x), so a class
-    reaches the lattice through `pic_coordinates`.
+    Every class of `standard_classes()` must lie in it twice over: its code
+    word lies in the even-set code, and it has integer coordinates on the
+    basis.  The basis holds integer rows over `basis.den` in the
+    coordinates (eta, E_x), so a class reaches the lattice through
+    `pic_coordinates`.
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
-    hnf, den = over.basis, over.basis.den
-    solved: dict[DivisorClass, list[int]] = {}
     for name, cls in standard_classes().items():
         if not is_pic_integral(cls):
             raise AssertionError(f"named class {name} must lie in the Picard lattice")
-        if (c := hnf.coordinates(cls.nums, cls.den)) is None:
+        if over.basis.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
-        solved[cls] = c
-    coords = [solved.get(cls) for cls in picard_basis_classes()]
-    if None in coords:
-        raise AssertionError(f"named basis class {coords.index(None)} must lie in the Picard lattice")
-    if (index := abs(det_bareiss(coords))) != 1:
-        raise AssertionError(f"the named classes do not span the Picard lattice: |det T| = {index}")
-    gram = over.lattice.gram_of(coords)
-    return Overlattice(IntegerLattice(gram), RowBasis([hnf.vector(c) for c in coords], den), over.index)
+    return over
 
 
-def pic_coordinates(cls: DivisorClass, what: str, *, name_class: bool = False) -> list[int]:
-    """The integer coordinates of a class on the named Picard basis; a class
-    off the lattice raises ValueError naming `what`, followed by the class
-    itself when `name_class` (its text is built only for that error)."""
+def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
+    """The integer coordinates of a class on the Picard basis; a class off
+    the lattice raises ValueError naming `what` and the class (its text is
+    built only for that error)."""
     coords = picard_lattice().basis.coordinates(cls.nums, cls.den)
     if coords is None:
-        if name_class:
-            what = f"{what} {cls}"
-        raise ValueError(f"{what} is not in the Picard lattice")
+        raise ValueError(f"{what} {cls} is not in the Picard lattice")
     return coords
 
 
 def picard_basis_classes() -> list[DivisorClass]:
-    """The named basis of the Picard lattice, in the order of its rows: eta,
-    the glue classes sigma(E_d) = (eta − sum_{x in T_d} E_x)/2 for d in
-    CODE_BASIS_DUADS, and the ten E_x with x off CODE_PIVOTS.  Each pivot's
-    E_x is eta − 2 sigma(E_d) minus the other five E of T_d, which are all
-    named, so these classes span the glued lattice; `picard_lattice`
-    certifies it."""
-    return (
-        [ETA]
-        + [sigma_class(d) for d in CODE_BASIS_DUADS]
-        + [E[x] for x in NODES if x not in CODE_PIVOTS]
-    )
+    """The basis of the Picard lattice as classes, in the order of its rows."""
+    basis = picard_lattice().basis
+    return [DivisorClass(tuple(row), basis.den) for row in basis.rows]
 
 
 def verify_class_identities() -> dict[str, bool]:
@@ -528,7 +498,7 @@ def _weight4_dual_quadruples() -> list[tuple[Duad, ...]]:
     """The node quadruples whose half-sum (sum of the four E_x)/2 lies in the
     dual of the Picard lattice.
 
-    By linearity the half-sum pairs with the named basis row b_j = row/den
+    By linearity the half-sum pairs with the basis row b_j = row/den
     as the sum of the four integer pairings E_x·row over 2·den, so it is
     dual exactly when the four rows of the 15×16 table of E_x·row sum to 0
     mod 2·den in every column; the table is built once per call.

@@ -233,8 +233,8 @@ def test_the_pentad_products_take_the_multiply_adds_of_the_ambient_lattice():
     # (k, x) of row i of M, the length of row k of the right factor.  On
     # AMBIENT every pentad reflection has 46 nonzero entries and the Gram
     # matrix 16, so the 6,006 products of the 3003 reflections cost 816,816
-    # multiply-adds: 678,678 for M·M and 138,138 for M·G (2,260,736 on the
-    # named basis, 4,504,124 on the HNF basis)
+    # multiply-adds: 678,678 for M·M and 138,138 for M·G (4,504,124 on the
+    # HNF basis of Pic)
     gram = [len(row) for row in AMBIENT.sparse_gram]
     assert sum(gram) == 16
     squares = products = 0
@@ -275,22 +275,22 @@ def test_times_is_the_dense_product(model):
     assert _times(b, m) == mat_mul(b, m) and _times(m, b) == mat_mul(m, b)
 
 
-def test_ambient_reflections_are_the_named_reflections_under_the_basis_change(model):
-    # B·M_amb = M_named·B, B the named basis rows (numerators over den 2):
-    # the reflection built on AMBIENT and `tau_pentad_star(P)` on the named
-    # basis are one map for every pentad, so the ambient certificate
+def test_ambient_reflections_are_the_reflections_on_the_hermite_basis(model):
+    # B·M_amb = M_pic·B, B the Hermite basis rows of Pic (numerators over
+    # den 2): the reflection built on AMBIENT and `tau_pentad_star(P)` on
+    # Pic's basis are one map for every pentad, so the ambient certificate
     # certifies the reflections the other checks use
     b = model.basis.rows
     assert model.basis.den == 2
     for pentad in all_pentads():
         amb = dense(reflection_rows(AMBIENT, pentad_root(pentad).nums, "a"))
-        named = dense(tau_pentad_star(pentad))
-        assert _times(b, amb) == _times(named, b), pentad
+        pic = dense(tau_pentad_star(pentad))
+        assert _times(b, amb) == _times(pic, b), pentad
 
 
 def _maps_pic_into_pic(m, model):
-    """Whether M, integral on AMBIENT, maps every named basis row of Pic to a
-    vector of Pic, by its integer coordinates on the named basis."""
+    """Whether M, integral on AMBIENT, maps every basis row of Pic to a
+    vector of Pic, by its integer coordinates on that basis."""
     basis = model.basis
     return all(basis.coordinates(row, basis.den) is not None for row in _times(basis.rows, m))
 
@@ -310,7 +310,7 @@ def _tau_rey_on_ambient():
 
 def test_the_code_test_agrees_with_pic_membership(model):
     # `maps_code_into_code` against the coordinates of the images of the
-    # named basis rows, on every pentad reflection, on tau_rey built on
+    # basis rows of Pic, on every pentad reflection, on tau_rey built on
     # AMBIENT, on the E_(1,2) <-> E_(1,3) swap and on a pentad reflection
     # with one entry bumped by 1 or by 2
     matrices = [dense(reflection_rows(AMBIENT, pentad_root(p).nums, "a")) for p in all_pentads()]

@@ -334,8 +334,35 @@ def test_row_basis_coordinates():
     assert [Fraction(a, coords.den) for a in coords.vector(x)] == [Fraction(a, 2) for a in v]
     assert coords.coordinates([1] + [0] * 6, 3) is None  # not half-integral
     assert coords.coordinates([1] * 2 + [0] * 5, 2) is None  # half-integral, not a word
-    with pytest.raises(ValueError, match="independent"):
-        RowBasis([[1, 2], [2, 4]])
+    # dependent rows: their Hermite form has a zero row, which is refused
+    with pytest.raises(ValueError, match="^basis row 1 breaks the row echelon form$"):
+        RowBasis(hermite_normal_form([[1, 2], [2, 4]])[0])
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[0, 1], [1, 0]], 1),  # independent, but the pivot moves left
+        ([[1, 0], [1, 1]], 1),  # two pivots in one column
+        ([[0, 0], [0, 1]], 0),  # a zero row first
+        ([[1, 2, 3], [0, 1, 1], [0, 2, 0]], 2),
+    ],
+)
+def test_row_basis_refuses_rows_off_the_echelon_form(rows, bad):
+    with pytest.raises(ValueError, match=f"^basis row {bad} breaks the row echelon form$"):
+        RowBasis(rows)
+
+
+def test_row_basis_solves_on_its_own_rows():
+    # echelon rows that are no Hermite form (a negative pivot, an entry above
+    # a pivot left unreduced) give the coordinates on those very rows
+    basis = RowBasis([[-2, 5, 1], [0, 3, 4]], 2)
+    for x in ([1, 0], [0, 1], [3, -2], [-1, 7]):
+        assert basis.coordinates(basis.vector(x), 2) == x
+    assert basis.coordinates([-2, 8, 5], 2) == [1, 1]
+    assert basis.coordinates([-2, 8, 5]) == [2, 2]
+    assert basis.coordinates([-1, 1, 0], 2) is None  # in the span, off the lattice
+    assert basis.coordinates([0, 0, 1], 2) is None  # off the span
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,11 +543,12 @@ def test_involutive_isometry_matches_the_dense_definition(case):
     for bad in ([0] * (n + 1), list(range(n - 1))):
         with pytest.raises(ValueError, match=f"^row has {len(bad)} entries, expected {n}$"):
             lat.times_gram([*m, bad])
-    # the rows of an invertible M as a row basis: x·M, and back
+    # the Hermite rows H of an invertible M as a row basis: x·H, and back
     if reference_det(m):
-        basis = RowBasis(m)
+        h = hermite_normal_form(m)[0]
+        basis = RowBasis(h)
         for v in vectors:
-            assert basis.vector(v) == reference_mat_mul([v], m)[0]
+            assert basis.vector(v) == reference_mat_mul([v], h)[0]
             assert basis.coordinates(basis.vector(v)) == v
 
 
@@ -652,6 +680,8 @@ def test_isometry_apply_rejects_vectors_of_the_wrong_length():
 
 
 def test_row_basis_rejects_vectors_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^basis row 1 has 1 entries, expected 2$"):
+        RowBasis([[2, 1], [3]])
     basis = RowBasis([[2, 1], [0, 3]])
     with pytest.raises(ValueError, match="expected 2"):
         basis.coordinates([2, 4, 0])

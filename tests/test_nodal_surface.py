@@ -1,7 +1,6 @@
 import itertools
 import os
 import random
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +12,14 @@ from dense_oracle import fraction_solve
 import quartic15
 from quartic15 import nodal_surface as ns
 from quartic15.configs import s6_elements
-from quartic15.lattice import IntegerLattice, RowBasis, discriminant_q_multiset, orthogonal_complement, overlattice
+from quartic15.lattice import (
+    IntegerLattice,
+    RowBasis,
+    discriminant_q_multiset,
+    hermite_normal_form,
+    orthogonal_complement,
+    overlattice,
+)
 from quartic15.nodal_surface import (
     E,
     L_SET,
@@ -322,12 +328,13 @@ def test_an_index_two_complement_turns_only_image_equals_complement_red(monkeypa
 
 def test_pic_coordinates_names_a_class_off_the_lattice():
     assert pic_coordinates(E[(1, 2)], "E_12") == picard_lattice().basis.coordinates(E[(1, 2)].nums)
-    with pytest.raises(ValueError, match="^half of E_12 is not in the Picard lattice$"):
-        pic_coordinates(E[(1, 2)] / 2, "half of E_12")
     half = E[(1, 2)] / 2
     with pytest.raises(ValueError) as err:
-        pic_coordinates(half, "the class", name_class=True)
-    assert str(err.value) == f"the class {half} is not in the Picard lattice"
+        pic_coordinates(half, "half of E_12")
+    assert str(err.value) == (
+        "half of E_12 DivisorClass(nums=(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), den=2)"
+        " is not in the Picard lattice"
+    )
 
 
 def _rational_rows(basis):
@@ -444,70 +451,24 @@ def test_divisor_class_integer_arithmetic():
         DivisorClass((Fraction(1, 2),) + (0,) * 15)
 
 
-# -- the named Picard basis ----------------------------------------------------------
+# -- the Picard basis ------------------------------------------------------------------
 
 
-def _hnf_basis():
-    """The Hermite normal form basis the Picard lattice is certified on."""
-    return overlattice(ns.AMBIENT, [sigma_class(d).nums for d in ns.CODE_BASIS_DUADS], 2).basis
-
-
-def _gram_det(sympy, rows, den):
-    """det of the Gram matrix of rows/den, by sympy."""
-    m = sympy.Matrix(rows) / den
-    return (m * sympy.Matrix(ns.AMBIENT.gram) * m.T).det()
-
-
-def test_picard_basis_classes_are_the_named_classes():
-    tropes = ns.trope_node_sets()
-    for i, (d, pivot) in enumerate(zip(ns.CODE_BASIS_DUADS, ns.CODE_PIVOTS)):
-        # each pivot lies in T_d for its own d and in no other of the five
-        assert [pivot in tropes[e] for e in ns.CODE_BASIS_DUADS] == [j == i for j in range(5)]
-    named = (
-        [ns.ETA]
-        + [(ns.ETA - sum((E[x] for x in tropes[d]), DivisorClass.make())) / 2 for d in ns.CODE_BASIS_DUADS]
-        + [E[x] for x in ns.NODES if x not in {(3, 5), (1, 4), (2, 5), (1, 3), (2, 4)}]
-    )
-    assert picard_basis_classes() == named
-
-
-def test_named_basis_is_a_unimodular_change_of_the_hnf_basis():
-    sympy = pytest.importorskip("sympy")
-    hnf, named = _hnf_basis(), picard_lattice().basis
-    assert named.den == hnf.den == 2
-    # both containments: each basis has integer coordinates on the other
-    to_named = [named.coordinates(row, hnf.den) for row in hnf.rows]
-    to_hnf = [hnf.coordinates(row, named.den) for row in named.rows]
-    assert None not in to_named and None not in to_hnf
-    assert sympy.Matrix(to_named).det() in (1, -1)
-    assert sympy.Matrix(to_named) * sympy.Matrix(to_hnf) == sympy.eye(16)
-    assert _gram_det(sympy, hnf.rows, 2) == _gram_det(sympy, named.rows, 2) == -128
-
-
-@pytest.mark.parametrize(
-    "swap, message",
-    [
-        # sigma(E_12) for its pivot E_35: the 16 classes span an index-2 sublattice
-        (E[(3, 5)], "the named classes do not span the Picard lattice: |det T| = 2"),
-        # sigma(E_12) for half of E_12, which is off the lattice
-        (E[(1, 2)] / 2, "named basis class 1 must lie in the Picard lattice"),
-    ],
-)
-def test_a_wrong_named_basis_makes_picard_lattice_raise(monkeypatch, swap, message):
-    real = ns.picard_basis_classes()
-    classes = real[:1] + [swap] + real[2:]
-    monkeypatch.setattr(ns, "picard_basis_classes", lambda: classes)
-    ns.picard_lattice.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-            ns.picard_lattice()
-    finally:
-        ns.picard_lattice.cache_clear()
+def test_the_picard_basis_is_the_hermite_form_of_the_stacked_generators():
+    # 2·1 and the five glue rows (numerators over 2) stacked, as `overlattice`
+    # stacks them: Pic is handed out on the first 16 rows of their HNF
+    glues = [[x * (2 // sigma_class(d).den) for x in sigma_class(d).nums] for d in ns.CODE_BASIS_DUADS]
+    stacked = [[2 * (i == j) for j in range(16)] for i in range(16)] + glues
+    h, _ = hermite_normal_form(stacked)
+    assert not any(x for row in h[16:] for x in row)
+    model = picard_lattice()
+    assert model.basis.den == 2 and model.basis.rows == h[:16]
+    assert picard_basis_classes() == [DivisorClass(tuple(row), 2) for row in h[:16]]
 
 
 def test_a_cold_picard_lattice_solves_each_standard_class_once(monkeypatch):
-    # the named basis reuses the coordinates its 16 classes got in the
-    # membership check over the 53 standard classes
+    # the membership check solves each of the 53 standard classes once, and
+    # the basis is the overlattice's own, so nothing else is solved
     calls = []
     coordinates = RowBasis.coordinates
 
@@ -523,39 +484,12 @@ def test_a_cold_picard_lattice_solves_each_standard_class_once(monkeypatch):
     finally:
         ns.picard_lattice.cache_clear()
     assert len(calls) == 53
-    assert [DivisorClass(tuple(row), model.basis.den) for row in model.basis.rows] == picard_basis_classes()
-
-
-def test_the_pivot_swap_spans_an_index_two_sublattice():
-    sympy = pytest.importorskip("sympy")
-    classes = picard_basis_classes()
-    classes[1] = E[(3, 5)]
-    rows = [[x * (2 // c.den) for x in c.nums] for c in classes]
-    assert _gram_det(sympy, rows, 2) == -512 == 2**2 * -128
-
-
-def test_the_named_basis_check_survives_optimize_flag():
-    # the same pivot swap under -O, where a bare assert would vanish
-    code = (
-        "import quartic15.nodal_surface as ns\n"
-        "real = ns.picard_basis_classes()\n"
-        "ns.picard_basis_classes = lambda: real[:1] + [ns.E[(3, 5)]] + real[2:]\n"
-        "print('debug', __debug__)\n"
-        "try:\n"
-        "    ns.picard_lattice()\n"
-        "except AssertionError as exc:\n"
-        "    print('raised', exc)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(quartic15.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "debug False" in proc.stdout
-    assert "raised the named classes do not span the Picard lattice: |det T| = 2" in proc.stdout
+    assert model.lattice.rank == 16 and model.index == 32
 
 
 def test_the_named_gram_is_the_ambient_gram_of_the_named_rows():
-    # T·G·T^T from the glued Gram equals B·AMBIENT·B^T/den² for the named
-    # rows B over den = 2, formed here without the library's products
+    # the Picard Gram equals B·AMBIENT·B^T/den² for the basis rows B over
+    # den = 2, formed here without the library's products
     model = picard_lattice()
     rows, den = model.basis.rows, model.basis.den
     g = ns.AMBIENT.gram

@@ -133,6 +133,7 @@ REACHED_ONLY_BY_TESTS = {
     "exact.rref": "held by the benchmark (through nullspace); traced as exact.linsolve_calls",
     "exact.monomial_table": "the table of any family of forms, the reference for exact.partials_table",
     "exact.MultiPoly.__hash__": "operator completeness: equal polynomials hash equal",
+    "nodal_surface.DivisorClass.__hash__": "operator completeness: equal divisor classes hash equal",
     "nodal_surface.DivisorClass.__neg__": "operator completeness: divisor classes form a group",
 }
 
