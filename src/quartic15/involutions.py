@@ -1,26 +1,23 @@
-"""Certified isometries of the rank-16 Picard lattice.
+"""Certified isometries of the rank-16 Picard lattice, all on AMBIENT.
 
-Four families: the covering involution sigma* (determined by its images on
-the hyperplane and exceptional classes), the Reye reflection in the norm -4
-vector 2*eta - sum_L E, one pentad reflection in 3*eta - 2*sum_P E per
-5-subset P of nodes, and the S6 relabelings of the nodes.  Every one is a
-`lattice.Isometry`, held by its sparse rows, on the Hermite normal form
-basis of the cached `nodal_surface.picard_lattice()`, read as classes from
-`nodal_surface.picard_basis_classes()`; a class reaches that basis through
-its integer coordinates `nodal_surface.pic_coordinates`.  A reflection is
-built from its root by `lattice.reflection_rows` (integral by exact
-division); sigma* and the relabelings sparsify the coordinates of their
-class images once.  One certificate, `Isometry.involutive_isometry`,
-decides involutive and Gram-preserving for all four families by full
-products over the rows: M·M and, once M² = 1, the symmetry of M·G.
+Four families: the covering involution sigma*, the Reye reflection in the
+norm -4 vector 2*eta - sum_L E, one pentad reflection in 3*eta - 2*sum_P E
+per 5-subset P of nodes, and the S6 relabelings of the nodes.  Each is a
+`lattice.Isometry` M/den on `nodal_surface.AMBIENT` = <4> + A1^15, in the
+coordinates (eta, E_x) of every `DivisorClass`: sigma* is the rows of
+sigma(eta) and sigma(E_x) over den 2, a reflection is
+`lattice.reflection_rows(AMBIENT, root.nums)`, a relabeling is its
+node-permutation rows, and a class maps as cls.nums·M over cls.den·den.
 
-`verify_all_pentad_reflections` certifies the 3003 pentad reflections on
-`nodal_surface.AMBIENT` = <4> + A1^15 instead, which is not a Z-basis of
-Pic: each root 3*eta − 2*sum_P E pairs evenly with eta and every E_x, so
-its reflection is integral there, and `nodal_surface.maps_code_into_code`
-decides whether it maps Pic into itself.  With 46 nonzero entries per
-reflection and 16 in the Gram matrix, the 6,006 full products take 816,816
-multiply-adds.
+AMBIENT is not a Z-basis of Pic, so one certificate, `_certified`, decides
+for all four families whether M/den is an isometry of Pic: M·M = den²·1 and
+M·G·M^T = den²·G by full products over the rows
+(`Isometry.involutive_isometry`), and the Pic test for den 1 and 2
+(`nodal_surface.maps_code_into_code`, where the lemma is stated), both on
+the premise `_pic_premise` about the Picard lattice it is given.
+`verify_all_pentad_reflections` counts the same tests over the 3003 pentad
+reflections; with 46 nonzero entries per reflection and 16 in the Gram
+matrix, its 6,006 full products take 816,816 multiply-adds.
 
 Matrices act on row coordinate vectors: v -> v·M, so row i is the image of
 the i-th basis vector and the isometry condition reads M·G·M^T = G.
@@ -28,6 +25,7 @@ the i-th basis vector and the isometry condition reads M·G·M^T = G.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .configs import Duad, apply_perm_duad_set, s6_elements
@@ -42,10 +40,9 @@ from .nodal_surface import (
     NODES,
     DivisorClass,
     eta_star,
+    is_pic_integral,
     maps_code_into_code,
     pentad_root,
-    pic_coordinates,
-    picard_basis_classes,
     picard_lattice,
     reye_root,
     sigma_class,
@@ -56,50 +53,51 @@ from .pentads import all_pentads, pencil_classes
 Pentad = tuple[Duad, Duad, Duad, Duad, Duad]
 
 
-def _isometry_from_class_images(name: str, images: Sequence[DivisorClass]) -> tuple[Isometry, bool]:
-    """The isometry whose row i is the image of basis vector i, certified
-    integral and Gram-preserving, with whether it squares to the identity."""
-    coords = (pic_coordinates(img, f"{name}: image of basis vector {i}") for i, img in enumerate(images))
-    iso = Isometry.from_matrix(name, coords)
-    involutive, isometric = iso.involutive_isometry(picard_lattice().lattice)
+def _pic_premise() -> None:
+    """Raise unless B·G·B^T = den²·G_Pic for the basis rows B over den of
+    the Picard lattice, so that AMBIENT's form and Pic's Gram matrix are one
+    form.  `overlattice` builds G_Pic as that product, but the check stays:
+    it is the hypothesis of the Pic lemma and what ties each certificate to
+    the lattice `picard_lattice()` gives."""
+    pic = picard_lattice()
+    den2 = pic.basis.den ** 2
+    if AMBIENT.gram_of(pic.basis.rows) != [[den2 * x for x in row] for row in pic.lattice.gram]:
+        raise AssertionError("the Picard Gram matrix must be the form of AMBIENT on its basis rows")
+
+
+def _certified(iso: Isometry) -> bool:
+    """Whether iso squares to the identity; a ValueError naming it is raised
+    unless it preserves AMBIENT's Gram form and maps Pic into Pic."""
+    _pic_premise()
+    involutive, isometric = iso.involutive_isometry(AMBIENT)
     if not isometric:
-        raise ValueError(f"{name}: Gram form not preserved")
-    return iso, involutive
+        raise ValueError(f"{iso.name}: Gram form not preserved")
+    if not maps_code_into_code(iso.rows, iso.den):
+        raise ValueError(f"{iso.name}: does not map the Picard lattice into itself")
+    return involutive
+
+
+def _involution(iso: Isometry) -> Isometry:
+    """iso, certified and required to square to the identity."""
+    if not _certified(iso):
+        raise AssertionError(f"{iso.name} must square to the identity")
+    return iso
+
+
+def _from_images(name: str, images: Sequence[DivisorClass]) -> Isometry:
+    """The matrix on AMBIENT whose row i is the image of coordinate vector i."""
+    den = lcm(*(c.den for c in images))
+    return Isometry.from_matrix(name, ([den // c.den * x for x in c.nums] for c in images), den)
 
 
 def sigma_star() -> Isometry:
     """The covering involution: eta and every E_x map to their sigma-classes."""
-    generator_images = [sigma_eta()] + [sigma_class(d) for d in NODES]
-
-    def image_of(cls: DivisorClass) -> DivisorClass:
-        out = DivisorClass.make()
-        for c, img in zip(cls.nums, generator_images):
-            if c:
-                out = out + c * img
-        return out / cls.den
-
-    images = [image_of(b) for b in picard_basis_classes()]
-    iso, involutive = _isometry_from_class_images("sigma", images)
-    if not involutive:
-        raise AssertionError("sigma* must square to the identity")
-    return iso
-
-
-def _root_reflection(name: str, root: DivisorClass) -> Isometry:
-    """Reflection in a root of the lattice, through its integer coordinates."""
-    w = pic_coordinates(root, f"{name}: the root")
-    return reflection_rows(picard_lattice().lattice, w, name)
+    return _involution(_from_images("sigma*", [sigma_eta()] + [sigma_class(d) for d in NODES]))
 
 
 def tau_rey_star() -> Isometry:
     """The Reye reflection, in the root 2*eta − sum over conic-type nodes."""
-    iso = _root_reflection("tau_rey", reye_root())
-    involutive, isometric = iso.involutive_isometry(picard_lattice().lattice)
-    if not isometric:
-        raise AssertionError("tau_rey must preserve the Gram form")
-    if not involutive:
-        raise AssertionError("tau_rey must square to the identity")
-    return iso
+    return _involution(reflection_rows(AMBIENT, reye_root().nums, "tau_rey"))
 
 
 def tau_pentad_star(pentad: Sequence[Duad]) -> Isometry:
@@ -107,17 +105,15 @@ def tau_pentad_star(pentad: Sequence[Duad]) -> Isometry:
     p = tuple(sorted(pentad))
     if len(p) != 5 or len(set(p)) != 5 or not set(p) <= NODE_INDEX.keys():
         raise ValueError("a pentad consists of five distinct node labels")
-    return _root_reflection(_pentad_name(p), pentad_root(p))
-
-
-def _pentad_name(p: Sequence[Duad]) -> str:
-    return "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
+    name = "tau_P(" + ",".join(f"{a}{b}" for a, b in p) + ")"
+    return _involution(reflection_rows(AMBIENT, pentad_root(p).nums, name))
 
 
 def s6_isometry(g: Sequence[int]) -> Isometry:
     """Node-relabeling action of a permutation of {1,...,6} on the lattice."""
-    images = [b.permuted(g) for b in picard_basis_classes()]
-    return _isometry_from_class_images(f"perm{tuple(g)}", images)[0]
+    iso = _from_images(f"perm{tuple(g)}", [c.permuted(g) for c in (ETA, *(E[d] for d in NODES))])
+    _certified(iso)
+    return iso
 
 
 # -- verification of the classical identities ---------------------------------
@@ -139,9 +135,11 @@ class ReyeImageReport(NamedTuple):
 
 
 def _apply_to_class(iso: Isometry, cls: DivisorClass) -> DivisorClass:
-    basis = picard_lattice().basis
-    pic = pic_coordinates(cls, f"{iso.name}: the class")
-    return DivisorClass(tuple(basis.vector(iso.apply(pic))), basis.den)
+    """The image of a class of Pic, cls.nums·M over cls.den·den; a class off
+    Pic is refused with a ValueError naming the isometry and the class."""
+    if not is_pic_integral(cls):
+        raise ValueError(f"{iso.name}: the class {cls} is not in the Picard lattice")
+    return DivisorClass(tuple(iso.apply(cls.nums)), cls.den * iso.den)
 
 
 def reye_image_report() -> ReyeImageReport:
@@ -196,7 +194,7 @@ def verify_relations() -> RelationReport:
     tau = tau_rey_star()
     goepel = tau_pentad_star(GOEPEL_PENTAD)
     conj = sig.compose(tau).compose(sig)
-    goepel_conj = conj.rows == goepel.rows
+    goepel_conj = (conj.rows, conj.den) == (goepel.rows, goepel.den)
     # independent route: sigma maps the Reye root to the Goepel root
     routes = _apply_to_class(sig, reye_root()) == pentad_root(GOEPEL_PENTAD)
     try:  # pencil_classes refuses pencils that break any pencil identity
@@ -225,24 +223,12 @@ def verify_all_pentad_reflections():
     """Certify every one of the 3003 pentad reflections, on AMBIENT.
 
     Returns (count, all_integral, all_gram_preserving, all_involutive).
-    Each reflection is built by `lattice.reflection_rows` from its root's
-    numerators on AMBIENT, `pentad_root(P).nums`, and counts as integral
-    when it was built and `nodal_surface.maps_code_into_code` finds that
-    its rows map the even-set code into itself mod 2, which for a matrix
-    integral on AMBIENT means it maps Pic into Pic.  Every built matrix is
-    certified by `Isometry.involutive_isometry(AMBIENT)`, full products
-    M·M and M·G.  An involution of AMBIENT that preserves its Gram form
-    and maps Pic into Pic lies in O(Pic) (the lemma is stated at
-    `maps_code_into_code`), so the three counts at 3003 certify each τ_P as
-    an isometry of Pic: the one `tau_pentad_star` gives on Pic's basis.
-    The lemma reads AMBIENT's form and Pic's Gram matrix as one rational
-    form; that is checked first, as B·G·B^T = den²·G_Pic for the given
-    lattice's basis rows B over den, and a lattice that fails it raises.
+    Each reflection is `lattice.reflection_rows(AMBIENT, pentad_root(P).nums)`,
+    integral when it was built and maps Pic into Pic.  These are the tests
+    and the premise of `_certified`, counted instead of raised, so the three
+    counts at 3003 certify each τ_P that `tau_pentad_star` gives.
     """
-    pic = picard_lattice()
-    den2 = pic.basis.den ** 2
-    if AMBIENT.gram_of(pic.basis.rows) != [[den2 * x for x in row] for row in pic.lattice.gram]:
-        raise AssertionError("the Picard Gram matrix must be the form of AMBIENT on its basis rows")
+    _pic_premise()
     count = integral = isometric = involutive = 0
     for p in all_pentads():
         count += 1
@@ -251,7 +237,7 @@ def verify_all_pentad_reflections():
             tau = reflection_rows(AMBIENT, pentad_root(p).nums, "tau_P")
         except ValueError:
             continue
-        integral += maps_code_into_code(tau.rows)
+        integral += maps_code_into_code(tau.rows, tau.den)
         squares_to_one, preserves = tau.involutive_isometry(AMBIENT)
         isometric += preserves
         involutive += squares_to_one
@@ -271,6 +257,7 @@ def pentad_naturality_spot_check() -> bool:
         p = pentads[(211 * k + 5) % len(pentads)]
         giso = s6_isometry(g)
         tau_gp = tau_pentad_star(apply_perm_duad_set(g, p))
-        if tau_pentad_star(p).compose(giso).rows != giso.compose(tau_gp).rows:
+        lhs, rhs = tau_pentad_star(p).compose(giso), giso.compose(tau_gp)
+        if (lhs.rows, lhs.den) != (rhs.rows, rhs.den):
             return False
     return True

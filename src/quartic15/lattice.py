@@ -6,16 +6,17 @@ form and orthogonal complements derived from it (every transform
 re-verified on every call), discriminant groups with their Q/2Z-valued
 quadratic forms, even overlattices from glue vectors on the HNF basis,
 integer coordinates over a row basis in echelon form (`RowBasis`, solved
-on its own rows), and the one `Isometry` type with reflections.  Every
-product of integer rows by a Gram is `IntegerLattice.times_gram`; `mat_mul`
-serves only the HNF and SNF self-checks, and `cofactors` is the one 4×4
-cofactor routine.
+on its own rows), and the one `Isometry` type (integer rows over a
+denominator) with reflections.  Every product of integer rows by a Gram is
+`IntegerLattice.times_gram`; `mat_mul` serves only the HNF and SNF
+self-checks, and `cofactors` is the one 4×4 cofactor routine.
 
 Vector convention: lattice vectors are row coordinate lists; an isometry is
 a matrix whose i-th row is the image of the i-th basis vector, so it acts by
 v -> v·M and preserves the form iff M·G·M^T = G.  An `Isometry` holds only
 its sparse rows (the nonzero (column, entry) pairs of each row, in column
-order), and every product, trace and certificate is taken over them.
+order) over its denominator, and every product, trace and certificate is
+taken over them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -607,7 +608,7 @@ class RowBasis:
 
     Each x·B = v/d is solved as x·rows = v·den/d by forward substitution
     along the pivots, with a divisibility test at every pivot, so membership
-    is an exact integer decision; `vector` is a `_sparse_product`.
+    is an exact integer decision.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
@@ -643,11 +644,6 @@ class RowBasis:
             return None
         return x
 
-    def vector(self, x: Sequence[int]) -> list[int]:
-        """The numerators of x·B over den."""
-        _check_length(x, len(self.rows), "coordinate vector")
-        return _sparse_product(_sparse_rows([x]), _sparse_rows(self.rows), self.ncols)[0]
-
 
 # -- orthogonal complements --------------------------------------------------
 
@@ -678,61 +674,76 @@ def orthogonal_complement(
 
 
 class Isometry(NamedTuple):
-    """A named integer isometry M by its sparse rows: row i is the image of
-    basis vector i as its nonzero (column, entry) pairs in column order, a
-    canonical form, so two isometries are one matrix iff their rows are equal.
-    Every product with M (`apply`, `compose`, `involutive_isometry`) is a
-    `_sparse_product` over these rows."""
+    """A named isometry rows/den: row i, the numerators of the image of
+    basis vector i, is its nonzero (column, entry) pairs in column order,
+    over the positive `den`.  With gcd(den, every entry) = 1 (`from_matrix`)
+    the pair is canonical, so two isometries are one matrix iff their rows
+    and den are equal.  Every product with M = rows (`apply`, `compose`,
+    `involutive_isometry`) is a `_sparse_product` over these rows."""
 
     name: str
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    den: int = 1
 
     @classmethod
-    def from_matrix(cls, name: str, m: Iterable[Iterable[int]]) -> "Isometry":
-        """The isometry whose row i is row i of m, frozen as canonical sparse rows."""
-        return cls(name, tuple(map(tuple, _sparse_rows(m))))
+    def from_matrix(cls, name: str, m: Iterable[Iterable[int]], den: int = 1) -> "Isometry":
+        """m/den in canonical form: m and den divided by the gcd of den and
+        every entry; a den that is not positive is refused."""
+        if den <= 0:
+            raise ValueError(f"{name}: the denominator must be positive, got {den}")
+        rows = _sparse_rows(m)
+        g = gcd(den, *(x for row in rows for _, x in row))
+        return cls(name, tuple(tuple((j, x // g) for j, x in row) for row in rows), den // g)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def apply(self, v: Sequence[int]) -> list[int]:
-        """v·M, over the nonzero entries of v and M."""
+        """v·M, over the nonzero entries of v and M: the image of v over den."""
         _check_length(v, self.rank, "vector")
         return _sparse_product(_sparse_rows([v]), self.rows, self.rank)[0]
 
     def compose(self, other: "Isometry") -> "Isometry":
-        """self·other, re-sparsified."""
+        """self·other, made canonical by `from_matrix`."""
         n = self.rank
         _check_length(other.rows, n, "isometry matrix")
-        return Isometry.from_matrix(f"{self.name};{other.name}", _sparse_product(self.rows, other.rows, n))
+        product = _sparse_product(self.rows, other.rows, n)
+        return Isometry.from_matrix(f"{self.name};{other.name}", product, self.den * other.den)
 
     def involutive_isometry(self, lat: IntegerLattice) -> tuple[bool, bool]:
-        """(M·M = 1, M·G·M^T = G), exactly, from full products over the rows.
+        """(M·M = d²·1, M·G·M^T = d²·G) for d = den, exactly, from full
+        products over the rows: (M/d)² = 1 and M/d preserves the form.
 
         The rows of M are both factors of M·M and the left factor of A = M·G,
         over the lattice's cached sparse Gram rows (`sparse_gram`).
-        If M² = 1 then M^T is its own inverse, so M·G·M^T = G iff
-        M·G = G·M^T = (M·G)^T (G is symmetric): the Gram test is the symmetry
-        of A.  Otherwise M·G·M^T is formed in full from the same A by the
-        step `IntegerLattice.gram_of` takes (`_against_rows`).
+        If M·M = d²·1 then M^{-1} = M/d², so M·G·M^T = d²·G iff
+        G·M^T = M·G = (G·M^T)^T (G is symmetric): the Gram test is the
+        symmetry of A.  Otherwise M·G·M^T is formed in full from the same A
+        by the step `IntegerLattice.gram_of` takes (`_against_rows`).
         """
         n = lat.rank
         rows = self.rows
         _check_length(rows, n, "isometry matrix")
-        involutive = _sparse_product(rows, rows, n) == _identity(n)
+        d2 = self.den * self.den
+        involutive = _sparse_product(rows, rows, n) == _scalar(n, d2)
         a = _sparse_product(rows, lat.sparse_gram, n)
         if involutive:
             return True, a == mat_transpose(a)
-        return False, _against_rows(rows, a) == [list(row) for row in lat.gram]
+        return False, _against_rows(rows, a) == [[d2 * x for x in row] for row in lat.gram]
 
     def trace(self) -> int:
-        return sum(x for i, row in enumerate(self.rows) for j, x in row if i == j)
+        """The trace of M/den, an integer for a map that is integral on some
+        basis (an isometry of a lattice); a non-integral trace is refused."""
+        total = sum(x for i, row in enumerate(self.rows) for j, x in row if i == j)
+        if total % self.den:
+            raise ValueError(f"{self.name}: non-integral trace {total}/{self.den}")
+        return total // self.den
 
     def invariant_rank(self) -> int:
-        """Rank of the fixed sublattice: rank minus the rank of M − 1."""
+        """Rank of the fixed sublattice: rank minus the rank of M − den·1."""
         n = self.rank
-        delta = [[-(i == j) for j in range(n)] for i in range(n)]  # M − 1
+        delta = [[-self.den * (i == j) for j in range(n)] for i in range(n)]  # M − den·1
         for drow, row in zip(delta, self.rows):
             for j, x in row:
                 drow[j] += x
@@ -784,7 +795,7 @@ def reflection_rows(lat: IntegerLattice, r: Sequence[int], name: str) -> Isometr
 
 
 @lru_cache(maxsize=None)
-def _identity(n: int) -> IntMatrix:
-    """The n×n identity that products are compared against; shared, so it
-    is never handed out or changed."""
-    return mat_identity(n)
+def _scalar(n: int, c: int) -> IntMatrix:
+    """c times the n×n identity, which products are compared against;
+    shared, so it is never handed out or changed."""
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)]

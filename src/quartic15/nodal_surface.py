@@ -5,13 +5,13 @@ binary even-set code, in the coordinates eta (the hyperplane class,
 eta^2 = 4) and one exceptional class E_x of norm -2 per node x, nodes
 indexed by the duads of {1,...,6}.  It is certified and handed out on one
 basis, the Hermite normal form of the glued generators that
-`lattice.overlattice` builds; `picard_basis_classes` reads its rows back as
-classes.  The splitting fixed once here is L = duads avoiding 6 (the ten
-conic-type nodes) and C = duads containing 6 (the five quartic-type nodes);
-every other splitting is an S6 translate.  Each named class (sigma(E_x),
-sigma(eta), eta_star, B̃, the Reye and pentad roots) is one coefficient map
-defined once here, and `pic_coordinates` is the one map from a class to its
-Picard coordinates.
+`lattice.overlattice` builds; classes and isometries stay on AMBIENT, where
+the even-set code decides membership in Pic (`is_pic_integral`,
+`maps_code_into_code`).  The splitting fixed once here is L = duads avoiding
+6 (the ten conic-type nodes) and C = duads containing 6 (the five
+quartic-type nodes); every other splitting is an S6 translate.  Each named
+class (sigma(E_x), sigma(eta), eta_star, B̃, the Reye and pentad roots) is
+one coefficient map defined once here.
 
 Also builds the rank-17 lattice of a 16-nodal (Kummer) quartic and certifies
 the embedding of the 15-nodal Picard lattice onto the orthogonal complement
@@ -256,39 +256,52 @@ def is_pic_integral(cls: DivisorClass) -> bool:
     return word is not None and word in even_set_code()
 
 
-def maps_code_into_code(rows: Iterable[Iterable[tuple[int, int]]]) -> bool:
-    """Whether the integer matrix M on AMBIENT, given by its sparse rows (row
-    i is the image of the i-th coordinate vector, as (column, entry) pairs),
-    maps every word of the even-set code to a code word mod 2.
+def maps_code_into_code(rows: Sequence[Sequence[tuple[int, int]]], den: int = 1) -> bool:
+    """Whether M/den, den 1 or 2, maps Pic into Pic, for the integer matrix
+    M on AMBIENT given by its sparse rows (row i is the image of the i-th
+    coordinate vector, as (column, entry) pairs).
 
-    For M integral on AMBIENT this is the test of M(Pic) ⊆ Pic.  The Picard
-    lattice is Pic = {v/2 : v in AMBIENT, v mod 2 in the code}, the
-    overlattice `picard_lattice` certifies, and (v/2)·M = (v·M)/2 with
-    v·M integral and v·M ≡ (v mod 2)·(M mod 2) mod 2; so M(Pic) ⊆ Pic
-    exactly when M mod 2 maps the code into itself, and, the map being
-    linear, exactly when it maps the five generator words into the code.
-    If M is moreover an involution that preserves AMBIENT's Gram form, then
-    M lies in O(Pic): that Gram matrix and Pic's are one rational form, and
-    M = M^{-1} maps Pic into Pic, so onto it.  Each row is read mod 2 as a
-    16-bit mask (bit j for column j, as in `DivisorClass.mod2_word`), and a
-    word's image is the XOR of the masks of its set bits.
+    Pic = {v/2 : v in AMBIENT, v mod 2 in the code}, the overlattice
+    `picard_lattice` certifies, is generated by the v/2 for v = 2e_i and v
+    the five generator words as 0/1 vectors; (v/2)·(M/den) lies in Pic iff
+    v·M mod 2·den lies in den·code.  For den 1 the 2e_i pass, and the test
+    is that M mod 2 maps the generator words into the code.  If M/den also
+    preserves AMBIENT's Gram form, the one rational form of Pic, it lies in
+    O(Pic): the image of Pic is a sublattice with Pic's discriminant, so of
+    index 1.  Each row is read as the mask of its odd entries (bit j for
+    column j, as in `DivisorClass.mod2_word`) and, for den 2, of its entries
+    with bit 1 set: M mod 4.  v·M mod 2·den is the lane-wise sum of these
+    masks over the set bits of v, each carry out of a low bit into the high.
     """
-    masks = []
+    if den not in (1, 2):
+        raise ValueError(f"the Pic test takes den 1 or 2, got {den}")
+    if len(rows) != RANK:
+        raise ValueError(f"a matrix on AMBIENT has {RANK} rows, got {len(rows)}")
+    lows, highs = [], []
     for row in rows:
-        mask = 0
+        low = high = 0
         for j, x in row:
             if x & 1:
-                mask |= 1 << j
-        masks.append(mask)
-    if len(masks) != RANK:
-        raise ValueError(f"a matrix on AMBIENT has {RANK} rows, got {len(masks)}")
+                low |= 1 << j
+        if den == 2:
+            for j, x in row:
+                if x & 2:
+                    high |= 1 << j
+        lows.append(low)
+        highs.append(high)
     code = even_set_code()
+    if den == 2 and not all(low in code.words for low in lows):  # 2e_i·M = 2·(row i)
+        return False
     for word in code.generator_words:
-        image = 0
+        low = high = 0
         while word:
-            low = word & -word
-            image ^= masks[low.bit_length() - 1]
-            word ^= low
+            bit = word & -word
+            i = bit.bit_length() - 1
+            if den == 2:
+                high ^= highs[i] ^ (low & lows[i])
+            low ^= lows[i]
+            word ^= bit
+        image = low if den == 1 else None if low else high  # v·M/den mod 2, if integral
         if image not in code.words:
             return False
     return True
@@ -328,8 +341,7 @@ def picard_lattice() -> Overlattice:
     Every class of `standard_classes()` must lie in it twice over: its code
     word lies in the even-set code, and it has integer coordinates on the
     basis.  The basis holds integer rows over `basis.den` in the
-    coordinates (eta, E_x), so a class reaches the lattice through
-    `pic_coordinates`.
+    coordinates (eta, E_x).
     """
     # the generators' words carry the eta bit, so each one has denominator 2
     over = overlattice(AMBIENT, [sigma_class(d).nums for d in CODE_BASIS_DUADS], 2)
@@ -339,22 +351,6 @@ def picard_lattice() -> Overlattice:
         if over.basis.coordinates(cls.nums, cls.den) is None:
             raise AssertionError(f"named class {name} misses the overlattice")
     return over
-
-
-def pic_coordinates(cls: DivisorClass, what: str) -> list[int]:
-    """The integer coordinates of a class on the Picard basis; a class off
-    the lattice raises ValueError naming `what` and the class (its text is
-    built only for that error)."""
-    coords = picard_lattice().basis.coordinates(cls.nums, cls.den)
-    if coords is None:
-        raise ValueError(f"{what} {cls} is not in the Picard lattice")
-    return coords
-
-
-def picard_basis_classes() -> list[DivisorClass]:
-    """The basis of the Picard lattice as classes, in the order of its rows."""
-    basis = picard_lattice().basis
-    return [DivisorClass(tuple(row), basis.den) for row in basis.rows]
 
 
 def verify_class_identities() -> dict[str, bool]:

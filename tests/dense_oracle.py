@@ -25,18 +25,19 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def is_involution(m):
-    """M·M = 1."""
-    return mat_mul(m, m) == identity(len(m))
+def is_involution(m, den=1):
+    """(M/den)² = 1, as M·M = den²·1."""
+    return mat_mul(m, m) == [[den * den * x for x in row] for row in identity(len(m))]
 
 
-def preserves_gram(m, gram):
-    """M·G·M^T = G."""
-    return mat_mul(mat_mul(m, gram), [list(col) for col in zip(*m)]) == [list(row) for row in gram]
+def preserves_gram(m, gram, den=1):
+    """(M/den)·G·(M/den)^T = G, as M·G·M^T = den²·G."""
+    return mat_mul(mat_mul(m, gram), [list(col) for col in zip(*m)]) == [[den * den * x for x in row] for row in gram]
 
 
 def dense(iso):
-    """The square matrix of an isometry from its sparse rows."""
+    """The square matrix of the numerators of an isometry, over its den,
+    from its sparse rows."""
     n = len(iso.rows)
     out = [[0] * n for _ in range(n)]
     for i, row in enumerate(iso.rows):

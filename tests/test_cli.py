@@ -544,8 +544,10 @@ def test_a_perturbed_node_class_turns_the_weight4_census_red(monkeypatch):
 INVOLUTION_CHECKS = ["sigma-star", "tau-rey-images", "involution-relations", "pentad-reflections", "pentad-naturality"]
 
 
-def test_involution_checks_read_the_picard_lattice_they_are_given(monkeypatch):
-    # one Gram entry changed: the pentad reflections are no longer isometries
+def test_involution_checks_read_the_picard_lattice_they_are_given(monkeypatch, tmp_path):
+    # one Gram entry changed: AMBIENT's form on the basis rows is no longer
+    # the Picard Gram matrix, so the premise that every certificate of the
+    # five checks rests on fails, and each check is red
     from quartic15 import involutions
     from quartic15.lattice import IntegerLattice
 
@@ -554,10 +556,13 @@ def test_involution_checks_read_the_picard_lattice_they_are_given(monkeypatch):
     gram[1][1] += 2
     bent = real._replace(lattice=IntegerLattice(gram))
     monkeypatch.setattr(involutions, "picard_lattice", lambda: bent)
-    code, report, _ = run_quiet(["involutions"])
-    check = next(c for c in report.checks if c["id"] == "pentad-reflections")
-    assert code == 1 and check["status"] == "fail"
-    assert not check["details"].startswith("3003 pentad reflections: 3003 integral")
+    path = tmp_path / "r.json"
+    code, _, _ = run_quiet(["--json", str(path), "involutions"])
+    assert code == 1
+    checks = json.loads(path.read_text())["checks"]
+    assert [c["id"] for c in checks] == INVOLUTION_CHECKS
+    for c in checks:
+        assert c["status"] == "fail" and c["error"]["type"] == "AssertionError", c["id"]
 
 
 def test_a_raising_picard_lattice_turns_each_involution_check_red(monkeypatch, tmp_path):

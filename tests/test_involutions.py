@@ -22,6 +22,7 @@ from quartic15.involutions import (
 from quartic15.lattice import Isometry, reflection_rows
 from quartic15.nodal_surface import (
     AMBIENT,
+    CODE_BASIS_DUADS,
     C_SET,
     E,
     ETA,
@@ -30,10 +31,12 @@ from quartic15.nodal_surface import (
     NODES,
     DivisorClass,
     b_tilde,
+    even_set_code,
     maps_code_into_code,
-    picard_basis_classes,
     picard_lattice,
     sigma_class,
+    sigma_eta,
+    word_of_nodes,
 )
 from quartic15.pentads import all_pentads
 
@@ -44,9 +47,13 @@ def model():
 
 
 def test_sigma_star_involution_and_images(model):
+    # the rows of sigma(eta) and sigma(E_x) on AMBIENT, over den 2
     sig = sigma_star()
-    assert is_involution(dense(sig))
-    assert preserves_gram(dense(sig), model.lattice.gram)
+    assert sig.den == 2
+    assert dense(sig) == [[2 // c.den * x for x in c.nums] for c in [sigma_eta()] + [sigma_class(d) for d in NODES]]
+    assert is_involution(dense(sig), 2)
+    assert preserves_gram(dense(sig), AMBIENT.gram, 2)
+    assert _maps_pic_into_pic(dense(sig), model, 2)
     # sigma exchanges E_x and sigma(E_x)
     for d in NODES:
         assert _apply_to_class(sig, E[d]) == sigma_class(d)
@@ -77,7 +84,8 @@ def test_tau_rey_invariant_rank():
 def test_tau_pentad_examples(model):
     pentad = tuple(sorted(NODES[:5]))
     tau = tau_pentad_star(pentad)
-    assert is_involution(dense(tau)) and preserves_gram(dense(tau), model.lattice.gram)
+    assert is_involution(dense(tau)) and preserves_gram(dense(tau), AMBIENT.gram)
+    assert _maps_pic_into_pic(dense(tau), model)
     # eta -> 19*eta - 12*sum_P E
     expected = 19 * ETA - sum((12 * E[x] for x in pentad), DivisorClass.make())
     assert _apply_to_class(tau, ETA) == expected
@@ -115,30 +123,37 @@ def test_pentad_naturality():
 
 
 def test_s6_isometries_are_isometries(model):
+    # each relabeling is its node-permutation rows on AMBIENT, over den 1
     for g in s6_elements()[:24]:
         iso = s6_isometry(g)
-        assert preserves_gram(dense(iso), model.lattice.gram)
+        assert iso.den == 1 and preserves_gram(dense(iso), AMBIENT.gram)
         assert iso.rows == sparse(dense(iso))  # canonical: column order, no stored zero
+        assert iso.rows[0] == ((0, 1),)
+        assert all(iso.rows[1 + NODE_INDEX[d]] == ((1 + NODE_INDEX[apply_perm_duad(g, d)], 1),) for d in NODES)
 
 
 def test_isometry_errors_name_the_isometry(monkeypatch):
     with pytest.raises(ValueError, match=re.escape("tau_rey: the class ")) as err:
         _apply_to_class(tau_rey_star(), ETA / 2)
     assert str(err.value) == f"tau_rey: the class {ETA / 2} is not in the Picard lattice"
-    basis = picard_basis_classes()
-    monkeypatch.setattr(involutions, "picard_basis_classes", lambda: [E[(1, 2)] / 2] + basis[1:])
-    with pytest.raises(ValueError, match=re.escape("perm(2, 1, 3, 4, 5, 6): image of basis vector 0 ")):
-        s6_isometry((2, 1, 3, 4, 5, 6))
+    # E_(1,2) and E_(1,3) read as each other: the identity relabeling is the
+    # swap of two nodes, which preserves the Gram form but leaves Pic
+    e12, e13 = E[(1, 2)], E[(1, 3)]
+    monkeypatch.setitem(involutions.E, (1, 2), e13)
+    monkeypatch.setitem(involutions.E, (1, 3), e12)
+    with pytest.raises(ValueError) as err:
+        s6_isometry((1, 2, 3, 4, 5, 6))
+    assert str(err.value) == "perm(1, 2, 3, 4, 5, 6): does not map the Picard lattice into itself"
+    # a root of norm 1 on AMBIENT: the reflection refuses it by name
     monkeypatch.setattr(involutions, "pentad_root", lambda p: ETA / 2)
-    with pytest.raises(ValueError, match=re.escape("tau_P(16,26,36,46,56): the root ")):
+    with pytest.raises(ValueError, match=re.escape("tau_P(16,26,36,46,56): reflection vector must have norm")):
         tau_pentad_star(C_SET)
 
 
 def test_class_images_off_the_gram_form_are_refused(monkeypatch):
-    # the identity relabeling of a basis that lists 2*eta for eta has the
-    # matrix diag(2, 1, ..., 1), which multiplies eta's norm by 4
-    basis = picard_basis_classes()
-    monkeypatch.setattr(involutions, "picard_basis_classes", lambda: [2 * basis[0]] + basis[1:])
+    # the identity relabeling with 2*eta for eta has the matrix
+    # diag(2, 1, ..., 1), which multiplies eta's norm by 4
+    monkeypatch.setattr(involutions, "ETA", 2 * ETA)
     with pytest.raises(ValueError, match=re.escape("perm(1, 2, 3, 4, 5, 6): Gram form not preserved")):
         s6_isometry((1, 2, 3, 4, 5, 6))
 
@@ -153,6 +168,25 @@ def test_a_sigma_that_does_not_square_to_one_is_refused(monkeypatch):
         sigma_star()
 
 
+def test_a_sigma_that_leaves_pic_is_refused(monkeypatch):
+    # sigma conjugated by the E_(1,2) <-> E_(1,3) swap S: rows and columns
+    # (1,2) and (1,3) exchanged, S·(2σ)·S over 2 squares to 4·1 and
+    # preserves 4·G on AMBIENT, so only the Pic test over den 2 refuses it
+    swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
+    i, j = 1 + NODE_INDEX[(1, 2)], 1 + NODE_INDEX[(1, 3)]
+    real = involutions.sigma_class
+
+    def conjugated(d):
+        nums = list(real(swap.get(d, d)).nums)
+        nums[i], nums[j] = nums[j], nums[i]
+        return DivisorClass(tuple(nums), real(d).den)
+
+    monkeypatch.setattr(involutions, "sigma_class", conjugated)
+    with pytest.raises(ValueError) as err:
+        sigma_star()
+    assert str(err.value) == "sigma*: does not map the Picard lattice into itself"
+
+
 def test_a_reye_reflection_off_the_gram_form_is_refused(monkeypatch, model):
     # the certificate read against a Gram matrix raised by 2 at a basis
     # vector c whose column in the Reye reflection is no ±e_c: the
@@ -161,12 +195,12 @@ def test_a_reye_reflection_off_the_gram_form_is_refused(monkeypatch, model):
     n = tau.rank
     images = [tau.apply([int(j == k) for j in range(n)]) for k in range(n)]
     c = next(c for c in range(n) if sum(1 for row in images if row[c]) > 1)
-    gram = [list(row) for row in model.lattice.gram]
+    gram = [list(row) for row in AMBIENT.gram]
     gram[c][c] += 2
-    other = type(model.lattice)(gram)
+    other = type(AMBIENT)(gram)
     real = Isometry.involutive_isometry
     monkeypatch.setattr(Isometry, "involutive_isometry", lambda self, lat: real(self, other))
-    with pytest.raises(AssertionError, match=re.escape("tau_rey must preserve the Gram form")):
+    with pytest.raises(ValueError, match=re.escape("tau_rey: Gram form not preserved")):
         tau_rey_star()
 
 
@@ -181,21 +215,18 @@ def test_reflections_commute_for_disjoint_roots():
     assert a.compose(b).rows == b.compose(a).rows
 
 
-def test_reflection_matches_divisor_class_formula(model):
-    # v -> v + (v·r)/2 · r through DivisorClass.dot, in ambient coordinates
-    for root in (reye_root(), pentad_root(C_SET)):
-        iso = reflection_rows(model.lattice, model.basis.coordinates(root.nums, root.den), "r")
-        for i, b in enumerate(picard_basis_classes()):
-            expected = b + (b.dot(root) / 2) * root
-            image = model.basis.vector(dense(iso)[i])
-            assert DivisorClass(tuple(image), model.basis.den) == expected
+def test_reflection_matches_divisor_class_formula():
+    # v -> v + (v·r)/2 · r through DivisorClass.dot, on the rows of AMBIENT
+    for root, tau in ((reye_root(), tau_rey_star()), (pentad_root(C_SET), tau_pentad_star(C_SET))):
+        for row, b in zip(dense(tau), [ETA] + [E[d] for d in NODES]):
+            assert DivisorClass(tuple(row)) == b + (b.dot(root) / 2) * root
 
 
-def test_sparse_products_see_every_entry_of_a_reflection(model):
+def test_sparse_products_see_every_entry_of_a_reflection():
     # changing any one entry of a pentad reflection by ±1, whether the entry
     # is zero or not, must break M·G·M^T = G or M·M = 1: skipping zero
     # entries in the products drops no part of either check
-    gram = model.lattice.gram
+    gram = AMBIENT.gram
     tau = tau_pentad_star(tuple(sorted(NODES[:5])))
     m = dense(tau)
     assert preserves_gram(m, gram) and is_involution(m)
@@ -209,7 +240,7 @@ def test_sparse_products_see_every_entry_of_a_reflection(model):
             # the two-product test answers exactly as the two dense ones
             expected = (is_involution(rows), preserves_gram(rows, gram))
             bad = Isometry("mutant", sparse(rows))
-            assert bad.involutive_isometry(model.lattice) == expected, (i, j, step)
+            assert bad.involutive_isometry(AMBIENT) == expected, (i, j, step)
 
 
 def test_pentad_root_is_the_root_on_the_ambient_lattice():
@@ -277,22 +308,23 @@ def test_times_is_the_dense_product(model):
 
 def test_ambient_reflections_are_the_reflections_on_the_hermite_basis(model):
     # B·M_amb = M_pic·B, B the Hermite basis rows of Pic (numerators over
-    # den 2): the reflection built on AMBIENT and `tau_pentad_star(P)` on
-    # Pic's basis are one map for every pentad, so the ambient certificate
-    # certifies the reflections the other checks use
+    # den 2): `tau_pentad_star(P)` on AMBIENT and the dense reflection on
+    # Pic's Gram matrix, in the root's coordinates on that basis, are one map
+    # for every pentad
     b = model.basis.rows
     assert model.basis.den == 2
     for pentad in all_pentads():
-        amb = dense(reflection_rows(AMBIENT, pentad_root(pentad).nums, "a"))
-        pic = dense(tau_pentad_star(pentad))
-        assert _times(b, amb) == _times(pic, b), pentad
+        amb = tau_pentad_star(pentad)
+        assert amb == reflection_rows(AMBIENT, pentad_root(pentad).nums, amb.name), pentad
+        pic = reflection(model.lattice.gram, model.basis.coordinates(pentad_root(pentad).nums))
+        assert _times(b, dense(amb)) == _times(pic, b), pentad
 
 
-def _maps_pic_into_pic(m, model):
-    """Whether M, integral on AMBIENT, maps every basis row of Pic to a
-    vector of Pic, by its integer coordinates on that basis."""
+def _maps_pic_into_pic(m, model, den=1):
+    """Whether M/den, M integral on AMBIENT, maps every basis row of Pic to
+    a vector of Pic, by its integer coordinates on that basis."""
     basis = model.basis
-    return all(basis.coordinates(row, basis.den) is not None for row in _times(basis.rows, m))
+    return all(basis.coordinates(row, basis.den * den) is not None for row in _times(basis.rows, m))
 
 
 def _swap_e12_e13():
@@ -308,11 +340,24 @@ def _tau_rey_on_ambient():
     return dense(reflection_rows(AMBIENT, reye_root().nums, "tau_rey"))
 
 
+def _sigma_conjugated_by_the_swap():
+    # S·(2σ)·S over 2, S the E_(1,2) <-> E_(1,3) swap: it squares to 4·1 and
+    # preserves 4·G, but maps Pic off itself
+    s = _swap_e12_e13()
+    return mat_mul(mat_mul(s, dense(sigma_star())), s)
+
+
 def test_the_code_test_agrees_with_pic_membership(model):
     # `maps_code_into_code` against the coordinates of the images of the
     # basis rows of Pic, on every pentad reflection, on tau_rey built on
-    # AMBIENT, on the E_(1,2) <-> E_(1,3) swap and on a pentad reflection
-    # with one entry bumped by 1 or by 2
+    # AMBIENT, on the E_(1,2) <-> E_(1,3) swap, on a pentad reflection with
+    # one entry bumped by 1 or by 2, on the 12 relabelings of the naturality
+    # spot check, and over den 2 on sigma*, on sigma conjugated by the swap
+    # on 2·1 + (every row the code word c): its rows are code words mod 2,
+    # but each generator word, of odd weight, maps to c mod 2, not to 0; and
+    # on 2·1 + (e_eta at eta and the five code basis duads): each generator
+    # word meets those six rows 4 times, so it maps to itself mod 2, but
+    # those rows are the eta bit mod 2, no code word
     matrices = [dense(reflection_rows(AMBIENT, pentad_root(p).nums, "a")) for p in all_pentads()]
     first = matrices[0]
     bumped = []
@@ -320,21 +365,31 @@ def test_the_code_test_agrees_with_pic_membership(model):
         m = [list(row) for row in first]
         m[0][0] += step
         bumped.append(m)
+    perms = s6_elements()
+    relabelings = [dense(s6_isometry(perms[(37 * k + 11) % len(perms)])) for k in range(NATURALITY_SAMPLE)]
+    cases = [(m, 1) for m in matrices + [_tau_rey_on_ambient(), _swap_e12_e13()] + bumped + relabelings]
+    c = even_set_code().generator_words[0]
+    odd = [[2 * (i == j) + (c >> j & 1) for j in range(16)] for i in range(16)]
+    t = word_of_nodes(CODE_BASIS_DUADS, eta_bit=True)
+    eta_rows = [[2 * (i == j) + (j == 0 and t >> i & 1) for j in range(16)] for i in range(16)]
+    cases += [(dense(sigma_star()), 2), (_sigma_conjugated_by_the_swap(), 2), (odd, 2), (eta_rows, 2)]
     verdicts = []
-    for m in matrices + [_tau_rey_on_ambient(), _swap_e12_e13()] + bumped:
-        verdict = maps_code_into_code(sparse(m))
-        assert verdict == _maps_pic_into_pic(m, model)
+    for m, den in cases:
+        verdict = maps_code_into_code(sparse(m), den)
+        assert verdict == _maps_pic_into_pic(m, model, den)
         verdicts.append(verdict)
-    assert verdicts == [True] * 3003 + [True, False, False, True]
+    assert verdicts == [True] * 3003 + [True, False, False, True] + [True] * NATURALITY_SAMPLE + [True, False, False, False]
 
 
 def test_the_swap_of_two_nodes_is_refused_only_by_the_code_test(model):
-    m = _swap_e12_e13()
-    iso = Isometry.from_matrix("swap", m)
-    assert iso.involutive_isometry(AMBIENT) == (True, True)
-    assert is_involution(m) and preserves_gram(m, AMBIENT.gram)
-    assert not _maps_pic_into_pic(m, model)
-    assert not maps_code_into_code(iso.rows)
+    # the swap over den 1, and sigma* conjugated by it over den 2
+    for m, den in ((_swap_e12_e13(), 1), (_sigma_conjugated_by_the_swap(), 2)):
+        iso = Isometry.from_matrix("swap", m, den)
+        assert iso.den == den and dense(iso) == m
+        assert iso.involutive_isometry(AMBIENT) == (True, True)
+        assert is_involution(m, den) and preserves_gram(m, AMBIENT.gram, den)
+        assert not _maps_pic_into_pic(m, model, den)
+        assert not maps_code_into_code(iso.rows, iso.den)
     # no permutation of {1,...,6} moves (1,2) to (1,3) and fixes every other duad
     swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
     assert not any(all(apply_perm_duad(g, d) == swap.get(d, d) for d in NODES) for g in s6_elements())
@@ -351,14 +406,14 @@ def test_the_code_test_is_not_a_test_of_the_identity_mod_2():
     assert maps_code_into_code(sparse(m))
 
 
-def test_tau_pentad_star_is_the_dense_form_of_the_rows(model):
-    # the 12 pentads P and g(P) of the naturality spot check, through the
-    # divisor-class route of `tau_pentad_star`, against the dense definition
+def test_tau_pentad_star_is_the_dense_form_of_the_rows():
+    # the 12 pentads P and g(P) of the naturality spot check, through
+    # `tau_pentad_star`, against the dense definition on AMBIENT
     perms, pentads = s6_elements(), all_pentads()
     for k in range(NATURALITY_SAMPLE):
         p = pentads[(211 * k + 5) % len(pentads)]
         for q in (p, apply_perm_duad_set(perms[(37 * k + 11) % len(perms)], p)):
             tau = tau_pentad_star(q)
-            w = model.basis.coordinates(pentad_root(q).nums)
-            assert dense(tau) == reflection(model.lattice.gram, w), q
-            assert tau == reflection_rows(model.lattice, w, tau.name), q
+            r = pentad_root(q).nums
+            assert tau.den == 1 and dense(tau) == reflection(AMBIENT.gram, r), q
+            assert tau == reflection_rows(AMBIENT, r, tau.name), q

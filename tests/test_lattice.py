@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from quartic15.lattice import (
     smith_normal_form,
 )
 
-from dense_oracle import dense, is_involution, preserves_gram, sparse
+from dense_oracle import dense, fraction_rref, is_involution, preserves_gram, sparse
 from dense_oracle import det as reference_det
 from dense_oracle import mat_mul as reference_mat_mul
 
@@ -322,6 +323,51 @@ def test_from_matrix_freezes_the_canonical_sparse_rows():
     assert iso == Isometry("m", sparse(m))
     assert isinstance(iso.rows, tuple) and all(isinstance(row, tuple) for row in iso.rows)
     assert dense(iso) == m
+    # m/4 = [[0, 1, 0], [-1, 0, 3], [0, 0, 0]]/4 has gcd 1, 2m/2 is m over 1
+    assert Isometry.from_matrix("m", m, 4).den == 4
+    assert Isometry.from_matrix("m", [[2 * x for x in row] for row in m], 2) == iso
+    for den in (0, -2):
+        with pytest.raises(ValueError, match=f"^m: the denominator must be positive, got {den}$"):
+            Isometry.from_matrix("m", m, den)
+
+
+def _fraction_matrix(iso):
+    """The matrix rows/den of an isometry, entry by entry as Fractions."""
+    return [[Fraction(x, iso.den) for x in row] for row in dense(iso)]
+
+
+@st.composite
+def _matrices_over_a_den(draw, n):
+    """(m, den): a small integer n×n matrix and a denominator in 1..4."""
+    m = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+    return m, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_matrices_over_a_den(n), _matrices_over_a_den(n), st.integers(1, 3))))
+def test_isometry_den_matches_the_dense_fraction_values(case):
+    # `from_matrix` is canonical, and compose, apply, trace and
+    # invariant_rank read den: each equals its dense Fraction value
+    (a, da), (b, db), k = case
+    n = len(a)
+    x, y = Isometry.from_matrix("a", a, da), Isometry.from_matrix("b", b, db)
+    fa = [[Fraction(e, da) for e in row] for row in a]
+    fb = [[Fraction(e, db) for e in row] for row in b]
+    for iso, f in ((x, fa), (y, fb), (x.compose(y), reference_mat_mul(fa, fb))):
+        assert iso.den >= 1 and gcd(iso.den, *(e for row in iso.rows for _, e in row)) == 1
+        assert _fraction_matrix(iso) == f
+    # one matrix, one pair (rows, den): k·a over k·da is a over da
+    assert Isometry.from_matrix("a", [[k * e for e in row] for row in a], k * da) == x
+    for v in a + [list(range(1, n + 1))]:
+        assert [Fraction(e, x.den) for e in x.apply(v)] == reference_mat_mul([v], fa)[0]
+    trace = sum(fa[i][i] for i in range(n))
+    if trace.denominator == 1:
+        assert x.trace() == trace
+    else:
+        with pytest.raises(ValueError, match=f"^a: non-integral trace {trace.numerator * x.den // trace.denominator}/{x.den}$"):
+            x.trace()
+    shifted = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(fa)]
+    assert x.invariant_rank() == n - len(fraction_rref(shifted)[1])
 
 
 def test_row_basis_coordinates():
@@ -331,7 +377,7 @@ def test_row_basis_coordinates():
     assert coords.den == 2
     v = [1] * 6 + [-1]  # numerators over 2
     x = coords.coordinates(v, 2)
-    assert [Fraction(a, coords.den) for a in coords.vector(x)] == [Fraction(a, 2) for a in v]
+    assert [Fraction(a, coords.den) for a in reference_mat_mul([x], coords.rows)[0]] == [Fraction(a, 2) for a in v]
     assert coords.coordinates([1] + [0] * 6, 3) is None  # not half-integral
     assert coords.coordinates([1] * 2 + [0] * 5, 2) is None  # half-integral, not a word
     # dependent rows: their Hermite form has a zero row, which is refused
@@ -358,7 +404,7 @@ def test_row_basis_solves_on_its_own_rows():
     # a pivot left unreduced) give the coordinates on those very rows
     basis = RowBasis([[-2, 5, 1], [0, 3, 4]], 2)
     for x in ([1, 0], [0, 1], [3, -2], [-1, 7]):
-        assert basis.coordinates(basis.vector(x), 2) == x
+        assert basis.coordinates(reference_mat_mul([x], basis.rows)[0], 2) == x
     assert basis.coordinates([-2, 8, 5], 2) == [1, 1]
     assert basis.coordinates([-2, 8, 5]) == [2, 2]
     assert basis.coordinates([-1, 1, 0], 2) is None  # in the span, off the lattice
@@ -548,18 +594,17 @@ def test_involutive_isometry_matches_the_dense_definition(case):
         h = hermite_normal_form(m)[0]
         basis = RowBasis(h)
         for v in vectors:
-            assert basis.vector(v) == reference_mat_mul([v], h)[0]
-            assert basis.coordinates(basis.vector(v)) == v
+            assert basis.coordinates(reference_mat_mul([v], h)[0]) == v
 
 
 def test_involutive_isometry_reads_each_lattices_own_gram():
     # each `IntegerLattice.__init__` builds its own sparse Gram rows: one M
-    # on two Picard Grams that differ in one diagonal entry gets each
+    # on two ambient Grams that differ in one diagonal entry gets each
     # lattice's own answer, in either order and again after the other
     from quartic15.involutions import GOEPEL_PENTAD, tau_pentad_star
-    from quartic15.nodal_surface import picard_lattice
+    from quartic15.nodal_surface import AMBIENT
 
-    lat = picard_lattice().lattice
+    lat = AMBIENT
     tau = tau_pentad_star(GOEPEL_PENTAD)
     i = next(k for k, row in enumerate(dense(tau)) if row[k] != 1)  # a moved basis vector
     rows = [list(r) for r in lat.gram]
@@ -686,7 +731,7 @@ def test_row_basis_rejects_vectors_of_the_wrong_length():
     with pytest.raises(ValueError, match="expected 2"):
         basis.coordinates([2, 4, 0])
     with pytest.raises(ValueError, match="expected 2"):
-        basis.vector([1])
+        basis.coordinates([1])
 
 
 # -- the signature: Berkowitz and Descartes against a Fraction LDL^T ------------

@@ -34,8 +34,6 @@ from quartic15.nodal_surface import (
     kummer_model,
     kummer_node_trope_pairings,
     kummer_tropes,
-    pic_coordinates,
-    picard_basis_classes,
     picard_lattice,
     sigma_class,
     standard_classes,
@@ -78,6 +76,16 @@ def test_maps_code_into_code_reads_each_row_mod_2():
     assert not ns.maps_code_into_code([((0, 2),)] + identity[1:])
     with pytest.raises(ValueError, match="has 16 rows, got 15"):
         ns.maps_code_into_code(identity[1:])
+    # over den 2: 2·1/2 is the identity and 6·1/2 = 3·1 maps Pic into 3·Pic;
+    # 1/2 sends e_eta to eta/2, off Pic, and diag(3, 2, ..., 2)/2 sends it
+    # to (3/2)·eta, off Pic as well
+    assert ns.maps_code_into_code([((i, 2),) for i in range(16)], 2)
+    assert ns.maps_code_into_code([((i, 6),) for i in range(16)], 2)
+    assert not ns.maps_code_into_code(identity, 2)
+    assert not ns.maps_code_into_code([((0, 3),)] + [((i, 2),) for i in range(1, 16)], 2)
+    for den in (0, 3, 4):
+        with pytest.raises(ValueError, match=f"^the Pic test takes den 1 or 2, got {den}$"):
+            ns.maps_code_into_code(identity, den)
 
 
 def test_weight6_words_are_trope_sets():
@@ -176,9 +184,9 @@ def test_picard_lattice_rank_det_index():
 
 def test_degree_even_on_pic():
     # the degree functional is even on the whole Picard lattice
-    model = picard_lattice()
-    for cls in picard_basis_classes():
-        deg = cls.degree()
+    basis = picard_lattice().basis
+    for row in basis.rows:
+        deg = DivisorClass(tuple(row), basis.den).degree()
         assert deg.denominator == 1 and int(deg) % 2 == 0
 
 
@@ -326,17 +334,6 @@ def test_an_index_two_complement_turns_only_image_equals_complement_red(monkeypa
     assert cert.image_orthogonal_to_n0 and cert.gram_match
 
 
-def test_pic_coordinates_names_a_class_off_the_lattice():
-    assert pic_coordinates(E[(1, 2)], "E_12") == picard_lattice().basis.coordinates(E[(1, 2)].nums)
-    half = E[(1, 2)] / 2
-    with pytest.raises(ValueError) as err:
-        pic_coordinates(half, "half of E_12")
-    assert str(err.value) == (
-        "half of E_12 DivisorClass(nums=(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), den=2)"
-        " is not in the Picard lattice"
-    )
-
-
 def _rational_rows(basis):
     return [[Fraction(x, basis.den) for x in row] for row in basis.rows]
 
@@ -463,7 +460,6 @@ def test_the_picard_basis_is_the_hermite_form_of_the_stacked_generators():
     assert not any(x for row in h[16:] for x in row)
     model = picard_lattice()
     assert model.basis.den == 2 and model.basis.rows == h[:16]
-    assert picard_basis_classes() == [DivisorClass(tuple(row), 2) for row in h[:16]]
 
 
 def test_a_cold_picard_lattice_solves_each_standard_class_once(monkeypatch):

@@ -308,6 +308,7 @@ FIELDS_READ_ONLY_BY_TESTS = {
 # maps to a library function that reads it.  A field of this kind that is in
 # neither table fails the census below.
 FIELD_HOMONYMS = {
+    "lattice.Isometry.den": "lattice.Isometry.trace",
     "lattice.Isometry.rows": "lattice.Isometry.apply",
     "nodal_surface.DivisorClass.den": "nodal_surface.DivisorClass.degree",
     "varieties.Hypersurface.ambient": "varieties.Hypersurface.node_reading",
